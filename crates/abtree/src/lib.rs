@@ -422,46 +422,6 @@ pub trait SessionMap: ConcurrentMap {
     fn session(&self) -> Self::Session<'_>;
 }
 
-/// Deprecated compatibility view of the pre-session API: drives a
-/// [`ConcurrentMap`] through `&self` methods by opening a throwaway
-/// [`MapHandle`] **per call**.
-///
-/// This keeps old call sites compiling while they migrate, but it pays a
-/// collector registration on every operation — the exact overhead the
-/// session API removes — so it is strictly a migration aid.  Open a handle
-/// per thread instead.
-///
-/// The shim's surface has been shrunk to the three point operations: every
-/// `contains`/`range`/`scan_len` caller has been migrated to sessions, and
-/// the remaining users are the `bench_handles` before/after benchmark (which
-/// measures this exact compat path) and code actively mid-migration.
-#[deprecated(
-    since = "0.1.0",
-    note = "open a per-thread session with `ConcurrentMap::handle` instead of \
-            calling operations on the shared map"
-)]
-pub trait LegacyMap {
-    /// `insert` through a throwaway session (see [`MapHandle::insert`]).
-    fn insert(&self, key: u64, value: u64) -> Option<u64>;
-    /// `delete` through a throwaway session (see [`MapHandle::delete`]).
-    fn delete(&self, key: u64) -> Option<u64>;
-    /// `get` through a throwaway session (see [`MapHandle::get`]).
-    fn get(&self, key: u64) -> Option<u64>;
-}
-
-#[allow(deprecated)]
-impl<M: ConcurrentMap + ?Sized> LegacyMap for M {
-    fn insert(&self, key: u64, value: u64) -> Option<u64> {
-        self.handle().insert(key, value)
-    }
-    fn delete(&self, key: u64) -> Option<u64> {
-        self.handle().delete(key)
-    }
-    fn get(&self, key: u64) -> Option<u64> {
-        self.handle().get(key)
-    }
-}
-
 /// A map that can report the sum of its keys, the accessor behind the
 /// harness's checksum validation (paper §6 "Validation": the keys each
 /// thread successfully inserted minus those it deleted must equal the keys
@@ -490,18 +450,6 @@ mod tests {
         assert_eq!(elim_h.insert(1, 2), None);
         assert_eq!(occ_h.get(1), Some(2));
         assert_eq!(elim_h.get(1), Some(2));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shim_opens_a_session_per_call() {
-        let tree: ElimABTree = ElimABTree::new();
-        let map: &dyn ConcurrentMap = &tree;
-        // The deprecated &self point ops still work for unmigrated callers.
-        assert_eq!(LegacyMap::insert(map, 7, 70), None);
-        assert_eq!(LegacyMap::get(map, 7), Some(70));
-        assert_eq!(LegacyMap::delete(map, 7), Some(70));
-        assert_eq!(LegacyMap::get(map, 7), None);
     }
 
     #[test]

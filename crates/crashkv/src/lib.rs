@@ -8,9 +8,12 @@
 //! Three layers:
 //!
 //! * **Durable shards** ([`DurableKvService`]) — each shard is a
-//!   [`pabtree::WalElimABTree`] owned by one thread.  Operations flush in
-//!   program order but are only *ordered* by a group `sfence`; client
-//!   acknowledgements are withheld until the covering fence
+//!   [`pabtree::WalElimABTree`] owned by one thread.  The thread runs
+//!   `kvserve`'s owner loop ([`kvserve::owner::run_owner`] — the same
+//!   lanes, mailbox and park handshake the volatile service uses); what
+//!   this crate adds is that loop's durable commit policy.  Operations
+//!   flush in program order but are only *ordered* by a group `sfence`;
+//!   client acknowledgements are withheld until the covering fence
 //!   (`acks_per_fence` is the group-commit knob, 1–64 in the bench sweep).
 //!   An acked operation is therefore always durable.
 //! * **Crash injection** ([`CrashSpec`]) — a fault directive kills a shard
@@ -41,8 +44,8 @@ mod service;
 mod shard;
 
 pub use crash::{CrashReport, CrashSpec, Crashed};
-pub use service::{DurableKvService, DurableOp, DurableRouter};
-pub use shard::ShardStatus;
+pub use service::{DurableKvService, DurableRouter};
+pub use shard::{DurableOp, ShardStatus};
 
 #[cfg(test)]
 mod tests {
@@ -329,15 +332,41 @@ mod tests {
         drop(service); // Drop after explicit shutdown must be a no-op.
     }
 
+    /// The lost-wake-up reproducer: every blocking round trip pushes one
+    /// job at an owner that is somewhere between its last idle scan and
+    /// its park (the pause sweeps the phase).  A push that is not fenced
+    /// before the client samples the idle flag can slip between the
+    /// owner's flag store and its re-scan, and then nobody ever unparks the
+    /// owner; the shared client lane fences, so this must run to the end.
+    #[test]
+    fn window_one_round_trips_never_lose_a_wake_up() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut service = DurableKvService::new(1, 16);
+            let mut router = service.router();
+            for i in 0..25_000u64 {
+                let key = i % 512 + 1;
+                assert_eq!(router.put(key, i), Ok(None));
+                for _ in 0..(i % 128) * 12 {
+                    std::hint::spin_loop();
+                }
+                assert_eq!(router.delete(key), Ok(Some(i)));
+            }
+            drop(router);
+            service.shutdown();
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a blocking round trip hung: the owner parked on a non-empty lane");
+        client.join().unwrap();
+    }
+
     #[test]
     fn sharding_matches_kvserve_placement() {
         let service = DurableKvService::new(4, 1);
         for key in [1u64, 99, 12_345, u64::MAX - 1] {
-            let shard = service.shard_of(key);
-            assert!(shard < 4);
-            // Fibonacci-hash placement, identical formula to kvserve.
-            let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            assert_eq!(shard, ((hashed as u128 * 4u128) >> 64) as usize);
+            assert_eq!(service.shard_of(key), kvserve::shard_of(key, 4));
         }
     }
 }

@@ -15,8 +15,9 @@
 //!        supervisor: join → pabtree::recover → respawn (status Up)
 //! ```
 //!
-//! Every shard is owned by exactly one thread; clients talk to it over SPSC
-//! lanes, and acknowledgements are group-committed (see [`crate::shard`]).
+//! Every shard is owned by exactly one thread running `kvserve`'s owner
+//! loop ([`kvserve::owner`]) under the group-fence commit policy of
+//! [`crate::shard`]; clients talk to it over that runtime's lanes.
 //! The **supervisor** is the only component that ever observes a dead owner:
 //! it joins the crashed thread, runs [`pabtree::recover`] over the shard's
 //! persistent image, records a [`CrashReport`], and spawns a fresh owner.
@@ -30,25 +31,18 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use kvserve::queue::{self, Consumer, Producer};
+use kvserve::owner::{run_owner, ClientLane, Exit};
+use kvserve::shard_of;
 use obs::{Registry, Sample, StageTrace};
-use pabtree::WalElimABTree;
 
 use crate::crash::{CrashReport, CrashSpec, Crashed};
-use crate::shard::{
-    run_shard_owner, Lane, ShardCell, ShardJob, ShardReply, ShardState, ShardStatus,
-};
-
-/// Ring capacity of each job and reply lane.  The router also caps its
-/// in-flight operations per shard at this value, which guarantees the reply
-/// ring can always absorb a full ack-group release.
-const LANE_CAPACITY: usize = 64;
+use crate::shard::{DurableOp, GroupFence, ShardCell, ShardReply, ShardStatus};
 
 /// How often the supervisor polls shard liveness.
 const SUPERVISOR_POLL: Duration = Duration::from_micros(200);
 
 struct Shared {
-    owners: Mutex<Vec<Option<JoinHandle<bool>>>>,
+    owners: Mutex<Vec<Option<JoinHandle<()>>>>,
     crash_log: Mutex<Vec<CrashReport>>,
     shutdown: AtomicBool,
     acks_per_fence: u32,
@@ -57,7 +51,7 @@ struct Shared {
 /// A durable sharded key/value service with supervised crash recovery.
 ///
 /// Compared to `kvserve::KvService` the shards are persistent
-/// ([`WalElimABTree`]: per-operation flushes, group fences), the
+/// ([`pabtree::WalElimABTree`]: per-operation flushes, group fences), the
 /// acknowledgement batching knob `acks_per_fence` trades ack latency for
 /// fence rate, and a crashed shard heals instead of poisoning the service.
 pub struct DurableKvService {
@@ -72,10 +66,17 @@ pub struct DurableKvService {
     trace: Arc<StageTrace>,
 }
 
-fn spawn_owner(cell: Arc<ShardCell>, shard: usize, acks_per_fence: u32) -> JoinHandle<bool> {
+fn spawn_owner(cell: Arc<ShardCell>, shard: usize, acks_per_fence: u32) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("crashkv-shard-{shard}"))
-        .spawn(move || run_shard_owner(cell, acks_per_fence))
+        .spawn(move || {
+            let mut policy = GroupFence::new(&cell, acks_per_fence);
+            if run_owner(&cell.mailbox, &mut policy) == Exit::Aborted {
+                // Publish death last: once Down is visible the supervisor
+                // may join us.
+                cell.state.set_status(ShardStatus::Down);
+            }
+        })
         .expect("failed to spawn shard owner")
 }
 
@@ -139,13 +140,7 @@ impl DurableKvService {
         let trace = Arc::new(StageTrace::new());
         let shards: Arc<Vec<Arc<ShardCell>>> = Arc::new(
             (0..shard_count)
-                .map(|_| {
-                    Arc::new(ShardCell {
-                        tree: WalElimABTree::new(),
-                        state: ShardState::new(),
-                        trace: Arc::clone(&trace),
-                    })
-                })
+                .map(|_| Arc::new(ShardCell::new(Arc::clone(&trace))))
                 .collect(),
         );
         let owners = shards
@@ -212,30 +207,15 @@ impl DurableKvService {
         }
     }
 
-    /// Opens a client router (one SPSC lane pair per shard).  Any number of
+    /// Opens a client router (one lane pair per shard).  Any number of
     /// routers may be open concurrently; each belongs to one client thread.
     pub fn router(&self) -> DurableRouter {
-        let lanes = self
-            .shards
-            .iter()
-            .map(|cell| {
-                let (job_tx, job_rx) = queue::channel(LANE_CAPACITY);
-                let (reply_tx, reply_rx) = queue::channel(LANE_CAPACITY);
-                cell.state.register_lane(Lane {
-                    jobs: job_rx,
-                    replies: reply_tx,
-                    buffered: VecDeque::new(),
-                });
-                RouterLane {
-                    jobs: job_tx,
-                    replies: reply_rx,
-                    in_flight: 0,
-                }
-            })
-            .collect();
         DurableRouter {
-            shards: Arc::clone(&self.shards),
-            lanes,
+            lanes: self
+                .shards
+                .iter()
+                .map(|cell| cell.mailbox.open_lane())
+                .collect(),
             pending: VecDeque::new(),
             completed: VecDeque::new(),
         }
@@ -246,7 +226,7 @@ impl DurableKvService {
     /// the shard.  At most one directive is armed per shard at a time — a
     /// second call overwrites an unfired first.
     pub fn inject_crash(&self, shard: usize, spec: CrashSpec) {
-        self.shards[shard].state.arm_crash(spec);
+        self.shards[shard].arm_crash(spec);
     }
 
     /// The service's metric registry.  Per-shard durability counters
@@ -269,10 +249,10 @@ impl DurableKvService {
         self.shards.len()
     }
 
-    /// The shard that owns `key` (same Fibonacci-hash placement as
-    /// `kvserve`, so sharding stays comparable across the two services).
+    /// The shard that owns `key` ([`kvserve::shard_of`], so sharding stays
+    /// comparable across the two services).
     pub fn shard_of(&self, key: u64) -> usize {
-        shard_index(key, self.shards.len())
+        shard_of(key, self.shards.len())
     }
 
     /// Completed crash + recovery cycles on `shard`.
@@ -325,7 +305,7 @@ impl DurableKvService {
         };
         self.shared.shutdown.store(true, Ordering::SeqCst);
         for cell in self.shards.iter() {
-            cell.state.begin_shutdown();
+            cell.mailbox.begin_shutdown();
         }
         let _ = supervisor.join();
         // The supervisor is gone, so reap the owners directly; a shard that
@@ -350,45 +330,8 @@ impl Drop for DurableKvService {
     }
 }
 
-fn shard_index(key: u64, shards: usize) -> usize {
-    assert_ne!(
-        key,
-        abtree::EMPTY_KEY,
-        "EMPTY_KEY is reserved by the tree layer"
-    );
-    let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((hashed as u128 * shards as u128) >> 64) as usize
-}
-
-/// One operation for the pipelined router path.
-#[derive(Debug, Clone, Copy)]
-pub enum DurableOp {
-    /// Point lookup.
-    Get {
-        /// Key to look up.
-        key: u64,
-    },
-    /// Insert-if-absent.
-    Put {
-        /// Key to insert.
-        key: u64,
-        /// Value to associate.
-        value: u64,
-    },
-    /// Point removal.
-    Delete {
-        /// Key to remove.
-        key: u64,
-    },
-}
-
-struct RouterLane {
-    jobs: Producer<ShardJob>,
-    replies: Consumer<ShardReply>,
-    in_flight: usize,
-}
-
-/// A client handle: routes operations to their shard over SPSC lanes.
+/// A client handle: routes operations to their shard over one
+/// [`ClientLane`] per shard.
 ///
 /// Two usage styles, freely mixable:
 ///
@@ -401,8 +344,7 @@ struct RouterLane {
 ///   group commits actually fill) and [`collect_one`](Self::collect_one)
 ///   harvests acknowledgements in submission order.
 pub struct DurableRouter {
-    shards: Arc<Vec<Arc<ShardCell>>>,
-    lanes: Vec<RouterLane>,
+    lanes: Vec<ClientLane<DurableOp, ShardReply>>,
     /// Shard index of each in-flight pipelined operation, submission order.
     pending: VecDeque<usize>,
     /// Results harvested early (by a blocking call) but not yet collected.
@@ -412,40 +354,30 @@ pub struct DurableRouter {
 impl DurableRouter {
     /// Durable point lookup (blocks for the covering group fence).
     pub fn get(&mut self, key: u64) -> Result<Option<u64>, Crashed> {
-        let shard = shard_index(key, self.shards.len());
-        self.call(shard, ShardJob::Get { key })
+        self.call(DurableOp::Get { key })
     }
 
     /// Durable insert-if-absent; `Ok(prior)` is fenced before release.
     pub fn put(&mut self, key: u64, value: u64) -> Result<Option<u64>, Crashed> {
-        let shard = shard_index(key, self.shards.len());
-        self.call(shard, ShardJob::Put { key, value })
+        self.call(DurableOp::Put { key, value })
     }
 
     /// Durable removal; `Ok(removed)` is fenced before release.
     pub fn delete(&mut self, key: u64) -> Result<Option<u64>, Crashed> {
-        let shard = shard_index(key, self.shards.len());
-        self.call(shard, ShardJob::Delete { key })
+        self.call(DurableOp::Delete { key })
+    }
+
+    fn shard_for(&self, op: DurableOp) -> usize {
+        let (DurableOp::Get { key } | DurableOp::Put { key, .. } | DurableOp::Delete { key }) = op;
+        shard_of(key, self.lanes.len())
     }
 
     /// Queues `op` without waiting for its acknowledgement.  `Err(op)`
     /// hands the operation back when its shard lane is at capacity — call
     /// [`collect_one`](Self::collect_one) and retry.
     pub fn submit(&mut self, op: DurableOp) -> Result<(), DurableOp> {
-        let (shard, job) = match op {
-            DurableOp::Get { key } => (shard_index(key, self.shards.len()), ShardJob::Get { key }),
-            DurableOp::Put { key, value } => (
-                shard_index(key, self.shards.len()),
-                ShardJob::Put { key, value },
-            ),
-            DurableOp::Delete { key } => (
-                shard_index(key, self.shards.len()),
-                ShardJob::Delete { key },
-            ),
-        };
-        if !self.push(shard, job) {
-            return Err(op);
-        }
+        let shard = self.shard_for(op);
+        self.lanes[shard].try_send(op)?;
         self.pending.push_back(shard);
         Ok(())
     }
@@ -465,8 +397,9 @@ impl DurableRouter {
         self.pending.len() + self.completed.len()
     }
 
-    fn call(&mut self, shard: usize, job: ShardJob) -> Result<Option<u64>, Crashed> {
-        while !self.push(shard, job) {
+    fn call(&mut self, op: DurableOp) -> Result<Option<u64>, Crashed> {
+        let shard = self.shard_for(op);
+        while self.lanes[shard].try_send(op).is_err() {
             assert!(self.harvest_one(), "lane at capacity with nothing in flight");
         }
         // Drain every earlier pipelined ack into `completed` (order kept
@@ -485,40 +418,74 @@ impl DurableRouter {
         true
     }
 
-    /// Pushes one job if the per-shard in-flight cap allows; wakes the
-    /// owner.  The cap keeps both rings within capacity by construction.
-    fn push(&mut self, shard: usize, job: ShardJob) -> bool {
-        let lane = &mut self.lanes[shard];
-        if lane.in_flight >= LANE_CAPACITY {
-            return false;
-        }
-        lane.jobs
-            .try_push(job)
-            .expect("job lane full or disconnected below the in-flight cap");
-        lane.in_flight += 1;
-        self.shards[shard].state.wake();
-        true
-    }
-
-    /// Spins (then yields) for the next reply on `shard`'s lane.  A Down
-    /// shard simply makes this wait until the supervisor heals it.
+    /// Waits for the next reply on `shard`'s lane.  A Down shard simply
+    /// makes this wait until the supervisor heals it; an owner that died
+    /// outside the crash protocol makes it panic (see [`ClientLane::recv`]).
     fn pop_blocking(&mut self, shard: usize) -> Result<Option<u64>, Crashed> {
-        let lane = &mut self.lanes[shard];
-        let mut spins = 0u32;
-        loop {
-            if let Some(reply) = lane.replies.try_pop() {
-                lane.in_flight -= 1;
-                return match reply {
-                    ShardReply::Value(value) => Ok(value),
-                    ShardReply::Crashed => Err(Crashed),
-                };
-            }
-            spins += 1;
-            if spins < 128 {
-                std::hint::spin_loop();
-            } else {
+        match self.lanes[shard].recv() {
+            ShardReply::Value(value) => Ok(value),
+            ShardReply::Crashed => Err(Crashed),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An injected crash hands the lanes to the successor: a client that
+    /// sends into the outage just waits for the heal.
+    #[test]
+    fn a_client_sending_into_an_outage_is_served_after_the_heal() {
+        let mut service = DurableKvService::new(1, 4);
+        let mut router = service.router();
+        for round in 0..20u64 {
+            // Fires at the idle point: nothing is in flight.
+            service.inject_crash(0, CrashSpec::default());
+            while service.shards[0].state.status() == ShardStatus::Up
+                && service.crash_count(0) == round
+            {
                 std::thread::yield_now();
             }
+            assert_eq!(router.put(round + 1, round), Ok(None));
         }
+        drop(router);
+        service.shutdown();
+        assert_eq!(service.crash_count(0), 20);
+        assert_eq!(service.total_keys(), 20);
+    }
+
+    /// An owner that dies *outside* the crash protocol drops its lanes, and
+    /// the next client call fails loudly instead of waiting forever.
+    #[test]
+    fn an_owner_that_panics_fails_its_clients_loudly() {
+        let service = DurableKvService::new(1, 4);
+        let mut router = service.router();
+        assert_eq!(router.put(1, 1), Ok(None));
+        // Poison the crash record so the owner panics inside its next
+        // crash, after the protocol's point of no return.
+        let cell = Arc::clone(&service.shards[0]);
+        let poisoner = std::thread::spawn(move || {
+            let _held = cell.state.pending_crash.lock().unwrap();
+            panic!("poisoning the crash record (expected by this test)");
+        });
+        assert!(poisoner.join().is_err());
+        service.inject_crash(0, CrashSpec::default());
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+            // The first puts may still be served; once the owner is gone
+            // the send or the wait panics.
+            let _ = router.put(2, 2);
+            std::thread::yield_now();
+        }))
+        .expect_err("the loop only ends by panicking");
+        let message = died
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| died.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("owner thread died"),
+            "panicked with: {message}"
+        );
     }
 }

@@ -1,56 +1,70 @@
-//! The durable shard owner: one thread per shard owning the shard's WAL
-//! tree, its persist lifecycle, and its crash behavior.
+//! The durable shard: its WAL tree, its persist lifecycle, its crash
+//! behavior — everything the owner thread does *between* lane operations.
 //!
-//! This is the thread-per-shard model of `kvserve` (SPSC lanes, lane
-//! mailbox, idle/park protocol) with the persist lifecycle added on top:
+//! The thread itself runs `kvserve`'s owner runtime
+//! ([`kvserve::owner::run_owner`]: lane mailbox, run draining, idle/park
+//! handshake, abort hand-off); this module is that loop's durable
+//! [`CommitPolicy`], [`GroupFence`]:
 //!
 //! * the shard's store is a concrete [`pabtree::WalElimABTree`] — flushes
 //!   are issued inside every operation ([`pabtree::RelaxedPersist`]), but
 //!   **no fence**;
-//! * the owner batches acknowledgements into **groups**: replies are
-//!   buffered per lane, and released only when the owner issues the group
-//!   [`abpmem::sfence`] — after `acks_per_fence` operations, or earlier
-//!   when the lanes drain empty (so a lone blocking client is never parked
-//!   behind a fence that will not come).  An acked operation is therefore
-//!   always durable;
+//! * acknowledgements are batched into **groups**: every reply is held,
+//!   and the loop releases a group only after [`GroupFence::boundary`]
+//!   issued the covering [`abpmem::sfence`] — after `acks_per_fence`
+//!   operations, or earlier when the lanes drain empty (so a lone blocking
+//!   client is never parked behind a fence that will not come).  An acked
+//!   operation is therefore always durable;
 //! * every state-changing operation since the last fence is kept in an
 //!   **unfenced log** with enough information to invert it, which is what
 //!   lets a crash at the boundary roll back the exact suffix that "did not
 //!   reach persistent memory";
 //! * a crash directive ([`crate::CrashSpec`], armed by the injector) fires
-//!   at a group boundary: the suffix rolls back, optional torn-persist
-//!   damage is planted, every buffered (unacked) reply is answered
-//!   [`ShardReply::Crashed`], the adopted lanes are returned to the mailbox
-//!   for the next owner, and the thread exits.  The supervisor then runs
+//!   at a group boundary (or when the shard is idle): the suffix rolls
+//!   back, optional torn-persist damage is planted, and the policy aborts
+//!   the loop — which answers every held (unacked) reply
+//!   [`ShardReply::Crashed`], returns the adopted lanes to the mailbox for
+//!   the next owner, and exits.  The supervisor then runs
 //!   [`pabtree::recover`] and spawns a fresh owner — the router sees the
 //!   shard degrade (queued jobs, `Crashed` errors) and heal, never a
 //!   poisoned lock.
 
-use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::Thread;
 
-use abtree::MapHandle;
-use kvserve::queue::{Consumer, Producer, PushError};
-use obs::{Stage, StageTrace, Stamp};
+use abtree::{MapHandle, SessionMap};
+use kvserve::owner::{CommitPolicy, Mailbox, OwnerLane, Verdict};
+use obs::{Stage, StageRecorder, StageTrace, Stamp};
 use pabtree::WalElimABTree;
 
 use crate::crash::CrashSpec;
 
-/// One request handed to a shard owner.  The durable service is a point-op
-/// store: batching happens at the ack/fence layer, not the request layer.
+/// One point operation: what [`crate::DurableRouter::submit`] takes and what
+/// crosses a job lane.  The durable service is a point-op store: batching
+/// happens at the ack/fence layer, not the request layer.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum ShardJob {
+pub enum DurableOp {
     /// Point lookup.
-    Get { key: u64 },
-    /// Point insert-if-absent.
-    Put { key: u64, value: u64 },
+    Get {
+        /// Key to look up.
+        key: u64,
+    },
+    /// Insert-if-absent.
+    Put {
+        /// Key to insert.
+        key: u64,
+        /// Value to associate.
+        value: u64,
+    },
     /// Point removal.
-    Delete { key: u64 },
+    Delete {
+        /// Key to remove.
+        key: u64,
+    },
 }
 
-/// The reply to one [`ShardJob`], in lane FIFO order.
+/// The reply to one [`DurableOp`], in lane FIFO order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum ShardReply {
     /// The operation executed and its covering group fence was issued: the
@@ -59,31 +73,6 @@ pub(crate) enum ShardReply {
     /// The shard crashed before the covering group fence: the operation was
     /// never acknowledged and may or may not have taken effect.
     Crashed,
-}
-
-/// The worker end of one router's lane pair, plus the owner's buffer of
-/// executed-but-unacked replies for that lane (released at the group
-/// fence, in FIFO order).
-pub(crate) struct Lane {
-    pub(crate) jobs: Consumer<ShardJob>,
-    pub(crate) replies: Producer<ShardReply>,
-    pub(crate) buffered: VecDeque<ShardReply>,
-}
-
-impl Lane {
-    /// Releases every buffered reply into the reply ring.  The router
-    /// bounds in-flight requests by the ring capacity, so a live ring
-    /// always has room; a disconnected ring means the router is gone.
-    fn release_buffered(&mut self) {
-        while let Some(reply) = self.buffered.pop_front() {
-            match self.replies.try_push(reply) {
-                Ok(()) | Err(PushError::Disconnected(_)) => {}
-                Err(PushError::Full(_)) => {
-                    unreachable!("reply lane overflowed its in-flight cap")
-                }
-            }
-        }
-    }
 }
 
 /// Shard liveness as the router and supervisor see it.
@@ -110,19 +99,9 @@ pub(crate) struct PendingCrash {
     pub(crate) dirty_link: bool,
 }
 
-/// Shared coordination state of one durable shard.
+/// Durability and crash state of one shard.
 pub(crate) struct ShardState {
     status: AtomicU8,
-    /// Mailbox of lanes waiting for the (current or next) owner: freshly
-    /// opened by routers, or returned by a crashed owner.
-    pending_lanes: Mutex<Vec<Lane>>,
-    /// Bumped on every mailbox deposit.
-    lane_generation: AtomicU64,
-    /// Raised by the owner just before parking.
-    idle: AtomicBool,
-    shutdown: AtomicBool,
-    /// The current owner thread, for unparking.
-    owner: Mutex<Option<Thread>>,
     /// Group-fence boundaries completed (read-only groups skip the actual
     /// `sfence` but still count as boundaries — the ack-release points).
     pub(crate) boundaries: AtomicU64,
@@ -138,14 +117,9 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Self {
             status: AtomicU8::new(STATUS_UP),
-            pending_lanes: Mutex::new(Vec::new()),
-            lane_generation: AtomicU64::new(0),
-            idle: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-            owner: Mutex::new(None),
             boundaries: AtomicU64::new(0),
             fences: AtomicU64::new(0),
             crashes: AtomicU64::new(0),
@@ -168,49 +142,6 @@ impl ShardState {
             ShardStatus::Down => STATUS_DOWN,
         };
         self.status.store(raw, Ordering::SeqCst);
-    }
-
-    /// Deposits a lane for the (current or next) owner and wakes it.
-    pub(crate) fn register_lane(&self, lane: Lane) {
-        self.pending_lanes
-            .lock()
-            .expect("lane mailbox poisoned")
-            .push(lane);
-        self.lane_generation.fetch_add(1, Ordering::Release);
-        self.wake();
-    }
-
-    /// Records the owner thread handle; called at every (re)spawn.
-    pub(crate) fn set_owner(&self, thread: Thread) {
-        *self.owner.lock().expect("owner slot poisoned") = Some(thread);
-    }
-
-    /// Unparks the owner if (and only if) it advertised itself idle.
-    pub(crate) fn wake(&self) {
-        if self.idle.load(Ordering::SeqCst) {
-            if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-                owner.unpark();
-            }
-        }
-    }
-
-    /// Raises the shutdown flag and wakes the owner unconditionally.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-            owner.unpark();
-        }
-    }
-
-    /// Arms a crash directive: the owner crashes at the first boundary (or
-    /// idle point) at which `after_boundaries` further boundaries have
-    /// completed.
-    pub(crate) fn arm_crash(&self, spec: CrashSpec) {
-        let target = self.boundaries.load(Ordering::SeqCst) + spec.after_boundaries;
-        *self.crash_spec.lock().expect("crash directive poisoned") = Some((target, spec));
-        self.crash_armed.store(true, Ordering::SeqCst);
-        // An idle owner must still crash: wake it so it reaches the check.
-        self.wake();
     }
 
     /// Takes the directive if it is due at the current boundary count.
@@ -237,10 +168,36 @@ impl ShardState {
 pub(crate) struct ShardCell {
     pub(crate) tree: WalElimABTree,
     pub(crate) state: ShardState,
+    /// Where routers open their lanes and the (current or next) owner
+    /// finds them.
+    pub(crate) mailbox: Arc<Mailbox<DurableOp, ShardReply>>,
     /// The service-wide stage trace; the owner records every group
     /// [`Stage::Fence`] span into it (unsampled — fences are already
     /// amortized to one per ack group).
-    pub(crate) trace: Arc<StageTrace>,
+    trace: Arc<StageTrace>,
+}
+
+impl ShardCell {
+    pub(crate) fn new(trace: Arc<StageTrace>) -> Self {
+        Self {
+            tree: WalElimABTree::new(),
+            state: ShardState::new(),
+            mailbox: Arc::new(Mailbox::default()),
+            trace,
+        }
+    }
+
+    /// Arms a crash directive: the owner crashes at the first boundary (or
+    /// idle point) at which `after_boundaries` further boundaries have
+    /// completed.
+    pub(crate) fn arm_crash(&self, spec: CrashSpec) {
+        let state = &self.state;
+        let target = state.boundaries.load(Ordering::SeqCst) + spec.after_boundaries;
+        *state.crash_spec.lock().expect("crash directive poisoned") = Some((target, spec));
+        state.crash_armed.store(true, Ordering::SeqCst);
+        // An idle owner must still crash: send it through its idle hook.
+        self.mailbox.notify();
+    }
 }
 
 /// One state-changing operation of the current unfenced group, with enough
@@ -254,131 +211,102 @@ enum UnfencedOp {
     Removed { key: u64, value: u64 },
 }
 
-/// How many consecutive empty scans the owner tolerates before parking.
-const IDLE_SPINS: u32 = 64;
+/// The durable commit policy: apply into the unfenced log, hold every
+/// reply, fence at the boundary — or crash there.
+pub(crate) struct GroupFence<'a> {
+    cell: &'a ShardCell,
+    handle: <WalElimABTree as SessionMap>::Session<'a>,
+    acks_per_fence: NonZeroU32,
+    /// State-changing operations since the last fence, oldest first.
+    unfenced: Vec<UnfencedOp>,
+    recorder: StageRecorder,
+}
 
-/// The shard-owner thread body.  Returns `true` if the owner exited via a
-/// crash (the supervisor must recover and respawn), `false` on clean
-/// shutdown.
-pub(crate) fn run_shard_owner(cell: Arc<ShardCell>, acks_per_fence: u32) -> bool {
-    let acks_per_fence = acks_per_fence.max(1);
-    let state = &cell.state;
-    // Publish our thread handle before the first possible park, so
-    // `wake()` / `begin_shutdown()` can always unpark us.
-    state.set_owner(std::thread::current());
-    let recorder = cell.trace.recorder();
-    let mut handle = cell.tree.handle();
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut seen_generation = 0u64;
-    let mut quiet_scans = 0u32;
-    let mut unfenced: Vec<UnfencedOp> = Vec::new();
-    let mut group_acks = 0u32;
-    loop {
-        let generation = state.lane_generation.load(Ordering::Acquire);
-        if generation != seen_generation {
-            seen_generation = generation;
-            lanes.append(&mut state.pending_lanes.lock().expect("lane mailbox poisoned"));
+impl<'a> GroupFence<'a> {
+    /// Opens the owner's session on `cell`'s tree; call on the owner thread.
+    pub(crate) fn new(cell: &'a ShardCell, acks_per_fence: u32) -> Self {
+        Self {
+            cell,
+            handle: cell.tree.handle(),
+            acks_per_fence: NonZeroU32::new(acks_per_fence).unwrap_or(NonZeroU32::MIN),
+            unfenced: Vec::new(),
+            recorder: cell.trace.recorder(),
         }
-        let mut served = 0u32;
-        for lane in &mut lanes {
-            // Cap each run at the group budget so the boundary (fence +
-            // ack release + crash check) always happens between runs.
-            while group_acks < acks_per_fence {
-                let Some(job) = lane.jobs.try_pop() else { break };
-                let reply = execute(&mut handle, &mut unfenced, job);
-                lane.buffered.push_back(reply);
-                group_acks += 1;
-                served += 1;
-                // The lost-ack mutant: release every ack buffered so far
-                // the moment a state-changing write executes, *before* the
-                // covering fence — exactly the bug group commit must not
-                // have.  A crash at the next boundary then rolls back
-                // acknowledged writes, which the durable checker must flag.
-                #[cfg(feature = "lost-ack")]
-                if matches!(reply, ShardReply::Value(_)) {
-                    lane.release_buffered();
-                }
-            }
-            if group_acks >= acks_per_fence {
-                break;
-            }
-        }
-        lanes.retain(|lane| {
-            !(lane.jobs.is_disconnected() && lane.jobs.is_empty() && lane.buffered.is_empty())
-        });
-        let drained_with_pending = served == 0 && group_acks > 0;
-        if group_acks >= acks_per_fence || drained_with_pending {
-            // Group boundary: fence (if any write is pending), then
-            // release every buffered ack — unless a crash is due, in
-            // which case the group dies unfenced.
-            if let Some(spec) = state.due_crash() {
-                crash(&cell, &mut handle, &mut lanes, &mut unfenced, spec);
-                return true;
-            }
-            if !unfenced.is_empty() {
-                let fence_start = Stamp::now();
-                abpmem::sfence();
-                state.fences.fetch_add(1, Ordering::SeqCst);
-                recorder.record(Stage::Fence, fence_start);
-                unfenced.clear();
-            }
-            state.boundaries.fetch_add(1, Ordering::SeqCst);
-            for lane in &mut lanes {
-                lane.release_buffered();
-            }
-            group_acks = 0;
-            continue;
-        }
-        if served > 0 {
-            quiet_scans = 0;
-            continue;
-        }
-        // Idle (group empty, nothing buffered): an armed crash still fires
-        // here, so a quiet shard cannot dodge its directive forever.
-        if let Some(spec) = state.due_crash() {
-            crash(&cell, &mut handle, &mut lanes, &mut unfenced, spec);
-            return true;
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            // Shutdown requires exclusive service access, so no router
-            // (and no new lane) can exist; drained means done.
-            break;
-        }
-        quiet_scans += 1;
-        if quiet_scans < IDLE_SPINS {
-            std::hint::spin_loop();
-            continue;
-        }
-        state.idle.store(true, Ordering::SeqCst);
-        let work_arrived = lanes.iter().any(|lane| !lane.jobs.is_empty())
-            || state.lane_generation.load(Ordering::SeqCst) != seen_generation
-            || state.shutdown.load(Ordering::SeqCst)
-            || state.crash_armed.load(Ordering::SeqCst);
-        if !work_arrived {
-            std::thread::park();
-        }
-        state.idle.store(false, Ordering::SeqCst);
-        quiet_scans = 0;
     }
-    false
+
+    /// Crashes if a directive is due.
+    fn crash_if_due(&mut self) -> Verdict<ShardReply> {
+        match self.cell.state.due_crash() {
+            Some(spec) => {
+                self.crash(spec);
+                Verdict::Abort(ShardReply::Crashed)
+            }
+            None => Verdict::Continue,
+        }
+    }
+}
+
+impl CommitPolicy for GroupFence<'_> {
+    type Job = DurableOp;
+    type Reply = ShardReply;
+
+    fn group_limit(&self) -> Option<NonZeroU32> {
+        Some(self.acks_per_fence)
+    }
+
+    #[inline]
+    fn apply(&mut self, job: DurableOp, lane: &mut OwnerLane<DurableOp, ShardReply>) {
+        lane.hold(execute(&mut self.handle, &mut self.unfenced, job));
+        // The lost-ack mutant: release every held ack the moment its
+        // operation executes, *before* the covering fence — exactly the
+        // bug group commit must not have.  A crash at the next boundary
+        // then rolls back acknowledged writes, which the durable checker
+        // must flag.
+        #[cfg(feature = "lost-ack")]
+        lane.release_held();
+    }
+
+    /// Fence (if any write is pending) so the loop may release the group —
+    /// unless a crash is due, in which case the group dies unfenced.
+    fn boundary(&mut self) -> Verdict<ShardReply> {
+        if let abort @ Verdict::Abort(_) = self.crash_if_due() {
+            return abort;
+        }
+        let state = &self.cell.state;
+        if !self.unfenced.is_empty() {
+            let fence_start = Stamp::now();
+            abpmem::sfence();
+            state.fences.fetch_add(1, Ordering::SeqCst);
+            self.recorder.record(Stage::Fence, fence_start);
+            self.unfenced.clear();
+        }
+        state.boundaries.fetch_add(1, Ordering::SeqCst);
+        Verdict::Continue
+    }
+
+    /// An armed crash still fires on a quiet shard (nothing unfenced,
+    /// nothing held), so it cannot dodge its directive forever.
+    fn idle(&mut self) -> Verdict<ShardReply> {
+        self.crash_if_due()
+    }
 }
 
 /// Executes one job, maintaining the unfenced log.
 fn execute(
     handle: &mut impl MapHandle,
     unfenced: &mut Vec<UnfencedOp>,
-    job: ShardJob,
+    job: DurableOp,
 ) -> ShardReply {
     match job {
-        ShardJob::Get { key } => ShardReply::Value(handle.get(key)),
-        ShardJob::Put { key, value } => {
+        DurableOp::Get { key } => ShardReply::Value(handle.get(key)),
+        DurableOp::Put { key, value } => {
             let prior = handle.insert(key, value);
             if prior.is_none() {
                 unfenced.push(UnfencedOp::Inserted { key, value });
             }
             ShardReply::Value(prior)
         }
-        ShardJob::Delete { key } => {
+        DurableOp::Delete { key } => {
             let removed = handle.delete(key);
             if let Some(value) = removed {
                 unfenced.push(UnfencedOp::Removed { key, value });
@@ -388,74 +316,62 @@ fn execute(
     }
 }
 
-/// The crash itself: destroy the unfenced suffix, plant the requested §5
-/// damage, abort every unacked client, hand the lanes to the next owner,
-/// and leave the forensic record for the supervisor.
-fn crash(
-    cell: &Arc<ShardCell>,
-    handle: &mut impl MapHandle,
-    lanes: &mut Vec<Lane>,
-    unfenced: &mut Vec<UnfencedOp>,
-    spec: CrashSpec,
-) {
-    let state = &cell.state;
-    let total = unfenced.len();
-    let survived = (spec.survivor_seed as usize) % (total + 1);
-    // Roll back the non-persisted suffix with exact inverse operations in
-    // reverse order, restoring the state as of `survived` operations past
-    // the last fence.
-    let rolled: Vec<UnfencedOp> = unfenced.drain(survived..).collect();
-    for op in rolled.iter().rev() {
-        match *op {
-            UnfencedOp::Inserted { key, .. } => {
-                handle.delete(key);
-            }
-            UnfencedOp::Removed { key, value } => {
-                handle.insert(key, value);
-            }
-        }
-    }
-    // Optionally re-apply one rolled-back insert *torn*: key/value stores
-    // persisted, version/size update interrupted.  Recovery must linearize
-    // it at the crash (paper §5), turning a "vanished" unacked write into a
-    // "survived" one — both legal outcomes for the checker.
-    let mut torn_insert = None;
-    if spec.torn_insert {
+impl GroupFence<'_> {
+    /// The crash itself: destroy the unfenced suffix, plant the requested
+    /// §5 damage and leave the forensic record for the supervisor.  The
+    /// caller aborts the loop, which answers every held reply `Crashed` —
+    /// each belongs to an operation whose covering fence never happened —
+    /// and hands the lanes on; queued (unpopped) jobs stay in the lanes and
+    /// are served after the shard heals.
+    fn crash(&mut self, spec: CrashSpec) {
+        let cell = self.cell;
+        let total = self.unfenced.len();
+        let survived = (spec.survivor_seed as usize) % (total + 1);
+        // Roll back the non-persisted suffix with exact inverse operations
+        // in reverse order, restoring the state as of `survived` operations
+        // past the last fence.
+        let rolled: Vec<UnfencedOp> = self.unfenced.drain(survived..).collect();
         for op in rolled.iter().rev() {
-            if let UnfencedOp::Inserted { key, value } = *op {
-                if cell.tree.force_partial_insert(key, value) {
-                    torn_insert = Some(key);
-                    break;
+            match *op {
+                UnfencedOp::Inserted { key, .. } => {
+                    self.handle.delete(key);
+                }
+                UnfencedOp::Removed { key, value } => {
+                    self.handle.insert(key, value);
                 }
             }
         }
-    }
-    if spec.dirty_link {
-        cell.tree.force_dirty_root_link();
-    }
-    // Every buffered reply belongs to an operation whose covering fence
-    // never happened: abort them all.  Queued (unpopped) jobs stay in the
-    // lanes and are served after the shard heals.
-    for lane in &mut lanes.iter_mut() {
-        for reply in &mut lane.buffered {
-            *reply = ShardReply::Crashed;
+        // Optionally re-apply one rolled-back insert *torn*: key/value
+        // stores persisted, version/size update interrupted.  Recovery must
+        // linearize it at the crash (paper §5), turning a "vanished"
+        // unacked write into a "survived" one — both legal outcomes for the
+        // checker.
+        let mut torn_insert = None;
+        if spec.torn_insert {
+            for op in rolled.iter().rev() {
+                if let UnfencedOp::Inserted { key, value } = *op {
+                    if cell.tree.force_partial_insert(key, value) {
+                        torn_insert = Some(key);
+                        break;
+                    }
+                }
+            }
         }
-        lane.release_buffered();
+        if spec.dirty_link {
+            cell.tree.force_dirty_root_link();
+        }
+        let report = PendingCrash {
+            boundary_index: cell.state.boundaries.load(Ordering::SeqCst),
+            unfenced: total,
+            survived,
+            rolled_back: total - survived,
+            torn_insert,
+            dirty_link: spec.dirty_link,
+        };
+        *cell
+            .state
+            .pending_crash
+            .lock()
+            .expect("crash record poisoned") = Some(report);
     }
-    let report = PendingCrash {
-        boundary_index: state.boundaries.load(Ordering::SeqCst),
-        unfenced: total,
-        survived,
-        rolled_back: total - survived,
-        torn_insert,
-        dirty_link: spec.dirty_link,
-    };
-    *state.pending_crash.lock().expect("crash record poisoned") = Some(report);
-    // Return the adopted lanes to the mailbox for the next owner.
-    let mut mailbox = state.pending_lanes.lock().expect("lane mailbox poisoned");
-    mailbox.extend(lanes.drain(..));
-    drop(mailbox);
-    state.lane_generation.fetch_add(1, Ordering::Release);
-    // Publish death last: once Down is visible the supervisor may join us.
-    state.set_status(ShardStatus::Down);
 }

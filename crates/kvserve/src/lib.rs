@@ -81,8 +81,10 @@
 pub mod cache;
 pub mod codec;
 pub mod namespace;
+pub mod owner;
 pub mod queue;
 pub mod request;
+pub mod router;
 pub mod service;
 pub mod stats;
 mod worker;
@@ -92,7 +94,9 @@ pub use codec::{
     decode_batch, decode_response_batch, encode_batch, encode_response_batch, CodecError,
 };
 pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
+pub use owner::LANE_CAPACITY;
 pub use queue::{Consumer, Producer, PushError};
 pub use request::{Request, Response};
-pub use service::{KvService, Overloaded, ShardRouter, ShardStartupError, ShardStore, LANE_CAPACITY};
+pub use router::{Overloaded, ShardRouter};
+pub use service::{shard_of, KvService, ShardStartupError, ShardStore};
 pub use stats::{Histogram, OpCounters, ServiceStats};

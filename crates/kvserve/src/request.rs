@@ -98,7 +98,7 @@ pub enum Response {
     Entries(Vec<(u64, u64)>),
     /// The request was shed without executing: its target shard already had
     /// a full lane of this client's requests in flight (see
-    /// [`crate::service::Overloaded`]).  A front-end answers with this
+    /// [`crate::router::Overloaded`]).  A front-end answers with this
     /// instead of blocking its event loop; the client may retry.
     Overloaded,
     /// A protocol-level failure: the server could not (or refused to)

@@ -265,7 +265,7 @@ impl ServiceStats {
     }
 
     /// Pipelined submissions refused with
-    /// [`Overloaded`](crate::service::Overloaded) because the target
+    /// [`Overloaded`](crate::router::Overloaded) because the target
     /// shard's lane was at capacity.
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)

@@ -10,14 +10,6 @@
 //! core, and a drain of a lane executes a *run* of requests against the
 //! local handle with no per-request synchronization at all.
 //!
-//! ## Lane registry
-//!
-//! Routers come and go at any time, so each shard keeps a mutex-protected
-//! mailbox of newly opened lanes plus a generation counter
-//! ([`ShardState::lane_generation`]); the worker adopts pending lanes when
-//! the counter moves and prunes lanes whose router half is gone.  The mutex
-//! is touched only on router open — never on the request path.
-//!
 //! ## The version counter and the hot-key cache
 //!
 //! [`ShardState::version`] counts the shard's *state mutations*: the worker
@@ -34,22 +26,20 @@
 //! counter untouched, so a Zipf-hot key that absorbs failed inserts does
 //! not shed its cache entries.
 //!
-//! ## Idle protocol and shutdown
+//! ## The loop
 //!
-//! An idle worker spins briefly, then publishes [`ShardState::idle`] and
-//! re-scans once before parking; producers unpark it only when the flag is
-//! up, so a busy shard never pays a syscall.  Dropping the
-//! [`crate::KvService`] raises [`ShardState::shutdown`], unparks everyone
-//! and joins the owners.
+//! Lane adoption, run draining, the idle/park handshake and shutdown are
+//! [`crate::owner::run_owner`]'s; this module supplies its volatile
+//! [`CommitPolicy`], [`Immediate`]: apply, bump the version, reply at once.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::Thread;
+use std::num::NonZeroU32;
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::Arc;
 
 use abtree::MapHandle;
-use obs::{Stage, StageTrace, Stamp};
+use obs::{Stage, StageRecorder, StageTrace, Stamp};
 
-use crate::queue::{Consumer, Producer, PushError};
+use crate::owner::{run_owner, CommitPolicy, Mailbox, OwnerLane};
 use crate::service::ShardStore;
 use crate::stats::Histogram;
 
@@ -74,6 +64,7 @@ pub(crate) enum ShardJob {
 /// The reply to one [`ShardJob`], in the same lane order. `version` is the
 /// shard's mutation counter observed at execution (post-bump for writes),
 /// which the router uses to stamp its hot-key cache entries.
+#[derive(Clone)]
 pub(crate) enum ShardReply {
     /// Reply to the point jobs.
     Value { value: Option<u64>, version: u64 },
@@ -83,44 +74,31 @@ pub(crate) enum ShardReply {
     Entries { entries: Vec<(u64, u64)> },
 }
 
-/// The worker end of one router's lane pair.  Every job rides with a
-/// stage-trace [`Stamp`] — the router's post-enqueue time for a sampled
-/// request, [`Stamp::NONE`] otherwise — and every reply carries the
-/// post-apply stamp back so the router can time the reply-lane wait.
-/// With telemetry compiled out `Stamp` is a ZST and the tuples cost
-/// nothing.
-pub(crate) struct Lane {
-    pub(crate) jobs: Consumer<(Stamp, ShardJob)>,
-    pub(crate) replies: Producer<(Stamp, ShardReply)>,
-}
+/// What crosses a job lane.  Every job rides with a stage-trace [`Stamp`]
+/// — the router's post-enqueue time for a sampled request, [`Stamp::NONE`]
+/// otherwise.  With telemetry compiled out `Stamp` is a ZST and the tuples
+/// cost nothing.
+pub(crate) type Job = (Stamp, ShardJob);
+
+/// What crosses a reply lane: the reply plus the owner's post-apply stamp,
+/// so the router can time the reply-lane wait.
+pub(crate) type Reply = (Stamp, ShardReply);
 
 /// Startup not yet decided: the owner thread has not attempted to open
 /// its store session.
-pub(crate) const READY_STARTING: u8 = 0;
+const READY_STARTING: u8 = 0;
 /// The owner opened its session and is serving.
-pub(crate) const READY_UP: u8 = 1;
+const READY_UP: u8 = 1;
 /// The owner could not register a session (SMR slot capacity) and exited.
-pub(crate) const READY_FAILED: u8 = 2;
+const READY_FAILED: u8 = 2;
 
-/// Shared coordination state of one shard, owned by its [`ShardCell`].
+/// Shard state the owner publishes and routers read.
 pub(crate) struct ShardState {
     /// Mutation counter; see the module docs.
     pub(crate) version: AtomicU64,
-    /// Mailbox of lanes opened by routers but not yet adopted by the worker.
-    pending_lanes: Mutex<Vec<Lane>>,
-    /// Bumped on every mailbox deposit; the worker re-checks the mailbox
-    /// only when it moves.
-    lane_generation: AtomicU64,
-    /// Raised by the worker just before parking; producers unpark only when
-    /// it is up.
-    idle: AtomicBool,
-    /// Raised by [`crate::KvService`] teardown.
-    shutdown: AtomicBool,
     /// Owner startup outcome: [`READY_STARTING`] until the owner thread has
     /// opened (or failed to open) its store session.
     ready: AtomicU8,
-    /// The owner thread, for unparking (set once at spawn).
-    owner: Mutex<Option<Thread>>,
     /// Lengths of the runs the worker drains per lane visit — the
     /// amortization the ownership model exists for.  Aggregated across
     /// shards with [`Histogram::merge`].
@@ -131,19 +109,9 @@ impl ShardState {
     pub(crate) fn new() -> Self {
         Self {
             version: AtomicU64::new(0),
-            pending_lanes: Mutex::new(Vec::new()),
-            lane_generation: AtomicU64::new(0),
-            idle: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
             ready: AtomicU8::new(READY_STARTING),
-            owner: Mutex::new(None),
             run_length: Histogram::new(),
         }
-    }
-
-    /// Publishes the owner's startup outcome (up or failed).
-    pub(crate) fn publish_ready(&self, outcome: u8) {
-        self.ready.store(outcome, Ordering::SeqCst);
     }
 
     /// Blocks until the owner published its startup outcome; returns `true`
@@ -156,35 +124,6 @@ impl ShardState {
                 READY_UP => return true,
                 _ => return false,
             }
-        }
-    }
-
-    /// Deposits a freshly opened lane for the worker to adopt and wakes it.
-    pub(crate) fn register_lane(&self, lane: Lane) {
-        self.pending_lanes.lock().expect("lane mailbox poisoned").push(lane);
-        self.lane_generation.fetch_add(1, Ordering::Release);
-        self.wake();
-    }
-
-    /// Records the owner thread handle; called once, right after spawn.
-    pub(crate) fn set_owner(&self, thread: Thread) {
-        *self.owner.lock().expect("owner slot poisoned") = Some(thread);
-    }
-
-    /// Unparks the owner if (and only if) it advertised itself idle.
-    pub(crate) fn wake(&self) {
-        if self.idle.load(Ordering::SeqCst) {
-            if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-                owner.unpark();
-            }
-        }
-    }
-
-    /// Raises the shutdown flag and wakes the owner unconditionally.
-    pub(crate) fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
-            owner.unpark();
         }
     }
 
@@ -202,102 +141,66 @@ impl ShardState {
 pub(crate) struct ShardCell {
     pub(crate) store: Box<dyn ShardStore>,
     pub(crate) state: ShardState,
+    /// Where routers open their lanes and the owner finds them.
+    pub(crate) mailbox: Arc<Mailbox<Job, Reply>>,
     /// The service-wide stage trace; the owner records its `Dequeue` and
     /// `Apply` stages into it for requests the router sampled.
     pub(crate) trace: Arc<StageTrace>,
 }
 
-/// How many consecutive empty scans the worker tolerates before it
-/// advertises idleness and parks.
-const IDLE_SPINS: u32 = 64;
+/// The volatile commit policy: a job's effect is final the moment it is
+/// applied, so its reply leaves at once.
+struct Immediate<'a> {
+    handle: Box<dyn MapHandle + 'a>,
+    state: &'a ShardState,
+    /// Unsampled: whether a request is traced was decided by the router at
+    /// submit time and rides in on the job's stamp.
+    recorder: StageRecorder,
+}
 
-/// The shard-owner thread body: adopt lanes, drain them in runs, park when
-/// idle, exit on shutdown once every adopted lane is dead or drained.
-pub(crate) fn run_shard_owner(cell: Arc<ShardCell>) {
+impl CommitPolicy for Immediate<'_> {
+    type Job = Job;
+    type Reply = Reply;
+
+    fn group_limit(&self) -> Option<NonZeroU32> {
+        None
+    }
+
+    #[inline]
+    fn apply(&mut self, (stamp, job): Job, lane: &mut OwnerLane<Job, Reply>) {
+        // Queue wait (post-enqueue to pop), then execution; both no-ops
+        // for the untraced majority.  The post-apply stamp rides back on
+        // the reply so the router can time `Ack`.
+        let dequeued = self.recorder.record(Stage::Dequeue, stamp);
+        let reply = execute(&mut *self.handle, self.state, job);
+        let applied = self.recorder.record(Stage::Apply, dequeued);
+        lane.send((applied, reply));
+    }
+
+    fn run_ended(&mut self, jobs: u64) {
+        self.state.run_length.record(jobs);
+    }
+}
+
+/// The shard-owner thread body: open the shard's one session, publish the
+/// startup outcome, serve until shutdown.
+pub(crate) fn serve_shard(cell: Arc<ShardCell>) {
     let state = &cell.state;
     // The single long-lived session this whole design exists to create:
     // opened on the owner thread, kept until shutdown.  Registration can
     // fail (the store's SMR collector has a fixed slot capacity); report
     // the outcome instead of panicking so the service can refuse to start.
-    let mut handle = match cell.store.try_handle() {
-        Ok(handle) => {
-            state.publish_ready(READY_UP);
-            handle
-        }
-        Err(_) => {
-            state.publish_ready(READY_FAILED);
-            return;
-        }
+    let Ok(handle) = cell.store.try_handle() else {
+        state.ready.store(READY_FAILED, Ordering::SeqCst);
+        return;
     };
-    // Unsampled recorder: whether a request is traced was decided by the
-    // router at submit time and rides in on the job's stamp.
-    let recorder = cell.trace.recorder();
-    let mut lanes: Vec<Lane> = Vec::new();
-    let mut seen_generation = 0u64;
-    let mut quiet_scans = 0u32;
-    loop {
-        let generation = state.lane_generation.load(Ordering::Acquire);
-        if generation != seen_generation {
-            seen_generation = generation;
-            lanes.append(&mut state.pending_lanes.lock().expect("lane mailbox poisoned"));
-        }
-        let mut served = 0usize;
-        lanes.retain_mut(|lane| {
-            let mut run = 0u64;
-            while let Some((stamp, job)) = lane.jobs.try_pop() {
-                // Queue wait (post-enqueue to pop), then execution; both
-                // no-ops for the untraced majority.  The post-apply stamp
-                // rides back on the reply so the router can time `Ack`.
-                let dequeued = recorder.record(Stage::Dequeue, stamp);
-                let reply = execute(&mut *handle, state, job);
-                let applied = recorder.record(Stage::Apply, dequeued);
-                // The router bounds its in-flight requests by the lane
-                // capacity, so a live reply ring always has room; a
-                // disconnected one means the router is gone and the reply
-                // is undeliverable — drop it.
-                match lane.replies.try_push((applied, reply)) {
-                    Ok(()) | Err(PushError::Disconnected(_)) => {}
-                    Err(PushError::Full(_)) => {
-                        unreachable!("reply lane overflowed its in-flight cap")
-                    }
-                }
-                run += 1;
-            }
-            if run > 0 {
-                state.run_length.record(run);
-                served += run as usize;
-            }
-            // A lane is dead once its router dropped the producer half and
-            // every queued job has been drained.
-            !(lane.jobs.is_disconnected() && lane.jobs.is_empty())
-        });
-        if served > 0 {
-            quiet_scans = 0;
-            continue;
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            // Shutdown requires exclusive service access, so no router (and
-            // no new lane) can exist; drained means done.
-            break;
-        }
-        quiet_scans += 1;
-        if quiet_scans < IDLE_SPINS {
-            std::hint::spin_loop();
-            continue;
-        }
-        // Publish idleness, then re-scan once: a producer that pushed
-        // before seeing the flag is caught by the re-scan, one that pushes
-        // after seeing it will unpark us.
-        state.idle.store(true, Ordering::SeqCst);
-        let work_arrived = lanes.iter().any(|lane| !lane.jobs.is_empty())
-            || state.lane_generation.load(Ordering::SeqCst) != seen_generation
-            || state.shutdown.load(Ordering::SeqCst);
-        if !work_arrived {
-            std::thread::park();
-        }
-        state.idle.store(false, Ordering::SeqCst);
-        quiet_scans = 0;
-    }
+    state.ready.store(READY_UP, Ordering::SeqCst);
+    let mut policy = Immediate {
+        handle,
+        state,
+        recorder: cell.trace.recorder(),
+    };
+    run_owner(&cell.mailbox, &mut policy);
 }
 
 /// Executes one job against the owner's handle, maintaining the mutation

@@ -87,7 +87,7 @@ fn cross_shard_key_sum_survives_concurrent_batched_updates() {
     assert_eq!(per_shard.iter().sum::<u128>(), service.key_sum());
     for (shard, counters) in service.stats().shards().iter().enumerate() {
         assert!(
-            counters.mputs() > 0,
+            !obs::ENABLED || counters.mputs() > 0,
             "shard {shard} served no multi-put sub-batches"
         );
     }

@@ -173,7 +173,7 @@ fn slow_client_trips_high_water_without_stalling_others() {
 /// blocks.
 #[test]
 fn full_lane_sheds_with_wire_overloaded() {
-    const LANE_CAPACITY: usize = 64; // kvserve::LANE_CAPACITY
+    use kvserve::LANE_CAPACITY;
     const OVERFLOW: usize = 8;
 
     let service = elim_service(1); // one shard: every key shares a lane

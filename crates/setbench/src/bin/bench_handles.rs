@@ -4,13 +4,12 @@
 //! ways and reports both throughputs as JSON rows (the repository keeps one
 //! run checked in as `BENCH_handles.json`, next to `BENCH_scans.json`):
 //!
-//! * `mode = "per-op-session"` — every operation goes through the deprecated
-//!   [`abtree::LegacyMap`] compat shim, which opens (and drops) a session
-//!   per call.  Note this is the cost of the *compat path*, not an exact
+//! * `mode = "per-op-session"` — every operation opens (and drops) its own
+//!   session: `map.handle().insert(k, v)`.  Note this is not an exact
 //!   reconstruction of the pre-handle code: the old API paid a
-//!   thread-registry-lookup pin per op, while the shim additionally pays a
-//!   slot registration per call, so the ratio bounds the old cost from
-//!   above.
+//!   thread-registry-lookup pin per op, while a per-call `handle()`
+//!   additionally pays a slot registration, so the ratio bounds the old
+//!   cost from above.
 //! * `mode = "session-handle"` — one [`abtree::MapHandle`] session for the
 //!   whole run; per-op pinning is a local epoch announcement.
 //!
@@ -22,9 +21,6 @@ use std::time::Instant;
 
 use rand::prelude::*;
 use setbench::make_structure;
-
-#[allow(deprecated)]
-use abtree::LegacyMap;
 
 const KEY_RANGE: u64 = 100_000;
 
@@ -43,18 +39,17 @@ fn run(structure: &str, ops: u64, per_op_session: bool) -> (u64, f64) {
     let mut rng = StdRng::seed_from_u64(0xBE7C);
     let started = Instant::now();
     if per_op_session {
-        #[allow(deprecated)]
         for _ in 0..ops {
             let key = rng.gen_range(0..KEY_RANGE);
             match rng.gen_range(0..4u32) {
                 0 => {
-                    std::hint::black_box(LegacyMap::insert(&*map, key, key));
+                    std::hint::black_box(map.handle().insert(key, key));
                 }
                 1 => {
-                    std::hint::black_box(LegacyMap::delete(&*map, key));
+                    std::hint::black_box(map.handle().delete(key));
                 }
                 _ => {
-                    std::hint::black_box(LegacyMap::get(&*map, key));
+                    std::hint::black_box(map.handle().get(key));
                 }
             }
         }
