@@ -53,7 +53,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         // First half of the update: odd version, value then key stores (the
         // part that would have been flushed).
         leaf.begin_write();
-        leaf.vals[slot].store(value, Ordering::Relaxed);
+        leaf.set_val(slot, value);
         leaf.keys[slot].store(key, Ordering::Relaxed);
         // Crash: no size update, no end_write().
         true
@@ -84,7 +84,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// mark.
     pub fn force_dirty_root_link(&self) {
         let root = self.entry.child(0);
-        self.entry.ptrs[0].store(tag_dirty(root), Ordering::Release);
+        self.entry.set_child(0, tag_dirty(root));
     }
 
     /// Returns `true` if any reachable child pointer still carries a dirty

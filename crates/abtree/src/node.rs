@@ -7,15 +7,28 @@
 //! through raw pointers from multiple threads, so a single layout keeps the
 //! unsafe surface small.
 //!
+//! The layout is *one* key array plus *one* array of 11 payload `slots`
+//! shared by the roles: a leaf never has children and an internal node
+//! never has values, so slot `i` holds `keys[i]`'s value in a leaf and the
+//! address of child `i` in an internal node.  That makes a node 240 bytes —
+//! four cache lines (a 256-byte malloc chunk), where separate value and
+//! pointer arrays made it 328 (a 336-byte chunk, six lines) — which every
+//! layer above inherits as memory, and the durable trees as fewer lines per
+//! whole-node flush.  The slots are private to this module: the rest of the
+//! crate goes through [`Node::val`]/[`Node::set_val`] and
+//! [`Node::child`]/[`Node::child_raw`]/[`Node::set_child`]/
+//! [`Node::cas_child`]/[`Node::persist_slot`], which is also what keeps a
+//! later split into separate leaf and internal types (ROADMAP item 2) local.
+//!
 //! Field roles (paper §3.1):
 //!
 //! * `keys` — up to [`MAX_KEYS`] keys.  In leaves the array is **unsorted**
 //!   and may contain [`EMPTY_KEY`] holes; in internal nodes the first
 //!   `size - 1` entries are sorted routing keys and never change after the
 //!   node is created.
-//! * `vals` — leaf values, parallel to `keys`.
-//! * `ptrs` — internal child pointers; the only mutable part of an internal
-//!   node.
+//! * `slots` — leaf: values, parallel to `keys`; internal: child pointers
+//!   (as addresses, low bit = link-and-persist dirty mark), the only
+//!   mutable part of an internal node.
 //! * `ver` — leaf version: even when stable, odd while a locked writer is
 //!   modifying the leaf.  The second increment (odd → even) is the
 //!   linearization point of simple inserts and successful deletes.
@@ -27,11 +40,15 @@
 //! * `search_key` — a key guaranteed to lie in this node's key range, used by
 //!   `fixTagged`/`fixUnderfull` to re-locate the node from the root.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use absync::RawNodeLock;
 
+use crate::persist::Persist;
 use crate::{EMPTY_KEY, MAX_KEYS};
+
+// A slot holds either a value or a child address.
+const _: () = assert!(std::mem::size_of::<usize>() <= std::mem::size_of::<u64>());
 
 /// Dirty-bit used by the link-and-persist technique (paper §5): a child
 /// pointer whose least-significant bit is set has been written but not yet
@@ -85,10 +102,9 @@ pub struct Node<L: RawNodeLock> {
     pub(crate) ver: AtomicU64,
     /// Keys (leaf: unsorted with holes; internal: sorted routing keys).
     pub(crate) keys: [AtomicU64; MAX_KEYS],
-    /// Leaf values, parallel to `keys`.
-    pub(crate) vals: [AtomicU64; MAX_KEYS],
-    /// Internal child pointers.
-    pub(crate) ptrs: [AtomicPtr<Node<L>>; MAX_KEYS],
+    /// Leaf: values, parallel to `keys`.  Internal: child addresses (see
+    /// the module docs).  Private: use the accessors.
+    slots: [AtomicU64; MAX_KEYS],
     /// Publishing-elimination record: key of the last leaf-modifying update.
     pub(crate) rec_key: AtomicU64,
     /// Publishing-elimination record: value inserted / deleted by it.
@@ -113,12 +129,9 @@ fn empty_keys() -> [AtomicU64; MAX_KEYS] {
     std::array::from_fn(|_| AtomicU64::new(EMPTY_KEY))
 }
 
-fn zero_vals() -> [AtomicU64; MAX_KEYS] {
+/// Zero is both the default value and the null child address.
+fn zero_slots() -> [AtomicU64; MAX_KEYS] {
     std::array::from_fn(|_| AtomicU64::new(0))
-}
-
-fn null_ptrs<L: RawNodeLock>() -> [AtomicPtr<Node<L>>; MAX_KEYS] {
-    std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut()))
 }
 
 impl<L: RawNodeLock> Node<L> {
@@ -131,8 +144,7 @@ impl<L: RawNodeLock> Node<L> {
             size: AtomicUsize::new(0),
             ver: AtomicU64::new(0),
             keys: empty_keys(),
-            vals: zero_vals(),
-            ptrs: null_ptrs::<L>(),
+            slots: zero_slots(),
             rec_key: AtomicU64::new(EMPTY_KEY),
             rec_val: AtomicU64::new(0),
             rec_ver: AtomicU64::new(0),
@@ -152,7 +164,7 @@ impl<L: RawNodeLock> Node<L> {
         for (i, &(k, v)) in entries.iter().enumerate() {
             debug_assert_ne!(k, EMPTY_KEY);
             node.keys[i].store(k, Ordering::Relaxed);
-            node.vals[i].store(v, Ordering::Relaxed);
+            node.set_val(i, v);
         }
         node.size.store(entries.len(), Ordering::Relaxed);
         Box::new(node)
@@ -179,7 +191,7 @@ impl<L: RawNodeLock> Node<L> {
             node.keys[i].store(k, Ordering::Relaxed);
         }
         for (i, &c) in children.iter().enumerate() {
-            node.ptrs[i].store(c, Ordering::Relaxed);
+            node.set_child(i, c);
         }
         node.size.store(children.len(), Ordering::Relaxed);
         Box::new(node)
@@ -188,7 +200,7 @@ impl<L: RawNodeLock> Node<L> {
     /// Creates the sentinel entry node pointing at `root`.
     pub(crate) fn new_entry(root: *mut Node<L>) -> Box<Self> {
         let node = Self::blank(NodeKind::Internal, 0);
-        node.ptrs[0].store(root, Ordering::Relaxed);
+        node.set_child(0, root);
         node.size.store(1, Ordering::Relaxed);
         Box::new(node)
     }
@@ -231,31 +243,65 @@ impl<L: RawNodeLock> Node<L> {
         self.keys[i].load(Ordering::Relaxed)
     }
 
-    /// Relaxed read of `vals[i]`.
+    /// Relaxed read of leaf value `i`.
     #[inline]
     pub(crate) fn val(&self, i: usize) -> u64 {
-        self.vals[i].load(Ordering::Relaxed)
+        debug_assert!(self.is_leaf());
+        self.slots[i].load(Ordering::Relaxed)
+    }
+
+    /// Relaxed store of leaf value `i`.  Caller holds the leaf's lock inside
+    /// a version-bracketed write (or the leaf is not yet published).
+    #[inline]
+    pub(crate) fn set_val(&self, i: usize, val: u64) {
+        debug_assert!(self.is_leaf());
+        self.slots[i].store(val, Ordering::Relaxed);
     }
 
     /// Loads child pointer `i` (acquire, so the child's immutable fields are
     /// visible), stripping any link-and-persist dirty tag.
     #[inline]
     pub(crate) fn child(&self, i: usize) -> *mut Node<L> {
-        untag(self.ptrs[i].load(Ordering::Acquire))
+        untag(self.child_raw(i))
     }
 
     /// Loads child pointer `i` without stripping the dirty tag (used by the
     /// durable trees' helping reads and by recovery).
     #[inline]
     pub(crate) fn child_raw(&self, i: usize) -> *mut Node<L> {
-        self.ptrs[i].load(Ordering::Acquire)
+        debug_assert!(!self.is_leaf());
+        self.slots[i].load(Ordering::Acquire) as usize as *mut Node<L>
     }
 
     /// Stores child pointer `i` (release).  Only called while holding this
-    /// node's lock (or during construction).
+    /// node's lock (or during construction or quiescent recovery).
     #[inline]
     pub(crate) fn set_child(&self, i: usize, child: *mut Node<L>) {
-        self.ptrs[i].store(child, Ordering::Release);
+        debug_assert!(!self.is_leaf());
+        self.slots[i].store(child as usize as u64, Ordering::Release);
+    }
+
+    /// Replaces child pointer `i` with `new` if it still is `current`
+    /// (dirty tag included); used to clear a link-and-persist dirty mark
+    /// without undoing a concurrent relink.
+    #[inline]
+    pub(crate) fn cas_child(&self, i: usize, current: *mut Node<L>, new: *mut Node<L>) -> bool {
+        debug_assert!(!self.is_leaf());
+        self.slots[i]
+            .compare_exchange(
+                current as usize as u64,
+                new as usize as u64,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            )
+            .is_ok()
+    }
+
+    /// Flushes and fences slot `i` (a leaf value or a child pointer) under
+    /// persistence policy `P`.
+    #[inline]
+    pub(crate) fn persist_slot<P: Persist>(&self, i: usize) {
+        P::persist_value(&self.slots[i]);
     }
 
     /// Routing step of the paper's `search` (Fig. 2 lines 51-52): the index
@@ -379,6 +425,18 @@ mod tests {
     use absync::McsLock;
 
     type N = Node<McsLock>;
+
+    /// The layout regression gate: one payload array, not two.  248 leaves
+    /// room for a lock one word wider than MCS's; a second 88-byte array
+    /// does not fit.
+    #[test]
+    fn a_node_is_four_cache_lines() {
+        assert!(
+            std::mem::size_of::<N>() <= 248,
+            "Node<McsLock> grew to {} bytes",
+            std::mem::size_of::<N>()
+        );
+    }
 
     #[test]
     fn new_leaf_is_empty_and_unmarked() {

@@ -309,8 +309,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             return untag(raw);
         }
         let clean = untag(raw);
-        P::persist_value(&node.ptrs[i]);
-        let _ = node.ptrs[i].compare_exchange(raw, clean, Ordering::AcqRel, Ordering::Relaxed);
+        node.persist_slot::<P>(i);
+        node.cas_child(i, raw, clean);
         clean
     }
 
@@ -323,14 +323,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             node.set_child(i, new);
             return;
         }
-        node.ptrs[i].store(tag_dirty(new), Ordering::Release);
-        P::persist_value(&node.ptrs[i]);
-        let _ = node.ptrs[i].compare_exchange(
-            tag_dirty(new),
-            new,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        );
+        node.set_child(i, tag_dirty(new));
+        node.persist_slot::<P>(i);
+        node.cas_child(i, tag_dirty(new), new);
     }
 
     /// Flushes freshly created nodes and fences, so that the subsequent
@@ -381,7 +376,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 node.size.store(1, Ordering::Relaxed);
                 let raw = node.child_raw(0);
                 if is_dirty(raw) {
-                    node.ptrs[0].store(untag(raw), Ordering::Relaxed);
+                    node.set_child(0, untag(raw));
                 }
                 stack.push(node.child(0));
             } else {
@@ -391,7 +386,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 for i in 0..MAX_KEYS {
                     let raw = node.child_raw(i);
                     if is_dirty(raw) {
-                        node.ptrs[i].store(untag(raw), Ordering::Relaxed);
+                        node.set_child(i, untag(raw));
                     }
                     if !untag(raw).is_null() {
                         count += 1;

@@ -188,9 +188,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             // Durable trees (paper §5): the value is written and flushed
             // before the key, and the insert becomes durable when the key
             // reaches persistent memory.
-            leaf.vals[slot].store(value, Ordering::Relaxed);
+            leaf.set_val(slot, value);
             if P::DURABLE {
-                P::persist_value(&leaf.vals[slot]);
+                leaf.persist_slot::<P>(slot);
             }
             leaf.keys[slot].store(key, Ordering::Relaxed);
             if P::DURABLE {

@@ -353,29 +353,39 @@ mod tests {
             h.insert(k, k);
         }
         assert_eq!(t.base_node_count(), 1, "no contention yet, single base");
-        let mut handles = Vec::new();
-        for tid in 0..8u64 {
-            let t = Arc::clone(&t);
-            handles.push(std::thread::spawn(move || {
-                let mut h = t.handle();
-                let mut rng = StdRng::seed_from_u64(tid);
-                for _ in 0..30_000 {
-                    let k = rng.gen_range(0..20_000u64);
-                    if rng.gen_bool(0.5) {
-                        h.insert(k, k);
-                    } else {
-                        h.delete(k);
-                    }
-                }
-            }));
+        // How much contention one fixed-size round sees depends on how the
+        // scheduler interleaves the workers (on two busy cores, sometimes
+        // hardly at all), so run rounds until the first split — splits are
+        // never undone — or a deadline no working adaptation comes near.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let mut rounds = 0u64;
+        while t.base_node_count() == 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "contended workload should split base nodes ({rounds} rounds did not)"
+            );
+            let workers: Vec<_> = (0..8u64)
+                .map(|tid| {
+                    let t = Arc::clone(&t);
+                    std::thread::spawn(move || {
+                        let mut h = t.handle();
+                        let mut rng = StdRng::seed_from_u64(rounds * 8 + tid);
+                        for _ in 0..30_000 {
+                            let k = rng.gen_range(0..20_000u64);
+                            if rng.gen_bool(0.5) {
+                                h.insert(k, k);
+                            } else {
+                                h.delete(k);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            rounds += 1;
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(
-            t.base_node_count() > 1,
-            "contended workload should split base nodes"
-        );
     }
 
     #[test]

@@ -362,6 +362,51 @@ mod tests {
         client.join().unwrap();
     }
 
+    /// The pipelined sibling: the lost-wake-up window now sits between a
+    /// window's last push and the doorbell its first wait rings.  The pause
+    /// before a window sweeps the pushes and the doorbell across the owner's
+    /// way into its park; window sizes are skewed small because on a
+    /// strongly ordered machine only a window whose first push is still in
+    /// flight at the doorbell can lose the race.
+    #[test]
+    fn pipelined_windows_never_lose_a_wake_up() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut service = DurableKvService::new(1, 16);
+            let mut router = service.router();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let pause = |spins: u64| {
+                for _ in 0..spins {
+                    std::hint::spin_loop();
+                }
+            };
+            for round in 0..25_000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                pause((state >> 32) % 128 * 12);
+                let window = 1 + ((state % 64) >> ((state >> 8) % 7));
+                for i in 0..window {
+                    let key = 1 + (round + i) % 512;
+                    router.submit(DurableOp::Delete { key }).unwrap();
+                }
+                if round % 2 == 1 {
+                    pause((state >> 48) % 128 * 12);
+                }
+                for _ in 0..window {
+                    assert_eq!(router.collect_one(), Some(Ok(None)));
+                }
+            }
+            drop(router);
+            service.shutdown();
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a window hung: the owner parked on a non-empty lane");
+        client.join().unwrap();
+    }
+
     #[test]
     fn sharding_matches_kvserve_placement() {
         let service = DurableKvService::new(4, 1);

@@ -183,6 +183,10 @@ impl DurableKvService {
                         .with("shard", index),
                     );
                     out.push(
+                        Sample::counter("durable_owner_wakes_total", cell.mailbox.wakes())
+                            .with("shard", index),
+                    );
+                    out.push(
                         Sample::counter(
                             "durable_crashes_total",
                             state.crashes.load(Ordering::Relaxed),
@@ -231,7 +235,8 @@ impl DurableKvService {
 
     /// The service's metric registry.  Per-shard durability counters
     /// (`durable_boundaries_total`, `durable_fences_total`,
-    /// `durable_crashes_total`, the `durable_shard_up` gauge) and the
+    /// `durable_owner_wakes_total`, `durable_crashes_total`, the
+    /// `durable_shard_up` gauge) and the
     /// stage trace register at construction; callers may register further
     /// sources or graft [`Registry::snapshot`] output into a larger scrape.
     pub fn registry(&self) -> &Arc<Registry> {
@@ -342,7 +347,10 @@ impl Drop for DurableKvService {
 ///   taken effect (retry at will).
 /// * **Pipelined** — [`submit`](Self::submit) queues without waiting (so
 ///   group commits actually fill) and [`collect_one`](Self::collect_one)
-///   harvests acknowledgements in submission order.
+///   harvests acknowledgements in submission order.  `submit` alone does
+///   not wake a parked shard owner: the lanes' doorbell
+///   ([`kvserve::owner`]) rings when an acknowledgement is waited for, or
+///   on [`flush`](Self::flush).
 pub struct DurableRouter {
     lanes: Vec<ClientLane<DurableOp, ShardReply>>,
     /// Shard index of each in-flight pipelined operation, submission order.
@@ -372,8 +380,9 @@ impl DurableRouter {
         shard_of(key, self.lanes.len())
     }
 
-    /// Queues `op` without waiting for its acknowledgement.  `Err(op)`
-    /// hands the operation back when its shard lane is at capacity — call
+    /// Queues `op` without waiting for its acknowledgement (and without
+    /// waking a parked owner — see the type docs).  `Err(op)` hands the
+    /// operation back when its shard lane is at capacity — call
     /// [`collect_one`](Self::collect_one) and retry.
     pub fn submit(&mut self, op: DurableOp) -> Result<(), DurableOp> {
         let shard = self.shard_for(op);
@@ -397,6 +406,16 @@ impl DurableRouter {
         self.pending.len() + self.completed.len()
     }
 
+    /// Wakes every shard owner that has submissions it may not know about.
+    /// Waiting for an acknowledgement does this itself; call `flush` after
+    /// [`submit`](Self::submit) only when the next thing this thread waits
+    /// on is something else.
+    pub fn flush(&mut self) {
+        for lane in &mut self.lanes {
+            lane.ring();
+        }
+    }
+
     fn call(&mut self, op: DurableOp) -> Result<Option<u64>, Crashed> {
         let shard = self.shard_for(op);
         while self.lanes[shard].try_send(op).is_err() {
@@ -418,11 +437,12 @@ impl DurableRouter {
         true
     }
 
-    /// Waits for the next reply on `shard`'s lane.  A Down shard simply
-    /// makes this wait until the supervisor heals it; an owner that died
-    /// outside the crash protocol makes it panic (see [`ClientLane::recv`]).
+    /// Waits for the next reply on `shard`'s lane, waking every shard with
+    /// unannounced submissions first.  A Down shard simply makes this wait
+    /// until the supervisor heals it; an owner that died outside the crash
+    /// protocol makes it panic (see [`ClientLane::recv_from`]).
     fn pop_blocking(&mut self, shard: usize) -> Result<Option<u64>, Crashed> {
-        match self.lanes[shard].recv() {
+        match ClientLane::recv_from(&mut self.lanes, shard) {
             ShardReply::Value(value) => Ok(value),
             ShardReply::Crashed => Err(Crashed),
         }
@@ -432,6 +452,64 @@ impl DurableRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Waits until shard 0's owner has advertised itself idle and has had
+    /// time to finish its re-scan and park.
+    fn wait_parked(service: &DurableKvService) {
+        let mailbox = &service.shards[0].mailbox;
+        while !mailbox.is_idle() {
+            std::thread::yield_now();
+        }
+        for _ in 0..200 {
+            std::thread::yield_now();
+        }
+        assert!(mailbox.is_idle(), "no work arrived, the owner stays idle");
+    }
+
+    /// A window submitted at a parked owner reaches it whole: one doorbell,
+    /// and groups that fill — 32 acks at 16 per fence close two boundaries,
+    /// not one per ack or two (the bounds leave room for an owner that was
+    /// not quite parked yet).
+    #[test]
+    fn a_parked_owner_gets_the_window_in_one_doorbell_and_full_groups() {
+        let mut service = DurableKvService::new(1, 16);
+        let mut router = service.router();
+        wait_parked(&service);
+        let wakes = |service: &DurableKvService| {
+            let samples = obs::expo::parse(&service.registry().render()).expect("scrape parses");
+            obs::expo::value(&samples, "durable_owner_wakes_total", &[("shard", "0")])
+                .expect("the wake count is exported")
+        };
+        let (wakes_before, boundaries_before) = (wakes(&service), service.boundaries(0));
+        for key in 1..=32u64 {
+            router.submit(DurableOp::Put { key, value: key }).unwrap();
+        }
+        for _ in 0..32 {
+            assert_eq!(router.collect_one(), Some(Ok(None)));
+        }
+        assert!(wakes(&service) - wakes_before <= 1);
+        let boundaries = service.boundaries(0) - boundaries_before;
+        assert!(boundaries <= 3, "{boundaries} boundaries for 32 acks");
+        drop(router);
+        service.shutdown();
+    }
+
+    #[test]
+    fn flush_wakes_a_parked_owner_without_a_collect() {
+        let mut service = DurableKvService::new(1, 16);
+        let mut router = service.router();
+        wait_parked(&service);
+        let boundaries = service.boundaries(0);
+        router.submit(DurableOp::Put { key: 1, value: 1 }).unwrap();
+        router.flush();
+        // The put's group closes though nobody waits for its ack yet.
+        while service.boundaries(0) == boundaries {
+            std::thread::yield_now();
+        }
+        assert_eq!(router.collect_one(), Some(Ok(None)));
+        drop(router);
+        service.shutdown();
+    }
 
     /// An injected crash hands the lanes to the successor: a client that
     /// sends into the outage just waits for the heal.

@@ -30,15 +30,37 @@
 //! group that will not fill) → prune lanes whose client is gone → spin →
 //! publish `idle` → re-scan → park.
 //!
-//! ## The wake-up handshake
+//! ## The wake-up handshake: one doorbell per window
 //!
-//! A producer does *push, `fence(SeqCst)`, load `idle`* and unparks the
-//! owner only if the flag is up, so a busy shard never pays a syscall.  The
-//! owner does *store `idle`, `fence(SeqCst)`, re-scan* before it parks.
-//! The two fences order the handshake: either the producer sees the flag
-//! and unparks, or the owner's re-scan sees the push.  Without them the
-//! push can be ordered after the flag load while the re-scan still reads an
-//! empty lane, and the client waits forever on a parked owner.
+//! Waking a parked owner is a futex call, and with client and owner on one
+//! core it is also a preemption: the owner runs, serves whatever is queued
+//! and parks again.  Paid per push, that is one context switch per request
+//! and runs of length one; so a push only *marks* its lane as having
+//! unannounced jobs, and the **doorbell** — `fence(SeqCst)`, load `idle`,
+//! unpark if it is up — rings once, when the client is about to wait:
+//!
+//! * [`ClientLane::recv_from`] (and [`recv`](ClientLane::recv)) rings when
+//!   it finds the reply ring empty — every lane of the client that has
+//!   unannounced jobs, not only the one it waits on, so the other shards
+//!   work while the client waits on this one;
+//! * [`ClientLane::ring`] is the explicit form, for a client that sends and
+//!   then waits on something other than a receive (the routers' `flush`);
+//! * dropping a lane hangs up and rings, so jobs abandoned unannounced are
+//!   still drained and the lane is pruned.
+//!
+//! Only the syscall is deferred: a busy owner sees every push on its next
+//! scan, exactly as before.  A send alone therefore does **not** guarantee
+//! that a parked owner wakes; a receive, a `ring` or the drop does.
+//!
+//! The owner does *store `idle`, `fence(SeqCst)`, re-scan* before it parks;
+//! the doorbell does *`fence(SeqCst)`, load `idle`* after the client's last
+//! push.  The two fences still pair: either the doorbell sees the flag and
+//! unparks, or the owner's re-scan sees every push made before the
+//! doorbell.  Without them the pushes can be ordered after the flag load
+//! while the re-scan still reads an empty lane, and the client waits
+//! forever on a parked owner.  The lost-wake-up window is now between the
+//! *last* push and the doorbell, which is why a client must not block
+//! between the two on anything but a receive.
 
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
@@ -179,9 +201,12 @@ pub struct Mailbox<J, R> {
     /// Bumped on every deposit (and by [`notify`](Self::notify)); the
     /// owner looks into the mailbox only when it moves.
     lane_generation: AtomicU64,
-    /// Raised by the owner just before parking; producers unpark only when
+    /// Raised by the owner just before parking; doorbells unpark only when
     /// it is up.
     idle: AtomicBool,
+    /// Unparks issued because `idle` was up: the doorbells that cost a
+    /// syscall.
+    wakes: AtomicU64,
     shutdown: AtomicBool,
     /// The current owner thread, registered by [`run_owner`] itself.
     owner: Mutex<Option<Thread>>,
@@ -194,6 +219,7 @@ impl<J, R> Default for Mailbox<J, R> {
             pending_lanes: Mutex::new(Vec::new()),
             lane_generation: AtomicU64::new(0),
             idle: AtomicBool::new(false),
+            wakes: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             owner: Mutex::new(None),
         }
@@ -220,6 +246,7 @@ impl<J, R> Mailbox<J, R> {
             jobs,
             replies,
             in_flight: 0,
+            unannounced: false,
         }
     }
 
@@ -236,8 +263,21 @@ impl<J, R> Mailbox<J, R> {
     /// `fence(SeqCst)`; see the module docs.
     fn wake(&self) {
         if self.idle.load(Ordering::SeqCst) {
+            self.wakes.fetch_add(1, Ordering::Relaxed);
             self.unpark();
         }
+    }
+
+    /// How many times a doorbell (or [`notify`](Self::notify)) found the
+    /// owner idle and unparked it.
+    pub fn wakes(&self) -> u64 {
+        self.wakes.load(Ordering::Relaxed)
+    }
+
+    /// Whether the owner has advertised itself idle: it is parked, or about
+    /// to park unless its re-scan finds work.
+    pub fn is_idle(&self) -> bool {
+        self.idle.load(Ordering::SeqCst)
     }
 
     fn unpark(&self) {
@@ -256,16 +296,21 @@ impl<J, R> Mailbox<J, R> {
 
 /// A client's end of one shard's lane pair.
 ///
-/// Sending is *push → `fence(SeqCst)` → wake*: the fence orders the push
-/// before the load of the owner's idle flag, which is what rules out the
-/// lost wake-up described in the module docs — for every service on this
-/// runtime, by construction.
+/// Sending only queues; the owner is woken by the **doorbell** —
+/// `fence(SeqCst)`, then unpark if the owner is idle — which rings when a
+/// receive has to wait, on [`ring`](Self::ring), and on drop.  The fence
+/// orders every earlier push before the load of the owner's idle flag,
+/// which is what rules out the lost wake-up described in the module docs —
+/// for every service on this runtime, by construction.
 pub struct ClientLane<J, R> {
     mailbox: Arc<Mailbox<J, R>>,
     jobs: Producer<J>,
     replies: Consumer<R>,
     /// Sent-but-unreceived jobs; bounds the occupancy of both rings.
     in_flight: usize,
+    /// Jobs were pushed since the last doorbell: a parked owner may not
+    /// know about them yet.
+    unannounced: bool,
 }
 
 impl<J, R> ClientLane<J, R> {
@@ -275,8 +320,9 @@ impl<J, R> ClientLane<J, R> {
         self.in_flight
     }
 
-    /// Queues `job` and wakes the owner; hands it back when
-    /// [`LANE_CAPACITY`] jobs are already in flight.
+    /// Queues `job`; hands it back when [`LANE_CAPACITY`] jobs are already
+    /// in flight.  A busy owner picks the job up on its next scan; a parked
+    /// one learns of it at the next doorbell (see the type docs).
     ///
     /// # Panics
     ///
@@ -291,30 +337,62 @@ impl<J, R> ClientLane<J, R> {
             panic!("shard lane rejected a push below the in-flight cap (owner thread died?)");
         }
         self.in_flight += 1;
-        fence(Ordering::SeqCst);
-        self.mailbox.wake();
+        self.unannounced = true;
         Ok(())
     }
 
-    /// Waits for the oldest in-flight job's reply, spinning briefly and
-    /// then yielding.  A shard whose owner aborted
-    /// keeps the lane alive in its mailbox, so this simply waits for the
-    /// successor.
+    /// Rings the doorbell if jobs were sent since the last ring: wakes the
+    /// owner if it is parked.  Call after sending when the next thing this
+    /// thread waits on is not a receive from this client's lanes.
+    #[inline]
+    pub fn ring(&mut self) {
+        if self.unannounced {
+            self.unannounced = false;
+            fence(Ordering::SeqCst);
+            self.mailbox.wake();
+        }
+    }
+
+    #[inline]
+    fn try_recv(&mut self) -> Option<R> {
+        let reply = self.replies.try_pop()?;
+        self.in_flight -= 1;
+        Some(reply)
+    }
+
+    /// [`recv_from`](Self::recv_from) for a client with this one lane.
+    pub fn recv(&mut self) -> R {
+        Self::recv_from(std::slice::from_mut(self), 0)
+    }
+
+    /// Receives the reply to the oldest in-flight job of `lanes[index]`,
+    /// where `lanes` are all the lanes of one client (one per shard).  If
+    /// the reply is not there yet, rings **every** lane with unannounced
+    /// jobs — so the other shards work while this one is waited on — and
+    /// then waits, spinning briefly and then yielding.  A shard whose owner
+    /// aborted keeps the lane alive in its mailbox, so this simply waits for
+    /// the successor.
     ///
     /// # Panics
     ///
     /// Panics if the reply ring is disconnected — the owner thread died
     /// without handing the lane on — rather than wait forever.
-    pub fn recv(&mut self) -> R {
-        debug_assert!(self.in_flight > 0, "recv with nothing in flight");
+    pub fn recv_from(lanes: &mut [Self], index: usize) -> R {
+        debug_assert!(lanes[index].in_flight > 0, "recv with nothing in flight");
+        if let Some(reply) = lanes[index].try_recv() {
+            return reply;
+        }
+        for lane in lanes.iter_mut() {
+            lane.ring();
+        }
+        let lane = &mut lanes[index];
         let mut spins = 0u32;
         loop {
-            if let Some(reply) = self.replies.try_pop() {
-                self.in_flight -= 1;
+            if let Some(reply) = lane.try_recv() {
                 return reply;
             }
             assert!(
-                !self.replies.is_disconnected(),
+                !lane.replies.is_disconnected(),
                 "shard owner thread died with replies outstanding"
             );
             spins += 1;
@@ -324,6 +402,15 @@ impl<J, R> ClientLane<J, R> {
                 std::thread::yield_now();
             }
         }
+    }
+}
+
+impl<J, R> Drop for ClientLane<J, R> {
+    /// Hangs up before the last doorbell, so the owner it wakes drains the
+    /// abandoned jobs and prunes the lane in the same scan.
+    fn drop(&mut self) {
+        self.jobs.close();
+        self.ring();
     }
 }
 
@@ -431,6 +518,20 @@ fn abort<J, R: Clone>(mailbox: &Mailbox<J, R>, mut lanes: Vec<OwnerLane<J, R>>, 
         .append(&mut lanes);
     mailbox.lane_generation.fetch_add(1, Ordering::SeqCst);
     Exit::Aborted
+}
+
+/// Test helper: waits until the owner has advertised itself idle and has
+/// had time to finish its re-scan and park.  Only for a mailbox nobody is
+/// sending to.
+#[cfg(test)]
+pub(crate) fn wait_parked<J, R>(mailbox: &Mailbox<J, R>) {
+    while !mailbox.is_idle() {
+        std::thread::yield_now();
+    }
+    for _ in 0..200 {
+        std::thread::yield_now();
+    }
+    assert!(mailbox.is_idle(), "no work arrived, the owner stays idle");
 }
 
 #[cfg(test)]
@@ -608,10 +709,12 @@ mod tests {
     fn with_live_owner<P, S>(
         make_policy: impl FnOnce() -> P + Send + 'static,
         summarize: impl FnOnce(P) -> S + Send + 'static,
-        body: impl FnOnce(Arc<Mailbox<u64, u64>>) + Send + 'static,
+        body: impl FnOnce(Arc<Mailbox<P::Job, P::Reply>>) + Send + 'static,
     ) -> S
     where
-        P: CommitPolicy<Job = u64, Reply = u64>,
+        P: CommitPolicy,
+        P::Job: Send + 'static,
+        P::Reply: Send + 'static,
         S: Send + 'static,
     {
         let mailbox = Arc::new(Mailbox::default());
@@ -637,6 +740,110 @@ mod tests {
         client.join().expect("client thread").expect("result sent");
         mailbox.begin_shutdown();
         owner.join().expect("owner thread")
+    }
+
+    /// Records the length of every run the loop drains.
+    #[derive(Default)]
+    struct Runs(Vec<u64>);
+
+    impl CommitPolicy for Runs {
+        type Job = u64;
+        type Reply = u64;
+
+        fn group_limit(&self) -> Option<NonZeroU32> {
+            None
+        }
+
+        fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
+            lane.send(job);
+        }
+
+        fn run_ended(&mut self, jobs: u64) {
+            self.0.push(jobs);
+        }
+    }
+
+    #[test]
+    fn pushes_ring_no_doorbell_and_one_recv_delivers_them_as_one_run() {
+        const JOBS: u64 = 40;
+        let runs = with_live_owner(
+            Runs::default,
+            |policy| policy.0,
+            |mailbox| {
+                let mut client = mailbox.open_lane();
+                wait_parked(&mailbox);
+                let wakes = mailbox.wakes();
+                send_all(&mut client, 0..JOBS);
+                wait_parked(&mailbox);
+                assert_eq!(mailbox.wakes(), wakes, "a push alone rings no doorbell");
+                for job in 0..JOBS {
+                    assert_eq!(client.recv(), job);
+                }
+                assert_eq!(mailbox.wakes(), wakes + 1, "one doorbell for the window");
+            },
+        );
+        assert_eq!(
+            runs,
+            [JOBS],
+            "the woken owner finds the whole window queued"
+        );
+    }
+
+    #[test]
+    fn ring_wakes_a_parked_owner_without_a_receive() {
+        with_live_owner(
+            || Echo,
+            |_| (),
+            |mailbox| {
+                let mut client = mailbox.open_lane();
+                wait_parked(&mailbox);
+                send_all(&mut client, 0..3);
+                client.ring();
+                while client.replies.len() < 3 {
+                    std::thread::yield_now();
+                }
+                let wakes = mailbox.wakes();
+                client.ring();
+                assert_eq!(mailbox.wakes(), wakes, "nothing unannounced, nothing rung");
+            },
+        );
+    }
+
+    #[test]
+    fn a_lane_dropped_with_unannounced_jobs_is_drained_and_pruned() {
+        /// Echoes each token back, so a token is alive exactly as long as a
+        /// ring of its lane is.
+        struct EchoToken;
+        impl CommitPolicy for EchoToken {
+            type Job = Arc<()>;
+            type Reply = Arc<()>;
+            fn group_limit(&self) -> Option<NonZeroU32> {
+                None
+            }
+            fn apply(&mut self, job: Arc<()>, lane: &mut OwnerLane<Arc<()>, Arc<()>>) {
+                lane.send(job);
+            }
+        }
+        with_live_owner(
+            || EchoToken,
+            |_| (),
+            |mailbox| {
+                let token = Arc::new(());
+                let mut client = mailbox.open_lane();
+                wait_parked(&mailbox);
+                for _ in 0..5 {
+                    client.try_send(Arc::clone(&token)).expect("below the cap");
+                }
+                assert_eq!(Arc::strong_count(&token), 6);
+                drop(client);
+                // The owner is still running (no shutdown yet): the tokens die
+                // only when it has drained the jobs *and* dropped its half of
+                // the lane.
+                while Arc::strong_count(&token) > 1 {
+                    std::thread::yield_now();
+                }
+            },
+        );
     }
 
     #[test]

@@ -149,11 +149,17 @@ impl<T> Producer<T> {
     pub fn is_disconnected(&self) -> bool {
         self.inner.consumer_gone.load(Ordering::Acquire)
     }
+
+    /// Hangs up without dropping: the consumer sees the disconnect once it
+    /// has drained what is queued.  Nothing may be pushed afterwards.
+    pub(crate) fn close(&mut self) {
+        self.inner.producer_gone.store(true, Ordering::Release);
+    }
 }
 
 impl<T> Drop for Producer<T> {
     fn drop(&mut self) {
-        self.inner.producer_gone.store(true, Ordering::Release);
+        self.close();
     }
 }
 

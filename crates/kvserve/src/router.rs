@@ -18,6 +18,12 @@
 //!   [`Overloaded`] — never blocks — when a lane is full.  The two styles
 //!   must not be interleaved: blocking calls assert that nothing is in
 //!   flight.
+//!
+//! Submitting only queues: a parked shard owner is woken by the lanes'
+//! doorbell ([`crate::owner`]), which rings once per window — when a
+//! [`collect`](ShardRouter::collect) or a blocking call has to wait — not
+//! once per request.  A caller that submits and then waits on anything else
+//! calls [`flush`](ShardRouter::flush).
 
 use std::collections::VecDeque;
 
@@ -102,6 +108,9 @@ pub struct ShardRouter<'s> {
     touched: Vec<usize>,
     /// FIFO of pipelined submissions awaiting [`collect`](Self::collect).
     pending: VecDeque<Pending>,
+    /// Scratch of [`serve_burst`](Self::serve_burst): response positions of
+    /// the open window.
+    window: Vec<usize>,
     /// Sampled stage recorder: decides at submit time which point requests
     /// get stage-traced, and records the router-side stages (`Enqueue`,
     /// `Ack`) for those that do.
@@ -121,6 +130,7 @@ impl<'s> ShardRouter<'s> {
             lanes,
             touched: Vec::new(),
             pending: VecDeque::new(),
+            window: Vec::new(),
             recorder: service.stage_trace().sampled_recorder(TRACE_SAMPLE_SHIFT),
         }
     }
@@ -141,10 +151,10 @@ impl<'s> ShardRouter<'s> {
         );
     }
 
-    /// Pushes `job` into `shard`'s lane and wakes its owner. The caller
-    /// guarantees lane capacity (sync calls keep at most one request per
-    /// shard in flight; pipelined submission checks the in-flight count
-    /// first).
+    /// Pushes `job` into `shard`'s lane; its owner is woken when a reply is
+    /// waited for, not here. The caller guarantees lane capacity (sync calls
+    /// keep at most one request per shard in flight; pipelined submission
+    /// checks the in-flight count first).
     ///
     /// `stamp` is the request's trace stamp ([`Stamp::NONE`] for untraced
     /// requests, which makes every stage record below a no-op): the
@@ -195,8 +205,10 @@ impl<'s> ShardRouter<'s> {
 
     /// Pipelined submission of a point request (`Get`/`Put`/`Delete`).
     ///
-    /// Returns without waiting for execution; responses are retrieved with
-    /// [`collect`](Self::collect) in submission order.  Fails with
+    /// Returns without waiting for execution — and without waking a parked
+    /// shard owner: that happens when [`collect`](Self::collect) has to wait,
+    /// or on [`flush`](Self::flush).  Responses are retrieved with
+    /// `collect` in submission order.  Fails with
     /// [`Overloaded`] — refusing the request rather than blocking — when
     /// the target shard already has [`LANE_CAPACITY`] of this router's
     /// requests in flight.  A `Get` answered by the hot-key cache completes
@@ -280,6 +292,24 @@ impl<'s> ShardRouter<'s> {
         self.pending.len()
     }
 
+    /// Wakes every shard owner that has submissions it may not know about.
+    /// [`collect`](Self::collect) does this itself when it has to wait; call
+    /// `flush` after [`submit`](Self::submit) only when the next thing this
+    /// thread waits on is something else.
+    pub fn flush(&mut self) {
+        for lane in &mut self.lanes {
+            lane.ring();
+        }
+    }
+
+    /// The next reply on `shard`'s lane; if it has to wait, every shard
+    /// with unannounced submissions is woken first (see
+    /// [`ClientLane::recv_from`]).
+    #[inline]
+    fn recv(&mut self, shard: usize) -> Reply {
+        ClientLane::recv_from(&mut self.lanes, shard)
+    }
+
     /// Retrieves the response to the **oldest** uncollected submission,
     /// waiting for its shard if it has not completed yet.
     ///
@@ -297,8 +327,13 @@ impl<'s> ShardRouter<'s> {
                 value,
                 started,
             } => {
-                let (applied, ShardReply::Value { value: result, version }) =
-                    self.lanes[shard].recv()
+                let (
+                    applied,
+                    ShardReply::Value {
+                        value: result,
+                        version,
+                    },
+                ) = self.recv(shard)
                 else {
                     unreachable!("point jobs produce point replies")
                 };
@@ -366,7 +401,7 @@ impl<'s> ShardRouter<'s> {
             self.enqueue(shard, Stamp::NONE, ShardJob::Range { lo, hi });
         }
         for shard in 0..self.lanes.len() {
-            let (_, ShardReply::Entries { entries }) = self.lanes[shard].recv() else {
+            let (_, ShardReply::Entries { entries }) = self.recv(shard) else {
                 unreachable!("range jobs produce entry replies")
             };
             out.extend_from_slice(&entries);
@@ -418,7 +453,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.lanes[shard].recv() else {
+            let (_, ShardReply::Values { values, version }) = self.recv(shard) else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -470,7 +505,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.lanes[shard].recv() else {
+            let (_, ShardReply::Values { values, version }) = self.recv(shard) else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -532,61 +567,70 @@ impl<'s> ShardRouter<'s> {
     }
 
     /// Serves one decoded request batch the way a non-blocking front end
-    /// must: point requests ride the pipelined [`submit`](Self::submit) /
-    /// [`collect`](Self::collect) window (several in flight per shard at
-    /// once), and a submission the window refuses is answered with
-    /// [`Response::Overloaded`] in place — the request is shed, **never**
-    /// blocked on.  Scans and batches use the blocking calls (their shard
-    /// fan-out is already parallel), draining the window first so replies
-    /// cannot be misattributed.
-    ///
-    /// One response per request is pushed onto `responses` (cleared first),
-    /// in request order.  The pipeline is empty again when this returns.
+    /// must: [`serve_burst`](Self::serve_burst) with a burst of one.
     ///
     /// # Panics
     ///
     /// Panics if pipelined submissions are already in flight.
     pub fn serve_pipelined(&mut self, batch: &[Request], responses: &mut Vec<Response>) {
+        self.serve_burst(&[batch], responses);
+    }
+
+    /// Serves a burst of decoded request batches as **one** pipelined
+    /// window: every point request of every batch rides
+    /// [`submit`](Self::submit) first, then the window is
+    /// [`collect`](Self::collect)ed in order — so the whole burst costs one
+    /// hand-off to each shard owner it touches, not one per batch.  A
+    /// submission the window refuses is answered with
+    /// [`Response::Overloaded`] in place — the request is shed, **never**
+    /// blocked on; a burst of at most [`LANE_CAPACITY`] requests is never
+    /// refused.  Scans, batches and scrapes use the blocking calls (their
+    /// shard fan-out is already parallel) and are ordering barriers: the
+    /// window is drained first so replies cannot be misattributed.
+    ///
+    /// One response per request is pushed onto `responses` (cleared first),
+    /// in request order, the batches back to back.  The pipeline is empty
+    /// again when this returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if pipelined submissions are already in flight.
+    pub fn serve_burst<B: AsRef<[Request]>>(&mut self, burst: &[B], responses: &mut Vec<Response>) {
         self.assert_unpipelined();
         responses.clear();
-        responses.reserve(batch.len());
-        // Positions of pipelined requests whose placeholder response must
-        // be overwritten when the window is collected (submission order).
-        let mut pending: Vec<usize> = Vec::new();
-        fn flush(
-            router: &mut ShardRouter<'_>,
-            pending: &mut Vec<usize>,
-            responses: &mut [Response],
-        ) {
-            for &position in pending.iter() {
-                responses[position] = router.collect();
-            }
-            pending.clear();
-        }
-        for (position, request) in batch.iter().enumerate() {
+        responses.reserve(burst.iter().map(|batch| batch.as_ref().len()).sum());
+        // Positions of submitted requests, whose placeholder response is
+        // overwritten when the window is collected (submission order).
+        let mut window = std::mem::take(&mut self.window);
+        let requests = burst.iter().flat_map(|batch| batch.as_ref());
+        for (position, request) in requests.enumerate() {
             match request {
                 Request::Get { .. } | Request::Put { .. } | Request::Delete { .. } => {
-                    match self.submit(request) {
-                        Ok(()) => {
-                            pending.push(position);
-                            // Placeholder; overwritten on flush.
-                            responses.push(Response::Overloaded);
-                        }
-                        // The lane is full: shed this request — the wire
-                        // answer the codec exists to carry — rather than
-                        // block the serving loop on a hot shard.
-                        Err(Overloaded) => responses.push(Response::Overloaded),
+                    // A full lane sheds the request — the wire answer the
+                    // codec exists to carry — rather than block the serving
+                    // loop on a hot shard; a submitted one holds the same
+                    // value as its placeholder.
+                    if self.submit(request).is_ok() {
+                        window.push(position);
                     }
+                    responses.push(Response::Overloaded);
                 }
                 other => {
                     // Blocking calls must not overtake the window: drain
                     // it, then serve the scan/batch.
-                    flush(self, &mut pending, responses);
+                    self.collect_window(&mut window, responses);
                     responses.push(self.execute(other));
                 }
             }
         }
-        flush(self, &mut pending, responses);
+        self.collect_window(&mut window, responses);
+        self.window = window;
+    }
+
+    fn collect_window(&mut self, window: &mut Vec<usize>, responses: &mut [Response]) {
+        for position in window.drain(..) {
+            responses[position] = self.collect();
+        }
     }
 }
 
@@ -929,6 +973,156 @@ mod tests {
             responses,
             vec![Response::Value(None), Response::Value(Some(70))]
         );
+    }
+
+    #[test]
+    fn serve_burst_answers_the_batches_back_to_back() {
+        let service = two_shard_service();
+        let mut router = service.router();
+        let burst = vec![
+            vec![
+                Request::Put { key: 1, value: 10 },
+                Request::Put { key: 2, value: 20 },
+            ],
+            // A barrier in the middle batch: it sees the first batch's
+            // writes, the last batch sees its delete.
+            vec![
+                Request::Get { key: 2 },
+                Request::Scan { lo: 1, len: 4 },
+                Request::Delete { key: 1 },
+            ],
+            vec![],
+            vec![Request::Get { key: 1 }],
+        ];
+        let mut responses = Vec::new();
+        router.serve_burst(&burst, &mut responses);
+        assert_eq!(
+            responses,
+            vec![
+                Response::Value(None),
+                Response::Value(None),
+                Response::Value(Some(20)),
+                Response::Entries(vec![(1, 10), (2, 20)]),
+                Response::Value(Some(10)),
+                Response::Value(None),
+            ]
+        );
+        assert_eq!(router.in_flight(), 0, "the pipeline drains fully");
+    }
+
+    /// Doorbells that had to unpark an owner, per shard, as the scrape
+    /// reports them.
+    fn owner_wakes(service: &KvService) -> Vec<u64> {
+        let samples = obs::expo::parse(&service.registry().render()).expect("the scrape parses");
+        (0..service.shard_count())
+            .map(|shard| {
+                let shard = shard.to_string();
+                obs::expo::value(
+                    &samples,
+                    "kv_owner_wakes_total",
+                    &[("shard", shard.as_str())],
+                )
+                .expect("every shard exports its wake count")
+            })
+            .collect()
+    }
+
+    fn wait_parked(service: &KvService) {
+        for mailbox in service.mailboxes() {
+            crate::owner::wait_parked(mailbox);
+        }
+    }
+
+    #[test]
+    fn a_window_rings_at_most_one_doorbell_per_shard() {
+        let service = two_shard_service();
+        let mut router = service.router();
+        wait_parked(&service);
+        let before = owner_wakes(&service);
+        for key in 1..=32u64 {
+            router.submit(&Request::Put { key, value: key }).unwrap();
+        }
+        assert_eq!(owner_wakes(&service), before, "submit alone wakes nobody");
+        for _ in 1..=32u64 {
+            assert_eq!(router.collect(), Response::Value(None));
+        }
+        // 32 keys touch both shards: one doorbell each (none for an owner
+        // that was not quite parked yet).
+        for (after, before) in owner_wakes(&service).iter().zip(&before) {
+            assert!(
+                after - before <= 1,
+                "{} doorbells for one window",
+                after - before
+            );
+        }
+    }
+
+    #[test]
+    fn flush_wakes_parked_owners_without_a_collect() {
+        let service = two_shard_service();
+        let mut router = service.router();
+        wait_parked(&service);
+        let shard = service.shard_of(5);
+        let version = service.shard_state(shard).current_version();
+        router.submit(&Request::Put { key: 5, value: 50 }).unwrap();
+        router.flush();
+        // The put is applied (it moves the shard's version) though nobody
+        // waits for its reply yet.
+        while service.shard_state(shard).current_version() == version {
+            std::thread::yield_now();
+        }
+        assert_eq!(router.collect(), Response::Value(None));
+    }
+
+    /// The pipelined lost-wake-up reproducer.  The owner parks a fixed
+    /// time after it last had work, so the pause *before* a window sweeps
+    /// its pushes and doorbell across the owner's way into the park (last
+    /// quiet scan, idle flag, re-scan), and the pause *after* the pushes —
+    /// every other round — moves the doorbell away from them.  A doorbell
+    /// whose fence does not order the pushes before its load of the idle
+    /// flag leaves the owner parked on a non-empty lane, and this hangs.
+    /// Window sizes are skewed small: on a strongly ordered machine only a
+    /// window whose *first* push is still in flight at the doorbell can
+    /// lose the race.
+    #[test]
+    fn pipelined_windows_never_lose_a_wake_up() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let service = KvService::new(1, 1, |_| {
+                let tree: ElimABTree = ElimABTree::new();
+                Box::new(tree)
+            });
+            let mut router = service.router();
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            let pause = |spins: u64| {
+                for _ in 0..spins {
+                    std::hint::spin_loop();
+                }
+            };
+            for round in 0..25_000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                pause((state >> 32) % 128 * 12);
+                let window = 1 + ((state % LANE_CAPACITY as u64) >> ((state >> 8) % 7));
+                for i in 0..window {
+                    // A delete always crosses its lane (no cache path).
+                    let key = 1 + (round + i) % 512;
+                    router.submit(&Request::Delete { key }).unwrap();
+                }
+                if round % 2 == 1 {
+                    pause((state >> 48) % 128 * 12);
+                }
+                for _ in 0..window {
+                    assert_eq!(router.collect(), Response::Value(None));
+                }
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a window hung: the owner parked on a non-empty lane");
+        client.join().unwrap();
     }
 
     #[test]

@@ -142,8 +142,9 @@ impl KvService {
         {
             // Per-shard engine health, pulled live at scrape time: the
             // applied-mutation version, the owner's drain-run distribution,
-            // and the EBR reclamation-lag gauges from each shard's
-            // collector (when the store exposes one).
+            // how often a doorbell had to unpark it, and the EBR
+            // reclamation-lag gauges from each shard's collector (when the
+            // store exposes one).
             let cells = shards.clone();
             registry.register(move |out| {
                 for (index, cell) in cells.iter().enumerate() {
@@ -153,6 +154,10 @@ impl KvService {
                     );
                     out.push(
                         Sample::histogram("kv_run_length", &cell.state.run_length)
+                            .with("shard", index),
+                    );
+                    out.push(
+                        Sample::counter("kv_owner_wakes_total", cell.mailbox.wakes())
                             .with("shard", index),
                     );
                     if let Some(ebr) = cell.store.ebr_stats() {

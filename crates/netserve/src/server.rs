@@ -15,11 +15,13 @@
 //! * a [`FrameDecoder`] reassembles request
 //!   frames across arbitrary partial reads and rejects oversized or
 //!   malformed headers *before* buffering;
-//! * each complete frame is decoded, routed through
-//!   [`ShardRouter::serve_pipelined`](kvserve::ShardRouter::serve_pipelined)
-//!   (shard-lane pipelining; a full lane becomes a wire
-//!   [`Response::Overloaded`], never a blocked loop), re-encoded, and
-//!   queued on
+//! * the complete frames of one read are served as a **burst**: all of
+//!   them are decoded and routed through
+//!   [`ShardRouter::serve_burst`](kvserve::ShardRouter::serve_burst) as one
+//!   pipelined window (one hand-off to each shard owner per burst, not per
+//!   frame; a full lane becomes a wire [`Response::Overloaded`], never a
+//!   blocked loop), then each frame's responses are re-encoded and queued
+//!   on
 //! * a [`WriteBuffer`] whose high-water mark
 //!   pauses *reading* from slow clients until the backlog drains below the
 //!   low-water mark;
@@ -46,6 +48,7 @@
 //! gone the reactor threads exit and are joined.  Shut the `Server` down
 //! **before** the [`KvService`] it fronts.
 
+use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -54,8 +57,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kvserve::codec::{decode_batch, encode_response_batch};
-use kvserve::{KvService, Response, ShardRouter};
+use kvserve::codec::{decode_batch, encode_response_batch, read_varint};
+use kvserve::{KvService, Request, Response, ShardRouter, LANE_CAPACITY};
 use obs::{Registry, Sample, SourceId, Stage, StageRecorder, Stamp};
 use polling::Poller;
 
@@ -293,12 +296,13 @@ struct Conn {
     /// Authoritative idle deadline (ms on the reactor clock); the wheel
     /// entry is re-armed lazily against it.
     idle_deadline: u64,
-    /// Frames reassembled but not yet served: once the write backlog
-    /// crosses the high-water mark, responses stop being *generated*, not
-    /// just read — otherwise a client pipelining large scans could inflate
-    /// the backlog arbitrarily far past the mark within one read.  Served
-    /// in order as the backlog drains.
-    deferred: std::collections::VecDeque<Vec<u8>>,
+    /// Frames reassembled but not yet served.  Normally emptied by the
+    /// read that filled it; but once the write backlog crosses the
+    /// high-water mark, responses stop being *generated*, not just read —
+    /// otherwise a client pipelining large scans could inflate the backlog
+    /// arbitrarily far past the mark within one read — and the rest waits
+    /// here, served in order as the backlog drains.
+    frames: VecDeque<Vec<u8>>,
 }
 
 struct Reactor<'s> {
@@ -327,6 +331,7 @@ struct Reactor<'s> {
     // Scratch buffers reused across frames.
     read_buf: Vec<u8>,
     frames: Vec<Vec<u8>>,
+    burst: Vec<Vec<Request>>,
     responses: Vec<Response>,
     payload: Vec<u8>,
     wire: Vec<u8>,
@@ -374,6 +379,7 @@ impl<'s> Reactor<'s> {
             drain_deadline: u64::MAX,
             read_buf: vec![0; 16 << 10],
             frames: Vec::new(),
+            burst: Vec::new(),
             responses: Vec::new(),
             payload: Vec::new(),
             wire: Vec::new(),
@@ -560,7 +566,7 @@ impl<'s> Reactor<'s> {
             reg_r: true,
             reg_w: false,
             idle_deadline,
-            deferred: std::collections::VecDeque::new(),
+            frames: VecDeque::new(),
         });
         self.live += 1;
         if self.idle_ms > 0 {
@@ -587,11 +593,10 @@ impl<'s> Reactor<'s> {
                     conn.idle_deadline = now.saturating_add(self.idle_ms);
                     budget = budget.saturating_sub(n);
                     let pushed = conn.decoder.push(&self.read_buf[..n], &mut self.frames);
+                    conn.frames.extend(self.frames.drain(..));
                     // Recv stage: the read syscall plus frame reassembly.
                     self.recorder.record(Stage::Recv, read_start);
-                    if !self.frames.is_empty() {
-                        self.serve_frames(token);
-                    }
+                    self.serve_frames(token);
                     if let Err(err) = pushed {
                         let code = match err {
                             FrameError::Oversized { .. } => ERR_FRAME_TOO_LARGE,
@@ -630,85 +635,81 @@ impl<'s> Reactor<'s> {
         self.flush_conn(token);
     }
 
-    /// Serves the reassembled frames queued in `self.frames` for `token`,
-    /// deferring the remainder once the write backlog is over the
-    /// high-water mark.
+    /// Serves `token`'s reassembled frames in order, as far as the write
+    /// high-water mark allows; the rest stays queued on the connection
+    /// until its backlog drains.  Returns once the connection is caught up,
+    /// backlogged, closing or gone.
+    ///
+    /// Frames are served in **sub-bursts**: as many whole frames as announce
+    /// at most [`LANE_CAPACITY`] requests between them (and always at least
+    /// one).  A sub-burst is decoded and submitted as one pipelined window,
+    /// then collected and answered frame by frame — so the reactor hands
+    /// over to the shard owners once per sub-burst, not once per frame.
+    /// The cap keeps the window from refusing anything a frame served on
+    /// its own would not have been refused, and bounds how far one pass can
+    /// push the backlog past the high-water mark.
     fn serve_frames(&mut self, token: usize) {
-        let mut frames = std::mem::take(&mut self.frames);
-        let mut iter = frames.drain(..);
-        while let Some(payload) = iter.next() {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                break;
-            };
-            if conn.closing {
-                break;
-            }
-            if conn.out.over_high_water() {
-                conn.deferred.push_back(payload);
-                conn.deferred.extend(iter.by_ref());
-                break;
-            }
-            if !self.serve_one(token, &payload) {
-                break;
-            }
-        }
-        drop(iter);
-        self.frames = frames;
-        self.frames.clear();
-    }
-
-    /// Serves frames deferred behind a write backlog, as far as the
-    /// high-water mark allows.  Returns once the connection is caught up,
-    /// backlogged again, or gone.
-    fn serve_deferred(&mut self, token: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 return;
             };
-            if conn.closing || conn.out.over_high_water() {
+            if conn.closing || conn.out.over_high_water() || conn.frames.is_empty() {
                 return;
             }
-            let Some(payload) = conn.deferred.pop_front() else { return };
-            if !self.serve_one(token, &payload) {
+            // Decode the sub-burst.  A malformed frame ends it: everything
+            // before it is answered, then the error frame, then the close.
+            let mut announced = 0u64;
+            let mut malformed = false;
+            while let Some(payload) = conn.frames.front() {
+                // A frame's leading count is only a claim until the frame
+                // decodes; a false one fails the decode below.
+                let count = read_varint(payload, &mut 0).unwrap_or(u64::MAX);
+                announced = announced.saturating_add(count);
+                if !self.burst.is_empty() && announced > LANE_CAPACITY as u64 {
+                    break;
+                }
+                self.shared.stats.add_frames(1);
+                if obs::ENABLED {
+                    self.shared.reactor_frames[self.index].fetch_add(1, Ordering::Relaxed);
+                }
+                if self.draining {
+                    self.shared.stats.add_drained_frames(1);
+                }
+                let frame_start = Stamp::now();
+                let payload = conn.frames.pop_front().expect("peeked above");
+                let Ok(batch) = decode_batch(&payload) else {
+                    malformed = true;
+                    break;
+                };
+                self.shared.stats.add_requests(batch.len() as u64);
+                self.recorder.record(Stage::Decode, frame_start);
+                self.burst.push(batch);
+            }
+            // Pipelined routing: point requests overlap across shard lanes
+            // and across the sub-burst's frames; a full lane surfaces as a
+            // wire `Overloaded`, so this never blocks the reactor on
+            // backpressure.  (Its interior is what the sampled
+            // Enqueue/Dequeue/Apply/Ack stages cover.)
+            self.router.serve_burst(&self.burst, &mut self.responses);
+            let mut responses = self.responses.as_slice();
+            for batch in &self.burst {
+                let served = Stamp::now();
+                let (frame_responses, rest) = responses.split_at(batch.len());
+                responses = rest;
+                encode_response_batch(frame_responses, &mut self.payload);
+                self.wire.clear();
+                frame::write_frame(&mut self.wire, &self.payload);
+                conn.out.queue(&self.wire);
+                // Write stage: response encoding, framing, and backlog
+                // queueing.
+                self.recorder.record(Stage::Write, served);
+            }
+            self.burst.clear();
+            if malformed {
+                self.protocol_error(token, ERR_BAD_BATCH);
                 return;
             }
         }
-    }
-
-    /// Decodes, routes, and answers one frame.  Returns `false` when the
-    /// connection cannot take more frames (gone, or now closing after a
-    /// protocol error).
-    fn serve_one(&mut self, token: usize, payload: &[u8]) -> bool {
-        self.shared.stats.add_frames(1);
-        if obs::ENABLED {
-            self.shared.reactor_frames[self.index].fetch_add(1, Ordering::Relaxed);
-        }
-        if self.draining {
-            self.shared.stats.add_drained_frames(1);
-        }
-        let frame_start = Stamp::now();
-        let Ok(batch) = decode_batch(payload) else {
-            self.protocol_error(token, ERR_BAD_BATCH);
-            return false;
-        };
-        self.shared.stats.add_requests(batch.len() as u64);
-        self.recorder.record(Stage::Decode, frame_start);
-        // Pipelined routing: point requests overlap across shard lanes; a
-        // full lane surfaces as a wire `Overloaded`, so this never blocks
-        // the reactor on backpressure.  (Its interior is what the sampled
-        // Enqueue/Dequeue/Apply/Ack stages cover.)
-        self.router.serve_pipelined(&batch, &mut self.responses);
-        let served = Stamp::now();
-        encode_response_batch(&self.responses, &mut self.payload);
-        self.wire.clear();
-        frame::write_frame(&mut self.wire, &self.payload);
-        let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-            return false;
-        };
-        conn.out.queue(&self.wire);
-        // Write stage: response encoding, framing, and backlog queueing.
-        self.recorder.record(Stage::Write, served);
-        true
     }
 
     /// Sends a final `Response::Error { code }` frame and marks the
@@ -749,12 +750,12 @@ impl<'s> Reactor<'s> {
             return;
         }
         if catch_up {
-            // Work through deferred frames first — they precede anything
-            // the socket still holds — then resume reading if both the
-            // backlog and the deferral queue have cleared.
-            self.serve_deferred(token);
+            // Work through the frames already reassembled first — they
+            // precede anything the socket still holds — then resume reading
+            // if both the backlog and that queue have cleared.
+            self.serve_frames(token);
             if let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) {
-                if !conn.closing && conn.deferred.is_empty() && !conn.out.over_high_water() {
+                if !conn.closing && conn.frames.is_empty() && !conn.out.over_high_water() {
                     conn.paused = false;
                     self.shared.stats.add_hwm_resumes(1);
                 }

@@ -2,9 +2,11 @@
 //! connections against a live [`kvserve::KvService`], covering fan-out
 //! (hundreds of concurrent pipelining connections), write-side
 //! backpressure under a client that never reads, wire-level `Overloaded`
-//! on a full shard lane, graceful shutdown draining pipelined frames, and
-//! idle-connection eviction.
+//! on a full shard lane, graceful shutdown draining pipelined frames,
+//! idle-connection eviction, and bursts — several frames arriving in one
+//! read, which the reactor serves as one pipelined window.
 
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +16,7 @@ use std::time::{Duration, Instant};
 use kvserve::codec::{decode_response_batch, encode_batch};
 use kvserve::{KvService, Request, Response};
 use netserve::frame::{write_frame, FrameDecoder};
-use netserve::{Client, Server, ServerConfig};
+use netserve::{Client, Server, ServerConfig, ERR_BAD_BATCH};
 
 fn elim_service(shards: usize) -> Arc<KvService> {
     Arc::new(KvService::new(shards, 1, |_| {
@@ -340,4 +342,212 @@ fn byte_dribble_reassembles_on_the_wire() {
     );
     drop(stream);
     server.shutdown();
+}
+
+/// Appends one request frame per batch to `wire`.
+fn encode_frames(frames: &[Vec<Request>], wire: &mut Vec<u8>) {
+    let mut payload = Vec::new();
+    for batch in frames {
+        encode_batch(batch, &mut payload);
+        write_frame(wire, &payload);
+    }
+}
+
+/// Sends `wire` in a single `write`, so the frames in it reach the reactor
+/// in one read (loopback delivers a few KiB whole) and are served as one
+/// burst.  What the tests assert holds however the bytes are split.
+fn write_at_once(client: &Client, wire: &[u8]) {
+    let mut stream = client.stream();
+    stream.write_all(wire).expect("write the burst");
+}
+
+/// What a single client must be answered, request by request.
+fn model_reply(model: &mut BTreeMap<u64, u64>, request: &Request) -> Response {
+    let mut put = |key: u64, value: u64| {
+        let prior = model.get(&key).copied();
+        model.entry(key).or_insert(value);
+        prior
+    };
+    match request {
+        Request::Get { key } => Response::Value(model.get(key).copied()),
+        Request::Put { key, value } => Response::Value(put(*key, *value)),
+        Request::Delete { key } => Response::Value(model.remove(key)),
+        Request::MGet { keys } => {
+            Response::Values(keys.iter().map(|key| model.get(key).copied()).collect())
+        }
+        Request::MPut { pairs } => {
+            Response::Values(pairs.iter().map(|&(key, value)| put(key, value)).collect())
+        }
+        Request::Scan { lo, len } => Response::Entries(
+            model
+                .range(*lo..lo.saturating_add(*len))
+                .map(|(&key, &value)| (key, value))
+                .collect(),
+        ),
+        Request::Stats => unreachable!("the burst tests send no scrapes"),
+    }
+}
+
+/// k frames in one write earn k reply frames, in order, each answering its
+/// own requests as a single-client model predicts — including frames whose
+/// scans and batches must not be overtaken by (or overtake) the point
+/// requests pipelined around them.
+#[test]
+fn a_burst_is_answered_frame_by_frame_in_order() {
+    let service = elim_service(4);
+    let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    // A seeded mix over a small key space, so frames read and overwrite
+    // each other's keys: any reordering across frames changes an answer.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let mut model = BTreeMap::new();
+    for round in 0..20 {
+        let frames: Vec<Vec<Request>> = (0..12)
+            .map(|frame| {
+                if frame == 5 {
+                    // An ordering barrier in the middle of the burst.
+                    return vec![
+                        Request::Put {
+                            key: 7,
+                            value: round,
+                        },
+                        Request::MGet {
+                            keys: vec![1, 7, 20, 33],
+                        },
+                        Request::Delete { key: 7 },
+                        Request::Scan { lo: 1, len: 40 },
+                        Request::MPut {
+                            pairs: vec![(7, 70), (8, 80)],
+                        },
+                        Request::Get { key: 7 },
+                    ];
+                }
+                (0..1 + next(8))
+                    .map(|_| {
+                        let key = 1 + next(40);
+                        match next(3) {
+                            0 => Request::Get { key },
+                            1 => Request::Put {
+                                key,
+                                value: next(1000),
+                            },
+                            _ => Request::Delete { key },
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut wire = Vec::new();
+        encode_frames(&frames, &mut wire);
+        write_at_once(&client, &wire);
+        for (index, batch) in frames.iter().enumerate() {
+            let expected: Vec<Response> = batch
+                .iter()
+                .map(|request| model_reply(&mut model, request))
+                .collect();
+            assert_eq!(
+                client.recv().expect("one reply frame per request frame"),
+                expected,
+                "round {round} frame {index}"
+            );
+        }
+    }
+    assert_eq!(server.stats().frames(), 20 * 12);
+    drop(client);
+    server.shutdown();
+}
+
+/// A burst that aims more than a lane's worth of requests at one shard is
+/// split, not shed: no frame on its own overfills the lane, so — exactly
+/// as when frames were served one by one — nothing is refused.
+#[test]
+fn a_burst_over_one_lane_sheds_nothing() {
+    use kvserve::LANE_CAPACITY;
+    const FRAMES: u64 = 10;
+    const PER_FRAME: u64 = 8;
+    assert!(FRAMES * PER_FRAME > LANE_CAPACITY as u64);
+
+    let service = elim_service(1); // one shard: every key shares a lane
+    let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let frames: Vec<Vec<Request>> = (0..FRAMES)
+        .map(|frame| {
+            (0..PER_FRAME)
+                .map(|i| Request::Put {
+                    key: 1 + frame * PER_FRAME + i,
+                    value: frame,
+                })
+                .collect()
+        })
+        .collect();
+    let mut wire = Vec::new();
+    encode_frames(&frames, &mut wire);
+    write_at_once(&client, &wire);
+    for frame in 0..FRAMES {
+        assert_eq!(
+            client.recv().unwrap(),
+            vec![Response::Value(None); PER_FRAME as usize],
+            "frame {frame}"
+        );
+    }
+    assert_eq!(service.stats().shed(), 0);
+    drop(client);
+    server.shutdown();
+    assert_eq!(
+        service.key_sum(),
+        (1..=(FRAMES * PER_FRAME) as u128).sum::<u128>()
+    );
+}
+
+/// A malformed frame in the middle of a burst: every frame before it is
+/// answered, then comes the error frame, then the close — the frames
+/// behind it are never served.
+#[test]
+fn a_malformed_frame_mid_burst_answers_what_came_before_it() {
+    let service = elim_service(2);
+    let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut wire = Vec::new();
+    encode_frames(
+        &[
+            vec![Request::Put { key: 1, value: 10 }],
+            vec![Request::Get { key: 1 }, Request::Put { key: 2, value: 20 }],
+        ],
+        &mut wire,
+    );
+    // Well-framed, but the payload announces two requests and holds none.
+    write_frame(&mut wire, &[2]);
+    encode_frames(&[vec![Request::Put { key: 3, value: 30 }]], &mut wire);
+    write_at_once(&client, &wire);
+
+    assert_eq!(client.recv().unwrap(), vec![Response::Value(None)]);
+    assert_eq!(
+        client.recv().unwrap(),
+        vec![Response::Value(Some(10)), Response::Value(None)]
+    );
+    assert_eq!(
+        client.recv().unwrap(),
+        vec![Response::Error {
+            code: ERR_BAD_BATCH
+        }]
+    );
+    let err = client
+        .recv()
+        .expect_err("the connection is closed after the error");
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    assert_eq!(server.stats().protocol_errors(), 1);
+    drop(client);
+    server.shutdown();
+    assert_eq!(
+        service.key_sum(),
+        3,
+        "the frame behind the bad one was not served"
+    );
 }

@@ -12,8 +12,9 @@
 //! through bounded SPSC lanes.  Every client is a tenant: its keys live
 //! under its own namespace prefix, so tenants never collide and the final
 //! per-tenant stats show exactly who sent what.  Batches are served with
-//! `ShardRouter::serve_pipelined` — the same entry point the netserve
-//! reactor bridges to — so point requests overlap across shard lanes and a
+//! `ShardRouter::serve_pipelined` — a one-batch call of the `serve_burst`
+//! routine the netserve reactor bridges to — so point requests overlap
+//! across shard lanes and a
 //! full lane surfaces as the codec's `Overloaded` response instead of
 //! blocking the serving loop.
 //!
