@@ -4,9 +4,10 @@
 //! The paper evaluates on a machine with Intel Optane DCPMM and persists data
 //! with `clwb` followed by `sfence` (§5: "a flush refers to a `clwb`
 //! instruction followed by an `sfence`").  That hardware is not available
-//! here, so — per the reproduction's substitution policy (see `DESIGN.md`
-//! §4) — this crate models persistent memory on ordinary DRAM while keeping
-//! the *algorithmic* properties that the paper's evaluation measures:
+//! here, so — per the reproduction's substitution policy (README,
+//! "Hardware notes") — this crate models persistent memory on ordinary DRAM
+//! while keeping the *algorithmic* properties that the paper's evaluation
+//! measures:
 //!
 //! * every flush and fence executed by the durable trees goes through this
 //!   crate, so their number and position on the critical path are identical

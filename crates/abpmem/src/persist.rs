@@ -108,7 +108,7 @@ mod hw {
     /// Rust intrinsics on this toolchain is `clflush`, which additionally
     /// invalidates the line.  That makes the measured per-flush cost an upper
     /// bound on `clwb`/`clflushopt`, which is acceptable for reproducing the
-    /// *relative* persistence overheads of Table 1 (see DESIGN.md §4).
+    /// *relative* persistence overheads of Table 1 (README, "Hardware notes").
     pub(super) fn flush_line(p: *const u8) {
         // SAFETY: clflush is unconditionally available on x86-64 and may be
         // applied to any mapped address; `p` points into a live object.

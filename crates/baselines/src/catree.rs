@@ -14,7 +14,8 @@
 //! Simplification relative to the original: base nodes are split on high
 //! contention but never *joined* back on low contention.  The paper's
 //! workloads have stationary contention, so the join path is not exercised
-//! by the experiments reproduced here; see `DESIGN.md` §4.
+//! by the experiments reproduced here; see the substitution note in the
+//! crate docs.
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};

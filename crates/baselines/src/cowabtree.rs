@@ -15,7 +15,7 @@
 //! on contention, as the LF-ABtree does when an SCX fails).  Leaves that grow
 //! past the maximum size are split, and empty leaves are garbage collected,
 //! under a writer lock on the routing layer.  Replaced leaves are reclaimed
-//! through epoch-based reclamation.  See `DESIGN.md` §4 for the substitution
+//! through epoch-based reclamation.  See the crate docs for the substitution
 //! rationale.
 
 use std::collections::BTreeMap;

@@ -13,7 +13,7 @@
 //!
 //! Recovery (rebuilding the volatile inner structure from the persistent
 //! leaves) is out of scope for this baseline — Figure 17 measures steady-state
-//! throughput only; see `DESIGN.md` §4.
+//! throughput only; see the substitution note in the crate docs.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;

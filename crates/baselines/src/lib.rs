@@ -2,8 +2,7 @@
 //!
 //! The paper compares the OCC-ABtree / Elim-ABtree against a large set of
 //! state-of-the-art structures.  This crate reproduces one representative of
-//! each *category* that the paper's figures rely on (see `DESIGN.md` §4 for
-//! the full substitution table):
+//! each *category* that the paper's figures rely on:
 //!
 //! * [`catree::CaTree`] — the contention-adapting search tree (Sagonas &
 //!   Winblad), the paper's fastest competitor on uniform update-heavy
@@ -23,6 +22,20 @@
 //!   the LF-ABtree: every insert/delete replaces the affected leaf with a
 //!   fresh copy, reproducing the allocation-per-update cost that dominates
 //!   the LF-ABtree's behaviour in update-heavy workloads.
+//!
+//! # Substitution note
+//!
+//! These are stand-ins written for this reproduction, not the competitors'
+//! own code, and each is simpler than its original where the paper's
+//! experiments do not reach the difference: the CA tree splits contended
+//! base nodes but never joins them back (the workloads' contention is
+//! stationary); the skiplist keeps the SplayList's list shape but not its
+//! access-adaptive tower heights; the copy-on-update tree pays the
+//! LF-ABtree's allocation per update but swaps leaves with a CAS instead of
+//! LLX/SCX; the FPTree-like tree persists its leaves but has no recovery
+//! (Figure 17 measures steady-state throughput only).  What carries over to
+//! the figures is therefore each category's cost structure and the relative
+//! ordering of the curves, not the originals' absolute numbers.
 //!
 //! All baselines implement [`abtree::ConcurrentMap`], so the benchmark
 //! harness drives them exactly like the paper's trees: each worker thread

@@ -2,7 +2,7 @@
 //!
 //! Stands in for the list-shaped baselines of the paper's evaluation (the
 //! SplayList is a skiplist that additionally adapts node heights to the
-//! access distribution; see `DESIGN.md` §4 for the substitution note).
+//! access distribution; see the substitution note in the crate docs).
 //! Searches are wait-free; inserts and removes lock the predecessor towers,
 //! validate, and link/unlink.  Removed nodes are retired through epoch-based
 //! reclamation (unlike the original SplayList implementation, which never

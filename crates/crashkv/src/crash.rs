@@ -37,7 +37,7 @@ pub struct CrashSpec {
 }
 
 /// What one crash + recovery cycle did, recorded by the supervisor and
-/// consumed by `bench_durable`'s recovery-time and lost-write columns.
+/// consumed by the ledger's `crashkv.recover_us` / `crashkv.lost_*` rows.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashReport {
     /// The crashed shard.

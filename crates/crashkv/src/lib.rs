@@ -26,7 +26,7 @@
 //! * **Forensics** ([`CrashReport`]) — every crash + recovery cycle records
 //!   the unfenced window split, the injected damage, and the
 //!   [`pabtree::RecoveryReport`] (including wall-clock recovery time),
-//!   feeding `bench_durable`'s recovery-time and lost-write columns and the
+//!   feeding the ledger's `crashkv.recover_us` / `crashkv.lost_*` rows and the
 //!   durable-linearizability checker in `conctest`.
 //!
 //! The durability contract the checker enforces: **every acknowledged

@@ -134,7 +134,7 @@ impl DurableKvService {
     /// Builds a service with `shard_count` durable shards, releasing client
     /// acknowledgements in groups of up to `acks_per_fence` per fence
     /// (1 = fence per operation; larger groups amortize the fence but delay
-    /// acks — the axis `bench_durable` sweeps).
+    /// acks — `crashkv.fences_per_ack` on the ledger).
     pub fn new(shard_count: usize, acks_per_fence: u32) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         let trace = Arc::new(StageTrace::new());

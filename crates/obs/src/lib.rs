@@ -33,8 +33,9 @@
 //! not read any clock, [`Histogram::record`] returns immediately, and
 //! stage recording is a no-op — dependent crates gate their counter
 //! updates on [`ENABLED`] (a `const`, so the branch folds away).
-//! `bench_obs` measures the same workload under both builds and records
-//! the difference as `BENCH_obs.json`.
+//! The ledger (`bench/`) runs the same workload under both builds
+//! (`--features obs/compile-out`); the overhead is the difference in its
+//! `kvserve.cache_hit_ns` and `obs.scrape_us` rows.
 
 #![warn(missing_docs)]
 

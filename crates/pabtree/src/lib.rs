@@ -21,7 +21,8 @@
 //! crate, instantiated with the [`DurablePersist`] policy, whose flush/fence
 //! hooks call into the [`abpmem`] persistent-memory model (real `clflush` +
 //! `sfence` instructions, a simulated-latency mode, or counting only — see
-//! `DESIGN.md` §4 for how this substitutes for the paper's Optane hardware).
+//! the README's "Hardware notes" for how this substitutes for the paper's
+//! Optane hardware).
 //!
 //! # Example
 //!

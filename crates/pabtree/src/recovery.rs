@@ -7,7 +7,7 @@
 //! version, lock state, and the marked bit to their initial values)."
 //!
 //! In this reproduction the "persistent image" after a simulated crash is the
-//! tree as it exists in memory (see `DESIGN.md` §4); partial-update states
+//! tree as it exists in memory (README, "Hardware notes"); partial-update states
 //! are constructed explicitly by the crash-simulation helpers in the `abtree`
 //! crate and exercised by the tests below.
 

@@ -1,16 +1,25 @@
-//! Per-figure / per-table experiment drivers.
+//! The paper's evaluation (§6) as one table of figures and one runner.
 //!
-//! Each function regenerates one figure or table of the paper's evaluation
-//! (§6) as a text table of throughput numbers (operations per microsecond,
-//! the paper's y-axis unit), plus one JSON line per cell on stderr for
-//! machine consumption.  The driver binaries in `src/bin/` call these with
-//! full-scale parameters; the Criterion benches call the same harness with
-//! scaled-down grids.
+//! [`FIGURES`] names every experiment this crate reproduces — Figures 12-18,
+//! Table 1 and the two ablations — with its full-scale and smoke-scale size
+//! and the sweep it runs.  Each sweep prints a text table of throughput
+//! numbers (operations per microsecond, the paper's y-axis unit) plus one
+//! JSON line per cell on stderr, and [`Figure::run`] holds every figure to
+//! the same checks: key-sum validation on every cell, every expected
+//! structure present, scans completed where the figure measures scans.
+//! The `figures` binary is [`parse_args`] plus a loop over the table.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
-use crate::harness::{run_microbench, run_ycsb, MicrobenchConfig, YcsbConfig};
-use crate::registry::{persistent_structures, volatile_structures};
+use abebr::{Collector, SmrPolicy};
+use absync::{McsLock, TatasLock};
+use abtree::OccABTree;
+
+use crate::harness::{run_microbench, run_microbench_on, run_ycsb, MicrobenchConfig, YcsbConfig};
+use crate::registry::{
+    persistent_structures, scan_benchmark_structures, volatile_structures, Factory,
+};
 use crate::report::{print_figure_header, print_result_row, BenchResult};
 
 /// Default thread counts for scaling sweeps on this machine: 1, 2, 4, ...,
@@ -31,52 +40,72 @@ pub fn default_thread_counts() -> Vec<usize> {
     counts
 }
 
-/// Parameters shared by the microbenchmark figures (12-15).
+/// What a run of any figure may vary: how big, how wide, how long, and on
+/// which reclamation backend.  Everything else is fixed by the figure.
 #[derive(Debug, Clone)]
-pub struct FigureParams {
-    /// Experiment label (e.g. `"fig14"`).
-    pub experiment: String,
-    /// Key range.
-    pub key_range: u64,
-    /// Zipf parameters (the paper plots uniform = 0 and Zipf = 1 columns).
-    pub zipfs: Vec<f64>,
-    /// Update percentages (the paper plots 100, 50, 20, 5 rows).
-    pub update_percents: Vec<u32>,
-    /// Thread counts to sweep.
+pub struct Scale {
+    /// Key range (record count for the YCSB figures).
+    pub size: u64,
+    /// Thread counts to sweep; Table 1 runs at the last (largest) one.
     pub threads: Vec<usize>,
     /// Measured-phase length per cell.
     pub duration: Duration,
+    /// SMR backend every collector-backed structure is built on.
+    pub smr: SmrPolicy,
+}
+
+/// The part of a microbenchmark sweep the figure fixes: which structures,
+/// which access skews, which update rates.
+#[derive(Debug, Clone, Copy)]
+pub struct MicrobenchGrid {
+    /// Zipf parameters (0 = uniform).
+    pub zipfs: &'static [f64],
+    /// Update percentages.
+    pub update_percents: &'static [u32],
     /// Structures to run.
-    pub structures: Vec<String>,
+    pub structures: fn() -> Vec<&'static str>,
 }
 
-impl FigureParams {
-    /// The paper's microbenchmark grid (Figures 12-15) for a given key range,
-    /// with a configurable per-cell duration.
-    pub fn microbench(experiment: &str, key_range: u64, duration: Duration) -> Self {
-        Self {
-            experiment: experiment.to_string(),
-            key_range,
-            zipfs: vec![0.0, 1.0],
-            update_percents: vec![100, 50, 20, 5],
-            threads: default_thread_counts(),
-            duration,
-            structures: volatile_structures().iter().map(|s| s.to_string()).collect(),
-        }
-    }
+/// The paper's microbenchmark grid (Figures 12-15): every volatile
+/// structure, uniform and Zipf(1) columns, 100/50/20/5% update rows.
+const PAPER_GRID: MicrobenchGrid = MicrobenchGrid {
+    zipfs: &[0.0, 1.0],
+    update_percents: &[100, 50, 20, 5],
+    structures: volatile_structures,
+};
+
+/// Ablation (paper §4/§6): publishing elimination on vs off as the access
+/// skew increases on an update-only workload.
+const ELIMINATION_GRID: MicrobenchGrid = MicrobenchGrid {
+    zipfs: &[0.0, 0.75, 1.0, 1.25],
+    update_percents: &[100],
+    structures: || vec!["elim-abtree", "occ-abtree"],
+};
+
+/// Stamps a finished cell with its experiment id, prints its table row and
+/// JSON line, and keeps it.
+fn record(results: &mut Vec<BenchResult>, experiment: &str, mut r: BenchResult) {
+    r.experiment = experiment.into();
+    let json = print_result_row(&r);
+    eprintln!("{json}");
+    results.push(r);
 }
 
-/// Runs one of the SetBench microbenchmark figures (Figure 12, 13, 14 or 15,
-/// depending on `key_range`).
-pub fn run_microbench_figure(params: &FigureParams) -> Vec<BenchResult> {
+/// Runs one SetBench microbenchmark sweep (Figures 12-15 and the
+/// elimination ablation, depending on `grid` and `scale.size`).
+pub fn run_microbench_figure(
+    experiment: &str,
+    grid: &MicrobenchGrid,
+    scale: &Scale,
+) -> Vec<BenchResult> {
     let mut results = Vec::new();
-    for &zipf in &params.zipfs {
-        for &update_percent in &params.update_percents {
+    for &zipf in grid.zipfs {
+        for &update_percent in grid.update_percents {
             print_figure_header(
-                &params.experiment,
+                experiment,
                 &format!(
                     "{} keys, {}% updates, {} distribution",
-                    params.key_range,
+                    scale.size,
                     update_percent,
                     if zipf == 0.0 {
                         "uniform".to_string()
@@ -85,23 +114,20 @@ pub fn run_microbench_figure(params: &FigureParams) -> Vec<BenchResult> {
                     }
                 ),
             );
-            for structure in &params.structures {
-                for &threads in &params.threads {
+            for structure in (grid.structures)() {
+                for &threads in &scale.threads {
                     let cfg = MicrobenchConfig {
-                        structure: structure.clone(),
-                        key_range: params.key_range,
+                        structure: structure.into(),
+                        key_range: scale.size,
                         update_percent,
                         zipf,
                         threads,
-                        duration: params.duration,
+                        duration: scale.duration,
                         seed: 0xD1CE,
+                        smr: scale.smr,
                         ..Default::default()
                     };
-                    let mut r = run_microbench(&cfg);
-                    r.experiment = params.experiment.clone();
-                    let json = print_result_row(&r);
-                    eprintln!("{json}");
-                    results.push(r);
+                    record(&mut results, experiment, run_microbench(&cfg));
                 }
             }
         }
@@ -110,33 +136,25 @@ pub fn run_microbench_figure(params: &FigureParams) -> Vec<BenchResult> {
 }
 
 /// Figure 16: YCSB Workload A throughput sweep.
-pub fn run_ycsb_figure(
-    records: u64,
-    threads: &[usize],
-    duration: Duration,
-    structures: &[String],
-) -> Vec<BenchResult> {
+pub fn run_ycsb_figure(scale: &Scale, structures: &[&str]) -> Vec<BenchResult> {
     let mut results = Vec::new();
     print_figure_header(
         "fig16",
-        &format!("YCSB Workload A, {records} records, request Zipf 0.5"),
+        &format!("YCSB Workload A, {} records, request Zipf 0.5", scale.size),
     );
-    for structure in structures {
-        for &t in threads {
+    for &structure in structures {
+        for &threads in &scale.threads {
             let cfg = YcsbConfig {
-                structure: structure.clone(),
-                records,
+                structure: structure.into(),
+                records: scale.size,
                 zipf: 0.5,
-                threads: t,
-                duration,
+                threads,
+                duration: scale.duration,
                 seed: 0xFEED,
+                smr: scale.smr,
                 ..Default::default()
             };
-            let mut r = run_ycsb(&cfg);
-            r.experiment = "fig16".into();
-            let json = print_result_row(&r);
-            eprintln!("{json}");
-            results.push(r);
+            record(&mut results, "fig16", run_ycsb(&cfg));
         }
     }
     results
@@ -153,92 +171,74 @@ pub fn run_ycsb_figure(
 /// table note and emits a JSON row (`"skipped": "scan-unsupported"`) on
 /// stderr so the sweep's coverage stays explicit; no [`BenchResult`] is
 /// produced for skipped cells.
-pub fn run_scan_figure(
-    records: u64,
-    scan_lens: &[u64],
-    threads: &[usize],
-    duration: Duration,
-    structures: &[String],
-) -> Vec<BenchResult> {
+pub fn run_scan_figure(scale: &Scale, scan_lens: &[u64], structures: &[&str]) -> Vec<BenchResult> {
     let mut results = Vec::new();
     for &max_scan_len in scan_lens {
         print_figure_header(
             "fig18",
             &format!(
-                "YCSB Workload E, {records} records, scan lengths 1..={max_scan_len}, \
-                 request Zipf 0.5"
+                "YCSB Workload E, {} records, scan lengths 1..={max_scan_len}, \
+                 request Zipf 0.5",
+                scale.size
             ),
         );
-        for structure in structures {
-            if crate::registry::scan_support(structure)
-                .is_some_and(|support| !support.is_native())
+        for &structure in structures {
+            if crate::registry::scan_support(structure).is_some_and(|support| !support.is_native())
             {
-                println!(
-                    "  {structure}: scan-unsupported (point-probe fallback), skipped"
-                );
+                println!("  {structure}: scan-unsupported (point-probe fallback), skipped");
                 eprintln!(
                     "{{\"experiment\": \"fig18\", \"structure\": \"{structure}\", \
                      \"skipped\": \"scan-unsupported\"}}"
                 );
                 continue;
             }
-            for &t in threads {
+            for &threads in &scale.threads {
                 let cfg = YcsbConfig {
-                    structure: structure.clone(),
+                    structure: structure.into(),
                     kind: workload::YcsbWorkloadKind::E,
-                    records,
+                    records: scale.size,
                     zipf: 0.5,
                     max_scan_len,
-                    threads: t,
-                    duration,
+                    threads,
+                    duration: scale.duration,
                     seed: 0x5CA7,
-                    ..Default::default()
+                    smr: scale.smr,
                 };
-                let mut r = run_ycsb(&cfg);
-                r.experiment = "fig18".into();
-                let json = print_result_row(&r);
-                eprintln!("{json}");
-                results.push(r);
+                record(&mut results, "fig18", run_ycsb(&cfg));
             }
         }
     }
     results
 }
 
-/// Figure 17: persistent trees (p-OCC, p-Elim, FPTree-like) at 1M keys and
-/// 50% updates, uniform and Zipf(1).
-pub fn run_persistence_figure(
-    key_range: u64,
-    threads: &[usize],
-    duration: Duration,
-) -> Vec<BenchResult> {
+/// Figure 17: persistent trees (p-OCC, p-Elim, FPTree-like) at 50% updates,
+/// uniform and Zipf(1), under real flush and fence instructions.
+pub fn run_persistence_figure(scale: &Scale) -> Vec<BenchResult> {
     abpmem::set_mode(abpmem::PersistMode::Real);
     let mut results = Vec::new();
     for &zipf in &[0.0, 1.0] {
         print_figure_header(
             "fig17",
             &format!(
-                "persistent trees, {key_range} keys, 50% updates, {}",
+                "persistent trees, {} keys, 50% updates, {}",
+                scale.size,
                 if zipf == 0.0 { "uniform" } else { "Zipf(1)" }
             ),
         );
         for structure in persistent_structures() {
-            for &t in threads {
+            for &threads in &scale.threads {
                 let cfg = MicrobenchConfig {
-                    structure: structure.to_string(),
-                    key_range,
+                    structure: structure.into(),
+                    key_range: scale.size,
                     update_percent: 50,
                     zipf,
-                    threads: t,
-                    duration,
+                    threads,
+                    duration: scale.duration,
                     seed: 0xCAFE,
+                    smr: scale.smr,
                     ..Default::default()
                 };
-                let mut r = run_microbench(&cfg);
-                r.experiment = "fig17".into();
-                let json = print_result_row(&r);
-                eprintln!("{json}");
-                results.push(r);
+                record(&mut results, "fig17", run_microbench(&cfg));
             }
         }
     }
@@ -246,47 +246,52 @@ pub fn run_persistence_figure(
     results
 }
 
-/// Table 1: change in throughput upon enabling persistence, at the maximum
-/// thread count, 1M keys, update rates {100, 50, 10}%, uniform and Zipf(1).
-/// Returns `(volatile, persistent, overhead_percent)` rows.
-pub fn run_persistence_overhead_table(
-    key_range: u64,
-    threads: usize,
-    duration: Duration,
-) -> Vec<(BenchResult, BenchResult, f64)> {
-    let pairs = [("occ-abtree", "p-occ-abtree"), ("elim-abtree", "p-elim-abtree")];
+/// The volatile tree / durable tree pairs Table 1 compares.
+const OVERHEAD_PAIRS: [(&str, &str); 2] = [
+    ("occ-abtree", "p-occ-abtree"),
+    ("elim-abtree", "p-elim-abtree"),
+];
+
+/// Table 1: change in throughput upon enabling persistence, at the largest
+/// thread count of `scale`, update rates {100, 50, 10}%, uniform and
+/// Zipf(1).  Returns `(volatile, persistent, overhead_percent)` rows.
+pub fn run_persistence_overhead_table(scale: &Scale) -> Vec<(BenchResult, BenchResult, f64)> {
+    let threads = *scale
+        .threads
+        .last()
+        .expect("a scale sweeps at least one thread count");
     let mut rows = Vec::new();
     println!();
-    println!("=== table1: persistence overhead ({threads} threads, {key_range} keys) ===");
+    println!(
+        "=== table1: persistence overhead ({threads} threads, {} keys) ===",
+        scale.size
+    );
     println!(
         "{:<16} {:>8} {:>8} {:>14} {:>14} {:>10}",
         "structure", "zipf", "upd%", "volatile op/us", "durable op/us", "overhead"
     );
     for &zipf in &[0.0, 1.0] {
         for &update_percent in &[100u32, 50, 10] {
-            for (volatile, durable) in pairs {
-                abpmem::set_mode(abpmem::PersistMode::NoOp);
-                let v = run_microbench(&MicrobenchConfig {
-                    structure: volatile.to_string(),
-                    key_range,
-                    update_percent,
-                    zipf,
-                    threads,
-                    duration,
-                    seed: 0xAB1E,
-                    ..Default::default()
-                });
-                abpmem::set_mode(abpmem::PersistMode::Real);
-                let p = run_microbench(&MicrobenchConfig {
-                    structure: durable.to_string(),
-                    key_range,
-                    update_percent,
-                    zipf,
-                    threads,
-                    duration,
-                    seed: 0xAB1E,
-                    ..Default::default()
-                });
+            for (volatile, durable) in OVERHEAD_PAIRS {
+                let cell = |structure: &str, mode| {
+                    abpmem::set_mode(mode);
+                    let mut r = run_microbench(&MicrobenchConfig {
+                        structure: structure.into(),
+                        key_range: scale.size,
+                        update_percent,
+                        zipf,
+                        threads,
+                        duration: scale.duration,
+                        seed: 0xAB1E,
+                        smr: scale.smr,
+                        ..Default::default()
+                    });
+                    r.experiment = "table1".into();
+                    eprintln!("{}", r.to_json());
+                    r
+                };
+                let v = cell(volatile, abpmem::PersistMode::NoOp);
+                let p = cell(durable, abpmem::PersistMode::Real);
                 abpmem::set_mode(abpmem::PersistMode::CountOnly);
                 let overhead = (p.throughput_mops - v.throughput_mops) / v.throughput_mops * 100.0;
                 println!(
@@ -300,9 +305,337 @@ pub fn run_persistence_overhead_table(
     rows
 }
 
+/// The two OCC-ABtrees of the lock ablation.  The registry cannot name the
+/// TATAS tree (both report `"occ-abtree"`), so they are built here and
+/// handed to [`run_microbench_on`] under these row labels.
+const LOCK_VARIANTS: [(&str, Factory); 2] = [
+    ("occ-abtree/mcs", |smr| {
+        Box::new(OccABTree::<McsLock>::with_collector(
+            Collector::with_policy(smr),
+        ))
+    }),
+    ("occ-abtree/tatas", |smr| {
+        Box::new(OccABTree::<TatasLock>::with_collector(
+            Collector::with_policy(smr),
+        ))
+    }),
+];
+
+/// Ablation (paper §7): MCS node locks vs test-and-test-and-set node locks
+/// in the OCC-ABtree, under a contended update-only Zipf(1) workload.
+pub fn run_lock_ablation(scale: &Scale) -> Vec<BenchResult> {
+    let mut results = Vec::new();
+    print_figure_header(
+        "ablation-locks",
+        &format!(
+            "OCC-ABtree node locks, MCS vs TATAS, {} keys, 100% updates, Zipf(1)",
+            scale.size
+        ),
+    );
+    for (label, build) in LOCK_VARIANTS {
+        for &threads in &scale.threads {
+            let cfg = MicrobenchConfig {
+                structure: label.into(),
+                key_range: scale.size,
+                update_percent: 100,
+                zipf: 1.0,
+                threads,
+                duration: scale.duration,
+                seed: 0x10C5,
+                smr: scale.smr,
+                ..Default::default()
+            };
+            record(
+                &mut results,
+                "ablation-locks",
+                run_microbench_on(build(scale.smr), &cfg),
+            );
+        }
+    }
+    results
+}
+
+/// One reproducible experiment: an id, its two sizes, the sweep behind it
+/// and what a correct run of that sweep must report.
+pub struct Figure {
+    /// The id given on the `figures` command line.
+    pub id: &'static str,
+    /// One line for `figures --list`.
+    pub about: &'static str,
+    /// Keys (records for YCSB) at full scale: the paper's, except fig16,
+    /// where 10M records stand in for 100M to fit container memory (the
+    /// relative ordering of the curves is preserved).
+    pub full_size: u64,
+    /// Keys (records) under `--smoke`.
+    pub smoke_size: u64,
+    /// Row labels a run must report: every one of them and no other.
+    pub reports: fn() -> Vec<&'static str>,
+    /// Whether the figure measures scans, so a cell without one is a failure.
+    pub scans: bool,
+    sweep: fn(&Figure, &Scale) -> Vec<BenchResult>,
+}
+
+/// Figures 12-15 are one sweep at four key ranges.
+const fn paper_grid_figure(
+    id: &'static str,
+    about: &'static str,
+    full_size: u64,
+    smoke_size: u64,
+) -> Figure {
+    Figure {
+        id,
+        about,
+        full_size,
+        smoke_size,
+        reports: volatile_structures,
+        scans: false,
+        sweep: |fig, scale| run_microbench_figure(fig.id, &PAPER_GRID, scale),
+    }
+}
+
+/// Every figure the runner knows, in the order `all` runs them.
+pub static FIGURES: &[Figure] = &[
+    paper_grid_figure(
+        "fig12",
+        "SetBench microbenchmark, 10k keys: update rate x skew x threads, volatile structures",
+        10_000,
+        1_000,
+    ),
+    paper_grid_figure("fig13", "the same grid at 100k keys", 100_000, 2_000),
+    paper_grid_figure("fig14", "the same grid at 1M keys", 1_000_000, 4_000),
+    paper_grid_figure("fig15", "the same grid at 10M keys", 10_000_000, 8_000),
+    Figure {
+        id: "fig16",
+        about: "YCSB Workload A (request Zipf 0.5), volatile structures as the index",
+        full_size: 10_000_000,
+        smoke_size: 1_000,
+        reports: volatile_structures,
+        scans: false,
+        sweep: |_, scale| run_ycsb_figure(scale, &volatile_structures()),
+    },
+    Figure {
+        id: "fig17",
+        about: "persistent trees under real flush/fence instructions, 50% updates",
+        full_size: 1_000_000,
+        smoke_size: 2_000,
+        reports: persistent_structures,
+        scans: false,
+        sweep: |_, scale| run_persistence_figure(scale),
+    },
+    // Handed the full volatile set: the sweep prints the scan-unsupported
+    // note for the fallback structures and measures the rest, so coverage
+    // (and the skips) stay visible in the output.
+    Figure {
+        id: "fig18",
+        about:
+            "YCSB Workload E scan throughput, scan lengths 1..={1,10,100}, native-scan structures",
+        full_size: 1_000_000,
+        smoke_size: 1_000,
+        reports: scan_benchmark_structures,
+        scans: true,
+        sweep: |_, scale| run_scan_figure(scale, &[1, 10, 100], &volatile_structures()),
+    },
+    Figure {
+        id: "table1",
+        about: "throughput change upon enabling persistence, volatile vs durable (a,b)-trees",
+        full_size: 1_000_000,
+        smoke_size: 2_000,
+        reports: || OVERHEAD_PAIRS.iter().flat_map(|&(v, p)| [v, p]).collect(),
+        scans: false,
+        sweep: |_, scale| {
+            run_persistence_overhead_table(scale)
+                .into_iter()
+                .flat_map(|(v, p, _)| [v, p])
+                .collect()
+        },
+    },
+    Figure {
+        id: "ablation-elim",
+        about: "publishing elimination on vs off, 100% updates, Zipf 0 to 1.25",
+        full_size: 10_000,
+        smoke_size: 1_000,
+        reports: ELIMINATION_GRID.structures,
+        scans: false,
+        sweep: |fig, scale| run_microbench_figure(fig.id, &ELIMINATION_GRID, scale),
+    },
+    Figure {
+        id: "ablation-locks",
+        about: "OCC-ABtree with MCS vs TATAS node locks, 100% updates, Zipf(1)",
+        full_size: 10_000,
+        smoke_size: 1_000,
+        reports: || LOCK_VARIANTS.iter().map(|&(label, _)| label).collect(),
+        scans: false,
+        sweep: |_, scale| run_lock_ablation(scale),
+    },
+];
+
+impl Figure {
+    /// Looks up a figure by its command-line id.
+    pub fn by_id(id: &str) -> Option<&'static Figure> {
+        FIGURES.iter().find(|f| f.id == id)
+    }
+
+    /// Runs the figure's sweep at `scale` and holds the rows to the checks
+    /// every figure shares; a run that fails one is an error, not a table.
+    pub fn run(&self, scale: &Scale) -> Result<Vec<BenchResult>, String> {
+        let rows = (self.sweep)(self, scale);
+        let failed: Vec<&BenchResult> = rows.iter().filter(|r| !r.validated).collect();
+        if !failed.is_empty() {
+            return Err(format!("key-sum validation failed: {failed:?}"));
+        }
+        if self.scans {
+            if let Some(r) = rows.iter().find(|r| r.scan_ops == 0) {
+                return Err(format!("a cell completed no scans: {r:?}"));
+            }
+        }
+        let reported: BTreeSet<&str> = rows.iter().map(|r| r.structure.as_str()).collect();
+        let expected: BTreeSet<&str> = (self.reports)().into_iter().collect();
+        if reported != expected {
+            return Err(format!("rows for {reported:?}, expected {expected:?}"));
+        }
+        Ok(rows)
+    }
+}
+
+/// What a `figures` command line asks for.
+pub enum Command {
+    /// `--list`: print the figure table.
+    List,
+    /// Run figures.
+    Run(Invocation),
+}
+
+/// A parsed request to run one or all figures.
+pub struct Invocation {
+    /// The figures to run, in table order.
+    pub figures: Vec<&'static Figure>,
+    /// `[keys-or-records]`, overriding each figure's own size.
+    pub size: Option<u64>,
+    /// `[seconds-per-cell]`, overriding the scale's cell length.
+    pub duration: Option<Duration>,
+    /// `--smoke`: tiny sizes, short cells, one thread count.
+    pub smoke: bool,
+    /// `--smr ebr|hp`.
+    pub smr: SmrPolicy,
+}
+
+impl Invocation {
+    /// The scale `fig` runs at under this invocation: the paper's size,
+    /// 3 s cells and the machine's thread sweep, or — under `--smoke` — the
+    /// figure's smoke size, 50 ms cells and two threads, so the whole path
+    /// (prefill, concurrent measured phase, validation) runs in seconds.
+    pub fn scale(&self, fig: &Figure) -> Scale {
+        let (size, duration, threads) = if self.smoke {
+            (fig.smoke_size, Duration::from_millis(50), vec![2])
+        } else {
+            (
+                fig.full_size,
+                Duration::from_secs(3),
+                default_thread_counts(),
+            )
+        };
+        Scale {
+            size: self.size.unwrap_or(size),
+            threads,
+            duration: self.duration.unwrap_or(duration),
+            smr: self.smr,
+        }
+    }
+}
+
+/// The usage line, with the ids read off the table.
+pub fn usage() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+    format!(
+        "usage: figures <{}|all> [keys-or-records] [seconds-per-cell] [--smoke] [--smr ebr|hp]\n\
+         \x20      figures --list",
+        ids.join("|")
+    )
+}
+
+/// Parses the `figures` command line (without the program name).  Anything
+/// that does not parse is an error: a typo must not fall back to a
+/// multi-hour default sweep.
+pub fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut positional = Vec::new();
+    let mut list = false;
+    let mut smoke = false;
+    let mut smr = SmrPolicy::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--list" => list = true,
+            "--smoke" => smoke = true,
+            "--smr" => {
+                smr = it
+                    .next()
+                    .ok_or("--smr needs a value (ebr|hp)")?
+                    .parse()
+                    .map_err(|e| format!("--smr: {e}"))?;
+            }
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            _ => positional.push(arg.as_str()),
+        }
+    }
+    if list {
+        return if positional.is_empty() {
+            Ok(Command::List)
+        } else {
+            Err("--list takes no figure".into())
+        };
+    }
+    let (id, rest) = positional.split_first().ok_or("no figure named")?;
+    let figures: Vec<&'static Figure> = match *id {
+        "all" => FIGURES.iter().collect(),
+        id => vec![Figure::by_id(id).ok_or(format!("unknown figure {id:?}"))?],
+    };
+    if rest.len() > 2 {
+        return Err(format!("unexpected argument {:?}", rest[2]));
+    }
+    let size: Option<u64> = match rest.first() {
+        Some(s) => match s.parse() {
+            Ok(n) if n > 0 => Some(n),
+            _ => return Err(format!("keys-or-records {s:?} is not a positive integer")),
+        },
+        None => None,
+    };
+    let duration = match rest.get(1) {
+        // `try_from_secs_f64` also rejects NaN, negative and overflowing values.
+        Some(s) => match s.parse().map(Duration::try_from_secs_f64) {
+            Ok(Ok(d)) if !d.is_zero() => Some(d),
+            _ => return Err(format!("seconds-per-cell {s:?} is not a positive number")),
+        },
+        None => None,
+    };
+    Ok(Command::Run(Invocation {
+        figures,
+        size,
+        duration,
+        smoke,
+        smr,
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn tiny(size: u64, threads: usize, millis: u64) -> Scale {
+        Scale {
+            size,
+            threads: vec![threads],
+            duration: Duration::from_millis(millis),
+            smr: SmrPolicy::default(),
+        }
+    }
+
+    fn invocation(line: &str) -> Result<Invocation, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        match parse_args(&args)? {
+            Command::Run(invocation) => Ok(invocation),
+            Command::List => Err("parsed as --list".into()),
+        }
+    }
 
     #[test]
     fn thread_counts_are_increasing_and_bounded() {
@@ -313,26 +646,125 @@ mod tests {
         assert_eq!(*counts.last().unwrap(), max);
     }
 
+    /// Every figure id — the table `--list` prints — runs end to end at its
+    /// smoke scale and passes the shared checks of [`Figure::run`]: rows for
+    /// exactly the structures the figure reports (both lock variants for
+    /// `ablation-locks`; for `fig18` the native-scan set only, i.e. the
+    /// fallback structures it was handed were skipped), all validated.
+    #[test]
+    fn every_figure_runs_at_smoke_scale() {
+        let smoke = invocation("all --smoke").unwrap();
+        assert_eq!(smoke.figures.len(), FIGURES.len());
+        for fig in smoke.figures.iter().copied() {
+            let rows = fig
+                .run(&smoke.scale(fig))
+                .unwrap_or_else(|e| panic!("{}: {e}", fig.id));
+            assert!(!rows.is_empty(), "{} produced no rows", fig.id);
+            assert!(rows.iter().all(|r| r.experiment == fig.id), "{}", fig.id);
+            assert!(
+                rows.iter().all(|r| r.smr == "ebr" || r.smr == "none"),
+                "{}: the default backend is ebr",
+                fig.id
+            );
+        }
+        assert_eq!(
+            (Figure::by_id("ablation-locks").unwrap().reports)(),
+            vec!["occ-abtree/mcs", "occ-abtree/tatas"]
+        );
+        let fig18 = (Figure::by_id("fig18").unwrap().reports)();
+        assert!(!fig18.contains(&"catree") && !fig18.contains(&"ext-bst-lock"));
+    }
+
+    /// `--smr hp` reaches every collector-backed structure of a sweep, and
+    /// a structure without a collector keeps reporting `none`.
+    #[test]
+    fn smr_flag_reaches_every_collector_backed_structure() {
+        let hp = invocation("fig12 --smoke --smr hp").unwrap();
+        let fig12 = hp.figures[0];
+        let rows = fig12.run(&hp.scale(fig12)).unwrap();
+        assert!(rows.iter().all(|r| r.smr == "hp"), "{rows:?}");
+        assert!(rows[0].to_json().contains("\"smr\":\"hp\""));
+
+        let fig17 = Figure::by_id("fig17").unwrap();
+        for r in fig17.run(&hp.scale(fig17)).unwrap() {
+            let expected = if r.structure == "fptree" {
+                "none"
+            } else {
+                "hp"
+            };
+            assert_eq!(r.smr, expected, "{}", r.structure);
+        }
+    }
+
+    #[test]
+    fn good_command_lines_parse() {
+        let run = invocation("fig14 20000 0.5 --smr hp").unwrap();
+        assert_eq!(run.figures.len(), 1);
+        assert_eq!(run.figures[0].id, "fig14");
+        assert_eq!(run.size, Some(20_000));
+        assert_eq!(run.duration, Some(Duration::from_millis(500)));
+        assert_eq!(run.smr, SmrPolicy::Hp);
+        assert!(!run.smoke);
+        let scale = run.scale(run.figures[0]);
+        assert_eq!(
+            (scale.size, scale.duration),
+            (20_000, Duration::from_millis(500))
+        );
+        assert_eq!(scale.threads, default_thread_counts());
+
+        // Flags may come first; without overrides the table's sizes apply.
+        let smoke = invocation("--smoke table1").unwrap();
+        let scale = smoke.scale(smoke.figures[0]);
+        assert_eq!(scale.size, smoke.figures[0].smoke_size);
+        assert_eq!(scale.smr, SmrPolicy::Ebr);
+        let full = invocation("fig15").unwrap();
+        assert_eq!(full.scale(full.figures[0]).size, 10_000_000);
+
+        assert!(matches!(
+            parse_args(&["--list".to_string()]),
+            Ok(Command::List)
+        ));
+        assert_eq!(FIGURES.len(), 10, "`--list` prints ten ids");
+        assert!(FIGURES.iter().all(|f| usage().contains(f.id)));
+    }
+
+    #[test]
+    fn bad_command_lines_are_rejected() {
+        for line in [
+            "",                   // no figure
+            "fig99",              // unknown figure id
+            "fig12 10k",          // unparseable key count
+            "fig12 0",            // empty key range
+            "fig12 1000 fast",    // unparseable seconds
+            "fig12 1000 -1",      // reads as a flag
+            "fig12 1000 0",       // zero-length cells
+            "fig12 1000 NaN",     // not a duration
+            "fig12 1000 1 extra", // too many arguments
+            "fig12 --smok",       // unknown flag
+            "fig12 --smr",        // flag without its value
+            "fig12 --smr rcu",    // unknown backend
+            "--list fig12",       // --list takes no figure
+        ] {
+            assert!(invocation(line).is_err(), "{line:?} must not parse");
+        }
+    }
+
     #[test]
     fn tiny_figure_run_produces_rows() {
-        let params = FigureParams {
-            experiment: "fig-test".into(),
-            key_range: 500,
-            zipfs: vec![0.0],
-            update_percents: vec![100],
-            threads: vec![2],
-            duration: Duration::from_millis(30),
-            structures: vec!["elim-abtree".into(), "catree".into()],
+        let grid = MicrobenchGrid {
+            zipfs: &[0.0],
+            update_percents: &[100],
+            structures: || vec!["elim-abtree", "catree"],
         };
-        let results = run_microbench_figure(&params);
+        let results = run_microbench_figure("fig-test", &grid, &tiny(500, 2, 30));
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.validated));
     }
 
     #[test]
     fn tiny_scan_figure_run_counts_scans() {
-        let structures = vec!["elim-abtree".to_string(), "skiplist-lazy".to_string()];
-        let results = run_scan_figure(500, &[8], &[2], Duration::from_millis(40), &structures);
+        let structures = ["elim-abtree", "skiplist-lazy"];
+        let results = run_scan_figure(&tiny(500, 2, 40), &[8], &structures);
         assert_eq!(results.len(), 2);
         for r in &results {
             assert_eq!(r.experiment, "fig18");
@@ -347,8 +779,8 @@ mod tests {
     /// moves on.
     #[test]
     fn scan_figure_skips_fallback_structures() {
-        let structures = vec!["elim-abtree".to_string(), "catree".to_string()];
-        let results = run_scan_figure(500, &[8], &[1], Duration::from_millis(30), &structures);
+        let structures = ["elim-abtree", "catree"];
+        let results = run_scan_figure(&tiny(500, 1, 30), &[8], &structures);
         assert_eq!(results.len(), 1, "the fallback structure is skipped");
         assert_eq!(results[0].structure, "elim-abtree");
         assert!(results[0].scan_ops > 0);
@@ -356,7 +788,7 @@ mod tests {
 
     #[test]
     fn tiny_table1_run() {
-        let rows = run_persistence_overhead_table(2_000, 2, Duration::from_millis(30));
+        let rows = run_persistence_overhead_table(&tiny(2_000, 2, 30));
         // 2 zipfs x 3 update rates x 2 tree pairs.
         assert_eq!(rows.len(), 12);
         for (v, p, _) in &rows {

@@ -40,7 +40,7 @@ pub struct MicrobenchConfig {
     /// RNG seed (each thread derives its own stream).
     pub seed: u64,
     /// SMR backend for the structure's reclamation collector
-    /// (`--smr={ebr,hp}` in the harness binaries).
+    /// (`--smr ebr|hp` of the `figures` runner).
     pub smr: SmrPolicy,
 }
 
@@ -125,11 +125,10 @@ struct ThreadTally {
 pub const BATCH_OP_SIZE: usize = 8;
 
 /// Reusable buffers for batched operations drawn from an operation mix —
-/// the one copy of the "draw a [`BATCH_OP_SIZE`]-key batch and run it
-/// through the session's batch op" policy, shared by this harness and the
-/// Criterion bench helpers.
+/// the "draw a [`BATCH_OP_SIZE`]-key batch and run it through the session's
+/// batch op" policy.
 #[derive(Default)]
-pub struct BatchScratch {
+struct BatchScratch {
     keys: Vec<u64>,
     pairs: Vec<(u64, u64)>,
     results: Vec<Option<u64>>,
@@ -138,7 +137,7 @@ pub struct BatchScratch {
 impl BatchScratch {
     /// Draws a [`BATCH_OP_SIZE`]-key batch (starting with `key`) and runs it
     /// through `session.get_batch`.
-    pub fn mget<H: abtree::MapHandle + ?Sized>(
+    fn mget<H: abtree::MapHandle + ?Sized>(
         &mut self,
         session: &mut H,
         dist: &KeyDistribution,
@@ -157,7 +156,7 @@ impl BatchScratch {
     /// Draws a [`BATCH_OP_SIZE`]-pair batch (starting with `key`) and runs
     /// it through `session.insert_batch`, returning the key-sum of the pairs
     /// actually inserted (for the checksum validation).
-    pub fn mput<H: abtree::MapHandle + ?Sized>(
+    fn mput<H: abtree::MapHandle + ?Sized>(
         &mut self,
         session: &mut H,
         dist: &KeyDistribution,
@@ -234,9 +233,20 @@ fn reclamation_columns(map: &dyn Benchable, policy: SmrPolicy) -> (String, u64, 
     }
 }
 
-/// Runs one microbenchmark cell: prefill, measured phase, validation.
+/// Runs one microbenchmark cell on the registry structure `cfg.structure`,
+/// built with its collector on `cfg.smr`.
 pub fn run_microbench(cfg: &MicrobenchConfig) -> BenchResult {
-    let map: Arc<Box<dyn Benchable>> = Arc::new(make_structure_smr(&cfg.structure, cfg.smr));
+    run_microbench_on(make_structure_smr(&cfg.structure, cfg.smr), cfg)
+}
+
+/// Runs one microbenchmark cell — prefill, measured phase, validation — on
+/// a map the caller built.  This is the one measured op loop; it exists
+/// apart from [`run_microbench`] for tree variants the registry cannot name
+/// (the lock ablation's `AbTree<false, TatasLock>` reports the same `name()`
+/// as the MCS tree).  `cfg.structure` is only the row label here, and the
+/// caller builds `map` on a `cfg.smr` collector so the `smr` column is true.
+pub fn run_microbench_on(map: Box<dyn Benchable>, cfg: &MicrobenchConfig) -> BenchResult {
+    let map = Arc::new(map);
     let mix = OperationMix::from_update_and_scan_percent(cfg.update_percent, cfg.scan_percent);
     let dist = KeyDistribution::from_zipf_parameter(cfg.key_range, cfg.zipf);
 
@@ -452,169 +462,5 @@ pub fn run_ycsb(cfg: &YcsbConfig) -> BenchResult {
         smr,
         unreclaimed,
         reclaim_lag,
-    }
-}
-
-/// A prefilled microbenchmark instance for latency-style measurements.
-///
-/// The Criterion benches (crate `bench-suite`) measure the wall-clock time
-/// needed to complete a fixed number of operations across the configured
-/// thread count, which Criterion converts into a throughput figure.  The
-/// instance is prefilled once and reused across measurement iterations; the
-/// balanced insert/delete mix keeps it at its steady-state size.
-pub struct MicrobenchInstance {
-    map: Arc<Box<dyn Benchable>>,
-    cfg: MicrobenchConfig,
-    dist: KeyDistribution,
-    mix: OperationMix,
-}
-
-impl MicrobenchInstance {
-    /// Builds the data structure and prefills it to half the key range.
-    pub fn new(cfg: MicrobenchConfig) -> Self {
-        let map: Arc<Box<dyn Benchable>> = Arc::new(make_structure_smr(&cfg.structure, cfg.smr));
-        let target = cfg.key_range / 2;
-        prefill_parallel(&map, cfg.key_range, target, cfg.threads, cfg.seed);
-        let dist = KeyDistribution::from_zipf_parameter(cfg.key_range, cfg.zipf);
-        let mix = OperationMix::from_update_and_scan_percent(cfg.update_percent, cfg.scan_percent);
-        Self {
-            map,
-            cfg,
-            dist,
-            mix,
-        }
-    }
-
-    /// Runs approximately `total_ops` operations split across the configured
-    /// threads and returns the elapsed wall-clock time.
-    pub fn run_ops(&self, total_ops: u64) -> Duration {
-        let per_thread = total_ops / self.cfg.threads.max(1) as u64;
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..self.cfg.threads {
-                let map = Arc::clone(&self.map);
-                let dist = self.dist.clone();
-                let mix = self.mix;
-                let seed = self.cfg.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                let max_scan_len = self.cfg.max_scan_len.max(1);
-                scope.spawn(move || {
-                    let mut session = map.handle();
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut scan_buf: Vec<(u64, u64)> = Vec::new();
-                    let mut batch = BatchScratch::default();
-                    for _ in 0..per_thread {
-                        let key = dist.sample(&mut rng);
-                        match mix.sample(&mut rng) {
-                            Operation::Insert => {
-                                std::hint::black_box(session.insert(key, key));
-                            }
-                            Operation::Delete => {
-                                std::hint::black_box(session.delete(key));
-                            }
-                            Operation::Find => {
-                                std::hint::black_box(session.get(key));
-                            }
-                            Operation::Scan => {
-                                let len = rng.gen_range(1..=max_scan_len);
-                                session.range(key, key.saturating_add(len - 1), &mut scan_buf);
-                                std::hint::black_box(scan_buf.len());
-                            }
-                            Operation::MGet => {
-                                batch.mget(&mut session, &dist, key, &mut rng);
-                            }
-                            Operation::MPut => {
-                                std::hint::black_box(batch.mput(
-                                    &mut session,
-                                    &dist,
-                                    key,
-                                    &mut rng,
-                                ));
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        start.elapsed()
-    }
-
-    /// The underlying map (for post-run validation in tests).
-    pub fn map(&self) -> &dyn Benchable {
-        self.map.as_ref().as_ref()
-    }
-}
-
-/// A loaded YCSB instance for latency-style measurements (Figure 16's bench).
-pub struct YcsbInstance {
-    map: Arc<Box<dyn Benchable>>,
-    workload: YcsbWorkload,
-    threads: usize,
-    seed: u64,
-}
-
-impl YcsbInstance {
-    /// Builds the index and loads `cfg.records` records.
-    pub fn new(cfg: YcsbConfig) -> Self {
-        let map: Arc<Box<dyn Benchable>> = Arc::new(make_structure_smr(&cfg.structure, cfg.smr));
-        let workload = YcsbWorkload::new(cfg.kind, cfg.records, cfg.zipf)
-            .with_max_scan_len(cfg.max_scan_len.max(1));
-        std::thread::scope(|scope| {
-            let chunk = cfg.records / cfg.threads.max(1) as u64 + 1;
-            for t in 0..cfg.threads.max(1) as u64 {
-                let map = Arc::clone(&map);
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(cfg.records);
-                scope.spawn(move || {
-                    let mut session = map.handle();
-                    for key in lo..hi {
-                        session.insert(key, key);
-                    }
-                });
-            }
-        });
-        Self {
-            map,
-            workload,
-            threads: cfg.threads,
-            seed: cfg.seed,
-        }
-    }
-
-    /// Runs approximately `total_ops` YCSB requests split across the threads
-    /// and returns the elapsed wall-clock time.
-    pub fn run_ops(&self, total_ops: u64) -> Duration {
-        let per_thread = total_ops / self.threads.max(1) as u64;
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..self.threads {
-                let map = Arc::clone(&self.map);
-                let workload = self.workload.clone();
-                let seed = self.seed ^ (t as u64).wrapping_mul(0x9E3779B97F4A7C15);
-                scope.spawn(move || {
-                    let mut session = map.handle();
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let mut sink = 0u64;
-                    let mut scan_buf: Vec<(u64, u64)> = Vec::new();
-                    for _ in 0..per_thread {
-                        match workload.next_op(&mut rng) {
-                            YcsbOp::Read(k) | YcsbOp::Update(k) => {
-                                if let Some(v) = session.get(k) {
-                                    sink = sink.wrapping_add(v);
-                                }
-                            }
-                            YcsbOp::Insert(k) => {
-                                std::hint::black_box(session.insert(k, k));
-                            }
-                            YcsbOp::Scan(k, len) => {
-                                session.range(k, k.saturating_add(len - 1), &mut scan_buf);
-                                sink = sink.wrapping_add(scan_buf.len() as u64);
-                            }
-                        }
-                    }
-                    std::hint::black_box(sink);
-                });
-            }
-        });
-        start.elapsed()
     }
 }

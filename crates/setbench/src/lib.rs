@@ -9,9 +9,9 @@
 //! sum it deleted must equal the sum of keys left in the structure — guards
 //! against broken implementations.
 //!
-//! This crate reproduces that methodology and exposes one driver binary per
-//! figure/table of the paper (see `src/bin/`); the `bench-suite` crate's
-//! Criterion benches call the same entry points with scaled-down durations.
+//! This crate reproduces that methodology and exposes the paper's figures,
+//! Table 1 and two ablations through one table ([`figures::FIGURES`]) and one
+//! runner binary over it, `figures` (see `src/bin/figures.rs`).
 
 #![warn(missing_docs)]
 
@@ -21,17 +21,17 @@ pub mod registry;
 pub mod report;
 
 pub use figures::{
-    default_thread_counts, run_microbench_figure, run_persistence_figure,
-    run_persistence_overhead_table, run_scan_figure, run_ycsb_figure, FigureParams,
+    default_thread_counts, run_lock_ablation, run_microbench_figure, run_persistence_figure,
+    run_persistence_overhead_table, run_scan_figure, run_ycsb_figure, Figure, MicrobenchGrid,
+    Scale, FIGURES,
 };
 pub use harness::{
-    run_microbench, run_ycsb, BatchScratch, MicrobenchConfig, MicrobenchInstance, YcsbConfig,
-    YcsbInstance, BATCH_OP_SIZE,
+    run_microbench, run_microbench_on, run_ycsb, MicrobenchConfig, YcsbConfig, BATCH_OP_SIZE,
 };
 pub use registry::{
     descriptor, make_structure, names_in, native_scan_structures, persistent_structures,
     scan_benchmark_structures, scan_support, snapshot_scan_structures, structure_names,
-    volatile_structures, Benchable, ScanSupport,
+    volatile_structures, Benchable, Factory, ScanSupport,
     StructureCategory, StructureDescriptor, STRUCTURES,
 };
 pub use report::{print_figure_header, print_result_row, BenchResult};

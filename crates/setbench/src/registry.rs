@@ -10,8 +10,8 @@
 //! volatile/persistent category, whether its range scans are native or the
 //! point-lookup fallback ([`ScanSupport`]), and a factory function.
 //! Everything else —
-//! [`structure_names`], [`make_structure`], the harness, the figure drivers
-//! and the Criterion benches — iterates this table.  **Registering a new
+//! [`structure_names`], [`make_structure`], the harness and the figure
+//! sweeps — iterates this table.  **Registering a new
 //! structure therefore means adding exactly one descriptor line below**
 //! (plus `impl abtree::KeySum` next to the structure itself if it does not
 //! already have one).
@@ -93,11 +93,14 @@ pub struct StructureDescriptor {
     pub category: StructureCategory,
     /// Native or fallback range scans.
     pub scan: ScanSupport,
-    /// Builds a fresh, empty instance reclaiming under the given SMR
-    /// policy.  Structures without a reclamation collector (the FPtree)
-    /// ignore the policy.
-    pub factory: fn(SmrPolicy) -> Box<dyn Benchable>,
+    /// Builds a fresh, empty instance.
+    pub factory: Factory,
 }
+
+/// Builds a fresh, empty structure reclaiming under the given SMR policy.
+/// Structures without a reclamation collector (the FPtree) ignore the
+/// policy.
+pub type Factory = fn(SmrPolicy) -> Box<dyn Benchable>;
 
 use ScanSupport::{Fallback, Native, Snapshot};
 use StructureCategory::{Persistent, Volatile};
@@ -255,7 +258,7 @@ pub fn make_structure(name: &str) -> Box<dyn Benchable> {
 }
 
 /// Instantiates a structure by name with its reclamation collector running
-/// the given SMR backend (`--smr={ebr,hp}` in the harness binaries).
+/// the given SMR backend (`--smr ebr|hp` of the `figures` runner).
 /// Structures that do not reclaim through a collector ignore the policy.
 /// Panics on unknown names.
 pub fn make_structure_smr(name: &str, policy: SmrPolicy) -> Box<dyn Benchable> {

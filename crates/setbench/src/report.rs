@@ -85,151 +85,6 @@ impl BenchResult {
             self.reclaim_lag
         )
     }
-
-    /// Parses a JSON object produced by [`BenchResult::to_json`].
-    ///
-    /// This is a purpose-built parser for the flat, known-field format above
-    /// (sufficient for round-tripping result logs), not a general JSON
-    /// parser.  Returns `None` on any missing, duplicate or unknown field,
-    /// so truncated log lines are rejected rather than zero-filled.
-    pub fn from_json(json: &str) -> Option<Self> {
-        const FIELD_COUNT: usize = 14;
-        let body = json.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let mut r = BenchResult {
-            experiment: String::new(),
-            structure: String::new(),
-            threads: 0,
-            key_range: 0,
-            update_percent: 0,
-            zipf: 0.0,
-            total_ops: 0,
-            scan_ops: 0,
-            duration_secs: 0.0,
-            throughput_mops: 0.0,
-            validated: false,
-            smr: String::new(),
-            unreclaimed: 0,
-            reclaim_lag: 0,
-        };
-        let mut seen = 0u32;
-        for field in split_top_level(body) {
-            let (key, value) = field.split_once(':')?;
-            let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-            let value = value.trim();
-            let bit = match key {
-                "experiment" => {
-                    r.experiment = unquote(value)?;
-                    0
-                }
-                "structure" => {
-                    r.structure = unquote(value)?;
-                    1
-                }
-                "threads" => {
-                    r.threads = value.parse().ok()?;
-                    2
-                }
-                "key_range" => {
-                    r.key_range = value.parse().ok()?;
-                    3
-                }
-                "update_percent" => {
-                    r.update_percent = value.parse().ok()?;
-                    4
-                }
-                "zipf" => {
-                    r.zipf = value.parse().ok()?;
-                    5
-                }
-                "total_ops" => {
-                    r.total_ops = value.parse().ok()?;
-                    6
-                }
-                "scan_ops" => {
-                    r.scan_ops = value.parse().ok()?;
-                    7
-                }
-                "duration_secs" => {
-                    r.duration_secs = value.parse().ok()?;
-                    8
-                }
-                "throughput_mops" => {
-                    r.throughput_mops = value.parse().ok()?;
-                    9
-                }
-                "validated" => {
-                    r.validated = value.parse().ok()?;
-                    10
-                }
-                "smr" => {
-                    r.smr = unquote(value)?;
-                    11
-                }
-                "unreclaimed" => {
-                    r.unreclaimed = value.parse().ok()?;
-                    12
-                }
-                "reclaim_lag" => {
-                    r.reclaim_lag = value.parse().ok()?;
-                    13
-                }
-                _ => return None,
-            };
-            if seen & (1 << bit) != 0 {
-                return None; // duplicate field
-            }
-            seen |= 1 << bit;
-        }
-        (seen == (1 << FIELD_COUNT) - 1).then_some(r)
-    }
-}
-
-/// Splits `body` on commas that are not inside a quoted string.
-fn split_top_level(body: &str) -> Vec<&str> {
-    let mut fields = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            '\\' if in_string => escaped = !escaped,
-            '"' if !escaped => in_string = !in_string,
-            ',' if !in_string => {
-                fields.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => escaped = false,
-        }
-    }
-    fields.push(&body[start..]);
-    fields
-}
-
-/// Removes surrounding quotes and resolves the escapes produced by
-/// [`escape`].
-fn unquote(value: &str) -> Option<String> {
-    let inner = value.strip_prefix('"')?.strip_suffix('"')?;
-    let mut out = String::with_capacity(inner.len());
-    let mut chars = inner.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            'r' => out.push('\r'),
-            'u' => {
-                let code: String = (&mut chars).take(4).collect();
-                out.push(char::from_u32(u32::from_str_radix(&code, 16).ok()?)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 /// Prints the header of a figure-style table.
@@ -276,84 +131,36 @@ pub fn print_result_row(r: &BenchResult) -> String {
 mod tests {
     use super::*;
 
+    /// The escaping `to_json` applies to its string fields, pinned as exact
+    /// output: quote, backslash, the named whitespace escapes, and a control
+    /// character without a short form.
     #[test]
-    fn result_round_trips_through_json() {
+    fn to_json_escapes_strings_and_keeps_field_order() {
         let r = BenchResult {
-            experiment: "fig12".into(),
-            structure: "elim-abtree".into(),
-            threads: 8,
-            key_range: 10_000,
-            update_percent: 100,
-            zipf: 1.0,
-            total_ops: 123_456,
-            scan_ops: 777,
-            duration_secs: 1.0,
-            throughput_mops: 0.123456,
-            validated: true,
-            smr: "ebr".into(),
-            unreclaimed: 42,
-            reclaim_lag: 3,
-        };
-        let json = r.to_json();
-        let back = BenchResult::from_json(&json).unwrap();
-        assert_eq!(back.structure, "elim-abtree");
-        assert_eq!(back.total_ops, 123_456);
-        assert!(back.validated);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn json_escaping_round_trips() {
-        let r = BenchResult {
-            experiment: "quote\"backslash\\tab\tnewline\n".into(),
+            experiment: "quote\"backslash\\tab\tnewline\nbell\u{7}".into(),
             structure: "x".into(),
             threads: 1,
             key_range: 1,
             update_percent: 0,
             zipf: 0.5,
-            total_ops: 1,
+            total_ops: 2,
             scan_ops: 1,
             duration_secs: 0.25,
             throughput_mops: 4.0,
             validated: false,
             smr: "hp".into(),
-            unreclaimed: 0,
-            reclaim_lag: 0,
+            unreclaimed: 7,
+            reclaim_lag: 3,
         };
-        let back = BenchResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn truncated_and_malformed_rows_are_rejected() {
-        let r = BenchResult {
-            experiment: "fig12".into(),
-            structure: "x".into(),
-            threads: 1,
-            key_range: 1,
-            update_percent: 0,
-            zipf: 0.0,
-            total_ops: 1,
-            scan_ops: 0,
-            duration_secs: 1.0,
-            throughput_mops: 1.0,
-            validated: true,
-            smr: "ebr".into(),
-            unreclaimed: 0,
-            reclaim_lag: 0,
-        };
-        let json = r.to_json();
-        // Missing fields (truncated log line) must not zero-fill.
-        assert!(BenchResult::from_json("{\"experiment\":\"fig14\",\"validated\":true}").is_none());
-        // A duplicated field is rejected.
-        let dup = format!("{}{}", &json[..json.len() - 1], ",\"threads\":2}");
-        assert!(BenchResult::from_json(&dup).is_none());
-        // Unknown fields are rejected.
-        let extra = format!("{}{}", &json[..json.len() - 1], ",\"bogus\":1}");
-        assert!(BenchResult::from_json(&extra).is_none());
-        // Non-JSON garbage is rejected.
-        assert!(BenchResult::from_json("not json").is_none());
-        assert!(BenchResult::from_json("").is_none());
+        assert_eq!(
+            r.to_json(),
+            concat!(
+                r#"{"experiment":"quote\"backslash\\tab\tnewline\nbell\u0007","structure":"x","threads":1,"#,
+                r#""key_range":1,"update_percent":0,"zipf":0.5,"total_ops":2,"scan_ops":1,"#,
+                r#""duration_secs":0.25,"throughput_mops":4,"validated":false,"#,
+                r#""smr":"hp","unreclaimed":7,"reclaim_lag":3}"#
+            )
+        );
     }
 
     #[test]
