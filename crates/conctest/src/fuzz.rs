@@ -749,6 +749,117 @@ pub fn fuzz_kvserve_concurrent(
     )
 }
 
+/// Number of keys [`record_hot_key_paths`] hammers: few enough that every
+/// router's hot-key cache holds the whole universe and every write
+/// invalidates entries some other thread is about to read.
+const HOT_KEYS: u64 = 8;
+
+/// Records one round of hot-key traffic in which a shard's three kinds of
+/// mutator and reader meet on the same eight keys of a fresh four-shard
+/// service: blocking point calls (run on the calling thread's own tree
+/// session, or answered by its hot-key cache), `serve_pipelined` windows of
+/// 2–16 point requests (ridden to the shard owner, which mutates beside the
+/// direct callers), and `mget` / `mput` / `scan` (always the owner's).
+/// `threads` OS threads each record at least `ops_per_thread` operations,
+/// ~60% of them blocking `get`s — the cache-hit fodder whose linearizability
+/// is the point.  Returns the history and how many reads the hot-key caches
+/// answered inside it (0 with telemetry compiled out).
+///
+/// The shards are Elim-ABtrees under the private `stall` module's wrapper,
+/// which pauses inside the cache protocol's windows: unstalled, the races
+/// this traffic exists to provoke need a preemption to land within a
+/// hundred nanoseconds, and a round that never raced proves nothing.
+/// Values are unique (thread-tagged), so the checker can match every read
+/// to the one write it observed.
+pub fn record_hot_key_paths(threads: u32, ops_per_thread: usize) -> (History, u64) {
+    use kvserve::Request;
+
+    let service = kvserve::KvService::new(4, 1, |_| {
+        Box::new(crate::stall::Stalling::new(
+            setbench::registry::make_structure("elim-abtree"),
+        ))
+    });
+    let service = &service;
+    let clock = Clock::new();
+    let logs = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|thread| {
+                let clock = Arc::clone(&clock);
+                scope.spawn(move || {
+                    let mut rec = RouterRecorder::new(service.router(), thread, clock);
+                    let mut state = 0x9E37_79B9u64
+                        .wrapping_mul(u64::from(thread) + 1)
+                        .wrapping_add(0x5EED);
+                    let mut next = move || {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        state >> 33
+                    };
+                    let mut value = u64::from(thread) << 32;
+                    let mut fresh = move || {
+                        value += 1;
+                        value
+                    };
+                    let mut recorded = 0;
+                    while recorded < ops_per_thread {
+                        let key = next() % HOT_KEYS;
+                        recorded += match next() % 100 {
+                            0..=59 => {
+                                rec.get(key);
+                                1
+                            }
+                            60..=71 => {
+                                rec.put(key, fresh());
+                                1
+                            }
+                            72..=77 => {
+                                rec.delete(key);
+                                1
+                            }
+                            78..=91 => {
+                                let window: Vec<Request> = (0..2 + next() % 15)
+                                    .map(|_| {
+                                        let key = next() % HOT_KEYS;
+                                        match next() % 4 {
+                                            0 => Request::Put {
+                                                key,
+                                                value: fresh(),
+                                            },
+                                            1 => Request::Delete { key },
+                                            _ => Request::Get { key },
+                                        }
+                                    })
+                                    .collect();
+                                rec.serve_pipelined(&window);
+                                window.len()
+                            }
+                            92..=94 => {
+                                rec.mget(&[key, (key + 3) % HOT_KEYS]);
+                                1
+                            }
+                            95..=97 => {
+                                rec.mput(&[(key, fresh()), ((key + 5) % HOT_KEYS, fresh())]);
+                                1
+                            }
+                            _ => {
+                                rec.scan(0, HOT_KEYS);
+                                1
+                            }
+                        };
+                    }
+                    rec.finish()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("recorder thread panicked"))
+            .collect()
+    });
+    (History::merge(logs), service.stats().cache_hits())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

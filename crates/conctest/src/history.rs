@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use abtree::MapHandle;
-use kvserve::ShardRouter;
+use kvserve::{Request, Response, ShardRouter};
 
 /// The shared event-order clock of one recorded run: a single atomic
 /// counter ticked once per invoke and once per response.
@@ -436,6 +436,39 @@ impl<'s> RouterRecorder<'s> {
         &self.batch_buf
     }
 
+    /// Recorded [`ShardRouter::serve_pipelined`] of a window of point
+    /// requests: every request is invoked before the call and responds
+    /// after it, so the window's operations overlap each other in the
+    /// history as they do in the lanes.  A shed request never executed and
+    /// is not recorded.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Scan`/`MGet`/`MPut`/`Stats` requests: those have their own
+    /// recorded calls.
+    pub fn serve_pipelined(&mut self, window: &[Request]) -> Vec<Response> {
+        let invokes: Vec<u64> = window.iter().map(|_| self.clock.tick()).collect();
+        let mut responses = Vec::new();
+        self.inner.serve_pipelined(window, &mut responses);
+        for ((request, reply), invoke) in window.iter().zip(&responses).zip(invokes) {
+            let kind = match *request {
+                Request::Get { key } => OpKind::Get { key },
+                Request::Put { key, value } => OpKind::Insert { key, value },
+                Request::Delete { key } => OpKind::Delete { key },
+                _ => panic!("a recorded window carries point requests only"),
+            };
+            let response = self.clock.tick();
+            match *reply {
+                Response::Value(value) => {
+                    self.push(kind, OpResult::Value(value), invoke, response);
+                }
+                Response::Overloaded => {}
+                _ => unreachable!("point requests get point responses"),
+            }
+        }
+        responses
+    }
+
     fn push(&mut self, kind: OpKind, result: OpResult, invoke: u64, response: u64) {
         self.ops.push(OpRecord {
             thread: self.thread,
@@ -520,8 +553,17 @@ mod tests {
         assert!(rec.scan(0, 0).is_empty(), "len-0 scans record nothing");
         assert_eq!(rec.delete(1), Some(10));
         assert_eq!(rec.get(1), None);
+        assert_eq!(
+            rec.serve_pipelined(&[Request::Put { key: 1, value: 11 }, Request::Get { key: 1 }]),
+            vec![Response::Value(None), Response::Value(Some(11))]
+        );
         let ops = rec.finish();
-        assert_eq!(ops.len(), 6, "the len-0 scan is not recorded");
+        assert_eq!(ops.len(), 8, "the len-0 scan is not recorded");
         assert_eq!(ops[3].kind, OpKind::Range { lo: 0, hi: 3 });
+        assert_eq!(ops[6].kind, OpKind::Insert { key: 1, value: 11 });
+        assert!(
+            ops[7].invoke < ops[6].response,
+            "a window's operations overlap"
+        );
     }
 }

@@ -42,7 +42,10 @@
 //! wrapper whose scans read the window in two halves must be flagged by the
 //! checker (`tests/mutation.rs`); with `--features lost-ack`, a crashkv
 //! shard owner that releases acks before their covering fence must be
-//! flagged by the durable checker (`tests/lost_ack.rs`).
+//! flagged by the durable checker (`tests/lost_ack.rs`); with `--features
+//! stale-stamp`, a kvserve whose writes skip the start-of-write quiescence
+//! check of the hot-key cache's stamp protocol must be flagged for a stale
+//! cached read (`tests/mutation.rs`, over [`record_hot_key_paths`]).
 //!
 //! Environment knobs: `AB_FORCE_PARALLEL` (see [`abtree::par`]) opens the
 //! parallelism-gated tests on single-CPU machines; `CONCTEST_ARTIFACT_DIR`
@@ -59,12 +62,14 @@ pub mod history;
 pub mod mutant;
 pub mod shrink;
 pub mod socket;
+mod stall;
 
 pub use checker::{check, CheckConfig, Outcome, ViolationReport};
 pub use durable::{check_durable, DurableRecorder};
 pub use fuzz::{
     differential_fuzz, differential_kvserve, fuzz_concurrent, fuzz_kvserve_concurrent,
-    record_concurrent, ConcFailure, ConcReport, DiffFailure, FuzzConfig, ScheduledOp, SpecOp,
+    record_concurrent, record_hot_key_paths, ConcFailure, ConcReport, DiffFailure, FuzzConfig,
+    ScheduledOp, SpecOp,
 };
 pub use history::{Clock, History, OpKind, OpRecord, OpResult, Recorder, RouterRecorder};
 #[cfg(feature = "torn-scan")]

@@ -1,20 +1,19 @@
-//! A per-router hot-key read cache, validated by per-shard version
-//! counters.
+//! A per-router hot-key read cache, validated by per-shard stamps.
 //!
 //! Under the Zipf-skewed tenant traffic the load driver models, a handful
-//! of keys absorb most lookups.  With the thread-per-shard service every
-//! uncached lookup crosses an SPSC lane to the shard's owner thread; this
-//! small, fixed-size, direct-mapped cache lets the top of the Zipf curve
-//! skip the queue entirely.  It is private to one
+//! of keys absorb most lookups.  An uncached lookup descends the shard's
+//! tree — on the router's own handle, or across an SPSC lane on the shard
+//! owner's; this small, fixed-size, direct-mapped cache lets the top of the
+//! Zipf curve skip both.  It is private to one
 //! [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no atomics on
-//! the entry itself) and coherence comes from the owning shard worker's
-//! mutation counter instead of invalidation messages: every entry is
-//! stamped with the shard version observed when its value was read, and a
-//! hit counts only while the shard's *current* version still equals that
-//! stamp.  Any real mutation on the shard bumps the counter and implicitly
-//! drops every entry cached from it — cheap, conservative, and exactly the
-//! check that keeps cached reads linearizable (see the private `worker`
-//! module for the bump-before-reply protocol this relies on).
+//! the entry itself) and coherence comes from the shard's mutation counters
+//! instead of invalidation messages: an entry is stamped with the quiescent
+//! shard state its value was exact at, and a hit counts only while no
+//! mutation has begun on the shard since.  Any real mutation implicitly
+//! drops every entry cached from the shard — cheap, conservative, and
+//! exactly the check that keeps cached reads linearizable (see the private
+//! `worker` module for the begun/done protocol this relies on).  A result
+//! obtained while a writer was in flight has no stamp and is not cached.
 //!
 //! Negative results are cached too (`value = None`): a miss on a hot
 //! absent key is as expensive through the queue as a hit.
@@ -35,13 +34,13 @@ pub const CACHE_SLOTS: usize = 1024;
 struct Slot {
     key: u64,
     value: Option<u64>,
-    version: u64,
+    stamp: u64,
 }
 
 const VACANT: Slot = Slot {
     key: abtree::EMPTY_KEY,
     value: None,
-    version: 0,
+    stamp: 0,
 };
 
 /// The cache itself; see the module docs.
@@ -72,20 +71,27 @@ impl ReadCache {
     }
 
     /// Looks up `key`, returning the cached read result (which may be a
-    /// cached miss, `Some(None)`) only if the entry was stamped at the
-    /// owning shard's current mutation version.
+    /// cached miss, `Some(None)`) only if the entry's stamp equals
+    /// `shard_begun`, the owning shard's count of mutations begun.
     #[inline]
-    pub fn lookup(&self, key: u64, shard_version: u64) -> Option<Option<u64>> {
+    pub fn lookup(&self, key: u64, shard_begun: u64) -> Option<Option<u64>> {
         let slot = &self.slots[Self::slot_of(key)];
-        (slot.key == key && slot.version == shard_version).then_some(slot.value)
+        (slot.key == key && slot.stamp == shard_begun).then_some(slot.value)
     }
 
-    /// Records that `key` read as `value` while its shard was at mutation
-    /// version `version`. Overwrites whatever occupied the slot.
+    /// Records that `key` read as `value` in the quiescent shard state
+    /// `stamp`, overwriting whatever occupied the slot.  A result without a
+    /// stamp is not cacheable, and it supersedes what the cache held for
+    /// `key`: that entry is dropped (another key's entry is left alone).
     #[inline]
-    pub fn store(&mut self, key: u64, value: Option<u64>, version: u64) {
+    pub fn store(&mut self, key: u64, value: Option<u64>, stamp: Option<u64>) {
         debug_assert_ne!(key, abtree::EMPTY_KEY, "reserved key reached the cache");
-        self.slots[Self::slot_of(key)] = Slot { key, value, version };
+        let slot = &mut self.slots[Self::slot_of(key)];
+        match stamp {
+            Some(stamp) => *slot = Slot { key, value, stamp },
+            None if slot.key == key => *slot = VACANT,
+            None => {}
+        }
     }
 
     /// Drops every entry (used by tests; routers rely on version drift).
@@ -112,19 +118,19 @@ mod tests {
     fn hit_requires_matching_key_and_version() {
         let mut cache = ReadCache::new();
         assert_eq!(cache.lookup(7, 0), None, "cold cache");
-        cache.store(7, Some(70), 3);
+        cache.store(7, Some(70), Some(3));
         assert_eq!(cache.lookup(7, 3), Some(Some(70)));
         assert_eq!(cache.lookup(7, 4), None, "any shard mutation invalidates");
         assert_eq!(cache.lookup(8, 3), None, "different key");
         // Re-stamping at the new version revives the slot.
-        cache.store(7, Some(71), 4);
+        cache.store(7, Some(71), Some(4));
         assert_eq!(cache.lookup(7, 4), Some(Some(71)));
     }
 
     #[test]
     fn negative_results_are_cached() {
         let mut cache = ReadCache::new();
-        cache.store(9, None, 1);
+        cache.store(9, None, Some(1));
         assert_eq!(cache.lookup(9, 1), Some(None), "a hit on an absent key");
         assert_eq!(cache.lookup(9, 2), None);
     }
@@ -138,16 +144,31 @@ mod tests {
         while ReadCache::slot_of(b) != ReadCache::slot_of(a) {
             b += 1;
         }
-        cache.store(a, Some(10), 0);
-        cache.store(b, Some(20), 0);
+        cache.store(a, Some(10), Some(0));
+        cache.store(b, Some(20), Some(0));
         assert_eq!(cache.lookup(a, 0), None, "evicted by the collision");
         assert_eq!(cache.lookup(b, 0), Some(Some(20)));
     }
 
     #[test]
+    fn an_unstamped_result_drops_the_key_but_not_its_neighbour() {
+        let mut cache = ReadCache::new();
+        let a = 1u64;
+        let mut b = 2u64;
+        while ReadCache::slot_of(b) != ReadCache::slot_of(a) {
+            b += 1;
+        }
+        cache.store(a, Some(10), Some(4));
+        cache.store(b, Some(99), None);
+        assert_eq!(cache.lookup(a, 4), Some(Some(10)), "another key's entry stays");
+        cache.store(a, Some(11), None);
+        assert_eq!(cache.lookup(a, 4), None, "superseded, not kept");
+    }
+
+    #[test]
     fn clear_empties_the_cache() {
         let mut cache = ReadCache::new();
-        cache.store(5, Some(50), 0);
+        cache.store(5, Some(50), Some(0));
         cache.clear();
         assert_eq!(cache.lookup(5, 0), None);
         assert!(format!("{cache:?}").contains("occupied: 0"));

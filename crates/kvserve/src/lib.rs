@@ -7,21 +7,22 @@
 //!
 //! * **Sharding with thread-per-shard ownership** ([`KvService`]): `S`
 //!   independent engine instances behind a multiplicative-hash router, each
-//!   owned by one dedicated worker thread holding the shard's single
-//!   long-lived engine session — the tree's EBR epoch and hot cache lines
-//!   stay on one core for the shard's whole lifetime.  Each shard can be
+//!   owned by one dedicated worker thread holding a long-lived engine
+//!   session — a window of requests is applied on one core, in one run.
+//!   Each shard can be
 //!   any structure — concrete trees, or the benchmark registry's
 //!   `Box<dyn Benchable>` trait objects (the [`ShardStore`] bound is
 //!   blanket-implemented for every `ConcurrentMap + KeySum` type).
 //! * **SPSC-fed routing sessions** ([`ShardRouter`]): a per-client session
 //!   holding one bounded single-producer/single-consumer lane pair
-//!   ([`queue`]) per shard.  Blocking calls round-trip one request; the
-//!   pipelined [`submit`](ShardRouter::submit)/[`collect`](ShardRouter::collect)
+//!   ([`queue`]) per shard, and one engine session of its own per shard.
+//!   The pipelined [`submit`](ShardRouter::submit)/[`collect`](ShardRouter::collect)
 //!   pair keeps a window in flight per shard and sheds with [`Overloaded`]
-//!   (never blocks) when a lane fills.
+//!   (never blocks) when a lane fills; a blocking point call — a window of
+//!   one — runs on the caller's own session instead of being handed off.
 //! * **A hot-key read cache** ([`cache`]): a small per-router direct-mapped
 //!   cache validated by per-shard mutation counters, so the top of the
-//!   Zipf curve never crosses a lane at all.
+//!   Zipf curve touches neither a lane nor a tree.
 //! * **Request batching** ([`Request::MGet`]/[`Request::MPut`]): batches
 //!   are regrouped by destination shard, shipped as one sub-batch per shard
 //!   (all fanned out before any reply is awaited, so shards execute

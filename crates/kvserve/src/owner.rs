@@ -2,11 +2,15 @@
 //! lanes, parked when idle — shared by every service built on this crate.
 //!
 //! A shard is served by exactly one **owner** thread running
-//! [`run_owner`].  Clients never touch the shard's store; each opens a
-//! [`ClientLane`] on the shard's [`Mailbox`] (one bounded job ring and one
-//! reply ring from [`crate::queue`]) and the owner drains every lane in
-//! *runs*, so a drain executes many jobs against owner-local state with no
-//! per-job synchronization.
+//! [`run_owner`].  Each client opens a [`ClientLane`] on the shard's
+//! [`Mailbox`] (one bounded job ring and one reply ring from
+//! [`crate::queue`]) and the owner drains every lane in *runs*, so a drain
+//! executes many jobs against owner-local state with no per-job
+//! synchronization.  Whether a client may also reach the shard's store
+//! around its lane is the service's business, not this runtime's: the
+//! durable service's clients never do (a group fence needs its single
+//! committer); the volatile one runs a request that would be a window by
+//! itself on the client's own tree session (`crate::router`).
 //!
 //! What happens to a job, and when its reply may leave, is the
 //! [`CommitPolicy`] the loop is monomorphised over:

@@ -1,12 +1,12 @@
 //! The per-client router: point, pipelined and batched request paths over
-//! one [`ClientLane`] per shard.
+//! one [`ClientLane`] and one tree session per shard.
 //!
-//! A router is a thin enqueue/await layer: it splits `MGet`/`MPut` into
+//! Windows of work ride the lanes: the router splits `MGet`/`MPut` into
 //! shard-local sub-batches, pushes them to the owning workers (fanning out
 //! before collecting, so shards execute concurrently), and reassembles the
-//! completions in input order.  In front of the lanes sits a per-router
-//! hot-key read cache ([`crate::cache`]) validated by the shards' mutation
-//! counters, so the top of the Zipf curve never crosses a lane at all.
+//! completions in input order.  In front sits a per-router hot-key read
+//! cache ([`crate::cache`]) validated by the shards' mutation counters, so
+//! the top of the Zipf curve touches neither a lane nor a tree.
 //!
 //! Two request interfaces share the lanes:
 //!
@@ -19,6 +19,18 @@
 //!   must not be interleaved: blocking calls assert that nothing is in
 //!   flight.
 //!
+//! **A window of one is not handed off.**  A point request with nothing to
+//! overlap with — a blocking [`get`](ShardRouter::get) /
+//! [`put`](ShardRouter::put) / [`delete`](ShardRouter::delete), or the last
+//! request of a [`serve_burst`](ShardRouter::serve_burst) when none of this
+//! router's lane jobs is in flight — runs on the calling thread, on the
+//! router's own [`MapHandle`] against the shard's tree: the tree is a
+//! linearizable concurrent map, and a futex wake and a context switch each
+//! way cost ten times the operation they would carry.  The owner and the
+//! routers then mutate a shard concurrently; what keeps the cache sound is
+//! the stamp protocol in the private `worker` module, which both go
+//! through.
+//!
 //! Submitting only queues: a parked shard owner is woken by the lanes'
 //! doorbell ([`crate::owner`]), which rings once per window — when a
 //! [`collect`](ShardRouter::collect) or a blocking call has to wait — not
@@ -27,13 +39,14 @@
 
 use std::collections::VecDeque;
 
+use abtree::MapHandle;
 use obs::{Stage, StageRecorder, Stamp};
 
 use crate::cache::ReadCache;
 use crate::owner::{ClientLane, LANE_CAPACITY};
 use crate::request::{Request, Response};
 use crate::service::KvService;
-use crate::worker::{Job, Reply, ShardJob, ShardReply};
+use crate::worker::{self, Job, Reply, ShardJob, ShardReply};
 
 /// Point requests are stage-traced one in `2^TRACE_SAMPLE_SHIFT`: dense
 /// enough to fill the per-stage latency histograms within seconds of real
@@ -75,6 +88,27 @@ enum PointOp {
     Delete,
 }
 
+impl PointOp {
+    /// `request` as `(op, key, value)` if it is a point request (`value`
+    /// is 0 for the kinds that carry none).
+    fn of(request: &Request) -> Option<(PointOp, u64, u64)> {
+        match *request {
+            Request::Get { key } => Some((PointOp::Get, key, 0)),
+            Request::Put { key, value } => Some((PointOp::Put, key, value)),
+            Request::Delete { key } => Some((PointOp::Delete, key, 0)),
+            _ => None,
+        }
+    }
+
+    fn job(self, key: u64, value: u64) -> ShardJob {
+        match self {
+            PointOp::Get => ShardJob::Get { key },
+            PointOp::Put => ShardJob::Put { key, value },
+            PointOp::Delete => ShardJob::Delete { key },
+        }
+    }
+}
+
 /// One submitted-but-uncollected request, in submission order.
 enum Pending {
     /// Answered immediately (a cache hit); stats were already recorded.
@@ -92,15 +126,21 @@ enum Pending {
 }
 
 /// A per-client session over the whole service: one [`ClientLane`] per
-/// shard feeding the shard owners, a private hot-key read cache, and
-/// regrouping scratch so batch execution allocates only the sub-batch
+/// shard feeding the shard owners, one tree session per shard for the
+/// requests that are not worth a hand-off, a private hot-key read cache,
+/// and regrouping scratch so batch execution allocates only the sub-batch
 /// vectors it ships across the lanes.
 ///
 /// Obtained from [`KvService::router`].  Routers are independent; open one
-/// per client thread.
+/// per client thread, on that thread — a router is `!Send`, like the tree
+/// sessions it owns.
 pub struct ShardRouter<'s> {
     service: &'s KvService,
     lanes: Vec<ClientLane<Job, Reply>>,
+    /// This router's own session on each shard's store, for windows of one.
+    /// `None` where the store had no session slot left when the router was
+    /// opened: that shard's point requests keep riding the lane.
+    sessions: Vec<Option<Box<dyn MapHandle + 's>>>,
     cache: ReadCache,
     groups: Vec<Group>,
     /// Shards with a non-empty group in the batch being executed (sparse
@@ -125,6 +165,10 @@ impl<'s> ShardRouter<'s> {
             .collect();
         ShardRouter {
             service,
+            sessions: service
+                .stores()
+                .map(|store| store.try_handle().ok())
+                .collect(),
             cache: ReadCache::new(),
             groups: lanes.iter().map(|_| Group::default()).collect(),
             lanes,
@@ -170,37 +214,124 @@ impl<'s> ShardRouter<'s> {
 
     /// Point lookup of `key`.
     pub fn get(&mut self, key: u64) -> Option<u64> {
-        self.assert_unpipelined();
-        self.submit_point(PointOp::Get, key, 0)
-            .expect("nothing in flight, the lane cannot be full");
-        match self.collect() {
-            Response::Value(value) => value,
-            _ => unreachable!("point submissions collect point responses"),
-        }
+        self.point_alone(PointOp::Get, key, 0)
     }
 
     /// Insert-if-absent of `key -> value`: returns the existing value
     /// (leaving it unchanged) if `key` was present, `None` if the pair was
     /// inserted (see [`abtree::MapHandle::insert`]).
     pub fn put(&mut self, key: u64, value: u64) -> Option<u64> {
-        self.assert_unpipelined();
-        self.submit_point(PointOp::Put, key, value)
-            .expect("nothing in flight, the lane cannot be full");
-        match self.collect() {
-            Response::Value(previous) => previous,
-            _ => unreachable!("point submissions collect point responses"),
-        }
+        self.point_alone(PointOp::Put, key, value)
     }
 
     /// Removes `key`, returning its value if it was present.
     pub fn delete(&mut self, key: u64) -> Option<u64> {
+        self.point_alone(PointOp::Delete, key, 0)
+    }
+
+    /// A blocking point call: a window of one by construction.
+    fn point_alone(&mut self, op: PointOp, key: u64, value: u64) -> Option<u64> {
         self.assert_unpipelined();
-        self.submit_point(PointOp::Delete, key, 0)
+        if let Some(result) = self.run_direct(op, key, value) {
+            return result;
+        }
+        self.submit_point(op, key, value)
             .expect("nothing in flight, the lane cannot be full");
         match self.collect() {
-            Response::Value(removed) => removed,
+            Response::Value(result) => result,
             _ => unreachable!("point submissions collect point responses"),
         }
+    }
+
+    /// Runs a point request on this router's own session — no lane, no
+    /// owner — or returns `None` if it has no session on the key's shard.
+    /// The caller guarantees that none of this router's lane jobs is in
+    /// flight (nothing for the request to overtake).
+    ///
+    /// Same cache probe as a submission, same [`worker::execute`] as the
+    /// owner, same completion bookkeeping as [`collect`](Self::collect).  Of
+    /// the lane stages only `Apply` exists here: a sampled request records
+    /// it and the point latency from one clock read.
+    fn run_direct(&mut self, op: PointOp, key: u64, value: u64) -> Option<Option<u64>> {
+        let service = self.service;
+        let shard = service.shard_of(key);
+        self.sessions[shard].as_ref()?;
+        let started = self.recorder.sample_start();
+        if matches!(op, PointOp::Get) {
+            if let Some(cached) = self.probe_cache(shard, key, started) {
+                return Some(cached);
+            }
+        }
+        let session = self.sessions[shard].as_deref_mut()?;
+        let reply = worker::execute(session, service.shard_state(shard), op.job(key, value));
+        if started.is_traced() {
+            let now = Stamp::now();
+            self.recorder.record_at(Stage::Apply, started, now);
+            service.stats().point_latency_ns.record(now.since(started));
+        }
+        Some(self.complete_point(op, shard, key, value, reply))
+    }
+
+    /// The hot-key fast path: `key`'s cached read result if its entry is
+    /// still valid, with the request's stats recorded.  Sound only while
+    /// this router has nothing in flight on `shard` (see
+    /// [`submit_point`](Self::submit_point)).
+    fn probe_cache(&self, shard: usize, key: u64, started: Stamp) -> Option<Option<u64>> {
+        let begun = self.service.shard_state(shard).begun();
+        let cached = self.cache.lookup(key, begun)?;
+        let stats = self.service.stats();
+        stats.record_cache_hit();
+        if started.is_traced() {
+            stats.point_latency_ns.record(started.elapsed_ns());
+        }
+        stats.shard(shard).record_get(cached.is_some());
+        stats
+            .namespace(stats.namespace_slot(key))
+            .record_get(cached.is_some());
+        Some(cached)
+    }
+
+    /// Completion bookkeeping of one executed point request, whichever
+    /// thread executed it: the per-shard / per-namespace counters and the
+    /// cache fill.
+    fn complete_point(
+        &mut self,
+        op: PointOp,
+        shard: usize,
+        key: u64,
+        value: u64,
+        reply: ShardReply,
+    ) -> Option<u64> {
+        let ShardReply::Value {
+            value: result,
+            stamp,
+        } = reply
+        else {
+            unreachable!("point jobs produce point replies")
+        };
+        let stats = self.service.stats();
+        let ns = stats.namespace(stats.namespace_slot(key));
+        match op {
+            PointOp::Get => {
+                stats.shard(shard).record_get(result.is_some());
+                ns.record_get(result.is_some());
+                self.cache.store(key, result, stamp);
+            }
+            PointOp::Put => {
+                stats.shard(shard).record_put();
+                ns.record_put();
+                // Either the insert landed (key -> value) or it was a no-op
+                // (key kept its prior value); both are exact at the stamp.
+                self.cache.store(key, Some(result.unwrap_or(value)), stamp);
+            }
+            PointOp::Delete => {
+                stats.shard(shard).record_delete();
+                ns.record_delete();
+                // Whatever was there, the key is now absent.
+                self.cache.store(key, None, stamp);
+            }
+        }
+        result
     }
 
     /// Pipelined submission of a point request (`Get`/`Put`/`Delete`).
@@ -219,24 +350,18 @@ impl<'s> ShardRouter<'s> {
     /// Panics on `Scan`/`MGet`/`MPut` requests: batches and scans use the
     /// blocking methods, whose shard fan-out is already parallel.
     pub fn submit(&mut self, request: &Request) -> Result<(), Overloaded> {
-        match *request {
-            Request::Get { key } => self.submit_point(PointOp::Get, key, 0),
-            Request::Put { key, value } => self.submit_point(PointOp::Put, key, value),
-            Request::Delete { key } => self.submit_point(PointOp::Delete, key, 0),
-            Request::Scan { .. }
-            | Request::MGet { .. }
-            | Request::MPut { .. }
-            | Request::Stats => panic!(
+        let Some((op, key, value)) = PointOp::of(request) else {
+            panic!(
                 "pipelined submission carries point requests only; \
                  use scan/mget/mput (their shard fan-out is already parallel) \
                  and execute() for stats scrapes"
-            ),
-        }
+            )
+        };
+        self.submit_point(op, key, value)
     }
 
     fn submit_point(&mut self, op: PointOp, key: u64, value: u64) -> Result<(), Overloaded> {
         let service = self.service;
-        let stats = service.stats();
         let shard = service.shard_of(key);
         // One sampling decision covers the stage trace AND the point-latency
         // histogram: the untraced 15-in-16 majority reads no clock at all.
@@ -245,22 +370,13 @@ impl<'s> ShardRouter<'s> {
         // 1-in-16 sampling keeps the latency quantiles unbiased.)
         let started = self.recorder.sample_start();
         // The cache fast path answers at *submit* time against the shard's
-        // applied version — sound only while this router has nothing in
-        // flight on the shard.  An uncollected submission may be a write to
-        // this very key that the version counter cannot see yet, and a
-        // cached answer would jump it: the session would fail to read its
-        // own pipelined write.  Falling into the lane restores FIFO order.
+        // counters — sound only while this router has nothing in flight on
+        // the shard.  An uncollected submission may be a write to this very
+        // key that the counters cannot see yet, and a cached answer would
+        // jump it: the session would fail to read its own pipelined write.
+        // Falling into the lane restores FIFO order.
         if matches!(op, PointOp::Get) && self.lanes[shard].in_flight() == 0 {
-            let version = service.shard_state(shard).current_version();
-            if let Some(cached) = self.cache.lookup(key, version) {
-                stats.record_cache_hit();
-                if started.is_traced() {
-                    stats.point_latency_ns.record(started.elapsed_ns());
-                }
-                stats.shard(shard).record_get(cached.is_some());
-                stats
-                    .namespace(stats.namespace_slot(key))
-                    .record_get(cached.is_some());
+            if let Some(cached) = self.probe_cache(shard, key, started) {
                 self.pending.push_back(Pending::Ready {
                     response: Response::Value(cached),
                 });
@@ -268,15 +384,10 @@ impl<'s> ShardRouter<'s> {
             }
         }
         if self.lanes[shard].in_flight() >= LANE_CAPACITY {
-            stats.record_shed();
+            service.stats().record_shed();
             return Err(Overloaded);
         }
-        let job = match op {
-            PointOp::Get => ShardJob::Get { key },
-            PointOp::Put => ShardJob::Put { key, value },
-            PointOp::Delete => ShardJob::Delete { key },
-        };
-        self.enqueue(shard, started, job);
+        self.enqueue(shard, started, op.job(key, value));
         self.pending.push_back(Pending::Point {
             op,
             shard,
@@ -327,48 +438,17 @@ impl<'s> ShardRouter<'s> {
                 value,
                 started,
             } => {
-                let (
-                    applied,
-                    ShardReply::Value {
-                        value: result,
-                        version,
-                    },
-                ) = self.recv(shard)
-                else {
-                    unreachable!("point jobs produce point replies")
-                };
-                let stats = self.service.stats();
+                let (applied, reply) = self.recv(shard);
                 // Sampled requests only: one clock read closes both the
                 // `Ack` stage (reply-lane wait) and the point latency; the
                 // untraced majority skips the read entirely.
                 if started.is_traced() {
                     let now = Stamp::now();
                     self.recorder.record_at(Stage::Ack, applied, now);
-                    stats.point_latency_ns.record(now.since(started));
+                    let latency = &self.service.stats().point_latency_ns;
+                    latency.record(now.since(started));
                 }
-                let ns = stats.namespace(stats.namespace_slot(key));
-                match op {
-                    PointOp::Get => {
-                        stats.shard(shard).record_get(result.is_some());
-                        ns.record_get(result.is_some());
-                        self.cache.store(key, result, version);
-                    }
-                    PointOp::Put => {
-                        stats.shard(shard).record_put();
-                        ns.record_put();
-                        // Either the insert landed (key -> value) or it was
-                        // a no-op (key kept its prior value); both are
-                        // exact at the replied version.
-                        self.cache.store(key, Some(result.unwrap_or(value)), version);
-                    }
-                    PointOp::Delete => {
-                        stats.shard(shard).record_delete();
-                        ns.record_delete();
-                        // Whatever was there, the key is now absent.
-                        self.cache.store(key, None, version);
-                    }
-                }
-                Response::Value(result)
+                Response::Value(self.complete_point(op, shard, key, value, reply))
             }
         }
     }
@@ -429,8 +509,8 @@ impl<'s> ShardRouter<'s> {
         let started = Stamp::now();
         for (position, &key) in keys.iter().enumerate() {
             let shard = service.shard_of(key);
-            let version = service.shard_state(shard).current_version();
-            if let Some(cached) = self.cache.lookup(key, version) {
+            let begun = service.shard_state(shard).begun();
+            if let Some(cached) = self.cache.lookup(key, begun) {
                 stats.record_cache_hit();
                 stats.shard(shard).record_lookup(cached.is_some());
                 let ns = stats.namespace(stats.namespace_slot(key));
@@ -453,7 +533,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.recv(shard) else {
+            let (_, ShardReply::Values { values, stamp }) = self.recv(shard) else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -466,7 +546,7 @@ impl<'s> ShardRouter<'s> {
                 ns.record_mget();
                 ns.record_lookup(value.is_some());
                 out[position as usize] = value;
-                self.cache.store(key, value, version);
+                self.cache.store(key, value, stamp);
             }
             group.positions.clear();
         }
@@ -505,7 +585,7 @@ impl<'s> ShardRouter<'s> {
         }
         for i in 0..self.touched.len() {
             let shard = self.touched[i];
-            let (_, ShardReply::Values { values, version }) = self.recv(shard) else {
+            let (_, ShardReply::Values { values, stamp }) = self.recv(shard) else {
                 unreachable!("batch jobs produce batch replies")
             };
             let counters = stats.shard(shard);
@@ -517,7 +597,7 @@ impl<'s> ShardRouter<'s> {
                 out[position as usize] = previous;
                 // Same post-state as a point put: the key now holds either
                 // its prior value or the inserted one.
-                self.cache.store(key, Some(previous.unwrap_or(value)), version);
+                self.cache.store(key, Some(previous.unwrap_or(value)), stamp);
             }
             group.positions.clear();
         }
@@ -588,6 +668,12 @@ impl<'s> ShardRouter<'s> {
     /// shard fan-out is already parallel) and are ordering barriers: the
     /// window is drained first so replies cannot be misattributed.
     ///
+    /// A point request that would open and close a window by itself — the
+    /// burst's last request, with none of this router's lane jobs in flight
+    /// — is not handed off: it runs on this thread (module docs).  A
+    /// one-request frame and `[Scan, Get]` both end that way; a two-request
+    /// frame is a window.
+    ///
     /// One response per request is pushed onto `responses` (cleared first),
     /// in request order, the batches back to back.  The pipeline is empty
     /// again when this returns.
@@ -598,33 +684,45 @@ impl<'s> ShardRouter<'s> {
     pub fn serve_burst<B: AsRef<[Request]>>(&mut self, burst: &[B], responses: &mut Vec<Response>) {
         self.assert_unpipelined();
         responses.clear();
-        responses.reserve(burst.iter().map(|batch| batch.as_ref().len()).sum());
+        let total: usize = burst.iter().map(|batch| batch.as_ref().len()).sum();
+        responses.reserve(total);
         // Positions of submitted requests, whose placeholder response is
         // overwritten when the window is collected (submission order).
         let mut window = std::mem::take(&mut self.window);
         let requests = burst.iter().flat_map(|batch| batch.as_ref());
         for (position, request) in requests.enumerate() {
-            match request {
-                Request::Get { .. } | Request::Put { .. } | Request::Delete { .. } => {
-                    // A full lane sheds the request — the wire answer the
-                    // codec exists to carry — rather than block the serving
-                    // loop on a hot shard; a submitted one holds the same
-                    // value as its placeholder.
-                    if self.submit(request).is_ok() {
-                        window.push(position);
-                    }
-                    responses.push(Response::Overloaded);
-                }
-                other => {
-                    // Blocking calls must not overtake the window: drain
-                    // it, then serve the scan/batch.
-                    self.collect_window(&mut window, responses);
-                    responses.push(self.execute(other));
+            let Some((op, key, value)) = PointOp::of(request) else {
+                // Blocking calls must not overtake the window: drain it,
+                // then serve the scan/batch.
+                self.collect_window(&mut window, responses);
+                responses.push(self.execute(request));
+                continue;
+            };
+            if position + 1 == total && self.lanes_are_empty() {
+                if let Some(result) = self.run_direct(op, key, value) {
+                    responses.push(Response::Value(result));
+                    continue;
                 }
             }
+            // A full lane sheds the request — the wire answer the codec
+            // exists to carry — rather than block the serving loop on a hot
+            // shard; a submitted one holds the same value as its
+            // placeholder.
+            if self.submit_point(op, key, value).is_ok() {
+                window.push(position);
+            }
+            responses.push(Response::Overloaded);
         }
         self.collect_window(&mut window, responses);
         self.window = window;
+    }
+
+    /// Whether none of this router's lane jobs is in flight: the pipeline
+    /// holds nothing but already-answered cache hits.
+    fn lanes_are_empty(&self) -> bool {
+        self.pending
+            .iter()
+            .all(|pending| matches!(pending, Pending::Ready { .. }))
     }
 
     fn collect_window(&mut self, window: &mut Vec<usize>, responses: &mut [Response]) {
@@ -1175,25 +1273,30 @@ mod tests {
         }
         let service = two_shard_service();
         let mut router = service.router();
-        // Puts always cross a lane (no cache fast path), and 1024
-        // submissions at a 1-in-16 sample rate trace exactly 64 of them.
-        for key in 0..1024u64 {
-            router.put(key, key);
+        // Windows of two puts: both cross a lane (a put has no cache fast
+        // path, a window of two is not run directly), and 1024 submissions
+        // at a 1-in-16 sample rate trace exactly 64 of them.
+        for key in (0..1024u64).step_by(2) {
+            router.submit(&Request::Put { key, value: key }).unwrap();
+            router
+                .submit(&Request::Put {
+                    key: key + 1,
+                    value: key,
+                })
+                .unwrap();
+            router.collect();
+            router.collect();
         }
         drop(router);
         let trace = service.stage_trace();
         for stage in [Stage::Enqueue, Stage::Dequeue, Stage::Apply, Stage::Ack] {
-            assert!(
-                trace.histogram(stage).count() > 0,
-                "stage {} saw no samples",
+            assert_eq!(
+                trace.histogram(stage).count(),
+                1024 >> TRACE_SAMPLE_SHIFT,
+                "stage {}: the sampler is deterministic",
                 stage.name()
             );
         }
-        assert_eq!(
-            trace.histogram(Stage::Enqueue).count(),
-            1024 >> TRACE_SAMPLE_SHIFT,
-            "the sampler is deterministic"
-        );
         // The same 1-in-16 decision feeds the point-latency histogram, so
         // the untraced majority pays no clock read anywhere.
         assert_eq!(
@@ -1205,5 +1308,190 @@ mod tests {
             !trace.recent_events().is_empty(),
             "the rings hold the raw recent events"
         );
+    }
+
+    #[test]
+    fn a_direct_request_records_apply_and_no_lane_stage() {
+        if !obs::ENABLED {
+            return; // tracing is compiled out
+        }
+        let service = two_shard_service();
+        let mut router = service.router();
+        for key in 0..1024u64 {
+            router.put(key, key);
+        }
+        drop(router);
+        let trace = service.stage_trace();
+        assert_eq!(
+            trace.histogram(Stage::Apply).count(),
+            1024 >> TRACE_SAMPLE_SHIFT
+        );
+        assert_eq!(
+            service.stats().point_latency_ns.count(),
+            1024 >> TRACE_SAMPLE_SHIFT
+        );
+        for stage in [Stage::Enqueue, Stage::Dequeue, Stage::Ack] {
+            assert_eq!(
+                trace.histogram(stage).count(),
+                0,
+                "stage {}: a window of one crosses no lane",
+                stage.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_of_one_never_wakes_an_owner() {
+        let service = two_shard_service();
+        let mut router = service.router();
+        wait_parked(&service);
+        let wakes = owner_wakes(&service);
+        let runs = service.run_length_histogram().count();
+        let ops = service.stats().total_ops();
+        for i in 0..10_000u64 {
+            let key = 1 + i % 512;
+            match i % 3 {
+                0 => router.put(key, i),
+                1 => router.get(key),
+                _ => router.delete(key),
+            };
+        }
+        assert_eq!(owner_wakes(&service), wakes, "no doorbell rang");
+        assert_eq!(service.run_length_histogram().count(), runs, "no lane run");
+        assert!(
+            !obs::ENABLED || service.stats().total_ops() - ops == 10_000,
+            "each request is counted once"
+        );
+
+        // A window of two still rides the lanes: the owners were parked, so
+        // at least one doorbell had to unpark one.
+        let mut responses = Vec::new();
+        router.serve_pipelined(
+            &[
+                Request::Put { key: 600, value: 1 },
+                Request::Put { key: 601, value: 2 },
+            ],
+            &mut responses,
+        );
+        assert_eq!(
+            responses,
+            vec![Response::Value(None), Response::Value(None)]
+        );
+        let woken: u64 = owner_wakes(&service).iter().sum();
+        assert!(woken > wakes.iter().sum(), "a window of two is handed off");
+        assert!(!obs::ENABLED || service.stats().total_ops() - ops == 10_002);
+    }
+
+    #[test]
+    fn the_last_request_behind_a_barrier_runs_directly() {
+        if !obs::ENABLED {
+            return; // the run-length witness is compiled out
+        }
+        let service = two_shard_service();
+        let mut router = service.router();
+        router.put(5, 50);
+        wait_parked(&service);
+        let runs = service.run_length_histogram().count();
+        let mut responses = Vec::new();
+        router.serve_burst(
+            &[[Request::Scan { lo: 0, len: 10 }, Request::Get { key: 5 }]],
+            &mut responses,
+        );
+        assert_eq!(
+            responses,
+            vec![Response::Entries(vec![(5, 50)]), Response::Value(Some(50))]
+        );
+        // The scan is one lane run per shard, each over before the `Get` is
+        // looked at; a `Get` through its lane would be one more.
+        wait_parked(&service);
+        assert_eq!(service.run_length_histogram().count() - runs, 2);
+    }
+
+    /// A store whose collector has no slot left for a router's session: the
+    /// router still opens, and its point calls ride the lane as they always
+    /// did.
+    #[test]
+    fn a_router_without_a_session_slot_uses_the_lane() {
+        let collector = abebr::Collector::new();
+        let service = {
+            let collector = collector.clone();
+            KvService::new(1, 1, move |_| {
+                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+                Box::new(tree)
+            })
+        };
+        // Every slot but the owner's.
+        let mut held = Vec::new();
+        while let Ok(handle) = collector.try_register() {
+            held.push(handle);
+        }
+        assert_eq!(held.len(), abebr::MAX_THREADS - 1);
+        let mut router = service.router();
+        wait_parked(&service);
+        let wakes = owner_wakes(&service);
+        assert_eq!(router.put(9, 90), None);
+        assert_eq!(router.get(9), Some(90), "a cache hit");
+        assert_eq!(router.delete(9), Some(90));
+        assert_eq!(router.get(9), None);
+        assert!(owner_wakes(&service) > wakes, "the owner served them");
+
+        // With slots free again the next router gets its session.
+        drop(held);
+        drop(router);
+        let mut router = service.router();
+        wait_parked(&service);
+        let wakes = owner_wakes(&service);
+        assert_eq!(router.put(9, 91), None);
+        assert_eq!(router.delete(9), Some(91));
+        assert_eq!(owner_wakes(&service), wakes);
+    }
+
+    /// An open but idle router must not hold back its shards' reclamation:
+    /// its sessions pin nothing (and protect nothing) between calls, so the
+    /// garbage a second router churns out keeps being freed.
+    #[test]
+    fn an_idle_router_does_not_hold_back_reclamation() {
+        for policy in abebr::SmrPolicy::ALL {
+            let collector = abebr::Collector::with_policy(policy);
+            let service = {
+                let collector = collector.clone();
+                KvService::new(1, 1, move |_| {
+                    let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+                    Box::new(tree)
+                })
+            };
+            // Idle after real use: the session has pinned, searched and
+            // updated, and is left as the last call left it.  (It retired
+            // nothing: a session's own last few retirements wait for its
+            // next call, which is bounded but would age.)
+            let mut idle = service.router();
+            for key in 1..=8u64 {
+                idle.put(key, key);
+                idle.get(key);
+            }
+            let mut busy = service.router();
+            for i in 0..100_000u64 {
+                let key = 100 + i % 4096;
+                if (i / 4096) % 2 == 0 {
+                    busy.put(key, i);
+                } else {
+                    busy.delete(key);
+                }
+            }
+            let stats = collector.stats();
+            assert!(stats.retired > 1_000, "{policy}: the churn retired nodes");
+            assert!(
+                stats.unreclaimed < 1_000,
+                "{policy}: {} of {} retired nodes unreclaimed",
+                stats.unreclaimed,
+                stats.retired
+            );
+            assert!(
+                stats.oldest_epoch_age < 1_000,
+                "{policy}: oldest garbage is {} behind",
+                stats.oldest_epoch_age
+            );
+            drop(idle);
+        }
     }
 }

@@ -2,11 +2,14 @@
 //! the telemetry registry wiring.
 //!
 //! A [`KvService`] owns `S` independent engine instances (*shards*).  Each
-//! shard is owned by exactly one dedicated worker thread (the private
-//! `worker` module, on the [`crate::owner`] runtime) that opens the
-//! shard's single long-lived [`abtree::MapHandle`] and executes every
-//! operation that touches the shard, so the tree's EBR epoch and hot cache
-//! lines stay put.  Keys are spread over shards with a multiplicative hash
+//! shard is owned by one dedicated worker thread (the private `worker`
+//! module, on the [`crate::owner`] runtime) that opens a long-lived
+//! [`abtree::MapHandle`] on it and executes every window of work routed to
+//! the shard — pipelined point requests, batches, scans — so a window's
+//! tree traffic stays on one core.  A point request with nothing to
+//! overlap with is not worth the hand-off: a router runs it on its own
+//! session against the same tree (see [`crate::router`]).  Keys are spread
+//! over shards with a multiplicative hash
 //! ([`shard_of`]), so contiguous hot key ranges (Zipfian traffic) still fan
 //! out — but a *single* hot key concentrates on one shard, which is the
 //! hot-shard regime the load driver exercises.
@@ -141,7 +144,7 @@ impl KvService {
         }
         {
             // Per-shard engine health, pulled live at scrape time: the
-            // applied-mutation version, the owner's drain-run distribution,
+            // completed-mutation count, the owner's drain-run distribution,
             // how often a doorbell had to unpark it, and the EBR
             // reclamation-lag gauges from each shard's collector (when the
             // store exposes one).
@@ -247,8 +250,10 @@ impl KvService {
     }
 
     /// Opens a per-client router session: one lane pair per shard,
-    /// registered with the owning workers, plus a fresh hot-key cache.
-    /// Call once per client thread, like [`ConcurrentMap::handle`].
+    /// registered with the owning workers, one tree session per shard (a
+    /// shard whose store has no session slot left is served through its
+    /// lane alone), plus a fresh hot-key cache.  Call once per client
+    /// thread, on that thread, like [`ConcurrentMap::handle`].
     pub fn router(&self) -> ShardRouter<'_> {
         ShardRouter::new(self)
     }
@@ -303,6 +308,12 @@ impl KvService {
 
     pub(crate) fn shard_state(&self, shard: usize) -> &ShardState {
         &self.shards[shard].state
+    }
+
+    /// The shards' stores, in shard order: where a router opens its own
+    /// sessions.
+    pub(crate) fn stores(&self) -> impl Iterator<Item = &dyn ShardStore> {
+        self.shards.iter().map(|cell| &*cell.store)
     }
 
     pub(crate) fn mailboxes(&self) -> impl Iterator<Item = &Arc<Mailbox<Job, Reply>>> {

@@ -19,9 +19,10 @@
 //!   them are decoded and routed through
 //!   [`ShardRouter::serve_burst`](kvserve::ShardRouter::serve_burst) as one
 //!   pipelined window (one hand-off to each shard owner per burst, not per
-//!   frame; a full lane becomes a wire [`Response::Overloaded`], never a
-//!   blocked loop), then each frame's responses are re-encoded and queued
-//!   on
+//!   frame, and none at all for a burst of one point request, which the
+//!   router runs on the reactor's own tree session; a full lane becomes a
+//!   wire [`Response::Overloaded`], never a blocked loop), then each frame's
+//!   responses are re-encoded and queued on
 //! * a [`WriteBuffer`] whose high-water mark
 //!   pauses *reading* from slow clients until the backlog drains below the
 //!   low-water mark;
@@ -689,7 +690,9 @@ impl<'s> Reactor<'s> {
             // and across the sub-burst's frames; a full lane surfaces as a
             // wire `Overloaded`, so this never blocks the reactor on
             // backpressure.  (Its interior is what the sampled
-            // Enqueue/Dequeue/Apply/Ack stages cover.)
+            // Enqueue/Dequeue/Apply/Ack stages cover — Apply alone for a
+            // burst of one point request, which the router runs right
+            // here, on this thread, without waking a shard owner.)
             self.router.serve_burst(&self.burst, &mut self.responses);
             let mut responses = self.responses.as_slice();
             for batch in &self.burst {

@@ -3,8 +3,9 @@
 //! (hundreds of concurrent pipelining connections), write-side
 //! backpressure under a client that never reads, wire-level `Overloaded`
 //! on a full shard lane, graceful shutdown draining pipelined frames,
-//! idle-connection eviction, and bursts — several frames arriving in one
-//! read, which the reactor serves as one pipelined window.
+//! idle-connection eviction, bursts — several frames arriving in one read,
+//! which the reactor serves as one pipelined window — and the window of
+//! one, which the reactor serves itself without waking a shard owner.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -460,6 +461,80 @@ fn a_burst_is_answered_frame_by_frame_in_order() {
         }
     }
     assert_eq!(server.stats().frames(), 20 * 12);
+    drop(client);
+    server.shutdown();
+}
+
+/// A frame of one point request is a window of one: the reactor runs it on
+/// its own tree session, so a thousand of them ring no doorbell — a shard
+/// owner parks within microseconds of going idle, and through the lanes
+/// nearly every one of these round trips would have had to wake one — and
+/// the replies are still what a single client must see.
+#[test]
+fn single_request_frames_wake_no_owner() {
+    let owner_wakes = |service: &KvService| {
+        let samples = obs::expo::parse(&service.registry().render()).expect("the scrape parses");
+        obs::expo::sum(&samples, "kv_owner_wakes_total", &[])
+    };
+    let service = elim_service(4);
+    // One reactor, and one round trip through it before the baseline: its
+    // router is open by then (opening a lane rings its owner once).
+    let config = ServerConfig {
+        reactors: 1,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(config, Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.call(&[Request::Get { key: 1 }]).expect("round trip");
+    let wakes = owner_wakes(&service);
+    let ops = service.stats().total_ops();
+
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut model = BTreeMap::new();
+    for round in 0..1_000u64 {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let key = 1 + (state >> 8) % 64;
+        let request = match state % 3 {
+            0 => Request::Get { key },
+            1 => Request::Put { key, value: round },
+            _ => Request::Delete { key },
+        };
+        assert_eq!(
+            client
+                .call(std::slice::from_ref(&request))
+                .expect("round trip"),
+            vec![model_reply(&mut model, &request)],
+            "round {round}: {request:?}"
+        );
+    }
+    assert_eq!(
+        owner_wakes(&service),
+        wakes,
+        "a window of one is not handed off"
+    );
+    assert!(
+        !obs::ENABLED || service.stats().total_ops() - ops == 1_000,
+        "each request is counted once"
+    );
+
+    // A frame of two is a window: it still rides the lanes to an owner that
+    // has long since parked.
+    let replies = client
+        .call(&[
+            Request::Put { key: 100, value: 1 },
+            Request::Get { key: 100 },
+        ])
+        .expect("round trip");
+    assert_eq!(
+        replies,
+        vec![Response::Value(None), Response::Value(Some(1))]
+    );
+    assert!(
+        owner_wakes(&service) > wakes,
+        "a window of two is handed off"
+    );
     drop(client);
     server.shutdown();
 }
