@@ -63,10 +63,26 @@ impl Guard {
             // `defer_drop`, and is executed exactly once.
             drop(unsafe { Box::from_raw(p.cast::<T>()) });
         }
-        let garbage = Garbage::Object {
-            ptr: ptr.cast(),
-            destroy: destroy::<T>,
-        };
+        // SAFETY: forwarded from this function's contract; `destroy::<T>`
+        // is the release that matches a `Box<T>`.
+        unsafe { self.defer_free(ptr.cast(), destroy::<T>) }
+    }
+
+    /// Retires an object that `free` releases: `free(ptr)` runs once no
+    /// thread can still hold a reference to it.  This is
+    /// [`defer_drop`](Self::defer_drop) for memory that does not come from
+    /// `Box` (a slab slot, say).  Unlike [`defer`](Self::defer) it carries
+    /// `ptr` itself, so a hazard-pointer guard that protects `ptr` delays it.
+    ///
+    /// # Safety
+    ///
+    /// * `free` must be the right way to destroy and release `ptr`, and may
+    ///   run on any thread;
+    /// * the object must already be unreachable for threads that pin *after*
+    ///   this call;
+    /// * no other call path may free the same object.
+    pub unsafe fn defer_free(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
+        let garbage = Garbage::Object { ptr, destroy: free };
         match &self.backend {
             GuardBackend::Ebr(local) => local.retire(garbage),
             GuardBackend::Hp(local) => local.retire(garbage),
@@ -196,6 +212,30 @@ mod tests {
                 c.flush();
             }
             assert_eq!(c.stats().freed, 1, "{policy}");
+        }
+    }
+
+    #[test]
+    fn defer_free_runs_the_given_release_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static RELEASED: AtomicUsize = AtomicUsize::new(0);
+        unsafe fn release(p: *mut u8) {
+            // SAFETY: `p` is the `Box<u64>` leaked below.
+            drop(unsafe { Box::from_raw(p.cast::<u64>()) });
+            RELEASED.fetch_add(1, Ordering::SeqCst);
+        }
+        for (round, policy) in SmrPolicy::ALL.into_iter().enumerate() {
+            let c = Collector::with_policy(policy);
+            {
+                let g = c.pin();
+                let p = Box::into_raw(Box::new(5u64));
+                unsafe { g.defer_free(p.cast(), release) };
+            }
+            for _ in 0..8 {
+                c.flush();
+            }
+            assert_eq!(c.stats().freed, 1, "{policy}");
+            assert_eq!(RELEASED.load(Ordering::SeqCst), round + 1, "{policy}");
         }
     }
 

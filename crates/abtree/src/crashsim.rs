@@ -83,8 +83,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// entry's root pointer but before clearing its link-and-persist dirty
     /// mark.
     pub fn force_dirty_root_link(&self) {
-        let root = self.entry.child(0);
-        self.entry.set_child(0, tag_dirty(root));
+        let root = self.entry().child(0);
+        self.entry().set_child(0, tag_dirty(root));
     }
 
     /// Returns `true` if any reachable child pointer still carries a dirty

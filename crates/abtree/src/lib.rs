@@ -79,6 +79,7 @@ pub mod par;
 pub mod persist;
 pub mod rebalance;
 pub mod scan;
+pub mod slab;
 pub mod tree;
 pub mod typed;
 pub mod update;

@@ -10,15 +10,21 @@
 //! The layout is *one* key array plus *one* array of 11 payload `slots`
 //! shared by the roles: a leaf never has children and an internal node
 //! never has values, so slot `i` holds `keys[i]`'s value in a leaf and the
-//! address of child `i` in an internal node.  That makes a node 240 bytes —
-//! four cache lines (a 256-byte malloc chunk), where separate value and
-//! pointer arrays made it 328 (a 336-byte chunk, six lines) — which every
-//! layer above inherits as memory, and the durable trees as fewer lines per
-//! whole-node flush.  The slots are private to this module: the rest of the
-//! crate goes through [`Node::val`]/[`Node::set_val`] and
+//! address of child `i` in an internal node.  With `size` packed beside
+//! `kind` and `marked` that makes a node 232 bytes (separate value and
+//! pointer arrays made it 328), which every layer above inherits as
+//! memory, and the durable trees as fewer lines per whole-node flush.  The
+//! slots are private to this module: the rest of the crate goes through
+//! [`Node::val`]/[`Node::set_val`] and
 //! [`Node::child`]/[`Node::child_raw`]/[`Node::set_child`]/
 //! [`Node::cas_child`]/[`Node::persist_slot`], which is also what keeps a
-//! later split into separate leaf and internal types (ROADMAP item 2) local.
+//! later split into separate leaf and internal types (ROADMAP item 7(b)) local.
+//!
+//! Nodes do not come from malloc.  Each is built in place in a 232-byte
+//! slot of the [`crate::slab`], and goes back there by one of two paths:
+//! [`Node::retire`] hands an unlinked node to the reclamation collector,
+//! which releases it through [`Node::free`] once no pinned thread can reach
+//! it, and the tree's `Drop` walk frees what is still linked.
 //!
 //! Field roles (paper §3.1):
 //!
@@ -40,15 +46,22 @@
 //! * `search_key` — a key guaranteed to lie in this node's key range, used by
 //!   `fixTagged`/`fixUnderfull` to re-locate the node from the root.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-use absync::RawNodeLock;
+use abebr::Guard;
+use absync::{McsLock, RawNodeLock, TatasLock};
 
 use crate::persist::Persist;
+use crate::slab;
 use crate::{EMPTY_KEY, MAX_KEYS};
 
 // A slot holds either a value or a child address.
 const _: () = assert!(std::mem::size_of::<usize>() <= std::mem::size_of::<u64>());
+
+// The layout gate: one payload array, `size` beside `kind` and `marked`.
+// A wider lock or a second array does not fit the slab's slot.
+const _: () = assert!(std::mem::size_of::<Node<McsLock>>() == slab::SLOT_BYTES);
+const _: () = assert!(std::mem::size_of::<Node<TatasLock>>() <= slab::SLOT_BYTES);
 
 /// Dirty-bit used by the link-and-persist technique (paper §5): a child
 /// pointer whose least-significant bit is set has been written but not yet
@@ -97,7 +110,7 @@ pub struct Node<L: RawNodeLock> {
     /// Set once the node has been unlinked from the tree.
     pub(crate) marked: AtomicBool,
     /// Number of keys (leaf) or children (internal).
-    pub(crate) size: AtomicUsize,
+    pub(crate) size: AtomicU32,
     /// Leaf version (even = stable, odd = being modified).
     pub(crate) ver: AtomicU64,
     /// Keys (leaf: unsorted with holes; internal: sorted routing keys).
@@ -141,7 +154,7 @@ impl<L: RawNodeLock> Node<L> {
             kind,
             search_key,
             marked: AtomicBool::new(false),
-            size: AtomicUsize::new(0),
+            size: AtomicU32::new(0),
             ver: AtomicU64::new(0),
             keys: empty_keys(),
             slots: zero_slots(),
@@ -151,23 +164,37 @@ impl<L: RawNodeLock> Node<L> {
         }
     }
 
+    /// A blank node of `kind`, built in place in a fresh slab slot.
+    fn alloc(kind: NodeKind, search_key: u64) -> *mut Self {
+        const {
+            assert!(std::mem::size_of::<Self>() <= slab::SLOT_BYTES);
+            assert!(std::mem::align_of::<Self>() <= slab::SLOT_ALIGN);
+        }
+        let node = slab::alloc().cast::<Self>();
+        // SAFETY: a fresh slot, large and aligned enough for a node (above).
+        unsafe { node.write(Self::blank(kind, search_key)) };
+        node
+    }
+
     /// Creates an empty leaf.
-    pub(crate) fn new_leaf(search_key: u64) -> Box<Self> {
-        Box::new(Self::blank(NodeKind::Leaf, search_key))
+    pub(crate) fn new_leaf(search_key: u64) -> *mut Self {
+        Self::alloc(NodeKind::Leaf, search_key)
     }
 
     /// Creates a leaf pre-populated with `entries` (placed in slots
     /// `0..entries.len()`).
-    pub(crate) fn new_leaf_from(search_key: u64, entries: &[(u64, u64)]) -> Box<Self> {
+    pub(crate) fn new_leaf_from(search_key: u64, entries: &[(u64, u64)]) -> *mut Self {
         debug_assert!(entries.len() <= MAX_KEYS);
-        let node = Self::blank(NodeKind::Leaf, search_key);
+        let ptr = Self::alloc(NodeKind::Leaf, search_key);
+        // SAFETY: built just above and not yet shared.
+        let node = unsafe { &*ptr };
         for (i, &(k, v)) in entries.iter().enumerate() {
             debug_assert_ne!(k, EMPTY_KEY);
             node.keys[i].store(k, Ordering::Relaxed);
             node.set_val(i, v);
         }
-        node.size.store(entries.len(), Ordering::Relaxed);
-        Box::new(node)
+        node.set_len(entries.len());
+        ptr
     }
 
     /// Creates an internal (or tagged internal) node with the given sorted
@@ -178,7 +205,7 @@ impl<L: RawNodeLock> Node<L> {
         search_key: u64,
         routing_keys: &[u64],
         children: &[*mut Node<L>],
-    ) -> Box<Self> {
+    ) -> *mut Self {
         debug_assert!(matches!(
             kind,
             NodeKind::Internal | NodeKind::TaggedInternal
@@ -186,23 +213,50 @@ impl<L: RawNodeLock> Node<L> {
         debug_assert_eq!(children.len(), routing_keys.len() + 1);
         debug_assert!(children.len() <= MAX_KEYS);
         debug_assert!(routing_keys.windows(2).all(|w| w[0] < w[1]));
-        let node = Self::blank(kind, search_key);
+        let ptr = Self::alloc(kind, search_key);
+        // SAFETY: built just above and not yet shared.
+        let node = unsafe { &*ptr };
         for (i, &k) in routing_keys.iter().enumerate() {
             node.keys[i].store(k, Ordering::Relaxed);
         }
         for (i, &c) in children.iter().enumerate() {
             node.set_child(i, c);
         }
-        node.size.store(children.len(), Ordering::Relaxed);
-        Box::new(node)
+        node.set_len(children.len());
+        ptr
     }
 
     /// Creates the sentinel entry node pointing at `root`.
-    pub(crate) fn new_entry(root: *mut Node<L>) -> Box<Self> {
-        let node = Self::blank(NodeKind::Internal, 0);
-        node.set_child(0, root);
-        node.size.store(1, Ordering::Relaxed);
-        Box::new(node)
+    pub(crate) fn new_entry(root: *mut Node<L>) -> *mut Self {
+        Self::new_internal_from(NodeKind::Internal, 0, &[], &[root])
+    }
+
+    /// Destroys a node and returns its slot to the slab.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` is a node made by one of the constructors above, nothing can
+    /// reach it any more, and it is not freed twice.
+    pub(crate) unsafe fn free(ptr: *mut u8) {
+        // SAFETY: per the contract, `ptr` is a live node in a slab slot.
+        unsafe {
+            std::ptr::drop_in_place(ptr.cast::<Self>());
+            slab::release(ptr);
+        }
+    }
+
+    /// Retires an unlinked node through `guard`'s collector, which frees it
+    /// once no pinned thread can still reach it.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` is a node made by one of the constructors above that has been
+    /// unlinked (threads pinning after this call cannot reach it), and it is
+    /// retired once.
+    pub(crate) unsafe fn retire(ptr: *mut Self, guard: &Guard) {
+        // SAFETY: forwarded from this function's contract; `free` is how a
+        // slab node is destroyed, on any thread.
+        unsafe { guard.defer_free(ptr.cast(), Self::free) }
     }
 
     // ----- basic accessors ------------------------------------------------
@@ -222,7 +276,14 @@ impl<L: RawNodeLock> Node<L> {
     /// Current size (keys for leaves, children for internal nodes).
     #[inline]
     pub(crate) fn len(&self) -> usize {
-        self.size.load(Ordering::Relaxed)
+        self.size.load(Ordering::Relaxed) as usize
+    }
+
+    /// Sets the size; caller holds the node's lock, or the node is not yet
+    /// published (or the tree is quiescent).
+    #[inline]
+    pub(crate) fn set_len(&self, len: usize) {
+        self.size.store(len as u32, Ordering::Relaxed);
     }
 
     /// Has this node been unlinked from the tree?
@@ -404,13 +465,6 @@ impl<L: RawNodeLock> Node<L> {
             self.rec_ver.load(Ordering::Relaxed),
         )
     }
-
-    // ----- allocation helpers ---------------------------------------------
-
-    /// Leaks a boxed node into a raw pointer for linking into the tree.
-    pub(crate) fn into_raw(node: Box<Self>) -> *mut Self {
-        Box::into_raw(node)
-    }
 }
 
 // SAFETY: all shared mutable state inside a Node is accessed through atomics
@@ -422,25 +476,38 @@ unsafe impl<L: RawNodeLock> Sync for Node<L> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use absync::McsLock;
 
     type N = Node<McsLock>;
 
-    /// The layout regression gate: one payload array, not two.  248 leaves
-    /// room for a lock one word wider than MCS's; a second 88-byte array
-    /// does not fit.
+    /// A test's node: freed back to the slab when the test is done with it.
+    struct Owned(*mut N);
+
+    impl std::ops::Deref for Owned {
+        type Target = N;
+        fn deref(&self) -> &N {
+            // SAFETY: built by a constructor, freed only on drop.
+            unsafe { &*self.0 }
+        }
+    }
+
+    impl Drop for Owned {
+        fn drop(&mut self) {
+            // SAFETY: never shared, freed once.
+            unsafe { N::free(self.0.cast()) }
+        }
+    }
+
+    /// Four cache lines, exactly one slab slot (the layout gate itself is
+    /// the compile-time assert at the top of the module).
     #[test]
     fn a_node_is_four_cache_lines() {
-        assert!(
-            std::mem::size_of::<N>() <= 248,
-            "Node<McsLock> grew to {} bytes",
-            std::mem::size_of::<N>()
-        );
+        assert_eq!(std::mem::size_of::<N>(), slab::SLOT_BYTES);
+        assert_eq!(slab::SLOT_BYTES.div_ceil(64), 4);
     }
 
     #[test]
     fn new_leaf_is_empty_and_unmarked() {
-        let leaf = N::new_leaf(5);
+        let leaf = Owned(N::new_leaf(5));
         assert!(leaf.is_leaf());
         assert!(!leaf.is_tagged());
         assert_eq!(leaf.len(), 0);
@@ -452,7 +519,7 @@ mod tests {
 
     #[test]
     fn leaf_from_entries() {
-        let leaf = N::new_leaf_from(10, &[(10, 100), (20, 200), (30, 300)]);
+        let leaf = Owned(N::new_leaf_from(10, &[(10, 100), (20, 200), (30, 300)]));
         assert_eq!(leaf.len(), 3);
         assert_eq!(leaf.locked_find(20), Some((1, 200)));
         assert_eq!(leaf.locked_entries(), vec![(10, 100), (20, 200), (30, 300)]);
@@ -461,10 +528,18 @@ mod tests {
 
     #[test]
     fn internal_routing() {
-        let l1 = N::into_raw(N::new_leaf(0));
-        let l2 = N::into_raw(N::new_leaf(10));
-        let l3 = N::into_raw(N::new_leaf(20));
-        let internal = N::new_internal_from(NodeKind::Internal, 10, &[10, 20], &[l1, l2, l3]);
+        let leaves = [
+            Owned(N::new_leaf(0)),
+            Owned(N::new_leaf(10)),
+            Owned(N::new_leaf(20)),
+        ];
+        let [l1, l2, l3] = [leaves[0].0, leaves[1].0, leaves[2].0];
+        let internal = Owned(N::new_internal_from(
+            NodeKind::Internal,
+            10,
+            &[10, 20],
+            &[l1, l2, l3],
+        ));
         assert_eq!(internal.len(), 3);
         assert_eq!(internal.child_index(5), 0);
         assert_eq!(internal.child_index(10), 1);
@@ -473,17 +548,11 @@ mod tests {
         assert_eq!(internal.child_index(u64::MAX - 1), 2);
         assert_eq!(internal.child(0), l1);
         assert_eq!(internal.child(2), l3);
-        // Clean up raw allocations.
-        unsafe {
-            drop(Box::from_raw(l1));
-            drop(Box::from_raw(l2));
-            drop(Box::from_raw(l3));
-        }
     }
 
     #[test]
     fn version_protocol() {
-        let leaf = N::new_leaf(0);
+        let leaf = Owned(N::new_leaf(0));
         let odd = leaf.begin_write();
         assert_eq!(odd, 1);
         assert_eq!(leaf.version(), 1);
@@ -493,7 +562,7 @@ mod tests {
 
     #[test]
     fn elimination_record_round_trip() {
-        let leaf = N::new_leaf(0);
+        let leaf = Owned(N::new_leaf(0));
         assert_eq!(leaf.read_record().0, EMPTY_KEY);
         leaf.publish_record(7, 70, 3);
         assert_eq!(leaf.read_record(), (7, 70, 3));
@@ -501,18 +570,17 @@ mod tests {
 
     #[test]
     fn mark_is_sticky() {
-        let leaf = N::new_leaf(0);
+        let leaf = Owned(N::new_leaf(0));
         leaf.mark();
         assert!(leaf.is_marked());
     }
 
     #[test]
     fn entry_node_points_to_root() {
-        let root = N::into_raw(N::new_leaf(0));
-        let entry = N::new_entry(root);
+        let root = Owned(N::new_leaf(0));
+        let entry = Owned(N::new_entry(root.0));
         assert_eq!(entry.len(), 1);
-        assert_eq!(entry.child(0), root);
+        assert_eq!(entry.child(0), root.0);
         assert_eq!(entry.child_index(12345), 0);
-        unsafe { drop(Box::from_raw(root)) };
     }
 }

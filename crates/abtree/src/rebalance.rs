@@ -79,12 +79,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 }
                 let keys: Vec<u64> = (0..node.len() - 1).map(|i| node.key(i)).collect();
                 let children: Vec<*mut Node<L>> = (0..node.len()).map(|i| node.child(i)).collect();
-                let new_root = Node::into_raw(Node::new_internal_from(
+                let new_root = Node::new_internal_from(
                     NodeKind::Internal,
                     node.search_key,
                     &keys,
                     &children,
-                ));
+                );
                 self.persist_new_nodes(&[new_root]);
                 // Mark before unlinking (scan snapshot validation relies on
                 // "unmarked implies still reachable"; see `scan.rs`).
@@ -93,7 +93,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 unlock_nodes!((parent, p_tok), (node, node_tok));
                 // SAFETY: the old root was just unlinked and is never
                 // unlinked twice.
-                unsafe { guard.defer_drop(node_ptr) };
+                unsafe { Node::retire(node_ptr, guard) };
                 return None;
             }
 
@@ -154,12 +154,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             let result = if comb_children.len() <= MAX_KEYS {
                 // Merge case (paper Fig. 3 step 5): absorb the tagged node
                 // into a copy of its parent.
-                let new_node = Node::into_raw(Node::new_internal_from(
+                let new_node = Node::new_internal_from(
                     NodeKind::Internal,
                     parent.search_key,
                     &comb_keys,
                     &comb_children,
-                ));
+                );
                 self.persist_new_nodes(&[new_node]);
                 self.link_child(gparent, path.p_idx, new_node);
                 None
@@ -168,30 +168,30 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 // large, so split it into two and push the imbalance up.
                 let left_n = comb_children.len() / 2;
                 let up_key = comb_keys[left_n - 1];
-                let left = Node::into_raw(Node::new_internal_from(
+                let left = Node::new_internal_from(
                     NodeKind::Internal,
                     comb_keys[0],
                     &comb_keys[..left_n - 1],
                     &comb_children[..left_n],
-                ));
-                let right = Node::into_raw(Node::new_internal_from(
+                );
+                let right = Node::new_internal_from(
                     NodeKind::Internal,
                     up_key,
                     &comb_keys[left_n..],
                     &comb_children[left_n..],
-                ));
+                );
                 // The top node is tagged unless it becomes the new root.
                 let top_kind = if path.gp == self.entry_ptr() {
                     NodeKind::Internal
                 } else {
                     NodeKind::TaggedInternal
                 };
-                let top = Node::into_raw(Node::new_internal_from(
+                let top = Node::new_internal_from(
                     top_kind,
                     parent.search_key,
                     &[up_key],
                     &[left, right],
-                ));
+                );
                 self.persist_new_nodes(&[left, right, top]);
                 self.link_child(gparent, path.p_idx, top);
                 if top_kind == NodeKind::TaggedInternal {
@@ -204,8 +204,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             unlock_nodes!((gparent, gp_tok), (parent, p_tok), (node, node_tok));
             // SAFETY: both nodes were just unlinked (marked + replaced).
             unsafe {
-                guard.defer_drop(node_ptr);
-                guard.defer_drop(path.p);
+                Node::retire(node_ptr, guard);
+                Node::retire(path.p, guard);
             }
             return result;
         }
@@ -234,7 +234,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 
         loop {
             // The entry sentinel and the root are allowed to be underfull.
-            if node_ptr == self.entry_ptr() || node_ptr == self.entry.child(0) {
+            if node_ptr == self.entry_ptr() || node_ptr == self.entry().child(0) {
                 return;
             }
             if node.is_marked() {
@@ -377,17 +377,15 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                         up,
                     )
                 };
-                let new_left = Node::into_raw(new_left);
-                let new_right = Node::into_raw(new_right);
                 pkeys[left_idx] = up_key;
                 pchildren[left_idx] = new_left;
                 pchildren[left_idx + 1] = new_right;
-                let new_parent = Node::into_raw(Node::new_internal_from(
+                let new_parent = Node::new_internal_from(
                     NodeKind::Internal,
                     parent.search_key,
                     &pkeys,
                     &pchildren,
-                ));
+                );
                 self.persist_new_nodes(&[new_left, new_right, new_parent]);
                 // Mark before unlinking (see `scan.rs`).
                 node.mark();
@@ -402,15 +400,15 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 );
                 // SAFETY: the three nodes were just unlinked.
                 unsafe {
-                    guard.defer_drop(node_ptr);
-                    guard.defer_drop(sib_ptr);
-                    guard.defer_drop(path.p);
+                    Node::retire(node_ptr, guard);
+                    Node::retire(sib_ptr, guard);
+                    Node::retire(path.p, guard);
                 }
                 return;
             }
 
             // ------------------- merge (paper Fig. 3 step 2) ---------------
-            let merged = if node.is_leaf() {
+            let merged_ptr = if node.is_leaf() {
                 let mut entries = left.locked_entries();
                 entries.extend(right.locked_entries());
                 Node::new_leaf_from(node.search_key, &entries)
@@ -424,7 +422,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 keys.extend((0..right.len().saturating_sub(1)).map(|i| right.key(i)));
                 Node::new_internal_from(NodeKind::Internal, node.search_key, &keys, &children)
             };
-            let merged_ptr = Node::into_raw(merged);
 
             if path.gp == self.entry_ptr() && parent.len() == 2 {
                 // The merged node becomes the new root (paper lines 174-177).
@@ -442,9 +439,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 );
                 // SAFETY: the three nodes were just unlinked.
                 unsafe {
-                    guard.defer_drop(node_ptr);
-                    guard.defer_drop(sib_ptr);
-                    guard.defer_drop(path.p);
+                    Node::retire(node_ptr, guard);
+                    Node::retire(sib_ptr, guard);
+                    Node::retire(path.p, guard);
                 }
                 return;
             }
@@ -453,12 +450,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             pchildren[left_idx] = merged_ptr;
             pchildren.remove(left_idx + 1);
             pkeys.remove(left_idx);
-            let new_parent = Node::into_raw(Node::new_internal_from(
+            let new_parent = Node::new_internal_from(
                 NodeKind::Internal,
                 parent.search_key,
                 &pkeys,
                 &pchildren,
-            ));
+            );
             self.persist_new_nodes(&[merged_ptr, new_parent]);
             // Mark before unlinking (see `scan.rs`).
             node.mark();
@@ -473,9 +470,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             );
             // SAFETY: the three nodes were just unlinked.
             unsafe {
-                guard.defer_drop(node_ptr);
-                guard.defer_drop(sib_ptr);
-                guard.defer_drop(path.p);
+                Node::retire(node_ptr, guard);
+                Node::retire(sib_ptr, guard);
+                Node::retire(path.p, guard);
             }
 
             // The merged node and/or the shrunk parent may themselves be

@@ -43,8 +43,8 @@ pub(crate) struct PathInfo<L: RawNodeLock> {
 /// Keys and values are `u64`; the key [`EMPTY_KEY`] is reserved.
 pub struct AbTree<const ELIM: bool, L: RawNodeLock = McsLock, P: Persist = VolatilePersist> {
     /// Sentinel entry node: never removed, has no keys, exactly one child
-    /// pointer (to the root).
-    pub(crate) entry: Box<Node<L>>,
+    /// pointer (to the root).  Owned by the tree; freed by its `Drop`.
+    entry: *mut Node<L>,
     /// Epoch-based reclamation collector through which unlinked nodes are
     /// retired.
     pub(crate) collector: Collector,
@@ -76,7 +76,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Creates an empty tree sharing an existing reclamation [`Collector`]
     /// (useful when many structures are benchmarked in one process).
     pub fn with_collector(collector: Collector) -> Self {
-        let root = Node::into_raw(Node::new_leaf(0));
+        let root = Node::new_leaf(0);
         if P::DURABLE {
             // The initial root and entry must be durable before the tree is
             // used (paper §5: recovery starts from the entry node, which is
@@ -86,7 +86,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         }
         let entry = Node::new_entry(root);
         if P::DURABLE {
-            P::persist_value(entry.as_ref());
+            P::persist_range(entry as *const u8, std::mem::size_of::<Node<L>>());
         }
         Self {
             entry,
@@ -115,7 +115,14 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Raw pointer to the entry sentinel.
     #[inline]
     pub(crate) fn entry_ptr(&self) -> *mut Node<L> {
-        &*self.entry as *const Node<L> as *mut Node<L>
+        self.entry
+    }
+
+    /// The entry sentinel.
+    #[inline]
+    pub(crate) fn entry(&self) -> &Node<L> {
+        // SAFETY: the entry lives exactly as long as the tree.
+        unsafe { &*self.entry }
     }
 
     /// Dereferences a node pointer obtained while `_guard` is pinned.
@@ -260,11 +267,11 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> Drop for AbTree<ELIM, L, P> {
     fn drop(&mut self) {
-        // Exclusive access: free every node still reachable from the entry.
-        // Nodes that were unlinked earlier are owned by the collector's
-        // retirement bags and are freed when the collector (or the exiting
-        // threads' local handles) drop.
-        let mut stack = vec![self.entry.child(0)];
+        // Exclusive access: return every node still reachable from the
+        // entry (the entry included) to the slab.  Nodes that were unlinked
+        // earlier are owned by the collector's retirement bags and are freed
+        // when the collector (or the exiting threads' local handles) drop.
+        let mut stack = vec![self.entry];
         while let Some(p) = stack.pop() {
             if p.is_null() {
                 continue;
@@ -272,11 +279,14 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> Drop for AbTree<ELIM, L, P> {
             // SAFETY: reachable nodes are exclusively owned once the tree is
             // being dropped; each is freed exactly once because the tree is a
             // tree (no sharing of children).
-            let node = unsafe { Box::from_raw(p) };
-            if !node.is_leaf() {
-                for i in 0..node.len() {
-                    stack.push(node.child(i));
+            unsafe {
+                let node = &*p;
+                if !node.is_leaf() {
+                    for i in 0..node.len() {
+                        stack.push(node.child(i));
+                    }
                 }
+                Node::<L>::free(p.cast());
             }
         }
     }
@@ -370,10 +380,10 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             if node.is_leaf() {
                 // Recompute size from the persisted keys array.
                 let count = (0..MAX_KEYS).filter(|&i| node.key(i) != EMPTY_KEY).count();
-                node.size.store(count, Ordering::Relaxed);
+                node.set_len(count);
             } else if ptr == self.entry_ptr() {
                 // The entry sentinel always has exactly one child.
-                node.size.store(1, Ordering::Relaxed);
+                node.set_len(1);
                 let raw = node.child_raw(0);
                 if is_dirty(raw) {
                     node.set_child(0, untag(raw));
@@ -395,7 +405,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                         break;
                     }
                 }
-                node.size.store(count, Ordering::Relaxed);
+                node.set_len(count);
             }
         }
         if P::DURABLE {

@@ -228,14 +228,14 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         debug_assert_eq!(entries.len(), MAX_KEYS + 1);
         let mid = entries.len() / 2;
         let split_key = entries[mid].0;
-        let left = Node::into_raw(Node::new_leaf_from(entries[0].0, &entries[..mid]));
-        let right = Node::into_raw(Node::new_leaf_from(split_key, &entries[mid..]));
-        let tagged = Node::into_raw(Node::new_internal_from(
+        let left = Node::new_leaf_from(entries[0].0, &entries[..mid]);
+        let right = Node::new_leaf_from(split_key, &entries[mid..]);
+        let tagged = Node::new_internal_from(
             NodeKind::TaggedInternal,
             leaf.search_key,
             &[split_key],
             &[left, right],
-        ));
+        );
 
         // Durable trees flush the new nodes before publishing the pointer.
         self.persist_new_nodes(&[left, right, tagged]);
@@ -258,7 +258,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         }
         // SAFETY: the old leaf was just unlinked (marked + replaced) and will
         // not be unlinked again.
-        unsafe { guard.defer_drop(path.n) };
+        unsafe { Node::retire(path.n, guard) };
 
         self.fix_tagged(tagged, guard);
         Attempt::Done(None)

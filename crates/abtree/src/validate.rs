@@ -72,7 +72,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Structural statistics.  Quiescent only.
     pub fn stats(&self) -> TreeStats {
         let mut stats = TreeStats::default();
-        let root = self.entry.child(0);
+        let root = self.entry().child(0);
         let mut depth_of_leaves: Vec<u64> = Vec::new();
         // (node, depth)
         let mut stack: Vec<(*mut Node<L>, u64)> = vec![(root, 1)];
@@ -109,7 +109,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Checks the structural invariants of the (quiescent) tree, returning a
     /// description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let root = self.entry.child(0);
+        let root = self.entry().child(0);
         if root.is_null() {
             return Err("entry has a null root pointer".into());
         }
@@ -132,7 +132,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     }
 
     fn walk_leaves(&self, mut f: impl FnMut(&Node<L>)) {
-        let mut stack = vec![self.entry.child(0)];
+        let mut stack = vec![self.entry().child(0)];
         while let Some(ptr) = stack.pop() {
             if ptr.is_null() {
                 continue;

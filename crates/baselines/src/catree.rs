@@ -19,13 +19,13 @@
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::{Mutex, TryLockError};
 
 use abebr::{Collector, Guard};
 use abtree::{ConcurrentMap, MapHandle};
-use parking_lot::Mutex;
 
 use crate::avl::Avl;
-use crate::{OpCx, SessionHandle, SessionOps};
+use crate::{lock, OpCx, SessionHandle, SessionOps};
 
 /// Contention statistic added on a contended lock acquisition.
 const STAT_CONTENDED: i32 = 250;
@@ -136,8 +136,9 @@ impl CaTree {
             // original: "how often a lock is already acquired when a thread
             // attempts to acquire it".
             let (mut data, contended) = match base.data.try_lock() {
-                Some(g) => (g, false),
-                None => (base.data.lock(), true),
+                Ok(g) => (g, false),
+                Err(TryLockError::Poisoned(poisoned)) => (poisoned.into_inner(), false),
+                Err(TryLockError::WouldBlock) => (lock(&base.data), true),
             };
             if !base.valid.load(Ordering::Acquire) {
                 drop(data);
@@ -206,7 +207,7 @@ impl CaTree {
                     stack.push(left.load(Ordering::Acquire));
                     stack.push(right.load(Ordering::Acquire));
                 }
-                CaNode::Base(b) => out.extend(b.data.lock().tree.entries()),
+                CaNode::Base(b) => out.extend(lock(&b.data).tree.entries()),
             }
         }
         out.sort_unstable_by_key(|e| e.0);

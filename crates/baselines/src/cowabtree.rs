@@ -20,12 +20,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicPtr, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 use abebr::{Collector, Guard};
 use abtree::{ConcurrentMap, MapHandle};
-use parking_lot::RwLock;
 
-use crate::{OpCx, SessionHandle, SessionOps};
+use crate::{read, write, OpCx, SessionHandle, SessionOps};
 
 /// Maximum number of keys per leaf (matches the paper's b = 11).
 const LEAF_CAP: usize = 11;
@@ -98,7 +98,7 @@ impl CowABTree {
         guard: &Guard,
         mutate: impl Fn(&CowLeaf) -> Option<(Vec<(u64, u64)>, Option<u64>)>,
     ) -> UpdateOutcome {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let (_, cell) = inner
             .range(..=key)
             .next_back()
@@ -139,7 +139,7 @@ impl CowABTree {
     /// Splits the leaf responsible for `key` under the routing write lock.
     /// `guard` is the calling session's pin.
     fn split_leaf(&self, key: u64, guard: &Guard) {
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         let (&lower, cell) = inner
             .range(..=key)
             .next_back()
@@ -168,7 +168,7 @@ impl CowABTree {
 
     /// Collects every pair (quiescent only).
     pub fn collect(&self) -> Vec<(u64, u64)> {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let mut out = Vec::new();
         for cell in inner.values() {
             // SAFETY: quiescent access.
@@ -194,7 +194,7 @@ impl SessionOps for CowABTree {
         // Bind the session's pin explicitly: it keeps the leaf snapshot
         // alive, and this fails loudly if `collector()` stops arming it.
         let _guard = cx.guard();
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let (_, cell) = inner.range(..=key).next_back()?;
         // SAFETY: protected by the pinned epoch.
         let leaf = unsafe { &*cell.load(Ordering::Acquire) };
@@ -233,7 +233,7 @@ impl SessionOps for CowABTree {
             return;
         }
         let _guard = cx.guard();
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let start = inner
             .range(..=lo)
             .next_back()
@@ -291,7 +291,7 @@ impl ConcurrentMap for CowABTree {
 
 impl Drop for CowABTree {
     fn drop(&mut self) {
-        let inner = self.inner.get_mut();
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         for cell in inner.values() {
             let ptr = cell.load(Ordering::Relaxed);
             if !ptr.is_null() {

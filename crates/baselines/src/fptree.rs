@@ -17,11 +17,11 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
+use std::sync::{Mutex, RwLock};
 
 use abtree::{ConcurrentMap, MapHandle};
 
-use crate::{OpCx, SessionHandle, SessionOps};
-use parking_lot::{Mutex, RwLock};
+use crate::{lock, read, write, OpCx, SessionHandle, SessionOps};
 
 /// Number of key slots per leaf (the original uses larger leaves than the
 /// (a,b)-trees; 32 keeps splits reasonably rare).
@@ -119,10 +119,10 @@ impl FpTree {
 
     /// Collects every pair (quiescent only).
     pub fn collect(&self) -> Vec<(u64, u64)> {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let mut out = Vec::new();
         for leaf in inner.values() {
-            out.extend(leaf.data.lock().entries());
+            out.extend(lock(&leaf.data).entries());
         }
         out.sort_unstable_by_key(|e| e.0);
         out
@@ -136,13 +136,13 @@ impl FpTree {
     /// Splits the (full) leaf responsible for `key`.  Takes the inner write
     /// lock, so it serializes with every other operation.
     fn split_leaf(&self, key: u64) {
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         let (&lower, leaf) = inner
             .range(..=key)
             .next_back()
             .expect("a leaf always covers every key");
         let mut entries = {
-            let data = leaf.data.lock();
+            let data = lock(&leaf.data);
             if data.len() < LEAF_CAP {
                 // Someone else already split (or removed keys); nothing to do.
                 return;
@@ -183,21 +183,21 @@ impl FpTree {
 
 impl SessionOps for FpTree {
     fn op_get(&self, key: u64, _cx: &mut OpCx<'_>) -> Option<u64> {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let (_, leaf) = inner.range(..=key).next_back()?;
-        let data = leaf.data.lock();
+        let data = lock(&leaf.data);
         data.find(key, fingerprint(key)).map(|i| data.vals[i])
     }
 
     fn op_insert(&self, key: u64, value: u64, _cx: &mut OpCx<'_>) -> Option<u64> {
         loop {
             {
-                let inner = self.inner.read();
+                let inner = read(&self.inner);
                 let (_, leaf) = inner
                     .range(..=key)
                     .next_back()
                     .expect("a leaf always covers every key");
-                let mut data = leaf.data.lock();
+                let mut data = lock(&leaf.data);
                 let fp = fingerprint(key);
                 if let Some(i) = data.find(key, fp) {
                     return Some(data.vals[i]);
@@ -221,9 +221,9 @@ impl SessionOps for FpTree {
     }
 
     fn op_delete(&self, key: u64, _cx: &mut OpCx<'_>) -> Option<u64> {
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         let (_, leaf) = inner.range(..=key).next_back()?;
-        let mut data = leaf.data.lock();
+        let mut data = lock(&leaf.data);
         match data.find(key, fingerprint(key)) {
             None => None,
             Some(i) => {

@@ -62,8 +62,29 @@ pub use extbst::LockExtBst;
 pub use fptree::FpTree;
 pub use skiplist::LazySkipList;
 
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 use abebr::{Collector, Guard, LocalHandle};
 use abtree::{HandleRng, MapHandle};
+
+// The baselines' locks ignore poison, as `parking_lot`'s do: a panic while
+// a lock is held is reported by the panicking thread, and the others keep
+// using the structure.
+
+/// Locks `mutex`, ignoring poison.
+pub(crate) fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks `rwlock`, ignoring poison.
+pub(crate) fn read<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    rwlock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `rwlock`, ignoring poison.
+pub(crate) fn write<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    rwlock.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Per-operation context a [`SessionHandle`] passes down to a structure's
 /// [`SessionOps`] methods: the pre-armed EBR guard (present iff the
@@ -230,5 +251,39 @@ mod tests {
         smoke(crate::LazySkipList::new());
         smoke(crate::FpTree::new());
         smoke(crate::CowABTree::new());
+    }
+
+    #[test]
+    fn mutex_round_trip() {
+        let m = std::sync::Mutex::new(1);
+        *crate::lock(&m) += 1;
+        assert_eq!(*crate::lock(&m), 2);
+    }
+
+    #[test]
+    fn rwlock_round_trip() {
+        let l = std::sync::RwLock::new(vec![1, 2]);
+        assert_eq!(crate::read(&l).len(), 2);
+        crate::write(&l).push(3);
+        assert_eq!(*crate::read(&l), vec![1, 2, 3]);
+    }
+
+    /// A holder that panicked poisons a std lock; the helpers carry on.
+    #[test]
+    fn poisoned_lock_is_reentered() {
+        let m = std::sync::Mutex::new(0);
+        let l = std::sync::RwLock::new(0);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _m = crate::lock(&m);
+                let _l = crate::write(&l);
+                panic!("poisoning both locks (expected by this test)");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(m.is_poisoned() && l.is_poisoned());
+        *crate::lock(&m) += 1;
+        *crate::write(&l) += 1;
+        assert_eq!((*crate::lock(&m), *crate::read(&l)), (1, 1));
     }
 }

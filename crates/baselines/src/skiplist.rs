@@ -10,12 +10,12 @@
 
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
+use std::sync::Mutex;
 
 use abebr::Collector;
 use abtree::{ConcurrentMap, HandleRng, MapHandle};
-use parking_lot::Mutex;
 
-use crate::{OpCx, SessionHandle, SessionOps};
+use crate::{lock, OpCx, SessionHandle, SessionOps};
 
 /// Maximum tower height.
 const MAX_LEVEL: usize = 20;
@@ -214,7 +214,7 @@ impl SessionOps for LazySkipList {
             for (level, (&pred, &succ)) in preds.iter().zip(&succs).enumerate().take(top_level) {
                 if pred != last_locked {
                     // SAFETY: protected by the pinned epoch.
-                    guards.push(unsafe { &*pred }.lock.lock());
+                    guards.push(lock(&unsafe { &*pred }.lock));
                     last_locked = pred;
                 }
                 // SAFETY: as above.
@@ -306,7 +306,7 @@ impl SessionOps for LazySkipList {
             // SAFETY: victim is protected by the pinned epoch.
             let v = unsafe { &*victim };
             let victim_guard = if !is_marked {
-                let g = v.lock.lock();
+                let g = lock(&v.lock);
                 if v.marked.load(Ordering::Acquire) {
                     return None;
                 }
@@ -314,7 +314,7 @@ impl SessionOps for LazySkipList {
                 is_marked = true;
                 Some(g)
             } else {
-                Some(v.lock.lock())
+                Some(lock(&v.lock))
             };
 
             // Lock predecessors and validate.
@@ -324,7 +324,7 @@ impl SessionOps for LazySkipList {
             for (level, &pred) in preds.iter().enumerate().take(top_level) {
                 if pred != last_locked {
                     // SAFETY: protected by the pinned epoch.
-                    guards.push(unsafe { &*pred }.lock.lock());
+                    guards.push(lock(&unsafe { &*pred }.lock));
                     last_locked = pred;
                 }
                 // SAFETY: as above.

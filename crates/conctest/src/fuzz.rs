@@ -754,12 +754,12 @@ pub fn fuzz_kvserve_concurrent(
 /// invalidates entries some other thread is about to read.
 const HOT_KEYS: u64 = 8;
 
-/// Records one round of hot-key traffic in which a shard's three kinds of
-/// mutator and reader meet on the same eight keys of a fresh four-shard
-/// service: blocking point calls (run on the calling thread's own tree
-/// session, or answered by its hot-key cache), `serve_pipelined` windows of
-/// 2–16 point requests (ridden to the shard owner, which mutates beside the
-/// direct callers), and `mget` / `mput` / `scan` (always the owner's).
+/// Records one round of hot-key traffic in which every router's request
+/// kinds meet on the same eight keys of a fresh four-shard service:
+/// blocking point calls (run on the calling thread's own tree session, or
+/// answered by its hot-key cache), `serve_pipelined` windows of 2–16 point
+/// requests, and `mget` / `mput` / `scan` — all on the routers' own
+/// sessions, so every router mutates every shard beside the others.
 /// `threads` OS threads each record at least `ops_per_thread` operations,
 /// ~60% of them blocking `get`s — the cache-hit fodder whose linearizability
 /// is the point.  Returns the history and how many reads the hot-key caches

@@ -439,8 +439,8 @@ impl<'s> RouterRecorder<'s> {
     /// Recorded [`ShardRouter::serve_pipelined`] of a window of point
     /// requests: every request is invoked before the call and responds
     /// after it, so the window's operations overlap each other in the
-    /// history as they do in the lanes.  A shed request never executed and
-    /// is not recorded.
+    /// history as a frame's requests do on the wire.  A shed request never
+    /// executed and is not recorded.
     ///
     /// # Panics
     ///

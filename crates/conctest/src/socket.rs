@@ -3,7 +3,7 @@
 //! [`RouterRecorder`](crate::history::RouterRecorder) wraps an in-process
 //! [`kvserve::ShardRouter`], producing the same [`OpRecord`] stream for the
 //! linearizability checker.  The recorded window covers the full wire path
-//! — encode, TCP, the reactor's frame reassembly, the shard lanes, and the
+//! — encode, TCP, the reactor's frame reassembly, its router, and the
 //! response trip back — so a reordering anywhere in the netserve stack
 //! shows up as a per-key linearizability violation.
 //!
@@ -32,9 +32,8 @@ use netserve::Client;
 use crate::history::{Clock, OpKind, OpRecord, OpResult};
 
 /// Attempts per blocking op before an `Overloaded` answer becomes a panic.
-/// A single-request frame can only be refused while the same session has a
-/// full lane in flight, so hitting this bound means the service is wedged,
-/// not busy.
+/// A reactor serves every request of a frame to completion and sheds
+/// nothing, so hitting this bound means the service is wedged, not busy.
 pub const OVERLOAD_RETRIES: usize = 1000;
 
 /// Records one socket session's operations for the checker.

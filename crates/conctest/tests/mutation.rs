@@ -180,8 +180,7 @@ mod torn_scan {
 /// is already gone under a stamp that is current, and a later `get` returns
 /// it: a read of a value some completed write replaced.  That needs more
 /// than one mutator per shard, which is what [`record_hot_key_paths`] sets
-/// up: direct point calls from three routers beside the shard owners
-/// applying their windows, all on eight keys.
+/// up: three routers writing the same eight keys.
 ///
 /// The generator's shards pause inside the protocol's windows, so the
 /// interleaving does not wait for a preemption to land in a hundred

@@ -1,7 +1,7 @@
 //! Conctest coverage for the netserve socket front end: concurrent
 //! [`ClientRecorder`] sessions over real loopback connections, with the
 //! recorded histories — whose windows span encode, TCP, frame reassembly,
-//! the shard lanes, and the reply trip — checked for per-key
+//! the reactor's router, and the reply trip — checked for per-key
 //! linearizability.  Plus a malicious-client case: garbage, oversized
 //! length prefixes, and truncated frames must each earn an error frame (or
 //! a plain close) without taking the server down for anyone else.

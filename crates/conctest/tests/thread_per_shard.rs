@@ -1,6 +1,5 @@
-//! Conctest coverage for the thread-per-shard kvserve architecture: a
-//! recorded operation crosses an SPSC lane to a shard-owner thread, runs on
-//! the router's own tree session beside that owner (a window of one), or is
+//! Conctest coverage for the kvserve router: a recorded operation runs on
+//! the router's own tree session, beside every other router's, or is
 //! answered by the router's hot-key read cache — and the histories that come
 //! back must still be linearizable per key.
 //!
@@ -35,9 +34,9 @@ fn hot_key_cfg() -> FuzzConfig {
     }
 }
 
-/// Differential mode: the thread-per-shard router (queues, shard owners,
-/// cache and all) must agree op-for-op with the locked `BTreeMap` oracle
-/// under hot-key traffic, across shard counts.
+/// Differential mode: the router (sessions, stamps, cache and all) must
+/// agree op-for-op with the locked `BTreeMap` oracle under hot-key traffic,
+/// across shard counts.
 #[test]
 fn differential_matches_the_oracle_through_the_lanes() {
     let cfg = hot_key_cfg();
@@ -47,8 +46,8 @@ fn differential_matches_the_oracle_through_the_lanes() {
     }
 }
 
-/// Concurrent mode: OS-thread routers hammering the shard owners through
-/// the lanes, with the recorded histories checked per key across rounds.
+/// Concurrent mode: OS-thread routers hammering the same shards, with the
+/// recorded histories checked per key across rounds.
 #[test]
 fn concurrent_stress_passes_over_the_thread_per_shard_router() {
     let cfg = hot_key_cfg();
@@ -60,9 +59,9 @@ fn concurrent_stress_passes_over_the_thread_per_shard_router() {
 }
 
 /// Recorded stress of the multi-mutator stamp protocol, with a cache-hit
-/// witness: [`record_hot_key_paths`] puts direct point calls, lane windows
-/// applied by the shard owners and owner-side batches and scans on the same
-/// eight keys in one history, which must be linearizable per key — a stale
+/// witness: [`record_hot_key_paths`] puts three routers' point calls,
+/// pipelined windows, batches and scans on the same eight keys in one
+/// history, which must be linearizable per key — a stale
 /// cache hit is a read of a value some completed write already replaced —
 /// with the service stats proving the hot-key cache actually answered reads
 /// inside the recorded (checked) traffic.

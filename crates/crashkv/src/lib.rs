@@ -1,7 +1,7 @@
 //! # crashkv — durable `kvserve` shards with crash injection
 //!
-//! This crate welds the repo's two halves together: the thread-per-shard
-//! serving architecture of `kvserve` and the persistent (a,b)-trees of
+//! This crate welds the repo's two halves together: the sharded serving
+//! layer of `kvserve` and the persistent (a,b)-trees of
 //! `pabtree` (paper §5), and then deliberately crashes the result to check
 //! that the combination is **durably linearizable**.
 //!
@@ -9,9 +9,9 @@
 //!
 //! * **Durable shards** ([`DurableKvService`]) — each shard is a
 //!   [`pabtree::WalElimABTree`] owned by one thread.  The thread runs
-//!   `kvserve`'s owner loop ([`kvserve::owner::run_owner`] — the same
-//!   lanes, mailbox and park handshake the volatile service uses); what
-//!   this crate adds is that loop's durable commit policy.  Operations
+//!   `kvserve`'s owner loop ([`kvserve::owner::run_owner`] — lanes,
+//!   mailbox and park handshake); what this crate adds is that loop's
+//!   durable commit policy.  Operations
 //!   flush in program order but are only *ordered* by a group `sfence`;
 //!   client acknowledgements are withheld until the covering fence
 //!   (`acks_per_fence` is the group-commit knob, 1–64 in the bench sweep).
@@ -173,8 +173,22 @@ mod tests {
     #[test]
     fn crash_rolls_back_only_unacked_writes_and_heals() {
         let mut service = DurableKvService::new(1, 1000);
-        // Arm before the load: the crash fires at the first boundary the
-        // owner reaches, mid-group.
+        let mut router = service.router();
+        // Queue the load at a parked owner (a submission does not wake it),
+        // then arm: arming wakes the owner, which drains the whole load into
+        // one open group and crashes at that group's boundary.  Armed any
+        // earlier, the owner's idle hook could fire the crash on the quiet
+        // shard before a single put was in flight.
+        service.wait_parked(0);
+        let total = 60u64;
+        for key in 1..=total {
+            router
+                .submit(DurableOp::Put {
+                    key,
+                    value: key * 2,
+                })
+                .expect("the load fits one lane");
+        }
         service.inject_crash(
             0,
             CrashSpec {
@@ -184,21 +198,7 @@ mod tests {
                 dirty_link: true,
             },
         );
-        let mut router = service.router();
-        let total = 60u64;
         let mut outcomes = Vec::new();
-        let mut submitted = 0u64;
-        while submitted < total {
-            match router.submit(DurableOp::Put {
-                key: submitted + 1,
-                value: (submitted + 1) * 2,
-            }) {
-                Ok(()) => submitted += 1,
-                Err(_) => {
-                    outcomes.push(router.collect_one().unwrap());
-                }
-            }
-        }
         while let Some(result) = router.collect_one() {
             outcomes.push(result);
         }

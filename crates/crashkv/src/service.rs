@@ -300,6 +300,13 @@ impl DurableKvService {
         Ok(())
     }
 
+    /// Waits until `shard`'s owner has parked (see
+    /// [`kvserve::owner::wait_parked`]): for tests that need an idle owner.
+    #[cfg(test)]
+    pub(crate) fn wait_parked(&self, shard: usize) {
+        kvserve::owner::wait_parked(&self.shards[shard].mailbox);
+    }
+
     /// Stops every owner and the supervisor.  Requires all routers to be
     /// dropped (or at least quiescent): owners drain their lanes before
     /// exiting, and nothing re-arms after shutdown.  Idempotent; also runs
@@ -453,19 +460,6 @@ impl DurableRouter {
 mod tests {
     use super::*;
 
-    /// Waits until shard 0's owner has advertised itself idle and has had
-    /// time to finish its re-scan and park.
-    fn wait_parked(service: &DurableKvService) {
-        let mailbox = &service.shards[0].mailbox;
-        while !mailbox.is_idle() {
-            std::thread::yield_now();
-        }
-        for _ in 0..200 {
-            std::thread::yield_now();
-        }
-        assert!(mailbox.is_idle(), "no work arrived, the owner stays idle");
-    }
-
     /// A window submitted at a parked owner reaches it whole: one doorbell,
     /// and groups that fill — 32 acks at 16 per fence close two boundaries,
     /// not one per ack or two (the bounds leave room for an owner that was
@@ -474,7 +468,7 @@ mod tests {
     fn a_parked_owner_gets_the_window_in_one_doorbell_and_full_groups() {
         let mut service = DurableKvService::new(1, 16);
         let mut router = service.router();
-        wait_parked(&service);
+        service.wait_parked(0);
         let wakes = |service: &DurableKvService| {
             let samples = obs::expo::parse(&service.registry().render()).expect("scrape parses");
             obs::expo::value(&samples, "durable_owner_wakes_total", &[("shard", "0")])
@@ -498,7 +492,7 @@ mod tests {
     fn flush_wakes_a_parked_owner_without_a_collect() {
         let mut service = DurableKvService::new(1, 16);
         let mut router = service.router();
-        wait_parked(&service);
+        service.wait_parked(0);
         let boundaries = service.boundaries(0);
         router.submit(DurableOp::Put { key: 1, value: 1 }).unwrap();
         router.flush();

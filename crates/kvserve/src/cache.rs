@@ -2,11 +2,10 @@
 //!
 //! Under the Zipf-skewed tenant traffic the load driver models, a handful
 //! of keys absorb most lookups.  An uncached lookup descends the shard's
-//! tree — on the router's own handle, or across an SPSC lane on the shard
-//! owner's; this small, fixed-size, direct-mapped cache lets the top of the
-//! Zipf curve skip both.  It is private to one
-//! [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no atomics on
-//! the entry itself) and coherence comes from the shard's mutation counters
+//! tree on the router's own handle; this small, fixed-size, direct-mapped
+//! cache lets the top of the Zipf curve skip the descent.  It is private to
+//! one [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no
+//! atomics on the entry itself) and coherence comes from the shard's mutation counters
 //! instead of invalidation messages: an entry is stamped with the quiescent
 //! shard state its value was exact at, and a hit counts only while no
 //! mutation has begun on the shard since.  Any real mutation implicitly
@@ -16,7 +15,7 @@
 //! obtained while a writer was in flight has no stamp and is not cached.
 //!
 //! Negative results are cached too (`value = None`): a miss on a hot
-//! absent key is as expensive through the queue as a hit.
+//! absent key costs the same descent as a hit.
 //!
 //! Sizing: the cache is a statically sized direct-mapped array indexed by
 //! the same Fibonacci hash the service uses for shard routing.  Collisions

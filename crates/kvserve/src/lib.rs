@@ -5,29 +5,28 @@
 //! crate grows them toward the front half of a real serving system.  It
 //! adds the pieces a data structure does not have but a service needs:
 //!
-//! * **Sharding with thread-per-shard ownership** ([`KvService`]): `S`
-//!   independent engine instances behind a multiplicative-hash router, each
-//!   owned by one dedicated worker thread holding a long-lived engine
-//!   session — a window of requests is applied on one core, in one run.
-//!   Each shard can be
-//!   any structure — concrete trees, or the benchmark registry's
-//!   `Box<dyn Benchable>` trait objects (the [`ShardStore`] bound is
-//!   blanket-implemented for every `ConcurrentMap + KeySum` type).
-//! * **SPSC-fed routing sessions** ([`ShardRouter`]): a per-client session
-//!   holding one bounded single-producer/single-consumer lane pair
-//!   ([`queue`]) per shard, and one engine session of its own per shard.
-//!   The pipelined [`submit`](ShardRouter::submit)/[`collect`](ShardRouter::collect)
-//!   pair keeps a window in flight per shard and sheds with [`Overloaded`]
-//!   (never blocks) when a lane fills; a blocking point call — a window of
-//!   one — runs on the caller's own session instead of being handed off.
+//! * **Sharding** ([`KvService`]): `S` independent engine instances behind
+//!   a multiplicative-hash router.  Each shard can be any structure —
+//!   concrete trees, or the benchmark registry's `Box<dyn Benchable>` trait
+//!   objects (the [`ShardStore`] bound is blanket-implemented for every
+//!   `ConcurrentMap + KeySum` type).  The service owns no threads.
+//! * **Routing sessions** ([`ShardRouter`]): a per-client session holding
+//!   one engine session of its own per shard.  Every request runs on the
+//!   calling thread, on that session: the trees are linearizable concurrent
+//!   maps, so nothing is handed to another thread.  The pipelined
+//!   [`submit`](ShardRouter::submit)/[`collect`](ShardRouter::collect) pair
+//!   keeps up to [`LANE_CAPACITY`] responses uncollected and refuses the
+//!   next submission with [`Overloaded`] (never blocks).
 //! * **A hot-key read cache** ([`cache`]): a small per-router direct-mapped
-//!   cache validated by per-shard mutation counters, so the top of the
-//!   Zipf curve touches neither a lane nor a tree.
+//!   cache validated by per-shard mutation stamps, so the top of the Zipf
+//!   curve touches no tree.
 //! * **Request batching** ([`Request::MGet`]/[`Request::MPut`]): batches
-//!   are regrouped by destination shard, shipped as one sub-batch per shard
-//!   (all fanned out before any reply is awaited, so shards execute
-//!   concurrently), and served with one latency sample and one stats pass
-//!   per shard touched, instead of per key.
+//!   are regrouped by destination shard, run as one session batch per shard,
+//!   and served with one latency sample and one stats pass per shard
+//!   touched, instead of per key.
+//! * **The shard-owner runtime** ([`owner`]): lanes ([`queue`]), mailbox
+//!   and park loop for a service that needs one thread per shard — the
+//!   durable `crashkv` service, whose group fence has a single committer.
 //! * **A compact wire codec** ([`codec`]): varint-based request/response
 //!   framing with strict, allocation-capped decoding.
 //! * **Namespaces** ([`Namespace`]): 16-bit tenant prefixes packed into the
@@ -95,9 +94,15 @@ pub use codec::{
     decode_batch, decode_response_batch, encode_batch, encode_response_batch, CodecError,
 };
 pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
-pub use owner::LANE_CAPACITY;
 pub use queue::{Consumer, Producer, PushError};
 pub use request::{Request, Response};
 pub use router::{Overloaded, ShardRouter};
-pub use service::{shard_of, KvService, ShardStartupError, ShardStore};
+pub use service::{shard_of, KvService, RouterError, ShardStore};
 pub use stats::{Histogram, OpCounters, ServiceStats};
+
+/// The in-flight bound of both request paths: a volatile
+/// [`ShardRouter`] holds at most this many uncollected responses (the next
+/// [`submit`](ShardRouter::submit) is refused), and each SPSC lane of the
+/// [`owner`] runtime holds at most this many jobs, so an owner can always
+/// release a full group of held replies.
+pub const LANE_CAPACITY: usize = 64;

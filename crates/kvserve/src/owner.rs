@@ -1,24 +1,22 @@
 //! The shard-owner runtime: one thread per shard, fed by per-client SPSC
-//! lanes, parked when idle — shared by every service built on this crate.
+//! lanes, parked when idle — the durable `crashkv` service's runtime.
 //!
 //! A shard is served by exactly one **owner** thread running
 //! [`run_owner`].  Each client opens a [`ClientLane`] on the shard's
 //! [`Mailbox`] (one bounded job ring and one reply ring from
 //! [`crate::queue`]) and the owner drains every lane in *runs*, so a drain
 //! executes many jobs against owner-local state with no per-job
-//! synchronization.  Whether a client may also reach the shard's store
-//! around its lane is the service's business, not this runtime's: the
-//! durable service's clients never do (a group fence needs its single
-//! committer); the volatile one runs a request that would be a window by
-//! itself on the client's own tree session (`crate::router`).
+//! synchronization.  A service needs this when one thread must decide
+//! something for the whole shard: crashkv's group fence has a single
+//! committer.  The volatile [`crate::KvService`] needs no owner — every
+//! request runs on the client's own tree session (`crate::router`).
 //!
 //! What happens to a job, and when its reply may leave, is the
 //! [`CommitPolicy`] the loop is monomorphised over:
 //!
-//! * the volatile [`crate::KvService`] acknowledges on apply — its policy
-//!   [`send`](OwnerLane::send)s every reply the moment it exists and the
-//!   loop never opens a group;
-//! * the durable `crashkv` service [`hold`](OwnerLane::hold)s replies and
+//! * a policy that acknowledges on apply [`send`](OwnerLane::send)s every
+//!   reply the moment it exists, and the loop never opens a group;
+//! * the durable `crashkv` policy [`hold`](OwnerLane::hold)s replies and
 //!   declares a [`group_limit`](CommitPolicy::group_limit): the loop closes
 //!   the group at a [`boundary`](CommitPolicy::boundary) (the policy issues
 //!   its covering fence there) and only then releases the held replies —
@@ -48,7 +46,8 @@
 //!   unannounced jobs, not only the one it waits on, so the other shards
 //!   work while the client waits on this one;
 //! * [`ClientLane::ring`] is the explicit form, for a client that sends and
-//!   then waits on something other than a receive (the routers' `flush`);
+//!   then waits on something other than a receive (the durable router's
+//!   `flush`);
 //! * dropping a lane hangs up and rings, so jobs abandoned unannounced are
 //!   still drained and the lane is pruned.
 //!
@@ -73,12 +72,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
 use crate::queue::{self, Consumer, Producer, PushError};
-
-/// Capacity of each SPSC lane, and therefore the in-flight cap of one
-/// [`ClientLane`]: both rings of a lane stay within capacity by
-/// construction, so the owner can always release a full group of held
-/// replies.  A 65th uncollected submission to one shard is refused.
-pub const LANE_CAPACITY: usize = 64;
+use crate::LANE_CAPACITY;
 
 /// How many consecutive empty scans the owner tolerates before it
 /// advertises idleness and parks.
@@ -524,11 +518,10 @@ fn abort<J, R: Clone>(mailbox: &Mailbox<J, R>, mut lanes: Vec<OwnerLane<J, R>>, 
     Exit::Aborted
 }
 
-/// Test helper: waits until the owner has advertised itself idle and has
-/// had time to finish its re-scan and park.  Only for a mailbox nobody is
-/// sending to.
-#[cfg(test)]
-pub(crate) fn wait_parked<J, R>(mailbox: &Mailbox<J, R>) {
+/// Waits until the owner has advertised itself idle and has had time to
+/// finish its re-scan and park: for tests that need a parked owner.  Only
+/// for a mailbox nobody is sending to.
+pub fn wait_parked<J, R>(mailbox: &Mailbox<J, R>) {
     while !mailbox.is_idle() {
         std::thread::yield_now();
     }

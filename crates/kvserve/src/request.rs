@@ -62,9 +62,9 @@ pub enum Request {
     },
     /// Telemetry scrape: a point-in-time snapshot of every metric the
     /// service's [`obs::Registry`] knows about, answered with
-    /// [`Response::Stats`].  Served by the router directly (it never
-    /// crosses a shard lane), so it does not perturb — and is not counted
-    /// in — the per-shard operation counters.
+    /// [`Response::Stats`].  Served by the router without touching a
+    /// shard, so it does not perturb — and is not counted in — the
+    /// per-shard operation counters.
     Stats,
 }
 
@@ -96,8 +96,8 @@ pub enum Response {
     /// Result of a `Scan`: the `(key, value)` pairs stored in the window,
     /// sorted by key.
     Entries(Vec<(u64, u64)>),
-    /// The request was shed without executing: its target shard already had
-    /// a full lane of this client's requests in flight (see
+    /// The request was shed without executing: the client already had its
+    /// full budget of requests in flight (see
     /// [`crate::router::Overloaded`]).  A front-end answers with this
     /// instead of blocking its event loop; the client may retry.
     Overloaded,

@@ -1,32 +1,26 @@
-//! The sharded service: shard construction, owner-thread lifecycle and
-//! the telemetry registry wiring.
+//! The sharded service: shard construction, the router sessions that
+//! serve it, and the telemetry registry wiring.
 //!
-//! A [`KvService`] owns `S` independent engine instances (*shards*).  Each
-//! shard is owned by one dedicated worker thread (the private `worker`
-//! module, on the [`crate::owner`] runtime) that opens a long-lived
-//! [`abtree::MapHandle`] on it and executes every window of work routed to
-//! the shard — pipelined point requests, batches, scans — so a window's
-//! tree traffic stays on one core.  A point request with nothing to
-//! overlap with is not worth the hand-off: a router runs it on its own
-//! session against the same tree (see [`crate::router`]).  Keys are spread
-//! over shards with a multiplicative hash
+//! A [`KvService`] owns `S` independent engine instances (*shards*) and no
+//! threads.  Every request is executed by the thread that issued it, on
+//! the caller's own [`abtree::MapHandle`] session on the shard's tree: a
+//! [`ShardRouter`] opens one session per shard (see [`crate::router`]),
+//! and the tree, a linearizable concurrent map, needs nothing else to be
+//! shared.  Keys are spread over shards with a multiplicative hash
 //! ([`shard_of`]), so contiguous hot key ranges (Zipfian traffic) still fan
 //! out — but a *single* hot key concentrates on one shard, which is the
 //! hot-shard regime the load driver exercises.
 //!
-//! All request traffic flows through per-client [`ShardRouter`] sessions
-//! (see [`crate::router`]).
+//! All request traffic flows through per-client [`ShardRouter`] sessions.
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use abtree::{ConcurrentMap, KeySum};
 use obs::{Registry, Sample, StageTrace};
 
-use crate::owner::Mailbox;
 use crate::router::ShardRouter;
-use crate::stats::{Histogram, ServiceStats};
-use crate::worker::{serve_shard, Job, Reply, ShardCell, ShardState};
+use crate::stats::ServiceStats;
+use crate::worker::ShardState;
 
 /// What a shard must provide: per-thread sessions ([`ConcurrentMap`]) plus
 /// quiescent key-sum validation ([`KeySum`]).
@@ -40,7 +34,7 @@ impl<T: ConcurrentMap + KeySum + ?Sized> ShardStore for T {}
 
 /// The shard (of `shards`) that serves `key`: high bits of a Fibonacci
 /// multiplicative hash, range-reduced without division.  The one placement
-/// function of every service on this crate's owner runtime.
+/// function of the volatile and the durable service.
 ///
 /// Panics on the engine's reserved [`abtree::EMPTY_KEY`] sentinel: routers
 /// sit on the wire boundary, and the codec accepts any `u64`, so this is
@@ -57,48 +51,52 @@ pub fn shard_of(key: u64, shards: usize) -> usize {
     ((hashed as u128 * shards as u128) >> 64) as usize
 }
 
-/// Startup failure of [`KvService::try_new`]: a shard-owner thread could
-/// not open its store session because the store's SMR collector is out of
-/// registration slots ([`abebr::MAX_THREADS`]).  The partially started
-/// service has already been torn down when this is returned.
+/// Failure of [`KvService::try_router`]: the store of shard `shard` could
+/// not open a session for the router, because its SMR collector is out of
+/// registration slots ([`abebr::MAX_THREADS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStartupError {
-    /// Index of the first shard whose owner failed to register.
+pub struct RouterError {
+    /// Index of the first shard that refused a session.
     pub shard: usize,
 }
 
-impl std::fmt::Display for ShardStartupError {
+impl std::fmt::Display for RouterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shard {} owner could not register a reclamation session \
+            "shard {} could not open a router session \
              (collector slot capacity exhausted)",
             self.shard
         )
     }
 }
 
-impl std::error::Error for ShardStartupError {}
+impl std::error::Error for RouterError {}
+
+/// One shard: the store plus its stamp-protocol state.  `Arc`-shared
+/// between the service and its registry source.
+pub(crate) struct ShardCell {
+    pub(crate) store: Box<dyn ShardStore>,
+    pub(crate) state: ShardState,
+}
 
 /// A sharded, batched, embedded key-value service (see the module docs).
 pub struct KvService {
     shards: Vec<Arc<ShardCell>>,
-    owners: Vec<JoinHandle<()>>,
     stats: Arc<ServiceStats>,
     /// The telemetry spine: every subsystem of the service (operation
     /// counters, stage trace, per-shard EBR health) registers a pull
     /// source here, and front ends layered on top add their own.
     registry: Arc<Registry>,
-    /// The per-request stage trace the routers and shard owners record
-    /// into (sampled one point request in 16).
+    /// The per-request stage trace the routers record into (sampled one
+    /// point request in 16).
     trace: Arc<StageTrace>,
 }
 
 impl KvService {
     /// Builds a service with `shards` shards and `namespace_slots`
     /// namespace-stat rows (both clamped to at least 1), constructing each
-    /// shard with `factory` (called with the shard index) and spawning its
-    /// owner thread.
+    /// shard with `factory` (called with the shard index).
     ///
     /// The factory returns boxed [`ShardStore`]s, so shards can be concrete
     /// trees (`Box::new(ElimABTree::new())`) or registry-built trait objects
@@ -106,33 +104,18 @@ impl KvService {
     pub fn new(
         shards: usize,
         namespace_slots: usize,
-        factory: impl FnMut(usize) -> Box<dyn ShardStore>,
-    ) -> Self {
-        Self::try_new(shards, namespace_slots, factory)
-            .expect("kvserve: shard owner failed to start")
-    }
-
-    /// Like [`KvService::new`], but reports shard-owner startup failure
-    /// (a store whose SMR collector has no free registration slots) as an
-    /// error instead of panicking.  On failure the already-spawned owners
-    /// are shut down and joined before returning.
-    pub fn try_new(
-        shards: usize,
-        namespace_slots: usize,
         mut factory: impl FnMut(usize) -> Box<dyn ShardStore>,
-    ) -> Result<Self, ShardStartupError> {
-        let trace = Arc::new(StageTrace::new());
+    ) -> Self {
         let shards: Vec<Arc<ShardCell>> = (0..shards.max(1))
             .map(|index| {
                 Arc::new(ShardCell {
                     store: factory(index),
                     state: ShardState::new(),
-                    mailbox: Arc::new(Mailbox::default()),
-                    trace: Arc::clone(&trace),
                 })
             })
             .collect();
         let stats = Arc::new(ServiceStats::new(shards.len(), namespace_slots.max(1)));
+        let trace = Arc::new(StageTrace::new());
         let registry = Arc::new(Registry::new());
         {
             let stats = Arc::clone(&stats);
@@ -144,23 +127,13 @@ impl KvService {
         }
         {
             // Per-shard engine health, pulled live at scrape time: the
-            // completed-mutation count, the owner's drain-run distribution,
-            // how often a doorbell had to unpark it, and the EBR
-            // reclamation-lag gauges from each shard's collector (when the
-            // store exposes one).
+            // completed-mutation count and the EBR reclamation-lag gauges
+            // from each shard's collector (when the store exposes one).
             let cells = shards.clone();
             registry.register(move |out| {
                 for (index, cell) in cells.iter().enumerate() {
                     out.push(
                         Sample::gauge("kv_shard_version", cell.state.current_version())
-                            .with("shard", index),
-                    );
-                    out.push(
-                        Sample::histogram("kv_run_length", &cell.state.run_length)
-                            .with("shard", index),
-                    );
-                    out.push(
-                        Sample::counter("kv_owner_wakes_total", cell.mailbox.wakes())
                             .with("shard", index),
                     );
                     if let Some(ebr) = cell.store.ebr_stats() {
@@ -186,35 +159,12 @@ impl KvService {
                 }
             });
         }
-        let owners = shards
-            .iter()
-            .enumerate()
-            .map(|(index, cell)| {
-                let cell = Arc::clone(cell);
-                std::thread::Builder::new()
-                    .name(format!("kvserve-shard-{index}"))
-                    .spawn(move || serve_shard(cell))
-                    .expect("failed to spawn a shard owner thread")
-            })
-            .collect();
-        let service = Self {
+        Self {
             shards,
-            owners,
             stats,
             registry,
             trace,
-        };
-        // Owners publish their startup outcome right after their (bounded)
-        // session-registration attempt; wait for all of them so a capacity
-        // failure surfaces here, not as a hang on the first request.  The
-        // error path drops `service`, which shuts down and joins the
-        // owners that did come up.
-        for index in 0..service.shards.len() {
-            if !service.shards[index].state.await_ready() {
-                return Err(ShardStartupError { shard: index });
-            }
         }
-        Ok(service)
     }
 
     /// Number of shards.
@@ -237,8 +187,8 @@ impl KvService {
         &self.registry
     }
 
-    /// The per-request stage trace (sampled pipeline timing: enqueue,
-    /// queue wait, apply, ack — front ends add recv/decode/write/fence).
+    /// The per-request stage trace (sampled `apply` timing — front ends
+    /// add recv/decode/write).
     pub fn stage_trace(&self) -> &Arc<StageTrace> {
         &self.trace
     }
@@ -249,13 +199,30 @@ impl KvService {
         shard_of(key, self.shards.len())
     }
 
-    /// Opens a per-client router session: one lane pair per shard,
-    /// registered with the owning workers, one tree session per shard (a
-    /// shard whose store has no session slot left is served through its
-    /// lane alone), plus a fresh hot-key cache.  Call once per client
-    /// thread, on that thread, like [`ConcurrentMap::handle`].
+    /// Opens a per-client router session: one tree session per shard plus
+    /// a fresh hot-key cache.  Call once per client thread, on that thread,
+    /// like [`ConcurrentMap::handle`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if a shard cannot open a session (see
+    /// [`try_router`](Self::try_router)), as [`ConcurrentMap::handle`]
+    /// does.
     pub fn router(&self) -> ShardRouter<'_> {
-        ShardRouter::new(self)
+        self.try_router().unwrap_or_else(|e| panic!("kvserve: {e}"))
+    }
+
+    /// Like [`router`](Self::router), but reports a shard whose store has
+    /// no session slot left (its SMR collector is full) as an error: a
+    /// front end refuses the client instead of crashing its thread.
+    pub fn try_router(&self) -> Result<ShardRouter<'_>, RouterError> {
+        let sessions = self
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(shard, cell)| cell.store.try_handle().map_err(|_| RouterError { shard }))
+            .collect::<Result<_, _>>()?;
+        Ok(ShardRouter::new(self, sessions))
     }
 
     /// Sum of keys stored across all shards.  Quiescent only, like
@@ -274,56 +241,8 @@ impl KvService {
         self.shards[index].store.name()
     }
 
-    /// The per-shard queue-run-length histograms (how many requests each
-    /// owner drains per lane visit — the dispatch amortization the
-    /// ownership model buys), merged across shards with
-    /// [`Histogram::merge`].
-    pub fn run_length_histogram(&self) -> Histogram {
-        let mut merged = Histogram::new();
-        for cell in &self.shards {
-            merged.merge(&cell.state.run_length);
-        }
-        merged
-    }
-
-    /// Stops and joins every shard owner thread.  Idempotent; also runs on
-    /// drop.  Requires `&mut self`, so it cannot race any live router (a
-    /// router borrows the service).
-    pub fn shutdown(&mut self) {
-        for cell in &self.shards {
-            cell.mailbox.begin_shutdown();
-        }
-        for owner in self.owners.drain(..) {
-            // A panicked owner already surfaced as a router panic; the
-            // join result adds nothing (and must not double-panic in drop).
-            let _ = owner.join();
-        }
-    }
-
-    /// Whether [`shutdown`](Self::shutdown) has already joined the shard
-    /// owners.
-    pub fn is_shut_down(&self) -> bool {
-        self.owners.is_empty()
-    }
-
     pub(crate) fn shard_state(&self, shard: usize) -> &ShardState {
         &self.shards[shard].state
-    }
-
-    /// The shards' stores, in shard order: where a router opens its own
-    /// sessions.
-    pub(crate) fn stores(&self) -> impl Iterator<Item = &dyn ShardStore> {
-        self.shards.iter().map(|cell| &*cell.store)
-    }
-
-    pub(crate) fn mailboxes(&self) -> impl Iterator<Item = &Arc<Mailbox<Job, Reply>>> {
-        self.shards.iter().map(|cell| &cell.mailbox)
-    }
-}
-
-impl Drop for KvService {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -360,43 +279,6 @@ mod tests {
         // The multiplicative hash must actually use both shards.
         let hits: std::collections::HashSet<_> = (0..100).map(|k| service.shard_of(k)).collect();
         assert_eq!(hits.len(), 2);
-    }
-
-    #[test]
-    fn shutdown_joins_owners_and_is_idempotent() {
-        let mut service = two_shard_service();
-        {
-            let mut router = service.router();
-            router.put(1, 2);
-            // Leave a submission uncollected: the owner must drain it and
-            // discard the undeliverable reply once the router is gone.
-            router.submit(&Request::Put { key: 3, value: 4 }).unwrap();
-        }
-        assert!(!service.is_shut_down());
-        service.shutdown();
-        assert!(service.is_shut_down());
-        service.shutdown(); // idempotent
-        assert!(service.is_shut_down());
-        // Quiescent reads still work after shutdown.
-        assert!(service.key_sum() > 0);
-    }
-
-    #[test]
-    fn owners_record_queue_run_lengths() {
-        if !obs::ENABLED {
-            return; // histograms are compiled out
-        }
-        let service = two_shard_service();
-        let mut router = service.router();
-        for key in 0..64u64 {
-            router.put(key, key);
-        }
-        let mut out = Vec::new();
-        router.mget(&(0..64u64).collect::<Vec<_>>(), &mut out);
-        drop(router);
-        let runs = service.run_length_histogram();
-        assert!(runs.count() > 0, "owners saw at least one drain run");
-        assert!(runs.p50().is_some());
     }
 
     #[test]
@@ -456,36 +338,49 @@ mod tests {
         assert!(format!("{router:?}").contains("ShardRouter"));
     }
 
-    /// Regression for the startup path: a store whose SMR collector has no
-    /// free registration slots must surface as [`ShardStartupError`] from
-    /// `try_new` (it used to panic on the owner thread), and the service
-    /// must come up normally once slots free.
+    /// A store whose SMR collector has no free registration slot refuses a
+    /// router's session: `try_router` reports it as [`RouterError`], and
+    /// the same call succeeds once slots free.
     #[test]
     fn collector_exhaustion_is_a_startup_error_not_a_panic() {
         let collector = abebr::Collector::new();
+        let service = {
+            let collector = collector.clone();
+            KvService::new(2, 1, move |_| {
+                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+                Box::new(tree)
+            })
+        };
         let mut held = Vec::new();
         while let Ok(handle) = collector.try_register() {
             held.push(handle);
         }
         assert_eq!(held.len(), abebr::MAX_THREADS);
-
-        let shard_factory = |collector: abebr::Collector| {
-            move |_: usize| {
-                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
-                Box::new(tree) as Box<dyn ShardStore>
-            }
-        };
-        let err = KvService::try_new(1, 1, shard_factory(collector.clone()))
-            .expect_err("owner registration must fail with every slot held");
+        let err = service
+            .try_router()
+            .expect_err("a router session must fail with every slot held");
         assert_eq!(err.shard, 0);
         assert!(err.to_string().contains("slot capacity"));
 
-        // Freeing the hoarded sessions makes the same construction succeed.
+        // Freeing the hoarded sessions makes the same call succeed.
         drop(held);
-        let service = KvService::try_new(1, 1, shard_factory(collector))
-            .expect("registration succeeds once slots are free");
-        let mut router = service.router();
+        let mut router = service.try_router().expect("slots are free again");
         assert_eq!(router.put(9, 90), None);
         assert_eq!(router.get(9), Some(90));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot capacity")]
+    fn a_router_without_a_session_slot_panics() {
+        let collector = abebr::Collector::new();
+        let service = {
+            let collector = collector.clone();
+            KvService::new(1, 1, move |_| {
+                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+                Box::new(tree)
+            })
+        };
+        let _held: Vec<_> = std::iter::from_fn(|| collector.try_register().ok()).collect();
+        let _ = service.router();
     }
 }

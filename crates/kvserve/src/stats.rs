@@ -222,9 +222,9 @@ pub struct ServiceStats {
     pub scan_latency_ns: Histogram,
     /// Sizes (key counts) of batched requests.
     pub batch_size: Histogram,
-    /// Reads answered by a router's hot-key cache (no queue crossing).
+    /// Reads answered by a router's hot-key cache (no tree descent).
     cache_hits: AtomicU64,
-    /// Pipelined submissions refused with `Overloaded` (full shard lane).
+    /// Pipelined submissions refused with `Overloaded` (router budget full).
     shed: AtomicU64,
 }
 
@@ -259,14 +259,14 @@ impl ServiceStats {
     }
 
     /// Reads (point gets and multi-get keys) answered by a router's hot-key
-    /// cache without crossing a shard lane.
+    /// cache without a tree descent.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits.load(Ordering::Relaxed)
     }
 
     /// Pipelined submissions refused with
-    /// [`Overloaded`](crate::router::Overloaded) because the target
-    /// shard's lane was at capacity.
+    /// [`Overloaded`](crate::router::Overloaded) because the router already
+    /// held [`LANE_CAPACITY`](crate::LANE_CAPACITY) uncollected responses.
     pub fn shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
     }

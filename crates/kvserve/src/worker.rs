@@ -1,26 +1,19 @@
-//! The shard-owner worker: one dedicated thread per shard, holding the
-//! shard's long-lived owner [`abtree::MapHandle`].
+//! Executing requests against a shard: every router runs every request on
+//! its own [`abtree::MapHandle`] session on the shard's tree, through the
+//! functions here.
 //!
-//! This is the thread-per-core-style half of the service: each shard has
-//! one owner thread that opens one handle for the shard's whole lifetime
-//! and executes everything that arrives in *windows*.  Routers feed it
-//! through the SPSC lanes in [`crate::queue`] — one request/reply pair per
-//! router × shard — so a drain of a lane executes a *run* of requests
-//! against the local handle with no per-request hand-off.  A point request
-//! that would be a window by itself never gets here: the router runs it on
-//! its own handle against the same tree, through the same [`execute`] (see
-//! [`crate::router`]).  The tree is a linearizable concurrent map, so the
-//! two kinds of caller need no coordination for the *map*; what they share
-//! is the stamp protocol below, which keeps the routers' hot-key caches
-//! linearizable.
+//! The tree is a linearizable concurrent map that any thread may update
+//! (paper §3–§4), so the routers need no coordination for the *map*: no
+//! owner thread, no lane, no hand-off.  What they share is the stamp
+//! protocol below, which keeps every router's hot-key cache linearizable
+//! while the others write.
 //!
 //! ## The begun/done stamps and the hot-key cache
 //!
-//! A shard's mutators — its owner and every router's direct calls — run
-//! concurrently, so "the version the owner saw" no longer describes a
-//! state.  [`ShardState`] keeps two `SeqCst` counters instead, and both
-//! kinds of caller go through [`ShardState::mutate`] and
-//! [`ShardState::read_stamp`]:
+//! A shard's mutators — every router's calls — run concurrently, so no
+//! single writer's count describes a state.  [`ShardState`] keeps two
+//! `SeqCst` counters instead, and every execution path goes through
+//! [`ShardState::mutate`] and [`ShardState::read_stamp`]:
 //!
 //! * a **writer** announces itself (`before = begun.fetch_add(1)`), notes
 //!   whether the shard was quiet at that point (`done == before`), runs the
@@ -64,92 +57,40 @@
 //! the start rules it out: every earlier announcement has completed before
 //! this write's tree operation begins.  (The `stale-stamp` feature compiles
 //! exactly that end-only variant, for conctest's mutation test.)
-//!
-//! ## The loop
-//!
-//! Lane adoption, run draining, the idle/park handshake and shutdown are
-//! [`crate::owner::run_owner`]'s; this module supplies its volatile
-//! [`CommitPolicy`], [`Immediate`]: apply, reply at once.
 
-use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use abtree::MapHandle;
-use obs::{Stage, StageRecorder, StageTrace, Stamp};
 
-use crate::owner::{run_owner, CommitPolicy, Mailbox, OwnerLane};
-use crate::service::ShardStore;
-use crate::stats::Histogram;
+use crate::request::Request;
 
-/// One request handed to a shard owner. Batch jobs carry their sub-batch
-/// by value; the reply returns results the same way.
-pub(crate) enum ShardJob {
-    /// Point lookup.
-    Get { key: u64 },
-    /// Point insert-if-absent.
-    Put { key: u64, value: u64 },
-    /// Point removal.
-    Delete { key: u64 },
-    /// Range scan of the inclusive window `[lo, hi]` (pre-clamped by the
-    /// router via `abtree::scan_window`).
-    Range { lo: u64, hi: u64 },
-    /// Shard-local multi-get sub-batch.
-    GetBatch { keys: Vec<u64> },
-    /// Shard-local multi-put sub-batch.
-    PutBatch { pairs: Vec<(u64, u64)> },
+/// The point-request kinds.
+#[derive(Clone, Copy)]
+pub(crate) enum PointOp {
+    Get,
+    Put,
+    Delete,
 }
 
-/// The reply to one [`ShardJob`], in the same lane order. `stamp` is the
-/// quiescent shard state the result is exact at, if there is one (see the
-/// module docs); the router stamps its hot-key cache entries with it.
-#[derive(Clone)]
-pub(crate) enum ShardReply {
-    /// Reply to the point jobs.
-    Value {
-        value: Option<u64>,
-        stamp: Option<u64>,
-    },
-    /// Reply to `GetBatch`/`PutBatch`, values in sub-batch order.
-    Values {
-        values: Vec<Option<u64>>,
-        stamp: Option<u64>,
-    },
-    /// Reply to `Range`: the entries stored in the window, in key order.
-    Entries { entries: Vec<(u64, u64)> },
+impl PointOp {
+    /// `request` as `(op, key, value)` if it is a point request (`value`
+    /// is 0 for the kinds that carry none).
+    pub(crate) fn of(request: &Request) -> Option<(PointOp, u64, u64)> {
+        match *request {
+            Request::Get { key } => Some((PointOp::Get, key, 0)),
+            Request::Put { key, value } => Some((PointOp::Put, key, value)),
+            Request::Delete { key } => Some((PointOp::Delete, key, 0)),
+            _ => None,
+        }
+    }
 }
 
-/// What crosses a job lane.  Every job rides with a stage-trace [`Stamp`]
-/// — the router's post-enqueue time for a sampled request, [`Stamp::NONE`]
-/// otherwise.  With telemetry compiled out `Stamp` is a ZST and the tuples
-/// cost nothing.
-pub(crate) type Job = (Stamp, ShardJob);
-
-/// What crosses a reply lane: the reply plus the owner's post-apply stamp,
-/// so the router can time the reply-lane wait.
-pub(crate) type Reply = (Stamp, ShardReply);
-
-/// Startup not yet decided: the owner thread has not attempted to open
-/// its store session.
-const READY_STARTING: u8 = 0;
-/// The owner opened its session and is serving.
-const READY_UP: u8 = 1;
-/// The owner could not register a session (SMR slot capacity) and exited.
-const READY_FAILED: u8 = 2;
-
-/// Shard state shared by the owner and the routers.
+/// The stamp protocol's state of one shard, shared by every router.
 pub(crate) struct ShardState {
     /// Writers announced and not withdrawn; see the module docs.
     begun: AtomicU64,
     /// Real mutations completed.
     done: AtomicU64,
-    /// Owner startup outcome: [`READY_STARTING`] until the owner thread has
-    /// opened (or failed to open) its store session.
-    ready: AtomicU8,
-    /// Lengths of the runs the worker drains per lane visit — the
-    /// amortization the ownership model exists for.  Aggregated across
-    /// shards with [`Histogram::merge`].
-    pub(crate) run_length: Histogram,
 }
 
 impl ShardState {
@@ -157,21 +98,6 @@ impl ShardState {
         Self {
             begun: AtomicU64::new(0),
             done: AtomicU64::new(0),
-            ready: AtomicU8::new(READY_STARTING),
-            run_length: Histogram::new(),
-        }
-    }
-
-    /// Blocks until the owner published its startup outcome; returns `true`
-    /// iff the owner came up.  Startup is bounded (one session-registration
-    /// attempt), so a yield loop suffices.
-    pub(crate) fn await_ready(&self) -> bool {
-        loop {
-            match self.ready.load(Ordering::SeqCst) {
-                READY_STARTING => std::thread::yield_now(),
-                READY_UP => return true,
-                _ => return false,
-            }
         }
     }
 
@@ -215,124 +141,55 @@ impl ShardState {
     }
 }
 
-/// One shard: the store plus its coordination state. `Arc`-shared between
-/// the service (which also reads the store quiescently for key sums) and
-/// the owner thread.
-pub(crate) struct ShardCell {
-    pub(crate) store: Box<dyn ShardStore>,
-    pub(crate) state: ShardState,
-    /// Where routers open their lanes and the owner finds them.
-    pub(crate) mailbox: Arc<Mailbox<Job, Reply>>,
-    /// The service-wide stage trace; the owner records its `Dequeue` and
-    /// `Apply` stages into it for requests the router sampled.
-    pub(crate) trace: Arc<StageTrace>,
-}
-
-/// The volatile commit policy: a job's effect is final the moment it is
-/// applied, so its reply leaves at once.
-struct Immediate<'a> {
-    handle: Box<dyn MapHandle + 'a>,
-    state: &'a ShardState,
-    /// Unsampled: whether a request is traced was decided by the router at
-    /// submit time and rides in on the job's stamp.
-    recorder: StageRecorder,
-}
-
-impl CommitPolicy for Immediate<'_> {
-    type Job = Job;
-    type Reply = Reply;
-
-    fn group_limit(&self) -> Option<NonZeroU32> {
-        None
-    }
-
-    #[inline]
-    fn apply(&mut self, (stamp, job): Job, lane: &mut OwnerLane<Job, Reply>) {
-        // Queue wait (post-enqueue to pop), then execution; both no-ops
-        // for the untraced majority.  The post-apply stamp rides back on
-        // the reply so the router can time `Ack`.
-        let dequeued = self.recorder.record(Stage::Dequeue, stamp);
-        let reply = execute(&mut *self.handle, self.state, job);
-        let applied = self.recorder.record(Stage::Apply, dequeued);
-        lane.send((applied, reply));
-    }
-
-    fn run_ended(&mut self, jobs: u64) {
-        self.state.run_length.record(jobs);
-    }
-}
-
-/// The shard-owner thread body: open the shard's one session, publish the
-/// startup outcome, serve until shutdown.
-pub(crate) fn serve_shard(cell: Arc<ShardCell>) {
-    let state = &cell.state;
-    // The owner's long-lived session: opened on the owner thread, kept
-    // until shutdown.  Registration can
-    // fail (the store's SMR collector has a fixed slot capacity); report
-    // the outcome instead of panicking so the service can refuse to start.
-    let Ok(handle) = cell.store.try_handle() else {
-        state.ready.store(READY_FAILED, Ordering::SeqCst);
-        return;
-    };
-    state.ready.store(READY_UP, Ordering::SeqCst);
-    let mut policy = Immediate {
-        handle,
-        state,
-        recorder: cell.trace.recorder(),
-    };
-    run_owner(&cell.mailbox, &mut policy);
-}
-
-/// Executes one job against `handle` — the owner's, or a router's own for a
-/// window of one — keeping the shard's stamp protocol (module docs).
-pub(crate) fn execute(handle: &mut dyn MapHandle, state: &ShardState, job: ShardJob) -> ShardReply {
-    match job {
-        ShardJob::Get { key } => {
+/// Executes one point request on `handle` under the stamp protocol (module
+/// docs): its result, and the quiescent state it is exact at, if any.
+pub(crate) fn execute(
+    handle: &mut dyn MapHandle,
+    state: &ShardState,
+    op: PointOp,
+    key: u64,
+    value: u64,
+) -> (Option<u64>, Option<u64>) {
+    match op {
+        PointOp::Get => {
             let stamp = state.read_stamp();
-            let value = handle.get(key);
-            ShardReply::Value { value, stamp }
+            (handle.get(key), stamp)
         }
-        ShardJob::Put { key, value } => {
-            let (previous, stamp) = state.mutate(|| {
-                let previous = handle.insert(key, value);
-                (previous, previous.is_none())
-            });
-            ShardReply::Value {
-                value: previous,
-                stamp,
-            }
-        }
-        ShardJob::Delete { key } => {
-            let (removed, stamp) = state.mutate(|| {
-                let removed = handle.delete(key);
-                (removed, removed.is_some())
-            });
-            ShardReply::Value {
-                value: removed,
-                stamp,
-            }
-        }
-        ShardJob::Range { lo, hi } => {
-            let mut entries = Vec::new();
-            handle.range(lo, hi, &mut entries);
-            ShardReply::Entries { entries }
-        }
-        ShardJob::GetBatch { keys } => {
-            let stamp = state.read_stamp();
-            let mut values = Vec::new();
-            handle.get_batch(&keys, &mut values);
-            ShardReply::Values { values, stamp }
-        }
-        ShardJob::PutBatch { pairs } => {
-            // One announcement covers the whole sub-batch: it is one write
-            // as far as the stamps are concerned.
-            let (values, stamp) = state.mutate(|| {
-                let mut previous = Vec::new();
-                handle.insert_batch(&pairs, &mut previous);
-                let mutated = previous.iter().any(|p| p.is_none());
-                (previous, mutated)
-            });
-            ShardReply::Values { values, stamp }
-        }
+        PointOp::Put => state.mutate(|| {
+            let previous = handle.insert(key, value);
+            (previous, previous.is_none())
+        }),
+        PointOp::Delete => state.mutate(|| {
+            let removed = handle.delete(key);
+            (removed, removed.is_some())
+        }),
     }
+}
+
+/// [`MapHandle::get_batch`] of one shard's keys, under the protocol: the
+/// stamp the values are exact at, if any.
+pub(crate) fn get_batch(
+    handle: &mut dyn MapHandle,
+    state: &ShardState,
+    keys: &[u64],
+    out: &mut Vec<Option<u64>>,
+) -> Option<u64> {
+    let stamp = state.read_stamp();
+    handle.get_batch(keys, out);
+    stamp
+}
+
+/// [`MapHandle::insert_batch`] of one shard's pairs, announced as one
+/// write: the stamp the post-state is exact at, if any.
+pub(crate) fn insert_batch(
+    handle: &mut dyn MapHandle,
+    state: &ShardState,
+    pairs: &[(u64, u64)],
+    out: &mut Vec<Option<u64>>,
+) -> Option<u64> {
+    let ((), stamp) = state.mutate(|| {
+        handle.insert_batch(pairs, out);
+        ((), out.iter().any(Option::is_none))
+    });
+    stamp
 }

@@ -181,7 +181,7 @@ fn wire_round_trip_through_execution() {
     assert_eq!(decoded, requests);
 
     let mut responses = Vec::new();
-    router.execute_batch(&decoded, &mut responses);
+    router.serve_pipelined(&decoded, &mut responses);
     let mut response_wire = Vec::new();
     kvserve::encode_response_batch(&responses, &mut response_wire);
     let returned = kvserve::decode_response_batch(&response_wire).unwrap();

@@ -68,13 +68,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn service(shards: usize) -> Result<Arc<KvService>, kvserve::ShardStartupError> {
-    // `try_new` so a reclamation-session capacity failure is an orderly
-    // startup error on stderr, not a panic on a shard-owner thread.
-    Ok(Arc::new(KvService::try_new(shards, 4, |_| {
+fn service(shards: usize) -> Arc<KvService> {
+    Arc::new(KvService::new(shards, 4, |_| {
         let tree: abtree::ElimABTree = abtree::ElimABTree::new();
         Box::new(tree)
-    })?))
+    }))
 }
 
 fn main() -> ExitCode {
@@ -89,13 +87,7 @@ fn main() -> ExitCode {
         return selftest(args.shards, args.reactors);
     }
 
-    let svc = match service(args.shards) {
-        Ok(svc) => svc,
-        Err(e) => {
-            eprintln!("netserve_server: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let svc = service(args.shards);
     let addr = match args.addr.parse() {
         Ok(addr) => addr,
         Err(e) => {
@@ -111,7 +103,9 @@ fn main() -> ExitCode {
     let mut server = match Server::start(config, Arc::clone(&svc)) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("netserve_server: bind failed: {e}");
+            // A bind failure, or a reactor whose router could not open a
+            // session on every shard: an orderly error, not a panic.
+            eprintln!("netserve_server: start failed: {e}");
             return ExitCode::FAILURE;
         }
     };
@@ -154,13 +148,7 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
     const CLIENTS: u64 = 8;
     const FRAMES_PER_CLIENT: u64 = 200;
 
-    let svc = match service(shards) {
-        Ok(svc) => svc,
-        Err(e) => {
-            eprintln!("selftest: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let svc = service(shards);
     let config = ServerConfig {
         reactors,
         idle_timeout: Duration::from_secs(10),
@@ -169,7 +157,7 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
     let mut server = match Server::start(config, Arc::clone(&svc)) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("selftest: bind failed: {e}");
+            eprintln!("selftest: start failed: {e}");
             return ExitCode::FAILURE;
         }
     };

@@ -14,9 +14,8 @@
 //!   re-arming, driven by a caller-supplied clock so tests are
 //!   deterministic;
 //! * [`server`] — reactor threads, each owning a
-//!   [`kvserve::ShardRouter`], bridging sockets to the service with
-//!   shard-lane pipelining and translating a full lane into a wire
-//!   `Overloaded` instead of ever blocking the loop;
+//!   [`kvserve::ShardRouter`] and serving every request of a read's frames
+//!   on it, in order, without handing anything to another thread;
 //! * [`client`] — a small blocking client speaking the same framing,
 //!   with optional send-ahead pipelining.
 //!

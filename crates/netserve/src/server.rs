@@ -16,13 +16,10 @@
 //!   frames across arbitrary partial reads and rejects oversized or
 //!   malformed headers *before* buffering;
 //! * the complete frames of one read are served as a **burst**: all of
-//!   them are decoded and routed through
-//!   [`ShardRouter::serve_burst`](kvserve::ShardRouter::serve_burst) as one
-//!   pipelined window (one hand-off to each shard owner per burst, not per
-//!   frame, and none at all for a burst of one point request, which the
-//!   router runs on the reactor's own tree session; a full lane becomes a
-//!   wire [`Response::Overloaded`], never a blocked loop), then each frame's
-//!   responses are re-encoded and queued on
+//!   them are decoded and served by
+//!   [`ShardRouter::serve_burst`](kvserve::ShardRouter::serve_burst), every
+//!   request on the reactor's own tree sessions, in order, then each
+//!   frame's responses are re-encoded and queued on
 //! * a [`WriteBuffer`] whose high-water mark
 //!   pauses *reading* from slow clients until the backlog drains below the
 //!   low-water mark;
@@ -54,7 +51,7 @@ use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -166,7 +163,11 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `config.addr` and spawns the reactor threads.
+    /// Binds `config.addr` and spawns the reactor threads, each of which
+    /// opens its router on the service.  Fails if binding fails, or if a
+    /// reactor cannot open its router ([`kvserve::RouterError`]: a shard's
+    /// store has no session slot left); the reactors already running are
+    /// shut down first.
     ///
     /// The service must outlive the server: shut the server down first.
     pub fn start(config: ServerConfig, service: Arc<KvService>) -> std::io::Result<Server> {
@@ -206,28 +207,47 @@ impl Server {
             })
         };
 
-        let mut threads = Vec::with_capacity(reactors);
-        let mut listener = Some(listener);
-        for index in 0..reactors {
-            let shared = Arc::clone(&shared);
-            let service = Arc::clone(&service);
-            let config = config.clone();
-            let listener = if index == 0 { listener.take() } else { None };
-            let thread = std::thread::Builder::new()
-                .name(format!("netserve-{index}"))
-                .spawn(move || {
-                    let router = service.router();
-                    Reactor::new(index, shared, config, listener, router).run();
-                })?;
-            threads.push(thread);
-        }
-        Ok(Server {
+        let mut server = Server {
             shared,
-            threads,
+            threads: Vec::with_capacity(reactors),
             local_addr,
             registry,
             source: Some(source),
-        })
+        };
+        let (ready, started) = mpsc::channel();
+        let mut listener = Some(listener);
+        for index in 0..reactors {
+            let shared = Arc::clone(&server.shared);
+            let service = Arc::clone(&service);
+            let config = config.clone();
+            let listener = if index == 0 { listener.take() } else { None };
+            let ready = ready.clone();
+            let thread = std::thread::Builder::new()
+                .name(format!("netserve-{index}"))
+                .spawn(move || {
+                    // A router is `!Send`, so it is opened here, on its
+                    // reactor, and the outcome reported to `start`.
+                    let router = match service.try_router() {
+                        Ok(router) => router,
+                        Err(e) => {
+                            let _ = ready.send(Err(e));
+                            return;
+                        }
+                    };
+                    let _ = ready.send(Ok(()));
+                    Reactor::new(index, shared, config, listener, router).run();
+                })?;
+            server.threads.push(thread);
+        }
+        // On an error return, dropping `server` shuts the started reactors
+        // down again.
+        for _ in 0..reactors {
+            started
+                .recv()
+                .map_err(|_| std::io::Error::other("a reactor died at start-up"))?
+                .map_err(std::io::Error::other)?;
+        }
+        Ok(server)
     }
 
     /// The bound address (with the real port when `addr` asked for 0).
@@ -643,12 +663,10 @@ impl<'s> Reactor<'s> {
     ///
     /// Frames are served in **sub-bursts**: as many whole frames as announce
     /// at most [`LANE_CAPACITY`] requests between them (and always at least
-    /// one).  A sub-burst is decoded and submitted as one pipelined window,
-    /// then collected and answered frame by frame — so the reactor hands
-    /// over to the shard owners once per sub-burst, not once per frame.
-    /// The cap keeps the window from refusing anything a frame served on
-    /// its own would not have been refused, and bounds how far one pass can
-    /// push the backlog past the high-water mark.
+    /// one).  A sub-burst is decoded, served by one `serve_burst`, and
+    /// answered frame by frame.  The cap bounds how far one pass can push
+    /// the write backlog past the high-water mark before the mark is
+    /// checked again.
     fn serve_frames(&mut self, token: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
@@ -686,13 +704,9 @@ impl<'s> Reactor<'s> {
                 self.recorder.record(Stage::Decode, frame_start);
                 self.burst.push(batch);
             }
-            // Pipelined routing: point requests overlap across shard lanes
-            // and across the sub-burst's frames; a full lane surfaces as a
-            // wire `Overloaded`, so this never blocks the reactor on
-            // backpressure.  (Its interior is what the sampled
-            // Enqueue/Dequeue/Apply/Ack stages cover — Apply alone for a
-            // burst of one point request, which the router runs right
-            // here, on this thread, without waking a shard owner.)
+            // Every request runs right here, on this thread's tree
+            // sessions, in order; nothing is shed.  (Its interior is what
+            // the sampled Apply stage covers.)
             self.router.serve_burst(&self.burst, &mut self.responses);
             let mut responses = self.responses.as_slice();
             for batch in &self.burst {

@@ -1,11 +1,11 @@
 //! End-to-end socket tests for the netserve front end: real loopback
 //! connections against a live [`kvserve::KvService`], covering fan-out
 //! (hundreds of concurrent pipelining connections), write-side
-//! backpressure under a client that never reads, wire-level `Overloaded`
-//! on a full shard lane, graceful shutdown draining pipelined frames,
+//! backpressure under a client that never reads, frames larger than a
+//! router's in-flight budget, graceful shutdown draining pipelined frames,
 //! idle-connection eviction, bursts — several frames arriving in one read,
-//! which the reactor serves as one pipelined window — and the window of
-//! one, which the reactor serves itself without waking a shard owner.
+//! which the reactor serves in one pass — single-request frames, and a
+//! reactor that cannot open its router.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -171,29 +171,53 @@ fn slow_client_trips_high_water_without_stalling_others() {
     server.shutdown();
 }
 
-/// A single frame overfilling one shard's lane is answered with wire
-/// `Overloaded` for exactly the overflow — the reactor sheds, it never
-/// blocks.
+/// A single frame holding more requests than a router's in-flight budget,
+/// all on one shard, is answered in full: the reactor runs each request to
+/// completion before the next, so nothing is shed.
 #[test]
-fn full_lane_sheds_with_wire_overloaded() {
+fn a_frame_over_the_budget_is_answered_in_full() {
     use kvserve::LANE_CAPACITY;
-    const OVERFLOW: usize = 8;
 
-    let service = elim_service(1); // one shard: every key shares a lane
+    let service = elim_service(1); // one shard: every key lands on it
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
-    let batch: Vec<Request> = (1..=(LANE_CAPACITY + OVERFLOW) as u64)
+    let batch: Vec<Request> = (1..=(LANE_CAPACITY + 8) as u64)
         .map(|key| Request::Get { key })
         .collect();
     let replies = client.call(&batch).unwrap();
-    assert_eq!(replies.len(), batch.len());
-    let shed = replies
-        .iter()
-        .filter(|r| matches!(r, Response::Overloaded))
-        .count();
-    assert_eq!(shed, OVERFLOW, "exactly the beyond-capacity tail is shed");
+    assert_eq!(replies, vec![Response::Value(None); batch.len()]);
     assert_eq!(server.stats().requests(), batch.len() as u64);
+    assert_eq!(service.stats().shed(), 0);
+    drop(client);
+    server.shutdown();
+}
+
+/// A reactor opens its router when it starts: if a shard's store has no
+/// session slot left for it, `Server::start` fails instead of the reactor
+/// thread, and the server comes up once slots are free.
+#[test]
+fn a_reactor_without_a_session_slot_fails_start() {
+    let collector = abebr::Collector::new();
+    let service = {
+        let collector = collector.clone();
+        Arc::new(KvService::new(2, 1, move |_| {
+            let tree: abtree::ElimABTree = abtree::ElimABTree::with_collector(collector.clone());
+            Box::new(tree)
+        }))
+    };
+    let held: Vec<_> = std::iter::from_fn(|| collector.try_register().ok()).collect();
+    let err = Server::start(ServerConfig::default(), Arc::clone(&service))
+        .expect_err("no reactor can open a router");
+    assert!(err.to_string().contains("slot capacity"), "{err}");
+
+    drop(held);
+    let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.call(&[Request::Put { key: 1, value: 10 }]).unwrap(),
+        vec![Response::Value(None)]
+    );
     drop(client);
     server.shutdown();
 }
@@ -465,28 +489,17 @@ fn a_burst_is_answered_frame_by_frame_in_order() {
     server.shutdown();
 }
 
-/// A frame of one point request is a window of one: the reactor runs it on
-/// its own tree session, so a thousand of them ring no doorbell — a shard
-/// owner parks within microseconds of going idle, and through the lanes
-/// nearly every one of these round trips would have had to wake one — and
-/// the replies are still what a single client must see.
+/// A thousand single-request frames: each reply is what a single client
+/// must see, and each request is counted once.
 #[test]
-fn single_request_frames_wake_no_owner() {
-    let owner_wakes = |service: &KvService| {
-        let samples = obs::expo::parse(&service.registry().render()).expect("the scrape parses");
-        obs::expo::sum(&samples, "kv_owner_wakes_total", &[])
-    };
+fn single_request_frames_are_counted_once() {
     let service = elim_service(4);
-    // One reactor, and one round trip through it before the baseline: its
-    // router is open by then (opening a lane rings its owner once).
     let config = ServerConfig {
         reactors: 1,
         ..ServerConfig::default()
     };
     let mut server = Server::start(config, Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    client.call(&[Request::Get { key: 1 }]).expect("round trip");
-    let wakes = owner_wakes(&service);
     let ops = service.stats().total_ops();
 
     let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -509,39 +522,16 @@ fn single_request_frames_wake_no_owner() {
             "round {round}: {request:?}"
         );
     }
-    assert_eq!(
-        owner_wakes(&service),
-        wakes,
-        "a window of one is not handed off"
-    );
     assert!(
         !obs::ENABLED || service.stats().total_ops() - ops == 1_000,
         "each request is counted once"
-    );
-
-    // A frame of two is a window: it still rides the lanes to an owner that
-    // has long since parked.
-    let replies = client
-        .call(&[
-            Request::Put { key: 100, value: 1 },
-            Request::Get { key: 100 },
-        ])
-        .expect("round trip");
-    assert_eq!(
-        replies,
-        vec![Response::Value(None), Response::Value(Some(1))]
-    );
-    assert!(
-        owner_wakes(&service) > wakes,
-        "a window of two is handed off"
     );
     drop(client);
     server.shutdown();
 }
 
-/// A burst that aims more than a lane's worth of requests at one shard is
-/// split, not shed: no frame on its own overfills the lane, so — exactly
-/// as when frames were served one by one — nothing is refused.
+/// A burst that aims more than a router's in-flight budget at one shard is
+/// served whole: nothing is refused.
 #[test]
 fn a_burst_over_one_lane_sheds_nothing() {
     use kvserve::LANE_CAPACITY;
@@ -549,7 +539,7 @@ fn a_burst_over_one_lane_sheds_nothing() {
     const PER_FRAME: u64 = 8;
     assert!(FRAMES * PER_FRAME > LANE_CAPACITY as u64);
 
-    let service = elim_service(1); // one shard: every key shares a lane
+    let service = elim_service(1); // one shard: every key lands on it
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let frames: Vec<Vec<Request>> = (0..FRAMES)

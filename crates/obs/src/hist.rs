@@ -134,10 +134,10 @@ impl Histogram {
 
     /// Folds `other`'s samples into `self`, bucket by bucket (saturating).
     ///
-    /// This is how per-shard-worker histograms are aggregated without any
-    /// locking on the hot path: each shard owner records into its own
+    /// This is how per-thread histograms are aggregated without any
+    /// locking on the hot path: each thread records into its own
     /// histogram with relaxed adds, and a reporting thread merges the
-    /// per-shard instances into a scratch histogram when asked.  The merge
+    /// instances into a scratch histogram when asked.  The merge
     /// itself is a racy-but-monotone snapshot, same contract as
     /// [`count`](Self::count) under concurrent `record`s.
     pub fn merge(&mut self, other: &Histogram) {

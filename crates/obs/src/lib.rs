@@ -1,6 +1,6 @@
 //! `obs`: the unified telemetry spine of the reproduction's service stack.
 //!
-//! Every layer of the stack (tree → EBR collector → shard owners → TCP
+//! Every layer of the stack (tree → EBR collector → routers → TCP
 //! reactors → durable shards) records telemetry; before this crate each
 //! layer invented its own counters with no way to scrape them from a
 //! running server.  `obs` is the one std-only home for all of it:

@@ -1,9 +1,9 @@
 //! Per-request stage tracing: where does a request's time go?
 //!
 //! A request traverses the stack as a pipeline — received and decoded by a
-//! reactor, enqueued onto a shard lane, dequeued by the shard owner,
-//! applied to the tree, fenced to the durable log, acknowledged back
-//! through the lane, and written to the socket.  Aggregate latency
+//! reactor, applied to the tree (on a volatile shard, by the reactor's own
+//! router; on a durable shard, by its owner, across a lane and back),
+//! fenced to the durable log, and written to the socket.  Aggregate latency
 //! histograms cannot say *which* of those stages ate a regression; this
 //! module can, at a cost small enough to leave on.
 //!
@@ -52,15 +52,16 @@ pub enum Stage {
     Recv = 0,
     /// Reactor: a complete frame decoded into a request.
     Decode = 1,
-    /// Router: request pushed onto a shard lane (including owner wake).
+    /// Client: request pushed onto a shard lane (including owner wake).
+    /// Only a lane-fed service records it; the volatile one has no lanes.
     Enqueue = 2,
     /// Shard owner: time the job spent waiting in the lane.
     Dequeue = 3,
-    /// Shard owner: the tree operation itself.
+    /// The tree operation itself.
     Apply = 4,
     /// Durable shard: persistence fence covering the operation.
     Fence = 5,
-    /// Router: reply wait, from apply completion to reply collection.
+    /// Client: reply wait, from apply completion to reply collection.
     Ack = 6,
     /// Reactor: response encoded and flushed toward the socket.
     Write = 7,

@@ -7,16 +7,13 @@
 //! codec-to-router path with zero kernel involvement, which makes it the
 //! baseline for quantifying socket overhead.
 //!
-//! Each shard is owned by its own dedicated service thread holding the
-//! shard's single long-lived engine session; the routers feed those owners
-//! through bounded SPSC lanes.  Every client is a tenant: its keys live
-//! under its own namespace prefix, so tenants never collide and the final
-//! per-tenant stats show exactly who sent what.  Batches are served with
-//! `ShardRouter::serve_pipelined` — a one-batch call of the `serve_burst`
-//! routine the netserve reactor bridges to — so point requests overlap
-//! across shard lanes and a
-//! full lane surfaces as the codec's `Overloaded` response instead of
-//! blocking the serving loop.
+//! Each worker's router holds its own tree session on every shard and runs
+//! each request on it, on the worker's thread; the trees are concurrent
+//! maps, so the workers share nothing else.  Every client is a tenant: its
+//! keys live under its own namespace prefix, so tenants never collide and
+//! the final per-tenant stats show exactly who sent what.  Batches are
+//! served with `ShardRouter::serve_pipelined` — a one-batch call of the
+//! `serve_burst` routine the netserve reactor bridges to.
 //!
 //! Run with: `cargo run --release --example kvserve_server`
 
