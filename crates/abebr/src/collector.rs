@@ -1,17 +1,13 @@
 //! The global side of the reclamation scheme: epoch counter, thread slots,
 //! and the stash of garbage left behind by exited threads.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crossbeam_utils::CachePadded;
+use absync::CachePadded;
 
-use crate::guard::Guard;
-use crate::local::{Bag, Local, LocalHandle};
-use crate::smr::{RegisterError, Smr, SmrPolicy};
+use crate::local::Bag;
+use crate::smr::RegisterError;
 use crate::{MAX_THREADS, QUIESCENT};
 
 /// One registration slot per participating thread.
@@ -25,7 +21,7 @@ pub(crate) struct Slot {
     /// Retirement epoch of the oldest bag the owning thread is still
     /// holding, or `u64::MAX` when it holds none.  Written only by the
     /// owning thread (when its bag deque's front changes), read by
-    /// [`Collector::stats`] to compute the reclamation-lag gauge; a racy
+    /// [`Inner::stats`] to compute the reclamation-lag gauge; a racy
     /// reading is at worst one collection cycle stale.
     pub(crate) oldest_bag: AtomicU64,
 }
@@ -64,9 +60,8 @@ pub(crate) struct Inner {
     pub(crate) retired: AtomicU64,
     /// Total objects freed (statistics).
     pub(crate) freed: AtomicU64,
-    /// Pins (and registrations) that went through the full thread registry:
-    /// every [`Collector::pin`] call plus every slot registration.
-    pub(crate) registry_pins: AtomicU64,
+    /// Successful slot registrations.
+    pub(crate) registrations: AtomicU64,
     /// Cheap local re-pins served by already-held registrations.  Updated
     /// lazily: each thread counts locally and flushes the total when its
     /// registration drops, so this lags until handles/threads exit.
@@ -86,15 +81,9 @@ impl Inner {
             stash_len: AtomicUsize::new(0),
             retired: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            registry_pins: AtomicU64::new(0),
+            registrations: AtomicU64::new(0),
             local_pins: AtomicU64::new(0),
         }
-    }
-
-    /// Counts one interaction with the full thread registry (a registration
-    /// or a registry-cached pin).
-    pub(crate) fn count_registry_pin(&self) {
-        self.registry_pins.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Claims a free slot for the calling thread, or returns
@@ -102,7 +91,6 @@ impl Inner {
     /// simultaneously — a wire-reachable condition for servers that spawn
     /// workers on demand, so it must be surfaceable, not a panic.
     pub(crate) fn register(&self) -> Result<usize, RegisterError> {
-        self.count_registry_pin();
         for (i, slot) in self.slots.iter().enumerate() {
             if !slot.in_use.load(Ordering::Relaxed)
                 && slot
@@ -111,6 +99,7 @@ impl Inner {
                     .is_ok()
             {
                 slot.announce.store(QUIESCENT, Ordering::Release);
+                self.registrations.fetch_add(1, Ordering::Relaxed);
                 return Ok(i);
             }
         }
@@ -187,111 +176,12 @@ impl Inner {
             self.freed.fetch_add(freed, Ordering::Relaxed);
         }
     }
-}
-
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // At this point no thread holds a reference to the collector, so all
-        // remaining stashed garbage is unreachable and safe to free.
-        let stash = std::mem::take(self.stash.get_mut().unwrap());
-        let mut freed = 0u64;
-        for bag in stash {
-            freed += bag.len() as u64;
-            bag.free_all();
-        }
-        self.freed.fetch_add(freed, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time statistics of a [`crate::Collector`].
-///
-/// The shape is shared by every [`Smr`] backend.  Field docs describe the
-/// EBR meanings; the hazard-pointer backend maps `epoch` to its global
-/// retire sequence number and `oldest_epoch_age` to how many retirements
-/// behind it the oldest still-held item is — the same "reclamation lag"
-/// reading either way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CollectorStats {
-    /// Current global epoch.
-    pub epoch: u64,
-    /// Total number of objects retired so far.
-    pub retired: u64,
-    /// Total number of objects freed so far.
-    pub freed: u64,
-    /// Pins that interacted with the full thread registry: one per
-    /// [`crate::Collector::pin`] call (thread-local lookup) plus one per
-    /// slot registration (including [`crate::Collector::register`]).  A
-    /// handle-driven
-    /// workload therefore accrues ~1 of these per thread, a pin-per-op
-    /// workload one per operation.  Registrations are counted immediately;
-    /// the per-call portion is flushed lazily like `local_pins`.
-    pub registry_pins: u64,
-    /// Cheap local re-pins made through owned [`crate::LocalHandle`]s.
-    /// Each thread counts privately and flushes the tally when its
-    /// registration drops, so this is exact only once the handles (or
-    /// threads) that pinned have gone away.
-    pub local_pins: u64,
-    /// Objects retired but not yet freed (`retired - freed`): the live
-    /// garbage backlog.  A stalled reader pins the epoch, every thread's
-    /// bags stop aging out, and this grows with the retire rate — the
-    /// first-order reclamation-lag signal.
-    pub unreclaimed: u64,
-    /// How many epochs behind the global epoch the oldest still-held bag
-    /// is (0 when no garbage is held).  Healthy reclamation keeps this at
-    /// ~2 (the reclamation horizon); a stalled reader freezes the epoch
-    /// while bags accumulate *at* it, so a large or growing value means
-    /// some thread is pinned far in the past and garbage cannot age out.
-    pub oldest_epoch_age: u64,
-}
-
-thread_local! {
-    /// Per-thread cache of registrations, keyed by collector identity.
-    /// Registrations are dropped (unregistering their slot and stashing
-    /// leftover garbage) when the thread exits.
-    static LOCALS: RefCell<HashMap<usize, Rc<Local>>> = RefCell::new(HashMap::new());
-}
-
-/// Returns (creating and registering if necessary) the calling thread's
-/// cached registration for `inner`.  Panics when the slot table is full —
-/// this backs the infallible [`crate::Collector::pin`]/`flush` paths.
-fn cached_local(inner: Arc<Inner>) -> Rc<Local> {
-    LOCALS.with(|locals| {
-        let mut map = locals.borrow_mut();
-        let key = Arc::as_ptr(&inner) as usize;
-        if let Some(h) = map.get(&key) {
-            return Rc::clone(h);
-        }
-        let local = Rc::new(Local::register(inner).unwrap_or_else(|e| panic!("{e}")));
-        map.insert(key, Rc::clone(&local));
-        local
-    })
-}
-
-impl Smr for Inner {
-    fn policy(&self) -> SmrPolicy {
-        SmrPolicy::Ebr
-    }
-
-    fn pin(self: Arc<Self>) -> Guard {
-        let local = cached_local(self);
-        local.count_registry_pin();
-        Local::pin(&local);
-        Guard::new(local)
-    }
-
-    fn try_register(self: Arc<Self>) -> Result<LocalHandle, RegisterError> {
-        LocalHandle::new(self)
-    }
-
-    fn flush(self: Arc<Self>) {
-        cached_local(self).flush();
-    }
 
     /// Statistics of the EBR backend; `oldest_epoch_age` is recomputed
     /// from live state (every in-use slot's published oldest bag plus the
     /// stash) at scrape time, so it cannot pin stale after bags move or
     /// drain behind a thread's back.
-    fn stats(&self) -> CollectorStats {
+    pub(crate) fn stats(&self) -> CollectorStats {
         let epoch = self.epoch.load(Ordering::SeqCst);
         let retired = self.retired.load(Ordering::Relaxed);
         let freed = self.freed.load(Ordering::Relaxed);
@@ -310,7 +200,7 @@ impl Smr for Inner {
             epoch,
             retired,
             freed,
-            registry_pins: self.registry_pins.load(Ordering::Relaxed),
+            registrations: self.registrations.load(Ordering::Relaxed),
             local_pins: self.local_pins.load(Ordering::Relaxed),
             // Saturating: `retired` and `freed` are read at different
             // instants under traffic, so `freed` can transiently lead.
@@ -323,11 +213,63 @@ impl Smr for Inner {
         }
     }
 
-    fn any_thread_pinned(&self) -> bool {
+    pub(crate) fn any_thread_pinned(&self) -> bool {
         self.slots.iter().any(|s| {
             s.in_use.load(Ordering::Acquire) && s.announce.load(Ordering::Acquire) != QUIESCENT
         })
     }
+}
+
+impl Drop for Inner {
+    fn drop(&mut self) {
+        // At this point no thread holds a reference to the collector, so all
+        // remaining stashed garbage is unreachable and safe to free.
+        let stash = std::mem::take(self.stash.get_mut().unwrap());
+        let mut freed = 0u64;
+        for bag in stash {
+            freed += bag.len() as u64;
+            bag.free_all();
+        }
+        self.freed.fetch_add(freed, Ordering::Relaxed);
+    }
+}
+
+/// Point-in-time statistics of a [`crate::Collector`].
+///
+/// The shape is shared by both backends.  Field docs describe the
+/// EBR meanings; the hazard-pointer backend maps `epoch` to its global
+/// retire sequence number and `oldest_epoch_age` to how many retirements
+/// behind it the oldest still-held item is — the same "reclamation lag"
+/// reading either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CollectorStats {
+    /// Current global epoch.
+    pub epoch: u64,
+    /// Total number of objects retired so far.
+    pub retired: u64,
+    /// Total number of objects freed so far.
+    pub freed: u64,
+    /// Successful slot registrations: one per [`crate::LocalHandle`]
+    /// handed out by [`crate::Collector::register`] or
+    /// [`crate::Collector::try_register`]; a refused `try_register` is not
+    /// counted.  A session-per-thread workload accrues one per thread.
+    pub registrations: u64,
+    /// Cheap local re-pins made through owned [`crate::LocalHandle`]s.
+    /// Each thread counts privately and flushes the tally when its
+    /// registration drops, so this is exact only once the handles (or
+    /// threads) that pinned have gone away.
+    pub local_pins: u64,
+    /// Objects retired but not yet freed (`retired - freed`): the live
+    /// garbage backlog.  A stalled reader pins the epoch, every thread's
+    /// bags stop aging out, and this grows with the retire rate — the
+    /// first-order reclamation-lag signal.
+    pub unreclaimed: u64,
+    /// How many epochs behind the global epoch the oldest still-held bag
+    /// is (0 when no garbage is held).  Healthy reclamation keeps this at
+    /// ~2 (the reclamation horizon); a stalled reader freezes the epoch
+    /// while bags accumulate *at* it, so a large or growing value means
+    /// some thread is pinned far in the past and garbage cannot age out.
+    pub oldest_epoch_age: u64,
 }
 
 #[cfg(test)]
@@ -385,7 +327,7 @@ mod tests {
     fn collector_clone_shares_state() {
         let c1 = Collector::new();
         let c2 = c1.clone();
-        c1.flush();
+        c1.register().flush();
         assert_eq!(c1.stats().epoch, c2.stats().epoch);
     }
 
@@ -487,7 +429,7 @@ mod tests {
 
         drop(stalled_guard);
         for _ in 0..8 {
-            collector.flush();
+            stalled.flush();
         }
         assert_eq!(collector.stats().unreclaimed, 0);
         assert_eq!(collector.stats().oldest_epoch_age, 0);

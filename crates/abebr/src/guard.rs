@@ -12,8 +12,8 @@ use crate::local::{Garbage, Local};
 /// shared structure during the guard's lifetime remain dereferenceable.
 ///
 /// Under the hazard-pointer backend a guard can be in one of two modes:
-/// **coarse** (from [`crate::Collector::pin`] / [`crate::LocalHandle::pin`],
-/// or after [`Guard::escalate`]) gives the blanket guarantee above, while
+/// **coarse** (from [`crate::LocalHandle::pin`], or after
+/// [`Guard::escalate`]) gives the blanket guarantee above, while
 /// **fine** (from [`crate::LocalHandle::pin_fine`]) protects only the
 /// pointers the caller publishes through [`Guard::protect`] and re-validates.
 /// [`Guard::needs_protect`] tells structure code which protocol applies;
@@ -71,8 +71,8 @@ impl Guard {
     /// Retires an object that `free` releases: `free(ptr)` runs once no
     /// thread can still hold a reference to it.  This is
     /// [`defer_drop`](Self::defer_drop) for memory that does not come from
-    /// `Box` (a slab slot, say).  Unlike [`defer`](Self::defer) it carries
-    /// `ptr` itself, so a hazard-pointer guard that protects `ptr` delays it.
+    /// `Box` (a slab slot, say); a hazard-pointer guard that protects `ptr`
+    /// delays it.
     ///
     /// # Safety
     ///
@@ -82,24 +82,7 @@ impl Guard {
     ///   this call;
     /// * no other call path may free the same object.
     pub unsafe fn defer_free(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
-        let garbage = Garbage::Object { ptr, destroy: free };
-        match &self.backend {
-            GuardBackend::Ebr(local) => local.retire(garbage),
-            GuardBackend::Hp(local) => local.retire(garbage),
-        }
-    }
-
-    /// Defers an arbitrary closure until no thread can still hold a
-    /// reference to whatever it frees.  Useful for freeing allocations that
-    /// were not created with `Box` (for example arena-backed persistent
-    /// nodes).
-    ///
-    /// Note for the hazard-pointer backend: a deferred closure has no
-    /// address a fine-mode hazard could name, so only coarse watermarks
-    /// delay it — callers that hand out pointers into `f`'s allocation must
-    /// not rely on fine-mode [`Guard::protect`] to keep them alive.
-    pub fn defer(&self, f: impl FnOnce() + Send + 'static) {
-        let garbage = Garbage::Deferred(Box::new(f));
+        let garbage = Garbage { ptr, destroy: free };
         match &self.backend {
             GuardBackend::Ebr(local) => local.retire(garbage),
             GuardBackend::Hp(local) => local.retire(garbage),
@@ -153,22 +136,6 @@ impl Guard {
             local.escalate();
         }
     }
-
-    /// Number of garbage objects buffered by the current thread (testing).
-    pub fn local_pending(&self) -> usize {
-        match &self.backend {
-            GuardBackend::Ebr(local) => local.pending(),
-            GuardBackend::Hp(local) => local.pending(),
-        }
-    }
-
-    /// Eagerly attempts a reclamation cycle.
-    pub fn flush(&self) {
-        match &self.backend {
-            GuardBackend::Ebr(local) => local.flush(),
-            GuardBackend::Hp(local) => local.flush(),
-        }
-    }
 }
 
 impl Drop for Guard {
@@ -188,9 +155,10 @@ mod tests {
     fn guard_is_reentrant_and_unpins_in_any_order() {
         for policy in SmrPolicy::ALL {
             let c = Collector::with_policy(policy);
-            let g1 = c.pin();
-            let g2 = c.pin();
-            let g3 = c.pin();
+            let h = c.register();
+            let g1 = h.pin();
+            let g2 = h.pin();
+            let g3 = h.pin();
             drop(g2);
             drop(g1);
             assert!(c.debug_any_thread_pinned(), "{policy}");
@@ -203,13 +171,14 @@ mod tests {
     fn guard_flush_reclaims_own_garbage_eventually() {
         for policy in SmrPolicy::ALL {
             let c = Collector::with_policy(policy);
+            let h = c.register();
             {
-                let g = c.pin();
+                let g = h.pin();
                 let p = Box::into_raw(Box::new([0u64; 8]));
                 unsafe { g.defer_drop(p) };
             }
             for _ in 0..8 {
-                c.flush();
+                h.flush();
             }
             assert_eq!(c.stats().freed, 1, "{policy}");
         }
@@ -226,13 +195,14 @@ mod tests {
         }
         for (round, policy) in SmrPolicy::ALL.into_iter().enumerate() {
             let c = Collector::with_policy(policy);
+            let h = c.register();
             {
-                let g = c.pin();
+                let g = h.pin();
                 let p = Box::into_raw(Box::new(5u64));
                 unsafe { g.defer_free(p.cast(), release) };
             }
             for _ in 0..8 {
-                c.flush();
+                h.flush();
             }
             assert_eq!(c.stats().freed, 1, "{policy}");
             assert_eq!(RELEASED.load(Ordering::SeqCst), round + 1, "{policy}");

@@ -11,7 +11,7 @@
 //!   Michael's scheme.  A reader stalled in fine mode blocks at most the
 //!   handful of nodes its hazards name — this is the bounded-garbage mode
 //!   point lookups run in.
-//! * **Coarse mode** ([`crate::Collector::pin`], or
+//! * **Coarse mode** ([`crate::LocalHandle::pin`], or
 //!   [`crate::Guard::escalate`] on a fine guard): the reader publishes a
 //!   **watermark** — the global retire sequence number observed at pin
 //!   time — and the scanner keeps every item retired at or after the
@@ -41,29 +41,24 @@
 //! retiring thread's scan (fence, then hazard loads) observes it.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crossbeam_utils::CachePadded;
+use absync::CachePadded;
 
 use crate::collector::{CollectorStats, NO_BAGS};
-use crate::guard::Guard;
-use crate::local::{Garbage, LocalHandle};
-use crate::smr::{RegisterError, Smr, SmrPolicy};
+use crate::local::Garbage;
+use crate::smr::RegisterError;
 use crate::{COLLECT_THRESHOLD, HAZARD_SLOTS, MAX_THREADS, QUIESCENT, STASH_DRAIN_INTERVAL};
 
-/// One retired object, tagged with its global retire sequence number and
-/// (for heap objects) the address fine-mode hazards are compared against.
+/// One retired object, tagged with its global retire sequence number;
+/// fine-mode hazards are compared against its `garbage.ptr`.
 #[derive(Debug)]
 struct HpItem {
     /// Global retire sequence number assigned when the item was retired.
     seq: u64,
-    /// Address of the retired allocation, or 0 for deferred closures
-    /// (which have no address a hazard could name — only watermarks
-    /// protect them, which the `defer` contract permits).
-    addr: usize,
     garbage: Garbage,
 }
 
@@ -111,7 +106,7 @@ pub(crate) struct HpInner {
     stash_len: AtomicUsize,
     retired: AtomicU64,
     freed: AtomicU64,
-    registry_pins: AtomicU64,
+    registrations: AtomicU64,
     local_pins: AtomicU64,
 }
 
@@ -128,14 +123,13 @@ impl HpInner {
             stash_len: AtomicUsize::new(0),
             retired: AtomicU64::new(0),
             freed: AtomicU64::new(0),
-            registry_pins: AtomicU64::new(0),
+            registrations: AtomicU64::new(0),
             local_pins: AtomicU64::new(0),
         }
     }
 
     /// Claims a free slot for the calling thread.
     fn register(&self) -> Result<usize, RegisterError> {
-        self.registry_pins.fetch_add(1, Ordering::Relaxed);
         for (i, slot) in self.slots.iter().enumerate() {
             if !slot.in_use.load(Ordering::Relaxed)
                 && slot
@@ -144,6 +138,7 @@ impl HpInner {
                     .is_ok()
             {
                 slot.watermark.store(QUIESCENT, Ordering::Release);
+                self.registrations.fetch_add(1, Ordering::Relaxed);
                 return Ok(i);
             }
         }
@@ -195,8 +190,7 @@ impl HpInner {
 
     /// Is `item` still protected by some thread?
     fn is_protected(item: &HpItem, min_watermark: u64, hazards: &[usize]) -> bool {
-        item.seq >= min_watermark
-            || (item.addr != 0 && hazards.binary_search(&item.addr).is_ok())
+        item.seq >= min_watermark || hazards.binary_search(&(item.garbage.ptr as usize)).is_ok()
     }
 
     /// Frees every stash item no announced watermark or hazard protects.
@@ -224,6 +218,49 @@ impl HpInner {
                 item.garbage.run();
             }
         }
+    }
+
+    /// Statistics in the shared [`CollectorStats`] shape: `epoch` is the
+    /// global retire sequence number, `oldest_epoch_age` is how many
+    /// retirements behind it the oldest still-held item is (the HP
+    /// reclamation-lag equivalent), and the remaining fields keep their
+    /// EBR meanings.
+    pub(crate) fn stats(&self) -> CollectorStats {
+        let epoch = self.retire_seq.load(Ordering::SeqCst);
+        let retired = self.retired.load(Ordering::Relaxed);
+        let freed = self.freed.load(Ordering::Relaxed);
+        let mut oldest = u64::MAX;
+        for slot in self.slots.iter() {
+            if slot.in_use.load(Ordering::Acquire) {
+                oldest = oldest.min(slot.oldest_item.load(Ordering::Acquire));
+            }
+        }
+        for item in self.stash.lock().unwrap().iter() {
+            oldest = oldest.min(item.seq);
+        }
+        CollectorStats {
+            epoch,
+            retired,
+            freed,
+            registrations: self.registrations.load(Ordering::Relaxed),
+            local_pins: self.local_pins.load(Ordering::Relaxed),
+            unreclaimed: retired.saturating_sub(freed),
+            oldest_epoch_age: if oldest == u64::MAX {
+                0
+            } else {
+                epoch.saturating_sub(oldest)
+            },
+        }
+    }
+
+    pub(crate) fn any_thread_pinned(&self) -> bool {
+        self.slots.iter().any(|s| {
+            s.in_use.load(Ordering::Acquire)
+                && (s.watermark.load(Ordering::Acquire) != QUIESCENT
+                    || s.hazards
+                        .iter()
+                        .any(|h| !h.load(Ordering::Acquire).is_null()))
+        })
     }
 }
 
@@ -256,11 +293,10 @@ pub(crate) struct HpLocal {
     retired_since_scan: Cell<usize>,
     unpins_since_stash_check: Cell<usize>,
     local_pins: Cell<u64>,
-    registry_pins: Cell<u64>,
 }
 
 impl HpLocal {
-    fn register(inner: Arc<HpInner>) -> Result<Self, RegisterError> {
+    pub(crate) fn register(inner: Arc<HpInner>) -> Result<Self, RegisterError> {
         let slot = inner.register()?;
         Ok(Self {
             inner,
@@ -272,16 +308,11 @@ impl HpLocal {
             retired_since_scan: Cell::new(0),
             unpins_since_stash_check: Cell::new(0),
             local_pins: Cell::new(0),
-            registry_pins: Cell::new(0),
         })
     }
 
     pub(crate) fn count_local_pin(&self) {
         self.local_pins.set(self.local_pins.get() + 1);
-    }
-
-    pub(crate) fn count_registry_pin(&self) {
-        self.registry_pins.set(self.registry_pins.get() + 1);
     }
 
     /// Publishes the coarse watermark for the current pin region.
@@ -399,14 +430,10 @@ impl HpLocal {
         // therefore provably unreachable to that reader (module docs).
         fence(Ordering::SeqCst);
         let seq = self.inner.retire_seq.fetch_add(1, Ordering::SeqCst);
-        let addr = match &garbage {
-            Garbage::Object { ptr, .. } => *ptr as usize,
-            Garbage::Deferred(_) => 0,
-        };
         {
             let mut items = self.retired.borrow_mut();
             let was_empty = items.is_empty();
-            items.push_back(HpItem { seq, addr, garbage });
+            items.push_back(HpItem { seq, garbage });
             if was_empty {
                 self.inner.slots[self.slot]
                     .oldest_item
@@ -457,10 +484,6 @@ impl HpLocal {
         self.inner.collect_stash(min_watermark, &hazards);
     }
 
-    pub(crate) fn flush(&self) {
-        self.try_collect();
-    }
-
     /// Number of garbage objects currently buffered by this thread
     /// (diagnostics for tests).
     pub(crate) fn pending(&self) -> usize {
@@ -478,100 +501,11 @@ impl Drop for HpLocal {
         self.inner
             .local_pins
             .fetch_add(self.local_pins.get(), Ordering::Relaxed);
-        self.inner
-            .registry_pins
-            .fetch_add(self.registry_pins.get(), Ordering::Relaxed);
         // One last scan on the way out so only genuinely-protected items
         // reach the stash.
         self.try_collect();
         let leftover: Vec<HpItem> = self.retired.borrow_mut().drain(..).collect();
         self.inner.unregister(self.slot, leftover);
-    }
-}
-
-thread_local! {
-    /// Per-thread cache of registrations, keyed by collector identity
-    /// (the HP sibling of the EBR `LOCALS` cache).
-    static HP_LOCALS: RefCell<HashMap<usize, Rc<HpLocal>>> = RefCell::new(HashMap::new());
-}
-
-/// Returns (creating and registering if necessary) the calling thread's
-/// cached registration for `inner`.  Panics when the slot table is full —
-/// this backs the infallible [`crate::Collector::pin`]/`flush` paths.
-fn cached_local(inner: Arc<HpInner>) -> Rc<HpLocal> {
-    HP_LOCALS.with(|locals| {
-        let mut map = locals.borrow_mut();
-        let key = Arc::as_ptr(&inner) as usize;
-        if let Some(h) = map.get(&key) {
-            return Rc::clone(h);
-        }
-        let local = Rc::new(HpLocal::register(inner).unwrap_or_else(|e| panic!("{e}")));
-        map.insert(key, Rc::clone(&local));
-        local
-    })
-}
-
-impl Smr for HpInner {
-    fn policy(&self) -> SmrPolicy {
-        SmrPolicy::Hp
-    }
-
-    fn pin(self: Arc<Self>) -> Guard {
-        let local = cached_local(self);
-        local.count_registry_pin();
-        HpLocal::pin(&local);
-        Guard::new_hp(local)
-    }
-
-    fn try_register(self: Arc<Self>) -> Result<LocalHandle, RegisterError> {
-        Ok(LocalHandle::new_hp(Rc::new(HpLocal::register(self)?)))
-    }
-
-    fn flush(self: Arc<Self>) {
-        cached_local(self).flush();
-    }
-
-    /// Statistics in the shared [`CollectorStats`] shape: `epoch` is the
-    /// global retire sequence number, `oldest_epoch_age` is how many
-    /// retirements behind it the oldest still-held item is (the HP
-    /// reclamation-lag equivalent), and the remaining fields keep their
-    /// EBR meanings.
-    fn stats(&self) -> CollectorStats {
-        let epoch = self.retire_seq.load(Ordering::SeqCst);
-        let retired = self.retired.load(Ordering::Relaxed);
-        let freed = self.freed.load(Ordering::Relaxed);
-        let mut oldest = u64::MAX;
-        for slot in self.slots.iter() {
-            if slot.in_use.load(Ordering::Acquire) {
-                oldest = oldest.min(slot.oldest_item.load(Ordering::Acquire));
-            }
-        }
-        for item in self.stash.lock().unwrap().iter() {
-            oldest = oldest.min(item.seq);
-        }
-        CollectorStats {
-            epoch,
-            retired,
-            freed,
-            registry_pins: self.registry_pins.load(Ordering::Relaxed),
-            local_pins: self.local_pins.load(Ordering::Relaxed),
-            unreclaimed: retired.saturating_sub(freed),
-            oldest_epoch_age: if oldest == u64::MAX {
-                0
-            } else {
-                epoch.saturating_sub(oldest)
-            },
-        }
-    }
-
-    fn any_thread_pinned(&self) -> bool {
-        self.slots.iter().any(|s| {
-            s.in_use.load(Ordering::Acquire)
-                && (s.watermark.load(Ordering::Acquire) != QUIESCENT
-                    || s.hazards
-                        .iter()
-                        .any(|h| !h.load(Ordering::Acquire).is_null()))
-        })
     }
 }
 

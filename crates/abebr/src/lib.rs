@@ -24,9 +24,8 @@
 //!
 //! EBR's production failure mode is the **stalled reader**: one thread
 //! parked inside a pinned region freezes the epoch, and every thread's
-//! garbage accumulates behind it without bound.  The [`Smr`] trait makes
-//! the reclamation scheme pluggable, and [`Collector::new_hp`] selects a
-//! **hazard-pointer backend** ([`hp`]) whose fine-mode readers
+//! garbage accumulates behind it without bound.  [`Collector::new_hp`]
+//! selects a **hazard-pointer backend** ([`hp`]) whose fine-mode readers
 //! ([`LocalHandle::pin_fine`] + [`Guard::protect`]) name the O(1) nodes
 //! they actually hold — a stalled reader then blocks at most
 //! [`HAZARD_SLOTS`] objects plus what was retired after it pinned, and
@@ -36,41 +35,26 @@
 //!
 //! # Usage
 //!
+//! A thread registers once and pins, retires and flushes through the owned
+//! [`LocalHandle`] it gets back (the per-thread `MapHandle` sessions of the
+//! `abtree` crate hold one each):
+//!
 //! ```
 //! use abebr::Collector;
 //!
 //! let collector = Collector::new();
-//! let guard = collector.pin();
+//! let local = collector.register(); // once per thread
+//! let guard = local.pin(); // per operation: a local epoch announcement
 //! let node = Box::into_raw(Box::new(42u64));
 //! // ... unlink `node` from the shared structure ...
 //! unsafe { guard.defer_drop(node) };
 //! drop(guard);
-//! collector.flush(); // optional: try to advance and reclaim promptly
+//! local.flush(); // optional: try to advance and reclaim promptly
 //! ```
 //!
-//! # The two pin paths
-//!
-//! [`Collector::pin`] looks the calling thread up in a thread-local registry
-//! on **every** call, which is convenient but costs a hash-map probe per
-//! pin.  Session-style callers (the per-thread [`MapHandle`] sessions of the
-//! `abtree` crate) instead call [`Collector::register`] once per thread and
-//! pin through the returned owned [`LocalHandle`]:
-//!
-//! ```
-//! use abebr::Collector;
-//!
-//! let collector = Collector::new();
-//! let local = collector.register(); // one registry interaction
-//! for _ in 0..1_000 {
-//!     let _guard = local.pin(); // cheap local epoch announcement
-//! }
-//! ```
-//!
-//! [`CollectorStats::registry_pins`] and [`CollectorStats::local_pins`]
-//! count the two paths separately, so a workload can assert it pays the
-//! registry cost once per thread rather than once per operation.
-//!
-//! [`MapHandle`]: https://docs.rs/abtree (the `abtree::MapHandle` sessions)
+//! [`CollectorStats::registrations`] and [`CollectorStats::local_pins`]
+//! count registrations and pins separately, so a workload can assert it
+//! registers once per thread rather than once per operation.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -84,7 +68,7 @@ mod smr;
 pub use collector::CollectorStats;
 pub use guard::Guard;
 pub use local::LocalHandle;
-pub use smr::{Collector, RegisterError, Smr, SmrPolicy};
+pub use smr::{Collector, RegisterError, SmrPolicy};
 
 /// Maximum number of threads that can be registered with one [`Collector`]
 /// at the same time.  The paper's largest machine exposes 144 hardware
@@ -139,67 +123,76 @@ mod tests {
 
     #[test]
     fn single_thread_retire_and_reclaim() {
-        let collector = Collector::new();
-        let drops = Arc::new(AtomicUsize::new(0));
-        const N: usize = 1000;
-        for _ in 0..N {
-            let guard = collector.pin();
-            let p = new_counted(&drops);
-            unsafe { guard.defer_drop(p) };
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let local = collector.register();
+            let drops = Arc::new(AtomicUsize::new(0));
+            const N: usize = 1000;
+            for _ in 0..N {
+                let guard = local.pin();
+                let p = new_counted(&drops);
+                unsafe { guard.defer_drop(p) };
+            }
+            // Repeated flushing with no other threads must reclaim everything.
+            for _ in 0..8 {
+                local.flush();
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), N, "{policy}");
+            assert_eq!(collector.stats().retired, N as u64, "{policy}");
+            assert_eq!(collector.stats().freed, N as u64, "{policy}");
         }
-        // Repeated flushing with no other threads must reclaim everything.
-        for _ in 0..8 {
-            collector.flush();
-        }
-        assert_eq!(drops.load(Ordering::SeqCst), N);
-        assert_eq!(collector.stats().retired, N as u64);
-        assert_eq!(collector.stats().freed, N as u64);
     }
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
-        let collector = Collector::new();
-        let drops = Arc::new(AtomicUsize::new(0));
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let drops = Arc::new(AtomicUsize::new(0));
 
-        // A long-lived guard on another thread prevents the epoch from
-        // advancing far enough to reclaim.
-        let collector2 = collector.clone();
-        let (tx, rx) = std::sync::mpsc::channel::<()>();
-        let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
-        let blocker = std::thread::spawn(move || {
-            let _guard = collector2.pin();
-            ready_tx.send(()).unwrap();
-            rx.recv().unwrap();
-        });
-        ready_rx.recv().unwrap();
+            // A long-lived guard on another thread prevents the epoch from
+            // advancing far enough to reclaim (under HP: its coarse
+            // watermark keeps everything retired after it).
+            let collector2 = collector.clone();
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let (ready_tx, ready_rx) = std::sync::mpsc::channel::<()>();
+            let blocker = std::thread::spawn(move || {
+                let local = collector2.register();
+                let _guard = local.pin();
+                ready_tx.send(()).unwrap();
+                rx.recv().unwrap();
+            });
+            ready_rx.recv().unwrap();
 
-        {
-            let guard = collector.pin();
-            let p = new_counted(&drops);
-            unsafe { guard.defer_drop(p) };
-        }
-        for _ in 0..8 {
-            collector.flush();
-        }
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "object reclaimed while another thread was pinned"
-        );
+            let local = collector.register();
+            {
+                let guard = local.pin();
+                let p = new_counted(&drops);
+                unsafe { guard.defer_drop(p) };
+            }
+            for _ in 0..8 {
+                local.flush();
+            }
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                0,
+                "{policy}: object reclaimed while another thread was pinned"
+            );
 
-        tx.send(()).unwrap();
-        blocker.join().unwrap();
-        for _ in 0..8 {
-            collector.flush();
+            tx.send(()).unwrap();
+            blocker.join().unwrap();
+            for _ in 0..8 {
+                local.flush();
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "{policy}");
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn reentrant_pin() {
         let collector = Collector::new();
-        let g1 = collector.pin();
-        let g2 = collector.pin();
+        let local = collector.register();
+        let g1 = local.pin();
+        let g2 = local.pin();
         drop(g1);
         // The thread must still be considered pinned while g2 lives.
         assert!(collector.debug_any_thread_pinned());
@@ -209,129 +202,114 @@ mod tests {
 
     #[test]
     fn garbage_from_exited_threads_is_reclaimed_on_drop() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        {
-            let collector = Collector::new();
-            let drops2 = Arc::clone(&drops);
-            let collector2 = collector.clone();
-            std::thread::spawn(move || {
-                let guard = collector2.pin();
-                for _ in 0..100 {
-                    let p = new_counted(&drops2);
-                    unsafe { guard.defer_drop(p) };
-                }
-            })
-            .join()
-            .unwrap();
-            // Some garbage may or may not have been reclaimed already; the
-            // rest must be reclaimed when the collector is dropped.
+        for policy in SmrPolicy::ALL {
+            let drops = Arc::new(AtomicUsize::new(0));
+            {
+                let collector = Collector::with_policy(policy);
+                let drops2 = Arc::clone(&drops);
+                let collector2 = collector.clone();
+                std::thread::spawn(move || {
+                    let local = collector2.register();
+                    let guard = local.pin();
+                    for _ in 0..100 {
+                        let p = new_counted(&drops2);
+                        unsafe { guard.defer_drop(p) };
+                    }
+                })
+                .join()
+                .unwrap();
+                // Some garbage may or may not have been reclaimed already;
+                // the rest must be reclaimed when the collector is dropped.
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 100, "{policy}");
         }
-        assert_eq!(drops.load(Ordering::SeqCst), 100);
     }
 
     #[test]
     fn multi_threaded_stress_no_leak_no_double_free() {
         const THREADS: usize = 8;
         const PER_THREAD: usize = 5_000;
-        let collector = Collector::new();
-        let drops = Arc::new(AtomicUsize::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..THREADS {
-            let collector = collector.clone();
-            let drops = Arc::clone(&drops);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..PER_THREAD {
-                    let guard = collector.pin();
-                    let p = new_counted(&drops);
-                    unsafe { guard.defer_drop(p) };
-                    drop(guard);
-                    if i % 128 == 0 {
-                        collector.flush();
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut handles = Vec::new();
+            for _ in 0..THREADS {
+                let collector = collector.clone();
+                let drops = Arc::clone(&drops);
+                handles.push(std::thread::spawn(move || {
+                    let local = collector.register();
+                    for i in 0..PER_THREAD {
+                        let guard = local.pin();
+                        let p = new_counted(&drops);
+                        unsafe { guard.defer_drop(p) };
+                        drop(guard);
+                        if i % 128 == 0 {
+                            local.flush();
+                        }
                     }
-                }
-            }));
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            drop(collector);
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                THREADS * PER_THREAD,
+                "{policy}"
+            );
         }
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(collector);
-        assert_eq!(drops.load(Ordering::SeqCst), THREADS * PER_THREAD);
-    }
-
-    #[test]
-    fn defer_fn_runs() {
-        let collector = Collector::new();
-        let ran = Arc::new(AtomicUsize::new(0));
-        {
-            let guard = collector.pin();
-            let ran2 = Arc::clone(&ran);
-            guard.defer(move || {
-                ran2.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        for _ in 0..8 {
-            collector.flush();
-        }
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn registry_vs_local_pin_accounting() {
-        let collector = Collector::new();
+        const THREADS: u64 = 2;
         const OPS: u64 = 500;
-        // Pin-per-op path: every pin pays a registry lookup.
-        let c2 = collector.clone();
-        std::thread::spawn(move || {
-            for _ in 0..OPS {
-                let _g = c2.pin();
-            }
-        })
-        .join()
-        .unwrap();
-        let s = collector.stats();
-        assert!(
-            s.registry_pins >= OPS,
-            "Collector::pin must count registry pins (got {})",
-            s.registry_pins
-        );
-        assert_eq!(s.local_pins, 0);
-
-        // Handle path: one registration, then cheap local re-pins only.
-        let before = collector.stats().registry_pins;
-        let c2 = collector.clone();
-        std::thread::spawn(move || {
-            let local = c2.register();
-            for _ in 0..OPS {
-                let _g = local.pin();
-            }
-        })
-        .join()
-        .unwrap();
-        let s = collector.stats();
-        assert_eq!(
-            s.registry_pins - before,
-            1,
-            "a handle-driven loop must interact with the registry exactly once"
-        );
-        assert_eq!(s.local_pins, OPS, "local re-pins flushed on handle drop");
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            std::thread::scope(|s| {
+                for _ in 0..THREADS {
+                    s.spawn(|| {
+                        let local = collector.register();
+                        for _ in 0..OPS {
+                            let _g = local.pin();
+                        }
+                    });
+                }
+            });
+            let s = collector.stats();
+            assert_eq!(
+                s.registrations, THREADS,
+                "{policy}: a handle-driven loop registers exactly once per thread"
+            );
+            assert_eq!(
+                s.local_pins,
+                THREADS * OPS,
+                "{policy}: every local pin counted, flushed on handle drop"
+            );
+        }
     }
 
     #[test]
     fn stats_are_consistent() {
-        let collector = Collector::new();
-        {
-            let guard = collector.pin();
-            for _ in 0..10 {
-                let p = Box::into_raw(Box::new(7u32));
-                unsafe { guard.defer_drop(p) };
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let local = collector.register();
+            {
+                let guard = local.pin();
+                for _ in 0..10 {
+                    let p = Box::into_raw(Box::new(7u32));
+                    unsafe { guard.defer_drop(p) };
+                }
             }
+            for _ in 0..8 {
+                local.flush();
+            }
+            let s = collector.stats();
+            assert_eq!(s.retired, 10, "{policy}");
+            assert_eq!(s.freed, 10, "{policy}");
+            assert_eq!(s.unreclaimed, 0, "{policy}");
+            assert!(s.epoch >= 2, "{policy}");
         }
-        for _ in 0..8 {
-            collector.flush();
-        }
-        let s = collector.stats();
-        assert_eq!(s.retired, 10);
-        assert_eq!(s.freed, 10);
-        assert!(s.epoch >= 2);
     }
 }

@@ -13,44 +13,26 @@ use crate::hp::HpLocal;
 use crate::smr::RegisterError;
 use crate::{COLLECT_THRESHOLD, QUIESCENT, STASH_DRAIN_INTERVAL};
 
-/// A single piece of retired garbage: either a heap object to drop or an
-/// arbitrary deferred closure.
-pub(crate) enum Garbage {
-    /// A raw pointer plus the function that knows how to drop/free it.
-    Object {
-        /// Type-erased pointer to the retired allocation.
-        ptr: *mut u8,
-        /// Frees and drops the allocation behind `ptr`.
-        destroy: unsafe fn(*mut u8),
-    },
-    /// A deferred closure.
-    Deferred(Box<dyn FnOnce() + Send>),
+/// A single piece of retired garbage: a raw pointer plus the function that
+/// knows how to drop/free it.
+#[derive(Debug)]
+pub(crate) struct Garbage {
+    /// Type-erased pointer to the retired allocation.
+    pub(crate) ptr: *mut u8,
+    /// Frees and drops the allocation behind `ptr`.
+    pub(crate) destroy: unsafe fn(*mut u8),
 }
 
-// SAFETY: the pointer inside `Object` refers to an allocation that has been
-// unlinked from all shared structures; ownership (and the responsibility to
-// free it) travels with the `Garbage` value, which is only ever executed once.
+// SAFETY: `ptr` refers to an allocation that has been unlinked from all
+// shared structures; ownership (and the responsibility to free it) travels
+// with the `Garbage` value, which is only ever run once.
 unsafe impl Send for Garbage {}
 
 impl Garbage {
     pub(crate) fn run(self) {
-        match self {
-            Garbage::Object { ptr, destroy } => {
-                // SAFETY: by construction `destroy` matches the allocation
-                // behind `ptr`, and each Garbage value is run exactly once.
-                unsafe { destroy(ptr) }
-            }
-            Garbage::Deferred(f) => f(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Garbage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Garbage::Object { ptr, .. } => write!(f, "Garbage::Object({ptr:p})"),
-            Garbage::Deferred(_) => write!(f, "Garbage::Deferred"),
-        }
+        // SAFETY: by construction `destroy` matches the allocation behind
+        // `ptr`, and each Garbage value is run exactly once.
+        unsafe { (self.destroy)(self.ptr) }
     }
 }
 
@@ -81,12 +63,11 @@ impl Bag {
     }
 }
 
-/// Per-thread registration state behind both pin paths (the thread-registry
-/// cache used by [`crate::Collector::pin`] and the owned [`LocalHandle`]).
+/// Per-thread registration state behind an EBR [`LocalHandle`].
 ///
-/// Registered lazily, cached behind `Rc` so that [`Guard`]s can keep it alive
-/// past a [`LocalHandle`] drop, and unregistered (stashing leftover garbage)
-/// when the last reference goes away.
+/// Held behind `Rc` so that [`Guard`]s can keep it alive past a
+/// [`LocalHandle`] drop, and unregistered (stashing leftover garbage) when
+/// the last reference goes away.
 #[derive(Debug)]
 pub(crate) struct Local {
     inner: Arc<Inner>,
@@ -99,16 +80,10 @@ pub(crate) struct Local {
     /// [`STASH_DRAIN_INTERVAL`]th one runs a collection cycle so stashed
     /// garbage drains even when the surviving threads never retire.
     unpins_since_stash_check: Cell<usize>,
-    /// Pins served through this registration without touching the thread
-    /// registry (cheap local re-pins).  Flushed into the collector's shared
-    /// counter when the registration drops, so per-op pins never write a
-    /// shared cache line.
+    /// Pins served through this registration.  Flushed into the
+    /// collector's shared counter when the registration drops, so per-op
+    /// pins never write a shared cache line.
     local_pins: Cell<u64>,
-    /// Pins that reached this registration through the thread-registry
-    /// lookup of [`crate::Collector::pin`].  Counted per thread and flushed
-    /// on drop for the same reason as `local_pins`: even the legacy pin
-    /// path should not add a shared-cache-line write per operation.
-    registry_pins: Cell<u64>,
 }
 
 impl Local {
@@ -124,18 +99,12 @@ impl Local {
             retired_since_collect: Cell::new(0),
             unpins_since_stash_check: Cell::new(0),
             local_pins: Cell::new(0),
-            registry_pins: Cell::new(0),
         })
     }
 
     /// Counts one cheap re-pin through an already-held registration.
     pub(crate) fn count_local_pin(&self) {
         self.local_pins.set(self.local_pins.get() + 1);
-    }
-
-    /// Counts one pin that went through the thread registry.
-    pub(crate) fn count_registry_pin(&self) {
-        self.registry_pins.set(self.registry_pins.get() + 1);
     }
 
     /// Enters a pinned region (reentrant).
@@ -255,11 +224,6 @@ impl Local {
         self.inner.collect_stash(global);
     }
 
-    /// Public entry point used by [`crate::Collector::flush`].
-    pub(crate) fn flush(&self) {
-        self.try_collect();
-    }
-
     /// Number of garbage objects currently buffered by this thread
     /// (diagnostics for tests).
     pub(crate) fn pending(&self) -> usize {
@@ -277,9 +241,6 @@ impl Drop for Local {
         self.inner
             .local_pins
             .fetch_add(self.local_pins.get(), Ordering::Relaxed);
-        self.inner
-            .registry_pins
-            .fetch_add(self.registry_pins.get(), Ordering::Relaxed);
         let leftover: Vec<Bag> = self.bags.borrow_mut().drain(..).collect();
         self.inner.unregister(self.slot, leftover);
         // Give the garbage we just stashed a chance to be freed promptly if
@@ -289,12 +250,10 @@ impl Drop for Local {
     }
 }
 
-/// An **owned** per-thread registration with a [`crate::Collector`]: the fast
-/// pin path for session-style callers.
+/// An **owned** per-thread registration with a [`crate::Collector`]: the
+/// one way a thread pins, retires and flushes.
 ///
-/// [`crate::Collector::pin`] has to look the calling thread up in a
-/// thread-local registry on every call.  A `LocalHandle`, obtained once per
-/// thread via [`crate::Collector::register`], skips that lookup entirely:
+/// Obtained once per thread (or session) via [`crate::Collector::register`].
 /// [`LocalHandle::pin`] is a plain epoch announcement (one uncontended store
 /// plus a fence), which is what makes per-operation pinning cheap enough for
 /// the per-thread map sessions built on top of this crate.
@@ -317,26 +276,25 @@ enum HandleBackend {
 }
 
 impl LocalHandle {
-    /// Registers a fresh EBR slot with `inner`.
-    pub(crate) fn new(inner: Arc<Inner>) -> Result<Self, RegisterError> {
-        Ok(Self {
-            backend: HandleBackend::Ebr(Rc::new(Local::register(inner)?)),
-        })
-    }
-
-    /// Wraps an already-registered hazard-pointer local.
-    pub(crate) fn new_hp(local: Rc<HpLocal>) -> Self {
+    /// Wraps a freshly registered EBR local.
+    pub(crate) fn ebr(local: Local) -> Self {
         Self {
-            backend: HandleBackend::Hp(local),
+            backend: HandleBackend::Ebr(Rc::new(local)),
         }
     }
 
-    /// Pins the owning thread without consulting the thread registry.
-    /// Reentrant; see [`Guard`] for the guarantees the pin provides.
-    /// Under the hazard-pointer backend this is a *coarse* pin: like EBR
-    /// it protects everything retired after it (and therefore stalls
-    /// reclamation while held) — use it for traversals with unbounded
-    /// footprints, e.g. range scans.
+    /// Wraps a freshly registered hazard-pointer local.
+    pub(crate) fn hp(local: HpLocal) -> Self {
+        Self {
+            backend: HandleBackend::Hp(Rc::new(local)),
+        }
+    }
+
+    /// Pins the owning thread.  Reentrant; see [`Guard`] for the guarantees
+    /// the pin provides.  Under the hazard-pointer backend this is a
+    /// *coarse* pin: like EBR it protects everything retired after it (and
+    /// therefore stalls reclamation while held) — use it for traversals
+    /// with unbounded footprints, e.g. range scans.
     pub fn pin(&self) -> Guard {
         match &self.backend {
             HandleBackend::Ebr(local) => {
@@ -391,8 +349,8 @@ impl LocalHandle {
     /// registration's retirements plus the shared stash).
     pub fn flush(&self) {
         match &self.backend {
-            HandleBackend::Ebr(local) => local.flush(),
-            HandleBackend::Hp(local) => local.flush(),
+            HandleBackend::Ebr(local) => local.try_collect(),
+            HandleBackend::Hp(local) => local.try_collect(),
         }
     }
 }
@@ -404,15 +362,16 @@ mod tests {
     #[test]
     fn pending_counts_buffered_garbage() {
         let collector = Collector::new();
-        let guard = collector.pin();
+        let handle = collector.register();
+        let guard = handle.pin();
         for _ in 0..5 {
             let p = Box::into_raw(Box::new(1u8));
             unsafe { guard.defer_drop(p) };
         }
-        assert_eq!(guard.local_pending(), 5);
+        assert_eq!(handle.pending(), 5);
         drop(guard);
         for _ in 0..8 {
-            collector.flush();
+            handle.flush();
         }
         let s = collector.stats();
         assert_eq!(s.freed, 5);
@@ -421,19 +380,20 @@ mod tests {
     #[test]
     fn bag_epoch_grouping() {
         let collector = Collector::new();
+        let handle = collector.register();
         {
-            let guard = collector.pin();
+            let guard = handle.pin();
             let p = Box::into_raw(Box::new(1u8));
             unsafe { guard.defer_drop(p) };
         }
-        collector.flush(); // advances epoch
+        handle.flush(); // advances epoch
         {
-            let guard = collector.pin();
+            let guard = handle.pin();
             let p = Box::into_raw(Box::new(2u8));
             unsafe { guard.defer_drop(p) };
         }
         for _ in 0..8 {
-            collector.flush();
+            handle.flush();
         }
         assert_eq!(collector.stats().freed, 2);
     }
@@ -451,9 +411,8 @@ mod tests {
             assert_eq!(handle.pending(), 1);
         }
         assert!(!handle.is_pinned());
-        drop(handle);
         for _ in 0..8 {
-            collector.flush();
+            handle.flush();
         }
         assert_eq!(collector.stats().freed, 1);
     }
@@ -471,8 +430,11 @@ mod tests {
         unsafe { guard.defer_drop(p) };
         drop(guard);
         assert!(!collector.debug_any_thread_pinned());
+        // The registration is gone and its bag stashed; another handle's
+        // collection drains the stash.
+        let flusher = collector.register();
         for _ in 0..8 {
-            collector.flush();
+            flusher.flush();
         }
         assert_eq!(collector.stats().freed, 1);
     }

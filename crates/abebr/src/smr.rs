@@ -1,12 +1,8 @@
-//! The pluggable safe-memory-reclamation (SMR) interface: the [`Smr`]
-//! backend trait, the [`SmrPolicy`] selector, and the [`Collector`] front
-//! door shared by every backend.
+//! The safe-memory-reclamation (SMR) front door: the [`SmrPolicy`]
+//! selector and the [`Collector`] shared by every backend.
 //!
-//! The crate started as a single epoch-based collector; the types
-//! `Collector` / [`LocalHandle`] / [`Guard`] already *implied* a reclamation
-//! interface (register a thread, pin to a guard, retire through the guard,
-//! flush, observe stats).  This module names that interface so the same
-//! structures can run under different reclamation schemes:
+//! One interface — register a thread, pin to a guard, retire through the
+//! guard, flush, observe stats — runs under either reclamation scheme:
 //!
 //! * **EBR** ([`SmrPolicy::Ebr`], the default) — epoch-based reclamation.
 //!   Pins are a single epoch announcement, retirement is amortized and
@@ -19,18 +15,17 @@
 //!   [`crate::HAZARD_SLOTS`] objects plus whatever was retired after it
 //!   pinned; everything else keeps reclaiming.
 //!
-//! Backends share the guard/handle front end: [`Guard`] and [`LocalHandle`]
-//! are small enums over the per-backend thread state, so structure code is
-//! written once against them and runs under either scheme.
+//! Backends share the front end: [`Collector`], [`LocalHandle`] and
+//! [`Guard`](crate::Guard) are small enums over the per-backend state, so structure code
+//! is written once against them and runs under either scheme.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::collector::{CollectorStats, Inner};
-use crate::guard::Guard;
-use crate::hp::HpInner;
-use crate::local::LocalHandle;
+use crate::hp::{HpInner, HpLocal};
+use crate::local::{Local, LocalHandle};
 
 /// Which reclamation backend a [`Collector`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -101,52 +96,23 @@ impl fmt::Display for RegisterError {
 
 impl std::error::Error for RegisterError {}
 
-/// A safe-memory-reclamation backend: the interface every scheme provides
-/// behind a [`Collector`].
-///
-/// Object-safe by design — a `Collector` holds an `Arc<dyn Smr>` — and
-/// implemented by the EBR collector core and the hazard-pointer core.  The
-/// `Arc<Self>` receivers let a backend park per-thread state keyed by its
-/// own identity (thread-local registration caches).
-pub trait Smr: fmt::Debug + Send + Sync {
-    /// Which policy this backend implements.
-    fn policy(&self) -> SmrPolicy;
-
-    /// Pins the calling thread through the backend's thread-local
-    /// registration cache (registering it on first use) and returns a
-    /// guard.  Panics if the registration table is full; see
-    /// [`Smr::try_register`] for the fallible path.
-    fn pin(self: Arc<Self>) -> Guard;
-
-    /// Claims a fresh registration slot for the calling thread, returning
-    /// an owned handle whose `pin` skips the thread-registry lookup, or
-    /// [`RegisterError`] if all slots are taken.
-    fn try_register(self: Arc<Self>) -> Result<LocalHandle, RegisterError>;
-
-    /// Eagerly attempts a reclamation cycle on behalf of the calling
-    /// thread (registering it on first use, like [`Smr::pin`]).
-    fn flush(self: Arc<Self>);
-
-    /// Point-in-time statistics in the shared [`CollectorStats`] shape
-    /// (each backend documents how its fields map).
-    fn stats(&self) -> CollectorStats;
-
-    /// Debug/testing helper: does any registered thread currently hold an
-    /// observable pin (an epoch announcement, a retire-watermark, or a
-    /// non-null hazard slot)?
-    fn any_thread_pinned(&self) -> bool;
-}
-
 /// A garbage collector shared by all threads operating on one (or several)
-/// concurrent data structures, backed by a pluggable [`Smr`] scheme
-/// (epoch-based reclamation by default, hazard pointers via
-/// [`Collector::new_hp`] / [`Collector::with_policy`]).
+/// concurrent data structures, running epoch-based reclamation by default
+/// or hazard pointers ([`Collector::new_hp`] / [`Collector::with_policy`]).
 ///
 /// `Collector` is cheaply cloneable (it is a reference-counted handle);
-/// every clone refers to the same backend state.
+/// every clone refers to the same backend state.  Threads take part through
+/// the owned [`LocalHandle`] that [`Collector::register`] returns.
 #[derive(Debug, Clone)]
 pub struct Collector {
-    backend: Arc<dyn Smr>,
+    backend: Backend,
+}
+
+/// The shared state of the backend a [`Collector`] runs.
+#[derive(Debug, Clone)]
+enum Backend {
+    Ebr(Arc<Inner>),
+    Hp(Arc<HpInner>),
 }
 
 impl Default for Collector {
@@ -159,14 +125,14 @@ impl Collector {
     /// Creates a new epoch-based collector with no registered threads.
     pub fn new() -> Self {
         Self {
-            backend: Arc::new(Inner::new()),
+            backend: Backend::Ebr(Arc::new(Inner::new())),
         }
     }
 
     /// Creates a new hazard-pointer collector with no registered threads.
     pub fn new_hp() -> Self {
         Self {
-            backend: Arc::new(HpInner::new()),
+            backend: Backend::Hp(Arc::new(HpInner::new())),
         }
     }
 
@@ -180,29 +146,17 @@ impl Collector {
 
     /// The reclamation policy this collector runs.
     pub fn policy(&self) -> SmrPolicy {
-        self.backend.policy()
+        match self.backend {
+            Backend::Ebr(_) => SmrPolicy::Ebr,
+            Backend::Hp(_) => SmrPolicy::Hp,
+        }
     }
 
-    /// Pins the current thread, returning a guard.  While at least one
-    /// guard exists on this thread, memory retired by other threads after
-    /// the pin will not be freed, so pointers read from the shared
-    /// structure remain valid for the guard's lifetime.  (Under the
-    /// hazard-pointer backend this is a *coarse* pin — it protects, like
-    /// EBR, everything retired after it; see [`LocalHandle::pin_fine`] for
-    /// the bounded-garbage fine mode.)
-    ///
-    /// Every call looks the thread up in a thread-local registry.  Callers
-    /// that pin per operation should instead hold a [`LocalHandle`] from
-    /// [`Collector::register`], whose `pin` skips the lookup.
-    pub fn pin(&self) -> Guard {
-        Arc::clone(&self.backend).pin()
-    }
-
-    /// Registers the calling thread once and returns an **owned**
-    /// [`LocalHandle`] whose [`pin`](LocalHandle::pin) is cheap (no
-    /// registry lookup).  This is the intended fast path for session-style
-    /// callers (one handle per worker thread); each call claims a fresh
-    /// slot, so a thread may hold several independent handles.
+    /// Registers the calling thread and returns an **owned**
+    /// [`LocalHandle`], through which it pins, retires and flushes.  Call
+    /// once per worker thread (or session) and keep the handle; each call
+    /// claims a fresh slot, so a thread may hold several independent
+    /// handles.
     ///
     /// Panics when all [`crate::MAX_THREADS`] slots are taken; services
     /// that spawn workers on demand should call
@@ -215,25 +169,29 @@ impl Collector {
     /// Fallible sibling of [`register`](Collector::register): returns
     /// [`RegisterError`] instead of panicking when the slot table is full.
     pub fn try_register(&self) -> Result<LocalHandle, RegisterError> {
-        Arc::clone(&self.backend).try_register()
-    }
-
-    /// Attempts to reclaim any garbage that has become safe (the calling
-    /// thread's own retirements plus the shared stash of garbage inherited
-    /// from exited threads).
-    pub fn flush(&self) {
-        Arc::clone(&self.backend).flush();
+        Ok(match &self.backend {
+            Backend::Ebr(inner) => LocalHandle::ebr(Local::register(Arc::clone(inner))?),
+            Backend::Hp(inner) => LocalHandle::hp(HpLocal::register(Arc::clone(inner))?),
+        })
     }
 
     /// Returns current statistics (see [`CollectorStats`] for the field
     /// meanings and the per-backend mapping).
     pub fn stats(&self) -> CollectorStats {
-        self.backend.stats()
+        match &self.backend {
+            Backend::Ebr(inner) => inner.stats(),
+            Backend::Hp(inner) => inner.stats(),
+        }
     }
 
-    /// Debug/testing helper: is any registered thread currently pinned?
+    /// Debug/testing helper: does any registered thread currently hold an
+    /// observable pin (an epoch announcement, a retire-watermark, or a
+    /// non-null hazard slot)?
     pub fn debug_any_thread_pinned(&self) -> bool {
-        self.backend.any_thread_pinned()
+        match &self.backend {
+            Backend::Ebr(inner) => inner.any_thread_pinned(),
+            Backend::Hp(inner) => inner.any_thread_pinned(),
+        }
     }
 }
 
@@ -259,6 +217,21 @@ mod tests {
             let c = Collector::with_policy(p);
             assert_eq!(c.policy(), p);
             assert_eq!(c.clone().policy(), p, "clones share the backend");
+        }
+    }
+
+    /// A refused `try_register` claims no slot, so it is no registration.
+    #[test]
+    fn refused_registrations_are_not_counted() {
+        for p in SmrPolicy::ALL {
+            let c = Collector::with_policy(p);
+            let held: Vec<_> = (0..crate::MAX_THREADS).map(|_| c.register()).collect();
+            let before = c.stats().registrations;
+            for _ in 0..3 {
+                c.try_register().expect_err("slot table is full");
+            }
+            assert_eq!(c.stats().registrations, before, "{p}");
+            drop(held);
         }
     }
 

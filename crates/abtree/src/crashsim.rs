@@ -37,8 +37,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Returns `false` (leaving the tree untouched) if the key is already
     /// present or the target leaf has no free slot.
     pub fn force_partial_insert(&self, key: u64, value: u64) -> bool {
-        // Single-threaded maintenance: a throwaway registration is fine here
-        // and keeps the per-operation paths free of registry pins.
+        // Single-threaded maintenance: a throwaway registration is fine here.
         let local = self.collector.register();
         let guard = local.pin();
         let path = self.search(key, std::ptr::null_mut(), &guard);

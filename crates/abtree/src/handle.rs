@@ -6,7 +6,7 @@
 //! per thread via [`AbTree::handle`], it owns
 //!
 //! * the thread's [`abebr::LocalHandle`], so each operation pins with a
-//!   cheap local epoch announcement instead of a thread-registry lookup;
+//!   cheap local epoch announcement;
 //! * a reusable scan buffer backing [`TreeHandle::scan_len`];
 //! * operation scratch: a reusable entry buffer for splitting inserts and a
 //!   small per-thread RNG that jitters the elimination path's backoff so
@@ -95,8 +95,7 @@ pub(crate) struct OpScratch {
 pub struct TreeHandle<'m, const ELIM: bool, L: RawNodeLock = McsLock, P: Persist = VolatilePersist>
 {
     tree: &'m AbTree<ELIM, L, P>,
-    /// Owned EBR registration: `ebr.pin()` is a local epoch bump, no
-    /// thread-registry lookup.
+    /// Owned EBR registration: `ebr.pin()` is a local epoch bump.
     ebr: abebr::LocalHandle,
     /// Reusable buffer behind [`TreeHandle::scan_len`].
     scan_buf: Vec<(u64, u64)>,
@@ -107,7 +106,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Opens a per-thread session handle.
     ///
     /// Registers the calling thread with the tree's reclamation collector
-    /// (the only point at which the full thread registry is consulted) and
+    /// (the only point at which its slot table is consulted) and
     /// sets up the session's scratch state.  Call once per worker thread and
     /// reuse the handle for the whole run; the handle must stay on the
     /// thread that opened it.

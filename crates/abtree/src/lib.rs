@@ -40,7 +40,7 @@
 //!   [`TreeHandle`]), obtained once per worker via `map.handle()`, through
 //!   which all point and range operations run.  The handle owns the
 //!   thread's epoch-reclamation registration (so each operation pins with a
-//!   cheap local epoch announcement instead of a thread-registry lookup), a
+//!   cheap local epoch announcement), a
 //!   reusable scan buffer, and per-thread elimination/RNG scratch.
 //!
 //! [`TreeHandle`] dereferences to the tree, so a handle can also be used

@@ -429,7 +429,8 @@ mod tests {
     #[test]
     fn search_reaches_the_single_leaf() {
         let t: OccABTree = OccABTree::new();
-        let guard = t.collector().pin();
+        let local = t.collector().register();
+        let guard = local.pin();
         let path = t.search(5, std::ptr::null_mut(), &guard);
         assert!(!path.n.is_null());
         assert_eq!(path.p, t.entry_ptr());

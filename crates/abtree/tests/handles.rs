@@ -1,8 +1,8 @@
 //! Lifecycle and pin-accounting tests for the per-thread session handles.
 //!
 //! The acceptance bar for the handle API: a handle-driven workload must
-//! interact with the reclamation collector's thread registry ~once per
-//! thread (at `handle()` acquisition), never per operation — verified
+//! register with the reclamation collector once per thread (at `handle()`
+//! acquisition), never per operation — verified
 //! through `abebr::CollectorStats` — and handles must be safe through the
 //! awkward parts of their lifecycle (drop while a guard is live, several
 //! handles on one thread, handles outliving a completed run).
@@ -12,10 +12,9 @@ use std::sync::Arc;
 use abtree::{ConcurrentMap, ElimABTree, KeySum, OccABTree};
 use rand::prelude::*;
 
-/// A handle-driven workload pays ~1 registry interaction per thread, not
-/// one per operation.  This is the `CollectorStats`-backed check that no
-/// `Collector::pin()` (registry-lookup pin) remains on the per-operation
-/// paths of the trees.
+/// A handle-driven workload registers once per thread, not once per
+/// operation: the `CollectorStats`-backed check that the trees' per-operation
+/// paths only pin through the session's own registration.
 #[test]
 fn handle_workload_registers_once_per_thread() {
     const THREADS: u64 = 4;
@@ -52,11 +51,11 @@ fn handle_workload_registers_once_per_thread() {
     }
 
     let stats = tree.collector().stats();
-    let registry = stats.registry_pins - baseline.registry_pins;
+    let registrations = stats.registrations - baseline.registrations;
     assert_eq!(
-        registry, THREADS,
-        "expected exactly one registry interaction per worker (the handle \
-         acquisition), got {registry} for {THREADS} threads x {OPS} ops"
+        registrations, THREADS,
+        "expected exactly one registration per worker (the handle \
+         acquisition), got {registrations} for {THREADS} threads x {OPS} ops"
     );
     // Every operation pinned, and every one of those pins was a cheap local
     // re-pin through the session's own registration.
@@ -101,8 +100,11 @@ fn drop_handle_while_pinned_guard_outlives_it() {
     unsafe { guard.defer_drop(p) };
     drop(guard);
     assert!(!collector.debug_any_thread_pinned());
+    // The registration is gone and its bag stashed; another handle's
+    // collection drains the stash.
+    let flusher = collector.register();
     for _ in 0..8 {
-        collector.flush();
+        flusher.flush();
     }
     assert_eq!(collector.stats().freed, 1, "retired object reclaimed");
 }

@@ -26,7 +26,8 @@ fn build_collect_drop(policy: SmrPolicy) -> u64 {
     let freed_before = std::thread::scope(|scope| {
         let collector = &collector;
         let reader = scope.spawn(move || {
-            let _guard = collector.pin();
+            let local = collector.register();
+            let _guard = local.pin();
             pinned.send(()).expect("the test waits for the pin");
             released.recv().expect("the test releases the reader");
         });
@@ -52,8 +53,9 @@ fn build_collect_drop(policy: SmrPolicy) -> u64 {
     });
     std::thread::scope(|scope| {
         scope.spawn(|| {
+            let local = collector.register();
             for _ in 0..8 {
-                collector.flush();
+                local.flush();
             }
         });
     });

@@ -250,8 +250,8 @@ impl CommitPolicy for GroupFence<'_> {
     type Job = DurableOp;
     type Reply = ShardReply;
 
-    fn group_limit(&self) -> Option<NonZeroU32> {
-        Some(self.acks_per_fence)
+    fn group_limit(&self) -> NonZeroU32 {
+        self.acks_per_fence
     }
 
     #[inline]

@@ -12,17 +12,14 @@
 //! request runs on the client's own tree session (`crate::router`).
 //!
 //! What happens to a job, and when its reply may leave, is the
-//! [`CommitPolicy`] the loop is monomorphised over:
-//!
-//! * a policy that acknowledges on apply [`send`](OwnerLane::send)s every
-//!   reply the moment it exists, and the loop never opens a group;
-//! * the durable `crashkv` policy [`hold`](OwnerLane::hold)s replies and
-//!   declares a [`group_limit`](CommitPolicy::group_limit): the loop closes
-//!   the group at a [`boundary`](CommitPolicy::boundary) (the policy issues
-//!   its covering fence there) and only then releases the held replies —
-//!   or, if the policy [`Abort`](Verdict::Abort)s, answers them all with
-//!   the abort reply, hands its lanes back to the mailbox for the next
-//!   owner and exits.
+//! [`CommitPolicy`] the loop is monomorphised over.  The policy
+//! [`hold`](OwnerLane::hold)s every reply and declares a
+//! [`group_limit`](CommitPolicy::group_limit); the loop closes the group at
+//! a [`boundary`](CommitPolicy::boundary) (the durable `crashkv` policy
+//! issues its covering fence there) and only then releases the held
+//! replies — or, if the policy [`Abort`](Verdict::Abort)s, answers them all
+//! with the abort reply, hands its lanes back to the mailbox for the next
+//! owner and exits.
 //!
 //! ## One scan of the loop
 //!
@@ -116,17 +113,12 @@ pub trait CommitPolicy {
     /// What they get back (cloned only to fan an abort reply out).
     type Reply: Clone;
 
-    /// `None`: every reply is [`send`](OwnerLane::send)-ed by
-    /// [`apply`](Self::apply) and the loop never opens a group.
-    /// `Some(n)`: replies are [`hold`](OwnerLane::hold)-ed, and the loop
-    /// calls [`boundary`](Self::boundary) after at most `n` applied jobs.
-    fn group_limit(&self) -> Option<NonZeroU32>;
+    /// The loop calls [`boundary`](Self::boundary) after at most this many
+    /// applied jobs.
+    fn group_limit(&self) -> NonZeroU32;
 
-    /// Executes one job and hands its reply to `lane`.
+    /// Executes one job and [`hold`](OwnerLane::hold)s its reply on `lane`.
     fn apply(&mut self, job: Self::Job, lane: &mut OwnerLane<Self::Job, Self::Reply>);
-
-    /// One lane visit drained `jobs` (> 0) jobs.
-    fn run_ended(&mut self, _jobs: u64) {}
 
     /// The open group closes: make everything applied since the last
     /// boundary safe to acknowledge, or abort.
@@ -149,14 +141,6 @@ pub struct OwnerLane<J, R> {
 }
 
 impl<J, R> OwnerLane<J, R> {
-    /// Releases `reply` to the client now.  For policies that never
-    /// [`hold`](Self::hold): a sent reply must not overtake a held one.
-    #[inline]
-    pub fn send(&mut self, reply: R) {
-        debug_assert!(self.held.is_empty(), "send would overtake held replies");
-        self.push(reply);
-    }
-
     /// Parks `reply` until the loop releases the group it belongs to.
     #[inline]
     pub fn hold(&mut self, reply: R) {
@@ -423,7 +407,7 @@ pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &
     let mut lanes: Vec<OwnerLane<P::Job, P::Reply>> = Vec::new();
     let mut seen_generation = 0u64;
     let mut quiet_scans = 0u32;
-    // Jobs applied since the last boundary (always 0 without a limit).
+    // Jobs applied since the last boundary.
     let mut open = 0u32;
     loop {
         let generation = mailbox.lane_generation.load(Ordering::Acquire);
@@ -432,31 +416,21 @@ pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &
             lanes.append(&mut mailbox.pending_lanes.lock().expect("lane mailbox poisoned"));
         }
         let mut served = 0u64;
+        let limit = policy.group_limit().get();
         lanes.retain_mut(|lane| {
-            // Asked here, inside the monomorphised closure, so a policy
-            // whose limit is a constant `None` compiles the group
-            // bookkeeping out of its per-job path.
-            let limit = policy.group_limit().map(NonZeroU32::get);
-            let mut run = 0u64;
             // Capping each run at the group's remaining room puts the
             // boundary between runs, never inside one.
-            while limit.is_none_or(|limit| open < limit) {
+            while open < limit {
                 let Some(job) = lane.jobs.try_pop() else {
                     break;
                 };
                 policy.apply(job, lane);
-                run += 1;
-                if limit.is_some() {
-                    open += 1;
-                }
-            }
-            if run > 0 {
-                policy.run_ended(run);
-                served += run;
+                open += 1;
+                served += 1;
             }
             !lane.is_dead()
         });
-        let full = policy.group_limit().is_some_and(|limit| open >= limit.get());
+        let full = open >= limit;
         if open > 0 && (full || served == 0) {
             if let Verdict::Abort(reply) = policy.boundary() {
                 return abort(mailbox, lanes, reply);
@@ -571,8 +545,8 @@ mod tests {
         type Job = u64;
         type Reply = u64;
 
-        fn group_limit(&self) -> Option<NonZeroU32> {
-            NonZeroU32::new(self.limit)
+        fn group_limit(&self) -> NonZeroU32 {
+            NonZeroU32::new(self.limit).expect("a group holds at least one job")
         }
 
         fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
@@ -592,23 +566,19 @@ mod tests {
         }
     }
 
-    /// Acknowledges on apply: the volatile shape, with no store.
+    /// Echoes each job as its reply, one job per group.
     struct Echo;
 
     impl CommitPolicy for Echo {
         type Job = u64;
         type Reply = u64;
 
-        fn group_limit(&self) -> Option<NonZeroU32> {
-            None
+        fn group_limit(&self) -> NonZeroU32 {
+            NonZeroU32::MIN
         }
 
         fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
-            lane.send(job);
-        }
-
-        fn boundary(&mut self) -> Verdict<u64> {
-            unreachable!("a policy without a group limit has no boundaries")
+            lane.hold(job);
         }
     }
 
@@ -690,7 +660,7 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_drains_before_exit_and_ungrouped_policies_see_no_boundary() {
+    fn shutdown_drains_before_exit() {
         let mailbox = Arc::new(Mailbox::default());
         let mut client = mailbox.open_lane();
         send_all(&mut client, 0..LANE_CAPACITY as u64);
@@ -739,33 +709,13 @@ mod tests {
         owner.join().expect("owner thread")
     }
 
-    /// Records the length of every run the loop drains.
-    #[derive(Default)]
-    struct Runs(Vec<u64>);
-
-    impl CommitPolicy for Runs {
-        type Job = u64;
-        type Reply = u64;
-
-        fn group_limit(&self) -> Option<NonZeroU32> {
-            None
-        }
-
-        fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
-            lane.send(job);
-        }
-
-        fn run_ended(&mut self, jobs: u64) {
-            self.0.push(jobs);
-        }
-    }
-
     #[test]
     fn pushes_ring_no_doorbell_and_one_recv_delivers_them_as_one_run() {
         const JOBS: u64 = 40;
+        // A group can hold the whole window, so its size is the run's.
         let runs = with_live_owner(
-            Runs::default,
-            |policy| policy.0,
+            || Counting::with_limit(LANE_CAPACITY as u32),
+            |policy| policy.groups,
             |mailbox| {
                 let mut client = mailbox.open_lane();
                 wait_parked(&mailbox);
@@ -781,7 +731,7 @@ mod tests {
         );
         assert_eq!(
             runs,
-            [JOBS],
+            [JOBS as u32],
             "the woken owner finds the whole window queued"
         );
     }
@@ -814,11 +764,11 @@ mod tests {
         impl CommitPolicy for EchoToken {
             type Job = Arc<()>;
             type Reply = Arc<()>;
-            fn group_limit(&self) -> Option<NonZeroU32> {
-                None
+            fn group_limit(&self) -> NonZeroU32 {
+                NonZeroU32::MIN
             }
             fn apply(&mut self, job: Arc<()>, lane: &mut OwnerLane<Arc<()>, Arc<()>>) {
-                lane.send(job);
+                lane.hold(job);
             }
         }
         with_live_owner(
@@ -868,11 +818,11 @@ mod tests {
         impl CommitPolicy for CountIdle {
             type Job = u64;
             type Reply = u64;
-            fn group_limit(&self) -> Option<NonZeroU32> {
-                None
+            fn group_limit(&self) -> NonZeroU32 {
+                NonZeroU32::MIN
             }
             fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
-                lane.send(job);
+                lane.hold(job);
             }
             fn idle(&mut self) -> Verdict<u64> {
                 self.0.fetch_add(1, Ordering::SeqCst);
@@ -917,8 +867,8 @@ mod tests {
         impl CommitPolicy for Dies {
             type Job = u64;
             type Reply = u64;
-            fn group_limit(&self) -> Option<NonZeroU32> {
-                None
+            fn group_limit(&self) -> NonZeroU32 {
+                NonZeroU32::MIN
             }
             fn apply(&mut self, _: u64, _: &mut OwnerLane<u64, u64>) {
                 panic!("the store blew up (expected by this test)");

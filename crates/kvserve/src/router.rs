@@ -22,9 +22,9 @@
 //!   Blocking calls assert that nothing is uncollected, so their results
 //!   cannot overtake earlier submissions' responses.
 //!
-//! [`serve_burst`](ShardRouter::serve_burst), what a front end calls with
-//! the frames of one read, is a loop: each request completes before the
-//! next one starts, and nothing is shed.
+//! [`serve_pipelined`](ShardRouter::serve_pipelined), what a front end
+//! calls with each decoded frame, is a loop: each request completes before
+//! the next one starts, and nothing is shed.
 
 use std::collections::VecDeque;
 
@@ -412,28 +412,18 @@ impl<'s> ShardRouter<'s> {
         }
     }
 
-    /// [`serve_burst`](Self::serve_burst) with a burst of one batch.
+    /// Serves one decoded request batch — a front end's frame — in order:
+    /// one response per request is pushed onto `responses` (cleared
+    /// first).  Each request completes before the next one starts, so a
+    /// batch of any size is answered in full; nothing is shed.
     ///
     /// # Panics
     ///
     /// Panics if pipelined submissions are already in flight.
     pub fn serve_pipelined(&mut self, batch: &[Request], responses: &mut Vec<Response>) {
-        self.serve_burst(&[batch], responses);
-    }
-
-    /// Serves a burst of decoded request batches — the frames a front end
-    /// read at once — in order: one response per request is pushed onto
-    /// `responses` (cleared first), the batches back to back.  Each request
-    /// completes before the next one starts, so a burst of any size is
-    /// answered in full; nothing is shed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if pipelined submissions are already in flight.
-    pub fn serve_burst<B: AsRef<[Request]>>(&mut self, burst: &[B], responses: &mut Vec<Response>) {
         self.assert_unpipelined();
         responses.clear();
-        for request in burst.iter().flat_map(|batch| batch.as_ref()) {
+        for request in batch {
             responses.push(self.execute(request));
         }
     }
@@ -789,7 +779,11 @@ mod tests {
             vec![Request::Get { key: 1 }],
         ];
         let mut responses = Vec::new();
-        router.serve_burst(&burst, &mut responses);
+        let mut frame_responses = Vec::new();
+        for batch in &burst {
+            router.serve_pipelined(batch, &mut frame_responses);
+            responses.append(&mut frame_responses);
+        }
         assert_eq!(
             responses,
             vec![

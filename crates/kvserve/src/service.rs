@@ -152,7 +152,7 @@ impl KvService {
                                 .with("shard", index),
                         );
                         out.push(
-                            Sample::gauge("ebr_pins", ebr.registry_pins + ebr.local_pins)
+                            Sample::gauge("ebr_pins", ebr.registrations + ebr.local_pins)
                                 .with("shard", index),
                         );
                     }

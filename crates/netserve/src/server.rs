@@ -15,11 +15,10 @@
 //! * a [`FrameDecoder`] reassembles request
 //!   frames across arbitrary partial reads and rejects oversized or
 //!   malformed headers *before* buffering;
-//! * the complete frames of one read are served as a **burst**: all of
-//!   them are decoded and served by
-//!   [`ShardRouter::serve_burst`](kvserve::ShardRouter::serve_burst), every
-//!   request on the reactor's own tree sessions, in order, then each
-//!   frame's responses are re-encoded and queued on
+//! * each reassembled frame is served as it decodes: by
+//!   [`ShardRouter::serve_pipelined`](kvserve::ShardRouter::serve_pipelined),
+//!   every request on the reactor's own tree sessions, in order, then its
+//!   responses are re-encoded and queued on
 //! * a [`WriteBuffer`] whose high-water mark
 //!   pauses *reading* from slow clients until the backlog drains below the
 //!   low-water mark;
@@ -55,8 +54,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kvserve::codec::{decode_batch, encode_response_batch, read_varint};
-use kvserve::{KvService, Request, Response, ShardRouter, LANE_CAPACITY};
+use kvserve::codec::{decode_batch, encode_response_batch};
+use kvserve::{KvService, Response, ShardRouter};
 use obs::{Registry, Sample, SourceId, Stage, StageRecorder, Stamp};
 use polling::Poller;
 
@@ -352,7 +351,6 @@ struct Reactor<'s> {
     // Scratch buffers reused across frames.
     read_buf: Vec<u8>,
     frames: Vec<Vec<u8>>,
-    burst: Vec<Vec<Request>>,
     responses: Vec<Response>,
     payload: Vec<u8>,
     wire: Vec<u8>,
@@ -400,7 +398,6 @@ impl<'s> Reactor<'s> {
             drain_deadline: u64::MAX,
             read_buf: vec![0; 16 << 10],
             frames: Vec::new(),
-            burst: Vec::new(),
             responses: Vec::new(),
             payload: Vec::new(),
             wire: Vec::new(),
@@ -661,71 +658,48 @@ impl<'s> Reactor<'s> {
     /// until its backlog drains.  Returns once the connection is caught up,
     /// backlogged, closing or gone.
     ///
-    /// Frames are served in **sub-bursts**: as many whole frames as announce
-    /// at most [`LANE_CAPACITY`] requests between them (and always at least
-    /// one).  A sub-burst is decoded, served by one `serve_burst`, and
-    /// answered frame by frame.  The cap bounds how far one pass can push
-    /// the write backlog past the high-water mark before the mark is
-    /// checked again.
+    /// Each frame is decoded, served by one `serve_pipelined` and answered
+    /// before the next one starts, so the mark is re-checked after every
+    /// frame.
     fn serve_frames(&mut self, token: usize) {
         loop {
             let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
                 return;
             };
-            if conn.closing || conn.out.over_high_water() || conn.frames.is_empty() {
+            if conn.closing || conn.out.over_high_water() {
                 return;
             }
-            // Decode the sub-burst.  A malformed frame ends it: everything
-            // before it is answered, then the error frame, then the close.
-            let mut announced = 0u64;
-            let mut malformed = false;
-            while let Some(payload) = conn.frames.front() {
-                // A frame's leading count is only a claim until the frame
-                // decodes; a false one fails the decode below.
-                let count = read_varint(payload, &mut 0).unwrap_or(u64::MAX);
-                announced = announced.saturating_add(count);
-                if !self.burst.is_empty() && announced > LANE_CAPACITY as u64 {
-                    break;
-                }
-                self.shared.stats.add_frames(1);
-                if obs::ENABLED {
-                    self.shared.reactor_frames[self.index].fetch_add(1, Ordering::Relaxed);
-                }
-                if self.draining {
-                    self.shared.stats.add_drained_frames(1);
-                }
-                let frame_start = Stamp::now();
-                let payload = conn.frames.pop_front().expect("peeked above");
-                let Ok(batch) = decode_batch(&payload) else {
-                    malformed = true;
-                    break;
-                };
-                self.shared.stats.add_requests(batch.len() as u64);
-                self.recorder.record(Stage::Decode, frame_start);
-                self.burst.push(batch);
+            let Some(payload) = conn.frames.pop_front() else {
+                return;
+            };
+            self.shared.stats.add_frames(1);
+            if obs::ENABLED {
+                self.shared.reactor_frames[self.index].fetch_add(1, Ordering::Relaxed);
             }
+            if self.draining {
+                self.shared.stats.add_drained_frames(1);
+            }
+            let frame_start = Stamp::now();
+            // A malformed frame: everything before it has been answered;
+            // then the error frame, then the close.
+            let Ok(batch) = decode_batch(&payload) else {
+                self.protocol_error(token, ERR_BAD_BATCH);
+                return;
+            };
+            self.shared.stats.add_requests(batch.len() as u64);
+            self.recorder.record(Stage::Decode, frame_start);
             // Every request runs right here, on this thread's tree
             // sessions, in order; nothing is shed.  (Its interior is what
             // the sampled Apply stage covers.)
-            self.router.serve_burst(&self.burst, &mut self.responses);
-            let mut responses = self.responses.as_slice();
-            for batch in &self.burst {
-                let served = Stamp::now();
-                let (frame_responses, rest) = responses.split_at(batch.len());
-                responses = rest;
-                encode_response_batch(frame_responses, &mut self.payload);
-                self.wire.clear();
-                frame::write_frame(&mut self.wire, &self.payload);
-                conn.out.queue(&self.wire);
-                // Write stage: response encoding, framing, and backlog
-                // queueing.
-                self.recorder.record(Stage::Write, served);
-            }
-            self.burst.clear();
-            if malformed {
-                self.protocol_error(token, ERR_BAD_BATCH);
-                return;
-            }
+            self.router.serve_pipelined(&batch, &mut self.responses);
+            let served = Stamp::now();
+            encode_response_batch(&self.responses, &mut self.payload);
+            self.wire.clear();
+            frame::write_frame(&mut self.wire, &self.payload);
+            conn.out.queue(&self.wire);
+            // Write stage: response encoding, framing, and backlog
+            // queueing.
+            self.recorder.record(Stage::Write, served);
         }
     }
 

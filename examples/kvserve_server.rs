@@ -12,8 +12,8 @@
 //! maps, so the workers share nothing else.  Every client is a tenant: its
 //! keys live under its own namespace prefix, so tenants never collide and
 //! the final per-tenant stats show exactly who sent what.  Batches are
-//! served with `ShardRouter::serve_pipelined` — a one-batch call of the
-//! `serve_burst` routine the netserve reactor bridges to.
+//! served with `ShardRouter::serve_pipelined`, the call the netserve
+//! reactor makes for every frame it reads.
 //!
 //! Run with: `cargo run --release --example kvserve_server`
 
