@@ -13,9 +13,11 @@
 //!   crate, so their number and position on the critical path are identical
 //!   to the paper's algorithms;
 //! * in [`PersistMode::Real`] the actual x86 cache-line write-back
-//!   instructions (`clflushopt`, falling back to `clflush`) and `sfence` are
-//!   executed, so the instruction-level overhead is real even though the
-//!   target lines live in DRAM;
+//!   instructions and `sfence` are executed, so the instruction-level
+//!   overhead is real even though the target lines live in DRAM.  The
+//!   write-back is the paper's `clwb`, issued through `asm!` (stable Rust
+//!   has no intrinsic for it) when CPUID leaf 7 reports it; otherwise
+//!   `clflush`, which also invalidates the line and so costs more;
 //! * in [`PersistMode::Simulated`] an additional busy-wait models Optane's
 //!   higher write latency, which lets the persistence-overhead experiment
 //!   (Table 1) be reproduced with a tunable gap between volatile and durable
@@ -26,6 +28,16 @@
 //!   can assert ordering properties such as *"new nodes are flushed before
 //!   the pointer that links them is flushed"* (the link-and-persist rule of
 //!   §5).
+//!
+//! The bookkeeping stays off the durable write path's shared state, so
+//! concurrent flushers write no common cache line:
+//!
+//! * the counters behind [`stats`] are cache-line-padded stripes: each
+//!   thread adds to its own, [`stats`] sums them and [`reset_stats`] zeroes
+//!   them, so the totals are exact once the flushing threads are joined;
+//! * the tracker is gated: with no [`TrackingSession`] live, a flush or
+//!   fence reads one relaxed flag and records nothing; the log's lock is
+//!   taken only while a session is live.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

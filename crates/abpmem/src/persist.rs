@@ -1,6 +1,6 @@
 //! Flush/fence primitives, persist modes, and statistics.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::tracker;
@@ -18,8 +18,9 @@ pub enum PersistMode {
     /// Count flushes and fences (and feed the tracker) but execute nothing.
     /// This is the default and is what correctness tests use.
     CountOnly,
-    /// Execute real x86 cache-line write-backs (`clflushopt` when available,
-    /// otherwise `clflush`) and `sfence` instructions on DRAM.
+    /// Execute real x86 cache-line write-backs (`clwb`, the paper's
+    /// instruction, when the CPU has it, otherwise `clflush`) and `sfence`
+    /// instructions on DRAM.
     Real,
     /// Like [`PersistMode::Real`] semantics-wise, but instead of touching the
     /// cache hierarchy each flush/fence busy-waits for the configured number
@@ -34,15 +35,43 @@ pub enum PersistMode {
 
 const MODE_NOOP: u8 = 0;
 const MODE_COUNT: u8 = 1;
-const MODE_REAL: u8 = 2;
+/// [`PersistMode::Real`] on a CPU without `clwb`.
+const MODE_CLFLUSH: u8 = 2;
 const MODE_SIM: u8 = 3;
+/// [`PersistMode::Real`] on a CPU with `clwb`; stored only after
+/// `hw::has_clwb` said so.
+const MODE_CLWB: u8 = 4;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_COUNT);
 static SIM_FLUSH_NS: AtomicU32 = AtomicU32::new(0);
 static SIM_FENCE_NS: AtomicU32 = AtomicU32::new(0);
 
-static FLUSHES: AtomicU64 = AtomicU64::new(0);
-static FENCES: AtomicU64 = AtomicU64::new(0);
+/// One thread's share of the flush/fence counters, alone on its cache line
+/// so that concurrent flushers write no common line.
+#[repr(align(64))]
+struct Stripe {
+    flushes: AtomicU64,
+    fences: AtomicU64,
+}
+
+/// Threads take stripes round-robin; past this many threads some share a
+/// stripe, which stays exact (every add is atomic) but shares its line.
+const STRIPES: usize = 32;
+
+static COUNTERS: [Stripe; STRIPES] = [const {
+    Stripe {
+        flushes: AtomicU64::new(0),
+        fences: AtomicU64::new(0),
+    }
+}; STRIPES];
+
+static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// This thread's stripe, taken on its first flush or fence.
+    static STRIPE: &'static Stripe =
+        &COUNTERS[NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES];
+}
 
 /// Point-in-time flush/fence counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,7 +92,14 @@ pub fn set_mode(mode: PersistMode) {
     match mode {
         PersistMode::NoOp => MODE.store(MODE_NOOP, Ordering::SeqCst),
         PersistMode::CountOnly => MODE.store(MODE_COUNT, Ordering::SeqCst),
-        PersistMode::Real => MODE.store(MODE_REAL, Ordering::SeqCst),
+        PersistMode::Real => MODE.store(
+            if hw::has_clwb() {
+                MODE_CLWB
+            } else {
+                MODE_CLFLUSH
+            },
+            Ordering::SeqCst,
+        ),
         PersistMode::Simulated { flush_ns, fence_ns } => {
             SIM_FLUSH_NS.store(flush_ns, Ordering::SeqCst);
             SIM_FENCE_NS.store(fence_ns, Ordering::SeqCst);
@@ -77,7 +113,7 @@ pub fn mode() -> PersistMode {
     match MODE.load(Ordering::Relaxed) {
         MODE_NOOP => PersistMode::NoOp,
         MODE_COUNT => PersistMode::CountOnly,
-        MODE_REAL => PersistMode::Real,
+        MODE_CLFLUSH | MODE_CLWB => PersistMode::Real,
         _ => PersistMode::Simulated {
             flush_ns: SIM_FLUSH_NS.load(Ordering::Relaxed),
             fence_ns: SIM_FENCE_NS.load(Ordering::Relaxed),
@@ -86,30 +122,49 @@ pub fn mode() -> PersistMode {
 }
 
 /// Returns flush/fence counters accumulated since the last
-/// [`reset_stats`].
+/// [`reset_stats`]: the sum over every thread's stripe, exact once the
+/// flushing threads are joined.
 pub fn stats() -> PmStats {
-    PmStats {
-        flushes: FLUSHES.load(Ordering::Relaxed),
-        fences: FENCES.load(Ordering::Relaxed),
-    }
+    COUNTERS
+        .iter()
+        .fold(PmStats::default(), |sum, stripe| PmStats {
+            flushes: sum.flushes + stripe.flushes.load(Ordering::Relaxed),
+            fences: sum.fences + stripe.fences.load(Ordering::Relaxed),
+        })
 }
 
 /// Resets the flush/fence counters to zero.
 pub fn reset_stats() {
-    FLUSHES.store(0, Ordering::Relaxed);
-    FENCES.store(0, Ordering::Relaxed);
+    for stripe in &COUNTERS {
+        stripe.flushes.store(0, Ordering::Relaxed);
+        stripe.fences.store(0, Ordering::Relaxed);
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod hw {
-    /// Writes back (evicts) the cache line containing `p`.
+    /// Whether this CPU has `clwb`: CPUID leaf 7, sub-leaf 0, EBX bit 24.
+    pub(super) fn has_clwb() -> bool {
+        use core::arch::x86_64::{__cpuid, __cpuid_count};
+        __cpuid(0).eax >= 7 && __cpuid_count(7, 0).ebx & (1 << 24) != 0
+    }
+
+    /// Writes back the cache line containing `p` and leaves it cached: the
+    /// paper's `clwb`.  Stable Rust has no intrinsic for it, hence `asm!`.
     ///
-    /// The paper uses `clwb`; the closest instruction exposed by the stable
-    /// Rust intrinsics on this toolchain is `clflush`, which additionally
-    /// invalidates the line.  That makes the measured per-flush cost an upper
-    /// bound on `clwb`/`clflushopt`, which is acceptable for reproducing the
-    /// *relative* persistence overheads of Table 1 (README, "Hardware notes").
-    pub(super) fn flush_line(p: *const u8) {
+    /// # Safety
+    /// The CPU must have `clwb` ([`has_clwb`]): on one without it the same
+    /// encoding can decode as another instruction.
+    pub(super) unsafe fn clwb(p: *const u8) {
+        // SAFETY: the caller checked that `clwb` exists; it writes back the
+        // line holding `p` without changing any memory contents, and `p`
+        // points into a live object, so its line is mapped.
+        unsafe { core::arch::asm!("clwb [{}]", in(reg) p, options(nostack, preserves_flags)) };
+    }
+
+    /// Writes back and invalidates the cache line containing `p`: the
+    /// fallback where the CPU has no `clwb`, dearer by the refill.
+    pub(super) fn clflush(p: *const u8) {
         // SAFETY: clflush is unconditionally available on x86-64 and may be
         // applied to any mapped address; `p` points into a live object.
         unsafe { core::arch::x86_64::_mm_clflush(p.cast()) };
@@ -122,11 +177,19 @@ mod hw {
     }
 }
 
+/// Portable fallback: an atomic fence orders stores; there is no
+/// architectural cache-line write-back to perform.
 #[cfg(not(target_arch = "x86_64"))]
 mod hw {
-    /// Portable fallback: an atomic fence orders stores; there is no
-    /// architectural cache-line write-back to perform.
-    pub(super) fn flush_line(_p: *const u8) {}
+    pub(super) fn has_clwb() -> bool {
+        false
+    }
+
+    /// # Safety
+    /// None needed; never called, since [`has_clwb`] is false here.
+    pub(super) unsafe fn clwb(_p: *const u8) {}
+
+    pub(super) fn clflush(_p: *const u8) {}
 
     pub(super) fn store_fence() {
         std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
@@ -161,7 +224,9 @@ pub fn flush(ptr: *const u8, len: usize) {
     let mut count = 0u64;
     while line < end {
         match m {
-            MODE_REAL => hw::flush_line(line as *const u8),
+            // SAFETY: `MODE_CLWB` is stored only once `has_clwb` held.
+            MODE_CLWB => unsafe { hw::clwb(line as *const u8) },
+            MODE_CLFLUSH => hw::clflush(line as *const u8),
             MODE_SIM => busy_wait(Duration::from_nanos(
                 SIM_FLUSH_NS.load(Ordering::Relaxed) as u64
             )),
@@ -170,7 +235,7 @@ pub fn flush(ptr: *const u8, len: usize) {
         count += 1;
         line += CACHE_LINE;
     }
-    FLUSHES.fetch_add(count, Ordering::Relaxed);
+    STRIPE.with(|stripe| stripe.flushes.fetch_add(count, Ordering::Relaxed));
     tracker::record_flush(ptr as usize, len);
 }
 
@@ -181,13 +246,13 @@ pub fn sfence() {
         return;
     }
     match m {
-        MODE_REAL => hw::store_fence(),
+        MODE_CLFLUSH | MODE_CLWB => hw::store_fence(),
         MODE_SIM => busy_wait(Duration::from_nanos(
             SIM_FENCE_NS.load(Ordering::Relaxed) as u64
         )),
         _ => {}
     }
-    FENCES.fetch_add(1, Ordering::Relaxed);
+    STRIPE.with(|stripe| stripe.fences.fetch_add(1, Ordering::Relaxed));
     tracker::record_fence();
 }
 
@@ -229,6 +294,35 @@ mod tests {
         );
         set_mode(PersistMode::NoOp);
         assert_eq!(mode(), PersistMode::NoOp);
+        // `clwb` or `clflush` underneath, `Real` either way.
+        set_mode(PersistMode::Real);
+        assert_eq!(mode(), PersistMode::Real);
+        set_mode(original);
+    }
+
+    #[test]
+    fn concurrent_flushers_are_counted_exactly() {
+        let _s = TrackingSession::start();
+        let original = mode();
+        set_mode(PersistMode::CountOnly);
+        reset_stats();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let x = 7u64;
+                    for _ in 0..10_000 {
+                        persist_value(&x);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            stats(),
+            PmStats {
+                flushes: 40_000,
+                fences: 40_000
+            }
+        );
         set_mode(original);
     }
 

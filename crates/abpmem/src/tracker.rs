@@ -10,8 +10,17 @@
 //! Tracking sessions also act as a cross-test mutex: because the persist mode
 //! and the event log are process-global, any test that manipulates them takes
 //! a [`TrackingSession`], and sessions serialize through one static lock.
+//!
+//! Recording costs nothing while no session is live: a flush or fence
+//! loads one relaxed flag and returns, and only takes the log's lock while
+//! the flag is up.  A session raises the flag when it starts and lowers it
+//! when it finishes or drops, both under that lock, so the flag is read
+//! again under the lock before an event is pushed.  A flush racing a
+//! session's start or end may or may not be recorded; a flush that
+//! happens-before the start (or after the end) never is.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One recorded persistence event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,39 +46,34 @@ impl FlushEvent {
     }
 }
 
-struct TrackerState {
-    enabled: bool,
-    events: Vec<FlushEvent>,
+/// Up while a session is live; written only under the [`EVENTS`] lock.
+static RECORDING: AtomicBool = AtomicBool::new(false);
+static EVENTS: Mutex<Vec<FlushEvent>> = Mutex::new(Vec::new());
+static SESSION_LOCK: Mutex<()> = Mutex::new(());
+
+/// The log; a push or a swap leaves it valid at every step, so a panic
+/// elsewhere while it was held does not poison it.
+fn events() -> MutexGuard<'static, Vec<FlushEvent>> {
+    EVENTS.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-static EVENTS: OnceLock<Mutex<TrackerState>> = OnceLock::new();
-static SESSION_LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-
-fn state() -> &'static Mutex<TrackerState> {
-    EVENTS.get_or_init(|| {
-        Mutex::new(TrackerState {
-            enabled: false,
-            events: Vec::new(),
-        })
-    })
-}
-
-fn session_lock() -> &'static Mutex<()> {
-    SESSION_LOCK.get_or_init(|| Mutex::new(()))
+fn record(event: FlushEvent) {
+    if !RECORDING.load(Ordering::Relaxed) {
+        return;
+    }
+    let mut log = events();
+    // Re-read under the lock: the session may have ended since.
+    if RECORDING.load(Ordering::Relaxed) {
+        log.push(event);
+    }
 }
 
 pub(crate) fn record_flush(addr: usize, len: usize) {
-    let mut s = state().lock().unwrap();
-    if s.enabled {
-        s.events.push(FlushEvent::Flush { addr, len });
-    }
+    record(FlushEvent::Flush { addr, len });
 }
 
 pub(crate) fn record_fence() {
-    let mut s = state().lock().unwrap();
-    if s.enabled {
-        s.events.push(FlushEvent::Fence);
-    }
+    record(FlushEvent::Fence);
 }
 
 /// A scoped tracking session.
@@ -85,29 +89,25 @@ pub struct TrackingSession {
 impl TrackingSession {
     /// Begins recording flush/fence events (clearing any previous log).
     pub fn start() -> Self {
-        let serial = match session_lock().lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        {
-            let mut s = state().lock().unwrap();
-            s.enabled = true;
-            s.events.clear();
-        }
+        let serial = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut log = events();
+        log.clear();
+        RECORDING.store(true, Ordering::Relaxed);
+        drop(log);
         Self { _serial: serial }
     }
 
     /// Returns a snapshot of the events recorded so far without ending the
     /// session.
     pub fn snapshot(&self) -> Vec<FlushEvent> {
-        state().lock().unwrap().events.clone()
+        events().clone()
     }
 
     /// Stops recording and returns all recorded events.
     pub fn finish(self) -> Vec<FlushEvent> {
-        let mut s = state().lock().unwrap();
-        s.enabled = false;
-        std::mem::take(&mut s.events)
+        let mut log = events();
+        RECORDING.store(false, Ordering::Relaxed);
+        std::mem::take(&mut *log)
         // `self._serial` dropped afterwards, releasing the session lock.
     }
 
@@ -130,8 +130,8 @@ impl TrackingSession {
 
 impl Drop for TrackingSession {
     fn drop(&mut self) {
-        let mut s = state().lock().unwrap();
-        s.enabled = false;
+        let _log = events();
+        RECORDING.store(false, Ordering::Relaxed);
     }
 }
 
@@ -155,6 +155,31 @@ mod tests {
         let session2 = TrackingSession::start();
         assert!(session2.snapshot().is_empty());
         drop(session2);
+    }
+
+    #[test]
+    fn flushes_outside_a_session_record_nothing() {
+        let x = 5u64;
+        {
+            // Holding the session lock keeps every other session out.
+            let _serial = SESSION_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            events().clear();
+            set_mode(PersistMode::CountOnly);
+            flush_value(&x);
+            sfence();
+            assert!(events().is_empty(), "recorded with no live session");
+        }
+        let session = TrackingSession::start();
+        let y = 6u64;
+        flush_value(&y);
+        assert_eq!(
+            session.finish(),
+            [FlushEvent::Flush {
+                addr: &y as *const u64 as usize,
+                len: 8
+            }],
+            "a session sees only its own events"
+        );
     }
 
     #[test]

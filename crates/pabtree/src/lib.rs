@@ -19,10 +19,10 @@
 //!
 //! The implementation reuses the verified volatile engine from the [`abtree`]
 //! crate, instantiated with the [`DurablePersist`] policy, whose flush/fence
-//! hooks call into the [`abpmem`] persistent-memory model (real `clflush` +
-//! `sfence` instructions, a simulated-latency mode, or counting only — see
-//! the README's "Hardware notes" for how this substitutes for the paper's
-//! Optane hardware).
+//! hooks call into the [`abpmem`] persistent-memory model (real `clwb` —
+//! `clflush` where the CPU lacks it — and `sfence` instructions, a
+//! simulated-latency mode, or counting only — see the README's "Hardware
+//! notes" for how this substitutes for the paper's Optane hardware).
 //!
 //! # Example
 //!
