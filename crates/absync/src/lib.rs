@@ -4,17 +4,16 @@
 //! §3.1) protects every tree node with an MCS queue lock and uses a per-leaf
 //! *version* counter (even = stable, odd = being modified) so that searches
 //! can read leaves optimistically without acquiring any lock.  This crate
-//! provides those two building blocks plus a simple test-and-test-and-set
-//! spinlock (used by the lock-type ablation benchmark, cf. the paper's §7
-//! remark that MCS locks "significantly increased the scalability of the
-//! OCC-ABtree") and an exponential-backoff helper.
+//! provides the lock (the tree embeds the version counter in its node type
+//! as a raw `AtomicU64`, for layout control) plus a simple
+//! test-and-test-and-set spinlock (used by the lock-type ablation benchmark,
+//! cf. the paper's §7 remark that MCS locks "significantly increased the
+//! scalability of the OCC-ABtree") and an exponential-backoff helper.
 //!
 //! # Modules
 //!
 //! * [`mcs`] — MCS queue lock with stack-allocated queue nodes.
 //! * [`tatas`] — test-and-test-and-set spinlock with exponential backoff.
-//! * [`seqver`] — helpers for the even/odd sequence-version protocol used by
-//!   optimistic leaf reads (the paper's `searchLeaf` double-collect).
 //! * [`backoff`] — bounded exponential backoff for retry loops.
 //! * [`raw`] — the [`raw::RawNodeLock`] abstraction that lets the trees be
 //!   generic over the per-node lock implementation.
@@ -25,13 +24,11 @@
 pub mod backoff;
 pub mod mcs;
 pub mod raw;
-pub mod seqver;
 pub mod tatas;
 
 pub use backoff::Backoff;
 pub use mcs::{McsLock, McsQueueNode};
 pub use raw::RawNodeLock;
-pub use seqver::SeqVersion;
 pub use tatas::TatasLock;
 
 /// A cache line is assumed to be 64 bytes on the x86-64 machines the paper

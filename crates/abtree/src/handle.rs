@@ -264,6 +264,10 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> ConcurrentMap for AbTree<ELIM
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         Some(self.collector().stats())
     }
+
+    fn key_sum(&self) -> u128 {
+        AbTree::key_sum(self)
+    }
 }
 
 #[cfg(test)]

@@ -35,7 +35,8 @@
 //!
 //! * the **shared map** (the tree itself, [`ConcurrentMap`]): construction,
 //!   [`name`](ConcurrentMap::name), and the quiescent accessors
-//!   ([`KeySum`], `len`, `collect`, `check_invariants`, ...);
+//!   ([`key_sum`](ConcurrentMap::key_sum), `len`, `collect`,
+//!   `check_invariants`, ...);
 //! * a **per-thread session handle** ([`MapHandle`], concretely
 //!   [`TreeHandle`]), obtained once per worker via `map.handle()`, through
 //!   which all point and range operations run.  The handle owns the
@@ -276,8 +277,9 @@ pub fn scan_window(lo: u64, len: u64) -> Option<(u64, u64)> {
 /// in this repository (the paper's trees, the persistent trees and all
 /// baselines) implements it.  Each worker thread calls
 /// [`handle`](ConcurrentMap::handle) once and runs its whole workload
-/// through the returned session.  Quiescent validation goes through the
-/// separate [`KeySum`] trait.
+/// through the returned session; quiescent validation goes through
+/// [`key_sum`](ConcurrentMap::key_sum).  Implementing this trait is all a
+/// structure needs to be benchmarkable, fuzzable and servable as a shard.
 pub trait ConcurrentMap: Send + Sync {
     /// Opens a per-thread session.  Cheap but not free (it registers the
     /// thread with the structure's memory-reclamation collector and sets up
@@ -307,12 +309,18 @@ pub trait ConcurrentMap: Send + Sync {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         None
     }
+
+    /// Sum of all keys currently stored, the accessor behind the harness's
+    /// checksum validation (paper §6 "Validation": the keys each thread
+    /// successfully inserted minus those it deleted must equal the keys
+    /// left in the structure).  Quiescent only: callers must ensure no
+    /// concurrent operations are in flight.
+    fn key_sum(&self) -> u128;
 }
 
-/// Boxed maps are maps too, so registry-built `Box<dyn ...>` values (e.g.
-/// the benchmark registry's `Box<dyn Benchable>`) can flow anywhere a
-/// `ConcurrentMap` is expected — the service layer's shards are built this
-/// way.
+/// Boxed maps are maps too, so registry-built `Box<dyn ConcurrentMap>`
+/// values can flow anywhere a `ConcurrentMap` is expected — the service
+/// layer's shards are built this way.
 impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn handle(&self) -> Box<dyn MapHandle + '_> {
         (**self).handle()
@@ -326,11 +334,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         (**self).ebr_stats()
     }
-}
-
-/// Companion to the boxed-[`ConcurrentMap`] impl: quiescent validation stays
-/// reachable through the box.
-impl<M: KeySum + ?Sized> KeySum for Box<M> {
     fn key_sum(&self) -> u128 {
         (**self).key_sum()
     }
@@ -357,9 +360,6 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for SharedMap<M> {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         self.0.ebr_stats()
     }
-}
-
-impl<M: KeySum + ?Sized> KeySum for SharedMap<M> {
     fn key_sum(&self) -> u128 {
         self.0.key_sum()
     }
@@ -405,7 +405,7 @@ impl<H: MapHandle + ?Sized> MapHandle for Box<H> {
 /// per-thread session type is known at compile time.
 ///
 /// [`ConcurrentMap::handle`] must stay object-safe for the benchmark
-/// registry's `Box<dyn Benchable>` values, so it returns a boxed session
+/// registry's `Box<dyn ConcurrentMap>` values, so it returns a boxed session
 /// and every operation through it is a virtual call.  Generic code that
 /// holds a concrete map type (the Criterion ablation benches, the typed
 /// wrapper) can instead bound on `SessionMap` and open a monomorphized
@@ -421,20 +421,6 @@ pub trait SessionMap: ConcurrentMap {
     /// Opens a concrete, statically-dispatched per-thread session
     /// (semantics of [`ConcurrentMap::handle`]).
     fn session(&self) -> Self::Session<'_>;
-}
-
-/// A map that can report the sum of its keys, the accessor behind the
-/// harness's checksum validation (paper §6 "Validation": the keys each
-/// thread successfully inserted minus those it deleted must equal the keys
-/// left in the structure).
-///
-/// Implementing this trait (plus [`ConcurrentMap`]) is all a structure needs
-/// to be benchmarkable: the `setbench` registry provides a blanket
-/// `Benchable` implementation for every `ConcurrentMap + KeySum` type.
-pub trait KeySum {
-    /// Sum of all keys currently stored.  Quiescent only: callers must
-    /// ensure no concurrent operations are in flight.
-    fn key_sum(&self) -> u128;
 }
 
 #[cfg(test)]

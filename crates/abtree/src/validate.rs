@@ -255,12 +255,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     }
 }
 
-impl<const ELIM: bool, L: RawNodeLock, P: Persist> crate::KeySum for AbTree<ELIM, L, P> {
-    fn key_sum(&self) -> u128 {
-        AbTree::key_sum(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::{ElimABTree, OccABTree};

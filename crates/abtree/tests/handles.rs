@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use abtree::{ConcurrentMap, ElimABTree, KeySum, OccABTree};
+use abtree::{ConcurrentMap, ElimABTree, OccABTree};
 use rand::prelude::*;
 
 /// A handle-driven workload registers once per thread, not once per
@@ -154,7 +154,7 @@ fn handle_outlives_a_completed_run() {
 }
 
 /// N threads x 1 handle each, hammering a small key range, validated
-/// against the `KeySum` checksum (needs real parallelism to stress the
+/// against the `key_sum` checksum (needs real parallelism to stress the
 /// pin/unpin protocol, so it is gated like the other contention tests).
 #[test]
 fn n_threads_one_handle_each_stress_keysum() {
@@ -190,7 +190,7 @@ fn n_threads_one_handle_each_stress_keysum() {
         net += w.join().unwrap();
     }
     tree.check_invariants().unwrap();
-    assert_eq!(KeySum::key_sum(&*tree) as i128, net);
+    assert_eq!(ConcurrentMap::key_sum(&*tree) as i128, net);
 }
 
 /// The object-safe factory path (`Box<dyn ConcurrentMap>`) produces working

@@ -278,6 +278,10 @@ impl ConcurrentMap for CaTree {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
+
+    fn key_sum(&self) -> u128 {
+        CaTree::key_sum(self)
+    }
 }
 
 impl Drop for CaTree {
@@ -296,12 +300,6 @@ impl Drop for CaTree {
                 stack.push(right.load(Ordering::Relaxed));
             }
         }
-    }
-}
-
-impl abtree::KeySum for CaTree {
-    fn key_sum(&self) -> u128 {
-        CaTree::key_sum(self)
     }
 }
 

@@ -287,6 +287,10 @@ impl ConcurrentMap for CowABTree {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
+
+    fn key_sum(&self) -> u128 {
+        CowABTree::key_sum(self)
+    }
 }
 
 impl Drop for CowABTree {
@@ -299,12 +303,6 @@ impl Drop for CowABTree {
                 drop(unsafe { Box::from_raw(ptr) });
             }
         }
-    }
-}
-
-impl abtree::KeySum for CowABTree {
-    fn key_sum(&self) -> u128 {
-        CowABTree::key_sum(self)
     }
 }
 

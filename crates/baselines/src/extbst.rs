@@ -285,6 +285,10 @@ impl ConcurrentMap for LockExtBst {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
+
+    fn key_sum(&self) -> u128 {
+        LockExtBst::key_sum(self)
+    }
 }
 
 impl Drop for LockExtBst {
@@ -301,12 +305,6 @@ impl Drop for LockExtBst {
                 stack.push(node.right.load(Ordering::Relaxed));
             }
         }
-    }
-}
-
-impl abtree::KeySum for LockExtBst {
-    fn key_sum(&self) -> u128 {
-        LockExtBst::key_sum(self)
     }
 }
 

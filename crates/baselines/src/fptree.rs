@@ -246,9 +246,7 @@ impl ConcurrentMap for FpTree {
     fn name(&self) -> &'static str {
         "fptree"
     }
-}
 
-impl abtree::KeySum for FpTree {
     fn key_sum(&self) -> u128 {
         FpTree::key_sum(self)
     }

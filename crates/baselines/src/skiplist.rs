@@ -376,6 +376,10 @@ impl ConcurrentMap for LazySkipList {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
+
+    fn key_sum(&self) -> u128 {
+        LazySkipList::key_sum(self)
+    }
 }
 
 impl Drop for LazySkipList {
@@ -391,12 +395,6 @@ impl Drop for LazySkipList {
             }
             cur = node.next[0].load(Ordering::Relaxed);
         }
-    }
-}
-
-impl abtree::KeySum for LazySkipList {
-    fn key_sum(&self) -> u128 {
-        LazySkipList::key_sum(self)
     }
 }
 

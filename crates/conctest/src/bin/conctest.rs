@@ -1,6 +1,7 @@
 //! `conctest` driver: sweeps the differential fuzzer and the concurrent
-//! linearizability checker over every registry structure, plus the kvserve
-//! service layer, from one seeded configuration.
+//! linearizability checker over every registry structure, kvserve
+//! services, crashkv's durable service and netserve's socket front end,
+//! from one seeded configuration.
 //!
 //! ```text
 //! conctest [--smoke] [--seed N] [--structure NAME] [--threads N]
@@ -9,19 +10,23 @@
 //!
 //! `--smr` selects the reclamation backend the registry mounts each
 //! structure on (default `ebr`), so CI can sweep the same schedules over
-//! the hazard-pointer backend.
+//! the hazard-pointer backend.  `--structure` keeps the targets mounted on
+//! that registry structure (the durable service's shards are
+//! `p-elim-abtree`).
 //!
-//! Per structure, two passes run:
+//! Per target, two passes run:
 //!
 //! * `diff` — the deterministic differential mode: a seeded interleaved
-//!   schedule replayed against the structure and a locked `BTreeMap`
-//!   oracle (logical threads, one OS thread);
+//!   schedule replayed against the target and a `BTreeMap` oracle
+//!   (logical threads, one OS thread);
 //! * `conc` — the concurrent recorded mode: OS threads under recorders,
 //!   every round's history checked for linearizability (snapshot-scan
 //!   semantics exactly for the registry's `Snapshot` structures).
 //!
-//! Then the same two passes run over kvserve services (tenant-skewed keys,
-//! batched ops) for a sample of shard counts and structures.
+//! The targets are every registry structure, then kvserve services
+//! (tenant-skewed keys, batched ops) for a sample of shard counts and
+//! structures, a socket server in front of one, and the durable service
+//! (point operations only).
 //!
 //! Any failure prints the shrunk reproducer, writes it to the artifact
 //! directory (`CONCTEST_ARTIFACT_DIR`, default `target/conctest/`) for CI
@@ -29,12 +34,14 @@
 //! default seed, so the sweep is deterministic in the deterministic mode
 //! and reproducibly seeded in the concurrent one.
 
-use conctest::{
-    differential_fuzz, differential_kvserve, fuzz_concurrent, fuzz_kvserve_concurrent,
-    write_artifact, CheckConfig, FuzzConfig,
-};
 use abebr::SmrPolicy;
+use conctest::{
+    differential_fuzz, fuzz_concurrent, kv_service, loopback_server, write_artifact, CheckConfig,
+    FuzzConfig, Target,
+};
+use crashkv::DurableKvService;
 use setbench::registry::{self, ScanSupport};
+use workload::OperationMix;
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
     args.iter()
@@ -49,11 +56,54 @@ fn flag_value(args: &[String], flag: &str) -> Option<u64> {
         })
 }
 
-struct Cell {
-    target: String,
-    mode: &'static str,
-    detail: String,
-    failed: bool,
+/// The result table: one row per target and mode, plus the first
+/// failure's reproducer.
+struct Sweep {
+    rows: Vec<(String, &'static str, String)>,
+    failed: Option<String>,
+    rounds: u32,
+}
+
+impl Sweep {
+    /// Runs both modes over fresh targets from `build` and adds their rows.
+    fn target<T: Target>(
+        &mut self,
+        name: &str,
+        build: &dyn Fn() -> T,
+        cfg: &FuzzConfig,
+        check_cfg: &CheckConfig,
+    ) {
+        let diff = match differential_fuzz(build, cfg) {
+            Ok(total) => format!("ok ({total} ops vs oracle)"),
+            Err(failure) => {
+                self.fail(name, "diff", failure.render());
+                format!("FAIL ({} op reproducer)", failure.minimal.len())
+            }
+        };
+        self.rows.push((name.into(), "diff", diff));
+        let conc = match fuzz_concurrent(build, cfg, check_cfg, self.rounds) {
+            Ok(report) => format!(
+                "ok ({} events, {} rounds{})",
+                report.events,
+                report.rounds,
+                if report.bounded_rounds > 0 {
+                    format!(", {} bounded", report.bounded_rounds)
+                } else {
+                    String::new()
+                }
+            ),
+            Err(failure) => {
+                self.fail(name, "conc", failure.render(cfg));
+                format!("FAIL ({} event reproducer)", failure.minimal.ops.len())
+            }
+        };
+        self.rows.push((name.into(), "conc", conc));
+    }
+
+    fn fail(&mut self, name: &str, mode: &str, reproducer: String) {
+        self.failed
+            .get_or_insert_with(|| format!("[{name} {mode}]\n{reproducer}"));
+    }
 }
 
 fn main() {
@@ -65,6 +115,7 @@ fn main() {
         .position(|a| a == "--structure")
         .and_then(|i| args.get(i + 1))
         .cloned();
+    let wanted = |structure: &str| only.as_deref().is_none_or(|o| o == structure);
     let smr: SmrPolicy = match args
         .iter()
         .position(|a| a == "--smr")
@@ -96,158 +147,70 @@ fn main() {
     );
     println!("{:<28} {:>5} {:>34}", "target", "mode", "result");
 
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut fail_text: Option<String> = None;
-
-    // Registry structures.
-    for descriptor in registry::STRUCTURES {
-        if only.as_deref().is_some_and(|o| o != descriptor.name) {
-            continue;
-        }
-        let build = move |policy: SmrPolicy| move || (descriptor.factory)(policy);
-        let diff = match differential_fuzz(&build(smr), &cfg) {
-            Ok(total) => Cell {
-                target: descriptor.name.into(),
-                mode: "diff",
-                detail: format!("ok ({total} ops vs oracle)"),
-                failed: false,
-            },
-            Err(failure) => {
-                fail_text.get_or_insert_with(|| {
-                    format!("[{} diff]\n{}", descriptor.name, failure.render())
-                });
-                Cell {
-                    target: descriptor.name.into(),
-                    mode: "diff",
-                    detail: format!("FAIL ({} op reproducer)", failure.minimal.len()),
-                    failed: true,
-                }
-            }
-        };
-        cells.push(diff);
-
+    let mut sweep = Sweep {
+        rows: Vec::new(),
+        failed: None,
+        rounds,
+    };
+    for descriptor in registry::STRUCTURES.iter().filter(|d| wanted(d.name)) {
         let check_cfg = if descriptor.scan == ScanSupport::Snapshot {
             CheckConfig::with_snapshot_scans()
         } else {
             CheckConfig::default()
         };
-        let conc = match fuzz_concurrent(&build(smr), &cfg, &check_cfg, rounds) {
-            Ok(report) => Cell {
-                target: descriptor.name.into(),
-                mode: "conc",
-                detail: format!(
-                    "ok ({} events, {} rounds{})",
-                    report.events,
-                    report.rounds,
-                    if report.bounded_rounds > 0 {
-                        format!(", {} bounded", report.bounded_rounds)
-                    } else {
-                        String::new()
-                    }
-                ),
-                failed: false,
-            },
-            Err(failure) => {
-                fail_text.get_or_insert_with(|| {
-                    format!("[{} conc]\n{}", descriptor.name, failure.render(&cfg))
-                });
-                Cell {
-                    target: descriptor.name.into(),
-                    mode: "conc",
-                    detail: format!("FAIL ({} event reproducer)", failure.minimal.ops.len()),
-                    failed: true,
-                }
-            }
-        };
-        cells.push(conc);
+        let build = || (descriptor.factory)(smr);
+        sweep.target(descriptor.name, &build, &cfg, &check_cfg);
     }
 
-    // kvserve services: tenant-skewed traffic over sharded registry
-    // structures; scans are scatter-gather, so per-key semantics.
-    let tenants = (4u16, 1.0);
-    let service_cells: &[(&'static str, usize)] = if smoke {
+    // The services: tenant-skewed traffic over sharded registry structures.
+    // Scans are scatter-gather and shards promise no cross-shard atomicity,
+    // so per-key semantics throughout.
+    let per_key = CheckConfig::default();
+    let service_cfg = FuzzConfig {
+        tenants: Some((4, 1.0)),
+        ..cfg.clone()
+    };
+    let service_cells: &[(&str, usize)] = if smoke {
         &[("elim-abtree", 3)]
     } else {
         &[("elim-abtree", 1), ("elim-abtree", 3), ("skiplist-lazy", 3)]
     };
-    for &(structure, shards) in service_cells {
-        if only.as_deref().is_some_and(|o| o != structure) {
-            continue;
-        }
-        let target = format!("kvserve/{structure}x{shards}");
-        let diff = match differential_kvserve(structure, shards, tenants, &cfg) {
-            Ok(total) => Cell {
-                target: target.clone(),
-                mode: "diff",
-                detail: format!("ok ({total} ops vs oracle)"),
-                failed: false,
-            },
-            Err(failure) => {
-                fail_text
-                    .get_or_insert_with(|| format!("[{target} diff]\n{}", failure.render()));
-                Cell {
-                    target: target.clone(),
-                    mode: "diff",
-                    detail: format!("FAIL ({} op reproducer)", failure.minimal.len()),
-                    failed: true,
-                }
-            }
+    for &(structure, shards) in service_cells.iter().filter(|(s, _)| wanted(s)) {
+        let build = || kv_service(structure, shards);
+        sweep.target(
+            &format!("kvserve/{structure}x{shards}"),
+            &build,
+            &service_cfg,
+            &per_key,
+        );
+    }
+    if wanted("elim-abtree") {
+        let build = || loopback_server(kv_service("elim-abtree", 2), 2);
+        sweep.target("netserve/elim-abtreex2", &build, &service_cfg, &per_key);
+    }
+    if wanted("p-elim-abtree") {
+        let durable_cfg = FuzzConfig {
+            mix: OperationMix::from_update_percent(50),
+            ..cfg.clone()
         };
-        cells.push(diff);
-        let conc = match fuzz_kvserve_concurrent(
-            structure,
-            shards,
-            tenants,
-            &cfg,
-            &CheckConfig::default(),
-            rounds,
-        ) {
-            Ok(report) => Cell {
-                target: target.clone(),
-                mode: "conc",
-                detail: format!(
-                    "ok ({} events, {} rounds{})",
-                    report.events,
-                    report.rounds,
-                    if report.bounded_rounds > 0 {
-                        format!(", {} bounded", report.bounded_rounds)
-                    } else {
-                        String::new()
-                    }
-                ),
-                failed: false,
-            },
-            Err(failure) => {
-                fail_text
-                    .get_or_insert_with(|| format!("[{target} conc]\n{}", failure.render(&cfg)));
-                Cell {
-                    target,
-                    mode: "conc",
-                    detail: format!("FAIL ({} event reproducer)", failure.minimal.ops.len()),
-                    failed: true,
-                }
-            }
-        };
-        cells.push(conc);
+        let build = || DurableKvService::new(2, 4);
+        sweep.target("crashkv/p-elim-abtreex2", &build, &durable_cfg, &per_key);
     }
 
-    let mut any_failed = false;
-    for cell in &cells {
-        println!("{:<28} {:>5} {:>34}", cell.target, cell.mode, cell.detail);
-        any_failed |= cell.failed;
+    for (target, mode, detail) in &sweep.rows {
+        println!("{target:<28} {mode:>5} {detail:>34}");
     }
-    if cells.is_empty() {
+    if sweep.rows.is_empty() {
         eprintln!("no targets matched {only:?}");
         std::process::exit(2);
     }
-    if any_failed {
-        let text = fail_text.expect("a failed cell recorded its reproducer");
+    if let Some(text) = sweep.failed {
         let path = write_artifact("shrunk-history.txt", &text);
         eprintln!("\n{text}\nreproducer written to {}", path.display());
         std::process::exit(1);
     }
     println!(
         "all {} cells clean: every history linearizable, every replay matched the oracle",
-        cells.len()
+        sweep.rows.len()
     );
 }

@@ -26,83 +26,46 @@
 //!   search may apply or discard, but never resurrect after its absence
 //!   was observed.
 //!
-//! [`DurableRecorder`] produces exactly such histories from a
-//! [`DurableRouter`] session; [`check_durable`] runs the checker over the
-//! weld.
+//! A [`DurableRouter`] is a [`Session`] of point operations whose `Crashed`
+//! answers are [`OpResult::Aborted`], so a [`Recorder`](crate::Recorder)
+//! over one produces exactly such histories, and a [`DurableKvService`] is a
+//! [`Target`] the differential fuzzer replays against the oracle.
+//! [`check_durable`] runs the checker over the weld.
+//!
+//! [`Clock`]: crate::Clock
 
-use std::sync::Arc;
-
-use crashkv::{Crashed, DurableRouter};
+use crashkv::{DurableKvService, DurableRouter};
 
 use crate::checker::{check, CheckConfig, Outcome};
-use crate::history::{Clock, History, OpKind, OpRecord, OpResult};
+use crate::fuzz::Target;
+use crate::history::{History, OpKind, OpResult, Session};
 
-/// A recording wrapper around a crashkv [`DurableRouter`] session.
-///
-/// Mirrors [`crate::RouterRecorder`] for the durable service: every
-/// blocking call is logged with invoke/response ticks from the shared
-/// [`Clock`], recording the value on acknowledgement and
+/// Blocking durable calls: an acknowledged result, or
 /// [`OpResult::Aborted`] when the shard crashed before the covering group
-/// fence.  The error is passed back to the caller either way, so workloads
-/// can retry.
-pub struct DurableRecorder {
-    inner: DurableRouter,
-    thread: u32,
-    clock: Arc<Clock>,
-    ops: Vec<OpRecord>,
+/// fence.
+///
+/// # Panics
+///
+/// Panics on scans and batches: the durable router serves point
+/// operations only.
+impl Session for DurableRouter {
+    fn run(&mut self, op: &OpKind) -> OpResult {
+        let outcome = match *op {
+            OpKind::Insert { key, value } => self.put(key, value),
+            OpKind::Delete { key } => self.delete(key),
+            OpKind::Get { key } => self.get(key),
+            _ => panic!("the durable router serves point operations only, not {op}"),
+        };
+        outcome.map_or(OpResult::Aborted, OpResult::Value)
+    }
 }
 
-impl DurableRecorder {
-    /// Wraps `router`, logging under thread id `thread` against `clock`.
-    pub fn new(router: DurableRouter, thread: u32, clock: Arc<Clock>) -> Self {
-        Self {
-            inner: router,
-            thread,
-            clock,
-            ops: Vec::new(),
-        }
-    }
+/// A durable service; its sessions are durable routers.
+impl Target for DurableKvService {
+    type Session<'t> = DurableRouter;
 
-    /// Finishes recording, returning this thread's log.
-    pub fn finish(self) -> Vec<OpRecord> {
-        self.ops
-    }
-
-    fn record(
-        &mut self,
-        kind: OpKind,
-        run: impl FnOnce(&mut DurableRouter) -> Result<Option<u64>, Crashed>,
-    ) -> Result<Option<u64>, Crashed> {
-        let invoke = self.clock.tick();
-        let outcome = run(&mut self.inner);
-        let response = self.clock.tick();
-        let result = match outcome {
-            Ok(value) => OpResult::Value(value),
-            Err(Crashed) => OpResult::Aborted,
-        };
-        self.ops.push(OpRecord {
-            thread: self.thread,
-            kind,
-            result,
-            invoke,
-            response,
-        });
-        outcome
-    }
-
-    /// Recorded durable `get`.
-    pub fn get(&mut self, key: u64) -> Result<Option<u64>, Crashed> {
-        self.record(OpKind::Get { key }, |r| r.get(key))
-    }
-
-    /// Recorded durable `put` (insert-if-absent).
-    pub fn put(&mut self, key: u64, value: u64) -> Result<Option<u64>, Crashed> {
-        self.record(OpKind::Insert { key, value }, |r| r.put(key, value))
-    }
-
-    /// Recorded durable `delete`.
-    pub fn delete(&mut self, key: u64) -> Result<Option<u64>, Crashed> {
-        self.record(OpKind::Delete { key }, |r| r.delete(key))
+    fn open(&self) -> DurableRouter {
+        self.router()
     }
 }
 
@@ -124,18 +87,23 @@ pub fn check_durable(history: &History, config: &CheckConfig) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crashkv::DurableKvService;
+    use crate::{differential_fuzz, Clock, FuzzConfig, Recorder};
+    use std::sync::Arc;
 
     #[test]
     fn durable_recorder_round_trips_and_records() {
         let mut service = DurableKvService::new(2, 4);
         let clock = Clock::new();
-        let mut rec = DurableRecorder::new(service.router(), 0, Arc::clone(&clock));
-        assert_eq!(rec.put(1, 10), Ok(None));
-        assert_eq!(rec.put(1, 11), Ok(Some(10)));
-        assert_eq!(rec.get(1), Ok(Some(10)));
-        assert_eq!(rec.delete(1), Ok(Some(10)));
-        assert_eq!(rec.get(1), Ok(None));
+        let mut rec = Recorder::new(service.router(), 0, Arc::clone(&clock));
+        let insert = |key, value| OpKind::Insert { key, value };
+        assert_eq!(rec.run(&insert(1, 10)), OpResult::Value(None));
+        assert_eq!(rec.run(&insert(1, 11)), OpResult::Value(Some(10)));
+        assert_eq!(rec.run(&OpKind::Get { key: 1 }), OpResult::Value(Some(10)));
+        assert_eq!(
+            rec.run(&OpKind::Delete { key: 1 }),
+            OpResult::Value(Some(10))
+        );
+        assert_eq!(rec.run(&OpKind::Get { key: 1 }), OpResult::Value(None));
         let ops = rec.finish();
         service.shutdown();
         assert_eq!(ops.len(), 5);
@@ -164,10 +132,10 @@ mod tests {
             },
         );
         let clock = Clock::new();
-        let mut rec = DurableRecorder::new(service.router(), 0, Arc::clone(&clock));
+        let mut rec = Recorder::new(service.router(), 0, Arc::clone(&clock));
         let mut aborted = 0;
         for k in 1..=40u64 {
-            if rec.put(k, k).is_err() {
+            if rec.run(&OpKind::Insert { key: k, value: k }) == OpResult::Aborted {
                 aborted += 1;
             }
         }
@@ -177,7 +145,7 @@ mod tests {
         // Post-crash verification reads of every key, recorded in the same
         // welded history.
         for k in 1..=40u64 {
-            rec.get(k).unwrap();
+            assert_ne!(rec.run(&OpKind::Get { key: k }), OpResult::Aborted);
         }
         let history = History::merge(vec![rec.finish()]);
         service.shutdown();
@@ -195,5 +163,20 @@ mod tests {
             "{outcome:?}\n{}",
             history.render()
         );
+    }
+
+    /// Durable routers over a 2-shard service with groups of 4 acks per
+    /// fence agree op-for-op with the oracle on a seeded point-only
+    /// schedule (no crash is armed).
+    #[test]
+    fn durable_router_matches_the_oracle() {
+        let cfg = FuzzConfig {
+            ops_per_thread: 100,
+            mix: workload::OperationMix::from_update_percent(50),
+            ..FuzzConfig::default()
+        };
+        let replayed = differential_fuzz(&|| DurableKvService::new(2, 4), &cfg)
+            .unwrap_or_else(|failure| panic!("{}", failure.render()));
+        assert_eq!(replayed, 300);
     }
 }

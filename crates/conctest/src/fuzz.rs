@@ -1,38 +1,37 @@
 //! The differential fuzzer: seeded workload mixes replayed against every
-//! registry structure (and the kvserve service) two ways.
+//! kind of [`Target`] — registry structures, kvserve services, crashkv's
+//! durable service and netserve's socket front end — two ways.
 //!
-//! * **Deterministic differential mode** ([`differential_fuzz`],
-//!   [`differential_kvserve`]): a seeded schedule of operations from N
-//!   *logical* threads — each owning its own session handle, all executed
-//!   interleaved on one OS thread — is replayed against the structure and a
-//!   locked `BTreeMap` oracle in lock-step, comparing every result.  Fully
-//!   deterministic, so a failing schedule shrinks (ddmin-style, see
-//!   [`crate::shrink`]) to a minimal reproducer: the seed plus the surviving
-//!   operations.
+//! * **Deterministic differential mode** ([`differential_fuzz`]): a seeded
+//!   schedule of operations from N *logical* threads — each owning its own
+//!   [`Session`], all executed interleaved on one OS thread — is replayed
+//!   against the target and a `BTreeMap` oracle session in lock-step,
+//!   comparing every [`OpResult`].  Fully deterministic, so a failing
+//!   schedule shrinks (ddmin-style, see [`crate::shrink`]) to a minimal
+//!   reproducer: the seed plus the surviving operations.
 //! * **Concurrent recorded mode** ([`fuzz_concurrent`]): real OS threads run
 //!   seeded per-thread operation streams through [`Recorder`]s on a fresh
-//!   structure, and the merged history goes to the
+//!   target, and the merged history goes to the
 //!   [`checker`](crate::checker).  Violating histories shrink by the same
 //!   ddmin loop, re-running only the (pure, deterministic) checker.
 //!
 //! Key streams support Zipfian skew ([`FuzzConfig::key_skew`]) and, for the
-//! service runs, two-level tenant skew via
-//! [`workload::TenantKeyDistribution`]; mixes are ordinary
-//! [`workload::OperationMix`]s, so YCSB-E-style scan-heavy mixes are one
-//! constructor call away.  Every insert in a run carries a **unique value**,
-//! which sharpens both the oracle comparison and the checker's provenance
-//! pre-pass.
+//! service targets, two-level tenant skew ([`FuzzConfig::tenants`]); mixes
+//! are ordinary [`workload::OperationMix`]s, so YCSB-E-style scan-heavy mixes
+//! are one constructor call away.  Every insert in a run carries a **unique
+//! value**, which sharpens both the oracle comparison and the checker's
+//! provenance pre-pass.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use abtree::MapHandle;
+use abtree::{ConcurrentMap, MapHandle};
+use kvserve::{KvService, ShardRouter};
 use rand::prelude::*;
-use setbench::registry::Benchable;
 use workload::{KeyDistribution, Operation, OperationMix, TenantKeyDistribution};
 
 use crate::checker::{check, CheckConfig, Outcome};
-use crate::history::{Clock, History, Recorder, RouterRecorder};
+use crate::history::{Clock, History, OpKind, OpResult, Recorder, Session};
 use crate::shrink::shrink_schedule;
 
 /// Fuzzing parameters.  Key spaces and windows are deliberately small: the
@@ -47,7 +46,7 @@ pub struct FuzzConfig {
     pub threads: u32,
     /// Operations per thread (per round, in concurrent mode).
     pub ops_per_thread: u32,
-    /// Keys are drawn from `[0, key_space)`.
+    /// Keys are drawn from `[0, key_space)` (per tenant, with `tenants`).
     pub key_space: u64,
     /// Operation mix (shares of insert/delete/find/scan/mget/mput).
     pub mix: OperationMix,
@@ -57,6 +56,10 @@ pub struct FuzzConfig {
     pub max_batch: usize,
     /// Zipf exponent of the key distribution (0 = uniform).
     pub key_skew: f64,
+    /// Two-level tenant skew `(tenants, exponent)` for service targets:
+    /// keys are namespace-prefixed draws of a Zipf-chosen tenant.  `None`
+    /// draws flat keys.
+    pub tenants: Option<(u16, f64)>,
 }
 
 impl Default for FuzzConfig {
@@ -72,48 +75,24 @@ impl Default for FuzzConfig {
             max_scan_len: 12,
             max_batch: 6,
             key_skew: 0.8,
+            tenants: None,
         }
     }
-}
-
-/// One materialized operation of a schedule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecOp {
-    /// `insert(key, value)`.
-    Insert(u64, u64),
-    /// `delete(key)`.
-    Delete(u64),
-    /// `get(key)`.
-    Get(u64),
-    /// Scan of `[start, start + len - 1]`.
-    Scan(u64, u64),
-    /// Batched multi-get.
-    MGet(Vec<u64>),
-    /// Batched multi-put.
-    MPut(Vec<(u64, u64)>),
 }
 
 /// A schedule entry: which logical thread runs which operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduledOp {
-    /// Logical thread (session handle index).
+    /// Logical thread (session index).
     pub thread: u32,
     /// The operation.
-    pub op: SpecOp,
+    pub op: OpKind,
 }
 
 impl ScheduledOp {
     /// Renders as e.g. `t2 insert(5, 1001)`.
     pub fn render(&self) -> String {
-        let op = match &self.op {
-            SpecOp::Insert(k, v) => format!("insert({k}, {v})"),
-            SpecOp::Delete(k) => format!("delete({k})"),
-            SpecOp::Get(k) => format!("get({k})"),
-            SpecOp::Scan(lo, len) => format!("scan({lo}, len {len})"),
-            SpecOp::MGet(keys) => format!("mget({keys:?})"),
-            SpecOp::MPut(pairs) => format!("mput({pairs:?})"),
-        };
-        format!("t{} {op}", self.thread)
+        format!("t{} {}", self.thread, self.op)
     }
 }
 
@@ -125,6 +104,21 @@ enum KeyGen {
 }
 
 impl KeyGen {
+    fn new(cfg: &FuzzConfig) -> Self {
+        match cfg.tenants {
+            None => KeyGen::Flat(KeyDistribution::from_zipf_parameter(
+                cfg.key_space,
+                cfg.key_skew,
+            )),
+            Some((count, skew)) => KeyGen::Tenant(TenantKeyDistribution::new(
+                count,
+                skew,
+                cfg.key_space,
+                cfg.key_skew,
+            )),
+        }
+    }
+
     fn sample(&self, rng: &mut StdRng) -> u64 {
         match self {
             KeyGen::Flat(dist) => dist.sample(rng),
@@ -136,23 +130,39 @@ impl KeyGen {
     }
 }
 
-fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut u64) -> SpecOp {
+fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut u64) -> OpKind {
     let mut value = || {
         *next_value += 1;
         *next_value
     };
     match cfg.mix.sample(rng) {
-        Operation::Insert => SpecOp::Insert(keys.sample(rng), value()),
-        Operation::Delete => SpecOp::Delete(keys.sample(rng)),
-        Operation::Find => SpecOp::Get(keys.sample(rng)),
-        Operation::Scan => SpecOp::Scan(keys.sample(rng), rng.gen_range(1..=cfg.max_scan_len)),
+        Operation::Insert => OpKind::Insert {
+            key: keys.sample(rng),
+            value: value(),
+        },
+        Operation::Delete => OpKind::Delete {
+            key: keys.sample(rng),
+        },
+        Operation::Find => OpKind::Get {
+            key: keys.sample(rng),
+        },
+        Operation::Scan => {
+            let start = keys.sample(rng);
+            let (lo, hi) = abtree::scan_window(start, rng.gen_range(1..=cfg.max_scan_len))
+                .expect("scan lengths are at least 1");
+            OpKind::Range { lo, hi }
+        }
         Operation::MGet => {
             let n = rng.gen_range(1..=cfg.max_batch);
-            SpecOp::MGet((0..n).map(|_| keys.sample(rng)).collect())
+            OpKind::MGet {
+                keys: (0..n).map(|_| keys.sample(rng)).collect(),
+            }
         }
         Operation::MPut => {
             let n = rng.gen_range(1..=cfg.max_batch);
-            SpecOp::MPut((0..n).map(|_| (keys.sample(rng), value())).collect())
+            OpKind::MPut {
+                pairs: (0..n).map(|_| (keys.sample(rng), value())).collect(),
+            }
         }
     }
 }
@@ -160,23 +170,11 @@ fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut
 /// Generates the deterministic-mode schedule: a seeded random interleaving
 /// of per-thread operation streams (uniformly random thread per step, so
 /// context switches land at every possible boundary over enough seeds).
-pub fn generate_schedule(cfg: &FuzzConfig, tenants: Option<(u16, f64)>) -> Vec<ScheduledOp> {
+pub fn generate_schedule(cfg: &FuzzConfig) -> Vec<ScheduledOp> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let keys = match tenants {
-        None => KeyGen::Flat(KeyDistribution::from_zipf_parameter(
-            cfg.key_space,
-            cfg.key_skew,
-        )),
-        Some((count, skew)) => KeyGen::Tenant(TenantKeyDistribution::new(
-            count,
-            skew,
-            cfg.key_space,
-            cfg.key_skew,
-        )),
-    };
+    let keys = KeyGen::new(cfg);
     let mut next_value = 0u64;
-    let total = cfg.threads * cfg.ops_per_thread;
-    (0..total)
+    (0..cfg.threads * cfg.ops_per_thread)
         .map(|_| ScheduledOp {
             thread: rng.gen_range(0..cfg.threads),
             op: sample_op(&mut rng, cfg, &keys, &mut next_value),
@@ -184,17 +182,61 @@ pub fn generate_schedule(cfg: &FuzzConfig, tenants: Option<(u16, f64)>) -> Vec<S
         .collect()
 }
 
-/// A deterministic-mode divergence between structure and oracle.
+/// A system under test: a fresh one is built per replay or round, and
+/// every (logical or OS) thread opens its own [`Session`] on it.
+pub trait Target: Sync {
+    /// The per-thread session type.
+    type Session<'t>: Session
+    where
+        Self: 't;
+
+    /// Whether a scan may be an atomic snapshot.  The services scatter and
+    /// gather scans across shards that promise no cross-shard atomicity,
+    /// so their histories are checked per key.
+    const SNAPSHOT_SCANS: bool = false;
+
+    /// Opens a session, on the thread that will use it (a kvserve router
+    /// is `!Send`).
+    fn open(&self) -> Self::Session<'_>;
+}
+
+/// A registry structure; its sessions are tree handles.  Which structures
+/// scan atomically is the registry's `ScanSupport`.
+impl Target for Box<dyn ConcurrentMap> {
+    type Session<'t> = Box<dyn MapHandle + 't>;
+    const SNAPSHOT_SCANS: bool = true;
+
+    fn open(&self) -> Self::Session<'_> {
+        self.handle()
+    }
+}
+
+/// A kvserve service; its sessions are routers.
+impl Target for KvService {
+    type Session<'t> = ShardRouter<'t>;
+
+    fn open(&self) -> Self::Session<'_> {
+        self.router()
+    }
+}
+
+/// A kvserve service with `shards` shards of registry structure
+/// `structure`: the service target of tenant-skewed fuzz runs.
+pub fn kv_service(structure: &str, shards: usize) -> KvService {
+    KvService::new(shards, 1, |_| setbench::registry::make_structure(structure))
+}
+
+/// A deterministic-mode divergence between target and oracle.
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// Index into the schedule.
     pub step: usize,
     /// The diverging operation.
     pub op: ScheduledOp,
-    /// What the structure returned.
-    pub got: String,
+    /// What the target returned.
+    pub got: OpResult,
     /// What the oracle expected.
-    pub want: String,
+    pub want: OpResult,
 }
 
 impl std::fmt::Display for Mismatch {
@@ -210,138 +252,14 @@ impl std::fmt::Display for Mismatch {
     }
 }
 
-/// Session abstraction shared by the two deterministic replay targets: a
-/// set of per-logical-thread structure handles, or a set of service
-/// routers.
-trait ReplayTarget {
-    fn insert(&mut self, thread: u32, key: u64, value: u64) -> Option<u64>;
-    fn delete(&mut self, thread: u32, key: u64) -> Option<u64>;
-    fn get(&mut self, thread: u32, key: u64) -> Option<u64>;
-    fn scan(&mut self, thread: u32, lo: u64, len: u64) -> Vec<(u64, u64)>;
-    fn mget(&mut self, thread: u32, keys: &[u64]) -> Vec<Option<u64>>;
-    fn mput(&mut self, thread: u32, pairs: &[(u64, u64)]) -> Vec<Option<u64>>;
-}
-
-struct HandleTarget<'m> {
-    handles: Vec<Box<dyn MapHandle + 'm>>,
-}
-
-impl ReplayTarget for HandleTarget<'_> {
-    fn insert(&mut self, thread: u32, key: u64, value: u64) -> Option<u64> {
-        self.handles[thread as usize].insert(key, value)
-    }
-    fn delete(&mut self, thread: u32, key: u64) -> Option<u64> {
-        self.handles[thread as usize].delete(key)
-    }
-    fn get(&mut self, thread: u32, key: u64) -> Option<u64> {
-        self.handles[thread as usize].get(key)
-    }
-    fn scan(&mut self, thread: u32, lo: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        if let Some((lo, hi)) = abtree::scan_window(lo, len) {
-            self.handles[thread as usize].range(lo, hi, &mut out);
-        }
-        out
-    }
-    fn mget(&mut self, thread: u32, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        self.handles[thread as usize].get_batch(keys, &mut out);
-        out
-    }
-    fn mput(&mut self, thread: u32, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        self.handles[thread as usize].insert_batch(pairs, &mut out);
-        out
-    }
-}
-
-struct RouterTarget<'s> {
-    routers: Vec<kvserve::ShardRouter<'s>>,
-}
-
-impl ReplayTarget for RouterTarget<'_> {
-    fn insert(&mut self, thread: u32, key: u64, value: u64) -> Option<u64> {
-        self.routers[thread as usize].put(key, value)
-    }
-    fn delete(&mut self, thread: u32, key: u64) -> Option<u64> {
-        self.routers[thread as usize].delete(key)
-    }
-    fn get(&mut self, thread: u32, key: u64) -> Option<u64> {
-        self.routers[thread as usize].get(key)
-    }
-    fn scan(&mut self, thread: u32, lo: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.routers[thread as usize].scan(lo, len, &mut out);
-        out
-    }
-    fn mget(&mut self, thread: u32, keys: &[u64]) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        self.routers[thread as usize].mget(keys, &mut out);
-        out
-    }
-    fn mput(&mut self, thread: u32, pairs: &[(u64, u64)]) -> Vec<Option<u64>> {
-        let mut out = Vec::new();
-        self.routers[thread as usize].mput(pairs, &mut out);
-        out
-    }
-}
-
-/// Replays `schedule` against `target` and a locked `BTreeMap` oracle in
-/// lock-step (the oracle mutex is taken around each compared operation, the
-/// discipline that would make the oracle usable from concurrent replayers
-/// too).  Returns the first divergence.
-fn replay(target: &mut dyn ReplayTarget, schedule: &[ScheduledOp]) -> Result<(), Mismatch> {
-    let oracle: Mutex<BTreeMap<u64, u64>> = Mutex::new(BTreeMap::new());
+/// Replays `schedule` on sessions of `target` (one per logical thread) and
+/// on the `BTreeMap` oracle in lock-step.  Returns the first divergence.
+fn replay<T: Target>(target: &T, threads: u32, schedule: &[ScheduledOp]) -> Result<(), Mismatch> {
+    let mut sessions: Vec<T::Session<'_>> = (0..threads).map(|_| target.open()).collect();
+    let mut oracle = BTreeMap::new();
     for (step, entry) in schedule.iter().enumerate() {
-        let mut oracle = oracle.lock().expect("oracle poisoned");
-        let (got, want): (String, String) = match &entry.op {
-            &SpecOp::Insert(key, value) => {
-                let want = oracle.get(&key).copied();
-                if want.is_none() {
-                    oracle.insert(key, value);
-                }
-                let got = target.insert(entry.thread, key, value);
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-            &SpecOp::Delete(key) => {
-                let want = oracle.remove(&key);
-                let got = target.delete(entry.thread, key);
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-            &SpecOp::Get(key) => {
-                let want = oracle.get(&key).copied();
-                let got = target.get(entry.thread, key);
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-            &SpecOp::Scan(lo, len) => {
-                let got = target.scan(entry.thread, lo, len);
-                let want: Vec<(u64, u64)> = match abtree::scan_window(lo, len) {
-                    None => Vec::new(),
-                    Some((lo, hi)) => oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect(),
-                };
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-            SpecOp::MGet(keys) => {
-                let got = target.mget(entry.thread, keys);
-                let want: Vec<Option<u64>> =
-                    keys.iter().map(|k| oracle.get(k).copied()).collect();
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-            SpecOp::MPut(pairs) => {
-                let want: Vec<Option<u64>> = pairs
-                    .iter()
-                    .map(|&(k, v)| {
-                        let prior = oracle.get(&k).copied();
-                        if prior.is_none() {
-                            oracle.insert(k, v);
-                        }
-                        prior
-                    })
-                    .collect();
-                let got = target.mput(entry.thread, pairs);
-                (format!("{got:?}"), format!("{want:?}"))
-            }
-        };
+        let want = oracle.run(&entry.op);
+        let got = sessions[entry.thread as usize].run(&entry.op);
         if got != want {
             return Err(Mismatch {
                 step,
@@ -352,35 +270,6 @@ fn replay(target: &mut dyn ReplayTarget, schedule: &[ScheduledOp]) -> Result<(),
         }
     }
     Ok(())
-}
-
-/// Replays a schedule against a fresh structure from `factory` (handles for
-/// `threads` logical threads) and the oracle.  Exposed for the shrinker,
-/// which re-runs candidate sub-schedules.
-pub fn replay_structure(
-    factory: &dyn Fn() -> Box<dyn Benchable>,
-    threads: u32,
-    schedule: &[ScheduledOp],
-) -> Result<(), Mismatch> {
-    let map = factory();
-    let mut target = HandleTarget {
-        handles: (0..threads).map(|_| map.handle()).collect(),
-    };
-    replay(&mut target, schedule)
-}
-
-/// Replays a schedule against a fresh kvserve service from `factory`
-/// (routers for `threads` logical threads) and the oracle.
-pub fn replay_service(
-    factory: &dyn Fn() -> kvserve::KvService,
-    threads: u32,
-    schedule: &[ScheduledOp],
-) -> Result<(), Mismatch> {
-    let service = factory();
-    let mut target = RouterTarget {
-        routers: (0..threads).map(|_| service.router()).collect(),
-    };
-    replay(&mut target, schedule)
 }
 
 /// A shrunk deterministic-mode failure: the reproducer is the seed plus the
@@ -413,20 +302,22 @@ impl DiffFailure {
     }
 }
 
-/// The one copy of the differential run-or-shrink step: replay the full
-/// schedule; on divergence, shrink it and package the reproducer.
-fn differential_outcome(
-    seed: u64,
-    schedule: &[ScheduledOp],
-    run: &dyn Fn(&[ScheduledOp]) -> Result<(), Mismatch>,
+/// Deterministic differential fuzz of a target: generate a schedule, replay
+/// it against a fresh target from `build` and the oracle, and shrink any
+/// divergence to a minimal reproducer (each candidate on a fresh target).
+pub fn differential_fuzz<T: Target>(
+    build: &dyn Fn() -> T,
+    cfg: &FuzzConfig,
 ) -> Result<usize, Box<DiffFailure>> {
-    match run(schedule) {
+    let schedule = generate_schedule(cfg);
+    let run = |s: &[ScheduledOp]| replay(&build(), cfg.threads, s);
+    match run(&schedule) {
         Ok(()) => Ok(schedule.len()),
         Err(_) => {
-            let minimal = shrink_schedule(schedule, run);
+            let minimal = shrink_schedule(&schedule, &run);
             let mismatch = run(&minimal).expect_err("shrunk schedule must still fail");
             Err(Box::new(DiffFailure {
-                seed,
+                seed: cfg.seed,
                 mismatch,
                 minimal,
             }))
@@ -434,143 +325,26 @@ fn differential_outcome(
     }
 }
 
-/// Deterministic differential fuzz of one structure: generate a schedule,
-/// replay against structure + oracle, and shrink any divergence to a
-/// minimal reproducer.
-pub fn differential_fuzz(
-    factory: &dyn Fn() -> Box<dyn Benchable>,
-    cfg: &FuzzConfig,
-) -> Result<usize, Box<DiffFailure>> {
-    let schedule = generate_schedule(cfg, None);
-    differential_outcome(cfg.seed, &schedule, &|s| {
-        replay_structure(factory, cfg.threads, s)
-    })
-}
-
-/// Deterministic differential fuzz of a kvserve service (tenant-skewed
-/// keys, batched ops routed across `shards` shards of registry structure
-/// `structure`).
-pub fn differential_kvserve(
-    structure: &'static str,
-    shards: usize,
-    tenants: (u16, f64),
-    cfg: &FuzzConfig,
-) -> Result<usize, Box<DiffFailure>> {
-    let factory = move || {
-        kvserve::KvService::new(shards, tenants.0 as usize, |_| {
-            Box::new(setbench::registry::make_structure(structure))
-        })
-    };
-    let schedule = generate_schedule(cfg, Some(tenants));
-    differential_outcome(cfg.seed, &schedule, &|s| {
-        replay_service(&factory, cfg.threads, s)
-    })
-}
-
-/// A per-thread recorded session in concurrent mode: how one materialized
-/// op executes and how the event log is recovered afterwards.  Bridges the
-/// two recorders (structure handles vs service routers) so the threaded
-/// round loop — scoped spawn, per-thread seeding, value uniquing, op
-/// dispatch — exists exactly once, in [`record_round`].
-trait RecordSession {
-    fn apply(&mut self, op: &SpecOp);
-    fn finish(self) -> Vec<crate::history::OpRecord>;
-}
-
-/// Structure-session recording: a [`Recorder`] over a boxed [`MapHandle`]
-/// plus reusable scratch buffers.
-struct MapSession<'m> {
-    rec: Recorder<Box<dyn MapHandle + 'm>>,
-    entries: Vec<(u64, u64)>,
-    values: Vec<Option<u64>>,
-}
-
-impl RecordSession for MapSession<'_> {
-    fn apply(&mut self, op: &SpecOp) {
-        match op {
-            &SpecOp::Insert(k, v) => {
-                self.rec.insert(k, v);
-            }
-            &SpecOp::Delete(k) => {
-                self.rec.delete(k);
-            }
-            &SpecOp::Get(k) => {
-                self.rec.get(k);
-            }
-            &SpecOp::Scan(lo, len) => {
-                if let Some((lo, hi)) = abtree::scan_window(lo, len) {
-                    self.rec.range(lo, hi, &mut self.entries);
-                }
-            }
-            SpecOp::MGet(keys) => self.rec.get_batch(keys, &mut self.values),
-            SpecOp::MPut(pairs) => self.rec.insert_batch(pairs, &mut self.values),
-        }
-    }
-
-    fn finish(self) -> Vec<crate::history::OpRecord> {
-        self.rec.finish()
-    }
-}
-
-/// Service-session recording: a [`RouterRecorder`] over a [`ShardRouter`].
-struct RouterSession<'s> {
-    rec: RouterRecorder<'s>,
-}
-
-impl RecordSession for RouterSession<'_> {
-    fn apply(&mut self, op: &SpecOp) {
-        match op {
-            &SpecOp::Insert(k, v) => {
-                self.rec.put(k, v);
-            }
-            &SpecOp::Delete(k) => {
-                self.rec.delete(k);
-            }
-            &SpecOp::Get(k) => {
-                self.rec.get(k);
-            }
-            &SpecOp::Scan(lo, len) => {
-                self.rec.scan(lo, len);
-            }
-            SpecOp::MGet(keys) => {
-                self.rec.mget(keys);
-            }
-            SpecOp::MPut(pairs) => {
-                self.rec.mput(pairs);
-            }
-        }
-    }
-
-    fn finish(self) -> Vec<crate::history::OpRecord> {
-        self.rec.finish()
-    }
-}
-
-/// The one copy of the concurrent recording loop: `cfg.threads` OS threads,
-/// each opening a session through `open`, running `cfg.ops_per_thread`
-/// seeded operations (keys from the shared `keys` source, unique values
-/// with thread-tagged high bits), and the merged [`History`] returned.
-fn record_round<S: RecordSession>(
-    open: &(dyn Fn(u32, Arc<Clock>) -> S + Sync),
-    keys: &KeyGen,
-    cfg: &FuzzConfig,
-    round: u64,
-) -> History {
+/// Records one concurrent round on `target` (which must be fresh: the
+/// checker assumes the initial state is empty): `cfg.threads` OS threads
+/// each open a session, run `cfg.ops_per_thread` seeded operations through
+/// a [`Recorder`] (unique values with thread-tagged high bits), and the
+/// merged [`History`] is returned.
+fn record_round<T: Target>(target: &T, keys: &KeyGen, cfg: &FuzzConfig, round: u64) -> History {
     let clock = Clock::new();
-    let parts: Vec<Vec<crate::history::OpRecord>> = std::thread::scope(|scope| {
+    let parts = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..cfg.threads)
             .map(|t| {
                 let clock = Arc::clone(&clock);
                 scope.spawn(move || {
-                    let mut session = open(t, clock);
+                    let mut rec = Recorder::new(target.open(), t, clock);
                     let mut rng =
                         StdRng::seed_from_u64(cfg.seed ^ round.rotate_left(17) ^ (t as u64) << 32);
                     let mut next_value = (t as u64 + 1) << 40;
                     for _ in 0..cfg.ops_per_thread {
-                        let op = sample_op(&mut rng, cfg, keys, &mut next_value);
-                        session.apply(&op);
+                        rec.run(&sample_op(&mut rng, cfg, keys, &mut next_value));
                     }
-                    session.finish()
+                    rec.finish()
                 })
             })
             .collect();
@@ -580,27 +354,6 @@ fn record_round<S: RecordSession>(
             .collect()
     });
     History::merge(parts)
-}
-
-/// Records one concurrent round: `cfg.threads` OS threads each run
-/// `cfg.ops_per_thread` seeded operations through a [`Recorder`] over a
-/// session on `map`, and the merged [`History`] is returned.  `map` must be
-/// fresh (the checker assumes the initial state is empty).
-pub fn record_concurrent(map: &dyn Benchable, cfg: &FuzzConfig, round: u64) -> History {
-    let keys = KeyGen::Flat(KeyDistribution::from_zipf_parameter(
-        cfg.key_space,
-        cfg.key_skew,
-    ));
-    record_round(
-        &|t, clock| MapSession {
-            rec: Recorder::new(map.handle(), t, clock),
-            entries: Vec::new(),
-            values: Vec::new(),
-        },
-        &keys,
-        cfg,
-        round,
-    )
 }
 
 /// A concurrent-mode failure: the round that produced it and the shrunk
@@ -644,18 +397,24 @@ pub struct ConcReport {
     pub bounded_rounds: u32,
 }
 
-/// The shared round/check/shrink loop behind both concurrent fuzz entry
-/// points: records one history per round with `record_round` (fresh state
-/// each time), checks it, and on a violation shrinks and fails.  Bounded
-/// (budget-exhausted) rounds count as passes but are reported.
-fn fuzz_rounds(
-    record_round: &dyn Fn(u64) -> History,
+/// Runs `rounds` concurrent recorded rounds, each on a fresh target from
+/// `build`, checking every history.  On a violation the history is shrunk
+/// and returned as a [`ConcFailure`].  Bounded (budget-exhausted) rounds
+/// count as passes but are reported.
+pub fn fuzz_concurrent<T: Target>(
+    build: &dyn Fn() -> T,
+    cfg: &FuzzConfig,
     check_cfg: &CheckConfig,
     rounds: u32,
 ) -> Result<ConcReport, Box<ConcFailure>> {
+    assert!(
+        T::SNAPSHOT_SCANS || !check_cfg.snapshot_scans,
+        "service scans are scatter-gather, never atomic snapshots"
+    );
+    let keys = KeyGen::new(cfg);
     let mut report = ConcReport::default();
     for round in 0..rounds as u64 {
-        let history = record_round(round);
+        let history = record_round(&build(), &keys, cfg, round);
         report.rounds += 1;
         report.events += history.ops.len();
         match check(&history, check_cfg) {
@@ -678,75 +437,6 @@ fn fuzz_rounds(
         }
     }
     Ok(report)
-}
-
-/// Runs `rounds` concurrent recorded rounds, each on a fresh structure from
-/// `factory`, checking every history.  On a violation the history is shrunk
-/// and returned as a [`ConcFailure`].
-pub fn fuzz_concurrent(
-    factory: &dyn Fn() -> Box<dyn Benchable>,
-    cfg: &FuzzConfig,
-    check_cfg: &CheckConfig,
-    rounds: u32,
-) -> Result<ConcReport, Box<ConcFailure>> {
-    fuzz_rounds(
-        &|round| {
-            let map = factory();
-            record_concurrent(&*map, cfg, round)
-        },
-        check_cfg,
-        rounds,
-    )
-}
-
-/// Records one concurrent kvserve round: OS-thread routers under
-/// [`RouterRecorder`]s over a fresh service, tenant-skewed traffic.
-fn record_kvserve_round(
-    structure: &'static str,
-    shards: usize,
-    tenants: (u16, f64),
-    cfg: &FuzzConfig,
-    round: u64,
-) -> History {
-    let service = kvserve::KvService::new(shards, tenants.0 as usize, |_| {
-        Box::new(setbench::registry::make_structure(structure))
-    });
-    let keys = KeyGen::Tenant(TenantKeyDistribution::new(
-        tenants.0,
-        tenants.1,
-        cfg.key_space,
-        cfg.key_skew,
-    ));
-    record_round(
-        &|t, clock| RouterSession {
-            rec: RouterRecorder::new(service.router(), t, clock),
-        },
-        &keys,
-        cfg,
-        round,
-    )
-}
-
-/// Concurrent recorded fuzz of a kvserve service: OS-thread routers with
-/// tenant-skewed traffic, checked with per-key semantics (the service
-/// promises no cross-shard atomicity).
-pub fn fuzz_kvserve_concurrent(
-    structure: &'static str,
-    shards: usize,
-    tenants: (u16, f64),
-    cfg: &FuzzConfig,
-    check_cfg: &CheckConfig,
-    rounds: u32,
-) -> Result<ConcReport, Box<ConcFailure>> {
-    assert!(
-        !check_cfg.snapshot_scans,
-        "kvserve scans are scatter-gather, never atomic snapshots"
-    );
-    fuzz_rounds(
-        &|round| record_kvserve_round(structure, shards, tenants, cfg, round),
-        check_cfg,
-        rounds,
-    )
 }
 
 /// Number of keys [`record_hot_key_paths`] hammers: few enough that every
@@ -772,9 +462,7 @@ const HOT_KEYS: u64 = 8;
 /// Values are unique (thread-tagged), so the checker can match every read
 /// to the one write it observed.
 pub fn record_hot_key_paths(threads: u32, ops_per_thread: usize) -> (History, u64) {
-    use kvserve::Request;
-
-    let service = kvserve::KvService::new(4, 1, |_| {
+    let service = KvService::new(4, 1, |_| {
         Box::new(crate::stall::Stalling::new(
             setbench::registry::make_structure("elim-abtree"),
         ))
@@ -786,7 +474,7 @@ pub fn record_hot_key_paths(threads: u32, ops_per_thread: usize) -> (History, u6
             .map(|thread| {
                 let clock = Arc::clone(&clock);
                 scope.spawn(move || {
-                    let mut rec = RouterRecorder::new(service.router(), thread, clock);
+                    let mut rec = Recorder::new(service.router(), thread, clock);
                     let mut state = 0x9E37_79B9u64
                         .wrapping_mul(u64::from(thread) + 1)
                         .wrapping_add(0x5EED);
@@ -804,49 +492,43 @@ pub fn record_hot_key_paths(threads: u32, ops_per_thread: usize) -> (History, u6
                     let mut recorded = 0;
                     while recorded < ops_per_thread {
                         let key = next() % HOT_KEYS;
-                        recorded += match next() % 100 {
-                            0..=59 => {
-                                rec.get(key);
-                                1
-                            }
-                            60..=71 => {
-                                rec.put(key, fresh());
-                                1
-                            }
-                            72..=77 => {
-                                rec.delete(key);
-                                1
-                            }
+                        let op = match next() % 100 {
+                            0..=59 => OpKind::Get { key },
+                            60..=71 => OpKind::Insert {
+                                key,
+                                value: fresh(),
+                            },
+                            72..=77 => OpKind::Delete { key },
                             78..=91 => {
-                                let window: Vec<Request> = (0..2 + next() % 15)
+                                let window: Vec<OpKind> = (0..2 + next() % 15)
                                     .map(|_| {
                                         let key = next() % HOT_KEYS;
                                         match next() % 4 {
-                                            0 => Request::Put {
+                                            0 => OpKind::Insert {
                                                 key,
                                                 value: fresh(),
                                             },
-                                            1 => Request::Delete { key },
-                                            _ => Request::Get { key },
+                                            1 => OpKind::Delete { key },
+                                            _ => OpKind::Get { key },
                                         }
                                     })
                                     .collect();
-                                rec.serve_pipelined(&window);
-                                window.len()
+                                recorded += rec.run_window(&window).len();
+                                continue;
                             }
-                            92..=94 => {
-                                rec.mget(&[key, (key + 3) % HOT_KEYS]);
-                                1
-                            }
-                            95..=97 => {
-                                rec.mput(&[(key, fresh()), ((key + 5) % HOT_KEYS, fresh())]);
-                                1
-                            }
-                            _ => {
-                                rec.scan(0, HOT_KEYS);
-                                1
-                            }
+                            92..=94 => OpKind::MGet {
+                                keys: vec![key, (key + 3) % HOT_KEYS],
+                            },
+                            95..=97 => OpKind::MPut {
+                                pairs: vec![(key, fresh()), ((key + 5) % HOT_KEYS, fresh())],
+                            },
+                            _ => OpKind::Range {
+                                lo: 0,
+                                hi: HOT_KEYS - 1,
+                            },
                         };
+                        rec.run(&op);
+                        recorded += 1;
                     }
                     rec.finish()
                 })
@@ -867,22 +549,21 @@ mod tests {
     #[test]
     fn schedules_are_deterministic_and_values_unique() {
         let cfg = FuzzConfig::default();
-        let a = generate_schedule(&cfg, None);
-        let b = generate_schedule(&cfg, None);
+        let a = generate_schedule(&cfg);
+        let b = generate_schedule(&cfg);
         assert_eq!(a, b, "same seed, same schedule");
-        let c = generate_schedule(
-            &FuzzConfig {
-                seed: cfg.seed + 1,
-                ..cfg.clone()
-            },
-            None,
-        );
+        let c = generate_schedule(&FuzzConfig {
+            seed: cfg.seed + 1,
+            ..cfg.clone()
+        });
         assert_ne!(a, c, "different seed, different schedule");
         let mut values = std::collections::HashSet::new();
         for entry in &a {
             match &entry.op {
-                SpecOp::Insert(_, v) => assert!(values.insert(*v), "duplicate value {v}"),
-                SpecOp::MPut(pairs) => {
+                OpKind::Insert { value: v, .. } => {
+                    assert!(values.insert(*v), "duplicate value {v}")
+                }
+                OpKind::MPut { pairs } => {
                     for (_, v) in pairs {
                         assert!(values.insert(*v), "duplicate value {v}");
                     }
@@ -914,7 +595,7 @@ mod tests {
         };
         let build = || (descriptor.factory)(Default::default());
         let report = fuzz_concurrent(&build, &cfg, &CheckConfig::with_snapshot_scans(), 2)
-        .expect("occ-abtree is linearizable");
+            .expect("occ-abtree is linearizable");
         assert_eq!(report.rounds, 2);
         assert!(report.events > 0);
     }
@@ -924,8 +605,20 @@ mod tests {
         let cfg = FuzzConfig {
             ops_per_thread: 120,
             key_space: 40,
+            tenants: Some((4, 1.0)),
             ..FuzzConfig::default()
         };
-        differential_kvserve("elim-abtree", 3, (4, 1.0), &cfg).expect("service is correct");
+        differential_fuzz(&|| kv_service("elim-abtree", 3), &cfg).expect("service is correct");
+    }
+
+    #[test]
+    #[should_panic(expected = "never atomic snapshots")]
+    fn services_refuse_snapshot_scan_checking() {
+        let _ = fuzz_concurrent(
+            &|| kv_service("elim-abtree", 2),
+            &FuzzConfig::default(),
+            &CheckConfig::with_snapshot_scans(),
+            1,
+        );
     }
 }

@@ -10,13 +10,18 @@
 //! then `A.response < B.invoke`.  The [`checker`](crate::checker) consumes
 //! exactly this real-time order.
 //!
-//! Recording is deliberately dumb and cheap: each thread wraps its session
-//! in a [`Recorder`] (any [`MapHandle`]) or a [`RouterRecorder`] (a kvserve
-//! [`ShardRouter`]), which appends to a thread-local `Vec` — no shared
-//! mutable state beyond the clock, so recording perturbs the interleavings
-//! it observes as little as possible.  After the workers join,
-//! [`History::merge`] combines the per-thread logs.
+//! Every system under test speaks one interface: a per-thread [`Session`]
+//! runs an [`OpKind`] and answers an [`OpResult`].  A tree session, a
+//! kvserve [`ShardRouter`], crashkv's `DurableRouter`, a netserve `Client`
+//! and the `BTreeMap` reference oracle each implement it once.  Recording is
+//! deliberately dumb and cheap: each thread wraps its session in a
+//! [`Recorder`], which ticks the clock around the call and appends to a
+//! thread-local `Vec` — no shared mutable state beyond the clock, so
+//! recording perturbs the interleavings it observes as little as possible.
+//! After the workers join, [`History::merge`] combines the per-thread logs.
 
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,8 +46,8 @@ impl Clock {
     }
 }
 
-/// One recorded operation invocation (arguments only; results live in
-/// [`OpResult`]).
+/// One operation invocation (arguments only; results live in
+/// [`OpResult`]): what a schedule runs and what a history records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind {
     /// `insert(key, value)` (insert-if-absent).
@@ -81,6 +86,39 @@ pub enum OpKind {
     },
 }
 
+impl OpKind {
+    /// The service request that performs this operation: `Insert` is a
+    /// `Put`, and a `Range` is the `Scan` whose clamped window it is.
+    pub(crate) fn request(&self) -> Request {
+        match self {
+            &OpKind::Insert { key, value } => Request::Put { key, value },
+            &OpKind::Delete { key } => Request::Delete { key },
+            &OpKind::Get { key } => Request::Get { key },
+            &OpKind::Range { lo, hi } => Request::Scan {
+                lo,
+                len: hi - lo + 1,
+            },
+            OpKind::MGet { keys } => Request::MGet { keys: keys.clone() },
+            OpKind::MPut { pairs } => Request::MPut {
+                pairs: pairs.clone(),
+            },
+        }
+    }
+}
+
+impl fmt::Display for OpKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpKind::Insert { key, value } => write!(f, "insert({key}, {value})"),
+            OpKind::Delete { key } => write!(f, "delete({key})"),
+            OpKind::Get { key } => write!(f, "get({key})"),
+            OpKind::Range { lo, hi } => write!(f, "range({lo}..={hi})"),
+            OpKind::MGet { keys } => write!(f, "mget({keys:?})"),
+            OpKind::MPut { pairs } => write!(f, "mput({pairs:?})"),
+        }
+    }
+}
+
 /// The response of a recorded operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpResult {
@@ -96,6 +134,35 @@ pub enum OpResult {
     /// crash or vanished entirely — the checker treats it as *optional* —
     /// while an aborted read carries no information at all.
     Aborted,
+}
+
+impl OpResult {
+    /// The result a service reply carries.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other reply — `Overloaded` included: a request the
+    /// service refused never executed, and leaving it out of the history
+    /// would hide a regression that brought shedding back.
+    pub(crate) fn from_reply(reply: Response) -> Self {
+        match reply {
+            Response::Value(value) => OpResult::Value(value),
+            Response::Entries(entries) => OpResult::Entries(entries),
+            Response::Values(values) => OpResult::Values(values),
+            other => panic!("unexpected reply to a recorded operation: {other:?}"),
+        }
+    }
+}
+
+impl fmt::Display for OpResult {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpResult::Value(value) => write!(f, "{value:?}"),
+            OpResult::Entries(entries) => write!(f, "{entries:?}"),
+            OpResult::Values(values) => write!(f, "{values:?}"),
+            OpResult::Aborted => f.write_str("crashed (unacknowledged)"),
+        }
+    }
 }
 
 /// One completed operation: who ran it, what it was, what it returned, and
@@ -118,23 +185,9 @@ impl OpRecord {
     /// Renders one record as a line like
     /// `t1 [12,17] insert(5, 100) -> None`.
     pub fn render(&self) -> String {
-        let call = match &self.kind {
-            OpKind::Insert { key, value } => format!("insert({key}, {value})"),
-            OpKind::Delete { key } => format!("delete({key})"),
-            OpKind::Get { key } => format!("get({key})"),
-            OpKind::Range { lo, hi } => format!("range({lo}..={hi})"),
-            OpKind::MGet { keys } => format!("mget({keys:?})"),
-            OpKind::MPut { pairs } => format!("mput({pairs:?})"),
-        };
-        let result = match &self.result {
-            OpResult::Value(v) => format!("{v:?}"),
-            OpResult::Entries(entries) => format!("{entries:?}"),
-            OpResult::Values(values) => format!("{values:?}"),
-            OpResult::Aborted => "crashed (unacknowledged)".to_string(),
-        };
         format!(
-            "t{} [{},{}] {call} -> {result}",
-            self.thread, self.invoke, self.response
+            "t{} [{},{}] {} -> {}",
+            self.thread, self.invoke, self.response, self.kind, self.result
         )
     }
 }
@@ -186,294 +239,152 @@ impl History {
     }
 }
 
-/// A recording wrapper around any [`MapHandle`] session.
-///
-/// Implements [`MapHandle`] itself, so a worker built against a generic
-/// session type records transparently.  Batched `get_batch`/`insert_batch`
-/// calls are recorded as [`OpKind::MGet`]/[`OpKind::MPut`] (one record per
-/// batch — the checker decomposes them into per-key observations, which is
-/// exactly the batching contract: batches are *not* atomic across keys).
-#[derive(Debug)]
-pub struct Recorder<H: MapHandle> {
-    inner: H,
-    thread: u32,
-    clock: Arc<Clock>,
-    ops: Vec<OpRecord>,
-}
+/// A per-thread session on a system under test: runs one operation and
+/// answers its result.
+pub trait Session {
+    /// Runs `op` to completion.
+    fn run(&mut self, op: &OpKind) -> OpResult;
 
-impl<H: MapHandle> Recorder<H> {
-    /// Wraps `inner`, logging under thread id `thread` against `clock`.
-    pub fn new(inner: H, thread: u32, clock: Arc<Clock>) -> Self {
-        Self {
-            inner,
-            thread,
-            clock,
-            ops: Vec::new(),
-        }
-    }
-
-    /// Finishes recording, returning this thread's log.
-    pub fn finish(self) -> Vec<OpRecord> {
-        self.ops
-    }
-
-    fn record<R>(
-        &mut self,
-        kind: OpKind,
-        run: impl FnOnce(&mut H) -> R,
-        result_of: impl FnOnce(&R) -> OpResult,
-    ) -> R {
-        let invoke = self.clock.tick();
-        let value = run(&mut self.inner);
-        let response = self.clock.tick();
-        self.ops.push(OpRecord {
-            thread: self.thread,
-            kind,
-            result: result_of(&value),
-            invoke,
-            response,
-        });
-        value
+    /// Runs a window of operations that are all in flight at once — a
+    /// pipelined frame — and answers one result per operation, in order.
+    /// The default runs them one after another.
+    fn run_window(&mut self, ops: &[OpKind]) -> Vec<OpResult> {
+        ops.iter().map(|op| self.run(op)).collect()
     }
 }
 
-impl<H: MapHandle> MapHandle for Recorder<H> {
-    fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
-        self.record(
-            OpKind::Insert { key, value },
-            |h| h.insert(key, value),
-            |&r| OpResult::Value(r),
-        )
-    }
-
-    fn delete(&mut self, key: u64) -> Option<u64> {
-        self.record(OpKind::Delete { key }, |h| h.delete(key), |&r| {
-            OpResult::Value(r)
-        })
-    }
-
-    fn get(&mut self, key: u64) -> Option<u64> {
-        self.record(OpKind::Get { key }, |h| h.get(key), |&r| OpResult::Value(r))
-    }
-
-    fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        let invoke = self.clock.tick();
-        self.inner.range(lo, hi, out);
-        let response = self.clock.tick();
-        self.ops.push(OpRecord {
-            thread: self.thread,
-            kind: OpKind::Range { lo, hi },
-            result: OpResult::Entries(out.clone()),
-            invoke,
-            response,
-        });
-    }
-
-    fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        let invoke = self.clock.tick();
-        self.inner.get_batch(keys, out);
-        let response = self.clock.tick();
-        self.ops.push(OpRecord {
-            thread: self.thread,
-            kind: OpKind::MGet { keys: keys.to_vec() },
-            result: OpResult::Values(out.clone()),
-            invoke,
-            response,
-        });
-    }
-
-    fn insert_batch(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
-        let invoke = self.clock.tick();
-        self.inner.insert_batch(pairs, out);
-        let response = self.clock.tick();
-        self.ops.push(OpRecord {
-            thread: self.thread,
-            kind: OpKind::MPut {
-                pairs: pairs.to_vec(),
-            },
-            result: OpResult::Values(out.clone()),
-            invoke,
-            response,
-        });
-    }
-
-    fn take_scan_buf(&mut self) -> Vec<(u64, u64)> {
-        self.inner.take_scan_buf()
-    }
-
-    fn put_scan_buf(&mut self, buf: Vec<(u64, u64)>) {
-        self.inner.put_scan_buf(buf)
-    }
-}
-
-/// The kvserve adapter: records a [`ShardRouter`] session's traffic.
-///
-/// Service semantics map onto history events as: `put` is an
-/// insert-if-absent, `scan(lo, len)` is a `Range` over the clamped
-/// inclusive window, and `mget`/`mput` are batches.  The service promises
-/// no cross-shard atomicity for scans or batches, so the checker is run
-/// with per-key (non-snapshot) scan treatment over these histories.
-#[derive(Debug)]
-pub struct RouterRecorder<'s> {
-    inner: ShardRouter<'s>,
-    thread: u32,
-    clock: Arc<Clock>,
-    ops: Vec<OpRecord>,
-    scan_buf: Vec<(u64, u64)>,
-    batch_buf: Vec<Option<u64>>,
-}
-
-impl<'s> RouterRecorder<'s> {
-    /// Wraps `router`, logging under thread id `thread` against `clock`.
-    pub fn new(router: ShardRouter<'s>, thread: u32, clock: Arc<Clock>) -> Self {
-        Self {
-            inner: router,
-            thread,
-            clock,
-            ops: Vec::new(),
-            scan_buf: Vec::new(),
-            batch_buf: Vec::new(),
-        }
-    }
-
-    /// Finishes recording, returning this thread's log.
-    pub fn finish(self) -> Vec<OpRecord> {
-        self.ops
-    }
-
-    /// Recorded [`ShardRouter::get`].
-    pub fn get(&mut self, key: u64) -> Option<u64> {
-        let invoke = self.clock.tick();
-        let value = self.inner.get(key);
-        let response = self.clock.tick();
-        self.push(OpKind::Get { key }, OpResult::Value(value), invoke, response);
-        value
-    }
-
-    /// Recorded [`ShardRouter::put`] (insert-if-absent).
-    pub fn put(&mut self, key: u64, value: u64) -> Option<u64> {
-        let invoke = self.clock.tick();
-        let previous = self.inner.put(key, value);
-        let response = self.clock.tick();
-        self.push(
-            OpKind::Insert { key, value },
-            OpResult::Value(previous),
-            invoke,
-            response,
-        );
-        previous
-    }
-
-    /// Recorded [`ShardRouter::delete`].
-    pub fn delete(&mut self, key: u64) -> Option<u64> {
-        let invoke = self.clock.tick();
-        let removed = self.inner.delete(key);
-        let response = self.clock.tick();
-        self.push(
-            OpKind::Delete { key },
-            OpResult::Value(removed),
-            invoke,
-            response,
-        );
-        removed
-    }
-
-    /// Recorded [`ShardRouter::scan`] of `[lo, lo + len - 1]`.  Zero-length
-    /// scans return nothing and record nothing.
-    pub fn scan(&mut self, lo: u64, len: u64) -> &[(u64, u64)] {
-        // One source of truth for the window bounds: the same rule the
-        // router applies, so the recorded `Range` is exactly what was
-        // scanned.
-        let Some((lo, hi)) = abtree::scan_window(lo, len) else {
-            self.scan_buf.clear();
-            return &self.scan_buf;
-        };
-        let invoke = self.clock.tick();
-        let mut buf = std::mem::take(&mut self.scan_buf);
-        self.inner.scan(lo, len, &mut buf);
-        let response = self.clock.tick();
-        self.scan_buf = buf;
-        self.push(
-            OpKind::Range { lo, hi },
-            OpResult::Entries(self.scan_buf.clone()),
-            invoke,
-            response,
-        );
-        &self.scan_buf
-    }
-
-    /// Recorded [`ShardRouter::mget`].
-    pub fn mget(&mut self, keys: &[u64]) -> &[Option<u64>] {
-        let invoke = self.clock.tick();
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        self.inner.mget(keys, &mut buf);
-        let response = self.clock.tick();
-        self.batch_buf = buf;
-        self.push(
-            OpKind::MGet { keys: keys.to_vec() },
-            OpResult::Values(self.batch_buf.clone()),
-            invoke,
-            response,
-        );
-        &self.batch_buf
-    }
-
-    /// Recorded [`ShardRouter::mput`].
-    pub fn mput(&mut self, pairs: &[(u64, u64)]) -> &[Option<u64>] {
-        let invoke = self.clock.tick();
-        let mut buf = std::mem::take(&mut self.batch_buf);
-        self.inner.mput(pairs, &mut buf);
-        let response = self.clock.tick();
-        self.batch_buf = buf;
-        self.push(
-            OpKind::MPut {
-                pairs: pairs.to_vec(),
-            },
-            OpResult::Values(self.batch_buf.clone()),
-            invoke,
-            response,
-        );
-        &self.batch_buf
-    }
-
-    /// Recorded [`ShardRouter::serve_pipelined`] of a window of point
-    /// requests: every request is invoked before the call and responds
-    /// after it, so the window's operations overlap each other in the
-    /// history as a frame's requests do on the wire.  A shed request never
-    /// executed and is not recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Scan`/`MGet`/`MPut`/`Stats` requests: those have their own
-    /// recorded calls.
-    pub fn serve_pipelined(&mut self, window: &[Request]) -> Vec<Response> {
-        let invokes: Vec<u64> = window.iter().map(|_| self.clock.tick()).collect();
-        let mut responses = Vec::new();
-        self.inner.serve_pipelined(window, &mut responses);
-        for ((request, reply), invoke) in window.iter().zip(&responses).zip(invokes) {
-            let kind = match *request {
-                Request::Get { key } => OpKind::Get { key },
-                Request::Put { key, value } => OpKind::Insert { key, value },
-                Request::Delete { key } => OpKind::Delete { key },
-                _ => panic!("a recorded window carries point requests only"),
-            };
-            let response = self.clock.tick();
-            match *reply {
-                Response::Value(value) => {
-                    self.push(kind, OpResult::Value(value), invoke, response);
-                }
-                Response::Overloaded => {}
-                _ => unreachable!("point requests get point responses"),
+/// A tree session: any registry structure's [`MapHandle`].  Batches are
+/// `get_batch`/`insert_batch` calls, which the checker decomposes into
+/// per-key observations — the batching contract: batches are *not* atomic
+/// across keys.
+impl Session for Box<dyn MapHandle + '_> {
+    fn run(&mut self, op: &OpKind) -> OpResult {
+        match op {
+            &OpKind::Insert { key, value } => OpResult::Value(self.insert(key, value)),
+            &OpKind::Delete { key } => OpResult::Value(self.delete(key)),
+            &OpKind::Get { key } => OpResult::Value(self.get(key)),
+            &OpKind::Range { lo, hi } => {
+                let mut entries = Vec::new();
+                self.range(lo, hi, &mut entries);
+                OpResult::Entries(entries)
+            }
+            OpKind::MGet { keys } => {
+                let mut values = Vec::new();
+                self.get_batch(keys, &mut values);
+                OpResult::Values(values)
+            }
+            OpKind::MPut { pairs } => {
+                let mut values = Vec::new();
+                self.insert_batch(pairs, &mut values);
+                OpResult::Values(values)
             }
         }
-        responses
+    }
+}
+
+/// A kvserve router: each operation is one blocking request, and a window
+/// is one [`ShardRouter::serve_pipelined`] frame.  The service promises no
+/// cross-shard atomicity for scans or batches, so the checker runs with
+/// per-key (non-snapshot) scan treatment over these histories.
+impl Session for ShardRouter<'_> {
+    fn run(&mut self, op: &OpKind) -> OpResult {
+        OpResult::from_reply(self.execute(&op.request()))
     }
 
-    fn push(&mut self, kind: OpKind, result: OpResult, invoke: u64, response: u64) {
+    fn run_window(&mut self, ops: &[OpKind]) -> Vec<OpResult> {
+        let requests: Vec<Request> = ops.iter().map(OpKind::request).collect();
+        let mut replies = Vec::new();
+        self.serve_pipelined(&requests, &mut replies);
+        replies.into_iter().map(OpResult::from_reply).collect()
+    }
+}
+
+/// The reference oracle: a plain ordered map with the trees'
+/// insert-if-absent semantics.
+impl Session for BTreeMap<u64, u64> {
+    fn run(&mut self, op: &OpKind) -> OpResult {
+        let mut put = |key, value| match self.entry(key) {
+            Entry::Occupied(entry) => Some(*entry.get()),
+            Entry::Vacant(entry) => {
+                entry.insert(value);
+                None
+            }
+        };
+        match op {
+            &OpKind::Insert { key, value } => OpResult::Value(put(key, value)),
+            OpKind::MPut { pairs } => {
+                OpResult::Values(pairs.iter().map(|&(k, v)| put(k, v)).collect())
+            }
+            OpKind::Delete { key } => OpResult::Value(self.remove(key)),
+            OpKind::Get { key } => OpResult::Value(self.get(key).copied()),
+            &OpKind::Range { lo, hi } => {
+                OpResult::Entries(self.range(lo..=hi).map(|(&k, &v)| (k, v)).collect())
+            }
+            OpKind::MGet { keys } => {
+                OpResult::Values(keys.iter().map(|k| self.get(k).copied()).collect())
+            }
+        }
+    }
+}
+
+/// Records one thread's [`Session`]: every operation is logged with invoke
+/// and response ticks from the shared [`Clock`].
+#[derive(Debug)]
+pub struct Recorder<S> {
+    session: S,
+    thread: u32,
+    clock: Arc<Clock>,
+    ops: Vec<OpRecord>,
+}
+
+impl<S: Session> Recorder<S> {
+    /// Wraps `session`, logging under thread id `thread` against `clock`.
+    pub fn new(session: S, thread: u32, clock: Arc<Clock>) -> Self {
+        Self {
+            session,
+            thread,
+            clock,
+            ops: Vec::new(),
+        }
+    }
+
+    /// Finishes recording, returning this thread's log.
+    pub fn finish(self) -> Vec<OpRecord> {
+        self.ops
+    }
+
+    /// Runs and records one operation.
+    pub fn run(&mut self, op: &OpKind) -> OpResult {
+        let invoke = self.clock.tick();
+        let result = self.session.run(op);
+        let response = self.clock.tick();
+        self.push(op, &result, invoke, response);
+        result
+    }
+
+    /// Runs and records a window of operations: every one is invoked before
+    /// the window is sent and responds after it is answered, so they overlap
+    /// each other in the history as a frame's requests do on the wire.
+    pub fn run_window(&mut self, ops: &[OpKind]) -> Vec<OpResult> {
+        let invokes: Vec<u64> = ops.iter().map(|_| self.clock.tick()).collect();
+        let results = self.session.run_window(ops);
+        assert_eq!(
+            results.len(),
+            ops.len(),
+            "one result per windowed operation"
+        );
+        for ((op, result), invoke) in ops.iter().zip(&results).zip(invokes) {
+            let response = self.clock.tick();
+            self.push(op, result, invoke, response);
+        }
+        results
+    }
+
+    fn push(&mut self, op: &OpKind, result: &OpResult, invoke: u64, response: u64) {
         self.ops.push(OpRecord {
             thread: self.thread,
-            kind,
-            result,
+            kind: op.clone(),
+            result: result.clone(),
             invoke,
             response,
         });
@@ -483,22 +394,24 @@ impl<'s> RouterRecorder<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use abtree::ElimABTree;
+    use abtree::{ConcurrentMap, ElimABTree};
 
     #[test]
     fn recorder_logs_ordered_intervals_with_results() {
         let tree: ElimABTree = ElimABTree::new();
         let clock = Clock::new();
-        let mut rec = Recorder::new(tree.handle(), 0, Arc::clone(&clock));
-        assert_eq!(rec.insert(5, 50), None);
-        assert_eq!(rec.insert(5, 51), Some(50));
-        assert_eq!(rec.get(5), Some(50));
-        let mut out = Vec::new();
-        rec.range(0, 10, &mut out);
-        assert_eq!(out, vec![(5, 50)]);
-        assert_eq!(rec.delete(5), Some(50));
-        let mut values = Vec::new();
-        rec.get_batch(&[5, 6], &mut values);
+        let mut rec = Recorder::new(ConcurrentMap::handle(&tree), 0, Arc::clone(&clock));
+        let insert = |key, value| OpKind::Insert { key, value };
+        assert_eq!(rec.run(&insert(5, 50)), OpResult::Value(None));
+        assert_eq!(rec.run(&insert(5, 51)), OpResult::Value(Some(50)));
+        assert_eq!(rec.run(&OpKind::Get { key: 5 }), OpResult::Value(Some(50)));
+        let out = rec.run(&OpKind::Range { lo: 0, hi: 10 });
+        assert_eq!(out, OpResult::Entries(vec![(5, 50)]));
+        assert_eq!(
+            rec.run(&OpKind::Delete { key: 5 }),
+            OpResult::Value(Some(50))
+        );
+        rec.run(&OpKind::MGet { keys: vec![5, 6] });
         let ops = rec.finish();
         assert_eq!(ops.len(), 6);
         // Intervals are well-formed and non-overlapping on one thread.
@@ -545,20 +458,36 @@ mod tests {
             Box::new(tree)
         });
         let clock = Clock::new();
-        let mut rec = RouterRecorder::new(service.router(), 0, clock);
-        assert_eq!(rec.put(1, 10), None);
-        assert_eq!(rec.mput(&[(2, 20), (1, 99)]), &[None, Some(10)]);
-        assert_eq!(rec.mget(&[1, 2, 3]), &[Some(10), Some(20), None]);
-        assert_eq!(rec.scan(0, 4), &[(1, 10), (2, 20)]);
-        assert!(rec.scan(0, 0).is_empty(), "len-0 scans record nothing");
-        assert_eq!(rec.delete(1), Some(10));
-        assert_eq!(rec.get(1), None);
+        let mut rec = Recorder::new(service.router(), 0, clock);
+        let insert = |key, value| OpKind::Insert { key, value };
+        assert_eq!(rec.run(&insert(1, 10)), OpResult::Value(None));
         assert_eq!(
-            rec.serve_pipelined(&[Request::Put { key: 1, value: 11 }, Request::Get { key: 1 }]),
-            vec![Response::Value(None), Response::Value(Some(11))]
+            rec.run(&OpKind::MPut {
+                pairs: vec![(2, 20), (1, 99)]
+            }),
+            OpResult::Values(vec![None, Some(10)])
+        );
+        assert_eq!(
+            rec.run(&OpKind::MGet {
+                keys: vec![1, 2, 3]
+            }),
+            OpResult::Values(vec![Some(10), Some(20), None])
+        );
+        assert_eq!(
+            rec.run(&OpKind::Range { lo: 0, hi: 3 }),
+            OpResult::Entries(vec![(1, 10), (2, 20)])
+        );
+        assert_eq!(
+            rec.run(&OpKind::Delete { key: 1 }),
+            OpResult::Value(Some(10))
+        );
+        assert_eq!(rec.run(&OpKind::Get { key: 1 }), OpResult::Value(None));
+        assert_eq!(
+            rec.run_window(&[insert(1, 11), OpKind::Get { key: 1 }]),
+            vec![OpResult::Value(None), OpResult::Value(Some(11))]
         );
         let ops = rec.finish();
-        assert_eq!(ops.len(), 8, "the len-0 scan is not recorded");
+        assert_eq!(ops.len(), 8);
         assert_eq!(ops[3].kind, OpKind::Range { lo: 0, hi: 3 });
         assert_eq!(ops[6].kind, OpKind::Insert { key: 1, value: 11 });
         assert!(

@@ -1,5 +1,6 @@
 //! `conctest`: linearizability checking and differential stress testing for
-//! every structure in the registry, and for the `kvserve` service layer.
+//! every structure in the registry, and for the services built on them
+//! (kvserve, crashkv's durable shards, netserve's socket front end).
 //!
 //! The paper's claims are about *correct concurrent behavior under
 //! contention* — elimination linearizes same-key operations against leaf
@@ -10,10 +11,13 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! 1. **Recording** ([`history`]): wrap any per-thread session
-//!    ([`Recorder`] over a [`abtree::MapHandle`], [`RouterRecorder`] over a
-//!    kvserve `ShardRouter`) and get a timestamped invoke/response event
-//!    log.
+//! 1. **Recording** ([`history`]): every system under test is driven
+//!    through one [`Session`] trait — one [`OpKind`] in, one [`OpResult`]
+//!    out — implemented once each by a tree session
+//!    (`Box<dyn abtree::MapHandle>`), a kvserve `ShardRouter`, a crashkv
+//!    `DurableRouter` ([`durable`]), a netserve `Client` ([`socket`]) and
+//!    the `BTreeMap` reference oracle.  One [`Recorder`] over any session
+//!    turns its traffic into a timestamped invoke/response event log.
 //! 2. **Checking** ([`checker`]): a Wing–Gong-style linearizability search
 //!    over the recorded history — per-key partitioned, with a sequential
 //!    fast path, a provenance pre-pass for crisp common-case messages, an
@@ -22,23 +26,26 @@
 //!    pathological histories return [`Outcome::Bounded`] instead of
 //!    hanging.
 //! 3. **Fuzzing + shrinking** ([`fuzz`], [`shrink`]): seeded
-//!    [`workload::OperationMix`] streams (Zipf and tenant skew, YCSB-E
-//!    style scans, batches) replayed deterministically against a locked
-//!    `BTreeMap` oracle, and concurrently under the checker; failures
-//!    shrink ddmin-style to a minimal reproducer — a seed plus a schedule,
-//!    or a minimal event history.
+//!    [`workload::OperationMix`] schedules of `(thread, OpKind)` (Zipf and
+//!    tenant skew, YCSB-E style scans, batches), replayed deterministically
+//!    against any [`Target`] — a registry structure, a kvserve service, the
+//!    durable service or a socket server — and the oracle session, and
+//!    recorded concurrently under the checker; failures shrink ddmin-style
+//!    to a minimal reproducer — a seed plus a schedule, or a minimal event
+//!    history.
 //!
 //! A fourth layer rides on the first two: **durable-linearizability
 //! checking** ([`durable`]) for crashkv's crash-injected persistent
-//! service.  [`DurableRecorder`] logs a `DurableRouter` session including
-//! crash-aborted operations ([`OpResult::Aborted`]); the checker treats an
-//! unacked crash-window write as *optional* (it linearized at the crash or
-//! vanished) while acked writes stay mandatory, so losing an acknowledged
-//! write is flagged as a violation.
+//! service.  A durable router's crash-aborted operations record
+//! [`OpResult::Aborted`]; the checker treats an unacked crash-window write
+//! as *optional* (it linearized at the crash or vanished) while acked
+//! writes stay mandatory, so losing an acknowledged write is flagged as a
+//! violation.
 //!
-//! The `conctest` binary sweeps all of this over every registry structure
-//! (`--smoke` for the CI-sized run).  The harness proves it can catch real
-//! bugs by mutation: with `--features torn-scan`, an intentionally broken
+//! The `conctest` binary sweeps all of this over every registry structure,
+//! kvserve services, the durable service and a socket server (`--smoke` for
+//! the CI-sized run).  The harness proves it can catch real bugs by
+//! mutation: with `--features torn-scan`, an intentionally broken
 //! wrapper whose scans read the window in two halves must be flagged by the
 //! checker (`tests/mutation.rs`); with `--features lost-ack`, a crashkv
 //! shard owner that releases acks before their covering fence must be
@@ -65,17 +72,16 @@ pub mod socket;
 mod stall;
 
 pub use checker::{check, CheckConfig, Outcome, ViolationReport};
-pub use durable::{check_durable, DurableRecorder};
+pub use durable::check_durable;
 pub use fuzz::{
-    differential_fuzz, differential_kvserve, fuzz_concurrent, fuzz_kvserve_concurrent,
-    record_concurrent, record_hot_key_paths, ConcFailure, ConcReport, DiffFailure, FuzzConfig,
-    ScheduledOp, SpecOp,
+    differential_fuzz, fuzz_concurrent, kv_service, record_hot_key_paths, ConcFailure,
+    ConcReport, DiffFailure, FuzzConfig, ScheduledOp, Target,
 };
-pub use history::{Clock, History, OpKind, OpRecord, OpResult, Recorder, RouterRecorder};
+pub use history::{Clock, History, OpKind, OpRecord, OpResult, Recorder, Session};
 #[cfg(feature = "torn-scan")]
 pub use mutant::TornScan;
 pub use shrink::{shrink_history, shrink_history_from, shrink_schedule};
-pub use socket::ClientRecorder;
+pub use socket::loopback_server;
 
 use std::io::Write as _;
 use std::path::PathBuf;

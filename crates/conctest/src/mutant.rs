@@ -15,7 +15,7 @@
 //! runs in CI as a dedicated `--features torn-scan` job; the feature gate
 //! keeps the mutant out of every production dependency graph.
 
-use abtree::{ConcurrentMap, KeySum, MapHandle};
+use abtree::{ConcurrentMap, MapHandle};
 
 /// A wrapper whose `range` is torn in the middle (see the module docs).
 #[derive(Debug, Default)]
@@ -44,9 +44,7 @@ impl<M: ConcurrentMap> ConcurrentMap for TornScan<M> {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         self.inner.ebr_stats()
     }
-}
 
-impl<M: KeySum> KeySum for TornScan<M> {
     fn key_sum(&self) -> u128 {
         self.inner.key_sum()
     }

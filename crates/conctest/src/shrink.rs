@@ -307,7 +307,6 @@ pub fn shrink_history_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fuzz::SpecOp;
 
     #[test]
     fn ddmin_reaches_a_1_minimal_subset() {
@@ -325,39 +324,39 @@ mod tests {
         let mut schedule: Vec<ScheduledOp> = (0..20)
             .map(|i| ScheduledOp {
                 thread: 0,
-                op: SpecOp::Get(i),
+                op: OpKind::Get { key: i },
             })
             .collect();
         schedule.insert(
             4,
             ScheduledOp {
                 thread: 0,
-                op: SpecOp::Insert(5, 1),
+                op: OpKind::Insert { key: 5, value: 1 },
             },
         );
         schedule.push(ScheduledOp {
             thread: 1,
-            op: SpecOp::Delete(5),
+            op: OpKind::Delete { key: 5 },
         });
         let run = |s: &[ScheduledOp]| -> Result<(), Mismatch> {
             let inserted = s
                 .iter()
-                .position(|e| matches!(e.op, SpecOp::Insert(5, _)));
-            let deleted = s.iter().position(|e| matches!(e.op, SpecOp::Delete(5)));
+                .position(|e| matches!(e.op, OpKind::Insert { key: 5, .. }));
+            let deleted = s.iter().position(|e| e.op == OpKind::Delete { key: 5 });
             match (inserted, deleted) {
                 (Some(i), Some(d)) if i < d => Err(Mismatch {
                     step: d,
                     op: s[d].clone(),
-                    got: "Some(1)".into(),
-                    want: "None".into(),
+                    got: OpResult::Value(Some(1)),
+                    want: OpResult::Value(None),
                 }),
                 _ => Ok(()),
             }
         };
         let minimal = shrink_schedule(&schedule, &run);
         assert_eq!(minimal.len(), 2, "{minimal:?}");
-        assert!(matches!(minimal[0].op, SpecOp::Insert(5, _)));
-        assert!(matches!(minimal[1].op, SpecOp::Delete(5)));
+        assert!(matches!(minimal[0].op, OpKind::Insert { key: 5, .. }));
+        assert_eq!(minimal[1].op, OpKind::Delete { key: 5 });
     }
 
     fn record(

@@ -14,7 +14,7 @@
 //! has actually been raced, and a mutant that does not is flagged in a few
 //! rounds rather than when the neighbours are noisy.
 
-use abtree::{ConcurrentMap, KeySum, MapHandle};
+use abtree::{ConcurrentMap, MapHandle};
 
 /// A wrapper whose sessions stall around every operation (module docs).
 pub(crate) struct Stalling<M> {
@@ -51,9 +51,7 @@ impl<M: ConcurrentMap> ConcurrentMap for Stalling<M> {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         self.inner.ebr_stats()
     }
-}
 
-impl<M: KeySum> KeySum for Stalling<M> {
     fn key_sum(&self) -> u128 {
         self.inner.key_sum()
     }

@@ -4,8 +4,8 @@
 //! stale histories — so the "all clean" verdict above it means something.
 
 use conctest::{
-    check, differential_fuzz, differential_kvserve, fuzz_concurrent, fuzz_kvserve_concurrent,
-    shrink_history, CheckConfig, FuzzConfig, History, OpKind, OpRecord, OpResult, Outcome,
+    check, differential_fuzz, fuzz_concurrent, kv_service, shrink_history, CheckConfig,
+    FuzzConfig, History, OpKind, OpRecord, OpResult, Outcome,
 };
 use abebr::SmrPolicy;
 use setbench::registry::{self, ScanSupport};
@@ -21,7 +21,7 @@ fn small_cfg() -> FuzzConfig {
 
 /// Acceptance headline: the checker passes clean on every registry
 /// structure under a seeded mixed workload including scans — differential
-/// mode against the locked `BTreeMap` oracle, concurrent mode under the
+/// mode against the `BTreeMap` oracle, concurrent mode under the
 /// linearizability checker (snapshot-scan semantics exactly where the
 /// registry promises them) — under **both** reclamation backends.
 #[test]
@@ -53,12 +53,14 @@ fn every_registry_structure_passes_both_fuzz_modes() {
 fn kvserve_passes_both_fuzz_modes() {
     let cfg = FuzzConfig {
         key_space: 48,
+        tenants: Some((4, 1.0)),
         ..small_cfg()
     };
     for &(structure, shards) in &[("elim-abtree", 1), ("elim-abtree", 3), ("skiplist-lazy", 2)] {
-        differential_kvserve(structure, shards, (4, 1.0), &cfg)
+        let build = || kv_service(structure, shards);
+        differential_fuzz(&build, &cfg)
             .unwrap_or_else(|failure| panic!("{structure}x{shards}: {}", failure.render()));
-        fuzz_kvserve_concurrent(structure, shards, (4, 1.0), &cfg, &CheckConfig::default(), 2)
+        fuzz_concurrent(&build, &cfg, &CheckConfig::default(), 2)
             .unwrap_or_else(|failure| panic!("{structure}x{shards}: {}", failure.render(&cfg)));
     }
 }

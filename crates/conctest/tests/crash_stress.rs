@@ -21,8 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use conctest::{
-    check_durable, shrink_history, CheckConfig, Clock, DurableRecorder, History, OpResult,
-    Outcome,
+    check_durable, shrink_history, CheckConfig, Clock, History, OpKind, OpResult, Outcome, Recorder,
 };
 use crashkv::{CrashSpec, DurableKvService};
 
@@ -49,7 +48,7 @@ fn every_shard_crashes_and_the_welded_history_checks() {
     let mut logs = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..WORKERS)
             .map(|t| {
-                let mut rec = DurableRecorder::new(service.router(), t, Arc::clone(&clock));
+                let mut rec = Recorder::new(service.router(), t, Arc::clone(&clock));
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut s = SEED ^ (u64::from(t) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -58,21 +57,17 @@ fn every_shard_crashes_and_the_welded_history_checks() {
                     while !stop.load(Ordering::Relaxed) {
                         let r = step(&mut s);
                         let key = 1 + r % UNIVERSE;
-                        match r % 8 {
+                        rec.run(&match r % 8 {
                             0..=4 => {
                                 // Globally unique values keep provenance
                                 // failures crisp in violation reports.
                                 seq += 1;
                                 let value = (u64::from(t) + 1) << 32 | seq;
-                                let _ = rec.put(key, value);
+                                OpKind::Insert { key, value }
                             }
-                            5..=6 => {
-                                let _ = rec.delete(key);
-                            }
-                            _ => {
-                                let _ = rec.get(key);
-                            }
-                        }
+                            5..=6 => OpKind::Delete { key },
+                            _ => OpKind::Get { key },
+                        });
                         ops += 1;
                         if ops.is_multiple_of(8) {
                             // Pace the load so the recorded history stays
@@ -111,11 +106,14 @@ fn every_shard_crashes_and_the_welded_history_checks() {
 
     // Verification pass: read back the whole universe into the same welded
     // history; these reads are mandatory and pin the recovered state.
-    let mut verifier = DurableRecorder::new(service.router(), WORKERS, Arc::clone(&clock));
+    let mut verifier = Recorder::new(service.router(), WORKERS, Arc::clone(&clock));
     for key in 1..=UNIVERSE {
-        verifier
-            .get(key)
-            .expect("no crash is armed during verification");
+        let read = verifier.run(&OpKind::Get { key });
+        assert_ne!(
+            read,
+            OpResult::Aborted,
+            "no crash is armed during verification"
+        );
     }
     logs.push(verifier.finish());
     let history = History::merge(logs);

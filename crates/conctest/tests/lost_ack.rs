@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use conctest::{
-    check_durable, shrink_history, CheckConfig, Clock, DurableRecorder, History, Outcome,
+    check_durable, shrink_history, CheckConfig, Clock, History, OpKind, OpResult, Outcome, Recorder,
 };
 use crashkv::{CrashSpec, DurableKvService, DurableOp};
 
@@ -68,7 +68,7 @@ fn record_round() -> (History, usize) {
 
     // Weld the acked wave into a history: the puts the client saw succeed,
     // then post-heal reads of every key.
-    let mut rec = DurableRecorder::new(service.router(), 0, Arc::clone(&clock));
+    let mut rec = Recorder::new(service.router(), 0, Arc::clone(&clock));
     // Re-record the acked puts as history facts via a recording router is
     // impossible after the fact, so the wave is logged directly: each
     // acked put is a mandatory insert with its observed result.
@@ -78,17 +78,22 @@ fn record_round() -> (History, usize) {
         let response = clock.tick();
         ops.push(conctest::OpRecord {
             thread: 1,
-            kind: conctest::OpKind::Insert {
+            kind: OpKind::Insert {
                 key,
                 value: key * 100,
             },
-            result: conctest::OpResult::Value(None),
+            result: OpResult::Value(None),
             invoke,
             response,
         });
     }
     for key in 1..=KEYS {
-        rec.get(key).expect("no crash armed during verification");
+        let read = rec.run(&OpKind::Get { key });
+        assert_ne!(
+            read,
+            OpResult::Aborted,
+            "no crash armed during verification"
+        );
     }
     let history = History::merge(vec![ops, rec.finish()]);
     service.shutdown();

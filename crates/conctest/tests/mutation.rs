@@ -55,8 +55,8 @@ mod torn_scan {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
-    use abtree::{ConcurrentMap, ElimABTree, MapHandle};
-    use conctest::{check, CheckConfig, Clock, History, Recorder, TornScan};
+    use abtree::{ConcurrentMap, ElimABTree};
+    use conctest::{check, CheckConfig, Clock, History, OpKind, Recorder, TornScan};
 
     /// Low and high halves of the scanned window `[0, 3]`.
     const A: u64 = 1;
@@ -73,7 +73,6 @@ mod torn_scan {
                 let stop = &stop;
                 scope.spawn(move || {
                     let mut rec = Recorder::new(map.handle(), 0, clock);
-                    let mut value = 0u64;
                     for i in 0..writer_ops {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -82,22 +81,13 @@ mod torn_scan {
                         // iteration, paced so the cycle advances a few steps
                         // inside each torn-scan gap rather than burning through
                         // the op budget in one scheduling quantum.
-                        match i % 4 {
-                            0 => {
-                                value += 1;
-                                rec.insert(A, value);
-                            }
-                            1 => {
-                                rec.delete(A);
-                            }
-                            2 => {
-                                value += 1;
-                                rec.insert(B, value);
-                            }
-                            _ => {
-                                rec.delete(B);
-                            }
-                        }
+                        let value = u64::from(i);
+                        rec.run(&match i % 4 {
+                            0 => OpKind::Insert { key: A, value },
+                            1 => OpKind::Delete { key: A },
+                            2 => OpKind::Insert { key: B, value },
+                            _ => OpKind::Delete { key: B },
+                        });
                         std::thread::sleep(Duration::from_micros(25));
                     }
                     rec.finish()
@@ -107,9 +97,8 @@ mod torn_scan {
                 let clock = std::sync::Arc::clone(&clock);
                 scope.spawn(move || {
                     let mut rec = Recorder::new(map.handle(), 1, clock);
-                    let mut out = Vec::new();
                     for _ in 0..scans {
-                        rec.range(0, 3, &mut out);
+                        rec.run(&OpKind::Range { lo: 0, hi: 3 });
                     }
                     rec.finish()
                 })

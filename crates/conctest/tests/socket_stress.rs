@@ -1,5 +1,5 @@
 //! Conctest coverage for the netserve socket front end: concurrent
-//! [`ClientRecorder`] sessions over real loopback connections, with the
+//! recorded [`Client`] sessions over real loopback connections, with the
 //! recorded histories — whose windows span encode, TCP, frame reassembly,
 //! the reactor's router, and the reply trip — checked for per-key
 //! linearizability.  Plus a malicious-client case: garbage, oversized
@@ -11,15 +11,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use conctest::{check, CheckConfig, ClientRecorder, Clock, History, Outcome};
-use kvserve::{KvService, Request, Response};
-use netserve::{Client, Server, ServerConfig, ERR_BAD_FRAME, ERR_FRAME_TOO_LARGE};
-
-fn elim_service(shards: usize) -> KvService {
-    KvService::new(shards, 1, |_| {
-        Box::new(setbench::registry::make_structure("elim-abtree"))
-    })
-}
+use conctest::{
+    check, kv_service, loopback_server, CheckConfig, Clock, History, OpKind, Outcome, Recorder,
+};
+use kvserve::{Request, Response};
+use netserve::{Client, ERR_BAD_FRAME, ERR_FRAME_TOO_LARGE};
 
 /// Concurrent recorded stress over the socket: client threads hammer a hot
 /// key space through real loopback connections, mixing blocking round
@@ -40,15 +36,7 @@ fn socket_histories_stay_linearizable() {
     const HOT_KEYS: u64 = 10;
     const PIPELINE: usize = 6;
 
-    let service = Arc::new(elim_service(4));
-    let mut server = Server::start(
-        ServerConfig {
-            reactors: 2,
-            ..ServerConfig::default()
-        },
-        Arc::clone(&service),
-    )
-    .unwrap();
+    let mut server = loopback_server(kv_service("elim-abtree", 4), 2);
     let addr = server.local_addr();
     let clock = Clock::new();
 
@@ -58,7 +46,9 @@ fn socket_histories_stay_linearizable() {
         for thread in 0..CLIENTS {
             let clock = Arc::clone(&clock);
             joins.push(scope.spawn(move || {
-                let mut rec = ClientRecorder::connect(addr, thread, clock).expect("connect");
+                let client = Client::connect(addr).expect("connect");
+                let mut rec = Recorder::new(client, thread, clock);
+                let mut window = Vec::new();
                 let mut state = 0x9E37_79B9u64
                     .wrapping_mul(thread as u64 + 1)
                     .wrapping_add(0xBEEF);
@@ -73,34 +63,39 @@ fn socket_histories_stay_linearizable() {
                     match (state >> 13) % 10 {
                         // Pipelined point traffic: the reactor regime.
                         0..=5 => {
-                            let request = match (state >> 7) % 3 {
-                                0 => Request::Put { key, value },
-                                1 => Request::Delete { key },
-                                _ => Request::Get { key },
-                            };
-                            rec.send_point(request);
-                            while rec.in_flight() >= PIPELINE {
-                                rec.collect_point();
+                            window.push(match (state >> 7) % 3 {
+                                0 => OpKind::Insert { key, value },
+                                1 => OpKind::Delete { key },
+                                _ => OpKind::Get { key },
+                            });
+                            if window.len() == PIPELINE {
+                                rec.run_window(&window);
+                                window.clear();
                             }
                         }
                         // Blocking round trips, including multi-key ops.
                         6 => {
-                            rec.scan(0, HOT_KEYS);
+                            rec.run(&OpKind::Range {
+                                lo: 0,
+                                hi: HOT_KEYS - 1,
+                            });
                         }
                         7 => {
-                            rec.mput(&[(key, value), ((key + 1) % HOT_KEYS, value)]);
+                            rec.run(&OpKind::MPut {
+                                pairs: vec![(key, value), ((key + 1) % HOT_KEYS, value)],
+                            });
                         }
                         8 => {
-                            rec.mget(&[key, (key + 3) % HOT_KEYS]);
+                            rec.run(&OpKind::MGet {
+                                keys: vec![key, (key + 3) % HOT_KEYS],
+                            });
                         }
                         _ => {
-                            rec.get(key);
+                            rec.run(&OpKind::Get { key });
                         }
                     }
                 }
-                while rec.in_flight() > 0 {
-                    rec.collect_point();
-                }
+                rec.run_window(&window);
                 rec.finish()
             }));
         }
@@ -164,9 +159,7 @@ fn eventually(what: &str, mut predicate: impl FnMut() -> bool) {
 /// serving well-behaved clients throughout.
 #[test]
 fn malicious_clients_are_closed_and_the_server_survives() {
-    let service = Arc::new(elim_service(2));
-    let mut server =
-        Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
+    let mut server = loopback_server(kv_service("elim-abtree", 2), 2);
     let addr = server.local_addr();
 
     let mut honest = Client::connect(addr).unwrap();

@@ -16,7 +16,7 @@
 #![cfg(not(feature = "stale-stamp"))]
 
 use conctest::{
-    check, differential_kvserve, fuzz_kvserve_concurrent, record_hot_key_paths, CheckConfig,
+    check, differential_fuzz, fuzz_concurrent, kv_service, record_hot_key_paths, CheckConfig,
     FuzzConfig, Outcome,
 };
 
@@ -30,18 +30,19 @@ fn hot_key_cfg() -> FuzzConfig {
         ops_per_thread: 160,
         key_space: 12,
         key_skew: 1.2,
+        tenants: Some((3, 1.0)),
         ..FuzzConfig::default()
     }
 }
 
 /// Differential mode: the router (sessions, stamps, cache and all) must
-/// agree op-for-op with the locked `BTreeMap` oracle under hot-key traffic,
+/// agree op-for-op with the `BTreeMap` oracle under hot-key traffic,
 /// across shard counts.
 #[test]
 fn differential_matches_the_oracle_through_the_lanes() {
     let cfg = hot_key_cfg();
     for &shards in &[1usize, 4] {
-        differential_kvserve("elim-abtree", shards, (3, 1.0), &cfg)
+        differential_fuzz(&|| kv_service("elim-abtree", shards), &cfg)
             .unwrap_or_else(|failure| panic!("shards={shards}: {}", failure.render()));
     }
 }
@@ -51,9 +52,9 @@ fn differential_matches_the_oracle_through_the_lanes() {
 #[test]
 fn concurrent_stress_passes_over_the_thread_per_shard_router() {
     let cfg = hot_key_cfg();
-    let report =
-        fuzz_kvserve_concurrent("elim-abtree", 4, (3, 1.0), &cfg, &CheckConfig::default(), 2)
-            .unwrap_or_else(|failure| panic!("{}", failure.render(&cfg)));
+    let build = || kv_service("elim-abtree", 4);
+    let report = fuzz_concurrent(&build, &cfg, &CheckConfig::default(), 2)
+        .unwrap_or_else(|failure| panic!("{}", failure.render(&cfg)));
     assert_eq!(report.rounds, 2);
     assert!(report.events >= 2 * 2 * 160);
 }

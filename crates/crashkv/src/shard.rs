@@ -162,7 +162,7 @@ impl ShardState {
 }
 
 /// One durable shard: the concrete WAL tree plus its coordination state.
-/// The tree is concrete (not `Box<dyn ShardStore>`) because crash injection
+/// The tree is concrete (not `Box<dyn ConcurrentMap>`) because crash injection
 /// and recovery need the real type: `force_partial_insert`,
 /// `force_dirty_root_link` and [`pabtree::recover`] are tree methods.
 pub(crate) struct ShardCell {

@@ -6,10 +6,9 @@
 //! adds the pieces a data structure does not have but a service needs:
 //!
 //! * **Sharding** ([`KvService`]): `S` independent engine instances behind
-//!   a multiplicative-hash router.  Each shard can be any structure —
-//!   concrete trees, or the benchmark registry's `Box<dyn Benchable>` trait
-//!   objects (the [`ShardStore`] bound is blanket-implemented for every
-//!   `ConcurrentMap + KeySum` type).  The service owns no threads.
+//!   a multiplicative-hash router.  Each shard can be any
+//!   [`abtree::ConcurrentMap`] — concrete trees, or the benchmark registry's
+//!   `Box<dyn ConcurrentMap>` trait objects.  The service owns no threads.
 //! * **Routing sessions** ([`ShardRouter`]): a per-client session holding
 //!   one engine session of its own per shard.  Every request runs on the
 //!   calling thread, on that session: the trees are linearizable concurrent
@@ -97,7 +96,7 @@ pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
 pub use queue::{Consumer, Producer, PushError};
 pub use request::{Request, Response};
 pub use router::{Overloaded, ShardRouter};
-pub use service::{shard_of, KvService, RouterError, ShardStore};
+pub use service::{shard_of, KvService, RouterError};
 pub use stats::{Histogram, OpCounters, ServiceStats};
 
 /// The in-flight bound of both request paths: a volatile

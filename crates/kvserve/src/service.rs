@@ -15,22 +15,12 @@
 
 use std::sync::Arc;
 
-use abtree::{ConcurrentMap, KeySum};
+use abtree::ConcurrentMap;
 use obs::{Registry, Sample, StageTrace};
 
 use crate::router::ShardRouter;
 use crate::stats::ServiceStats;
 use crate::worker::ShardState;
-
-/// What a shard must provide: per-thread sessions ([`ConcurrentMap`]) plus
-/// quiescent key-sum validation ([`KeySum`]).
-///
-/// Blanket-implemented for every `ConcurrentMap + KeySum` type, which
-/// includes the benchmark registry's `Box<dyn Benchable>` values — so any
-/// registry structure can serve as a shard.
-pub trait ShardStore: ConcurrentMap + KeySum {}
-
-impl<T: ConcurrentMap + KeySum + ?Sized> ShardStore for T {}
 
 /// The shard (of `shards`) that serves `key`: high bits of a Fibonacci
 /// multiplicative hash, range-reduced without division.  The one placement
@@ -76,7 +66,7 @@ impl std::error::Error for RouterError {}
 /// One shard: the store plus its stamp-protocol state.  `Arc`-shared
 /// between the service and its registry source.
 pub(crate) struct ShardCell {
-    pub(crate) store: Box<dyn ShardStore>,
+    pub(crate) store: Box<dyn ConcurrentMap>,
     pub(crate) state: ShardState,
 }
 
@@ -98,13 +88,14 @@ impl KvService {
     /// namespace-stat rows (both clamped to at least 1), constructing each
     /// shard with `factory` (called with the shard index).
     ///
-    /// The factory returns boxed [`ShardStore`]s, so shards can be concrete
-    /// trees (`Box::new(ElimABTree::new())`) or registry-built trait objects
-    /// (`Box::new(make_structure(name))`).
+    /// The factory returns boxed [`ConcurrentMap`]s, so shards can be
+    /// concrete trees (`Box::new(ElimABTree::new())`) or registry-built trait
+    /// objects (`make_structure(name)`): any registry structure can serve as
+    /// a shard.
     pub fn new(
         shards: usize,
         namespace_slots: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn ShardStore>,
+        mut factory: impl FnMut(usize) -> Box<dyn ConcurrentMap>,
     ) -> Self {
         let shards: Vec<Arc<ShardCell>> = (0..shards.max(1))
             .map(|index| {
@@ -226,7 +217,8 @@ impl KvService {
     }
 
     /// Sum of keys stored across all shards.  Quiescent only, like
-    /// [`KeySum::key_sum`]; drives the cross-shard checksum validation.
+    /// [`ConcurrentMap::key_sum`]; drives the cross-shard checksum
+    /// validation.
     pub fn key_sum(&self) -> u128 {
         self.shards.iter().map(|cell| cell.store.key_sum()).sum()
     }

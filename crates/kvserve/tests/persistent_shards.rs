@@ -1,12 +1,13 @@
 //! The service layer is storage-agnostic: its shard factory accepts any
-//! `ConcurrentMap + KeySum`, including the *durable* trees.  This test
+//! `ConcurrentMap`, including the *durable* trees.  This test
 //! builds a `KvService` whose shards are `pabtree::POccABTree` instances
 //! and checks that (a) the full request surface works unchanged over
 //! persistent shards, (b) the shards really issue persist traffic (flush
 //! and fence counters move under the default count-only persist mode), and
 //! (c) a quiescent `pabtree::recover` pass over each shard is clean.
 
-use kvserve::{KvService, Namespace, ShardStore};
+use abtree::ConcurrentMap;
+use kvserve::{KvService, Namespace};
 use pabtree::POccABTree;
 use std::sync::Arc;
 
@@ -18,7 +19,8 @@ fn persistent_service(shards: usize) -> (KvService, Vec<Arc<POccABTree>>) {
     let trees: Vec<Arc<POccABTree>> = (0..shards).map(|_| Arc::new(POccABTree::new())).collect();
     let factory_trees = trees.clone();
     let service = KvService::new(shards, 1, move |shard| {
-        let tree: Box<dyn ShardStore> = Box::new(abtree::SharedMap(Arc::clone(&factory_trees[shard])));
+        let tree: Box<dyn ConcurrentMap> =
+            Box::new(abtree::SharedMap(Arc::clone(&factory_trees[shard])));
         tree
     });
     (service, trees)

@@ -11,8 +11,9 @@ use workload::{
 };
 
 use abebr::SmrPolicy;
+use abtree::ConcurrentMap;
 
-use crate::registry::{make_structure_smr, Benchable};
+use crate::registry::make_structure_smr;
 use crate::report::BenchResult;
 
 /// Configuration of one microbenchmark run (one cell of Figures 12-15/17/18
@@ -182,7 +183,7 @@ impl BatchScratch {
 /// Parallel prefill to the steady-state size, tracking the key checksum of
 /// everything successfully inserted.
 fn prefill_parallel(
-    map: &Arc<Box<dyn Benchable>>,
+    map: &Arc<Box<dyn ConcurrentMap>>,
     key_range: u64,
     target: u64,
     threads: usize,
@@ -222,7 +223,7 @@ fn prefill_parallel(
 /// End-of-run reclamation columns for a result row: the backend label plus
 /// the `unreclaimed` / lag gauges scraped from the structure's collector
 /// (`"none"` and zeros for structures that don't reclaim through one).
-fn reclamation_columns(map: &dyn Benchable, policy: SmrPolicy) -> (String, u64, u64) {
+fn reclamation_columns(map: &dyn ConcurrentMap, policy: SmrPolicy) -> (String, u64, u64) {
     match map.ebr_stats() {
         Some(stats) => (
             policy.name().to_string(),
@@ -245,7 +246,7 @@ pub fn run_microbench(cfg: &MicrobenchConfig) -> BenchResult {
 /// (the lock ablation's `AbTree<false, TatasLock>` reports the same `name()`
 /// as the MCS tree).  `cfg.structure` is only the row label here, and the
 /// caller builds `map` on a `cfg.smr` collector so the `smr` column is true.
-pub fn run_microbench_on(map: Box<dyn Benchable>, cfg: &MicrobenchConfig) -> BenchResult {
+pub fn run_microbench_on(map: Box<dyn ConcurrentMap>, cfg: &MicrobenchConfig) -> BenchResult {
     let map = Arc::new(map);
     let mix = OperationMix::from_update_and_scan_percent(cfg.update_percent, cfg.scan_percent);
     let dist = KeyDistribution::from_zipf_parameter(cfg.key_range, cfg.zipf);
@@ -354,7 +355,7 @@ pub fn run_microbench_on(map: Box<dyn Benchable>, cfg: &MicrobenchConfig) -> Ben
 /// lookups; only inserts (Workloads D/E) modify the index.  Workload E scans
 /// drive `ConcurrentMap::range` over the requested key window.
 pub fn run_ycsb(cfg: &YcsbConfig) -> BenchResult {
-    let map: Arc<Box<dyn Benchable>> = Arc::new(make_structure_smr(&cfg.structure, cfg.smr));
+    let map: Arc<Box<dyn ConcurrentMap>> = Arc::new(make_structure_smr(&cfg.structure, cfg.smr));
     let workload = YcsbWorkload::new(cfg.kind, cfg.records, cfg.zipf)
         .with_max_scan_len(cfg.max_scan_len.max(1));
 

@@ -31,8 +31,7 @@ pub use harness::{
 pub use registry::{
     descriptor, make_structure, names_in, native_scan_structures, persistent_structures,
     scan_benchmark_structures, scan_support, snapshot_scan_structures, structure_names,
-    volatile_structures, Benchable, Factory, ScanSupport,
-    StructureCategory, StructureDescriptor, STRUCTURES,
+    volatile_structures, Factory, ScanSupport, StructureCategory, StructureDescriptor, STRUCTURES,
 };
 pub use report::{print_figure_header, print_result_row, BenchResult};
 

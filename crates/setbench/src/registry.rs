@@ -1,9 +1,10 @@
 //! Registry of benchmarkable data structures.
 //!
-//! Every structure in this repository is driven through the [`Benchable`]
-//! trait, which is implemented *blanket-wise* for anything that is both an
-//! [`abtree::ConcurrentMap`] and an [`abtree::KeySum`] (the key-sum accessor
-//! used by the harness's validation step, paper §6 "Validation").
+//! Every structure in this repository is driven as a
+//! `Box<dyn abtree::ConcurrentMap>`: each worker thread opens one
+//! [`abtree::MapHandle`] via `ConcurrentMap::handle` for its whole run, and
+//! `ConcurrentMap::key_sum` (the harness's validation step, paper §6
+//! "Validation") is read quiescently after the workers join.
 //!
 //! The registry itself is a single data-driven table: one
 //! [`StructureDescriptor`] per structure, carrying its name, its
@@ -13,24 +14,12 @@
 //! [`structure_names`], [`make_structure`], the harness and the figure
 //! sweeps — iterates this table.  **Registering a new
 //! structure therefore means adding exactly one descriptor line below**
-//! (plus `impl abtree::KeySum` next to the structure itself if it does not
-//! already have one).
+//! (plus `impl abtree::ConcurrentMap` next to the structure itself).
 
 use abebr::{Collector, SmrPolicy};
-use abtree::{ConcurrentMap, ElimABTree, KeySum, OccABTree};
+use abtree::{ConcurrentMap, ElimABTree, OccABTree};
 use baselines::{CaTree, CowABTree, FpTree, LazySkipList, LockExtBst};
 use pabtree::{PElimABTree, POccABTree};
-
-/// A concurrent map that can also report the sum of its keys for validation.
-///
-/// Implemented automatically for every `ConcurrentMap + KeySum` type; do not
-/// implement it by hand.  The harness drives a `Benchable` session-style:
-/// each worker thread opens one [`abtree::MapHandle`] via
-/// `ConcurrentMap::handle` for its whole run, and `key_sum` is read
-/// quiescently after the workers join.
-pub trait Benchable: ConcurrentMap + KeySum {}
-
-impl<T: ConcurrentMap + KeySum + ?Sized> Benchable for T {}
 
 /// Whether a structure's contents survive a crash (drives which figures it
 /// appears in).
@@ -100,7 +89,7 @@ pub struct StructureDescriptor {
 /// Builds a fresh, empty structure reclaiming under the given SMR policy.
 /// Structures without a reclamation collector (the FPtree) ignore the
 /// policy.
-pub type Factory = fn(SmrPolicy) -> Box<dyn Benchable>;
+pub type Factory = fn(SmrPolicy) -> Box<dyn ConcurrentMap>;
 
 use ScanSupport::{Fallback, Native, Snapshot};
 use StructureCategory::{Persistent, Volatile};
@@ -110,7 +99,7 @@ use StructureCategory::{Persistent, Volatile};
 /// MCS lock), which a bare closure would leave unconstrained.
 macro_rules! smr_factory {
     ($ty:ty) => {{
-        fn build(policy: SmrPolicy) -> Box<dyn Benchable> {
+        fn build(policy: SmrPolicy) -> Box<dyn ConcurrentMap> {
             Box::new(<$ty>::with_collector(Collector::with_policy(policy)))
         }
         build
@@ -119,7 +108,9 @@ macro_rules! smr_factory {
 
 /// Factory helper for structures that do not reclaim through a collector:
 /// builds the default instance whatever the requested policy.
-fn boxed_no_smr<T: Benchable + Default + 'static>(_policy: SmrPolicy) -> Box<dyn Benchable> {
+fn boxed_no_smr<T: ConcurrentMap + Default + 'static>(
+    _policy: SmrPolicy,
+) -> Box<dyn ConcurrentMap> {
     Box::new(T::default())
 }
 
@@ -253,7 +244,7 @@ pub fn snapshot_scan_structures() -> Vec<&'static str> {
 
 /// Instantiates a structure by name under the default SMR policy (EBR).
 /// Panics on unknown names.
-pub fn make_structure(name: &str) -> Box<dyn Benchable> {
+pub fn make_structure(name: &str) -> Box<dyn ConcurrentMap> {
     make_structure_smr(name, SmrPolicy::default())
 }
 
@@ -261,7 +252,7 @@ pub fn make_structure(name: &str) -> Box<dyn Benchable> {
 /// the given SMR backend (`--smr ebr|hp` of the `figures` runner).
 /// Structures that do not reclaim through a collector ignore the policy.
 /// Panics on unknown names.
-pub fn make_structure_smr(name: &str, policy: SmrPolicy) -> Box<dyn Benchable> {
+pub fn make_structure_smr(name: &str, policy: SmrPolicy) -> Box<dyn ConcurrentMap> {
     match descriptor(name) {
         Some(d) => (d.factory)(policy),
         None => panic!("unknown data structure: {name}"),
