@@ -23,7 +23,7 @@ use absync::{McsLock, RawNodeLock};
 
 use crate::persist::{Persist, VolatilePersist};
 use crate::tree::AbTree;
-use crate::{ConcurrentMap, MapHandle, SessionMap};
+use crate::{ConcurrentMap, MapHandle};
 
 /// A tiny per-handle xorshift* PRNG used for backoff jitter and other
 /// per-thread randomness (e.g. skiplist tower heights in the baselines).
@@ -229,17 +229,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> MapHandle for TreeHandle<'_, 
 
     fn put_scan_buf(&mut self, buf: Vec<(u64, u64)>) {
         self.scan_buf = buf;
-    }
-}
-
-impl<const ELIM: bool, L: RawNodeLock, P: Persist> SessionMap for AbTree<ELIM, L, P> {
-    type Session<'m>
-        = TreeHandle<'m, ELIM, L, P>
-    where
-        Self: 'm;
-
-    fn session(&self) -> TreeHandle<'_, ELIM, L, P> {
-        AbTree::handle(self)
     }
 }
 

@@ -51,9 +51,7 @@
 //!
 //! Like the paper's evaluation, the engine stores 8-byte keys and 8-byte
 //! values (`u64`); the value [`EMPTY_KEY`] (`u64::MAX`) is reserved as the
-//! "no key" sentinel used for empty leaf slots.  The [`typed`] module
-//! provides an order-preserving typed wrapper for other fixed-size key and
-//! value types.
+//! "no key" sentinel used for empty leaf slots.
 //!
 //! # Example
 //!
@@ -82,7 +80,6 @@ pub mod rebalance;
 pub mod scan;
 pub mod slab;
 pub mod tree;
-pub mod typed;
 pub mod update;
 pub mod validate;
 
@@ -106,7 +103,6 @@ const _: () = assert!(MIN_KEYS >= 2 && MIN_KEYS <= MAX_KEYS / 2);
 pub use handle::{HandleRng, TreeHandle};
 pub use persist::{Persist, VolatilePersist};
 pub use tree::AbTree;
-pub use typed::{KeyCodec, TypedHandle, TypedTree, ValueCodec};
 pub use validate::TreeStats;
 
 /// The OCC-ABtree of paper §3 (no elimination), with MCS node locks.
@@ -399,28 +395,6 @@ impl<H: MapHandle + ?Sized> MapHandle for Box<H> {
     fn put_scan_buf(&mut self, buf: Vec<(u64, u64)>) {
         (**self).put_scan_buf(buf)
     }
-}
-
-/// Statically-dispatched sibling of [`ConcurrentMap`]: a map whose concrete
-/// per-thread session type is known at compile time.
-///
-/// [`ConcurrentMap::handle`] must stay object-safe for the benchmark
-/// registry's `Box<dyn ConcurrentMap>` values, so it returns a boxed session
-/// and every operation through it is a virtual call.  Generic code that
-/// holds a concrete map type (the Criterion ablation benches, the typed
-/// wrapper) can instead bound on `SessionMap` and open a monomorphized
-/// session, keeping the per-op overhead this crate's session API exists to
-/// remove.  Not object-safe (by design); implemented by the trees (session
-/// type [`TreeHandle`]).
-pub trait SessionMap: ConcurrentMap {
-    /// The concrete session type.
-    type Session<'m>: MapHandle
-    where
-        Self: 'm;
-
-    /// Opens a concrete, statically-dispatched per-thread session
-    /// (semantics of [`ConcurrentMap::handle`]).
-    fn session(&self) -> Self::Session<'_>;
 }
 
 #[cfg(test)]

@@ -1,77 +1,17 @@
-//! Parallelism detection for concurrency tests, with an env override.
+//! Hardware-parallelism detection for the few tests that need it.
 //!
-//! Several of the repository's tests only make sense under real hardware
-//! parallelism (contention splitting, elimination, cross-shard races) and
-//! skip themselves when the machine exposes a single hardware thread.  That
-//! gate is right as a default — the assertions genuinely cannot hold
-//! without preemption-free overlap — but it also makes the tests invisible
-//! on 1-CPU CI runners and build containers.  Setting `AB_FORCE_PARALLEL`
-//! overrides the *detected* count so the gated tests run anyway (threads
-//! then interleave via the scheduler, which is slower and less adversarial
-//! but still exercises the code paths):
-//!
-//! * unset, empty, or `0` — no override, report the detected parallelism;
-//! * `1` — shorthand for "pretend at least 2" (open the `< 2` gates);
-//! * `n >= 2` — report at least `n`.
-//!
-//! Every gated test consults [`test_parallelism`] instead of calling
-//! [`std::thread::available_parallelism`] directly, so the override works
-//! uniformly across crates — except the tests asserting timing statistics
-//! that only true parallelism can produce, which gate on
-//! [`detected_parallelism`] (see its docs).
+//! Concurrency tests run everywhere, one CPU included: threads then
+//! interleave at preemption points, which is slower and less adversarial
+//! but still exercises every code path the test checks, so they size their
+//! thread counts from [`detected_parallelism`] (clamped to at least 2) and
+//! never skip.  The exceptions are tests asserting timing statistics only
+//! true parallelism produces (the CA tree's contention-adaptation splits,
+//! the persistent trees' elimination rates): on one hardware thread the
+//! structure correctly never produces them, so those tests skip below 2.
 
-/// The machine's detected hardware parallelism, ignoring the override.
-///
-/// Use this — not [`test_parallelism`] — to gate assertions that are about
-/// *timing statistics only true parallelism can produce* (the CA tree's
-/// contention-adaptation splits, the persistent trees' elimination rates):
-/// on one hardware thread those tests would run but then correctly fail,
-/// which is exactly the false alarm the gate exists to prevent, so the
-/// override deliberately does not apply to them.
+/// The machine's detected hardware parallelism (at least 1).
 pub fn detected_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Hardware parallelism to assume in tests: the detected count, raised by
-/// the `AB_FORCE_PARALLEL` override (see the module docs for the accepted
-/// values).  Never returns 0.
-pub fn test_parallelism() -> usize {
-    let detected = detected_parallelism();
-    match std::env::var("AB_FORCE_PARALLEL")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        None | Some(0) => detected,
-        Some(1) => detected.max(2),
-        Some(n) => detected.max(n),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // Env vars are process-global, so the override cases run in one test to
-    // avoid racing a parallel test runner.
-    #[test]
-    fn override_opens_the_gate() {
-        let detected = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        // SAFETY-adjacent caveat: mutating the environment is fine here
-        // because this is the only test in the workspace touching this var.
-        std::env::remove_var("AB_FORCE_PARALLEL");
-        assert_eq!(test_parallelism(), detected, "no override");
-        std::env::set_var("AB_FORCE_PARALLEL", "0");
-        assert_eq!(test_parallelism(), detected, "0 means no override");
-        std::env::set_var("AB_FORCE_PARALLEL", "1");
-        assert!(test_parallelism() >= 2, "1 is shorthand for at least 2");
-        std::env::set_var("AB_FORCE_PARALLEL", "8");
-        assert!(test_parallelism() >= 8);
-        std::env::set_var("AB_FORCE_PARALLEL", "not-a-number");
-        assert_eq!(test_parallelism(), detected, "garbage is ignored");
-        std::env::remove_var("AB_FORCE_PARALLEL");
-    }
 }

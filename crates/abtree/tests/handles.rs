@@ -154,14 +154,10 @@ fn handle_outlives_a_completed_run() {
 }
 
 /// N threads x 1 handle each, hammering a small key range, validated
-/// against the `key_sum` checksum (needs real parallelism to stress the
-/// pin/unpin protocol, so it is gated like the other contention tests).
+/// against the `key_sum` checksum: the pin/unpin protocol under contention
+/// (on one CPU the threads interleave at preemption points).
 #[test]
 fn n_threads_one_handle_each_stress_keysum() {
-    if abtree::par::test_parallelism() < 2 {
-        eprintln!("skipping n_threads_one_handle_each_stress_keysum: needs >1 hardware thread (or AB_FORCE_PARALLEL=1)");
-        return;
-    }
     const THREADS: u64 = 8;
     const OPS: u64 = 30_000;
     let tree: Arc<ElimABTree> = Arc::new(ElimABTree::new());

@@ -20,7 +20,7 @@ type ElimTree = AbTree<true>;
 type OccTree = AbTree<false>;
 
 fn thread_count() -> usize {
-    abtree::par::test_parallelism().clamp(2, 8)
+    abtree::par::detected_parallelism().clamp(2, 8)
 }
 
 /// Mixed insert/delete/get churn with per-thread key-sum bookkeeping; the
@@ -124,11 +124,6 @@ fn range_scans_are_consistent_under_hazard_pointers() {
 /// no nodes, so the writer's garbage keeps being reclaimed.
 #[test]
 fn stalled_reader_garbage_is_bounded_under_hp_not_ebr() {
-    if abtree::par::test_parallelism() < 2 {
-        eprintln!("skipping stalled-reader test: single hardware thread (set AB_FORCE_PARALLEL)");
-        return;
-    }
-
     // Churn one tree per backend with a parked reader and report the
     // unreclaimed gauge at the end of the churn.
     fn churn_with_stalled_reader(policy: SmrPolicy) -> u64 {

@@ -338,11 +338,8 @@ mod tests {
         // true parallelism: on a single hardware thread the lock is almost
         // always free when sampled (a preemption adds one contended event
         // per scheduling quantum while thousands of uncontended operations
-        // each subtract one), so a CA tree correctly never splits there.
-        // Detected parallelism only — AB_FORCE_PARALLEL deliberately does
-        // not apply: without true parallelism the tree correctly never
-        // splits, so forcing the test on would make it fail for the right
-        // behavior.
+        // each subtract one), so a CA tree correctly never splits there,
+        // and this test would fail for the right behavior.
         if abtree::par::detected_parallelism() < 2 {
             eprintln!("skipping contention_causes_splits: needs >1 hardware thread");
             return;

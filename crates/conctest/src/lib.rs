@@ -54,10 +54,8 @@
 //! check of the hot-key cache's stamp protocol must be flagged for a stale
 //! cached read (`tests/mutation.rs`, over [`record_hot_key_paths`]).
 //!
-//! Environment knobs: `AB_FORCE_PARALLEL` (see [`abtree::par`]) opens the
-//! parallelism-gated tests on single-CPU machines; `CONCTEST_ARTIFACT_DIR`
-//! redirects where failing reproducers are written (default
-//! `target/conctest/`).
+//! Environment knob: `CONCTEST_ARTIFACT_DIR` redirects where failing
+//! reproducers are written (default `target/conctest/`).
 
 #![warn(missing_docs)]
 

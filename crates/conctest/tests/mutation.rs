@@ -210,7 +210,7 @@ mod stale_stamp {
     #[test]
     fn sound_stamps_survive_the_same_hunt() {
         assert!(
-            abtree::par::test_parallelism() < 2 || hunt_stale_read(4).is_none(),
+            hunt_stale_read(4).is_none(),
             "false positive on the sound stamp protocol"
         );
     }

@@ -21,16 +21,8 @@ use netserve::{Client, ERR_BAD_FRAME, ERR_FRAME_TOO_LARGE};
 /// key space through real loopback connections, mixing blocking round
 /// trips with pipelined point frames, and the merged history must be
 /// linearizable per key.
-///
-/// Gated on [`abtree::par::test_parallelism`]: on a 1-CPU box without the
-/// `AB_FORCE_PARALLEL` override, OS-thread interleaving is cooperative-only
-/// and the test would stress nothing.
 #[test]
 fn socket_histories_stay_linearizable() {
-    if abtree::par::test_parallelism() < 2 {
-        eprintln!("skipping: needs >= 2 threads (set AB_FORCE_PARALLEL=1 to override)");
-        return;
-    }
     const CLIENTS: u32 = 4;
     const OPS: u64 = 300;
     const HOT_KEYS: u64 = 10;

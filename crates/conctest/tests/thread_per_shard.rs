@@ -73,16 +73,8 @@ fn concurrent_stress_passes_over_the_thread_per_shard_router() {
 /// so four rounds leave no doubt.  The 400 unstalled operations per thread
 /// this test used to run pass that mutant, and the single-mutator protocol
 /// it replaced, every time.
-///
-/// Gated on [`abtree::par::test_parallelism`]: on a 1-CPU box without the
-/// `AB_FORCE_PARALLEL` override, OS-thread interleaving is cooperative-only
-/// and the test would stress nothing.
 #[test]
 fn cached_reads_stay_linearizable_under_concurrent_writes() {
-    if abtree::par::test_parallelism() < 2 {
-        eprintln!("skipping: needs >= 2 threads (set AB_FORCE_PARALLEL=1 to override)");
-        return;
-    }
     const ROUNDS: u32 = 4;
     const THREADS: u32 = 3;
     const OPS: usize = 2_000;

@@ -33,10 +33,11 @@ use std::num::NonZeroU32;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 
-use abtree::{MapHandle, SessionMap};
+use absync::McsLock;
+use abtree::{MapHandle, TreeHandle};
 use kvserve::owner::{CommitPolicy, Mailbox, OwnerLane, Verdict};
 use obs::{Stage, StageRecorder, StageTrace, Stamp};
-use pabtree::WalElimABTree;
+use pabtree::{RelaxedPersist, WalElimABTree};
 
 use crate::crash::CrashSpec;
 
@@ -215,7 +216,8 @@ enum UnfencedOp {
 /// reply, fence at the boundary — or crash there.
 pub(crate) struct GroupFence<'a> {
     cell: &'a ShardCell,
-    handle: <WalElimABTree as SessionMap>::Session<'a>,
+    /// The session [`WalElimABTree`]'s inherent `handle()` returns.
+    handle: TreeHandle<'a, true, McsLock, RelaxedPersist>,
     acks_per_fence: NonZeroU32,
     /// State-changing operations since the last fence, oldest first.
     unfenced: Vec<UnfencedOp>,

@@ -19,20 +19,10 @@ fn elim_service(shards: usize, namespaces: usize) -> KvService {
 
 /// Concurrent batched `MPut`/`Delete` traffic from several routers must
 /// leave the service with a key sum equal to the net of what the workers
-/// saw succeed.  Like the repository's other concurrency tests, it needs
-/// real parallelism to stress cross-shard routing and skips on single-core
-/// machines (the sequential oracle test below covers the semantics there).
+/// saw succeed.
 #[test]
 fn cross_shard_key_sum_survives_concurrent_batched_updates() {
-    let parallelism = abtree::par::test_parallelism();
-    if parallelism < 2 {
-        eprintln!(
-            "skipping cross-shard concurrency test: needs >1 hardware thread \
-             (or AB_FORCE_PARALLEL=1)"
-        );
-        return;
-    }
-    let threads = parallelism.clamp(2, 8);
+    let threads = abtree::par::detected_parallelism().clamp(2, 8);
     let service = Arc::new(elim_service(4, 1));
     let key_space = 10_000u64;
     let mut net: i128 = 0;

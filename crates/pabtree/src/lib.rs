@@ -315,10 +315,6 @@ mod tests {
         // requires true parallelism: on a single hardware thread operations
         // only overlap at preemption boundaries (every few ms), far too
         // rarely to clear the assertion threshold.
-        // Detected parallelism only — AB_FORCE_PARALLEL deliberately does
-        // not apply: preemption-boundary overlap is far too rare to clear
-        // the elimination-rate threshold, so forcing the test on a single
-        // hardware thread would fail against correct behavior.
         if abtree::par::detected_parallelism() < 2 {
             eprintln!("skipping elimination_fires_and_skips_flushes_under_same_key_churn: needs >1 hardware thread");
             return;

@@ -16,7 +16,7 @@ use abebr::{Collector, SmrPolicy};
 use absync::{McsLock, TatasLock};
 use abtree::OccABTree;
 
-use crate::harness::{run_microbench, run_microbench_on, run_ycsb, MicrobenchConfig, YcsbConfig};
+use crate::harness::{run_cell, run_cell_on, CellConfig, Workload};
 use crate::registry::{
     persistent_structures, scan_benchmark_structures, volatile_structures, Factory,
 };
@@ -52,6 +52,30 @@ pub struct Scale {
     pub duration: Duration,
     /// SMR backend every collector-backed structure is built on.
     pub smr: SmrPolicy,
+}
+
+impl Scale {
+    /// The cell running `workload` on `structure` at `threads` under this
+    /// scale's size, cell length and SMR backend.
+    fn cell(
+        &self,
+        structure: &str,
+        workload: Workload,
+        zipf: f64,
+        threads: usize,
+        seed: u64,
+    ) -> CellConfig {
+        CellConfig {
+            structure: structure.into(),
+            workload,
+            size: self.size,
+            zipf,
+            threads,
+            duration: self.duration,
+            seed,
+            smr: self.smr,
+        }
+    }
 }
 
 /// The part of a microbenchmark sweep the figure fixes: which structures,
@@ -91,6 +115,25 @@ fn record(results: &mut Vec<BenchResult>, experiment: &str, mut r: BenchResult) 
     results.push(r);
 }
 
+/// Runs `workload` on each of `structures` at each thread count of `scale`
+/// and records every cell under `experiment`.
+fn sweep(
+    results: &mut Vec<BenchResult>,
+    experiment: &str,
+    structures: &[&str],
+    scale: &Scale,
+    workload: Workload,
+    zipf: f64,
+    seed: u64,
+) {
+    for &structure in structures {
+        for &threads in &scale.threads {
+            let cfg = scale.cell(structure, workload, zipf, threads, seed);
+            record(results, experiment, run_cell(&cfg));
+        }
+    }
+}
+
 /// Runs one SetBench microbenchmark sweep (Figures 12-15 and the
 /// elimination ablation, depending on `grid` and `scale.size`).
 pub fn run_microbench_figure(
@@ -114,22 +157,15 @@ pub fn run_microbench_figure(
                     }
                 ),
             );
-            for structure in (grid.structures)() {
-                for &threads in &scale.threads {
-                    let cfg = MicrobenchConfig {
-                        structure: structure.into(),
-                        key_range: scale.size,
-                        update_percent,
-                        zipf,
-                        threads,
-                        duration: scale.duration,
-                        seed: 0xD1CE,
-                        smr: scale.smr,
-                        ..Default::default()
-                    };
-                    record(&mut results, experiment, run_microbench(&cfg));
-                }
-            }
+            sweep(
+                &mut results,
+                experiment,
+                &(grid.structures)(),
+                scale,
+                Workload::SetBench { update_percent },
+                zipf,
+                0xD1CE,
+            );
         }
     }
     results
@@ -142,21 +178,15 @@ pub fn run_ycsb_figure(scale: &Scale, structures: &[&str]) -> Vec<BenchResult> {
         "fig16",
         &format!("YCSB Workload A, {} records, request Zipf 0.5", scale.size),
     );
-    for &structure in structures {
-        for &threads in &scale.threads {
-            let cfg = YcsbConfig {
-                structure: structure.into(),
-                records: scale.size,
-                zipf: 0.5,
-                threads,
-                duration: scale.duration,
-                seed: 0xFEED,
-                smr: scale.smr,
-                ..Default::default()
-            };
-            record(&mut results, "fig16", run_ycsb(&cfg));
-        }
-    }
+    sweep(
+        &mut results,
+        "fig16",
+        structures,
+        scale,
+        Workload::YcsbA,
+        0.5,
+        0xFEED,
+    );
     results
 }
 
@@ -192,20 +222,15 @@ pub fn run_scan_figure(scale: &Scale, scan_lens: &[u64], structures: &[&str]) ->
                 );
                 continue;
             }
-            for &threads in &scale.threads {
-                let cfg = YcsbConfig {
-                    structure: structure.into(),
-                    kind: workload::YcsbWorkloadKind::E,
-                    records: scale.size,
-                    zipf: 0.5,
-                    max_scan_len,
-                    threads,
-                    duration: scale.duration,
-                    seed: 0x5CA7,
-                    smr: scale.smr,
-                };
-                record(&mut results, "fig18", run_ycsb(&cfg));
-            }
+            sweep(
+                &mut results,
+                "fig18",
+                &[structure],
+                scale,
+                Workload::YcsbE { max_scan_len },
+                0.5,
+                0x5CA7,
+            );
         }
     }
     results
@@ -225,22 +250,15 @@ pub fn run_persistence_figure(scale: &Scale) -> Vec<BenchResult> {
                 if zipf == 0.0 { "uniform" } else { "Zipf(1)" }
             ),
         );
-        for structure in persistent_structures() {
-            for &threads in &scale.threads {
-                let cfg = MicrobenchConfig {
-                    structure: structure.into(),
-                    key_range: scale.size,
-                    update_percent: 50,
-                    zipf,
-                    threads,
-                    duration: scale.duration,
-                    seed: 0xCAFE,
-                    smr: scale.smr,
-                    ..Default::default()
-                };
-                record(&mut results, "fig17", run_microbench(&cfg));
-            }
-        }
+        sweep(
+            &mut results,
+            "fig17",
+            &persistent_structures(),
+            scale,
+            Workload::SetBench { update_percent: 50 },
+            zipf,
+            0xCAFE,
+        );
     }
     abpmem::set_mode(abpmem::PersistMode::CountOnly);
     results
@@ -275,17 +293,8 @@ pub fn run_persistence_overhead_table(scale: &Scale) -> Vec<(BenchResult, BenchR
             for (volatile, durable) in OVERHEAD_PAIRS {
                 let cell = |structure: &str, mode| {
                     abpmem::set_mode(mode);
-                    let mut r = run_microbench(&MicrobenchConfig {
-                        structure: structure.into(),
-                        key_range: scale.size,
-                        update_percent,
-                        zipf,
-                        threads,
-                        duration: scale.duration,
-                        seed: 0xAB1E,
-                        smr: scale.smr,
-                        ..Default::default()
-                    });
+                    let workload = Workload::SetBench { update_percent };
+                    let mut r = run_cell(&scale.cell(structure, workload, zipf, threads, 0xAB1E));
                     r.experiment = "table1".into();
                     eprintln!("{}", r.to_json());
                     r
@@ -307,7 +316,7 @@ pub fn run_persistence_overhead_table(scale: &Scale) -> Vec<(BenchResult, BenchR
 
 /// The two OCC-ABtrees of the lock ablation.  The registry cannot name the
 /// TATAS tree (both report `"occ-abtree"`), so they are built here and
-/// handed to [`run_microbench_on`] under these row labels.
+/// handed to [`run_cell_on`] under these row labels.
 const LOCK_VARIANTS: [(&str, Factory); 2] = [
     ("occ-abtree/mcs", |smr| {
         Box::new(OccABTree::<McsLock>::with_collector(
@@ -334,21 +343,14 @@ pub fn run_lock_ablation(scale: &Scale) -> Vec<BenchResult> {
     );
     for (label, build) in LOCK_VARIANTS {
         for &threads in &scale.threads {
-            let cfg = MicrobenchConfig {
-                structure: label.into(),
-                key_range: scale.size,
+            let workload = Workload::SetBench {
                 update_percent: 100,
-                zipf: 1.0,
-                threads,
-                duration: scale.duration,
-                seed: 0x10C5,
-                smr: scale.smr,
-                ..Default::default()
             };
+            let cfg = scale.cell(label, workload, 1.0, threads, 0x10C5);
             record(
                 &mut results,
                 "ablation-locks",
-                run_microbench_on(build(scale.smr), &cfg),
+                run_cell_on(build(scale.smr), &cfg),
             );
         }
     }
@@ -650,16 +652,33 @@ mod tests {
     /// smoke scale and passes the shared checks of [`Figure::run`]: rows for
     /// exactly the structures the figure reports (both lock variants for
     /// `ablation-locks`; for `fig18` the native-scan set only, i.e. the
-    /// fallback structures it was handed were skipped), all validated.
+    /// fallback structures it was handed were skipped), all validated, and
+    /// exactly one row per cell of the figure's sweep.
     #[test]
     fn every_figure_runs_at_smoke_scale() {
+        // Cells per figure at smoke scale (one thread count).
+        const ROWS: [(&str, usize); 10] = [
+            ("fig12", 48),
+            ("fig13", 48),
+            ("fig14", 48),
+            ("fig15", 48),
+            ("fig16", 6),
+            ("fig17", 6),
+            ("fig18", 12),
+            ("table1", 24),
+            ("ablation-elim", 8),
+            ("ablation-locks", 2),
+        ];
         let smoke = invocation("all --smoke").unwrap();
-        assert_eq!(smoke.figures.len(), FIGURES.len());
-        for fig in smoke.figures.iter().copied() {
+        assert_eq!(smoke.figures.len(), ROWS.len());
+        let mut total = 0;
+        for (fig, (id, cells)) in smoke.figures.iter().copied().zip(ROWS) {
+            assert_eq!(fig.id, id);
             let rows = fig
                 .run(&smoke.scale(fig))
                 .unwrap_or_else(|e| panic!("{}: {e}", fig.id));
-            assert!(!rows.is_empty(), "{} produced no rows", fig.id);
+            assert_eq!(rows.len(), cells, "{} rows", fig.id);
+            total += rows.len();
             assert!(rows.iter().all(|r| r.experiment == fig.id), "{}", fig.id);
             assert!(
                 rows.iter().all(|r| r.smr == "ebr" || r.smr == "none"),
@@ -667,6 +686,7 @@ mod tests {
                 fig.id
             );
         }
+        assert_eq!(total, 250);
         assert_eq!(
             (Figure::by_id("ablation-locks").unwrap().reports)(),
             vec!["occ-abtree/mcs", "occ-abtree/tatas"]

@@ -9,9 +9,17 @@
 //! sum it deleted must equal the sum of keys left in the structure — guards
 //! against broken implementations.
 //!
-//! This crate reproduces that methodology and exposes the paper's figures,
-//! Table 1 and two ablations through one table ([`figures::FIGURES`]) and one
-//! runner binary over it, `figures` (see `src/bin/figures.rs`).
+//! The YCSB figures (16 and 18) use the same method with the structure as a
+//! database index: the load phase inserts every record in key order instead
+//! of a random half of the key range, and each request is a YCSB read,
+//! update (an index read plus a row write), insert or scan.
+//!
+//! This crate reproduces that methodology with one cell config
+//! ([`CellConfig`], whose [`Workload`] picks the load phase and the per-op
+//! step) and one measured phase ([`run_cell`]), and exposes the paper's
+//! figures, Table 1 and two ablations through one table
+//! ([`figures::FIGURES`]) and one runner binary over it, `figures` (see
+//! `src/bin/figures.rs`).
 
 #![warn(missing_docs)]
 
@@ -25,9 +33,7 @@ pub use figures::{
     run_persistence_overhead_table, run_scan_figure, run_ycsb_figure, Figure, MicrobenchGrid,
     Scale, FIGURES,
 };
-pub use harness::{
-    run_microbench, run_microbench_on, run_ycsb, MicrobenchConfig, YcsbConfig, BATCH_OP_SIZE,
-};
+pub use harness::{run_cell, run_cell_on, CellConfig, Workload};
 pub use registry::{
     descriptor, make_structure, names_in, native_scan_structures, persistent_structures,
     scan_benchmark_structures, scan_support, snapshot_scan_structures, structure_names,
@@ -43,17 +49,17 @@ mod tests {
     #[test]
     fn microbench_runs_and_validates_every_structure() {
         for name in structure_names() {
-            let cfg = MicrobenchConfig {
+            let cfg = CellConfig {
                 structure: name.to_string(),
-                key_range: 1_000,
-                update_percent: 50,
+                workload: Workload::SetBench { update_percent: 50 },
+                size: 1_000,
                 zipf: 0.0,
                 threads: 2,
                 duration: Duration::from_millis(50),
                 seed: 1,
                 ..Default::default()
             };
-            let result = run_microbench(&cfg);
+            let result = run_cell(&cfg);
             assert!(result.validated, "validation failed for {name}");
             assert!(result.total_ops > 0, "no ops completed for {name}");
             assert_eq!(result.structure, *name);
@@ -66,77 +72,55 @@ mod tests {
     #[test]
     fn ycsb_e_runs_and_validates_every_structure() {
         for name in structure_names() {
-            let cfg = YcsbConfig {
+            let cfg = CellConfig {
                 structure: name.to_string(),
-                kind: workload::YcsbWorkloadKind::E,
-                records: 2_000,
+                workload: Workload::YcsbE { max_scan_len: 50 },
+                size: 2_000,
                 zipf: 0.5,
-                max_scan_len: 50,
                 threads: 2,
                 duration: Duration::from_millis(40),
                 seed: 5,
                 ..Default::default()
             };
-            let result = run_ycsb(&cfg);
+            let result = run_cell(&cfg);
             assert!(result.validated, "validation failed for {name}");
             assert!(result.scan_ops > 0, "no scans completed for {name}");
             assert_eq!(result.experiment, "ycsb-e");
         }
     }
 
-    /// A scan-heavy microbenchmark mix exercises `Operation::Scan` through
-    /// the same prefill/measure/validate pipeline as the point mixes.
-    #[test]
-    fn scan_mix_microbench_validates() {
-        let cfg = MicrobenchConfig {
-            structure: "occ-abtree".into(),
-            key_range: 4_000,
-            update_percent: 20,
-            scan_percent: 30,
-            max_scan_len: 64,
-            zipf: 0.0,
-            threads: 2,
-            duration: Duration::from_millis(60),
-            seed: 11,
-            ..Default::default()
-        };
-        let r = run_microbench(&cfg);
-        assert!(r.validated);
-        assert!(r.scan_ops > 0);
-        // ~30% of operations should be scans.
-        let share = r.scan_ops as f64 / r.total_ops as f64;
-        assert!((0.2..0.4).contains(&share), "scan share = {share}");
-    }
-
     #[test]
     fn zipfian_microbench_validates() {
-        let cfg = MicrobenchConfig {
+        let cfg = CellConfig {
             structure: "elim-abtree".into(),
-            key_range: 10_000,
-            update_percent: 100,
+            workload: Workload::SetBench {
+                update_percent: 100,
+            },
+            size: 10_000,
             zipf: 1.0,
             threads: 4,
             duration: Duration::from_millis(100),
             seed: 7,
             ..Default::default()
         };
-        let r = run_microbench(&cfg);
+        let r = run_cell(&cfg);
         assert!(r.validated);
         assert!(r.throughput_mops > 0.0);
     }
 
     #[test]
     fn ycsb_runs() {
-        let cfg = YcsbConfig {
+        let cfg = CellConfig {
             structure: "occ-abtree".into(),
-            records: 10_000,
+            workload: Workload::YcsbA,
+            size: 10_000,
             zipf: 0.5,
             threads: 2,
             duration: Duration::from_millis(50),
             seed: 3,
             ..Default::default()
         };
-        let r = run_ycsb(&cfg);
+        let r = run_cell(&cfg);
         assert!(r.total_ops > 0);
         assert!(r.validated);
     }

@@ -10,9 +10,13 @@
 //!   deletes) and (100 − x)% finds, for x ∈ {100, 50, 20, 10, 5};
 //! * a **prefill phase** that inserts a random subset of keys until the
 //!   structure reaches its steady-state size (half the key range);
-//! * the **YCSB Workload A** access pattern for Figure 16.
+//! * the **YCSB Workloads A and E** (the structure as a database index) for
+//!   Figures 16 and 18.
 //!
-//! This crate implements those generators.  The Zipfian sampler uses
+//! This crate implements those generators.  The figures draw point-only
+//! mixes; the mix's scan and batch shares serve conctest's fuzzer and the
+//! layer ledger's mixed tree workload, and the figures measure scans
+//! through YCSB-E.  The Zipfian sampler uses
 //! Hörmann's rejection-inversion method, which samples in O(1) expected time
 //! without precomputing the harmonic normalization constant, so it scales to
 //! the paper's 100M-key configurations.

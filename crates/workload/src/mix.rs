@@ -9,7 +9,7 @@
 //! Two extensions widen the mix beyond the paper's three point operations:
 //!
 //! * the scan subsystem added [`Operation::Scan`] (a range scan whose start
-//!   key comes from the key distribution and whose length the harness
+//!   key comes from the key distribution and whose length the caller
 //!   samples separately);
 //! * the `kvserve` service layer added the batched [`Operation::MGet`] and
 //!   [`Operation::MPut`] (a multi-get / multi-put whose key count the driver

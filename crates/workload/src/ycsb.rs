@@ -1,4 +1,4 @@
-//! YCSB-style workloads (paper §6.2, Figure 16).
+//! YCSB-style workloads (paper §6.2, Figures 16 and 18).
 //!
 //! The Yahoo! Cloud Serving Benchmark drives a key-value store with a mix of
 //! reads, updates, inserts and scans over a keyspace whose popularity follows
@@ -10,13 +10,16 @@
 //! it, and unlocks it (without modifying the index)."
 //!
 //! Accordingly [`YcsbOp::Update`] is an index *read* followed by a simulated
-//! row write; only [`YcsbOp::Insert`] (Workload D-style) modifies the index.
+//! row write; only [`YcsbOp::Insert`] (Workload E's 5%) modifies the index.
 //!
 //! **Workload E** (95% scans / 5% inserts) is the standard scan benchmark:
 //! each scan starts at a key drawn from the request distribution and covers
 //! a request length drawn uniformly from `1..=max_scan_len` (the YCSB
 //! default is uniform 1–100).  The harness turns each scan request into a
-//! `ConcurrentMap::range` call over that key window.
+//! `MapHandle::range` call over that key window.
+//!
+//! Only the two workloads a figure runs are here; the other core letters
+//! (B, C, D) are not reproduced.
 
 use rand::Rng;
 
@@ -25,18 +28,13 @@ use crate::zipf::KeyDistribution;
 /// The YCSB default upper bound for uniform scan lengths (Workload E).
 pub const DEFAULT_MAX_SCAN_LEN: u64 = 100;
 
-/// The standard YCSB core workload letters reproduced here.
+/// The YCSB core workload letters reproduced here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum YcsbWorkloadKind {
     /// 50% reads, 50% updates (update = row write through the index).
     A,
-    /// 95% reads, 5% updates.
-    B,
-    /// 100% reads.
-    C,
-    /// 95% reads, 5% inserts (inserts grow the index).
-    D,
-    /// 95% range scans, 5% inserts (the scan workload).
+    /// 95% range scans, 5% inserts (the scan workload; inserts grow the
+    /// index).
     E,
 }
 
@@ -130,9 +128,6 @@ impl YcsbWorkload {
     pub fn label(&self) -> &'static str {
         match self.kind {
             YcsbWorkloadKind::A => "ycsb-a",
-            YcsbWorkloadKind::B => "ycsb-b",
-            YcsbWorkloadKind::C => "ycsb-c",
-            YcsbWorkloadKind::D => "ycsb-d",
             YcsbWorkloadKind::E => "ycsb-e",
         }
     }
@@ -152,21 +147,6 @@ impl YcsbWorkload {
                     YcsbOp::Read(key)
                 } else {
                     YcsbOp::Update(key)
-                }
-            }
-            YcsbWorkloadKind::B => {
-                if p < 95 {
-                    YcsbOp::Read(key)
-                } else {
-                    YcsbOp::Update(key)
-                }
-            }
-            YcsbWorkloadKind::C => YcsbOp::Read(key),
-            YcsbWorkloadKind::D => {
-                if p < 95 {
-                    YcsbOp::Read(key)
-                } else {
-                    YcsbOp::Insert(key)
                 }
             }
             YcsbWorkloadKind::E => {
@@ -207,15 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn workload_c_is_read_only() {
-        let w = YcsbWorkload::new(YcsbWorkloadKind::C, 1_000, 0.0);
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..1_000 {
-            assert!(matches!(w.next_op(&mut rng), YcsbOp::Read(_)));
-        }
-    }
-
-    #[test]
     fn keys_stay_in_range() {
         let w = YcsbWorkload::workload_a(5_000, 0.99);
         let mut rng = StdRng::seed_from_u64(0);
@@ -231,16 +202,6 @@ mod tests {
         assert_eq!(keys.len(), 100);
         assert_eq!(keys[0], 0);
         assert_eq!(keys[99], 99);
-    }
-
-    #[test]
-    fn workload_d_inserts_sometimes() {
-        let w = YcsbWorkload::new(YcsbWorkloadKind::D, 10_000, 0.5);
-        let mut rng = StdRng::seed_from_u64(1);
-        let inserts = (0..10_000)
-            .filter(|_| matches!(w.next_op(&mut rng), YcsbOp::Insert(_)))
-            .count();
-        assert!((300..800).contains(&inserts), "inserts = {inserts}");
     }
 
     #[test]

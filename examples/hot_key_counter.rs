@@ -10,19 +10,19 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use elim_abtree_repro::abtree::{ElimABTree, MapHandle as _, OccABTree, SessionMap};
+use elim_abtree_repro::abtree::{AbTree, ElimABTree, OccABTree};
 
-fn churn<M: SessionMap>(map: &Arc<M>, threads: usize, ops_per_thread: u64) -> f64 {
+fn churn<const ELIM: bool>(map: &Arc<AbTree<ELIM>>, threads: usize, ops_per_thread: u64) -> f64 {
     let hot_keys = 8u64;
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
             let map = Arc::clone(map);
             scope.spawn(move || {
-                // One statically-dispatched session per worker: the EBR
-                // registration, elimination scratch and RNG live here, not
-                // in per-op lookups, and ops are monomorphized.
-                let mut session = map.session();
+                // One session per worker, the tree's own `TreeHandle`: the
+                // EBR registration, elimination scratch and RNG live here,
+                // not in per-op lookups, and ops are statically dispatched.
+                let mut session = map.handle();
                 for i in 0..ops_per_thread {
                     let key = (i + t as u64) % hot_keys;
                     if (i + t as u64).is_multiple_of(2) {

@@ -1,15 +1,13 @@
 //! Cross-crate integration tests: the harness driving every structure, the
-//! durable trees on the persistent-memory layer, and the typed wrapper over
-//! the whole stack.
+//! durable trees on the persistent-memory layer, and the workload
+//! generators over a real tree.
 
 use std::time::Duration;
 
-use elim_abtree_repro::abtree::{ElimABTree, TypedTree};
+use elim_abtree_repro::abtree::ElimABTree;
 use elim_abtree_repro::pabtree::{recover, PElimABTree, POccABTree};
 use elim_abtree_repro::pmem::{self, PersistMode};
-use elim_abtree_repro::setbench::{
-    make_structure, run_microbench, structure_names, MicrobenchConfig,
-};
+use elim_abtree_repro::setbench::{make_structure, run_cell, structure_names, CellConfig, Workload};
 use elim_abtree_repro::workload::{KeyDistribution, OperationMix};
 
 #[test]
@@ -17,17 +15,19 @@ fn harness_validates_every_structure_under_skewed_update_heavy_load() {
     // The paper's hardest regime: 100% updates, Zipf(1).  Every structure in
     // the registry must pass the key-sum validation.
     for name in structure_names() {
-        let cfg = MicrobenchConfig {
+        let cfg = CellConfig {
             structure: name.to_string(),
-            key_range: 2_000,
-            update_percent: 100,
+            workload: Workload::SetBench {
+                update_percent: 100,
+            },
+            size: 2_000,
             zipf: 1.0,
             threads: 4,
             duration: Duration::from_millis(80),
             seed: 0xFEED,
             ..Default::default()
         };
-        let result = run_microbench(&cfg);
+        let result = run_cell(&cfg);
         assert!(result.validated, "{name} failed key-sum validation");
         assert!(result.total_ops > 0, "{name} made no progress");
     }
@@ -168,20 +168,6 @@ fn durable_elim_tree_matches_volatile_semantics_under_contention() {
     }
     durable.check_invariants().unwrap();
     volatile.check_invariants().unwrap();
-}
-
-#[test]
-fn typed_wrapper_over_registry_structures() {
-    let tree: TypedTree<i64, f64, ElimABTree> = TypedTree::default();
-    let mut session = tree.handle();
-    for i in -500..500i64 {
-        assert_eq!(session.insert(i, i as f64 / 4.0), None);
-    }
-    assert_eq!(session.get(-250), Some(-62.5));
-    assert_eq!(session.remove(-250), Some(-62.5));
-    assert_eq!(session.get(-250), None);
-    drop(session);
-    assert_eq!(tree.inner().len(), 999);
 }
 
 #[test]
