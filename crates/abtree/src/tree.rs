@@ -201,38 +201,24 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         }
     }
 
-    /// The paper's `searchLeaf` (Fig. 2): double-collect read of a leaf.
-    /// Returns the value associated with `key`, if present, together with the
-    /// (even) version at which the snapshot was taken.
-    pub(crate) fn search_leaf(&self, leaf: &Node<L>, key: u64) -> (Option<u64>, u64) {
+    /// The paper's `searchLeaf` (Fig. 2): retries the double-collect read
+    /// of [`try_scan_leaf`](Self::try_scan_leaf) until one is consistent,
+    /// and returns the value associated with `key`, if present.
+    pub(crate) fn search_leaf(&self, leaf: &Node<L>, key: u64) -> Option<u64> {
         loop {
-            let v1 = leaf.version();
-            if v1 % 2 == 1 {
-                core::hint::spin_loop();
-                continue;
+            if let Some(found) = self.try_scan_leaf(leaf, key) {
+                return found;
             }
-            let mut val = None;
-            for i in 0..MAX_KEYS {
-                if leaf.key(i) == key {
-                    val = Some(leaf.val(i));
-                    break;
-                }
-            }
-            // Order the data reads before the validating version re-read.
-            fence(Ordering::Acquire);
-            let v2 = leaf.ver.load(Ordering::Relaxed);
-            if v1 == v2 {
-                return (val, v1);
-            }
+            core::hint::spin_loop();
         }
     }
 
-    /// Single-attempt optimistic leaf scan used by the Elim-ABtree's update
-    /// path (§4.1): returns `Some(result)` if the scan was consistent and
-    /// `None` if a concurrent modification was detected (which is the signal
-    /// to try elimination).
+    /// One double-collect read of a leaf: returns `Some(result)` if the
+    /// scan was consistent and `None` if a concurrent modification was
+    /// detected.  The Elim-ABtree's update path (§4.1) makes a single
+    /// attempt and takes a `None` as the signal to try elimination.
     pub(crate) fn try_scan_leaf(&self, leaf: &Node<L>, key: u64) -> Option<Option<u64>> {
-        let v1 = leaf.ver.load(Ordering::Acquire);
+        let v1 = leaf.version();
         if v1 % 2 == 1 {
             return None;
         }
@@ -243,6 +229,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 break;
             }
         }
+        // Order the data reads before the validating version re-read.
         fence(Ordering::Acquire);
         let v2 = leaf.ver.load(Ordering::Relaxed);
         if v1 == v2 {
@@ -261,7 +248,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         let path = self.search(key, ptr::null_mut(), guard);
         // SAFETY: `path.n` was read during the pinned search.
         let leaf = unsafe { self.deref(path.n, guard) };
-        self.search_leaf(leaf, key).0
+        self.search_leaf(leaf, key)
     }
 }
 

@@ -142,11 +142,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             if let Some(Some(existing)) = self.try_scan_leaf(leaf, key) {
                 return Attempt::Done(Some(existing));
             }
-        } else {
-            let (found, _ver) = self.search_leaf(leaf, key);
-            if let Some(existing) = found {
-                return Attempt::Done(Some(existing));
-            }
+        } else if let Some(existing) = self.search_leaf(leaf, key) {
+            return Attempt::Done(Some(existing));
         }
 
         // Lock acquisition (possibly eliminating instead).
@@ -281,11 +278,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 // Consistent scan, key absent: nothing to delete.
                 return Attempt::Done(None);
             }
-        } else {
-            let (found, _ver) = self.search_leaf(leaf, key);
-            if found.is_none() {
-                return Attempt::Done(None);
-            }
+        } else if self.search_leaf(leaf, key).is_none() {
+            return Attempt::Done(None);
         }
 
         let mut leaf_token = L::Token::default();

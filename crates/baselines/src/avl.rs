@@ -162,16 +162,6 @@ impl Avl {
         Self::default()
     }
 
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the tree empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Inserts `key -> value` if absent; returns the existing value otherwise.
     pub fn insert(&mut self, key: u64, value: u64) -> Option<u64> {
         let (root, existing) = insert_node(self.root.take(), key, value);
@@ -259,14 +249,7 @@ impl Avl {
         ))
     }
 
-    /// Merges two trees whose key ranges do not overlap (all keys in `other`
-    /// are larger).  Used by the CATree's low-contention join.
-    pub fn join(low: &Avl, high: &Avl) -> Avl {
-        let mut entries = low.entries();
-        entries.extend(high.entries());
-        Avl::from_sorted(&entries)
-    }
-
+    #[cfg(test)]
     fn check_node(n: &Option<Box<AvlNode>>, lo: Option<u64>, hi: Option<u64>) -> Result<i32, String> {
         match n {
             None => Ok(0),
@@ -296,7 +279,8 @@ impl Avl {
     }
 
     /// Verifies the BST ordering, AVL balance and height bookkeeping.
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    fn check_invariants(&self) -> Result<(), String> {
         Self::check_node(&self.root, None, None).map(|_| ())
     }
 }
@@ -314,7 +298,7 @@ mod tests {
         assert_eq!(t.get(5), Some(50));
         assert_eq!(t.remove(5), Some(50));
         assert_eq!(t.remove(5), None);
-        assert!(t.is_empty());
+        assert_eq!(t.len, 0);
     }
 
     #[test]
@@ -324,7 +308,7 @@ mod tests {
             t.insert(k, k);
         }
         t.check_invariants().unwrap();
-        assert_eq!(t.len(), 10_000);
+        assert_eq!(t.len, 10_000);
         for k in 0..10_000u64 {
             assert_eq!(t.get(k), Some(k));
         }
@@ -358,14 +342,14 @@ mod tests {
             t.insert(k, k * 3);
         }
         let (low, split, high) = t.split_in_half().unwrap();
-        assert!(low.len() >= 2 && high.len() >= 2);
+        assert!(low.len >= 2 && high.len >= 2);
         assert!(low.entries().iter().all(|&(k, _)| k < split));
         assert!(high.entries().iter().all(|&(k, _)| k >= split));
         low.check_invariants().unwrap();
         high.check_invariants().unwrap();
-        let joined = Avl::join(&low, &high);
-        joined.check_invariants().unwrap();
-        assert_eq!(joined.entries(), t.entries());
+        let mut joined = low.entries();
+        joined.extend(high.entries());
+        assert_eq!(joined, t.entries());
     }
 
     #[test]

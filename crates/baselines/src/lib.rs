@@ -49,7 +49,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod avl;
+mod avl;
 pub mod catree;
 pub mod cowabtree;
 pub mod extbst;

@@ -1,5 +1,5 @@
-//! The crash model: what a simulated shard crash does, and what it leaves
-//! behind for the supervisor and the durable-linearizability checker.
+//! The crash model: what a simulated shard crash does, and what its
+//! in-place recovery leaves behind for the durable-linearizability checker.
 //!
 //! A crash always happens at a **group-fence boundary** — the instant the
 //! shard owner would otherwise issue its group `sfence` — because that is
@@ -36,8 +36,9 @@ pub struct CrashSpec {
     pub dirty_link: bool,
 }
 
-/// What one crash + recovery cycle did, recorded by the supervisor and
-/// consumed by the ledger's `crashkv.recover_us` / `crashkv.lost_*` rows.
+/// What one crash + recovery cycle did, recorded by the crashed shard's
+/// owner before it answers the crashed group, and consumed by the ledger's
+/// `crashkv.recover_us` / `crashkv.lost_*` rows.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashReport {
     /// The crashed shard.
@@ -54,7 +55,7 @@ pub struct CrashReport {
     /// Key of the torn partial insert, if one was injected.
     pub torn_insert: Option<u64>,
     /// Whether a dirty link-and-persist mark was present at recovery (it
-    /// must be gone afterwards; the supervisor asserts that).
+    /// must be gone afterwards; the owner asserts that).
     pub dirty_link: bool,
     /// What [`pabtree::recover`] found and repaired, including the
     /// wall-clock recovery time.

@@ -20,9 +20,10 @@
 //!   owner at a chosen group-fence boundary: a seeded prefix of the
 //!   unfenced window survives, the suffix rolls back, and optional torn
 //!   partial-insert / dirty link-and-persist damage is planted for
-//!   [`pabtree::recover`] to repair.  Unacked clients get the retryable
-//!   [`Crashed`] error; a supervisor thread recovers the image and respawns
-//!   the owner, so the shard degrades and heals instead of poisoning.
+//!   [`pabtree::recover`] to repair.  The owner recovers the image on its
+//!   own thread, then answers its unacked clients with the retryable
+//!   [`Crashed`] error and keeps serving, so the shard heals in place
+//!   instead of poisoning.
 //! * **Forensics** ([`CrashReport`]) — every crash + recovery cycle records
 //!   the unfenced window split, the injected damage, and the
 //!   [`pabtree::RecoveryReport`] (including wall-clock recovery time),
@@ -45,7 +46,7 @@ mod shard;
 
 pub use crash::{CrashReport, CrashSpec, Crashed};
 pub use service::{DurableKvService, DurableRouter};
-pub use shard::{DurableOp, ShardStatus};
+pub use shard::DurableOp;
 
 #[cfg(test)]
 mod tests {
@@ -141,7 +142,6 @@ mod tests {
             "durable_boundaries_total",
             "durable_fences_total",
             "durable_crashes_total",
-            "durable_shard_up",
         ] {
             assert!(
                 parsed.iter().any(|s| s.name == name),
@@ -155,11 +155,6 @@ mod tests {
         let fences: u64 = (0..2).map(|s| service.fences(s)).sum();
         assert!(fences > 0, "64 blocking puts must fence");
         assert_eq!(obs::expo::sum(&parsed, "durable_fences_total", &[]), fences);
-        assert_eq!(
-            obs::expo::sum(&parsed, "durable_shard_up", &[]),
-            2,
-            "both shards up"
-        );
         // The fence stage is recorded unsampled: one span per physical fence.
         let spans = obs::expo::sum(&parsed, "stage_latency_ns_count", &[("stage", "fence")]);
         assert_eq!(spans, if obs::ENABLED { fences } else { 0 });
@@ -207,8 +202,8 @@ mod tests {
             outcomes.iter().any(|r| r.is_err()),
             "the mid-load crash must abort at least one unacked write"
         );
-        // Wait for the supervisor to heal the shard, then verify the
-        // durability contract through fresh reads.
+        // Wait for the shard to heal, then verify the durability contract
+        // through fresh reads.
         while service.crash_count(0) == 0 {
             std::thread::yield_now();
         }
@@ -237,13 +232,36 @@ mod tests {
         assert!(report.recovery.leaves >= 1);
         service.check_invariants().unwrap();
         // The metric registry mirrors the recovery: exactly one completed
-        // crash cycle, and the shard reads as healed.
+        // crash cycle.
         let parsed = obs::expo::parse(&service.registry().render()).unwrap();
         assert_eq!(obs::expo::sum(&parsed, "durable_crashes_total", &[]), 1);
-        assert_eq!(
-            obs::expo::value(&parsed, "durable_shard_up", &[("shard", "0")]),
-            Some(1)
+    }
+
+    /// A `Crashed` reply means the shard has already recovered: the crash
+    /// is counted and its report logged before the first one is answered,
+    /// so a client needs no wait loop to see them.
+    #[cfg(not(feature = "lost-ack"))]
+    #[test]
+    fn the_first_crashed_reply_finds_the_shard_recovered() {
+        let mut service = DurableKvService::new(1, 1000);
+        let mut router = service.router();
+        // As above: the whole load is one open group when the crash fires.
+        service.wait_parked(0);
+        for key in 1..=60u64 {
+            router
+                .submit(DurableOp::Put { key, value: key })
+                .expect("the load fits one lane");
+        }
+        service.inject_crash(0, CrashSpec::default());
+        let first_crashed = std::iter::from_fn(|| router.collect_one()).position(|r| r.is_err());
+        assert!(
+            first_crashed.is_some(),
+            "the crash must abort the open group"
         );
+        assert_eq!(service.crash_count(0), 1);
+        assert_eq!(service.crash_reports().len(), 1);
+        drop(router);
+        service.shutdown();
     }
 
     #[cfg(not(feature = "lost-ack"))]

@@ -1,133 +1,60 @@
-//! The durable sharded service: owner threads, the recovery supervisor,
-//! and the client-side router.
+//! The durable sharded service: one owner thread per shard, and the
+//! client-side router.
 //!
 //! ```text
 //!            DurableRouter (one per client thread)
 //!      get/put/delete          submit / collect_one
 //!            │ SPSC job lane        │
 //!            ▼                      ▼
-//!   ┌─ shard 0 owner ─┐   ┌─ shard 1 owner ─┐   ...
-//!   │ WalElimABTree   │   │ WalElimABTree   │
-//!   │ group fence ack │   │ group fence ack │
-//!   └───────┬─────────┘   └───────┬─────────┘
-//!           │ crash (status Down) │
-//!           ▼                     ▼
-//!        supervisor: join → pabtree::recover → respawn (status Up)
+//!   ┌─ shard 0 owner ──┐   ┌─ shard 1 owner ──┐   ...
+//!   │ WalElimABTree    │   │ WalElimABTree    │
+//!   │ group fence ack  │   │ group fence ack  │
+//!   │ crash: roll back │   │ crash: roll back │
+//!   │ → recover → log  │   │ → recover → log  │
+//!   │ → answer Crashed │   │ → answer Crashed │
+//!   └──────────────────┘   └──────────────────┘
 //! ```
 //!
 //! Every shard is owned by exactly one thread running `kvserve`'s owner
 //! loop ([`kvserve::owner`]) under the group-fence commit policy of
-//! [`crate::shard`]; clients talk to it over that runtime's lanes.
-//! The **supervisor** is the only component that ever observes a dead owner:
-//! it joins the crashed thread, runs [`pabtree::recover`] over the shard's
-//! persistent image, records a [`CrashReport`], and spawns a fresh owner.
-//! Routers never block on a poisoned lock — a crashed shard just answers
-//! its unacked operations with [`Crashed`] and queues new work until the
-//! owner is respawned.
+//! [`crate::shard`]; clients talk to it over that runtime's lanes.  A
+//! crash is handled entirely by that owner, on its own thread: it rolls
+//! back, runs [`pabtree::recover`] over the shard's persistent image,
+//! records a [`CrashReport`], and only then answers the crashed group's
+//! unacked operations with [`Crashed`] — so a client that sees `Crashed`
+//! talks to a shard that has already recovered — and goes on serving.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-use kvserve::owner::{run_owner, ClientLane, Exit};
+use kvserve::owner::{run_owner, ClientLane};
 use kvserve::shard_of;
 use obs::{Registry, Sample, StageTrace};
 
 use crate::crash::{CrashReport, CrashSpec, Crashed};
-use crate::shard::{DurableOp, GroupFence, ShardCell, ShardReply, ShardStatus};
+use crate::shard::{DurableOp, GroupFence, ShardCell, ShardReply};
 
-/// How often the supervisor polls shard liveness.
-const SUPERVISOR_POLL: Duration = Duration::from_micros(200);
-
-struct Shared {
-    owners: Mutex<Vec<Option<JoinHandle<()>>>>,
-    crash_log: Mutex<Vec<CrashReport>>,
-    shutdown: AtomicBool,
-    acks_per_fence: u32,
-}
-
-/// A durable sharded key/value service with supervised crash recovery.
+/// A durable sharded key/value service with in-place crash recovery.
 ///
 /// Compared to `kvserve::KvService` the shards are persistent
 /// ([`pabtree::WalElimABTree`]: per-operation flushes, group fences), the
 /// acknowledgement batching knob `acks_per_fence` trades ack latency for
-/// fence rate, and a crashed shard heals instead of poisoning the service.
+/// fence rate, and a crashed shard recovers instead of poisoning the
+/// service.
 pub struct DurableKvService {
     shards: Arc<Vec<Arc<ShardCell>>>,
-    shared: Arc<Shared>,
-    supervisor: Option<JoinHandle<()>>,
+    /// One owner thread per shard; empty once shut down.
+    owners: Vec<JoinHandle<()>>,
+    /// Every shard's crash reports, appended by the crashing owners.
+    crash_log: Arc<Mutex<Vec<CrashReport>>>,
     /// Pull-based metric registry: per-shard durability counters
     /// (`durable_*`) and the fence-stage latency histogram register at
     /// construction; render it (or graft it into a larger spine) for a
     /// crash-aware health scrape.
     registry: Arc<Registry>,
     trace: Arc<StageTrace>,
-}
-
-fn spawn_owner(cell: Arc<ShardCell>, shard: usize, acks_per_fence: u32) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("crashkv-shard-{shard}"))
-        .spawn(move || {
-            let mut policy = GroupFence::new(&cell, acks_per_fence);
-            if run_owner(&cell.mailbox, &mut policy) == Exit::Aborted {
-                // Publish death last: once Down is visible the supervisor
-                // may join us.
-                cell.state.set_status(ShardStatus::Down);
-            }
-        })
-        .expect("failed to spawn shard owner")
-}
-
-fn supervise(shards: Arc<Vec<Arc<ShardCell>>>, shared: Arc<Shared>) {
-    loop {
-        for (idx, cell) in shards.iter().enumerate() {
-            if cell.state.status() != ShardStatus::Down {
-                continue;
-            }
-            // The owner published Down as its last act; join reaps it.
-            let handle = shared.owners.lock().expect("owner table poisoned")[idx].take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
-            let recovery = pabtree::recover(&cell.tree);
-            assert!(
-                !cell.tree.has_dirty_links(),
-                "recovery must clear every dirty link-and-persist mark"
-            );
-            if let Some(p) = cell
-                .state
-                .pending_crash
-                .lock()
-                .expect("crash record poisoned")
-                .take()
-            {
-                shared
-                    .crash_log
-                    .lock()
-                    .expect("crash log poisoned")
-                    .push(CrashReport {
-                        shard: idx,
-                        boundary_index: p.boundary_index,
-                        unfenced: p.unfenced,
-                        survived: p.survived,
-                        rolled_back: p.rolled_back,
-                        torn_insert: p.torn_insert,
-                        dirty_link: p.dirty_link,
-                        recovery,
-                    });
-            }
-            cell.state.crashes.fetch_add(1, Ordering::SeqCst);
-            cell.state.set_status(ShardStatus::Up);
-            let owner = spawn_owner(Arc::clone(cell), idx, shared.acks_per_fence);
-            shared.owners.lock().expect("owner table poisoned")[idx] = Some(owner);
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        std::thread::sleep(SUPERVISOR_POLL);
-    }
 }
 
 impl DurableKvService {
@@ -138,30 +65,28 @@ impl DurableKvService {
     pub fn new(shard_count: usize, acks_per_fence: u32) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         let trace = Arc::new(StageTrace::new());
+        let crash_log = Arc::new(Mutex::new(Vec::new()));
         let shards: Arc<Vec<Arc<ShardCell>>> = Arc::new(
             (0..shard_count)
-                .map(|_| Arc::new(ShardCell::new(Arc::clone(&trace))))
+                .map(|idx| {
+                    let log = Arc::clone(&crash_log);
+                    Arc::new(ShardCell::new(idx, Arc::clone(&trace), log))
+                })
                 .collect(),
         );
         let owners = shards
             .iter()
             .enumerate()
-            .map(|(idx, cell)| Some(spawn_owner(Arc::clone(cell), idx, acks_per_fence)))
+            .map(|(idx, cell)| {
+                let cell = Arc::clone(cell);
+                std::thread::Builder::new()
+                    .name(format!("crashkv-shard-{idx}"))
+                    .spawn(move || {
+                        run_owner(&cell.mailbox, &mut GroupFence::new(&cell, acks_per_fence));
+                    })
+                    .expect("failed to spawn shard owner")
+            })
             .collect();
-        let shared = Arc::new(Shared {
-            owners: Mutex::new(owners),
-            crash_log: Mutex::new(Vec::new()),
-            shutdown: AtomicBool::new(false),
-            acks_per_fence,
-        });
-        let supervisor = {
-            let shards = Arc::clone(&shards);
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("crashkv-supervisor".into())
-                .spawn(move || supervise(shards, shared))
-                .expect("failed to spawn supervisor")
-        };
         let registry = Arc::new(Registry::new());
         {
             let cells = Arc::clone(&shards);
@@ -193,8 +118,6 @@ impl DurableKvService {
                         )
                         .with("shard", index),
                     );
-                    let up = matches!(state.status(), ShardStatus::Up);
-                    out.push(Sample::gauge("durable_shard_up", u64::from(up)).with("shard", index));
                 }
             });
         }
@@ -204,8 +127,8 @@ impl DurableKvService {
         }
         Self {
             shards,
-            shared,
-            supervisor: Some(supervisor),
+            owners,
+            crash_log,
             registry,
             trace,
         }
@@ -226,18 +149,18 @@ impl DurableKvService {
     }
 
     /// Arms a crash on `shard` (see [`CrashSpec`]).  The crash fires at the
-    /// chosen group-fence boundary; the supervisor then recovers and heals
-    /// the shard.  At most one directive is armed per shard at a time — a
-    /// second call overwrites an unfired first.
+    /// chosen group-fence boundary, and the shard's owner recovers the
+    /// shard before it answers the crashed group.  At most one directive is
+    /// armed per shard at a time — a second call overwrites an unfired
+    /// first.
     pub fn inject_crash(&self, shard: usize, spec: CrashSpec) {
         self.shards[shard].arm_crash(spec);
     }
 
     /// The service's metric registry.  Per-shard durability counters
     /// (`durable_boundaries_total`, `durable_fences_total`,
-    /// `durable_owner_wakes_total`, `durable_crashes_total`, the
-    /// `durable_shard_up` gauge) and the
-    /// stage trace register at construction; callers may register further
+    /// `durable_owner_wakes_total`, `durable_crashes_total`) and the stage
+    /// trace register at construction; callers may register further
     /// sources or graft [`Registry::snapshot`] output into a larger scrape.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -278,11 +201,7 @@ impl DurableKvService {
 
     /// Snapshot of every recorded [`CrashReport`], in recovery order.
     pub fn crash_reports(&self) -> Vec<CrashReport> {
-        self.shared
-            .crash_log
-            .lock()
-            .expect("crash log poisoned")
-            .clone()
+        self.crash_log.lock().expect("crash log poisoned").clone()
     }
 
     /// Total keys across all shards.  Quiescent use only (tests, benches).
@@ -307,31 +226,15 @@ impl DurableKvService {
         kvserve::owner::wait_parked(&self.shards[shard].mailbox);
     }
 
-    /// Stops every owner and the supervisor.  Requires all routers to be
-    /// dropped (or at least quiescent): owners drain their lanes before
-    /// exiting, and nothing re-arms after shutdown.  Idempotent; also runs
-    /// on `Drop`.
+    /// Stops every owner.  Requires all routers to be dropped (or at least
+    /// quiescent): owners drain their lanes before exiting.  Idempotent;
+    /// also runs on `Drop`.
     pub fn shutdown(&mut self) {
-        let Some(supervisor) = self.supervisor.take() else {
-            return;
-        };
-        self.shared.shutdown.store(true, Ordering::SeqCst);
         for cell in self.shards.iter() {
             cell.mailbox.begin_shutdown();
         }
-        let _ = supervisor.join();
-        // The supervisor is gone, so reap the owners directly; a shard that
-        // crashed during the drain still gets its image recovered.
-        let mut owners = self.shared.owners.lock().expect("owner table poisoned");
-        for (idx, slot) in owners.iter_mut().enumerate() {
-            if let Some(handle) = slot.take() {
-                let _ = handle.join();
-            }
-            let cell = &self.shards[idx];
-            if cell.state.status() == ShardStatus::Down {
-                pabtree::recover(&cell.tree);
-                cell.state.set_status(ShardStatus::Up);
-            }
+        for owner in self.owners.drain(..) {
+            let _ = owner.join();
         }
     }
 }
@@ -445,8 +348,7 @@ impl DurableRouter {
     }
 
     /// Waits for the next reply on `shard`'s lane, waking every shard with
-    /// unannounced submissions first.  A Down shard simply makes this wait
-    /// until the supervisor heals it; an owner that died outside the crash
+    /// unannounced submissions first.  An owner that died outside the crash
     /// protocol makes it panic (see [`ClientLane::recv_from`]).
     fn pop_blocking(&mut self, shard: usize) -> Result<Option<u64>, Crashed> {
         match ClientLane::recv_from(&mut self.lanes, shard) {
@@ -505,8 +407,8 @@ mod tests {
         service.shutdown();
     }
 
-    /// An injected crash hands the lanes to the successor: a client that
-    /// sends into the outage just waits for the heal.
+    /// A crash does not end the owner: the same thread recovers the shard
+    /// and serves the client's next call, crash after crash.
     #[test]
     fn a_client_sending_into_an_outage_is_served_after_the_heal() {
         let mut service = DurableKvService::new(1, 4);
@@ -514,9 +416,7 @@ mod tests {
         for round in 0..20u64 {
             // Fires at the idle point: nothing is in flight.
             service.inject_crash(0, CrashSpec::default());
-            while service.shards[0].state.status() == ShardStatus::Up
-                && service.crash_count(0) == round
-            {
+            while service.crash_count(0) == round {
                 std::thread::yield_now();
             }
             assert_eq!(router.put(round + 1, round), Ok(None));
@@ -534,12 +434,12 @@ mod tests {
         let service = DurableKvService::new(1, 4);
         let mut router = service.router();
         assert_eq!(router.put(1, 1), Ok(None));
-        // Poison the crash record so the owner panics inside its next
-        // crash, after the protocol's point of no return.
-        let cell = Arc::clone(&service.shards[0]);
+        // Poison the crash log so the owner panics inside its next crash,
+        // after the protocol's point of no return.
+        let crash_log = Arc::clone(&service.crash_log);
         let poisoner = std::thread::spawn(move || {
-            let _held = cell.state.pending_crash.lock().unwrap();
-            panic!("poisoning the crash record (expected by this test)");
+            let _held = crash_log.lock().unwrap();
+            panic!("poisoning the crash log (expected by this test)");
         });
         assert!(poisoner.join().is_err());
         service.inject_crash(0, CrashSpec::default());

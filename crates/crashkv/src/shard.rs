@@ -3,8 +3,8 @@
 //!
 //! The thread itself runs `kvserve`'s owner runtime
 //! ([`kvserve::owner::run_owner`]: lane mailbox, run draining, idle/park
-//! handshake, abort hand-off); this module is that loop's durable
-//! [`CommitPolicy`], [`GroupFence`]:
+//! handshake); this module is that loop's durable [`CommitPolicy`],
+//! [`GroupFence`]:
 //!
 //! * the shard's store is a concrete [`pabtree::WalElimABTree`] — flushes
 //!   are issued inside every operation ([`pabtree::RelaxedPersist`]), but
@@ -21,16 +21,16 @@
 //!   reach persistent memory";
 //! * a crash directive ([`crate::CrashSpec`], armed by the injector) fires
 //!   at a group boundary (or when the shard is idle): the suffix rolls
-//!   back, optional torn-persist damage is planted, and the policy aborts
-//!   the loop — which answers every held (unacked) reply
-//!   [`ShardReply::Crashed`], returns the adopted lanes to the mailbox for
-//!   the next owner, and exits.  The supervisor then runs
-//!   [`pabtree::recover`] and spawns a fresh owner — the router sees the
-//!   shard degrade (queued jobs, `Crashed` errors) and heal, never a
-//!   poisoned lock.
+//!   back, optional torn-persist damage is planted, and the owner runs
+//!   [`pabtree::recover`] on its own thread and logs the
+//!   [`CrashReport`] — all before the policy aborts the group, so the loop
+//!   answers every held (unacked) reply [`ShardReply::Crashed`] only once
+//!   the shard has recovered.  The same owner then serves the jobs still
+//!   queued, with the same tree session: the router sees `Crashed` errors,
+//!   never a poisoned lock or an outage.
 
 use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use absync::McsLock;
@@ -39,7 +39,7 @@ use kvserve::owner::{CommitPolicy, Mailbox, OwnerLane, Verdict};
 use obs::{Stage, StageRecorder, StageTrace, Stamp};
 use pabtree::{RelaxedPersist, WalElimABTree};
 
-use crate::crash::CrashSpec;
+use crate::crash::{CrashReport, CrashSpec};
 
 /// One point operation: what [`crate::DurableRouter::submit`] takes and what
 /// crosses a job lane.  The durable service is a point-op store: batching
@@ -76,33 +76,9 @@ pub(crate) enum ShardReply {
     Crashed,
 }
 
-/// Shard liveness as the router and supervisor see it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardStatus {
-    /// An owner thread is serving the shard.
-    Up,
-    /// The owner crashed and exited; the supervisor has not finished
-    /// recovery yet.  Jobs stay queued in the lanes and are served after
-    /// the shard heals.
-    Down,
-}
-
-const STATUS_UP: u8 = 0;
-const STATUS_DOWN: u8 = 1;
-
-/// What a crashed owner leaves behind for the supervisor.
-pub(crate) struct PendingCrash {
-    pub(crate) boundary_index: u64,
-    pub(crate) unfenced: usize,
-    pub(crate) survived: usize,
-    pub(crate) rolled_back: usize,
-    pub(crate) torn_insert: Option<u64>,
-    pub(crate) dirty_link: bool,
-}
-
 /// Durability and crash state of one shard.
+#[derive(Default)]
 pub(crate) struct ShardState {
-    status: AtomicU8,
     /// Group-fence boundaries completed (read-only groups skip the actual
     /// `sfence` but still count as boundaries — the ack-release points).
     pub(crate) boundaries: AtomicU64,
@@ -113,38 +89,9 @@ pub(crate) struct ShardState {
     /// Armed crash directive; the flag is the cheap per-boundary check.
     crash_armed: AtomicBool,
     crash_spec: Mutex<Option<(u64, CrashSpec)>>,
-    /// Filled by a crashing owner, consumed by the supervisor.
-    pub(crate) pending_crash: Mutex<Option<PendingCrash>>,
 }
 
 impl ShardState {
-    fn new() -> Self {
-        Self {
-            status: AtomicU8::new(STATUS_UP),
-            boundaries: AtomicU64::new(0),
-            fences: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            crash_armed: AtomicBool::new(false),
-            crash_spec: Mutex::new(None),
-            pending_crash: Mutex::new(None),
-        }
-    }
-
-    pub(crate) fn status(&self) -> ShardStatus {
-        match self.status.load(Ordering::SeqCst) {
-            STATUS_UP => ShardStatus::Up,
-            _ => ShardStatus::Down,
-        }
-    }
-
-    pub(crate) fn set_status(&self, status: ShardStatus) {
-        let raw = match status {
-            ShardStatus::Up => STATUS_UP,
-            ShardStatus::Down => STATUS_DOWN,
-        };
-        self.status.store(raw, Ordering::SeqCst);
-    }
-
     /// Takes the directive if it is due at the current boundary count.
     fn due_crash(&self) -> Option<CrashSpec> {
         if !self.crash_armed.load(Ordering::Relaxed) {
@@ -167,24 +114,33 @@ impl ShardState {
 /// and recovery need the real type: `force_partial_insert`,
 /// `force_dirty_root_link` and [`pabtree::recover`] are tree methods.
 pub(crate) struct ShardCell {
+    /// The shard's index in its service.
+    index: usize,
     pub(crate) tree: WalElimABTree,
     pub(crate) state: ShardState,
-    /// Where routers open their lanes and the (current or next) owner
-    /// finds them.
+    /// Where routers open their lanes and the owner finds them.
     pub(crate) mailbox: Arc<Mailbox<DurableOp, ShardReply>>,
     /// The service-wide stage trace; the owner records every group
     /// [`Stage::Fence`] span into it (unsampled — fences are already
     /// amortized to one per ack group).
     trace: Arc<StageTrace>,
+    /// The service-wide crash log the owner appends each recovery to.
+    crash_log: Arc<Mutex<Vec<CrashReport>>>,
 }
 
 impl ShardCell {
-    pub(crate) fn new(trace: Arc<StageTrace>) -> Self {
+    pub(crate) fn new(
+        index: usize,
+        trace: Arc<StageTrace>,
+        crash_log: Arc<Mutex<Vec<CrashReport>>>,
+    ) -> Self {
         Self {
+            index,
             tree: WalElimABTree::new(),
-            state: ShardState::new(),
+            state: ShardState::default(),
             mailbox: Arc::new(Mailbox::default()),
             trace,
+            crash_log,
         }
     }
 
@@ -213,7 +169,7 @@ enum UnfencedOp {
 }
 
 /// The durable commit policy: apply into the unfenced log, hold every
-/// reply, fence at the boundary — or crash there.
+/// reply, fence at the boundary — or crash and recover there.
 pub(crate) struct GroupFence<'a> {
     cell: &'a ShardCell,
     /// The session [`WalElimABTree`]'s inherent `handle()` returns.
@@ -233,17 +189,6 @@ impl<'a> GroupFence<'a> {
             acks_per_fence: NonZeroU32::new(acks_per_fence).unwrap_or(NonZeroU32::MIN),
             unfenced: Vec::new(),
             recorder: cell.trace.recorder(),
-        }
-    }
-
-    /// Crashes if a directive is due.
-    fn crash_if_due(&mut self) -> Verdict<ShardReply> {
-        match self.cell.state.due_crash() {
-            Some(spec) => {
-                self.crash(spec);
-                Verdict::Abort(ShardReply::Crashed)
-            }
-            None => Verdict::Continue,
         }
     }
 }
@@ -269,10 +214,12 @@ impl CommitPolicy for GroupFence<'_> {
     }
 
     /// Fence (if any write is pending) so the loop may release the group —
-    /// unless a crash is due, in which case the group dies unfenced.
+    /// unless a crash is due, in which case the group dies unfenced and is
+    /// answered `Crashed` once the shard has recovered.
     fn boundary(&mut self) -> Verdict<ShardReply> {
-        if let abort @ Verdict::Abort(_) = self.crash_if_due() {
-            return abort;
+        if let Some(spec) = self.cell.state.due_crash() {
+            self.crash(spec);
+            return Verdict::Abort(ShardReply::Crashed);
         }
         let state = &self.cell.state;
         if !self.unfenced.is_empty() {
@@ -288,8 +235,10 @@ impl CommitPolicy for GroupFence<'_> {
 
     /// An armed crash still fires on a quiet shard (nothing unfenced,
     /// nothing held), so it cannot dodge its directive forever.
-    fn idle(&mut self) -> Verdict<ShardReply> {
-        self.crash_if_due()
+    fn idle(&mut self) {
+        if let Some(spec) = self.cell.state.due_crash() {
+            self.crash(spec);
+        }
     }
 }
 
@@ -319,12 +268,12 @@ fn execute(
 }
 
 impl GroupFence<'_> {
-    /// The crash itself: destroy the unfenced suffix, plant the requested
-    /// §5 damage and leave the forensic record for the supervisor.  The
-    /// caller aborts the loop, which answers every held reply `Crashed` —
-    /// each belongs to an operation whose covering fence never happened —
-    /// and hands the lanes on; queued (unpopped) jobs stay in the lanes and
-    /// are served after the shard heals.
+    /// The crash and its recovery: destroy the unfenced suffix, plant the
+    /// requested §5 damage, run [`pabtree::recover`] over the image and log
+    /// the [`CrashReport`].  A boundary caller then aborts the group, which
+    /// answers every held reply `Crashed` — each belongs to an operation
+    /// whose covering fence never happened; queued (unpopped) jobs stay in
+    /// the lanes and are served next, against the recovered tree.
     fn crash(&mut self, spec: CrashSpec) {
         let cell = self.cell;
         let total = self.unfenced.len();
@@ -362,18 +311,24 @@ impl GroupFence<'_> {
         if spec.dirty_link {
             cell.tree.force_dirty_root_link();
         }
-        let report = PendingCrash {
-            boundary_index: cell.state.boundaries.load(Ordering::SeqCst),
-            unfenced: total,
-            survived,
-            rolled_back: total - survived,
-            torn_insert,
-            dirty_link: spec.dirty_link,
-        };
-        *cell
-            .state
-            .pending_crash
+        let recovery = pabtree::recover(&cell.tree);
+        assert!(
+            !cell.tree.has_dirty_links(),
+            "recovery must clear every dirty link-and-persist mark"
+        );
+        cell.crash_log
             .lock()
-            .expect("crash record poisoned") = Some(report);
+            .expect("crash log poisoned")
+            .push(CrashReport {
+                shard: cell.index,
+                boundary_index: cell.state.boundaries.load(Ordering::SeqCst),
+                unfenced: total,
+                survived,
+                rolled_back: total - survived,
+                torn_insert,
+                dirty_link: spec.dirty_link,
+                recovery,
+            });
+        cell.state.crashes.fetch_add(1, Ordering::SeqCst);
     }
 }

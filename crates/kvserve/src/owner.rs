@@ -18,8 +18,8 @@
 //! a [`boundary`](CommitPolicy::boundary) (the durable `crashkv` policy
 //! issues its covering fence there) and only then releases the held
 //! replies — or, if the policy [`Abort`](Verdict::Abort)s, answers them all
-//! with the abort reply, hands its lanes back to the mailbox for the next
-//! owner and exits.
+//! with the abort reply and goes on serving.  One owner serves its shard
+//! from start to shutdown.
 //!
 //! ## One scan of the loop
 //!
@@ -81,7 +81,7 @@
 use std::collections::VecDeque;
 use std::num::{NonZeroU32, NonZeroUsize};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::Thread;
 
 use crate::queue::{self, Consumer, Producer, PushError};
@@ -121,25 +121,14 @@ fn available_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
 }
 
-/// What a policy hook tells the loop to do next.
+/// How a [`boundary`](CommitPolicy::boundary) closes the open group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict<R> {
-    /// Keep serving (at a boundary: release the held replies).
+    /// Release the held replies.
     Continue,
-    /// Stop serving: every held reply is answered with this value instead
-    /// of its own, the lanes go back to the mailbox, the loop exits with
-    /// [`Exit::Aborted`].  Jobs still queued in the lanes stay queued for
-    /// the next owner.
+    /// Answer every held reply with this value instead of its own, then
+    /// keep serving: jobs still queued in the lanes form the next group.
     Abort(R),
-}
-
-/// Why [`run_owner`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exit {
-    /// [`Mailbox::begin_shutdown`] was called and every lane is drained.
-    Shutdown,
-    /// The policy aborted; the mailbox holds the lanes for a successor.
-    Aborted,
 }
 
 /// How an owner applies jobs and when their replies may leave.
@@ -159,15 +148,13 @@ pub trait CommitPolicy {
     fn apply(&mut self, job: Self::Job, lane: &mut OwnerLane<Self::Job, Self::Reply>);
 
     /// The open group closes: make everything applied since the last
-    /// boundary safe to acknowledge, or abort.
+    /// boundary safe to acknowledge, or abort it.
     fn boundary(&mut self) -> Verdict<Self::Reply> {
         Verdict::Continue
     }
 
-    /// A scan found no work and no group is open.
-    fn idle(&mut self) -> Verdict<Self::Reply> {
-        Verdict::Continue
-    }
+    /// A scan found no work and no group is open, so no reply is held.
+    fn idle(&mut self) {}
 }
 
 /// The owner's end of one client's lane pair, plus the replies held for
@@ -210,13 +197,11 @@ impl<J, R> OwnerLane<J, R> {
     }
 }
 
-/// Shared coordination state of one shard: the lanes waiting for an owner,
-/// and the idle/park/shutdown handshake with whichever thread owns the
-/// shard right now.
+/// Shared coordination state of one shard: the lanes waiting for its
+/// owner, and the idle/park/shutdown handshake with that owner.
 pub struct Mailbox<J, R> {
-    /// Lanes opened by clients (or handed back by an aborted owner) and
-    /// not yet adopted.  Locked on lane open and on adoption — never on
-    /// the request path.
+    /// Lanes opened by clients and not yet adopted.  Locked on lane open
+    /// and on adoption — never on the request path.
     pending_lanes: Mutex<Vec<OwnerLane<J, R>>>,
     /// Bumped on every deposit (and by [`notify`](Self::notify)); the
     /// owner looks into the mailbox only when it moves.
@@ -228,8 +213,8 @@ pub struct Mailbox<J, R> {
     /// syscall.
     wakes: AtomicU64,
     shutdown: AtomicBool,
-    /// The current owner thread, registered by [`run_owner`] itself.
-    owner: Mutex<Option<Thread>>,
+    /// The owner thread, registered by [`run_owner`] itself.
+    owner: OnceLock<Thread>,
 }
 
 impl<J, R> Default for Mailbox<J, R> {
@@ -241,14 +226,14 @@ impl<J, R> Default for Mailbox<J, R> {
             idle: AtomicBool::new(false),
             wakes: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            owner: Mutex::new(None),
+            owner: OnceLock::new(),
         }
     }
 }
 
 impl<J, R> Mailbox<J, R> {
-    /// Opens a client lane: deposits the owner's half for the (current or
-    /// next) owner to adopt and returns the client's half.
+    /// Opens a client lane: deposits the owner's half for the owner to
+    /// adopt and returns the client's half.
     pub fn open_lane(self: &Arc<Self>) -> ClientLane<J, R> {
         let (jobs, owner_jobs) = queue::channel(LANE_CAPACITY);
         let (owner_replies, replies) = queue::channel(LANE_CAPACITY);
@@ -302,13 +287,13 @@ impl<J, R> Mailbox<J, R> {
     }
 
     fn unpark(&self) {
-        if let Some(owner) = self.owner.lock().expect("owner slot poisoned").as_ref() {
+        if let Some(owner) = self.owner.get() {
             owner.unpark();
         }
     }
 
-    /// Asks the owner to drain its lanes and return [`Exit::Shutdown`].
-    /// Sticky: a successor spawned afterwards drains and exits too.
+    /// Asks the owner to drain its lanes and return from [`run_owner`].
+    /// Sticky: an owner that starts afterwards drains and returns too.
     pub fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.unpark();
@@ -349,8 +334,8 @@ impl<J, R> ClientLane<J, R> {
     ///
     /// # Panics
     ///
-    /// Panics if the job ring is disconnected: owners hand lanes on, they
-    /// never drop them, so the shard's owner thread died.
+    /// Panics if the job ring is disconnected: an owner never drops a lane
+    /// its client still holds, so the shard's owner thread died.
     #[inline]
     pub fn try_send(&mut self, job: J) -> Result<(), J> {
         if self.in_flight >= LANE_CAPACITY {
@@ -392,14 +377,12 @@ impl<J, R> ClientLane<J, R> {
     /// where `lanes` are all the lanes of one client (one per shard).  If
     /// the reply is not there yet, rings **every** lane with unannounced
     /// jobs — so the other shards work while this one is waited on — and
-    /// then waits, spinning briefly and then yielding.  A shard whose owner
-    /// aborted keeps the lane alive in its mailbox, so this simply waits for
-    /// the successor.
+    /// then waits, spinning briefly and then yielding.
     ///
     /// # Panics
     ///
-    /// Panics if the reply ring is disconnected — the owner thread died
-    /// without handing the lane on — rather than wait forever.
+    /// Panics if the reply ring is disconnected — the owner thread died —
+    /// rather than wait forever.
     pub fn recv_from(lanes: &mut [Self], index: usize) -> R {
         debug_assert!(lanes[index].in_flight > 0, "recv with nothing in flight");
         if let Some(reply) = lanes[index].try_recv() {
@@ -438,13 +421,17 @@ impl<J, R> Drop for ClientLane<J, R> {
 }
 
 /// The shard-owner thread body: serves `mailbox`'s lanes under `policy`
-/// until shutdown or abort (see the module docs for one scan of the loop).
+/// and returns once [`Mailbox::begin_shutdown`] was called and every lane
+/// is drained (see the module docs for one scan of the loop).
 ///
-/// The calling thread registers itself as the mailbox's owner, so a first
-/// spawn and a supervisor's respawn after [`Exit::Aborted`] are the same
-/// call.
-pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &mut P) -> Exit {
-    *mailbox.owner.lock().expect("owner slot poisoned") = Some(std::thread::current());
+/// # Panics
+///
+/// Panics if the mailbox already had an owner: a shard has exactly one.
+pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &mut P) {
+    assert!(
+        mailbox.owner.set(std::thread::current()).is_ok(),
+        "a shard has exactly one owner"
+    );
     let idle_spins = spins_on(available_cpus(), IDLE_SPINS);
     let mut lanes: Vec<OwnerLane<P::Job, P::Reply>> = Vec::new();
     let mut seen_generation = 0u64;
@@ -474,10 +461,11 @@ pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &
         });
         let full = open >= limit;
         if open > 0 && (full || served == 0) {
-            if let Verdict::Abort(reply) = policy.boundary() {
-                return abort(mailbox, lanes, reply);
-            }
+            let verdict = policy.boundary();
             for lane in &mut lanes {
+                if let Verdict::Abort(reply) = &verdict {
+                    lane.held.iter_mut().for_each(|held| *held = reply.clone());
+                }
                 lane.release_held();
             }
             open = 0;
@@ -487,13 +475,11 @@ pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &
             quiet_scans = 0;
             continue;
         }
-        if let Verdict::Abort(reply) = policy.idle() {
-            return abort(mailbox, lanes, reply);
-        }
+        policy.idle();
         if mailbox.shutdown.load(Ordering::SeqCst) {
             // Callers shut down only once no client can send any more, so
             // drained means done.
-            return Exit::Shutdown;
+            return;
         }
         quiet_scans += 1;
         if quiet_scans < idle_spins {
@@ -514,24 +500,6 @@ pub fn run_owner<P: CommitPolicy>(mailbox: &Mailbox<P::Job, P::Reply>, policy: &
         mailbox.idle.store(false, Ordering::SeqCst);
         quiet_scans = 0;
     }
-}
-
-/// Answers every held reply with `reply` and returns the lanes to the
-/// mailbox for the next owner.
-fn abort<J, R: Clone>(mailbox: &Mailbox<J, R>, mut lanes: Vec<OwnerLane<J, R>>, reply: R) -> Exit {
-    for lane in &mut lanes {
-        for held in &mut lane.held {
-            *held = reply.clone();
-        }
-        lane.release_held();
-    }
-    mailbox
-        .pending_lanes
-        .lock()
-        .expect("lane mailbox poisoned")
-        .append(&mut lanes);
-    mailbox.lane_generation.fetch_add(1, Ordering::SeqCst);
-    Exit::Aborted
 }
 
 /// Waits until the owner has advertised itself idle and has had time to
@@ -570,7 +538,7 @@ mod tests {
         /// Replies the probed client could see when each group closed.
         visible_at_boundary: Vec<usize>,
         probe: Option<Probe>,
-        /// Abort instead of closing the group with this index.
+        /// Abort the group with this index instead of releasing it.
         abort_at: Option<usize>,
     }
 
@@ -597,14 +565,16 @@ mod tests {
         }
 
         fn boundary(&mut self) -> Verdict<u64> {
-            if self.abort_at == Some(self.groups.len()) {
-                return Verdict::Abort(ABORTED);
-            }
             if let Some(probe) = &self.probe {
                 self.visible_at_boundary.push(probe.borrow().replies.len());
             }
+            let index = self.groups.len();
             self.groups.push(std::mem::take(&mut self.open));
-            Verdict::Continue
+            if self.abort_at == Some(index) {
+                Verdict::Abort(ABORTED)
+            } else {
+                Verdict::Continue
+            }
         }
     }
 
@@ -636,9 +606,9 @@ mod tests {
     fn drain_inline<P: CommitPolicy<Job = u64, Reply = u64>>(
         mailbox: &Mailbox<u64, u64>,
         policy: &mut P,
-    ) -> Exit {
+    ) {
         mailbox.begin_shutdown();
-        run_owner(mailbox, policy)
+        run_owner(mailbox, policy);
     }
 
     #[test]
@@ -658,7 +628,7 @@ mod tests {
         send_all(&mut client.borrow_mut(), 0..10);
         let mut policy = Counting::with_limit(4);
         policy.probe = Some(Rc::clone(&client));
-        assert_eq!(drain_inline(&mailbox, &mut policy), Exit::Shutdown);
+        drain_inline(&mailbox, &mut policy);
         assert_eq!(policy.groups, [4, 4, 2]);
         // Nothing applied in a group is visible before that group closes.
         assert_eq!(policy.visible_at_boundary, [0, 4, 8]);
@@ -678,7 +648,7 @@ mod tests {
         send_all(&mut b, 100..105);
         assert_eq!(a.try_send(999), Err(999), "the in-flight cap refuses");
         let mut policy = Counting::with_limit(3);
-        assert_eq!(drain_inline(&mailbox, &mut policy), Exit::Shutdown);
+        drain_inline(&mailbox, &mut policy);
         assert!(policy.groups.iter().all(|&group| (1..=3).contains(&group)));
         assert_eq!(policy.groups.iter().sum::<u32>(), LANE_CAPACITY as u32 + 5);
         for job in 0..LANE_CAPACITY as u64 {
@@ -690,23 +660,21 @@ mod tests {
     }
 
     #[test]
-    fn an_aborted_owner_hands_its_lanes_to_the_next_one() {
+    fn an_aborted_group_is_answered_and_the_owner_keeps_serving() {
         let mailbox = Arc::new(Mailbox::default());
         let mut client = mailbox.open_lane();
         send_all(&mut client, 0..6);
-        let mut first = Counting::with_limit(4);
-        first.abort_at = Some(0);
-        // No shutdown requested: the abort alone ends the loop.
-        assert_eq!(run_owner(&mailbox, &mut first), Exit::Aborted);
+        let mut policy = Counting::with_limit(4);
+        policy.abort_at = Some(0);
+        drain_inline(&mailbox, &mut policy);
+        // One call closed both groups: the aborted one, then the two jobs
+        // still queued behind it.
+        assert_eq!(policy.groups, [4, 2]);
         // The four held replies come back as the abort reply ...
         for _ in 0..4 {
             assert_eq!(client.recv(), ABORTED);
         }
-        // ... and the two jobs still queued are served by the successor,
-        // which finds the lane in the mailbox.
-        let mut second = Counting::with_limit(4);
-        assert_eq!(drain_inline(&mailbox, &mut second), Exit::Shutdown);
-        assert_eq!(second.groups, [2]);
+        // ... and the two queued jobs get their own.
         assert_eq!(client.recv(), 4);
         assert_eq!(client.recv(), 5);
     }
@@ -716,7 +684,7 @@ mod tests {
         let mailbox = Arc::new(Mailbox::default());
         let mut client = mailbox.open_lane();
         send_all(&mut client, 0..LANE_CAPACITY as u64);
-        assert_eq!(drain_inline(&mailbox, &mut Echo), Exit::Shutdown);
+        drain_inline(&mailbox, &mut Echo);
         for job in 0..LANE_CAPACITY as u64 {
             assert_eq!(client.recv(), job);
         }
@@ -741,7 +709,7 @@ mod tests {
             let mailbox = Arc::clone(&mailbox);
             std::thread::spawn(move || {
                 let mut policy = make_policy();
-                assert_eq!(run_owner(&mailbox, &mut policy), Exit::Shutdown);
+                run_owner(&mailbox, &mut policy);
                 summarize(policy)
             })
         };
@@ -876,9 +844,8 @@ mod tests {
             fn apply(&mut self, job: u64, lane: &mut OwnerLane<u64, u64>) {
                 lane.hold(job);
             }
-            fn idle(&mut self) -> Verdict<u64> {
+            fn idle(&mut self) {
                 self.0.fetch_add(1, Ordering::SeqCst);
-                Verdict::Continue
             }
         }
         let idle_scans = Arc::new(AtomicU64::new(0));

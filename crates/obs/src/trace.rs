@@ -7,6 +7,11 @@
 //! histograms cannot say *which* of those stages ate a regression; this
 //! module can, at a cost small enough to leave on.
 //!
+//! What is recorded today: the volatile path records `recv`, `decode`,
+//! `apply` and `write`; the durable owner records only `fence`.  No code
+//! records the lane stages (`enqueue`, `dequeue`, `ack`); they stay in
+//! [`Stage::ALL`] so every stage keeps its metric series.
+//!
 //! Two sinks, both fed by [`StageRecorder::record`]:
 //!
 //! * **Per-stage latency histograms** on the shared [`StageTrace`] — one
@@ -26,7 +31,7 @@
 //! Tracing the full stage pipeline costs several [`Stamp`]s per request,
 //! so hot paths use a *sampled* recorder
 //! ([`StageTrace::sampled_recorder`]): 1-in-N requests carry a real start
-//! stamp through the queues, the rest carry [`Stamp::NONE`] and skip
+//! stamp through their stages, the rest carry [`Stamp::NONE`] and skip
 //! every downstream record at the cost of one predictable branch.
 
 use std::cell::Cell;
@@ -53,15 +58,18 @@ pub enum Stage {
     /// Reactor: a complete frame decoded into a request.
     Decode = 1,
     /// Client: request pushed onto a shard lane (including owner wake).
-    /// Only a lane-fed service records it; the volatile one has no lanes.
+    /// No code records it: the volatile service has no lanes, and the
+    /// durable owner records only [`Fence`](Stage::Fence).
     Enqueue = 2,
-    /// Shard owner: time the job spent waiting in the lane.
+    /// Shard owner: time the job spent waiting in the lane.  No code
+    /// records it (see [`Enqueue`](Stage::Enqueue)).
     Dequeue = 3,
     /// The tree operation itself.
     Apply = 4,
     /// Durable shard: persistence fence covering the operation.
     Fence = 5,
-    /// Client: reply wait, from apply completion to reply collection.
+    /// Client: reply wait, from apply completion to reply collection.  No
+    /// code records it (see [`Enqueue`](Stage::Enqueue)).
     Ack = 6,
     /// Reactor: response encoded and flushed toward the socket.
     Write = 7,
