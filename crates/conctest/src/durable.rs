@@ -4,13 +4,13 @@
 //! # The welded history
 //!
 //! A durable run is not one execution but several, separated by crashes:
-//! each shard may die and be recovered mid-run.  Because a crashed shard's
-//! own owner recovers it *in place* (same service, same thread, same
-//! [`Clock`]) before it answers the crashed operations, the pre- and
-//! post-crash operations of every thread land in one event log with one
-//! shared tick order — the histories are **welded** at recording time, and
-//! the crash instants appear implicitly as the intervals of the operations
-//! that aborted.
+//! each shard may die and be recovered mid-run.  Because the router whose
+//! commit crashes a shard recovers it *in place* (same service, same
+//! thread, same [`Clock`]) before it answers the crashed operations, the
+//! pre- and post-crash operations of every thread land in one event log
+//! with one shared tick order — the histories are **welded** at recording
+//! time, and the crash instants appear implicitly as the intervals of the
+//! operations that aborted.
 //!
 //! # The durability rule
 //!

@@ -48,8 +48,9 @@
 //! mutation: with `--features torn-scan`, an intentionally broken
 //! wrapper whose scans read the window in two halves must be flagged by the
 //! checker (`tests/mutation.rs`); with `--features lost-ack`, a crashkv
-//! shard owner that releases acks before their covering fence must be
-//! flagged by the durable checker (`tests/lost_ack.rs`); with `--features
+//! router that answers a crashed window with its own results (acks for
+//! writes the crash rolled back) must be flagged by the durable checker
+//! (`tests/lost_ack.rs`); with `--features
 //! stale-stamp`, a kvserve whose writes skip the start-of-write quiescence
 //! check of the hot-key cache's stamp protocol must be flagged for a stale
 //! cached read (`tests/mutation.rs`, over [`record_hot_key_paths`]).

@@ -41,16 +41,17 @@ fn step(s: &mut u64) -> u64 {
 
 #[test]
 fn every_shard_crashes_and_the_welded_history_checks() {
-    let mut service = DurableKvService::new(SHARDS, 8);
+    let service = DurableKvService::new(SHARDS, 8);
     let clock = Clock::new();
     let stop = AtomicBool::new(false);
 
     let mut logs = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..WORKERS)
             .map(|t| {
-                let mut rec = Recorder::new(service.router(), t, Arc::clone(&clock));
-                let stop = &stop;
+                let (service, clock, stop) = (&service, &clock, &stop);
                 scope.spawn(move || {
+                    // A router commits on its own thread: open it there.
+                    let mut rec = Recorder::new(service.router(), t, Arc::clone(clock));
                     let mut s = SEED ^ (u64::from(t) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
                     let mut seq = 0u64;
                     let mut ops = 0u64;
@@ -117,7 +118,6 @@ fn every_shard_crashes_and_the_welded_history_checks() {
     }
     logs.push(verifier.finish());
     let history = History::merge(logs);
-    service.shutdown();
 
     // Every shard crashed exactly once and recovered with a consistent
     // report and repaired damage.

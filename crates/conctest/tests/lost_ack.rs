@@ -1,20 +1,19 @@
 //! Mutation detection for the durability contract: with crashkv's
-//! `lost-ack` feature, the shard owner releases write acknowledgements the
-//! moment they execute — **before** the covering group fence — so a crash
-//! at the next boundary rolls back writes the client already saw succeed.
-//! The durable-linearizability checker must flag that, or the durability
-//! side of the harness is testing nothing.
+//! `lost-ack` feature, a window whose commit crashes is answered with its
+//! operations' own results instead of `Crashed` — acknowledgements for
+//! writes the crash just rolled back.  The durable-linearizability checker
+//! must flag that, or the durability side of the harness is testing
+//! nothing.
 //!
-//! The scenario forces the window open deterministically: a pipelined wave
-//! of puts keeps the shard owner busy (boundaries only happen when the
-//! lane drains), the crash is armed mid-serve, and the drain boundary then
-//! kills the whole unfenced group — whose acks the mutant has already
-//! released.  With `survivor_seed: 0` every unfenced write rolls back, so
-//! at least one acknowledged write vanishes and the post-heal verification
-//! reads expose it.
+//! The scenario is deterministic: 40 puts are queued in one router window
+//! (larger than any fence group would close), the crash is armed, and the
+//! first collect commits the window, firing the crash inside that commit.
+//! With `survivor_seed: 0` every unfenced write rolls back, so every
+//! "acknowledged" put vanishes and the post-heal verification reads expose
+//! it.
 //!
 //! The negative control for this test is `tests/crash_stress.rs`: the
-//! identical checker over the *unmutated* owner (default features) must
+//! identical checker over the *unmutated* service (default features) must
 //! stay clean.
 #![cfg(feature = "lost-ack")]
 
@@ -27,23 +26,19 @@ use crashkv::{CrashSpec, DurableKvService, DurableOp};
 
 const KEYS: u64 = 40;
 
-/// One round: wave of puts, crash armed mid-serve, verification reads.
-/// Returns the welded history and how many puts were acknowledged.
-fn record_round() -> (History, usize) {
-    let mut service = DurableKvService::new(1, 1_000_000);
+/// Puts a window of fresh keys, crashes it, and reads every key back;
+/// returns the welded history.
+fn record_crashed_window() -> History {
+    let service = DurableKvService::new(1, 1_000_000);
     let clock = Clock::new();
     let mut router = service.router();
-    // Pipelined wave: fill the owner's lane so no drain boundary (and
-    // hence no fence) happens while the crash is being armed.
-    let mut submitted = 0u64;
-    while submitted < KEYS {
-        match router.submit(DurableOp::Put {
-            key: submitted + 1,
-            value: (submitted + 1) * 100,
-        }) {
-            Ok(()) => submitted += 1,
-            Err(_) => break,
-        }
+    for key in 1..=KEYS {
+        router
+            .submit(DurableOp::Put {
+                key,
+                value: key * 100,
+            })
+            .expect("the window fits the in-flight cap");
     }
     service.inject_crash(
         0,
@@ -55,23 +50,17 @@ fn record_round() -> (History, usize) {
         },
     );
     let mut acked = Vec::new();
-    for key in 1..=submitted {
+    for key in 1..=KEYS {
         if let Ok(prior) = router.collect_one().expect("one reply per submitted op") {
             assert_eq!(prior, None, "fresh key {key}");
             acked.push(key);
         }
     }
-    while service.crash_count(0) == 0 {
-        std::thread::yield_now();
-    }
-    drop(router);
+    assert_eq!(service.crash_count(0), 1, "the commit crashed");
 
-    // Weld the acked wave into a history: the puts the client saw succeed,
-    // then post-heal reads of every key.
-    let mut rec = Recorder::new(service.router(), 0, Arc::clone(&clock));
-    // Re-record the acked puts as history facts via a recording router is
-    // impossible after the fact, so the wave is logged directly: each
-    // acked put is a mandatory insert with its observed result.
+    // Weld the acked window into a history: each put the client saw succeed
+    // is a mandatory insert with its observed result, then post-heal reads
+    // of every key.
     let mut ops: Vec<conctest::OpRecord> = Vec::new();
     for &key in &acked {
         let invoke = clock.tick();
@@ -87,6 +76,7 @@ fn record_round() -> (History, usize) {
             response,
         });
     }
+    let mut rec = Recorder::new(router, 0, Arc::clone(&clock));
     for key in 1..=KEYS {
         let read = rec.run(&OpKind::Get { key });
         assert_ne!(
@@ -95,30 +85,17 @@ fn record_round() -> (History, usize) {
             "no crash armed during verification"
         );
     }
-    let history = History::merge(vec![ops, rec.finish()]);
-    service.shutdown();
-    (history, acked.len())
+    History::merge(vec![ops, rec.finish()])
 }
 
 #[test]
 fn lost_ack_mutant_is_flagged_by_the_durable_checker() {
     let config = CheckConfig::default();
-    let mut caught: Option<History> = None;
-    // The race (owner draining the wave before the crash is armed) is
-    // heavily biased toward detection; a few rounds make it certain.
-    for _ in 0..25 {
-        let (history, acked) = record_round();
-        if acked == 0 {
-            continue; // crash won before any ack escaped; try again
-        }
-        if check_durable(&history, &config).is_violation() {
-            caught = Some(history);
-            break;
-        }
-    }
-    let history = caught.expect(
-        "the lost-ack mutant survived every round: the durable checker \
-         cannot detect acknowledged writes lost by a crash",
+    let history = record_crashed_window();
+    assert!(
+        check_durable(&history, &config).is_violation(),
+        "the lost-ack mutant survived: the durable checker cannot detect \
+         acknowledged writes lost by a crash"
     );
 
     let minimal = shrink_history(&history, &config);

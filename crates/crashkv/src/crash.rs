@@ -1,11 +1,12 @@
 //! The crash model: what a simulated shard crash does, and what its
 //! in-place recovery leaves behind for the durable-linearizability checker.
 //!
-//! A crash always happens at a **group-fence boundary** — the instant the
-//! shard owner would otherwise issue its group `sfence` — because that is
-//! the only instant with a crisp durability contract: every operation acked
-//! before the previous fence is durable; every operation executed since is
-//! *unfenced* and its stores may or may not have reached persistent memory.
+//! A crash always happens at a **group-fence boundary** — inside a commit
+//! that touches the shard, the instant the committing router would
+//! otherwise issue its window's `sfence` — because that is the only instant
+//! with a crisp durability contract: every operation acked before the
+//! previous fence is durable; every operation executed since is *unfenced*
+//! and its stores may or may not have reached persistent memory.
 //! The injector models that window by keeping a seeded **prefix** of the
 //! unfenced state-changing operations (flushes are issued in program order
 //! by [`pabtree::RelaxedPersist`], so a prefix is the consistent cut) and
@@ -19,10 +20,11 @@
 /// Where and how to crash one shard (see the module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CrashSpec {
-    /// Crash at the first group-fence boundary after this many further
-    /// boundaries have completed (0 = the very next boundary).  If the
-    /// shard goes idle first, the crash fires at the idle boundary instead,
-    /// so an armed crash on a quiet shard still happens.
+    /// Crash inside the first commit touching the shard after this many
+    /// further commits on it have completed (0 = the very next one).  A
+    /// boundary is one commit that touches the shard, however many of the
+    /// window's operations land there.  Nothing fires on a quiet shard:
+    /// an armed crash waits for the next commit that touches it.
     pub after_boundaries: u64,
     /// Seeds the surviving prefix of the unfenced window:
     /// `seed % (unfenced + 1)` operations survive, the rest roll back.
@@ -36,8 +38,8 @@ pub struct CrashSpec {
     pub dirty_link: bool,
 }
 
-/// What one crash + recovery cycle did, recorded by the crashed shard's
-/// owner before it answers the crashed group, and consumed by the ledger's
+/// What one crash + recovery cycle did, recorded by the committing router
+/// before it answers the crashed window, and consumed by the ledger's
 /// `crashkv.recover_us` / `crashkv.lost_*` rows.
 #[derive(Debug, Clone, Copy)]
 pub struct CrashReport {
@@ -55,7 +57,7 @@ pub struct CrashReport {
     /// Key of the torn partial insert, if one was injected.
     pub torn_insert: Option<u64>,
     /// Whether a dirty link-and-persist mark was present at recovery (it
-    /// must be gone afterwards; the owner asserts that).
+    /// must be gone afterwards; the committing router asserts that).
     pub dirty_link: bool,
     /// What [`pabtree::recover`] found and repaired, including the
     /// wall-clock recovery time.

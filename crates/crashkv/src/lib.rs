@@ -8,22 +8,20 @@
 //! Three layers:
 //!
 //! * **Durable shards** ([`DurableKvService`]) — each shard is a
-//!   [`pabtree::WalElimABTree`] owned by one thread.  The thread runs
-//!   `kvserve`'s owner loop ([`kvserve::owner::run_owner`] — lanes,
-//!   mailbox and park handshake); what this crate adds is that loop's
-//!   durable commit policy.  Operations
-//!   flush in program order but are only *ordered* by a group `sfence`;
-//!   client acknowledgements are withheld until the covering fence
-//!   (`acks_per_fence` is the group-commit knob, 1–64 in the bench sweep).
-//!   An acked operation is therefore always durable.
-//! * **Crash injection** ([`CrashSpec`]) — a fault directive kills a shard
-//!   owner at a chosen group-fence boundary: a seeded prefix of the
-//!   unfenced window survives, the suffix rolls back, and optional torn
-//!   partial-insert / dirty link-and-persist damage is planted for
-//!   [`pabtree::recover`] to repair.  The owner recovers the image on its
-//!   own thread, then answers its unacked clients with the retryable
-//!   [`Crashed`] error and keeps serving, so the shard heals in place
-//!   instead of poisoning.
+//!   [`pabtree::WalElimABTree`].  The service runs no thread: each
+//!   [`DurableRouter`] commits its own window of operations on the calling
+//!   thread, under the commit locks of the shards it touches.  Operations
+//!   flush in program order but are only *ordered* by the window's one
+//!   `sfence`; client acknowledgements are withheld until that fence
+//!   (`acks_per_fence` caps the window, 1–64 in the bench sweep).  An acked
+//!   operation is therefore always durable.
+//! * **Crash injection** ([`CrashSpec`]) — a fault directive crashes a
+//!   shard inside a chosen commit: a seeded prefix of the unfenced window
+//!   survives, the suffix rolls back, and optional torn partial-insert /
+//!   dirty link-and-persist damage is planted for [`pabtree::recover`] to
+//!   repair.  The committing thread recovers the image, then answers that
+//!   shard's operations in the window with the retryable [`Crashed`] error,
+//!   so the shard heals in place instead of poisoning.
 //! * **Forensics** ([`CrashReport`]) — every crash + recovery cycle records
 //!   the unfenced window split, the injected damage, and the
 //!   [`pabtree::RecoveryReport`] (including wall-clock recovery time),
@@ -35,8 +33,9 @@
 //! the crash or vanishes entirely.**
 //!
 //! The `lost-ack` feature compiles an intentional violation of that
-//! contract (acks released before their covering fence) used by conctest's
-//! mutation test to prove the checker has teeth.
+//! contract (a crashed window answered with its own results, i.e. acks for
+//! writes the crash rolled back) used by conctest's mutation test to prove
+//! the checker has teeth.
 
 #![warn(missing_docs)]
 
@@ -51,6 +50,8 @@ pub use shard::DurableOp;
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(not(feature = "lost-ack"))]
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn blocking_round_trip_across_shards() {
@@ -76,22 +77,21 @@ mod tests {
 
     #[test]
     fn fence_per_operation_when_group_size_is_one() {
-        let mut service = DurableKvService::new(1, 1);
+        let service = DurableKvService::new(1, 1);
         let mut router = service.router();
         for k in 1..=50u64 {
             router.put(k, k).unwrap();
         }
-        drop(router);
-        service.shutdown();
-        // Every write forms its own group: exactly one fence each.  (Reads
-        // would add boundaries but no fences.)
+        router.get(1).unwrap();
+        // Every write is its own window: exactly one fence each.  The read
+        // closes a boundary but fences nothing.
         assert_eq!(service.fences(0), 50);
-        assert!(service.boundaries(0) >= 50);
+        assert_eq!(service.boundaries(0), 51);
     }
 
     #[test]
     fn group_commit_amortizes_fences() {
-        let mut service = DurableKvService::new(1, 16);
+        let service = DurableKvService::new(1, 16);
         let mut router = service.router();
         let total = 320u64;
         let mut submitted = 0u64;
@@ -110,24 +110,12 @@ mod tests {
             assert_eq!(reply, Ok(None));
             acked += 1;
         }
-        drop(router);
-        service.shutdown();
-        let fences = service.fences(0);
-        // Group commit must fence at least once per full group, and the
-        // pipelined feed keeps groups busy enough that far fewer fences
-        // than operations are issued.
-        assert!(fences >= total / 16, "fences={fences}");
-        assert!(
-            fences <= total / 2,
-            "group commit barely amortized: fences={fences} for {total} ops"
-        );
+        // The pipelined feed keeps a full window queued behind every
+        // collect, so every window fills: one fence per 16 writes.
+        assert_eq!(service.fences(0), total / 16);
         assert_eq!(service.total_keys(), total);
     }
 
-    // With the `lost-ack` mutant, acks release before the covering fence,
-    // so "every put returned" no longer implies the fence counters are
-    // quiescent — the exact-equality scrape checks below would race.
-    #[cfg(not(feature = "lost-ack"))]
     #[test]
     fn registry_scrapes_durability_counters_and_fence_stage() {
         let mut service = DurableKvService::new(2, 4);
@@ -148,12 +136,11 @@ mod tests {
                 "{name} missing from the scrape"
             );
         }
-        // Durability counters are functional state (group commit depends on
-        // them), so the scraped values are exact even with obs recording
-        // compiled out.  The last put blocked for its covering fence, so the
-        // counters are quiescent.
+        // Durability counters are functional state, so the scraped values
+        // are exact even with obs recording compiled out.  Every put
+        // committed on this thread, so the counters are quiescent.
         let fences: u64 = (0..2).map(|s| service.fences(s)).sum();
-        assert!(fences > 0, "64 blocking puts must fence");
+        assert_eq!(fences, 64, "every blocking put is its own fence");
         assert_eq!(obs::expo::sum(&parsed, "durable_fences_total", &[]), fences);
         // The fence stage is recorded unsampled: one span per physical fence.
         let spans = obs::expo::sum(&parsed, "stage_latency_ns_count", &[("stage", "fence")]);
@@ -161,20 +148,16 @@ mod tests {
         service.shutdown();
     }
 
-    // The two crash tests below assert the durability contract the
-    // `lost-ack` mutant intentionally violates, so they are compiled out
-    // with the mutant (conctest's mutation test asserts the violation).
+    // The crash tests below assert the durability contract the `lost-ack`
+    // mutant intentionally violates, so they are compiled out with the
+    // mutant (conctest's mutation test asserts the violation).
     #[cfg(not(feature = "lost-ack"))]
     #[test]
     fn crash_rolls_back_only_unacked_writes_and_heals() {
         let mut service = DurableKvService::new(1, 1000);
         let mut router = service.router();
-        // Queue the load at a parked owner (a submission does not wake it),
-        // then arm: arming wakes the owner, which drains the whole load into
-        // one open group and crashes at that group's boundary.  Armed any
-        // earlier, the owner's idle hook could fire the crash on the quiet
-        // shard before a single put was in flight.
-        service.wait_parked(0);
+        // The whole load is one queued window when the crash is armed; the
+        // first collect commits it and the crash fires inside that commit.
         let total = 60u64;
         for key in 1..=total {
             router
@@ -182,7 +165,7 @@ mod tests {
                     key,
                     value: key * 2,
                 })
-                .expect("the load fits one lane");
+                .expect("the load fits the in-flight cap");
         }
         service.inject_crash(
             0,
@@ -202,11 +185,7 @@ mod tests {
             outcomes.iter().any(|r| r.is_err()),
             "the mid-load crash must abort at least one unacked write"
         );
-        // Wait for the shard to heal, then verify the durability contract
-        // through fresh reads.
-        while service.crash_count(0) == 0 {
-            std::thread::yield_now();
-        }
+        assert_eq!(service.crash_count(0), 1);
         for (i, outcome) in outcomes.iter().enumerate() {
             let key = i as u64 + 1;
             if outcome.is_ok() {
@@ -243,75 +222,71 @@ mod tests {
     #[cfg(not(feature = "lost-ack"))]
     #[test]
     fn the_first_crashed_reply_finds_the_shard_recovered() {
-        let mut service = DurableKvService::new(1, 1000);
+        let service = DurableKvService::new(1, 1000);
         let mut router = service.router();
-        // As above: the whole load is one open group when the crash fires.
-        service.wait_parked(0);
         for key in 1..=60u64 {
             router
                 .submit(DurableOp::Put { key, value: key })
-                .expect("the load fits one lane");
+                .expect("the load fits the in-flight cap");
         }
         service.inject_crash(0, CrashSpec::default());
         let first_crashed = std::iter::from_fn(|| router.collect_one()).position(|r| r.is_err());
         assert!(
             first_crashed.is_some(),
-            "the crash must abort the open group"
+            "the crash must abort the open window"
         );
         assert_eq!(service.crash_count(0), 1);
         assert_eq!(service.crash_reports().len(), 1);
-        drop(router);
-        service.shutdown();
     }
 
     #[cfg(not(feature = "lost-ack"))]
     #[test]
     fn every_shard_crashes_and_heals_under_concurrent_load() {
         let shards = 3;
-        let mut service = DurableKvService::new(shards, 8);
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let workers: Vec<_> = (0..4u64)
-            .map(|t| {
-                let mut router = service.router();
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut acked = Vec::new();
-                    let mut k = t * 1_000_000 + 1;
-                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                        if router.put(k, k).is_ok() {
-                            acked.push(k);
+        let service = DurableKvService::new(shards, 8);
+        let stop = AtomicBool::new(false);
+        let acked: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4u64)
+                .map(|t| {
+                    let (service, stop) = (&service, &stop);
+                    scope.spawn(move || {
+                        let mut router = service.router();
+                        let mut acked = Vec::new();
+                        let mut k = t * 1_000_000 + 1;
+                        while !stop.load(Ordering::Relaxed) {
+                            if router.put(k, k).is_ok() {
+                                acked.push(k);
+                            }
+                            k += 1;
                         }
-                        k += 1;
-                    }
-                    acked
+                        acked
+                    })
                 })
-            })
-            .collect();
-        for shard in 0..shards {
-            service.inject_crash(
-                shard,
-                CrashSpec {
-                    after_boundaries: 2,
-                    survivor_seed: shard as u64,
-                    torn_insert: shard % 2 == 0,
-                    dirty_link: true,
-                },
-            );
-            while service.crash_count(shard) == 0 {
-                std::thread::yield_now();
+                .collect();
+            for shard in 0..shards {
+                service.inject_crash(
+                    shard,
+                    CrashSpec {
+                        after_boundaries: 2,
+                        survivor_seed: shard as u64,
+                        torn_insert: shard % 2 == 0,
+                        dirty_link: true,
+                    },
+                );
+                while service.crash_count(shard) == 0 {
+                    std::thread::yield_now();
+                }
             }
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let acked: Vec<u64> = workers
-            .into_iter()
-            .flat_map(|w| w.join().unwrap())
-            .collect();
+            stop.store(true, Ordering::Relaxed);
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
         let mut router = service.router();
         for &k in &acked {
             assert_eq!(router.get(k), Ok(Some(k)), "acked key {k} lost");
         }
-        drop(router);
-        service.shutdown();
         assert_eq!(service.crash_reports().len(), shards);
         for shard in 0..shards {
             assert_eq!(service.crash_count(shard), 1);
@@ -319,24 +294,104 @@ mod tests {
         service.check_invariants().unwrap();
     }
 
+    /// Four routers commit pipelined windows that each span all three
+    /// shards, so their commit-lock sets overlap on every commit, while
+    /// every shard crashes once.  Locks taken in any order but one fixed
+    /// order could deadlock here; the watchdog turns that into a failure.
+    #[cfg(not(feature = "lost-ack"))]
     #[test]
-    fn crash_on_an_idle_shard_still_fires_and_heals() {
-        let mut service = DurableKvService::new(1, 4);
+    fn cross_shard_windows_under_contention_keep_every_acked_write() {
+        const SHARDS: usize = 3;
+        const WINDOW: u64 = 12;
+        // Every worker commits at least this many windows, crashes or not.
+        const MIN_ROUNDS: u32 = 500;
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let service = DurableKvService::new(SHARDS, 8);
+            let stop = AtomicBool::new(false);
+            let acked: Vec<u64> = std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..4u64)
+                    .map(|t| {
+                        let (service, stop) = (&service, &stop);
+                        scope.spawn(move || {
+                            let mut router = service.router();
+                            let mut acked = Vec::new();
+                            let mut next = (t << 40) + 1;
+                            for round in 0.. {
+                                if round >= MIN_ROUNDS && stop.load(Ordering::Relaxed) {
+                                    break;
+                                }
+                                let keys = next..next + WINDOW;
+                                next += WINDOW;
+                                let shards: std::collections::BTreeSet<usize> =
+                                    keys.clone().map(|key| service.shard_of(key)).collect();
+                                assert_eq!(shards.len(), SHARDS, "a window spans every shard");
+                                for key in keys.clone() {
+                                    router
+                                        .submit(DurableOp::Put { key, value: key })
+                                        .expect("the window fits the in-flight cap");
+                                }
+                                for key in keys {
+                                    if router.collect_one() == Some(Ok(None)) {
+                                        acked.push(key);
+                                    }
+                                }
+                            }
+                            acked
+                        })
+                    })
+                    .collect();
+                for shard in 0..SHARDS {
+                    service.inject_crash(
+                        shard,
+                        CrashSpec {
+                            after_boundaries: 4,
+                            survivor_seed: shard as u64 + 1,
+                            torn_insert: true,
+                            dirty_link: true,
+                        },
+                    );
+                    while service.crash_count(shard) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                stop.store(true, Ordering::Relaxed);
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().expect("worker panicked"))
+                    .collect()
+            });
+            let mut router = service.router();
+            for &key in &acked {
+                assert_eq!(router.get(key), Ok(Some(key)), "acked key {key} lost");
+            }
+            assert_eq!(service.crash_reports().len(), SHARDS);
+            service.check_invariants().unwrap();
+            done.send(acked.len()).unwrap();
+        });
+        let acked = finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("cross-shard commits deadlocked, or the run panicked (see above)");
+        assert!(acked > 0);
+    }
+
+    #[cfg(not(feature = "lost-ack"))]
+    #[test]
+    fn an_armed_crash_fires_at_the_next_commit() {
+        let service = DurableKvService::new(1, 4);
         let mut router = service.router();
         router.put(1, 1).unwrap();
-        // Let the shard go quiet, then arm: the crash fires at the idle
-        // point, with an empty unfenced window.
-        std::thread::sleep(std::time::Duration::from_millis(5));
         service.inject_crash(0, CrashSpec::default());
-        while service.crash_count(0) == 0 {
-            std::thread::yield_now();
-        }
-        assert_eq!(router.get(1), Ok(Some(1)), "service healed and serves");
-        drop(router);
-        service.shutdown();
+        assert_eq!(service.crash_count(0), 0, "nothing fires on a quiet shard");
+        // The next commit touching the shard crashes and recovers before it
+        // answers; seed 0 keeps nothing of its unfenced window.
+        assert_eq!(router.put(2, 2), Err(Crashed));
+        assert_eq!(service.crash_count(0), 1);
+        assert_eq!(router.get(1), Ok(Some(1)), "fenced before the crash");
+        assert_eq!(router.get(2), Ok(None), "rolled back");
         let reports = service.crash_reports();
         assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].rolled_back, 0, "idle crash had nothing unfenced");
+        assert_eq!((reports[0].unfenced, reports[0].rolled_back), (1, 1));
     }
 
     #[test]
@@ -348,81 +403,6 @@ mod tests {
         service.shutdown();
         service.shutdown();
         drop(service); // Drop after explicit shutdown must be a no-op.
-    }
-
-    /// The lost-wake-up reproducer: every blocking round trip pushes one
-    /// job at an owner that is somewhere between its last idle scan and
-    /// its park (the pause sweeps the phase).  A push that is not fenced
-    /// before the client samples the idle flag can slip between the
-    /// owner's flag store and its re-scan, and then nobody ever unparks the
-    /// owner; the shared client lane fences, so this must run to the end.
-    #[test]
-    fn window_one_round_trips_never_lose_a_wake_up() {
-        let (done, finished) = std::sync::mpsc::channel();
-        let client = std::thread::spawn(move || {
-            let mut service = DurableKvService::new(1, 16);
-            let mut router = service.router();
-            for i in 0..25_000u64 {
-                let key = i % 512 + 1;
-                assert_eq!(router.put(key, i), Ok(None));
-                for _ in 0..(i % 128) * 12 {
-                    std::hint::spin_loop();
-                }
-                assert_eq!(router.delete(key), Ok(Some(i)));
-            }
-            drop(router);
-            service.shutdown();
-            done.send(()).unwrap();
-        });
-        finished
-            .recv_timeout(std::time::Duration::from_secs(120))
-            .expect("a blocking round trip hung: the owner parked on a non-empty lane");
-        client.join().unwrap();
-    }
-
-    /// The pipelined sibling: the lost-wake-up window now sits between a
-    /// window's last push and the doorbell its first wait rings.  The pause
-    /// before a window sweeps the pushes and the doorbell across the owner's
-    /// way into its park; window sizes are skewed small because on a
-    /// strongly ordered machine only a window whose first push is still in
-    /// flight at the doorbell can lose the race.
-    #[test]
-    fn pipelined_windows_never_lose_a_wake_up() {
-        let (done, finished) = std::sync::mpsc::channel();
-        let client = std::thread::spawn(move || {
-            let mut service = DurableKvService::new(1, 16);
-            let mut router = service.router();
-            let mut state = 0x9E37_79B9_7F4A_7C15u64;
-            let pause = |spins: u64| {
-                for _ in 0..spins {
-                    std::hint::spin_loop();
-                }
-            };
-            for round in 0..25_000u64 {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                pause((state >> 32) % 128 * 12);
-                let window = 1 + ((state % 64) >> ((state >> 8) % 7));
-                for i in 0..window {
-                    let key = 1 + (round + i) % 512;
-                    router.submit(DurableOp::Delete { key }).unwrap();
-                }
-                if round % 2 == 1 {
-                    pause((state >> 48) % 128 * 12);
-                }
-                for _ in 0..window {
-                    assert_eq!(router.collect_one(), Some(Ok(None)));
-                }
-            }
-            drop(router);
-            service.shutdown();
-            done.send(()).unwrap();
-        });
-        finished
-            .recv_timeout(std::time::Duration::from_secs(120))
-            .expect("a window hung: the owner parked on a non-empty lane");
-        client.join().unwrap();
     }
 
     #[test]

@@ -1,40 +1,60 @@
-//! The durable sharded service: one owner thread per shard, and the
-//! client-side router.
+//! The durable sharded service, and the router that commits on its
+//! caller's thread.
 //!
 //! ```text
-//!            DurableRouter (one per client thread)
-//!      get/put/delete          submit / collect_one
-//!            │ SPSC job lane        │
-//!            ▼                      ▼
-//!   ┌─ shard 0 owner ──┐   ┌─ shard 1 owner ──┐   ...
-//!   │ WalElimABTree    │   │ WalElimABTree    │
-//!   │ group fence ack  │   │ group fence ack  │
-//!   │ crash: roll back │   │ crash: roll back │
-//!   │ → recover → log  │   │ → recover → log  │
-//!   │ → answer Crashed │   │ → answer Crashed │
-//!   └──────────────────┘   └──────────────────┘
+//!          DurableRouter (one per client thread)
+//!    get/put/delete        submit … collect_one / flush
+//!          │                        │
+//!          └──── window: ops in submission order ────┘
+//!                │ commit, on the calling thread
+//!                ▼
+//!   lock each touched shard's commit lock, ascending
+//!   → apply on this router's own session per shard
+//!   → due crash: roll back → recover → log → Crashed
+//!   → one sfence for the window → count → unlock
+//!   → release the acks
 //! ```
 //!
-//! Every shard is owned by exactly one thread running `kvserve`'s owner
-//! loop ([`kvserve::owner`]) under the group-fence commit policy of
-//! [`crate::shard`]; clients talk to it over that runtime's lanes.  A
-//! crash is handled entirely by that owner, on its own thread: it rolls
-//! back, runs [`pabtree::recover`] over the shard's persistent image,
-//! records a [`CrashReport`], and only then answers the crashed group's
-//! unacked operations with [`Crashed`] — so a client that sees `Crashed`
-//! talks to a shard that has already recovered — and goes on serving.
+//! # Group commit without an owner
+//!
+//! A router queues its operations into a window and commits the window
+//! itself: when it holds `acks_per_fence` operations, when
+//! [`collect_one`](DurableRouter::collect_one) finds no acknowledged result
+//! waiting, and on [`flush`](DurableRouter::flush); a blocking call commits
+//! at once.  The commit takes the commit lock of every shard the window
+//! touches, in ascending shard order, so two windows over overlapping
+//! shards never wait on each other in a cycle.  It applies the window in
+//! submission order on the router's own [`pabtree::WalElimABTree`] session
+//! per shard, issues **one** [`abpmem::sfence`] covering every line it
+//! flushed on every shard, and only then unlocks and releases the acks.
+//!
+//! # Why a lock is enough for durability
+//!
+//! The lock holder is the shard's owner for one group: every operation on a
+//! shard runs under its commit lock, and a holder fences before it unlocks.
+//! So on a shard at most one thread has unfenced stores at any time, and a
+//! read never sees another caller's unfenced value — an ack released after
+//! the window's fence covers every store its operation wrote *or read*.
+//! Routers on different shards commit in parallel; routers on one shard
+//! serialise, as a single shard owner would serialise them.
+//!
+//! A due crash fires inside a commit that touches its shard, on the
+//! committing thread: with the lock held no other thread is in that tree,
+//! which is the quiescence [`pabtree::recover`] needs.  The thread rolls
+//! back, recovers, records a [`CrashReport`], and answers that shard's
+//! operations in the window [`Crashed`] — so a client that sees `Crashed`
+//! talks to a shard that has already recovered.  The window's other shards
+//! fence and ack normally.
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use kvserve::owner::{run_owner, ClientLane};
-use kvserve::shard_of;
-use obs::{Registry, Sample, StageTrace};
+use kvserve::{shard_of, LANE_CAPACITY};
+use obs::{Registry, Sample, Stage, StageRecorder, StageTrace, Stamp};
 
 use crate::crash::{CrashReport, CrashSpec, Crashed};
-use crate::shard::{DurableOp, GroupFence, ShardCell, ShardReply};
+use crate::shard::{DurableOp, Session, ShardCell};
 
 /// A durable sharded key/value service with in-place crash recovery.
 ///
@@ -42,12 +62,12 @@ use crate::shard::{DurableOp, GroupFence, ShardCell, ShardReply};
 /// ([`pabtree::WalElimABTree`]: per-operation flushes, group fences), the
 /// acknowledgement batching knob `acks_per_fence` trades ack latency for
 /// fence rate, and a crashed shard recovers instead of poisoning the
-/// service.
+/// service.  The service runs no thread: every operation runs on the
+/// thread of the router that issued it.
 pub struct DurableKvService {
-    shards: Arc<Vec<Arc<ShardCell>>>,
-    /// One owner thread per shard; empty once shut down.
-    owners: Vec<JoinHandle<()>>,
-    /// Every shard's crash reports, appended by the crashing owners.
+    shards: Arc<[Arc<ShardCell>]>,
+    acks_per_fence: usize,
+    /// Every shard's crash reports, appended by the committing routers.
     crash_log: Arc<Mutex<Vec<CrashReport>>>,
     /// Pull-based metric registry: per-shard durability counters
     /// (`durable_*`) and the fence-stage latency histogram register at
@@ -59,65 +79,31 @@ pub struct DurableKvService {
 
 impl DurableKvService {
     /// Builds a service with `shard_count` durable shards, releasing client
-    /// acknowledgements in groups of up to `acks_per_fence` per fence
-    /// (1 = fence per operation; larger groups amortize the fence but delay
+    /// acknowledgements in windows of up to `acks_per_fence` per fence
+    /// (1 = fence per operation; larger windows amortize the fence but delay
     /// acks — `crashkv.fences_per_ack` on the ledger).
     pub fn new(shard_count: usize, acks_per_fence: u32) -> Self {
         assert!(shard_count > 0, "need at least one shard");
         let trace = Arc::new(StageTrace::new());
         let crash_log = Arc::new(Mutex::new(Vec::new()));
-        let shards: Arc<Vec<Arc<ShardCell>>> = Arc::new(
-            (0..shard_count)
-                .map(|idx| {
-                    let log = Arc::clone(&crash_log);
-                    Arc::new(ShardCell::new(idx, Arc::clone(&trace), log))
-                })
-                .collect(),
-        );
-        let owners = shards
-            .iter()
-            .enumerate()
-            .map(|(idx, cell)| {
-                let cell = Arc::clone(cell);
-                std::thread::Builder::new()
-                    .name(format!("crashkv-shard-{idx}"))
-                    .spawn(move || {
-                        run_owner(&cell.mailbox, &mut GroupFence::new(&cell, acks_per_fence));
-                    })
-                    .expect("failed to spawn shard owner")
-            })
+        let shards: Arc<[Arc<ShardCell>]> = (0..shard_count)
+            .map(|idx| Arc::new(ShardCell::new(idx, Arc::clone(&crash_log))))
             .collect();
         let registry = Arc::new(Registry::new());
         {
             let cells = Arc::clone(&shards);
             registry.register(move |out| {
                 for (index, cell) in cells.iter().enumerate() {
-                    let state = &cell.state;
-                    out.push(
-                        Sample::counter(
-                            "durable_boundaries_total",
-                            state.boundaries.load(Ordering::Relaxed),
-                        )
-                        .with("shard", index),
-                    );
-                    out.push(
-                        Sample::counter(
-                            "durable_fences_total",
-                            state.fences.load(Ordering::Relaxed),
-                        )
-                        .with("shard", index),
-                    );
-                    out.push(
-                        Sample::counter("durable_owner_wakes_total", cell.mailbox.wakes())
-                            .with("shard", index),
-                    );
-                    out.push(
-                        Sample::counter(
-                            "durable_crashes_total",
-                            state.crashes.load(Ordering::Relaxed),
-                        )
-                        .with("shard", index),
-                    );
+                    for (name, counter) in [
+                        ("durable_boundaries_total", &cell.boundaries),
+                        ("durable_fences_total", &cell.fences),
+                        ("durable_crashes_total", &cell.crashes),
+                    ] {
+                        out.push(
+                            Sample::counter(name, counter.load(Ordering::Relaxed))
+                                .with("shard", index),
+                        );
+                    }
                 }
             });
         }
@@ -127,49 +113,43 @@ impl DurableKvService {
         }
         Self {
             shards,
-            owners,
+            acks_per_fence: acks_per_fence.max(1) as usize,
             crash_log,
             registry,
             trace,
         }
     }
 
-    /// Opens a client router (one lane pair per shard).  Any number of
-    /// routers may be open concurrently; each belongs to one client thread.
+    /// Opens a client router.  Any number of routers may be open
+    /// concurrently; each belongs to the thread that opened it.
     pub fn router(&self) -> DurableRouter {
         DurableRouter {
-            lanes: self
-                .shards
-                .iter()
-                .map(|cell| cell.mailbox.open_lane())
-                .collect(),
-            pending: VecDeque::new(),
-            completed: VecDeque::new(),
+            sessions: self.shards.iter().map(|_| None).collect(),
+            shards: Arc::clone(&self.shards),
+            acks_per_fence: self.acks_per_fence,
+            window: Vec::new(),
+            acked: VecDeque::new(),
+            touched: Vec::new(),
+            recorder: self.trace.recorder(),
         }
     }
 
-    /// Arms a crash on `shard` (see [`CrashSpec`]).  The crash fires at the
-    /// chosen group-fence boundary, and the shard's owner recovers the
-    /// shard before it answers the crashed group.  At most one directive is
-    /// armed per shard at a time — a second call overwrites an unfired
-    /// first.
+    /// Arms a crash on `shard` (see [`CrashSpec`]).  The crash fires inside
+    /// the chosen commit that touches the shard, and the committing router
+    /// recovers the shard before it answers that window.  At most one
+    /// directive is armed per shard at a time — a second call overwrites an
+    /// unfired first.
     pub fn inject_crash(&self, shard: usize, spec: CrashSpec) {
         self.shards[shard].arm_crash(spec);
     }
 
     /// The service's metric registry.  Per-shard durability counters
     /// (`durable_boundaries_total`, `durable_fences_total`,
-    /// `durable_owner_wakes_total`, `durable_crashes_total`) and the stage
-    /// trace register at construction; callers may register further
-    /// sources or graft [`Registry::snapshot`] output into a larger scrape.
+    /// `durable_crashes_total`) and the stage trace register at
+    /// construction; callers may register further sources or graft
+    /// [`Registry::snapshot`] output into a larger scrape.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// The stage trace the shard owners record group-fence spans into
-    /// (`stage_latency_ns{stage="fence"}` in the scrape).
-    pub fn stage_trace(&self) -> &Arc<StageTrace> {
-        &self.trace
     }
 
     /// Number of shards.
@@ -185,18 +165,19 @@ impl DurableKvService {
 
     /// Completed crash + recovery cycles on `shard`.
     pub fn crash_count(&self, shard: usize) -> u64 {
-        self.shards[shard].state.crashes.load(Ordering::SeqCst)
+        self.shards[shard].crashes.load(Ordering::SeqCst)
     }
 
-    /// Group-fence boundaries `shard` has completed (every boundary is an
-    /// ack-release point; read-only boundaries skip the physical fence).
+    /// Commits that touched `shard` and did not crash there (every one is
+    /// an ack-release point; a read-only window issues no fence).
     pub fn boundaries(&self, shard: usize) -> u64 {
-        self.shards[shard].state.boundaries.load(Ordering::SeqCst)
+        self.shards[shard].boundaries.load(Ordering::SeqCst)
     }
 
-    /// Physical group fences `shard` has issued.
+    /// Fences counted on `shard`: a window's one fence counts on the lowest
+    /// shard it wrote to, so the sum over shards is the fences issued.
     pub fn fences(&self, shard: usize) -> u64 {
-        self.shards[shard].state.fences.load(Ordering::SeqCst)
+        self.shards[shard].fences.load(Ordering::SeqCst)
     }
 
     /// Snapshot of every recorded [`CrashReport`], in recovery order.
@@ -219,58 +200,44 @@ impl DurableKvService {
         Ok(())
     }
 
-    /// Waits until `shard`'s owner has parked (see
-    /// [`kvserve::owner::wait_parked`]): for tests that need an idle owner.
-    #[cfg(test)]
-    pub(crate) fn wait_parked(&self, shard: usize) {
-        kvserve::owner::wait_parked(&self.shards[shard].mailbox);
-    }
-
-    /// Stops every owner.  Requires all routers to be dropped (or at least
-    /// quiescent): owners drain their lanes before exiting.  Idempotent;
-    /// also runs on `Drop`.
-    pub fn shutdown(&mut self) {
-        for cell in self.shards.iter() {
-            cell.mailbox.begin_shutdown();
-        }
-        for owner in self.owners.drain(..) {
-            let _ = owner.join();
-        }
-    }
+    /// Nothing to stop: the service runs no thread, and every acknowledged
+    /// operation is already durable.  Kept so callers can mark the end of
+    /// use; idempotent.
+    pub fn shutdown(&mut self) {}
 }
 
-impl Drop for DurableKvService {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// A client handle: routes operations to their shard over one
-/// [`ClientLane`] per shard.
+/// A client handle: queues operations into a window and commits it on the
+/// calling thread (see the module docs).  `!Send`, like the tree sessions
+/// it owns: open it on the thread that uses it.
 ///
 /// Two usage styles, freely mixable:
 ///
 /// * **Blocking** — [`get`](Self::get) / [`put`](Self::put) /
-///   [`delete`](Self::delete) wait for the acknowledgement, i.e. for the
-///   covering group fence.  `Ok` means the effect is durable; [`Crashed`]
-///   means the shard crashed first and the operation may or may not have
-///   taken effect (retry at will).
-/// * **Pipelined** — [`submit`](Self::submit) queues without waiting (so
-///   group commits actually fill) and [`collect_one`](Self::collect_one)
-///   harvests acknowledgements in submission order.  `submit` alone does
-///   not wake a parked shard owner: the lanes' doorbell
-///   ([`kvserve::owner`]) rings when an acknowledgement is waited for, or
-///   on [`flush`](Self::flush).
+///   [`delete`](Self::delete) append to the window and commit it at once.
+///   `Ok` means the effect is durable; [`Crashed`] means the shard crashed
+///   first and the operation may or may not have taken effect (retry at
+///   will).
+/// * **Pipelined** — [`submit`](Self::submit) queues (so windows actually
+///   fill) and [`collect_one`](Self::collect_one) harvests
+///   acknowledgements in submission order.
 pub struct DurableRouter {
-    lanes: Vec<ClientLane<DurableOp, ShardReply>>,
-    /// Shard index of each in-flight pipelined operation, submission order.
-    pending: VecDeque<usize>,
-    /// Results harvested early (by a blocking call) but not yet collected.
-    completed: VecDeque<Result<Option<u64>, Crashed>>,
+    /// This router's session on each shard, opened by its first commit
+    /// there.  Declared before `shards`, so the sessions drop first.
+    sessions: Vec<Option<Session>>,
+    shards: Arc<[Arc<ShardCell>]>,
+    acks_per_fence: usize,
+    /// Operations submitted but not committed, with their shard, oldest
+    /// first.
+    window: Vec<(usize, DurableOp)>,
+    /// Committed results not yet collected, oldest first.
+    acked: VecDeque<Result<Option<u64>, Crashed>>,
+    /// Scratch: the shards the window being committed touches.
+    touched: Vec<usize>,
+    recorder: StageRecorder,
 }
 
 impl DurableRouter {
-    /// Durable point lookup (blocks for the covering group fence).
+    /// Durable point lookup (commits the window, this lookup last).
     pub fn get(&mut self, key: u64) -> Result<Option<u64>, Crashed> {
         self.call(DurableOp::Get { key })
     }
@@ -285,76 +252,129 @@ impl DurableRouter {
         self.call(DurableOp::Delete { key })
     }
 
-    fn shard_for(&self, op: DurableOp) -> usize {
-        let (DurableOp::Get { key } | DurableOp::Put { key, .. } | DurableOp::Delete { key }) = op;
-        shard_of(key, self.lanes.len())
-    }
-
-    /// Queues `op` without waiting for its acknowledgement (and without
-    /// waking a parked owner — see the type docs).  `Err(op)` hands the
-    /// operation back when its shard lane is at capacity — call
+    /// Queues `op` into the window, committing the window once it holds
+    /// `acks_per_fence` operations.  `Err(op)` hands the operation back when
+    /// [`LANE_CAPACITY`] operations are already in flight — call
     /// [`collect_one`](Self::collect_one) and retry.
     pub fn submit(&mut self, op: DurableOp) -> Result<(), DurableOp> {
-        let shard = self.shard_for(op);
-        self.lanes[shard].try_send(op)?;
-        self.pending.push_back(shard);
+        if self.in_flight() >= LANE_CAPACITY {
+            return Err(op);
+        }
+        self.push(op);
+        if self.window.len() >= self.acks_per_fence {
+            self.commit();
+        }
         Ok(())
     }
 
-    /// Blocks for the acknowledgement of the **oldest** in-flight pipelined
-    /// operation; `None` when nothing is in flight.
+    /// The result of the **oldest** in-flight pipelined operation,
+    /// committing the window first if no result is waiting; `None` when
+    /// nothing is in flight.
     pub fn collect_one(&mut self) -> Option<Result<Option<u64>, Crashed>> {
-        if let Some(result) = self.completed.pop_front() {
-            return Some(result);
+        if self.acked.is_empty() {
+            self.commit();
         }
-        let shard = self.pending.pop_front()?;
-        Some(self.pop_blocking(shard))
+        self.acked.pop_front()
     }
 
-    /// Pipelined operations whose acknowledgement has not been collected.
+    /// Pipelined operations whose result has not been collected.
     pub fn in_flight(&self) -> usize {
-        self.pending.len() + self.completed.len()
+        self.window.len() + self.acked.len()
     }
 
-    /// Wakes every shard owner that has submissions it may not know about.
-    /// Waiting for an acknowledgement does this itself; call `flush` after
-    /// [`submit`](Self::submit) only when the next thing this thread waits
-    /// on is something else.
+    /// Commits the queued window without collecting a result.
     pub fn flush(&mut self) {
-        for lane in &mut self.lanes {
-            lane.ring();
-        }
+        self.commit();
+    }
+
+    fn push(&mut self, op: DurableOp) {
+        self.window
+            .push((shard_of(op.key(), self.shards.len()), op));
     }
 
     fn call(&mut self, op: DurableOp) -> Result<Option<u64>, Crashed> {
-        let shard = self.shard_for(op);
-        while self.lanes[shard].try_send(op).is_err() {
-            assert!(self.harvest_one(), "lane at capacity with nothing in flight");
-        }
-        // Drain every earlier pipelined ack into `completed` (order kept
-        // for collect_one) so the next reply on this lane is ours.
-        while self.harvest_one() {}
-        self.pop_blocking(shard)
+        self.push(op);
+        self.commit();
+        self.acked
+            .pop_back()
+            .expect("a commit answers its whole window")
     }
 
-    /// Moves the oldest pending ack into `completed`; false if none.
-    fn harvest_one(&mut self) -> bool {
-        let Some(shard) = self.pending.pop_front() else {
-            return false;
-        };
-        let result = self.pop_blocking(shard);
-        self.completed.push_back(result);
-        true
-    }
-
-    /// Waits for the next reply on `shard`'s lane, waking every shard with
-    /// unannounced submissions first.  An owner that died outside the crash
-    /// protocol makes it panic (see [`ClientLane::recv_from`]).
-    fn pop_blocking(&mut self, shard: usize) -> Result<Option<u64>, Crashed> {
-        match ClientLane::recv_from(&mut self.lanes, shard) {
-            ShardReply::Value(value) => Ok(value),
-            ShardReply::Crashed => Err(Crashed),
+    /// Applies the window under its shards' commit locks, crashes a due
+    /// shard, fences once and queues the results (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a touched shard's lock is poisoned: a commit panicked
+    /// mid-window there, so its tree is in an unknown state.
+    fn commit(&mut self) {
+        if self.window.is_empty() {
+            return;
         }
+        let Self {
+            sessions,
+            shards,
+            window,
+            acked,
+            touched,
+            recorder,
+            ..
+        } = self;
+        touched.clear();
+        touched.extend(window.iter().map(|&(shard, _)| shard));
+        touched.sort_unstable();
+        touched.dedup();
+        let locks: Vec<MutexGuard<'_, ()>> = touched
+            .iter()
+            .map(|&shard| {
+                shards[shard]
+                    .commit
+                    .lock()
+                    .expect("a commit panicked on this shard: its lock is poisoned")
+            })
+            .collect();
+        let first = acked.len();
+        for &(shard, op) in window.iter() {
+            let session = sessions[shard].get_or_insert_with(|| shards[shard].open_session());
+            acked.push_back(Ok(session.execute(op)));
+        }
+        touched.retain(|&shard| {
+            let Some(spec) = shards[shard].due_crash() else {
+                return true;
+            };
+            sessions[shard].as_mut().expect("opened above").crash(spec);
+            // The lost-ack mutant answers the crashed window with its own
+            // results: acks for writes the crash just rolled back, which
+            // the durable checker must flag.
+            if !cfg!(feature = "lost-ack") {
+                for (result, &(op_shard, _)) in acked.range_mut(first..).zip(window.iter()) {
+                    if op_shard == shard {
+                        *result = Err(Crashed);
+                    }
+                }
+            }
+            false
+        });
+        let session = |shard: usize| sessions[shard].as_ref().expect("opened above");
+        if let Some(&writer) = touched
+            .iter()
+            .find(|&&shard| !session(shard).unfenced.is_empty())
+        {
+            let fence_start = Stamp::now();
+            abpmem::sfence();
+            shards[writer].fences.fetch_add(1, Ordering::SeqCst);
+            recorder.record(Stage::Fence, fence_start);
+        }
+        for &shard in touched.iter() {
+            sessions[shard]
+                .as_mut()
+                .expect("opened above")
+                .unfenced
+                .clear();
+            shards[shard].boundaries.fetch_add(1, Ordering::SeqCst);
+        }
+        drop(locks);
+        window.clear();
     }
 }
 
@@ -362,80 +382,67 @@ impl DurableRouter {
 mod tests {
     use super::*;
 
-    /// A window submitted at a parked owner reaches it whole: one doorbell,
-    /// and groups that fill — 32 acks at 16 per fence close two boundaries,
-    /// not one per ack or two (the bounds leave room for an owner that was
-    /// not quite parked yet).
+    /// Each full window takes one fence, however many shards it spans: 32
+    /// puts at 16 per fence over 2 shards are exactly 2 fences.
     #[test]
-    fn a_parked_owner_gets_the_window_in_one_doorbell_and_full_groups() {
-        let mut service = DurableKvService::new(1, 16);
+    fn full_windows_take_one_fence_each_across_shards() {
+        let service = DurableKvService::new(2, 16);
         let mut router = service.router();
-        service.wait_parked(0);
-        let wakes = |service: &DurableKvService| {
-            let samples = obs::expo::parse(&service.registry().render()).expect("scrape parses");
-            obs::expo::value(&samples, "durable_owner_wakes_total", &[("shard", "0")])
-                .expect("the wake count is exported")
-        };
-        let (wakes_before, boundaries_before) = (wakes(&service), service.boundaries(0));
         for key in 1..=32u64 {
             router.submit(DurableOp::Put { key, value: key }).unwrap();
         }
         for _ in 0..32 {
             assert_eq!(router.collect_one(), Some(Ok(None)));
         }
-        assert!(wakes(&service) - wakes_before <= 1);
-        let boundaries = service.boundaries(0) - boundaries_before;
-        assert!(boundaries <= 3, "{boundaries} boundaries for 32 acks");
-        drop(router);
-        service.shutdown();
+        assert_eq!(service.fences(0) + service.fences(1), 2);
+        assert_eq!(
+            service.boundaries(0) + service.boundaries(1),
+            4,
+            "both windows span both shards"
+        );
     }
 
     #[test]
-    fn flush_wakes_a_parked_owner_without_a_collect() {
-        let mut service = DurableKvService::new(1, 16);
+    fn flush_commits_the_queued_window() {
+        let service = DurableKvService::new(1, 16);
         let mut router = service.router();
-        service.wait_parked(0);
-        let boundaries = service.boundaries(0);
         router.submit(DurableOp::Put { key: 1, value: 1 }).unwrap();
+        assert_eq!(service.boundaries(0), 0, "a short window waits");
         router.flush();
-        // The put's group closes though nobody waits for its ack yet.
-        while service.boundaries(0) == boundaries {
-            std::thread::yield_now();
-        }
+        assert_eq!((service.boundaries(0), service.fences(0)), (1, 1));
+        assert_eq!(router.in_flight(), 1);
         assert_eq!(router.collect_one(), Some(Ok(None)));
-        drop(router);
-        service.shutdown();
+        assert_eq!(service.boundaries(0), 1, "the result was already waiting");
     }
 
-    /// A crash does not end the owner: the same thread recovers the shard
-    /// and serves the client's next call, crash after crash.
+    /// A crash does not end the shard: the committing call recovers it
+    /// before it answers `Crashed`, and the retry is served, crash after
+    /// crash.  (The `lost-ack` mutant answers the crashed put `Ok`.)
+    #[cfg(not(feature = "lost-ack"))]
     #[test]
     fn a_client_sending_into_an_outage_is_served_after_the_heal() {
-        let mut service = DurableKvService::new(1, 4);
+        let service = DurableKvService::new(1, 4);
         let mut router = service.router();
         for round in 0..20u64 {
-            // Fires at the idle point: nothing is in flight.
             service.inject_crash(0, CrashSpec::default());
-            while service.crash_count(0) == round {
-                std::thread::yield_now();
-            }
+            assert_eq!(router.put(round + 1, round), Err(Crashed));
+            assert_eq!(service.crash_count(0), round + 1);
             assert_eq!(router.put(round + 1, round), Ok(None));
         }
-        drop(router);
-        service.shutdown();
         assert_eq!(service.crash_count(0), 20);
         assert_eq!(service.total_keys(), 20);
     }
 
-    /// An owner that dies *outside* the crash protocol drops its lanes, and
-    /// the next client call fails loudly instead of waiting forever.
+    /// A commit that dies *outside* the crash protocol poisons its shard's
+    /// commit lock, and the next router's call there fails loudly instead
+    /// of running on a tree in an unknown state.
     #[test]
-    fn an_owner_that_panics_fails_its_clients_loudly() {
+    fn a_commit_that_panics_poisons_its_shard_and_the_next_call_fails_loudly() {
         let service = DurableKvService::new(1, 4);
         let mut router = service.router();
         assert_eq!(router.put(1, 1), Ok(None));
-        // Poison the crash log so the owner panics inside its next crash,
-        // after the protocol's point of no return.
+        // Poison the crash log so the next crash panics mid-commit, after
+        // the protocol's point of no return.
         let crash_log = Arc::clone(&service.crash_log);
         let poisoner = std::thread::spawn(move || {
             let _held = crash_log.lock().unwrap();
@@ -443,21 +450,33 @@ mod tests {
         });
         assert!(poisoner.join().is_err());
         service.inject_crash(0, CrashSpec::default());
-        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
-            // The first puts may still be served; once the owner is gone
-            // the send or the wait panics.
-            let _ = router.put(2, 2);
-            std::thread::yield_now();
-        }))
-        .expect_err("the loop only ends by panicking");
-        let message = died
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| died.downcast_ref::<&str>().copied())
-            .unwrap_or_default();
-        assert!(
-            message.contains("owner thread died"),
-            "panicked with: {message}"
-        );
+        let message = |died: Box<dyn std::any::Any + Send>| {
+            died.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| died.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        };
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| router.put(2, 2)))
+            .expect_err("the crash panics on the poisoned log");
+        assert!(message(died).contains("crash log poisoned"));
+        let mut next = service.router();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| next.get(1)))
+            .expect_err("the next call meets the poisoned commit lock");
+        assert!(message(died).contains("lock is poisoned"));
+    }
+
+    /// A router keeps its shards alive: its sessions drop before the trees
+    /// they borrow, even when the service is long gone.
+    #[test]
+    fn a_router_outlives_its_service() {
+        let service = DurableKvService::new(2, 4);
+        let mut router = service.router();
+        assert_eq!(router.put(1, 10), Ok(None));
+        drop(service);
+        assert_eq!(router.get(1), Ok(Some(10)));
+        for key in 2..=64u64 {
+            assert_eq!(router.put(key, key), Ok(None));
+        }
+        assert_eq!(router.delete(1), Ok(Some(10)));
     }
 }

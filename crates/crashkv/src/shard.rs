@@ -1,49 +1,31 @@
-//! The durable shard: its WAL tree, its persist lifecycle, its crash
-//! behavior — everything the owner thread does *between* lane operations.
+//! The durable shard: its WAL tree, its commit lock, its counters and its
+//! crash behavior — everything a router's commit does on one shard.
 //!
-//! The thread itself runs `kvserve`'s owner runtime
-//! ([`kvserve::owner::run_owner`]: lane mailbox, run draining, idle/park
-//! handshake); this module is that loop's durable [`CommitPolicy`],
-//! [`GroupFence`]:
-//!
-//! * the shard's store is a concrete [`pabtree::WalElimABTree`] — flushes
+//! * the shard's store is a concrete [`pabtree::WalElimABTree`]: flushes
 //!   are issued inside every operation ([`pabtree::RelaxedPersist`]), but
-//!   **no fence**;
-//! * acknowledgements are batched into **groups**: every reply is held,
-//!   and the loop releases a group only after [`GroupFence::boundary`]
-//!   issued the covering [`abpmem::sfence`] — after `acks_per_fence`
-//!   operations, or earlier when the lanes drain empty (so a lone blocking
-//!   client is never parked behind a fence that will not come).  An acked
-//!   operation is therefore always durable;
-//! * every state-changing operation since the last fence is kept in an
-//!   **unfenced log** with enough information to invert it, which is what
-//!   lets a crash at the boundary roll back the exact suffix that "did not
-//!   reach persistent memory";
+//!   **no fence** — the committing router issues one for its whole window;
+//! * every state-changing operation since the last fence is kept in the
+//!   committing router's **unfenced log** with enough information to invert
+//!   it, which is what lets a crash roll back the exact suffix that "did
+//!   not reach persistent memory";
 //! * a crash directive ([`crate::CrashSpec`], armed by the injector) fires
-//!   at a group boundary (or when the shard is idle): the suffix rolls
-//!   back, optional torn-persist damage is planted, and the owner runs
-//!   [`pabtree::recover`] on its own thread and logs the
-//!   [`CrashReport`] — all before the policy aborts the group, so the loop
-//!   answers every held (unacked) reply [`ShardReply::Crashed`] only once
-//!   the shard has recovered.  The same owner then serves the jobs still
-//!   queued, with the same tree session: the router sees `Crashed` errors,
-//!   never a poisoned lock or an outage.
+//!   at the next due commit that touches the shard: the suffix rolls back,
+//!   optional torn-persist damage is planted, and the committing thread
+//!   runs [`pabtree::recover`] and logs the [`CrashReport`] before any of
+//!   the shard's operations in that window is answered.
 
-use std::num::NonZeroU32;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use absync::McsLock;
-use abtree::{MapHandle, TreeHandle};
-use kvserve::owner::{CommitPolicy, Mailbox, OwnerLane, Verdict};
-use obs::{Stage, StageRecorder, StageTrace, Stamp};
+use abtree::TreeHandle;
 use pabtree::{RelaxedPersist, WalElimABTree};
 
 use crate::crash::{CrashReport, CrashSpec};
 
-/// One point operation: what [`crate::DurableRouter::submit`] takes and what
-/// crosses a job lane.  The durable service is a point-op store: batching
-/// happens at the ack/fence layer, not the request layer.
+/// One point operation: what [`crate::DurableRouter::submit`] takes.  The
+/// durable service is a point-op store: batching happens at the ack/fence
+/// layer, not the request layer.
 #[derive(Debug, Clone, Copy)]
 pub enum DurableOp {
     /// Point lookup.
@@ -65,47 +47,11 @@ pub enum DurableOp {
     },
 }
 
-/// The reply to one [`DurableOp`], in lane FIFO order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum ShardReply {
-    /// The operation executed and its covering group fence was issued: the
-    /// result is durable.
-    Value(Option<u64>),
-    /// The shard crashed before the covering group fence: the operation was
-    /// never acknowledged and may or may not have taken effect.
-    Crashed,
-}
-
-/// Durability and crash state of one shard.
-#[derive(Default)]
-pub(crate) struct ShardState {
-    /// Group-fence boundaries completed (read-only groups skip the actual
-    /// `sfence` but still count as boundaries — the ack-release points).
-    pub(crate) boundaries: AtomicU64,
-    /// Group fences actually issued (boundaries with pending writes).
-    pub(crate) fences: AtomicU64,
-    /// Completed crash + recovery cycles.
-    pub(crate) crashes: AtomicU64,
-    /// Armed crash directive; the flag is the cheap per-boundary check.
-    crash_armed: AtomicBool,
-    crash_spec: Mutex<Option<(u64, CrashSpec)>>,
-}
-
-impl ShardState {
-    /// Takes the directive if it is due at the current boundary count.
-    fn due_crash(&self) -> Option<CrashSpec> {
-        if !self.crash_armed.load(Ordering::Relaxed) {
-            return None;
-        }
-        let mut slot = self.crash_spec.lock().expect("crash directive poisoned");
-        match *slot {
-            Some((target, spec)) if self.boundaries.load(Ordering::SeqCst) >= target => {
-                *slot = None;
-                self.crash_armed.store(false, Ordering::SeqCst);
-                Some(spec)
-            }
-            _ => None,
-        }
+impl DurableOp {
+    pub(crate) fn key(self) -> u64 {
+        let (DurableOp::Get { key } | DurableOp::Put { key, .. } | DurableOp::Delete { key }) =
+            self;
+        key
     }
 }
 
@@ -117,171 +63,137 @@ pub(crate) struct ShardCell {
     /// The shard's index in its service.
     index: usize,
     pub(crate) tree: WalElimABTree,
-    pub(crate) state: ShardState,
-    /// Where routers open their lanes and the owner finds them.
-    pub(crate) mailbox: Arc<Mailbox<DurableOp, ShardReply>>,
-    /// The service-wide stage trace; the owner records every group
-    /// [`Stage::Fence`] span into it (unsampled — fences are already
-    /// amortized to one per ack group).
-    trace: Arc<StageTrace>,
-    /// The service-wide crash log the owner appends each recovery to.
+    /// Held by one router from its first operation on this shard to the
+    /// covering fence (see the `service` module docs).
+    pub(crate) commit: Mutex<()>,
+    /// Commits that touched the shard and did not crash (read-only ones
+    /// included — they are ack-release points too).
+    pub(crate) boundaries: AtomicU64,
+    /// Fences issued, each counted once, on the lowest shard its window
+    /// wrote to.
+    pub(crate) fences: AtomicU64,
+    /// Completed crash + recovery cycles.
+    pub(crate) crashes: AtomicU64,
+    /// The armed directive and the boundary count at which it is due.
+    crash_directive: Mutex<Option<(u64, CrashSpec)>>,
+    /// The service-wide crash log each recovery is appended to.
     crash_log: Arc<Mutex<Vec<CrashReport>>>,
 }
 
+/// The session type [`WalElimABTree`]'s inherent `handle()` returns.
+type WalHandle<'t> = TreeHandle<'t, true, McsLock, RelaxedPersist>;
+
+/// A router's session on one shard's tree, plus that router's unfenced log
+/// for the shard.
+pub(crate) struct Session {
+    /// Borrows `cell`'s tree, so it is declared (and dropped) first.
+    handle: WalHandle<'static>,
+    cell: Arc<ShardCell>,
+    /// State-changing operations since the last fence, oldest first.
+    pub(crate) unfenced: Vec<UnfencedOp>,
+}
+
 impl ShardCell {
-    pub(crate) fn new(
-        index: usize,
-        trace: Arc<StageTrace>,
-        crash_log: Arc<Mutex<Vec<CrashReport>>>,
-    ) -> Self {
+    pub(crate) fn new(index: usize, crash_log: Arc<Mutex<Vec<CrashReport>>>) -> Self {
         Self {
             index,
             tree: WalElimABTree::new(),
-            state: ShardState::default(),
-            mailbox: Arc::new(Mailbox::default()),
-            trace,
+            commit: Mutex::new(()),
+            boundaries: AtomicU64::new(0),
+            fences: AtomicU64::new(0),
+            crashes: AtomicU64::new(0),
+            crash_directive: Mutex::new(None),
             crash_log,
         }
     }
 
-    /// Arms a crash directive: the owner crashes at the first boundary (or
-    /// idle point) at which `after_boundaries` further boundaries have
-    /// completed.
+    /// Opens a session on this shard's tree that keeps the shard alive.
+    pub(crate) fn open_session(self: &Arc<Self>) -> Session {
+        let handle = self.tree.handle();
+        // SAFETY: `self.tree` lives in the `Arc`'s allocation, never moves, and
+        // outlives the handle: the `Session` owns a clone of that `Arc`, drops
+        // it after the private `handle` field, and lends no borrow out of it.
+        let handle = unsafe { std::mem::transmute::<WalHandle<'_>, WalHandle<'static>>(handle) };
+        Session {
+            handle,
+            cell: Arc::clone(self),
+            unfenced: Vec::new(),
+        }
+    }
+
+    /// Arms a crash directive: the shard crashes at the first commit that
+    /// touches it once `after_boundaries` further boundaries have completed.
     pub(crate) fn arm_crash(&self, spec: CrashSpec) {
-        let state = &self.state;
-        let target = state.boundaries.load(Ordering::SeqCst) + spec.after_boundaries;
-        *state.crash_spec.lock().expect("crash directive poisoned") = Some((target, spec));
-        state.crash_armed.store(true, Ordering::SeqCst);
-        // An idle owner must still crash: send it through its idle hook.
-        self.mailbox.notify();
+        let target = self.boundaries.load(Ordering::SeqCst) + spec.after_boundaries;
+        *self
+            .crash_directive
+            .lock()
+            .expect("crash directive poisoned") = Some((target, spec));
+    }
+
+    /// Takes the directive if it is due at the current boundary count.
+    /// Called under the commit lock, once per commit touching the shard.
+    pub(crate) fn due_crash(&self) -> Option<CrashSpec> {
+        let mut slot = self
+            .crash_directive
+            .lock()
+            .expect("crash directive poisoned");
+        match *slot {
+            Some((target, spec)) if self.boundaries.load(Ordering::SeqCst) >= target => {
+                *slot = None;
+                Some(spec)
+            }
+            _ => None,
+        }
     }
 }
 
-/// One state-changing operation of the current unfenced group, with enough
+/// One state-changing operation of the current unfenced window, with enough
 /// information to invert it exactly.  Refused inserts and missed deletes
 /// change nothing and are not logged (their *acks* still gate on the fence,
 /// because they observed state that is only durable at the fence).
-enum UnfencedOp {
+pub(crate) enum UnfencedOp {
     /// `insert(key, value)` installed the key; inverse: delete it.
     Inserted { key: u64, value: u64 },
     /// `delete(key)` removed `(key, value)`; inverse: re-insert it.
     Removed { key: u64, value: u64 },
 }
 
-/// The durable commit policy: apply into the unfenced log, hold every
-/// reply, fence at the boundary — or crash and recover there.
-pub(crate) struct GroupFence<'a> {
-    cell: &'a ShardCell,
-    /// The session [`WalElimABTree`]'s inherent `handle()` returns.
-    handle: TreeHandle<'a, true, McsLock, RelaxedPersist>,
-    acks_per_fence: NonZeroU32,
-    /// State-changing operations since the last fence, oldest first.
-    unfenced: Vec<UnfencedOp>,
-    recorder: StageRecorder,
-}
-
-impl<'a> GroupFence<'a> {
-    /// Opens the owner's session on `cell`'s tree; call on the owner thread.
-    pub(crate) fn new(cell: &'a ShardCell, acks_per_fence: u32) -> Self {
-        Self {
-            cell,
-            handle: cell.tree.handle(),
-            acks_per_fence: NonZeroU32::new(acks_per_fence).unwrap_or(NonZeroU32::MIN),
-            unfenced: Vec::new(),
-            recorder: cell.trace.recorder(),
-        }
-    }
-}
-
-impl CommitPolicy for GroupFence<'_> {
-    type Job = DurableOp;
-    type Reply = ShardReply;
-
-    fn group_limit(&self) -> NonZeroU32 {
-        self.acks_per_fence
-    }
-
-    #[inline]
-    fn apply(&mut self, job: DurableOp, lane: &mut OwnerLane<DurableOp, ShardReply>) {
-        lane.hold(execute(&mut self.handle, &mut self.unfenced, job));
-        // The lost-ack mutant: release every held ack the moment its
-        // operation executes, *before* the covering fence — exactly the
-        // bug group commit must not have.  A crash at the next boundary
-        // then rolls back acknowledged writes, which the durable checker
-        // must flag.
-        #[cfg(feature = "lost-ack")]
-        lane.release_held();
-    }
-
-    /// Fence (if any write is pending) so the loop may release the group —
-    /// unless a crash is due, in which case the group dies unfenced and is
-    /// answered `Crashed` once the shard has recovered.
-    fn boundary(&mut self) -> Verdict<ShardReply> {
-        if let Some(spec) = self.cell.state.due_crash() {
-            self.crash(spec);
-            return Verdict::Abort(ShardReply::Crashed);
-        }
-        let state = &self.cell.state;
-        if !self.unfenced.is_empty() {
-            let fence_start = Stamp::now();
-            abpmem::sfence();
-            state.fences.fetch_add(1, Ordering::SeqCst);
-            self.recorder.record(Stage::Fence, fence_start);
-            self.unfenced.clear();
-        }
-        state.boundaries.fetch_add(1, Ordering::SeqCst);
-        Verdict::Continue
-    }
-
-    /// An armed crash still fires on a quiet shard (nothing unfenced,
-    /// nothing held), so it cannot dodge its directive forever.
-    fn idle(&mut self) {
-        if let Some(spec) = self.cell.state.due_crash() {
-            self.crash(spec);
-        }
-    }
-}
-
-/// Executes one job, maintaining the unfenced log.
-fn execute(
-    handle: &mut impl MapHandle,
-    unfenced: &mut Vec<UnfencedOp>,
-    job: DurableOp,
-) -> ShardReply {
-    match job {
-        DurableOp::Get { key } => ShardReply::Value(handle.get(key)),
-        DurableOp::Put { key, value } => {
-            let prior = handle.insert(key, value);
-            if prior.is_none() {
-                unfenced.push(UnfencedOp::Inserted { key, value });
+impl Session {
+    /// Executes one operation, maintaining the unfenced log.
+    pub(crate) fn execute(&mut self, op: DurableOp) -> Option<u64> {
+        match op {
+            DurableOp::Get { key } => self.handle.get(key),
+            DurableOp::Put { key, value } => {
+                let prior = self.handle.insert(key, value);
+                if prior.is_none() {
+                    self.unfenced.push(UnfencedOp::Inserted { key, value });
+                }
+                prior
             }
-            ShardReply::Value(prior)
-        }
-        DurableOp::Delete { key } => {
-            let removed = handle.delete(key);
-            if let Some(value) = removed {
-                unfenced.push(UnfencedOp::Removed { key, value });
+            DurableOp::Delete { key } => {
+                let removed = self.handle.delete(key);
+                if let Some(value) = removed {
+                    self.unfenced.push(UnfencedOp::Removed { key, value });
+                }
+                removed
             }
-            ShardReply::Value(removed)
         }
     }
-}
 
-impl GroupFence<'_> {
-    /// The crash and its recovery: destroy the unfenced suffix, plant the
-    /// requested §5 damage, run [`pabtree::recover`] over the image and log
-    /// the [`CrashReport`].  A boundary caller then aborts the group, which
-    /// answers every held reply `Crashed` — each belongs to an operation
-    /// whose covering fence never happened; queued (unpopped) jobs stay in
-    /// the lanes and are served next, against the recovered tree.
-    fn crash(&mut self, spec: CrashSpec) {
-        let cell = self.cell;
+    /// The crash and its recovery, under the shard's commit lock: destroy
+    /// the unfenced suffix, plant the requested §5 damage, run
+    /// [`pabtree::recover`] over the image and log the [`CrashReport`].
+    /// Empties the unfenced log: whatever survived is the recovered image.
+    pub(crate) fn crash(&mut self, spec: CrashSpec) {
+        let cell = &*self.cell;
         let total = self.unfenced.len();
         let survived = (spec.survivor_seed as usize) % (total + 1);
         // Roll back the non-persisted suffix with exact inverse operations
         // in reverse order, restoring the state as of `survived` operations
         // past the last fence.
         let rolled: Vec<UnfencedOp> = self.unfenced.drain(survived..).collect();
+        self.unfenced.clear();
         for op in rolled.iter().rev() {
             match *op {
                 UnfencedOp::Inserted { key, .. } => {
@@ -297,17 +209,14 @@ impl GroupFence<'_> {
         // linearize it at the crash (paper §5), turning a "vanished"
         // unacked write into a "survived" one — both legal outcomes for the
         // checker.
-        let mut torn_insert = None;
-        if spec.torn_insert {
-            for op in rolled.iter().rev() {
-                if let UnfencedOp::Inserted { key, value } = *op {
-                    if cell.tree.force_partial_insert(key, value) {
-                        torn_insert = Some(key);
-                        break;
-                    }
-                }
+        let torn_insert = rolled.iter().rev().find_map(|op| match *op {
+            UnfencedOp::Inserted { key, value }
+                if spec.torn_insert && cell.tree.force_partial_insert(key, value) =>
+            {
+                Some(key)
             }
-        }
+            _ => None,
+        });
         if spec.dirty_link {
             cell.tree.force_dirty_root_link();
         }
@@ -321,7 +230,7 @@ impl GroupFence<'_> {
             .expect("crash log poisoned")
             .push(CrashReport {
                 shard: cell.index,
-                boundary_index: cell.state.boundaries.load(Ordering::SeqCst),
+                boundary_index: cell.boundaries.load(Ordering::SeqCst),
                 unfenced: total,
                 survived,
                 rolled_back: total - survived,
@@ -329,6 +238,6 @@ impl GroupFence<'_> {
                 dirty_link: spec.dirty_link,
                 recovery,
             });
-        cell.state.crashes.fetch_add(1, Ordering::SeqCst);
+        cell.crashes.fetch_add(1, Ordering::SeqCst);
     }
 }

@@ -23,9 +23,9 @@
 //!   are regrouped by destination shard, run as one session batch per shard,
 //!   and served with one latency sample and one stats pass per shard
 //!   touched, instead of per key.
-//! * **The shard-owner runtime** ([`owner`]): lanes ([`queue`]), mailbox
-//!   and park loop for a service that needs one thread per shard — the
-//!   durable `crashkv` service, whose group fence has a single committer.
+//! * **SPSC lanes** ([`queue`]): bounded single-producer/single-consumer
+//!   rings on std atomics, kept as a measured primitive (no service path
+//!   runs through one).
 //! * **A compact wire codec** ([`codec`]): varint-based request/response
 //!   framing with strict, allocation-capped decoding.
 //! * **Namespaces** ([`Namespace`]): 16-bit tenant prefixes packed into the
@@ -80,7 +80,6 @@
 pub mod cache;
 pub mod codec;
 pub mod namespace;
-pub mod owner;
 pub mod queue;
 pub mod request;
 pub mod router;
@@ -99,9 +98,8 @@ pub use router::{Overloaded, ShardRouter};
 pub use service::{shard_of, KvService, RouterError};
 pub use stats::{Histogram, OpCounters, ServiceStats};
 
-/// The in-flight bound of both request paths: a volatile
+/// The in-flight bound of the pipelined request paths: a volatile
 /// [`ShardRouter`] holds at most this many uncollected responses (the next
-/// [`submit`](ShardRouter::submit) is refused), and each SPSC lane of the
-/// [`owner`] runtime holds at most this many jobs, so an owner can always
-/// release a full group of held replies.
+/// [`submit`](ShardRouter::submit) is refused), and so does a durable
+/// `crashkv` router, counting its queued window.
 pub const LANE_CAPACITY: usize = 64;

@@ -1,27 +1,25 @@
 //! Bounded single-producer / single-consumer ring queues on std atomics.
 //!
-//! These are the lanes that feed the thread-per-shard service: every
-//! [`ShardRouter`](crate::ShardRouter) owns one `(request, reply)` queue
-//! pair per shard, with the router as the sole producer of requests and
-//! sole consumer of replies and the shard's owner thread on the other end
-//! of both.  The SPSC restriction is what keeps the fast path to two plain
-//! atomic loads and one release store per side — no CAS loops, no locks,
-//! no external crates (the build environment is offline).
+//! No service path runs through a lane any more: the volatile
+//! [`ShardRouter`](crate::ShardRouter) and the durable `crashkv` router both
+//! run every request on the calling thread.  The ring stays as a measured
+//! primitive (the ledger times a push/pop pair on it).  The SPSC
+//! restriction is what keeps the fast path to two plain atomic loads and
+//! one release store per side — no CAS loops, no locks, no external crates
+//! (the build environment is offline).
 //!
 //! The ring is a power-of-two slot array indexed by free-running `head`
 //! (consumer cursor) and `tail` (producer cursor) counters, the classic
 //! Lamport queue: the producer publishes a slot with a release store of
 //! `tail`, the consumer acquires it, and each cursor is written by exactly
 //! one side.  [`Producer::try_push`] never blocks — a full ring hands the
-//! value back as [`PushError::Full`], which the service surfaces as its
-//! `Overloaded` backpressure signal instead of wedging a client inside a
-//! queue.
+//! value back as [`PushError::Full`] instead of wedging a producer inside
+//! a queue.
 //!
 //! Both halves share ownership of the ring; dropping either half raises a
-//! side-specific disconnect flag so the survivor can stop (the shard worker
-//! prunes lanes whose router is gone, the router panics rather than spin
-//! on a dead worker).  Whichever half drops last releases the values still
-//! in the ring.
+//! side-specific disconnect flag so the survivor can stop instead of
+//! waiting on a peer that is gone.  Whichever half drops last releases the
+//! values still in the ring.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;

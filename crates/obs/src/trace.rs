@@ -2,15 +2,16 @@
 //!
 //! A request traverses the stack as a pipeline — received and decoded by a
 //! reactor, applied to the tree (on a volatile shard, by the reactor's own
-//! router; on a durable shard, by its owner, across a lane and back),
+//! router; on a durable shard, by the committing router, window by window),
 //! fenced to the durable log, and written to the socket.  Aggregate latency
 //! histograms cannot say *which* of those stages ate a regression; this
 //! module can, at a cost small enough to leave on.
 //!
 //! What is recorded today: the volatile path records `recv`, `decode`,
-//! `apply` and `write`; the durable owner records only `fence`.  No code
-//! records the lane stages (`enqueue`, `dequeue`, `ack`); they stay in
-//! [`Stage::ALL`] so every stage keeps its metric series.
+//! `apply` and `write`; a durable router records only `fence`, once per
+//! committed window.  No code records the lane stages (`enqueue`,
+//! `dequeue`, `ack`); they stay in [`Stage::ALL`] so every stage keeps its
+//! metric series.
 //!
 //! Two sinks, both fed by [`StageRecorder::record`]:
 //!
@@ -57,12 +58,12 @@ pub enum Stage {
     Recv = 0,
     /// Reactor: a complete frame decoded into a request.
     Decode = 1,
-    /// Client: request pushed onto a shard lane (including owner wake).
-    /// No code records it: the volatile service has no lanes, and the
-    /// durable owner records only [`Fence`](Stage::Fence).
+    /// Client: request pushed onto a shard lane.  No code records it:
+    /// neither service has lanes, and a durable router records only
+    /// [`Fence`](Stage::Fence).
     Enqueue = 2,
-    /// Shard owner: time the job spent waiting in the lane.  No code
-    /// records it (see [`Enqueue`](Stage::Enqueue)).
+    /// Time a job spent waiting in a lane.  No code records it (see
+    /// [`Enqueue`](Stage::Enqueue)).
     Dequeue = 3,
     /// The tree operation itself.
     Apply = 4,

@@ -86,9 +86,10 @@ pub type PElimABTree<L = McsLock> = AbTree<true, L, DurablePersist>;
 /// This is the WAL-batching half of a group-commit design: the tree pushes
 /// its stores toward persistent memory continuously (so the write-back
 /// traffic is unchanged), while the ordering/durability point is deferred to
-/// whoever owns the persist lifecycle — in `crashkv`, the shard-owner thread,
-/// which issues one explicit [`abpmem::sfence`] per *group* of acknowledged
-/// operations (the `acks_per_fence` knob).  Between two group fences an
+/// whoever owns the persist lifecycle — in `crashkv`, the router committing
+/// a window under its shards' commit locks, which issues one explicit
+/// [`abpmem::sfence`] per *window* of acknowledged operations (capped by the
+/// `acks_per_fence` knob).  Between two group fences an
 /// operation's stores may or may not have reached persistent memory in any
 /// order, which is exactly the window the crash injector models by rolling
 /// back a prefix-complement of the unfenced operations.
@@ -101,7 +102,7 @@ impl Persist for RelaxedPersist {
     #[inline]
     fn persist_range(ptr: *const u8, len: usize) {
         // Flush without the trailing fence: durability is deferred to the
-        // owner's group fence.
+        // committer's group fence.
         abpmem::flush(ptr, len);
     }
 
@@ -119,11 +120,12 @@ impl Persist for RelaxedPersist {
 }
 
 /// A group-commit (WAL-batched) OCC-ABtree: durable only at explicit group
-/// fences issued by the tree's owner (see [`RelaxedPersist`]).
+/// fences issued by whoever commits to it (see [`RelaxedPersist`]).
 pub type WalOccABTree<L = McsLock> = AbTree<false, L, RelaxedPersist>;
 
 /// A group-commit (WAL-batched) Elim-ABtree: durable only at explicit group
-/// fences issued by the tree's owner (see [`RelaxedPersist`]).
+/// fences issued by whoever commits to it (see [`RelaxedPersist`]).  In
+/// `crashkv` that is the router holding the shard's commit lock.
 pub type WalElimABTree<L = McsLock> = AbTree<true, L, RelaxedPersist>;
 
 pub use recovery::{recover, RecoveryReport};
@@ -166,7 +168,7 @@ mod tests {
     fn relaxed_policy_flushes_but_never_fences() {
         // The WAL/group-commit trees issue every flush the durable trees
         // issue, but elide every fence: durability is deferred to the
-        // owner's explicit group fence (crashkv's acks-per-fence knob).
+        // committer's explicit group fence (crashkv's acks-per-fence knob).
         let _session = TrackingSession::start();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: WalElimABTree = WalElimABTree::new();
@@ -190,7 +192,7 @@ mod tests {
         );
         const { assert!(RelaxedPersist::DURABLE) };
         assert_eq!(RelaxedPersist::policy_name(), "relaxed");
-        // The owner's group fence is an ordinary abpmem fence.
+        // The committer's group fence is an ordinary abpmem fence.
         abpmem::sfence();
         assert_eq!(abpmem::stats().fences, 1);
     }

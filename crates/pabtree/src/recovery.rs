@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn crash_before_the_first_fence_recovers_consistently() {
-        // A WAL (group-commit) tree that crashes before its owner ever
+        // A WAL (group-commit) tree that crashes before its committer ever
         // issued a group fence: no operation is durably *ordered*, but the
         // flushed image must still recover to a consistent dictionary.  On
         // top of the unfenced contents, one torn in-flight insert (key and
