@@ -375,9 +375,11 @@ mod tests {
         assert!(acked > 0);
     }
 
+    /// A crash armed on an idle shard waits for the next commit that
+    /// touches the shard, fires inside it and heals before it answers.
     #[cfg(not(feature = "lost-ack"))]
     #[test]
-    fn an_armed_crash_fires_at_the_next_commit() {
+    fn crash_on_an_idle_shard_still_fires_and_heals() {
         let service = DurableKvService::new(1, 4);
         let mut router = service.router();
         router.put(1, 1).unwrap();
@@ -403,6 +405,64 @@ mod tests {
         service.shutdown();
         service.shutdown();
         drop(service); // Drop after explicit shutdown must be a no-op.
+    }
+
+    /// No thread parks or wakes: a blocking call commits its own window.
+    /// The hazard left is a round trip that queues its op and then waits
+    /// for a commit nobody makes; the watchdog turns that into a failure.
+    #[test]
+    fn window_one_round_trips_never_lose_a_wake_up() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut service = DurableKvService::new(1, 16);
+            let mut router = service.router();
+            for i in 0..25_000u64 {
+                let key = i % 512 + 1;
+                assert_eq!(router.put(key, i), Ok(None));
+                assert_eq!(router.delete(key), Ok(Some(i)));
+            }
+            drop(router);
+            service.shutdown();
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a blocking round trip hung: its window was never committed");
+        client.join().unwrap();
+    }
+
+    /// The pipelined sibling: windows of skewed sizes, mostly smaller than
+    /// `acks_per_fence`, so nearly every window commits only because
+    /// `collect_one` finds no acked result waiting.  A collect that waited
+    /// instead of committing would hang here.
+    #[test]
+    fn pipelined_windows_never_lose_a_wake_up() {
+        let (done, finished) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut service = DurableKvService::new(1, 16);
+            let mut router = service.router();
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            for round in 0..25_000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let window = 1 + ((state % 64) >> ((state >> 8) % 7));
+                for i in 0..window {
+                    let key = 1 + (round + i) % 512;
+                    router.submit(DurableOp::Delete { key }).unwrap();
+                }
+                for _ in 0..window {
+                    assert_eq!(router.collect_one(), Some(Ok(None)));
+                }
+            }
+            drop(router);
+            service.shutdown();
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a window hung: a collect waited on an uncommitted window");
+        client.join().unwrap();
     }
 
     #[test]
