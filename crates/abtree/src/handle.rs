@@ -8,9 +8,9 @@
 //! * the thread's [`abebr::LocalHandle`], so each operation pins with a
 //!   cheap local epoch announcement;
 //! * a reusable scan buffer backing [`TreeHandle::scan_len`];
-//! * operation scratch: a reusable entry buffer for splitting inserts and a
-//!   small per-thread RNG that jitters the elimination path's backoff so
-//!   contending threads don't retry in lockstep.
+//! * operation scratch: a small per-thread RNG that jitters the
+//!   elimination path's backoff so contending threads don't retry in
+//!   lockstep.
 //!
 //! The handle dereferences to the tree, so quiescent accessors
 //! (`check_invariants`, `key_sum`, `len`, `collect`, `recover`, ...) remain
@@ -79,9 +79,6 @@ impl HandleRng {
 /// Reusable per-thread operation scratch threaded through the update paths.
 #[derive(Debug, Default)]
 pub(crate) struct OpScratch {
-    /// Entry buffer for splitting inserts (leaf contents + the new pair),
-    /// reused across operations so a split does not allocate.
-    pub(crate) split_entries: Vec<(u64, u64)>,
     /// Per-thread RNG for elimination backoff jitter.
     pub(crate) rng: HandleRng,
 }

@@ -234,7 +234,6 @@ impl<L: RawNodeLock> Node<L> {
     /// Destroys a node and returns its slot to the slab.
     ///
     /// # Safety
-    ///
     /// `ptr` is a node made by one of the constructors above, nothing can
     /// reach it any more, and it is not freed twice.
     pub(crate) unsafe fn free(ptr: *mut u8) {
@@ -249,10 +248,8 @@ impl<L: RawNodeLock> Node<L> {
     /// once no pinned thread can still reach it.
     ///
     /// # Safety
-    ///
-    /// `ptr` is a node made by one of the constructors above that has been
-    /// unlinked (threads pinning after this call cannot reach it), and it is
-    /// retired once.
+    /// `ptr` is a node made by one of the constructors above, unlinked so
+    /// that threads pinning after this call cannot reach it, retired once.
     pub(crate) unsafe fn retire(ptr: *mut Self, guard: &Guard) {
         // SAFETY: forwarded from this function's contract; `free` is how a
         // slab node is destroyed, on any thread.
@@ -427,20 +424,10 @@ impl<L: RawNodeLock> Node<L> {
     /// Collects all key/value pairs; caller must hold the leaf's lock (or the
     /// tree must be quiescent).
     pub(crate) fn locked_entries(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len());
-        self.locked_entries_into(&mut out);
-        out
-    }
-
-    /// Appends all key/value pairs to `out` (same locking contract as
-    /// [`Node::locked_entries`]); lets hot paths reuse a scratch buffer.
-    pub(crate) fn locked_entries_into(&self, out: &mut Vec<(u64, u64)>) {
-        for i in 0..MAX_KEYS {
-            let k = self.key(i);
-            if k != EMPTY_KEY {
-                out.push((k, self.val(i)));
-            }
-        }
+        (0..MAX_KEYS)
+            .filter(|&i| self.key(i) != EMPTY_KEY)
+            .map(|i| (self.key(i), self.val(i)))
+            .collect()
     }
 
     // ----- publishing elimination record ----------------------------------
@@ -466,12 +453,6 @@ impl<L: RawNodeLock> Node<L> {
         )
     }
 }
-
-// SAFETY: all shared mutable state inside a Node is accessed through atomics
-// or under the node's lock; raw child pointers are managed by the tree's
-// epoch-based reclamation discipline.
-unsafe impl<L: RawNodeLock> Send for Node<L> {}
-unsafe impl<L: RawNodeLock> Sync for Node<L> {}
 
 #[cfg(test)]
 mod tests {

@@ -15,8 +15,8 @@
 //!    unchanged and it must still be unmarked.  If any check fails the whole
 //!    scan retries.
 //!
-//! Linearizability argument: updates and rebalances mark a node *before*
-//! unlinking it (see `update.rs` / `rebalance.rs`), so a leaf that is
+//! Linearizability argument: every structural update marks a node *before*
+//! unlinking it (the replace step in `rebalance.rs`), so a leaf that is
 //! unmarked at validation time is still reachable, and an unchanged (even)
 //! version means its contents are exactly what the scan collected.  All
 //! collection therefore finished before validation began, and every leaf's

@@ -209,7 +209,6 @@ pub(crate) fn alloc() -> *mut u8 {
 /// Returns a slot from [`alloc`] for reuse.
 ///
 /// # Safety
-///
 /// `slot` came from [`alloc`], is not released twice, and nothing
 /// references it any more.
 pub(crate) unsafe fn release(slot: *mut u8) {

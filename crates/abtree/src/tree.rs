@@ -128,10 +128,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Dereferences a node pointer obtained while `_guard` is pinned.
     ///
     /// # Safety
-    ///
-    /// `ptr` must have been read from the tree while the guard was pinned
-    /// (so epoch-based reclamation keeps the node alive), or be the entry
-    /// sentinel.
+    /// `ptr` was read from the tree while the guard was pinned, or is the entry sentinel.
     #[inline]
     pub(crate) unsafe fn deref<'g>(&self, ptr: *mut Node<L>, _guard: &'g Guard) -> &'g Node<L> {
         debug_assert!(!ptr.is_null());
@@ -161,10 +158,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             let mut rot = 0usize;
 
             loop {
-                // SAFETY: `n` is the entry sentinel (never retired), was
-                // validated below after being published in a hazard slot
-                // (fine mode), or was read from a reachable node while the
-                // blanket pin was in effect (coarse / EBR).
+                // SAFETY: `n` is the entry (never retired), a hazard validated
+                // below (fine mode), or read from a reachable node under the
+                // blanket pin (coarse / EBR).
                 let node = unsafe { self.deref(n, guard) };
                 if node.is_leaf() {
                     break;
@@ -422,6 +418,7 @@ mod tests {
         assert!(!path.n.is_null());
         assert_eq!(path.p, t.entry_ptr());
         assert!(path.gp.is_null());
+        // SAFETY: read by the search above while `guard` was pinned.
         let leaf = unsafe { t.deref(path.n, &guard) };
         assert!(leaf.is_leaf());
         assert_eq!(leaf.len(), 0);

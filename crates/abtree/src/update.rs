@@ -16,6 +16,7 @@ use absync::{Backoff, RawNodeLock};
 use crate::handle::{HandleRng, OpScratch};
 use crate::node::{Node, NodeKind};
 use crate::persist::Persist;
+use crate::rebalance::{Locks, Run};
 use crate::tree::AbTree;
 use crate::{EMPTY_KEY, MAX_KEYS, MIN_KEYS};
 
@@ -84,11 +85,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     ///
     /// `rng` is the session's scratch RNG: contending threads jitter their
     /// backoff so they don't retry the `try_lock` in lockstep.
-    fn lock_or_elim(
+    fn lock_or_elim<'g>(
         &self,
-        leaf: &Node<L>,
+        leaf_ptr: *mut Node<L>,
+        leaf: &'g Node<L>,
         key: u64,
-        token: &mut L::Token,
+        locks: &mut Locks<'_, 'g, L>,
         rng: &mut HandleRng,
     ) -> ElimOutcome {
         // Line 208: the version read here is what condition C1 compares
@@ -112,7 +114,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 return ElimOutcome::Eliminated(rec_val);
             }
             // Line 221: cannot eliminate; try to lock.
-            if leaf.lock.try_lock(token) {
+            if locks.try_lock(leaf_ptr, leaf) {
                 return ElimOutcome::Acquired;
             }
             backoff.wait();
@@ -146,10 +148,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             return Attempt::Done(Some(existing));
         }
 
-        // Lock acquisition (possibly eliminating instead).
-        let mut leaf_token = L::Token::default();
+        // Lock acquisition (possibly eliminating instead).  Every return
+        // below unlocks by dropping `locks`.
+        let mut tokens = Default::default();
+        let mut locks = Locks::new(&mut tokens);
         if ELIM {
-            match self.lock_or_elim(leaf, key, &mut leaf_token, &mut scratch.rng) {
+            match self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng) {
                 ElimOutcome::Eliminated(v) => {
                     self.elim_count.fetch_add(1, Ordering::Relaxed);
                     return Attempt::Done(Some(v));
@@ -157,19 +161,15 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 ElimOutcome::Acquired => {}
             }
         } else {
-            leaf.lock.lock(&mut leaf_token);
+            locks.lock(path.n, leaf);
         }
 
         if leaf.is_marked() {
-            // SAFETY: locked above with this token.
-            unsafe { leaf.lock.unlock(&mut leaf_token) };
             return Attempt::Retry;
         }
 
         // Verify the key is not present now that the leaf is stable.
         if let Some((_slot, existing)) = leaf.locked_find(key) {
-            // SAFETY: locked above with this token.
-            unsafe { leaf.lock.unlock(&mut leaf_token) };
             return Attempt::Done(Some(existing));
         }
 
@@ -195,68 +195,35 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             }
             leaf.size.fetch_add(1, Ordering::Relaxed);
             leaf.end_write(); // linearization point (volatile trees)
-            // SAFETY: locked above with this token.
-            unsafe { leaf.lock.unlock(&mut leaf_token) };
             return Attempt::Done(None);
         }
 
         // ----- splitting insert -----
         // SAFETY: the parent pointer was read during the pinned search.
         let parent = unsafe { self.deref(path.p, guard) };
-        let mut parent_token = L::Token::default();
-        parent.lock.lock(&mut parent_token);
+        locks.lock(path.p, parent);
         if parent.is_marked() {
-            // SAFETY: both locked above with their tokens.
-            unsafe {
-                parent.lock.unlock(&mut parent_token);
-                leaf.lock.unlock(&mut leaf_token);
-            }
             return Attempt::Retry;
         }
 
-        // Gather the leaf's contents plus the new pair, in key order, and
-        // split them evenly between two fresh leaves joined by a tagged node.
-        // The entry buffer is session scratch, so splits don't allocate.
-        let entries = &mut scratch.split_entries;
-        entries.clear();
-        leaf.locked_entries_into(entries);
-        entries.push((key, value));
-        entries.sort_unstable_by_key(|e| e.0);
-        debug_assert_eq!(entries.len(), MAX_KEYS + 1);
-        let mid = entries.len() / 2;
-        let split_key = entries[mid].0;
-        let left = Node::new_leaf_from(entries[0].0, &entries[..mid]);
-        let right = Node::new_leaf_from(split_key, &entries[mid..]);
+        // Split the leaf's contents plus the new pair evenly between two
+        // fresh leaves joined by a tagged node.
+        let mut run = Run::of(leaf);
+        run.push_entry(key, value);
+        debug_assert_eq!(run.len, MAX_KEYS + 1);
+        let (left, right, split_key) = run.split();
         let tagged = Node::new_internal_from(
             NodeKind::TaggedInternal,
             leaf.search_key,
             &[split_key],
             &[left, right],
         );
-
-        // Durable trees flush the new nodes before publishing the pointer.
-        self.persist_new_nodes(&[left, right, tagged]);
-        // Mark before unlinking: range scans rely on "unmarked implies still
-        // reachable" when validating their snapshots (see `scan.rs`), so
-        // every node is marked before the pointer swing that unlinks it.
-        leaf.mark();
-        // Linearization point of the splitting insert: the child-pointer
-        // write makes the new subtree (and hence the new key) reachable
-        // (for durable trees, the flush of that pointer).
-        self.link_child(parent, path.n_idx, tagged);
-        // The upcoming `fix_tagged` traverses the tree without the fine-mode
-        // hazard protocol, so a fine guard must upgrade to coarse protection
-        // while the locks still pin this foothold (no-op under EBR/coarse).
-        guard.escalate();
-        // SAFETY: both locked above with their tokens.
-        unsafe {
-            parent.lock.unlock(&mut parent_token);
-            leaf.lock.unlock(&mut leaf_token);
-        }
-        // SAFETY: the old leaf was just unlinked (marked + replaced) and will
-        // not be unlinked again.
-        unsafe { Node::retire(path.n, guard) };
-
+        // Linearization point of the splitting insert: the replace step's
+        // child-pointer write makes the new subtree (and hence the new key)
+        // reachable (for durable trees, the flush of that pointer).
+        // SAFETY: leaf and parent are unmarked under the locks, so the leaf
+        // is still the parent's child `n_idx`.
+        unsafe { self.replace(locks, &[left, right, tagged], path.n_idx, guard) };
         self.fix_tagged(tagged, guard);
         Attempt::Done(None)
     }
@@ -282,9 +249,10 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             return Attempt::Done(None);
         }
 
-        let mut leaf_token = L::Token::default();
+        let mut tokens = Default::default();
+        let mut locks = Locks::new(&mut tokens);
         if ELIM {
-            match self.lock_or_elim(leaf, key, &mut leaf_token, &mut scratch.rng) {
+            match self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng) {
                 // An eliminated delete is linearized at a point where the key
                 // is absent, so it returns "not present" (§4).
                 ElimOutcome::Eliminated(_) => {
@@ -294,38 +262,28 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 ElimOutcome::Acquired => {}
             }
         } else {
-            leaf.lock.lock(&mut leaf_token);
+            locks.lock(path.n, leaf);
         }
 
         if leaf.is_marked() {
-            // SAFETY: locked above with this token.
-            unsafe { leaf.lock.unlock(&mut leaf_token) };
             return Attempt::Retry;
         }
-
-        let deleted = match leaf.locked_find(key) {
-            None => {
-                // Deleted by another thread between the search and the lock.
-                // SAFETY: locked above with this token.
-                unsafe { leaf.lock.unlock(&mut leaf_token) };
-                return Attempt::Done(None);
-            }
-            Some((slot, existing)) => {
-                let odd = leaf.begin_write();
-                if ELIM {
-                    leaf.publish_record(key, existing, odd);
-                }
-                // Durable trees (paper §5): the delete becomes durable when
-                // the emptied key slot reaches persistent memory.
-                leaf.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
-                if P::DURABLE {
-                    P::persist_value(&leaf.keys[slot]);
-                }
-                leaf.size.fetch_sub(1, Ordering::Relaxed);
-                leaf.end_write(); // linearization point (volatile trees)
-                existing
-            }
+        let Some((slot, deleted)) = leaf.locked_find(key) else {
+            // Deleted by another thread between the search and the lock.
+            return Attempt::Done(None);
         };
+        let odd = leaf.begin_write();
+        if ELIM {
+            leaf.publish_record(key, deleted, odd);
+        }
+        // Durable trees (paper §5): the delete becomes durable when the
+        // emptied key slot reaches persistent memory.
+        leaf.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
+        if P::DURABLE {
+            P::persist_value(&leaf.keys[slot]);
+        }
+        leaf.size.fetch_sub(1, Ordering::Relaxed);
+        leaf.end_write(); // linearization point (volatile trees)
 
         let underfull = leaf.len() < MIN_KEYS;
         if underfull {
@@ -335,8 +293,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             // (no-op under EBR/coarse).
             guard.escalate();
         }
-        // SAFETY: locked above with this token.
-        unsafe { leaf.lock.unlock(&mut leaf_token) };
+        drop(locks);
         if underfull {
             self.fix_underfull(path.n, guard);
         }

@@ -25,9 +25,7 @@ use crate::report::{print_figure_header, print_result_row, BenchResult};
 /// Default thread counts for scaling sweeps on this machine: 1, 2, 4, ...,
 /// up to the number of logical CPUs.
 pub fn default_thread_counts() -> Vec<usize> {
-    let max = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
+    let max = abtree::par::detected_parallelism();
     let mut counts = vec![1usize];
     let mut c = 2;
     while c < max {
@@ -644,7 +642,7 @@ mod tests {
         let counts = default_thread_counts();
         assert!(!counts.is_empty());
         assert!(counts.windows(2).all(|w| w[0] < w[1]));
-        let max = std::thread::available_parallelism().unwrap().get();
+        let max = abtree::par::detected_parallelism();
         assert_eq!(*counts.last().unwrap(), max);
     }
 
