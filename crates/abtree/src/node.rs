@@ -69,6 +69,9 @@ const _: () = assert!(std::mem::size_of::<Node<TatasLock>>() <= slab::SLOT_BYTES
 /// bit is cleared (after the flush).  Volatile trees never set the bit.
 pub(crate) const DIRTY_BIT: usize = 1;
 
+/// The cache-line size [`Node::prefetch`] steps by.
+const CACHE_LINE: usize = 64;
+
 /// Tags a pointer as "written but not yet persisted".
 #[inline]
 pub(crate) fn tag_dirty<L: RawNodeLock>(p: *mut Node<L>) -> *mut Node<L> {
@@ -254,6 +257,38 @@ impl<L: RawNodeLock> Node<L> {
         // SAFETY: forwarded from this function's contract; `free` is how a
         // slab node is destroyed, on any thread.
         unsafe { guard.defer_free(ptr.cast(), Self::free) }
+    }
+
+    /// Asks the CPU to start loading every cache line of the node at `ptr`
+    /// (`_mm_prefetch` T0 on x86-64; nothing elsewhere).  A hint only: it
+    /// reads nothing the caller can see and writes nothing, so `ptr` may
+    /// be stale or retired.
+    ///
+    /// It probes every [`CACHE_LINE`] bytes from the node's first byte and
+    /// then its last: no two probes are more than a line apart, so each
+    /// line the node overlaps gets one, whatever its alignment.  The probe
+    /// offsets are constants, so the loop unrolls; deriving the lines from
+    /// the address instead cost the prefetch pass ~30% more time (x86-64
+    /// Xeon, 2 vCPUs).
+    #[inline(always)]
+    pub(crate) fn prefetch(ptr: *const Self) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let size = std::mem::size_of::<Self>();
+            let base = ptr.cast::<i8>();
+            let mut offset = 0;
+            while offset < size {
+                // SAFETY: a prefetch never faults and never writes, whatever
+                // the address; `sse` is part of the x86-64 baseline.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(offset)) };
+                offset += CACHE_LINE;
+            }
+            // SAFETY: as above.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.wrapping_add(size - 1)) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = ptr;
     }
 
     // ----- basic accessors ------------------------------------------------

@@ -72,6 +72,62 @@ impl Persist for VolatilePersist {
     }
 }
 
+/// A durable policy for unit tests that logs the calling thread's flushes
+/// and fences instead of issuing them.
+#[cfg(test)]
+pub(crate) mod recording {
+    use std::cell::RefCell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use super::Persist;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub(crate) enum Event {
+        /// `word` is the 8-byte word an 8-byte flush covered when it ran.
+        Flush {
+            addr: usize,
+            len: usize,
+            word: Option<u64>,
+        },
+        Fence,
+    }
+
+    thread_local! {
+        /// This thread's flushes and fences, oldest first.
+        pub(crate) static EVENTS: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// A durable policy that logs this thread's flushes and fences.
+    pub(crate) struct Recording;
+
+    impl Persist for Recording {
+        const DURABLE: bool = true;
+
+        fn persist_range(ptr: *const u8, len: usize) {
+            Self::flush_range(ptr, len);
+            Self::fence();
+        }
+
+        fn flush_range(ptr: *const u8, len: usize) {
+            let word = (len == 8).then(|| {
+                // SAFETY: the tree flushes 8 bytes only for one of a live
+                // node's atomic words: a key, a value or a child slot.
+                unsafe { (*ptr.cast::<AtomicU64>()).load(Ordering::Relaxed) }
+            });
+            let addr = ptr as usize;
+            EVENTS.with(|e| e.borrow_mut().push(Event::Flush { addr, len, word }));
+        }
+
+        fn fence() {
+            EVENTS.with(|e| e.borrow_mut().push(Event::Fence));
+        }
+
+        fn policy_name() -> &'static str {
+            "recording"
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -509,13 +509,11 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::RefCell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
     use absync::McsLock;
 
     use crate::node::{Node, DIRTY_BIT};
-    use crate::{AbTree, ElimABTree, OccABTree, Persist, EMPTY_KEY, MAX_KEYS};
+    use crate::persist::recording::{Event, Recording, EVENTS};
+    use crate::{AbTree, ElimABTree, OccABTree, EMPTY_KEY, MAX_KEYS};
 
     /// Inserting far more keys than fit in one leaf exercises splitting
     /// inserts and fixTagged; deleting them all exercises fixUnderfull's
@@ -594,51 +592,6 @@ mod tests {
         assert_eq!(t.len(), 0);
         let stats = t.stats();
         assert_eq!(stats.height, 1, "empty tree should be a single root leaf");
-    }
-
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Event {
-        /// `word` is the 8-byte word an 8-byte flush covered when it ran.
-        Flush {
-            addr: usize,
-            len: usize,
-            word: Option<u64>,
-        },
-        Fence,
-    }
-
-    thread_local! {
-        static EVENTS: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// A durable policy that logs this thread's flushes and fences.
-    struct Recording;
-
-    impl Persist for Recording {
-        const DURABLE: bool = true;
-
-        fn persist_range(ptr: *const u8, len: usize) {
-            Self::flush_range(ptr, len);
-            Self::fence();
-        }
-
-        fn flush_range(ptr: *const u8, len: usize) {
-            let word = (len == 8).then(|| {
-                // SAFETY: the tree flushes 8 bytes only for one of a live
-                // node's atomic words: a key, a value or a child slot.
-                unsafe { (*ptr.cast::<AtomicU64>()).load(Ordering::Relaxed) }
-            });
-            let addr = ptr as usize;
-            EVENTS.with(|e| e.borrow_mut().push(Event::Flush { addr, len, word }));
-        }
-
-        fn fence() {
-            EVENTS.with(|e| e.borrow_mut().push(Event::Fence));
-        }
-
-        fn policy_name() -> &'static str {
-            "recording"
-        }
     }
 
     /// Paper §5's publish order, at every pointer swing: each line of the

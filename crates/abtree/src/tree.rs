@@ -246,7 +246,66 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         let leaf = unsafe { self.deref(path.n, guard) };
         self.search_leaf(leaf, key)
     }
+
+    /// Group prefetching over the paper's search (Fig. 2): walks the
+    /// root-to-leaf paths of `keys` in lockstep, one level per round, and
+    /// prefetches every line of each next node, so the cache misses of
+    /// many descents overlap instead of queueing one after another.  A
+    /// cursor drops out once it stands on a leaf (already prefetched).
+    ///
+    /// Strictly read-only: no lock, no version check, no flush, and a dirty
+    /// link is followed untagged, not helped — the operations that follow
+    /// do their own validated search.  `guard` must be a coarse pin (the
+    /// nodes are not protected one by one).  At most [`PREFETCH_CURSORS`]
+    /// paths are walked at once, in a stack array; longer inputs go in
+    /// chunks.
+    pub(crate) fn prefetch_paths_in(&self, keys: impl IntoIterator<Item = u64>, guard: &Guard) {
+        debug_assert!(!guard.needs_protect(), "needs a coarse pin");
+        let mut keys = keys.into_iter();
+        let mut at = [ptr::null_mut(); PREFETCH_CURSORS];
+        let mut key = [0u64; PREFETCH_CURSORS];
+        loop {
+            // Every path starts at the root: read its link once per chunk.
+            let root = self.entry().child(0);
+            let mut live = 0;
+            for k in keys.by_ref().take(PREFETCH_CURSORS) {
+                key[live] = k;
+                at[live] = root;
+                live += 1;
+            }
+            if live == 0 {
+                return;
+            }
+            Node::prefetch(root);
+            while live > 0 {
+                let mut i = 0;
+                while i < live {
+                    // SAFETY: `at[i]` is a child pointer read from the entry,
+                    // or from a node reached from it, under `guard`'s coarse
+                    // pin.
+                    let node = unsafe { self.deref(at[i], guard) };
+                    let child = if node.is_leaf() {
+                        ptr::null_mut()
+                    } else {
+                        node.child(node.child_index(key[i]))
+                    };
+                    if child.is_null() {
+                        live -= 1;
+                        at[i] = at[live];
+                        key[i] = key[live];
+                        continue;
+                    }
+                    Node::prefetch(child);
+                    at[i] = child;
+                    i += 1;
+                }
+            }
+        }
+    }
 }
+
+/// Most paths [`AbTree::prefetch_paths_in`] walks in one lockstep pass.
+const PREFETCH_CURSORS: usize = 64;
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> Drop for AbTree<ELIM, L, P> {
     fn drop(&mut self) {
@@ -399,7 +458,11 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ConcurrentMap, ElimABTree, OccABTree};
+    use absync::McsLock;
+
+    use crate::node::{is_dirty, tag_dirty};
+    use crate::persist::recording::{Recording, EVENTS};
+    use crate::{AbTree, ConcurrentMap, ElimABTree, OccABTree};
 
     #[test]
     fn empty_tree_finds_nothing() {
@@ -422,6 +485,59 @@ mod tests {
         let leaf = unsafe { t.deref(path.n, &guard) };
         assert!(leaf.is_leaf());
         assert_eq!(leaf.len(), 0);
+    }
+
+    /// The prefetch pass is read-only even on a durable tree: over planted
+    /// dirty links (the root link, and the root's link to its first child)
+    /// it issues no flush and no fence and leaves both dirty bits set,
+    /// where a real search helps (flushes and clears them).
+    #[test]
+    fn prefetch_neither_flushes_nor_fences_nor_helps_a_dirty_link() {
+        let tree: AbTree<true, McsLock, Recording> = AbTree::new();
+        let mut t = tree.handle();
+        let keys: Vec<u64> = (0..2_000).map(|k| k * 7).collect();
+        for &k in &keys {
+            assert_eq!(t.insert(k, k), None);
+        }
+        assert!(t.stats().height >= 3);
+        // SAFETY: one thread and no deletes, so the root stays linked and
+        // alive for the whole test.
+        let root = unsafe { &*tree.entry().child(0) };
+        root.set_child(0, tag_dirty(root.child(0)));
+        tree.force_dirty_root_link();
+        let dirty = || [tree.entry().child_raw(0), root.child_raw(0)].map(is_dirty);
+        EVENTS.with(|e| e.borrow_mut().clear());
+        t.prefetch(&keys);
+        assert_eq!(EVENTS.with(|e| e.take()), [], "prefetch flushed or fenced");
+        assert_eq!(dirty(), [true, true], "prefetch helped a dirty link");
+        assert_eq!(t.get(0), Some(0));
+        assert_eq!(dirty(), [false, false], "a search helps both links");
+        assert!(!EVENTS.with(|e| e.take()).is_empty());
+    }
+
+    /// Prefetching any number of keys, in one chunk or several, leaves the
+    /// tree exactly as it was.
+    #[test]
+    fn prefetch_leaves_contents_and_shape_unchanged() {
+        let tree: ElimABTree = ElimABTree::new();
+        let mut t = tree.handle();
+        for k in 0..5_000u64 {
+            t.insert(k * 3, k);
+        }
+        let (sum, stats) = (t.key_sum(), t.stats());
+        for n in [0u64, 1, 64, 65, 500] {
+            let keys: Vec<u64> = (0..n)
+                .map(|i| i.wrapping_mul(0x9E37_79B9) % 20_000)
+                .collect();
+            t.prefetch(&keys);
+            assert_eq!(t.key_sum(), sum, "{n} keys");
+            assert_eq!(t.stats(), stats, "{n} keys");
+            t.check_invariants().unwrap();
+        }
+        // A tree that is one root leaf, and the largest key a caller may use.
+        let empty: OccABTree = OccABTree::new();
+        empty.handle().prefetch(&[0, 1, crate::EMPTY_KEY - 1]);
+        assert_eq!(empty.key_sum(), 0);
     }
 
     #[test]

@@ -12,6 +12,8 @@ use abtree::{AbTree, ElimABTree, OccABTree};
 use absync::RawNodeLock;
 use rand::prelude::*;
 
+mod common;
+
 fn thread_count() -> usize {
     abtree::par::detected_parallelism().clamp(2, 8)
 }
@@ -400,4 +402,12 @@ fn contended_inserts_of_same_keys_agree() {
         assert_eq!(session.get(k), Some(winner_of[k as usize]));
     }
     tree.check_invariants().unwrap();
+}
+
+/// The prefetch pass walks nodes that two threads are splitting, merging
+/// and retiring (the `asan` job checks it touches none after it is freed).
+#[test]
+fn prefetch_walks_paths_while_two_threads_split_and_merge() {
+    common::prefetch_while_splits_and_merges_run(Arc::new(ElimABTree::new()));
+    common::prefetch_while_splits_and_merges_run(Arc::new(OccABTree::new()));
 }

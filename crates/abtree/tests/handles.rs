@@ -97,6 +97,8 @@ fn drop_handle_while_pinned_guard_outlives_it() {
     drop(handle); // handle gone, guard still pinning the thread
     assert!(collector.debug_any_thread_pinned());
     let p = Box::into_raw(Box::new(0xAB_u64));
+    // SAFETY: `p` is a fresh `Box` allocation that nothing else holds,
+    // retired exactly once.
     unsafe { guard.defer_drop(p) };
     drop(guard);
     assert!(!collector.debug_any_thread_pinned());

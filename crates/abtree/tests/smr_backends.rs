@@ -16,6 +16,8 @@ use abebr::{Collector, SmrPolicy};
 use abtree::AbTree;
 use rand::prelude::*;
 
+mod common;
+
 type ElimTree = AbTree<true>;
 type OccTree = AbTree<false>;
 
@@ -73,6 +75,15 @@ fn elim_abtree_key_sum_under_hazard_pointers() {
 fn occ_abtree_key_sum_under_hazard_pointers() {
     let tree: Arc<OccTree> = Arc::new(AbTree::with_collector(Collector::new_hp()));
     run_mixed_workload(tree, 20_000);
+}
+
+/// The prefetch pass pins coarsely, so under hazard pointers it keeps
+/// every node it walks alive while two threads split, merge and retire.
+#[test]
+fn prefetch_walks_paths_under_hazard_pointers_while_splits_and_merges_run() {
+    common::prefetch_while_splits_and_merges_run(Arc::new(ElimTree::with_collector(
+        Collector::new_hp(),
+    )));
 }
 
 #[test]

@@ -8,7 +8,8 @@
 //!          └──── window: ops in submission order ────┘
 //!                │ commit, on the calling thread
 //!                ▼
-//!   lock each touched shard's commit lock, ascending
+//!   prefetch each touched shard's paths (≥ 2 ops there), no lock held
+//!   → lock each touched shard's commit lock, ascending
 //!   → apply on this router's own session per shard
 //!   → due crash: roll back → recover → log → Crashed
 //!   → one sfence for the window → count → unlock
@@ -27,6 +28,24 @@
 //! submission order on the router's own [`pabtree::WalElimABTree`] session
 //! per shard, issues **one** [`abpmem::sfence`] covering every line it
 //! flushed on every shard, and only then unlocks and releases the acks.
+//!
+//! # Overlapped descents
+//!
+//! A window's operations are independent point operations, and each
+//! starts with a root-to-leaf descent (paper Fig. 2) whose cache misses,
+//! paid one op after another, are most of the tree's cost.  So before it
+//! locks anything, the commit walks the paths of every touched shard that
+//! has two or more of the window's operations in lockstep, one level per
+//! round, prefetching each next node ([`abtree::TreeHandle::prefetch`]):
+//! the misses of the whole window overlap, and the operations then find
+//! their nodes in cache.  The pass runs *before* the locks because it
+//! needs none — the paper's search is lock-free and writes nothing (§3),
+//! and the pass is stricter still: it validates nothing, flushes nothing
+//! and does not help a dirty link — so the time under the locks, which
+//! other routers on those shards wait out, stays the apply and the fence.
+//! Racing another router's commit or crash recovery on the shard is
+//! harmless: the pass decides nothing from what it reads, and its pin keeps
+//! every node it reaches alive.
 //!
 //! # Why a lock is enough for durability
 //!
@@ -130,6 +149,7 @@ impl DurableKvService {
             window: Vec::new(),
             acked: VecDeque::new(),
             touched: Vec::new(),
+            keys: Vec::new(),
             recorder: self.trace.recorder(),
         }
     }
@@ -233,6 +253,8 @@ pub struct DurableRouter {
     acked: VecDeque<Result<Option<u64>, Crashed>>,
     /// Scratch: the shards the window being committed touches.
     touched: Vec<usize>,
+    /// Scratch: one touched shard's keys, for its prefetch pass.
+    keys: Vec<u64>,
     recorder: StageRecorder,
 }
 
@@ -317,6 +339,7 @@ impl DurableRouter {
             window,
             acked,
             touched,
+            keys,
             recorder,
             ..
         } = self;
@@ -324,6 +347,19 @@ impl DurableRouter {
         touched.extend(window.iter().map(|&(shard, _)| shard));
         touched.sort_unstable();
         touched.dedup();
+        for &shard in touched.iter() {
+            let session = sessions[shard].get_or_insert_with(|| shards[shard].open_session());
+            keys.clear();
+            keys.extend(
+                window
+                    .iter()
+                    .filter(|&&(op_shard, _)| op_shard == shard)
+                    .map(|&(_, op)| op.key()),
+            );
+            if keys.len() >= 2 {
+                session.prefetch(keys);
+            }
+        }
         let locks: Vec<MutexGuard<'_, ()>> = touched
             .iter()
             .map(|&shard| {
@@ -335,7 +371,7 @@ impl DurableRouter {
             .collect();
         let first = acked.len();
         for &(shard, op) in window.iter() {
-            let session = sessions[shard].get_or_insert_with(|| shards[shard].open_session());
+            let session = sessions[shard].as_mut().expect("opened above");
             acked.push_back(Ok(session.execute(op)));
         }
         touched.retain(|&shard| {

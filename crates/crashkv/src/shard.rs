@@ -23,9 +23,7 @@ use pabtree::{RelaxedPersist, WalElimABTree};
 
 use crate::crash::{CrashReport, CrashSpec};
 
-/// One point operation: what [`crate::DurableRouter::submit`] takes.  The
-/// durable service is a point-op store: batching happens at the ack/fence
-/// layer, not the request layer.
+/// One point operation: what [`crate::DurableRouter::submit`] takes.
 #[derive(Debug, Clone, Copy)]
 pub enum DurableOp {
     /// Point lookup.
@@ -160,6 +158,12 @@ pub(crate) enum UnfencedOp {
 }
 
 impl Session {
+    /// Prefetches the root-to-leaf paths of `keys` (read-only and
+    /// lock-free: see [`abtree::TreeHandle::prefetch`]).
+    pub(crate) fn prefetch(&mut self, keys: &[u64]) {
+        self.handle.prefetch(keys);
+    }
+
     /// Executes one operation, maintaining the unfenced log.
     pub(crate) fn execute(&mut self, op: DurableOp) -> Option<u64> {
         match op {
