@@ -157,14 +157,17 @@ impl<'m, const ELIM: bool, L: RawNodeLock, P: Persist> TreeHandle<'m, ELIM, L, P
         self.get(key).is_some()
     }
 
-    /// Warms the cache for a batch of operations on `keys`: walks their
-    /// root-to-leaf paths in lockstep and prefetches every node on them
-    /// (see [`MapHandle::prefetch`]).  Read-only, lock-free, and it
-    /// neither flushes nor helps, so it may run before the caller takes
-    /// any lock.  Pins coarsely, which is sound under both SMR backends.
+    /// Warms the cache for a batch of operations on `keys`, with no effect
+    /// on the map's contents: walks their root-to-leaf paths in lockstep
+    /// and prefetches every node on them, so the batch's cache misses
+    /// overlap (group prefetching).  It takes no lock, writes nothing and
+    /// flushes nothing; like a search it may run beside other sessions'
+    /// updates, but not beside [`crate::AbTree::recover`] or a crash
+    /// simulation, which need the tree to themselves.  Pins coarsely,
+    /// which is sound under both SMR backends.
     pub fn prefetch(&mut self, keys: &[u64]) {
         let guard = self.ebr.pin();
-        self.tree.prefetch_paths_in(keys.iter().copied(), &guard);
+        self.tree.prefetch_paths_in(keys, &guard);
     }
 
     /// Collects every `(key, value)` pair with `lo <= key <= hi`, sorted by
@@ -225,35 +228,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> MapHandle for TreeHandle<'_, 
 
     fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
         TreeHandle::range(self, lo, hi, out)
-    }
-
-    fn prefetch(&mut self, keys: &[u64]) {
-        TreeHandle::prefetch(self, keys)
-    }
-
-    // The batches prefetch every path first, then run the per-key loop:
-    // a lone key has no other descent to overlap with, so it skips the pass.
-
-    fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        if keys.len() > 1 {
-            TreeHandle::prefetch(self, keys);
-        }
-        out.clear();
-        out.extend(keys.iter().map(|&key| TreeHandle::get(self, key)));
-    }
-
-    fn insert_batch(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
-        if pairs.len() > 1 {
-            let guard = self.ebr.pin();
-            self.tree
-                .prefetch_paths_in(pairs.iter().map(|&(key, _)| key), &guard);
-        }
-        out.clear();
-        out.extend(
-            pairs
-                .iter()
-                .map(|&(key, value)| TreeHandle::insert(self, key, value)),
-        );
     }
 
     // `scan_len` keeps its trait default, which recycles the buffer through

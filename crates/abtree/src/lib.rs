@@ -180,16 +180,6 @@ pub trait MapHandle {
         n
     }
 
-    /// Warms the cache for upcoming operations on `keys`, with no effect
-    /// on the map's contents.  The (a,b)-trees walk every key's
-    /// root-to-leaf path in lockstep and prefetch each next node, so the
-    /// cache misses of the whole batch overlap (group prefetching); the
-    /// pass takes no lock, writes nothing and flushes nothing.  The default
-    /// does nothing.
-    fn prefetch(&mut self, keys: &[u64]) {
-        let _ = keys;
-    }
-
     /// Looks up every key in `keys`, pushing one `Option<u64>` per key onto
     /// `out` (cleared first) in input order.
     ///
@@ -197,8 +187,8 @@ pub trait MapHandle {
     /// *concrete* session type: through a `Box<dyn MapHandle>`, a batch of
     /// `n` lookups therefore costs one virtual dispatch instead of `n`, which
     /// is what makes batched multi-gets cheaper than `n` single gets in the
-    /// service layer.  The (a,b)-trees run [`prefetch`](Self::prefetch)
-    /// over the batch before the loop.
+    /// service layer.  Structures may override it with a genuinely batched
+    /// traversal.
     fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.reserve(keys.len());
@@ -213,8 +203,7 @@ pub trait MapHandle {
     ///
     /// Same dispatch story as [`get_batch`](Self::get_batch): the default
     /// loops over `insert` on the concrete session type, so a boxed session
-    /// pays one virtual call per batch, not per pair, and the (a,b)-trees
-    /// prefetch the batch's paths first.
+    /// pays one virtual call per batch, not per pair.
     fn insert_batch(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
         out.clear();
         out.reserve(pairs.len());
@@ -390,9 +379,6 @@ impl<H: MapHandle + ?Sized> MapHandle for Box<H> {
     }
     fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
         (**self).range(lo, hi, out)
-    }
-    fn prefetch(&mut self, keys: &[u64]) {
-        (**self).prefetch(keys)
     }
     fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         (**self).get_batch(keys, out)

@@ -259,24 +259,17 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// nodes are not protected one by one).  At most [`PREFETCH_CURSORS`]
     /// paths are walked at once, in a stack array; longer inputs go in
     /// chunks.
-    pub(crate) fn prefetch_paths_in(&self, keys: impl IntoIterator<Item = u64>, guard: &Guard) {
+    pub(crate) fn prefetch_paths_in(&self, keys: &[u64], guard: &Guard) {
         debug_assert!(!guard.needs_protect(), "needs a coarse pin");
-        let mut keys = keys.into_iter();
         let mut at = [ptr::null_mut(); PREFETCH_CURSORS];
         let mut key = [0u64; PREFETCH_CURSORS];
-        loop {
+        for chunk in keys.chunks(PREFETCH_CURSORS) {
             // Every path starts at the root: read its link once per chunk.
             let root = self.entry().child(0);
-            let mut live = 0;
-            for k in keys.by_ref().take(PREFETCH_CURSORS) {
-                key[live] = k;
-                at[live] = root;
-                live += 1;
-            }
-            if live == 0 {
-                return;
-            }
             Node::prefetch(root);
+            let mut live = chunk.len();
+            key[..live].copy_from_slice(chunk);
+            at[..live].fill(root);
             while live > 0 {
                 let mut i = 0;
                 while i < live {
@@ -287,7 +280,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                     let child = if node.is_leaf() {
                         ptr::null_mut()
                     } else {
-                        node.child(node.child_index(key[i]))
+                        node.child(node.child_index_branchless(key[i]))
                     };
                     if child.is_null() {
                         live -= 1;

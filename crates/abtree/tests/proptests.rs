@@ -283,46 +283,3 @@ fn key_sum_matches_contents() {
         assert_eq!(tree.key_sum(), expected, "[seed {seed}]");
     }
 }
-
-/// The trees' native `get_batch`/`insert_batch` (a prefetch pass, then the
-/// per-key loop) return exactly what the per-key calls return, batch after
-/// batch, including batches that repeat a key and batches longer than one
-/// prefetch chunk (64 paths).
-#[test]
-fn native_batches_match_the_per_key_loop() {
-    fn check<M: ConcurrentMap>(batched: &M, looped: &M, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(0xBA7_0006 ^ seed);
-        let (mut b, mut l) = (batched.handle(), looped.handle());
-        let mut out = Vec::new();
-        for _ in 0..40 {
-            let len = rng.gen_range(0..150usize);
-            let key_space = if rng.gen_bool(0.5) { 48 } else { 20_000 };
-            let keys: Vec<u64> = (0..len).map(|_| rng.gen_range(0..key_space)).collect();
-            if rng.gen_bool(0.5) {
-                let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, rng.gen())).collect();
-                b.insert_batch(&pairs, &mut out);
-                let expected: Vec<Option<u64>> =
-                    pairs.iter().map(|&(k, v)| l.insert(k, v)).collect();
-                assert_eq!(out, expected, "insert_batch({pairs:?}) [seed {seed}]");
-            } else {
-                b.get_batch(&keys, &mut out);
-                let expected: Vec<Option<u64>> = keys.iter().map(|&k| l.get(k)).collect();
-                assert_eq!(out, expected, "get_batch({keys:?}) [seed {seed}]");
-            }
-            for _ in 0..rng.gen_range(0..20) {
-                let k = rng.gen_range(0..key_space);
-                assert_eq!(b.delete(k), l.delete(k), "delete({k}) [seed {seed}]");
-            }
-        }
-        drop((b, l));
-        assert_eq!(batched.key_sum(), looped.key_sum(), "[seed {seed}]");
-    }
-    for seed in 0..CASES {
-        let (batched, looped): (OccABTree, OccABTree) = (OccABTree::new(), OccABTree::new());
-        check(&batched, &looped, seed);
-        batched.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
-        let (batched, looped): (ElimABTree, ElimABTree) = (ElimABTree::new(), ElimABTree::new());
-        check(&batched, &looped, seed);
-        batched.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
-    }
-}

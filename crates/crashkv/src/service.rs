@@ -8,8 +8,8 @@
 //!          └──── window: ops in submission order ────┘
 //!                │ commit, on the calling thread
 //!                ▼
-//!   prefetch each touched shard's paths (≥ 2 ops there), no lock held
-//!   → lock each touched shard's commit lock, ascending
+//!   lock each touched shard's commit lock, ascending
+//!   → prefetch each touched shard's paths (≥ 2 ops there)
 //!   → apply on this router's own session per shard
 //!   → due crash: roll back → recover → log → Crashed
 //!   → one sfence for the window → count → unlock
@@ -33,19 +33,17 @@
 //!
 //! A window's operations are independent point operations, and each
 //! starts with a root-to-leaf descent (paper Fig. 2) whose cache misses,
-//! paid one op after another, are most of the tree's cost.  So before it
-//! locks anything, the commit walks the paths of every touched shard that
-//! has two or more of the window's operations in lockstep, one level per
-//! round, prefetching each next node ([`abtree::TreeHandle::prefetch`]):
-//! the misses of the whole window overlap, and the operations then find
-//! their nodes in cache.  The pass runs *before* the locks because it
-//! needs none — the paper's search is lock-free and writes nothing (§3),
-//! and the pass is stricter still: it validates nothing, flushes nothing
-//! and does not help a dirty link — so the time under the locks, which
-//! other routers on those shards wait out, stays the apply and the fence.
-//! Racing another router's commit or crash recovery on the shard is
-//! harmless: the pass decides nothing from what it reads, and its pin keeps
-//! every node it reaches alive.
+//! paid one op after another, are most of the tree's cost.  So once it
+//! holds the locks, the commit first walks the paths of every touched
+//! shard that has two or more of the window's operations in lockstep, one
+//! level per round, prefetching each next node
+//! ([`abtree::TreeHandle::prefetch`]): the misses of the whole window
+//! overlap, and the operations then find their nodes in cache.  The pass
+//! itself needs no lock — it validates nothing, flushes nothing and does
+//! not help a dirty link — but it runs *under* the locks all the same:
+//! a crash and its recovery run under the shard's lock too, and they need
+//! the tree to themselves ([`pabtree::recover`]).  It lengthens the time
+//! under the locks only by what the now-cached apply does not save back.
 //!
 //! # Why a lock is enough for durability
 //!
@@ -322,8 +320,9 @@ impl DurableRouter {
             .expect("a commit answers its whole window")
     }
 
-    /// Applies the window under its shards' commit locks, crashes a due
-    /// shard, fences once and queues the results (see the module docs).
+    /// Prefetches and applies the window under its shards' commit locks,
+    /// crashes a due shard, fences once and queues the results (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -347,6 +346,15 @@ impl DurableRouter {
         touched.extend(window.iter().map(|&(shard, _)| shard));
         touched.sort_unstable();
         touched.dedup();
+        let locks: Vec<MutexGuard<'_, ()>> = touched
+            .iter()
+            .map(|&shard| {
+                shards[shard]
+                    .commit
+                    .lock()
+                    .expect("a commit panicked on this shard: its lock is poisoned")
+            })
+            .collect();
         for &shard in touched.iter() {
             let session = sessions[shard].get_or_insert_with(|| shards[shard].open_session());
             keys.clear();
@@ -360,15 +368,6 @@ impl DurableRouter {
                 session.prefetch(keys);
             }
         }
-        let locks: Vec<MutexGuard<'_, ()>> = touched
-            .iter()
-            .map(|&shard| {
-                shards[shard]
-                    .commit
-                    .lock()
-                    .expect("a commit panicked on this shard: its lock is poisoned")
-            })
-            .collect();
         let first = acked.len();
         for &(shard, op) in window.iter() {
             let session = sessions[shard].as_mut().expect("opened above");

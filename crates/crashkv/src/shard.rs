@@ -158,8 +158,10 @@ pub(crate) enum UnfencedOp {
 }
 
 impl Session {
-    /// Prefetches the root-to-leaf paths of `keys` (read-only and
-    /// lock-free: see [`abtree::TreeHandle::prefetch`]).
+    /// Prefetches the root-to-leaf paths of `keys` (read-only: see
+    /// [`abtree::TreeHandle::prefetch`]).  Called, like [`Self::execute`],
+    /// under the shard's commit lock, so it never overlaps a crash's
+    /// recovery.
     pub(crate) fn prefetch(&mut self, keys: &[u64]) {
         self.handle.prefetch(keys);
     }
