@@ -1,58 +1,109 @@
-//! The global side of the reclamation scheme: epoch counter, thread slots,
-//! and the stash of garbage left behind by exited threads.
+//! The shared core of both reclamation policies: the collector's clock,
+//! the slot table, the stash of garbage left behind by exited threads, and
+//! the free rule every collection applies.
 
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::VecDeque;
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use absync::CachePadded;
 
-use crate::local::Bag;
-use crate::smr::RegisterError;
-use crate::{MAX_THREADS, QUIESCENT};
+use crate::smr::{RegisterError, SmrPolicy};
+use crate::{HAZARD_SLOTS, MAX_THREADS, QUIESCENT};
+
+/// A single piece of retired garbage: a raw pointer plus the function that
+/// knows how to drop/free it.
+#[derive(Debug)]
+pub(crate) struct Garbage {
+    /// Type-erased pointer to the retired allocation.
+    pub(crate) ptr: *mut u8,
+    /// Frees and drops the allocation behind `ptr`.
+    pub(crate) destroy: unsafe fn(*mut u8),
+}
+
+// SAFETY: `ptr` refers to an allocation that has been unlinked from all
+// shared structures; ownership (and the responsibility to free it) travels
+// with the `Garbage` value, which is only ever run once.
+unsafe impl Send for Garbage {}
+
+impl Garbage {
+    pub(crate) fn run(self) {
+        // SAFETY: by construction `destroy` matches the allocation behind
+        // `ptr`, and each Garbage value is run exactly once.
+        unsafe { (self.destroy)(self.ptr) }
+    }
+}
+
+/// A retired object tagged with its retire stamp: the epoch it was retired
+/// in under EBR, its global retire sequence number under HP.
+pub(crate) type Retired = (u64, Garbage);
+
+/// [`Slot::oldest`] value meaning "no garbage held".
+pub(crate) const NOTHING_HELD: u64 = u64::MAX;
 
 /// One registration slot per participating thread.
 #[derive(Debug)]
 pub(crate) struct Slot {
     /// Whether a live thread currently owns this slot.
     pub(crate) in_use: AtomicBool,
-    /// The epoch announced by the owning thread while pinned, or
-    /// [`QUIESCENT`] while unpinned.
+    /// The clock value the owning thread announced when it pinned (an
+    /// epoch under EBR, a retire-sequence watermark under HP), or
+    /// [`QUIESCENT`] while it is unpinned or pinned in fine mode.
     pub(crate) announce: AtomicU64,
-    /// Retirement epoch of the oldest bag the owning thread is still
-    /// holding, or `u64::MAX` when it holds none.  Written only by the
-    /// owning thread (when its bag deque's front changes), read by
-    /// [`Inner::stats`] to compute the reclamation-lag gauge; a racy
-    /// reading is at worst one collection cycle stale.
-    pub(crate) oldest_bag: AtomicU64,
+    /// Stamp of the oldest garbage the owning thread still holds, or
+    /// [`NOTHING_HELD`].  Written only by the owner (when its retire list's
+    /// front changes), read by [`Inner::stats`] for the reclamation-lag
+    /// gauge; a racy reading is at worst one collection cycle stale.
+    pub(crate) oldest: AtomicU64,
 }
 
-/// [`Slot::oldest_bag`] value meaning "no bags held".
-pub(crate) const NO_BAGS: u64 = u64::MAX;
+/// The per-pointer hazards a fine-mode HP reader publishes in its slot.
+pub(crate) type Hazards = [AtomicPtr<u8>; HAZARD_SLOTS];
 
 impl Slot {
     fn new() -> Self {
         Self {
             in_use: AtomicBool::new(false),
             announce: AtomicU64::new(QUIESCENT),
-            oldest_bag: AtomicU64::new(NO_BAGS),
+            oldest: AtomicU64::new(NOTHING_HELD),
         }
     }
 }
 
-/// Shared state of a collector.
+/// What a collection may free: every stamp below `below` that no hazard
+/// in `hazards` (sorted addresses) names.
+#[derive(Debug)]
+pub(crate) struct Horizon {
+    pub(crate) below: u64,
+    pub(crate) hazards: Vec<usize>,
+}
+
+impl Horizon {
+    /// The free rule, shared by the local walk and the stash.
+    pub(crate) fn frees(&self, (stamp, garbage): &Retired) -> bool {
+        *stamp < self.below && self.hazards.binary_search(&(garbage.ptr as usize)).is_err()
+    }
+}
+
+/// Shared state of a collector, whichever policy it runs.
 #[derive(Debug)]
 pub(crate) struct Inner {
-    /// The global epoch.
-    pub(crate) epoch: CachePadded<AtomicU64>,
-    /// Per-thread announcement slots.
+    pub(crate) policy: SmrPolicy,
+    /// The global epoch under EBR, the global retire sequence under HP.
+    pub(crate) clock: CachePadded<AtomicU64>,
+    /// Per-thread registration slots.
     pub(crate) slots: Box<[CachePadded<Slot>]>,
+    /// Each slot's hazards, indexed like `slots`.  Empty under EBR, which
+    /// never publishes a hazard: inline hazards would double an EBR slot
+    /// to two cache lines and the table to 64 KiB per collector.
+    pub(crate) hazards: Box<[CachePadded<Hazards>]>,
     /// Garbage inherited from threads that unregistered before it was safe
     /// to free.  Drained during every collection cycle *and* by the
     /// periodic unpin check (`Local::maybe_drain_stash`), so it cannot
     /// grow unboundedly in a long-lived server whose surviving threads
     /// never retire; collector drop frees whatever remains.
-    pub(crate) stash: Mutex<Vec<Bag>>,
-    /// Number of bags currently in `stash`, maintained alongside it so
+    stash: Mutex<Vec<Retired>>,
+    /// Number of items currently in `stash`, maintained alongside it so
     /// the per-unpin drain check never takes the lock when there is
     /// nothing to drain.
     pub(crate) stash_len: AtomicUsize,
@@ -61,7 +112,7 @@ pub(crate) struct Inner {
     /// Total objects freed (statistics).
     pub(crate) freed: AtomicU64,
     /// Successful slot registrations.
-    pub(crate) registrations: AtomicU64,
+    registrations: AtomicU64,
     /// Cheap local re-pins served by already-held registrations.  Updated
     /// lazily: each thread counts locally and flushes the total when its
     /// registration drops, so this lags until handles/threads exit.
@@ -69,14 +120,20 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    pub(crate) fn new() -> Self {
-        let slots = (0..MAX_THREADS)
-            .map(|_| CachePadded::new(Slot::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
+    pub(crate) fn new(policy: SmrPolicy) -> Self {
+        let hazard_slots = match policy {
+            SmrPolicy::Ebr => 0,
+            SmrPolicy::Hp => MAX_THREADS,
+        };
         Self {
-            epoch: CachePadded::new(AtomicU64::new(0)),
-            slots,
+            policy,
+            clock: CachePadded::new(AtomicU64::new(0)),
+            slots: (0..MAX_THREADS)
+                .map(|_| CachePadded::new(Slot::new()))
+                .collect(),
+            hazards: (0..hazard_slots)
+                .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicPtr::default())))
+                .collect(),
             stash: Mutex::new(Vec::new()),
             stash_len: AtomicUsize::new(0),
             retired: AtomicU64::new(0),
@@ -109,25 +166,51 @@ impl Inner {
     }
 
     /// Releases a slot and stashes the thread's unreclaimed garbage.
-    pub(crate) fn unregister(&self, slot: usize, leftover: Vec<Bag>) {
+    pub(crate) fn unregister(&self, slot: usize, leftover: VecDeque<Retired>) {
         if !leftover.is_empty() {
-            let mut stash = self.stash.lock().unwrap();
-            self.stash_len
-                .fetch_add(leftover.len(), Ordering::Relaxed);
+            let mut stash = self
+                .stash
+                .lock()
+                .expect("no panic while the stash is locked");
+            self.stash_len.fetch_add(leftover.len(), Ordering::Relaxed);
             stash.extend(leftover);
         }
         let s = &self.slots[slot];
         s.announce.store(QUIESCENT, Ordering::Release);
-        // The thread's bags now live in the stash, which the lag gauge
-        // scans directly; the slot no longer speaks for them.
-        s.oldest_bag.store(NO_BAGS, Ordering::Release);
+        for h in self.hazards.get(slot).into_iter().flat_map(|hs| hs.iter()) {
+            h.store(std::ptr::null_mut(), Ordering::Release);
+        }
+        // The thread's garbage now lives in the stash, which the lag gauge
+        // scans directly; the slot no longer speaks for it.
+        s.oldest.store(NOTHING_HELD, Ordering::Release);
         s.in_use.store(false, Ordering::Release);
+    }
+
+    /// The retire-stamp hook: EBR tags garbage with the current epoch and
+    /// does no global read-modify-write; HP draws a fresh sequence number.
+    pub(crate) fn stamp(&self) -> u64 {
+        match self.policy {
+            SmrPolicy::Ebr => self.clock.load(Ordering::SeqCst),
+            SmrPolicy::Hp => self.hp_stamp(),
+        }
+    }
+
+    /// The horizon hook: EBR tries to advance the epoch and frees what was
+    /// retired two epochs back; HP scans watermarks and hazards.
+    pub(crate) fn horizon(&self) -> Horizon {
+        match self.policy {
+            SmrPolicy::Ebr => Horizon {
+                below: self.try_advance().saturating_sub(1),
+                hazards: Vec::new(),
+            },
+            SmrPolicy::Hp => self.hp_horizon(),
+        }
     }
 
     /// Attempts to advance the global epoch by one.  Returns the epoch value
     /// observed after the attempt (advanced or not).
     pub(crate) fn try_advance(&self) -> u64 {
-        let global = self.epoch.load(Ordering::SeqCst);
+        let global = self.clock.load(Ordering::SeqCst);
         fence(Ordering::SeqCst);
         for slot in self.slots.iter() {
             if slot.in_use.load(Ordering::Acquire) {
@@ -138,64 +221,63 @@ impl Inner {
                 }
             }
         }
-        match self.epoch.compare_exchange(
-            global,
-            global + 1,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
+        match self
+            .clock
+            .compare_exchange(global, global + 1, Ordering::SeqCst, Ordering::SeqCst)
+        {
             Ok(_) => global + 1,
             Err(actual) => actual,
         }
     }
 
-    /// Frees stashed bags that have become safe at `global_epoch`.
-    pub(crate) fn collect_stash(&self, global_epoch: u64) {
+    /// Frees stashed garbage the free rule lets go.
+    pub(crate) fn collect_stash(&self, horizon: &Horizon) {
         if self.stash_len.load(Ordering::Relaxed) == 0 {
             return;
         }
-        let mut to_free = Vec::new();
-        {
-            let mut stash = self.stash.lock().unwrap();
-            let mut i = 0;
-            while i < stash.len() {
-                if stash[i].epoch + 2 <= global_epoch {
-                    to_free.push(stash.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
+        let to_free: Vec<Retired> = {
+            let mut stash = self
+                .stash
+                .lock()
+                .expect("no panic while the stash is locked");
+            let to_free = stash.extract_if(.., |item| horizon.frees(item)).collect();
             self.stash_len.store(stash.len(), Ordering::Relaxed);
-        }
-        let mut freed = 0u64;
-        for bag in to_free {
-            freed += bag.len() as u64;
-            bag.free_all();
-        }
-        if freed > 0 {
-            self.freed.fetch_add(freed, Ordering::Relaxed);
+            to_free
+        };
+        self.free(to_free);
+    }
+
+    /// Runs every item of `items` and counts them as freed.
+    fn free(&self, items: Vec<Retired>) {
+        if !items.is_empty() {
+            self.freed.fetch_add(items.len() as u64, Ordering::Relaxed);
+            items.into_iter().for_each(|(_, garbage)| garbage.run());
         }
     }
 
-    /// Statistics of the EBR backend; `oldest_epoch_age` is recomputed
-    /// from live state (every in-use slot's published oldest bag plus the
-    /// stash) at scrape time, so it cannot pin stale after bags move or
-    /// drain behind a thread's back.
+    /// Point-in-time statistics; `oldest_epoch_age` is recomputed from
+    /// live state (every in-use slot's published oldest stamp plus the
+    /// stash) at scrape time, so it cannot pin stale after garbage moves
+    /// or drains behind a thread's back.
     pub(crate) fn stats(&self) -> CollectorStats {
-        let epoch = self.epoch.load(Ordering::SeqCst);
+        let epoch = self.clock.load(Ordering::SeqCst);
         let retired = self.retired.load(Ordering::Relaxed);
         let freed = self.freed.load(Ordering::Relaxed);
-        // Oldest still-held bag across live threads' slots and the stash
-        // of bags inherited from exited threads.
-        let mut oldest = u64::MAX;
-        for slot in self.slots.iter() {
-            if slot.in_use.load(Ordering::Acquire) {
-                oldest = oldest.min(slot.oldest_bag.load(Ordering::Acquire));
-            }
-        }
-        for bag in self.stash.lock().unwrap().iter() {
-            oldest = oldest.min(bag.epoch);
-        }
+        let stashed = self
+            .stash
+            .lock()
+            .expect("no panic while the stash is locked")
+            .iter()
+            .map(|&(stamp, _)| stamp)
+            .min();
+        let oldest = self
+            .slots
+            .iter()
+            .filter(|s| s.in_use.load(Ordering::Acquire))
+            .map(|s| s.oldest.load(Ordering::Acquire))
+            .chain(stashed)
+            .min()
+            .unwrap_or(NOTHING_HELD);
         CollectorStats {
             epoch,
             retired,
@@ -205,17 +287,19 @@ impl Inner {
             // Saturating: `retired` and `freed` are read at different
             // instants under traffic, so `freed` can transiently lead.
             unreclaimed: retired.saturating_sub(freed),
-            oldest_epoch_age: if oldest == u64::MAX {
-                0
-            } else {
-                epoch.saturating_sub(oldest)
-            },
+            // `NOTHING_HELD` is `u64::MAX`, so no garbage reads as age 0.
+            oldest_epoch_age: epoch.saturating_sub(oldest),
         }
     }
 
     pub(crate) fn any_thread_pinned(&self) -> bool {
-        self.slots.iter().any(|s| {
-            s.in_use.load(Ordering::Acquire) && s.announce.load(Ordering::Acquire) != QUIESCENT
+        let hazard = |i: usize| {
+            let mut hazards = self.hazards.get(i).into_iter().flat_map(|hs| hs.iter());
+            hazards.any(|h| !h.load(Ordering::Acquire).is_null())
+        };
+        self.slots.iter().enumerate().any(|(i, s)| {
+            s.in_use.load(Ordering::Acquire)
+                && (s.announce.load(Ordering::Acquire) != QUIESCENT || hazard(i))
         })
     }
 }
@@ -224,26 +308,22 @@ impl Drop for Inner {
     fn drop(&mut self) {
         // At this point no thread holds a reference to the collector, so all
         // remaining stashed garbage is unreachable and safe to free.
-        let stash = std::mem::take(self.stash.get_mut().unwrap());
-        let mut freed = 0u64;
-        for bag in stash {
-            freed += bag.len() as u64;
-            bag.free_all();
-        }
-        self.freed.fetch_add(freed, Ordering::Relaxed);
+        let stash = std::mem::take(self.stash.get_mut().unwrap_or_else(PoisonError::into_inner));
+        self.free(stash);
     }
 }
 
 /// Point-in-time statistics of a [`crate::Collector`].
 ///
-/// The shape is shared by both backends.  Field docs describe the
-/// EBR meanings; the hazard-pointer backend maps `epoch` to its global
-/// retire sequence number and `oldest_epoch_age` to how many retirements
-/// behind it the oldest still-held item is — the same "reclamation lag"
-/// reading either way.
+/// Both policies fill every field from the same core.  `epoch` reads the
+/// collector's clock, which is the global epoch under EBR and the global
+/// retire sequence number under HP, and `oldest_epoch_age` counts in the
+/// same unit: epochs under EBR, retirements under HP.  Either way it is
+/// the same "reclamation lag" reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CollectorStats {
-    /// Current global epoch.
+    /// The collector's clock: the global epoch (EBR) or retire sequence
+    /// number (HP).
     pub epoch: u64,
     /// Total number of objects retired so far.
     pub retired: u64,
@@ -261,51 +341,53 @@ pub struct CollectorStats {
     pub local_pins: u64,
     /// Objects retired but not yet freed (`retired - freed`): the live
     /// garbage backlog.  A stalled reader pins the epoch, every thread's
-    /// bags stop aging out, and this grows with the retire rate — the
+    /// garbage stops aging out, and this grows with the retire rate — the
     /// first-order reclamation-lag signal.
     pub unreclaimed: u64,
-    /// How many epochs behind the global epoch the oldest still-held bag
-    /// is (0 when no garbage is held).  Healthy reclamation keeps this at
-    /// ~2 (the reclamation horizon); a stalled reader freezes the epoch
-    /// while bags accumulate *at* it, so a large or growing value means
-    /// some thread is pinned far in the past and garbage cannot age out.
+    /// How far behind `epoch` the oldest still-held garbage is (0 when no
+    /// garbage is held).  Healthy EBR keeps this at ~2 (the reclamation
+    /// horizon); a stalled reader freezes the epoch while garbage piles up
+    /// *at* it, so a large or growing value means some thread is pinned
+    /// far in the past and garbage cannot age out.
     pub oldest_epoch_age: u64,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Collector;
+    use crate::{retire_new, Collector};
 
     #[test]
     fn register_unregister_reuses_slots() {
-        let inner = Inner::new();
+        let inner = Inner::new(SmrPolicy::Ebr);
         let a = inner.register().unwrap();
         let b = inner.register().unwrap();
         assert_ne!(a, b);
-        inner.unregister(a, Vec::new());
+        inner.unregister(a, VecDeque::new());
         let c = inner.register().unwrap();
         assert_eq!(a, c, "freed slot should be reused first");
-        inner.unregister(b, Vec::new());
-        inner.unregister(c, Vec::new());
+        inner.unregister(b, VecDeque::new());
+        inner.unregister(c, VecDeque::new());
     }
 
     #[test]
     fn register_returns_an_error_when_slots_run_out() {
-        let collector = Collector::new();
-        let held: Vec<_> = (0..crate::MAX_THREADS)
-            .map(|_| collector.register())
-            .collect();
-        let err = collector.try_register().expect_err("slot table is full");
-        assert_eq!(err.capacity, crate::MAX_THREADS);
-        assert!(err.to_string().contains("threads registered"));
-        drop(held);
-        let _h = collector.try_register().expect("slots released on drop");
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let held: Vec<_> = (0..crate::MAX_THREADS)
+                .map(|_| collector.register())
+                .collect();
+            let err = collector.try_register().expect_err("slot table is full");
+            assert_eq!(err.capacity, crate::MAX_THREADS, "{policy}");
+            assert!(err.to_string().contains("threads registered"), "{policy}");
+            drop(held);
+            let _h = collector.try_register().expect("slots released on drop");
+        }
     }
 
     #[test]
     fn advance_with_no_threads_always_succeeds() {
-        let inner = Inner::new();
+        let inner = Inner::new(SmrPolicy::Ebr);
         assert_eq!(inner.try_advance(), 1);
         assert_eq!(inner.try_advance(), 2);
         assert_eq!(inner.try_advance(), 3);
@@ -313,14 +395,20 @@ mod tests {
 
     #[test]
     fn advance_blocked_by_old_announcement() {
-        let inner = Inner::new();
+        let inner = Inner::new(SmrPolicy::Ebr);
         let slot = inner.register().unwrap();
         inner.slots[slot].announce.store(0, Ordering::SeqCst);
         assert_eq!(inner.try_advance(), 1, "thread at epoch 0 allows 0->1");
-        assert_eq!(inner.try_advance(), 1, "thread still at epoch 0 blocks 1->2");
-        inner.slots[slot].announce.store(QUIESCENT, Ordering::SeqCst);
+        assert_eq!(
+            inner.try_advance(),
+            1,
+            "thread still at epoch 0 blocks 1->2"
+        );
+        inner.slots[slot]
+            .announce
+            .store(QUIESCENT, Ordering::SeqCst);
         assert_eq!(inner.try_advance(), 2);
-        inner.unregister(slot, Vec::new());
+        inner.unregister(slot, VecDeque::new());
     }
 
     #[test]
@@ -333,105 +421,114 @@ mod tests {
 
     #[test]
     fn stalled_reader_shows_up_as_reclamation_lag() {
-        let collector = Collector::new();
-        let fresh = collector.stats();
-        assert_eq!(fresh.unreclaimed, 0);
-        assert_eq!(fresh.oldest_epoch_age, 0);
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let fresh = collector.stats();
+            assert_eq!(fresh.unreclaimed, 0, "{policy}");
+            assert_eq!(fresh.oldest_epoch_age, 0, "{policy}");
 
-        // A reader pins and then stalls (holds its guard across the whole
-        // scenario), freezing the epoch it announced.
-        let stalled = collector.register();
-        let stalled_guard = stalled.pin();
+            // A reader pins (coarse under HP) and then stalls: it holds its
+            // guard across the whole scenario, freezing the clock value it
+            // announced.
+            let stalled = collector.register();
+            let stalled_guard = stalled.pin();
 
-        // A worker thread's handle keeps retiring; its garbage lands in
-        // its own bags at the current epoch.
-        let worker = collector.register();
-        for _ in 0..5 {
-            let guard = worker.pin();
-            let p = Box::into_raw(Box::new(0u8));
-            unsafe { guard.defer_drop(p) };
-        }
-        // The stalled announcement at epoch 0 allows at most one advance
-        // (0 -> 1); bags need `epoch + 2 <= global` to free, so nothing
-        // can be reclaimed no matter how often we try.
-        for _ in 0..8 {
-            worker.flush();
-        }
-        let lagging = collector.stats();
-        assert_eq!(lagging.unreclaimed, 5, "nothing freed under the stall");
-        assert_eq!(lagging.epoch, 1, "epoch frozen one past the stall");
-        assert_eq!(
-            lagging.oldest_epoch_age, 1,
-            "oldest bag (epoch 0) is one epoch behind the frozen global"
-        );
+            // A worker thread's handle keeps retiring; its garbage lands in
+            // its own retire list.
+            let worker = collector.register();
+            for _ in 0..5 {
+                retire_new(&worker.pin(), 0u8);
+            }
+            // EBR: the stalled announcement at epoch 0 allows at most one
+            // advance (0 -> 1), and garbage needs `stamp + 2 <= epoch` to
+            // free.  HP: the stalled watermark 0 keeps every stamp.  So
+            // nothing can be reclaimed no matter how often we try.
+            for _ in 0..8 {
+                worker.flush();
+            }
+            let lagging = collector.stats();
+            assert_eq!(
+                lagging.unreclaimed, 5,
+                "{policy}: nothing freed under the stall"
+            );
+            // EBR: the epoch is frozen one past the stall and the oldest
+            // garbage (epoch 0) is one epoch behind it.  HP: the clock
+            // counts the five retirements and the oldest is stamped 0.
+            let frozen = match policy {
+                SmrPolicy::Ebr => 1,
+                SmrPolicy::Hp => 5,
+            };
+            assert_eq!(lagging.epoch, frozen, "{policy}");
+            assert_eq!(lagging.oldest_epoch_age, frozen, "{policy}");
 
-        // The reader recovers: the epoch advances and the backlog drains.
-        drop(stalled_guard);
-        for _ in 0..8 {
-            worker.flush();
+            // The reader recovers: the horizon moves and the backlog drains.
+            drop(stalled_guard);
+            for _ in 0..8 {
+                worker.flush();
+            }
+            let drained = collector.stats();
+            assert_eq!(drained.unreclaimed, 0, "{policy}");
+            assert_eq!(
+                drained.oldest_epoch_age, 0,
+                "{policy}: nothing held, age resets"
+            );
+            assert_eq!(drained.freed, 5, "{policy}");
         }
-        let drained = collector.stats();
-        assert_eq!(drained.unreclaimed, 0);
-        assert_eq!(drained.oldest_epoch_age, 0, "no bags held, age resets");
-        assert_eq!(drained.freed, 5);
     }
 
     #[test]
     fn lag_gauge_resets_without_unregistering() {
-        // Regression test for the stale `oldest_bag` gauge: `try_collect`
-        // must republish the slot's oldest-bag epoch unconditionally, so
-        // once a still-registered thread's bags drain the scrape-time
-        // gauge drops back to 0 instead of pinning at the stale epoch.
-        let collector = Collector::new();
-        let worker = collector.register();
-        {
-            let guard = worker.pin();
-            let p = Box::into_raw(Box::new(0u8));
-            unsafe { guard.defer_drop(p) };
+        // Regression test for the stale `oldest` gauge: `try_collect` must
+        // republish the slot's oldest stamp unconditionally, so once a
+        // still-registered thread's garbage drains the scrape-time gauge
+        // drops back to 0 instead of pinning at the stale stamp.
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let worker = collector.register();
+            retire_new(&worker.pin(), 0u8);
+            assert!(collector.stats().oldest_epoch_age <= 1, "{policy}");
+            for _ in 0..8 {
+                worker.flush();
+            }
+            let drained = collector.stats();
+            assert_eq!(drained.freed, 1, "{policy}");
+            assert_eq!(
+                drained.oldest_epoch_age, 0,
+                "{policy}: gauge recomputed from live state while the thread stays registered"
+            );
+            // The handle is still registered and usable afterwards.
+            assert!(!worker.is_pinned(), "{policy}");
         }
-        assert!(collector.stats().oldest_epoch_age <= 1);
-        for _ in 0..8 {
-            worker.flush();
-        }
-        let drained = collector.stats();
-        assert_eq!(drained.freed, 1);
-        assert_eq!(
-            drained.oldest_epoch_age, 0,
-            "gauge recomputed from live state while the thread stays registered"
-        );
-        // The handle is still registered and usable afterwards.
-        assert!(!worker.is_pinned());
     }
 
     #[test]
     fn lag_gauge_follows_garbage_into_the_stash() {
-        // A thread that exits with unreclaimable garbage hands its bags to
-        // the stash; the gauge must keep seeing them there.
-        let collector = Collector::new();
-        let stalled = collector.register();
-        let stalled_guard = stalled.pin();
+        // A thread that exits with unreclaimable garbage hands it to the
+        // stash; the gauge must keep seeing it there.
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let stalled = collector.register();
+            let stalled_guard = stalled.pin();
 
-        {
-            let worker = collector.register();
-            let guard = worker.pin();
-            let p = Box::into_raw(Box::new(0u8));
-            unsafe { guard.defer_drop(p) };
-            drop(guard);
-        } // worker handle drops: its bag is stashed, its slot cleared
+            {
+                let worker = collector.register();
+                retire_new(&worker.pin(), 0u8);
+            } // worker handle drops: its garbage is stashed, its slot cleared
 
-        let stats = collector.stats();
-        assert_eq!(stats.unreclaimed, 1);
-        assert!(
-            stats.oldest_epoch_age >= 1,
-            "stashed bag still counts toward lag, got {}",
-            stats.oldest_epoch_age
-        );
+            let stats = collector.stats();
+            assert_eq!(stats.unreclaimed, 1, "{policy}");
+            assert!(
+                stats.oldest_epoch_age >= 1,
+                "{policy}: stashed garbage still counts toward lag, got {}",
+                stats.oldest_epoch_age
+            );
 
-        drop(stalled_guard);
-        for _ in 0..8 {
-            stalled.flush();
+            drop(stalled_guard);
+            for _ in 0..8 {
+                stalled.flush();
+            }
+            assert_eq!(collector.stats().unreclaimed, 0, "{policy}");
+            assert_eq!(collector.stats().oldest_epoch_age, 0, "{policy}");
         }
-        assert_eq!(collector.stats().unreclaimed, 0);
-        assert_eq!(collector.stats().oldest_epoch_age, 0);
     }
 }

@@ -2,8 +2,8 @@
 
 use std::rc::Rc;
 
-use crate::hp::HpLocal;
-use crate::local::{Garbage, Local};
+use crate::collector::Garbage;
+use crate::local::Local;
 
 /// A guard keeping the current thread pinned.
 ///
@@ -11,7 +11,7 @@ use crate::local::{Garbage, Local};
 /// after the pin took effect will not be freed, so raw pointers read from the
 /// shared structure during the guard's lifetime remain dereferenceable.
 ///
-/// Under the hazard-pointer backend a guard can be in one of two modes:
+/// Under hazard pointers a guard can be in one of two modes:
 /// **coarse** (from [`crate::LocalHandle::pin`], or after
 /// [`Guard::escalate`]) gives the blanket guarantee above, while
 /// **fine** (from [`crate::LocalHandle::pin_fine`]) protects only the
@@ -23,41 +23,20 @@ use crate::local::{Garbage, Local};
 /// created it.
 #[derive(Debug)]
 pub struct Guard {
-    backend: GuardBackend,
-}
-
-/// The per-backend registration a [`Guard`] keeps pinned.
-#[derive(Debug)]
-enum GuardBackend {
-    Ebr(Rc<Local>),
-    Hp(Rc<HpLocal>),
+    pub(crate) local: Rc<Local>,
 }
 
 impl Guard {
-    pub(crate) fn new(local: Rc<Local>) -> Self {
-        Self {
-            backend: GuardBackend::Ebr(local),
-        }
-    }
-
-    pub(crate) fn new_hp(local: Rc<HpLocal>) -> Self {
-        Self {
-            backend: GuardBackend::Hp(local),
-        }
-    }
-
     /// Retires a heap allocation created with [`Box::into_raw`].  The
     /// allocation will be dropped and freed once no thread can still hold a
     /// reference to it.
     ///
     /// # Safety
-    ///
-    /// * `ptr` must have been produced by `Box::into_raw(Box::new(..))` for
-    ///   exactly the type `T`;
-    /// * the object must already be unreachable for threads that pin *after*
-    ///   this call (i.e. it has been unlinked from the shared structure);
-    /// * no other call path may free the same allocation.
+    /// `ptr` came from `Box::<T>::into_raw`, threads that pin after this
+    /// call cannot reach it (it is unlinked), and no other path frees it.
     pub unsafe fn defer_drop<T: Send + 'static>(&self, ptr: *mut T) {
+        /// # Safety
+        /// `p` is the `Box<T>` pointer `defer_drop` was given, run once.
         unsafe fn destroy<T>(p: *mut u8) {
             // SAFETY: `p` was produced from a `Box<T>` by the caller of
             // `defer_drop`, and is executed exactly once.
@@ -75,18 +54,10 @@ impl Guard {
     /// delays it.
     ///
     /// # Safety
-    ///
-    /// * `free` must be the right way to destroy and release `ptr`, and may
-    ///   run on any thread;
-    /// * the object must already be unreachable for threads that pin *after*
-    ///   this call;
-    /// * no other call path may free the same object.
+    /// `free` destroys and releases `ptr` correctly on any thread, threads
+    /// that pin after this call cannot reach `ptr`, and no other path frees it.
     pub unsafe fn defer_free(&self, ptr: *mut u8, free: unsafe fn(*mut u8)) {
-        let garbage = Garbage { ptr, destroy: free };
-        match &self.backend {
-            GuardBackend::Ebr(local) => local.retire(garbage),
-            GuardBackend::Hp(local) => local.retire(garbage),
-        }
+        self.local.retire(Garbage { ptr, destroy: free });
     }
 
     /// Does this guard require the fine-mode protect/validate protocol?
@@ -99,14 +70,12 @@ impl Guard {
     /// blanket pin makes every pointer read during the region safe.
     #[inline]
     pub fn needs_protect(&self) -> bool {
-        match &self.backend {
-            GuardBackend::Ebr(_) => false,
-            GuardBackend::Hp(local) => local.needs_protect(),
-        }
+        self.local.needs_protect()
     }
 
     /// Publishes `ptr` in the calling thread's hazard slot `index`
-    /// (0..[`crate::HAZARD_SLOTS`]) and fences.  No-op under EBR.
+    /// (0..[`crate::HAZARD_SLOTS`]) and fences.  No-op under EBR and for a
+    /// coarse guard, whose pin already protects `ptr`.
     ///
     /// This alone does not make `ptr` dereferenceable: the caller must
     /// re-validate after publishing (re-read the link that produced `ptr`
@@ -115,9 +84,7 @@ impl Guard {
     /// overwriting a slot drops protection of its previous pointer.
     #[inline]
     pub fn protect<T>(&self, index: usize, ptr: *mut T) {
-        if let GuardBackend::Hp(local) = &self.backend {
-            local.protect(index, ptr.cast());
-        }
+        self.local.protect(index, ptr.cast());
     }
 
     /// Upgrades a fine-mode guard to coarse protection for the rest of its
@@ -132,24 +99,19 @@ impl Guard {
     /// between the unlock and the traversal.
     #[inline]
     pub fn escalate(&self) {
-        if let GuardBackend::Hp(local) = &self.backend {
-            local.escalate();
-        }
+        self.local.escalate();
     }
 }
 
 impl Drop for Guard {
     fn drop(&mut self) {
-        match &self.backend {
-            GuardBackend::Ebr(local) => local.unpin(),
-            GuardBackend::Hp(local) => local.unpin(),
-        }
+        self.local.unpin();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Collector, SmrPolicy};
+    use crate::{retire_new, Collector, SmrPolicy};
 
     #[test]
     fn guard_is_reentrant_and_unpins_in_any_order() {
@@ -172,11 +134,7 @@ mod tests {
         for policy in SmrPolicy::ALL {
             let c = Collector::with_policy(policy);
             let h = c.register();
-            {
-                let g = h.pin();
-                let p = Box::into_raw(Box::new([0u64; 8]));
-                unsafe { g.defer_drop(p) };
-            }
+            retire_new(&h.pin(), [0u64; 8]);
             for _ in 0..8 {
                 h.flush();
             }
@@ -188,6 +146,8 @@ mod tests {
     fn defer_free_runs_the_given_release_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static RELEASED: AtomicUsize = AtomicUsize::new(0);
+        /// # Safety
+        /// `p` is a leaked `Box<u64>`, released once.
         unsafe fn release(p: *mut u8) {
             // SAFETY: `p` is the `Box<u64>` leaked below.
             drop(unsafe { Box::from_raw(p.cast::<u64>()) });
@@ -199,6 +159,8 @@ mod tests {
             {
                 let g = h.pin();
                 let p = Box::into_raw(Box::new(5u64));
+                // SAFETY: `release` frees exactly this `Box<u64>`, which no
+                // structure links and nothing else frees.
                 unsafe { g.defer_free(p.cast(), release) };
             }
             for _ in 0..8 {

@@ -1,5 +1,5 @@
-//! Safe memory reclamation with pluggable backends: DEBRA-style epochs
-//! (the default) or hazard pointers.
+//! Safe memory reclamation: DEBRA-style epochs (the default) or hybrid
+//! hazard pointers, two policies over one core.
 //!
 //! The paper's evaluation (§6, "Memory reclamation") runs every data
 //! structure with DEBRA, an epoch-based reclamation (EBR) scheme: a node that
@@ -8,30 +8,52 @@
 //! searches read nodes without locks, and its correctness argument explicitly
 //! relies on unlinked nodes keeping their contents — invariant 3 of
 //! Theorem 3.5).  Instead the unlinker *retires* the node, and the node is
-//! freed only once every thread has passed through a quiescent state.
+//! freed only once no reader can still hold it.
 //!
-//! The default backend implements the classic three-epoch variant used by
-//! DEBRA and crossbeam:
+//! # One core
 //!
-//! * a global epoch counter,
-//! * one announcement slot per registered thread (the thread's view of the
-//!   epoch while it is *pinned*, or a quiescent marker while it is not),
-//! * per-thread retirement bags tagged with the epoch at retirement time.
+//! Both policies share all of their state and almost all of their code:
 //!
-//! The global epoch can be advanced from `e` to `e + 1` once every pinned
-//! thread has announced `e`; garbage retired at epoch `e` is safe to free
-//! once the global epoch reaches `e + 2`.
+//! * a global **clock** — the epoch under EBR, the retire sequence number
+//!   under hazard pointers (HP);
+//! * one **slot** per registered thread, holding the clock value the thread
+//!   announced while pinned (or a quiescent marker), the stamp of the oldest
+//!   garbage it holds (for the lag gauge in [`CollectorStats`]) and, under
+//!   HP only, its [`HAZARD_SLOTS`] hazard pointers (kept in a table beside
+//!   the slots, so an EBR slot stays one cache line);
+//! * one **retire list** per thread of `(stamp, garbage)` pairs in stamp
+//!   order, and one **stash** for the garbage of threads that exited before
+//!   it was safe to free.
+//!
+//! Every collection computes a **horizon** and applies one free rule to the
+//! retire list and the stash alike: *a stamp below the horizon that no
+//! hazard names is freed.*  The local walk stops at the first stamp at or
+//! above the horizon, so a stalled reader's backlog is never rescanned.
+//!
+//! # Three policy hooks
+//!
+//! The policies differ in exactly three places:
+//!
+//! * **The retire stamp.**  EBR tags garbage with the current epoch and does
+//!   no global read-modify-write; HP fences and draws a fresh sequence
+//!   number with `fetch_add`.
+//! * **The horizon.**  EBR advances the epoch from `e` to `e + 1` once every
+//!   pinned thread has announced `e` (the classic three-epoch scheme of DEBRA
+//!   and crossbeam) and frees what was retired before `epoch − 1`; HP takes
+//!   the minimum announced watermark and the sorted list of hazards.
+//! * **Fine pins.**  [`LocalHandle::pin_fine`], [`Guard::protect`] and
+//!   [`Guard::escalate`] are `pin`, a no-op and a no-op under EBR.  Under HP
+//!   a fine-mode reader names the O(1) nodes it actually holds.
 //!
 //! EBR's production failure mode is the **stalled reader**: one thread
 //! parked inside a pinned region freezes the epoch, and every thread's
-//! garbage accumulates behind it without bound.  [`Collector::new_hp`]
-//! selects a **hazard-pointer backend** ([`hp`]) whose fine-mode readers
-//! ([`LocalHandle::pin_fine`] + [`Guard::protect`]) name the O(1) nodes
-//! they actually hold — a stalled reader then blocks at most
+//! garbage accumulates behind it without bound.  Under HP
+//! ([`Collector::new_hp`]) a stalled fine-mode reader blocks at most
 //! [`HAZARD_SLOTS`] objects plus what was retired after it pinned, and
-//! everything else keeps reclaiming.  [`SmrPolicy`] selects a backend by
-//! name (`"ebr"`/`"hp"`); guards and handles are backend-agnostic, so
-//! structure code runs under either.
+//! everything else keeps reclaiming; a coarse [`LocalHandle::pin`] there
+//! announces a watermark and protects like an epoch pin.  [`SmrPolicy`]
+//! selects a policy by name (`"ebr"`/`"hp"`); guards and handles are the
+//! same types under both, so structure code runs under either.
 //!
 //! # Usage
 //!
@@ -61,7 +83,7 @@
 
 mod collector;
 mod guard;
-pub mod hp;
+mod hp;
 mod local;
 mod smr;
 
@@ -75,14 +97,14 @@ pub use smr::{Collector, RegisterError, SmrPolicy};
 /// threads; 512 leaves generous headroom for oversubscription in tests.
 pub const MAX_THREADS: usize = 512;
 
-/// Number of per-pointer hazard slots each thread owns under the
-/// hazard-pointer backend (the bound on how much a stalled fine-mode
-/// reader can block).  Tree descents use 3 (grandparent/parent/child);
-/// the rest are headroom for richer traversals.
+/// Number of per-pointer hazard slots each thread owns (the bound on how
+/// much a stalled fine-mode reader can block under hazard pointers).  Tree
+/// descents use 3 (grandparent/parent/child); the rest are headroom for
+/// richer traversals.
 pub const HAZARD_SLOTS: usize = 8;
 
-/// Number of retirements after which a thread attempts to advance the global
-/// epoch (or scan hazards) and reclaim its garbage.
+/// Number of retirements after which a thread computes a horizon and
+/// reclaims its garbage.
 pub(crate) const COLLECT_THRESHOLD: usize = 64;
 
 /// Every this-many outermost unpins, a thread checks the shared stash of
@@ -91,9 +113,18 @@ pub(crate) const COLLECT_THRESHOLD: usize = 64;
 /// read-only still reclaims after workers exit.
 pub(crate) const STASH_DRAIN_INTERVAL: usize = 64;
 
-/// Announcement value meaning "this thread is not pinned" (an epoch
-/// announcement under EBR, a retire-sequence watermark under HP).
+/// Announcement value meaning "this thread is not pinned" (or is pinned in
+/// fine mode under hazard pointers).
 pub(crate) const QUIESCENT: u64 = u64::MAX;
+
+/// Retires a fresh heap copy of `value` through `guard`.
+#[cfg(test)]
+pub(crate) fn retire_new<T: Send + 'static>(guard: &Guard, value: T) {
+    let p = Box::into_raw(Box::new(value));
+    // SAFETY: `p` is a fresh `Box<T>` that no structure links and that
+    // only this retirement frees.
+    unsafe { guard.defer_drop(p) };
+}
 
 #[cfg(test)]
 mod tests {
@@ -114,11 +145,11 @@ mod tests {
         }
     }
 
-    fn new_counted(counter: &Arc<AtomicUsize>) -> *mut DropCounted {
-        Box::into_raw(Box::new(DropCounted {
+    fn counted(counter: &Arc<AtomicUsize>) -> DropCounted {
+        DropCounted {
             counter: Arc::clone(counter),
             _payload: [0; 4],
-        }))
+        }
     }
 
     #[test]
@@ -129,9 +160,7 @@ mod tests {
             let drops = Arc::new(AtomicUsize::new(0));
             const N: usize = 1000;
             for _ in 0..N {
-                let guard = local.pin();
-                let p = new_counted(&drops);
-                unsafe { guard.defer_drop(p) };
+                retire_new(&local.pin(), counted(&drops));
             }
             // Repeated flushing with no other threads must reclaim everything.
             for _ in 0..8 {
@@ -164,11 +193,7 @@ mod tests {
             ready_rx.recv().unwrap();
 
             let local = collector.register();
-            {
-                let guard = local.pin();
-                let p = new_counted(&drops);
-                unsafe { guard.defer_drop(p) };
-            }
+            retire_new(&local.pin(), counted(&drops));
             for _ in 0..8 {
                 local.flush();
             }
@@ -212,8 +237,7 @@ mod tests {
                     let local = collector2.register();
                     let guard = local.pin();
                     for _ in 0..100 {
-                        let p = new_counted(&drops2);
-                        unsafe { guard.defer_drop(p) };
+                        retire_new(&guard, counted(&drops2));
                     }
                 })
                 .join()
@@ -239,10 +263,7 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     let local = collector.register();
                     for i in 0..PER_THREAD {
-                        let guard = local.pin();
-                        let p = new_counted(&drops);
-                        unsafe { guard.defer_drop(p) };
-                        drop(guard);
+                        retire_new(&local.pin(), counted(&drops));
                         if i % 128 == 0 {
                             local.flush();
                         }
@@ -298,8 +319,7 @@ mod tests {
             {
                 let guard = local.pin();
                 for _ in 0..10 {
-                    let p = Box::into_raw(Box::new(7u32));
-                    unsafe { guard.defer_drop(p) };
+                    retire_new(&guard, 7u32);
                 }
             }
             for _ in 0..8 {

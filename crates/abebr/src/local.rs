@@ -1,5 +1,5 @@
-//! Per-thread state: pin depth, retirement bags, and the epoch announcement
-//! protocol.
+//! Per-thread state: pin depth, the retire list, and the pin/retire/collect
+//! protocol both policies share.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -7,74 +7,30 @@ use std::rc::Rc;
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
-use crate::collector::Inner;
+use crate::collector::{Garbage, Hazards, Inner, Retired, Slot, NOTHING_HELD};
 use crate::guard::Guard;
-use crate::hp::HpLocal;
 use crate::smr::RegisterError;
 use crate::{COLLECT_THRESHOLD, QUIESCENT, STASH_DRAIN_INTERVAL};
 
-/// A single piece of retired garbage: a raw pointer plus the function that
-/// knows how to drop/free it.
-#[derive(Debug)]
-pub(crate) struct Garbage {
-    /// Type-erased pointer to the retired allocation.
-    pub(crate) ptr: *mut u8,
-    /// Frees and drops the allocation behind `ptr`.
-    pub(crate) destroy: unsafe fn(*mut u8),
-}
-
-// SAFETY: `ptr` refers to an allocation that has been unlinked from all
-// shared structures; ownership (and the responsibility to free it) travels
-// with the `Garbage` value, which is only ever run once.
-unsafe impl Send for Garbage {}
-
-impl Garbage {
-    pub(crate) fn run(self) {
-        // SAFETY: by construction `destroy` matches the allocation behind
-        // `ptr`, and each Garbage value is run exactly once.
-        unsafe { (self.destroy)(self.ptr) }
-    }
-}
-
-/// A bag of garbage retired during one epoch.
-#[derive(Debug)]
-pub(crate) struct Bag {
-    /// Global epoch observed when the items were retired.
-    pub(crate) epoch: u64,
-    items: Vec<Garbage>,
-}
-
-impl Bag {
-    fn new(epoch: u64) -> Self {
-        Self {
-            epoch,
-            items: Vec::new(),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    pub(crate) fn free_all(self) {
-        for g in self.items {
-            g.run();
-        }
-    }
-}
-
-/// Per-thread registration state behind an EBR [`LocalHandle`].
+/// Per-thread registration state behind a [`LocalHandle`].
 ///
 /// Held behind `Rc` so that [`Guard`]s can keep it alive past a
 /// [`LocalHandle`] drop, and unregistered (stashing leftover garbage) when
 /// the last reference goes away.
 #[derive(Debug)]
 pub(crate) struct Local {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     slot: usize,
-    pin_depth: Cell<usize>,
-    /// Bags of retired garbage ordered by retirement epoch (front = oldest).
-    bags: RefCell<VecDeque<Bag>>,
+    pub(crate) pin_depth: Cell<usize>,
+    /// Whether the current pin region announced a clock value in its slot.
+    /// Always so for a region under EBR; under HP a region pinned with
+    /// [`LocalHandle::pin_fine`] stays fine until it escalates.
+    pub(crate) coarse: Cell<bool>,
+    /// High-water mark of hazard indices written during this pin region,
+    /// so unpin clears exactly the slots that were used.
+    pub(crate) used_hazards: Cell<usize>,
+    /// Retired garbage in stamp order (front = oldest).
+    retired: RefCell<VecDeque<Retired>>,
     retired_since_collect: Cell<usize>,
     /// Unpins observed while the shared stash was non-empty; every
     /// [`STASH_DRAIN_INTERVAL`]th one runs a collection cycle so stashed
@@ -95,41 +51,64 @@ impl Local {
             inner,
             slot,
             pin_depth: Cell::new(0),
-            bags: RefCell::new(VecDeque::new()),
+            coarse: Cell::new(false),
+            used_hazards: Cell::new(0),
+            retired: RefCell::new(VecDeque::new()),
             retired_since_collect: Cell::new(0),
             unpins_since_stash_check: Cell::new(0),
             local_pins: Cell::new(0),
         })
     }
 
-    /// Counts one cheap re-pin through an already-held registration.
-    pub(crate) fn count_local_pin(&self) {
-        self.local_pins.set(self.local_pins.get() + 1);
+    pub(crate) fn slot(&self) -> &Slot {
+        &self.inner.slots[self.slot]
     }
 
-    /// Enters a pinned region (reentrant).
-    pub(crate) fn pin(self: &Rc<Self>) {
-        let depth = self.pin_depth.get();
-        if depth == 0 {
-            let epoch = self.inner.epoch.load(Ordering::SeqCst);
-            self.inner.slots[self.slot]
-                .announce
-                .store(epoch, Ordering::SeqCst);
-            // Make the announcement visible before any subsequent shared
-            // reads performed inside the critical region.
-            fence(Ordering::SeqCst);
+    /// The hazards of this thread's slot (hazard pointers only).
+    pub(crate) fn hazards(&self) -> &Hazards {
+        &self.inner.hazards[self.slot]
+    }
+
+    /// Publishes the clock in the slot for the current pin region: the
+    /// epoch announcement under EBR, the coarse watermark under HP.
+    pub(crate) fn announce(&self) {
+        let now = self.inner.clock.load(Ordering::SeqCst);
+        self.slot().announce.store(now, Ordering::SeqCst);
+        // Make the announcement visible before any subsequent shared
+        // reads performed inside the critical region.
+        fence(Ordering::SeqCst);
+        self.coarse.set(true);
+    }
+
+    /// Enters a coarse pinned region (reentrant).  Nested over a fine HP
+    /// region it escalates: coarse protection is strictly stronger, and
+    /// the region stays coarse until the outermost unpin.  (`coarse` is
+    /// always false outside a region, so an outermost pin announces.)
+    pub(crate) fn pin(&self) {
+        if !self.coarse.get() {
+            self.announce();
         }
-        self.pin_depth.set(depth + 1);
+        self.pin_depth.set(self.pin_depth.get() + 1);
     }
 
-    /// Leaves a pinned region.
+    /// Leaves a pinned region; the outermost exit clears the announcement
+    /// and every hazard slot used, then gives inherited stash garbage a
+    /// periodic chance to drain.
     pub(crate) fn unpin(&self) {
         let depth = self.pin_depth.get();
         debug_assert!(depth > 0, "unpin without matching pin");
         if depth == 1 {
-            self.inner.slots[self.slot]
-                .announce
-                .store(QUIESCENT, Ordering::Release);
+            if self.coarse.get() {
+                self.slot().announce.store(QUIESCENT, Ordering::Release);
+                self.coarse.set(false);
+            }
+            let used = self.used_hazards.get();
+            if used > 0 {
+                for h in &self.hazards()[..used] {
+                    h.store(std::ptr::null_mut(), Ordering::Release);
+                }
+                self.used_hazards.set(0);
+            }
             self.maybe_drain_stash();
         }
         self.pin_depth.set(depth - 1);
@@ -138,9 +117,9 @@ impl Local {
     /// Periodic stash-drain duty, run on every outermost unpin: when
     /// threads exited with unreclaimable garbage, a *read-only* survivor
     /// never calls [`Local::try_collect`] (no retires, so no threshold),
-    /// which used to freeze both the epoch and the stash forever.  Every
-    /// [`STASH_DRAIN_INTERVAL`]th unpin while the stash is non-empty now
-    /// attempts an epoch advance and drains the eligible stash bags.
+    /// which would freeze the stash forever.  Every
+    /// [`STASH_DRAIN_INTERVAL`]th unpin while the stash is non-empty
+    /// computes a fresh horizon and drains the stash against it.
     fn maybe_drain_stash(&self) {
         if self.inner.stash_len.load(Ordering::Relaxed) == 0 {
             self.unpins_since_stash_check.set(0);
@@ -149,40 +128,24 @@ impl Local {
         let n = self.unpins_since_stash_check.get() + 1;
         if n >= STASH_DRAIN_INTERVAL {
             self.unpins_since_stash_check.set(0);
-            let global = self.inner.try_advance();
-            self.inner.collect_stash(global);
+            self.inner.collect_stash(&self.inner.horizon());
         } else {
             self.unpins_since_stash_check.set(n);
         }
     }
 
-    /// Is the owning thread currently pinned through this registration?
-    pub(crate) fn is_pinned(&self) -> bool {
-        self.pin_depth.get() > 0
-    }
-
-    /// Adds `garbage` to the current epoch's bag and occasionally triggers a
-    /// collection cycle.
+    /// Appends `garbage` to the retire list under a fresh stamp and
+    /// occasionally triggers a collection cycle.
     pub(crate) fn retire(&self, garbage: Garbage) {
-        let epoch = self.inner.epoch.load(Ordering::SeqCst);
+        let stamp = self.inner.stamp();
         {
-            let mut bags = self.bags.borrow_mut();
-            let was_empty = bags.is_empty();
-            match bags.back_mut() {
-                Some(bag) if bag.epoch == epoch => bag.items.push(garbage),
-                _ => {
-                    let mut bag = Bag::new(epoch);
-                    bag.items.push(garbage);
-                    bags.push_back(bag);
-                }
-            }
-            if was_empty {
-                // The new bag is the front: publish its epoch for the
+            let mut retired = self.retired.borrow_mut();
+            if retired.is_empty() {
+                // The new item is the front: publish its stamp for the
                 // collector's reclamation-lag gauge.
-                self.inner.slots[self.slot]
-                    .oldest_bag
-                    .store(epoch, Ordering::Release);
+                self.slot().oldest.store(stamp, Ordering::Release);
             }
+            retired.push_back((stamp, garbage));
         }
         self.inner.retired.fetch_add(1, Ordering::Relaxed);
         let n = self.retired_since_collect.get() + 1;
@@ -193,41 +156,46 @@ impl Local {
         }
     }
 
-    /// Attempts to advance the epoch, then frees every local bag (and shared
-    /// stash bag) that has become safe.
+    /// Computes the horizon, then frees every local (and stashed) item the
+    /// free rule lets go.  The local walk stops at the first stamp at or
+    /// above the horizon: the list is in stamp order, so nothing behind it
+    /// can qualify, and a stalled EBR reader's backlog costs one look per
+    /// collection.  Items below the horizon that a hazard names stay, in
+    /// order, at the front.
     pub(crate) fn try_collect(&self) {
-        let global = self.inner.try_advance();
+        let horizon = self.inner.horizon();
         let mut freed = 0u64;
         {
-            let mut bags = self.bags.borrow_mut();
-            while let Some(front) = bags.front() {
-                if front.epoch + 2 <= global {
-                    let bag = bags.pop_front().expect("front checked above");
-                    freed += bag.len() as u64;
-                    bag.free_all();
+            let mut retired = self.retired.borrow_mut();
+            let mut named = Vec::new();
+            while retired
+                .front()
+                .is_some_and(|&(stamp, _)| stamp < horizon.below)
+            {
+                let item = retired.pop_front().expect("front checked above");
+                if horizon.frees(&item) {
+                    item.1.run();
+                    freed += 1;
                 } else {
-                    break;
+                    named.push(item);
                 }
+            }
+            for item in named.into_iter().rev() {
+                retired.push_front(item);
             }
             // Republished unconditionally (not only when something was
             // freed): a conditional store can leave the slot's gauge
-            // pinned at a stale epoch after bags drain elsewhere, and the
-            // scrape-time reader (`Collector::stats`) trusts this value.
-            self.inner.slots[self.slot].oldest_bag.store(
-                bags.front().map_or(crate::collector::NO_BAGS, |b| b.epoch),
+            // pinned at a stale stamp after garbage drains elsewhere, and
+            // the scrape-time reader (`Collector::stats`) trusts this value.
+            self.slot().oldest.store(
+                retired.front().map_or(NOTHING_HELD, |&(stamp, _)| stamp),
                 Ordering::Release,
             );
         }
         if freed > 0 {
             self.inner.freed.fetch_add(freed, Ordering::Relaxed);
         }
-        self.inner.collect_stash(global);
-    }
-
-    /// Number of garbage objects currently buffered by this thread
-    /// (diagnostics for tests).
-    pub(crate) fn pending(&self) -> usize {
-        self.bags.borrow().iter().map(Bag::len).sum()
+        self.inner.collect_stash(&horizon);
     }
 }
 
@@ -241,12 +209,10 @@ impl Drop for Local {
         self.inner
             .local_pins
             .fetch_add(self.local_pins.get(), Ordering::Relaxed);
-        let leftover: Vec<Bag> = self.bags.borrow_mut().drain(..).collect();
-        self.inner.unregister(self.slot, leftover);
-        // Give the garbage we just stashed a chance to be freed promptly if
-        // it is already safe.
-        let global = self.inner.try_advance();
-        self.inner.collect_stash(global);
+        // One last collection on the way out so only garbage that is
+        // still protected reaches the stash.
+        self.try_collect();
+        self.inner.unregister(self.slot, self.retired.take());
     }
 }
 
@@ -254,9 +220,10 @@ impl Drop for Local {
 /// one way a thread pins, retires and flushes.
 ///
 /// Obtained once per thread (or session) via [`crate::Collector::register`].
-/// [`LocalHandle::pin`] is a plain epoch announcement (one uncontended store
-/// plus a fence), which is what makes per-operation pinning cheap enough for
-/// the per-thread map sessions built on top of this crate.
+/// [`LocalHandle::pin`] is a plain announcement of the collector's clock
+/// (one uncontended store plus a fence), which is what makes per-operation
+/// pinning cheap enough for the per-thread map sessions built on top of
+/// this crate.
 ///
 /// A `LocalHandle` is `!Send`: like a [`Guard`], it belongs to the thread
 /// that registered it.  Dropping the handle while one of its guards is still
@@ -265,99 +232,68 @@ impl Drop for Local {
 /// leftover garbage is stashed with the collector.
 #[derive(Debug)]
 pub struct LocalHandle {
-    backend: HandleBackend,
-}
-
-/// The per-backend registration a [`LocalHandle`] owns.
-#[derive(Debug)]
-enum HandleBackend {
-    Ebr(Rc<Local>),
-    Hp(Rc<HpLocal>),
+    local: Rc<Local>,
 }
 
 impl LocalHandle {
-    /// Wraps a freshly registered EBR local.
-    pub(crate) fn ebr(local: Local) -> Self {
+    pub(crate) fn new(local: Local) -> Self {
         Self {
-            backend: HandleBackend::Ebr(Rc::new(local)),
+            local: Rc::new(local),
         }
     }
 
-    /// Wraps a freshly registered hazard-pointer local.
-    pub(crate) fn hp(local: HpLocal) -> Self {
-        Self {
-            backend: HandleBackend::Hp(Rc::new(local)),
+    /// Counts one pin and hands out a guard over the pinned registration.
+    fn guard(&self) -> Guard {
+        let local = &self.local;
+        local.local_pins.set(local.local_pins.get() + 1);
+        Guard {
+            local: Rc::clone(local),
         }
     }
 
     /// Pins the owning thread.  Reentrant; see [`Guard`] for the guarantees
-    /// the pin provides.  Under the hazard-pointer backend this is a
-    /// *coarse* pin: like EBR it protects everything retired after it (and
-    /// therefore stalls reclamation while held) — use it for traversals
-    /// with unbounded footprints, e.g. range scans.
+    /// the pin provides.  Under hazard pointers this is a *coarse* pin:
+    /// like EBR it protects everything retired after it (and therefore
+    /// stalls reclamation while held) — use it for traversals with
+    /// unbounded footprints, e.g. range scans.
     pub fn pin(&self) -> Guard {
-        match &self.backend {
-            HandleBackend::Ebr(local) => {
-                local.count_local_pin();
-                Local::pin(local);
-                Guard::new(Rc::clone(local))
-            }
-            HandleBackend::Hp(local) => {
-                local.count_local_pin();
-                HpLocal::pin(local);
-                Guard::new_hp(Rc::clone(local))
-            }
-        }
+        self.local.pin();
+        self.guard()
     }
 
-    /// Pins in *fine* mode: under the hazard-pointer backend the returned
-    /// guard protects only the pointers published through
-    /// [`Guard::protect`] (validated by the caller), so a reader stalled
-    /// inside the region blocks O([`crate::HAZARD_SLOTS`]) objects instead
-    /// of all reclamation.  Under EBR this is identical to
+    /// Pins in *fine* mode: under hazard pointers the returned guard
+    /// protects only the pointers published through [`Guard::protect`]
+    /// (validated by the caller), so a reader stalled inside the region
+    /// blocks O([`crate::HAZARD_SLOTS`]) objects instead of all
+    /// reclamation.  Under EBR this is identical to
     /// [`pin`](LocalHandle::pin).  Callers must check
     /// [`Guard::needs_protect`] and run the protect/validate protocol when
     /// it returns `true`.
     pub fn pin_fine(&self) -> Guard {
-        match &self.backend {
-            HandleBackend::Ebr(_) => self.pin(),
-            HandleBackend::Hp(local) => {
-                local.count_local_pin();
-                HpLocal::pin_fine(local);
-                Guard::new_hp(Rc::clone(local))
-            }
-        }
+        self.local.pin_fine();
+        self.guard()
     }
 
     /// Is this thread currently pinned through this registration?
     pub fn is_pinned(&self) -> bool {
-        match &self.backend {
-            HandleBackend::Ebr(local) => local.is_pinned(),
-            HandleBackend::Hp(local) => local.is_pinned(),
-        }
+        self.local.pin_depth.get() > 0
     }
 
     /// Number of garbage objects buffered by this registration (testing).
     pub fn pending(&self) -> usize {
-        match &self.backend {
-            HandleBackend::Ebr(local) => local.pending(),
-            HandleBackend::Hp(local) => local.pending(),
-        }
+        self.local.retired.borrow().len()
     }
 
     /// Attempts to reclaim garbage that has become safe (this
     /// registration's retirements plus the shared stash).
     pub fn flush(&self) {
-        match &self.backend {
-            HandleBackend::Ebr(local) => local.try_collect(),
-            HandleBackend::Hp(local) => local.try_collect(),
-        }
+        self.local.try_collect();
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::Collector;
+    use crate::{retire_new, Collector, SmrPolicy};
 
     #[test]
     fn pending_counts_buffered_garbage() {
@@ -365,8 +301,7 @@ mod tests {
         let handle = collector.register();
         let guard = handle.pin();
         for _ in 0..5 {
-            let p = Box::into_raw(Box::new(1u8));
-            unsafe { guard.defer_drop(p) };
+            retire_new(&guard, 1u8);
         }
         assert_eq!(handle.pending(), 5);
         drop(guard);
@@ -381,17 +316,9 @@ mod tests {
     fn bag_epoch_grouping() {
         let collector = Collector::new();
         let handle = collector.register();
-        {
-            let guard = handle.pin();
-            let p = Box::into_raw(Box::new(1u8));
-            unsafe { guard.defer_drop(p) };
-        }
+        retire_new(&handle.pin(), 1u8);
         handle.flush(); // advances epoch
-        {
-            let guard = handle.pin();
-            let p = Box::into_raw(Box::new(2u8));
-            unsafe { guard.defer_drop(p) };
-        }
+        retire_new(&handle.pin(), 2u8);
         for _ in 0..8 {
             handle.flush();
         }
@@ -406,8 +333,7 @@ mod tests {
         {
             let guard = handle.pin();
             assert!(handle.is_pinned());
-            let p = Box::into_raw(Box::new(3u8));
-            unsafe { guard.defer_drop(p) };
+            retire_new(&guard, 3u8);
             assert_eq!(handle.pending(), 1);
         }
         assert!(!handle.is_pinned());
@@ -426,11 +352,10 @@ mod tests {
         // handle's drop.
         drop(handle);
         assert!(collector.debug_any_thread_pinned());
-        let p = Box::into_raw(Box::new(4u8));
-        unsafe { guard.defer_drop(p) };
+        retire_new(&guard, 4u8);
         drop(guard);
         assert!(!collector.debug_any_thread_pinned());
-        // The registration is gone and its bag stashed; another handle's
+        // The registration is gone and its garbage stashed; another handle's
         // collection drains the stash.
         let flusher = collector.register();
         for _ in 0..8 {
@@ -442,42 +367,51 @@ mod tests {
     #[test]
     fn stash_drains_on_unpins_alone_after_a_thread_exits_dirty() {
         // Regression test for the stash-drain bug: a thread exits holding
-        // unreclaimable garbage (its bags go to the stash), and the only
+        // unreclaimable garbage (it goes to the stash), and the only
         // surviving activity is *read-only* pin/unpin traffic — no retires,
         // so the collection threshold never fires.  The periodic unpin
-        // check must still advance the epoch and drain the stash; before
+        // check must still move the horizon and drain the stash; before
         // the fix, `stats().freed` stayed at 0 until the collector itself
         // was dropped.
-        let collector = Collector::new();
-        let reader = collector.register();
+        for policy in SmrPolicy::ALL {
+            let collector = Collector::with_policy(policy);
+            let reader = collector.register();
 
-        // A pinned reader spans the dirty thread's exit so the stashed
-        // bags are not freeable at unregister time.
-        let span = reader.pin();
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let h = collector.register();
-                let g = h.pin();
-                for _ in 0..5 {
-                    let p = Box::into_raw(Box::new(9u8));
-                    unsafe { g.defer_drop(p) };
-                }
-            })
-            .join()
-            .unwrap();
-        });
-        drop(span);
-        assert_eq!(collector.stats().freed, 0, "stash not yet reclaimable");
+            // A pinned reader spans the dirty thread's exit so the stashed
+            // garbage is not freeable at unregister time.
+            let span = reader.pin();
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let h = collector.register();
+                    let g = h.pin();
+                    for _ in 0..5 {
+                        retire_new(&g, 9u8);
+                    }
+                })
+                .join()
+                .unwrap();
+            });
+            drop(span);
+            assert_eq!(
+                collector.stats().freed,
+                0,
+                "{policy}: stash not yet reclaimable"
+            );
 
-        // Read-only traffic only: enough unpins for several drain
-        // intervals (the epoch needs two advances before the bags age out).
-        for _ in 0..(crate::STASH_DRAIN_INTERVAL * 4) {
-            drop(reader.pin());
+            // Read-only traffic only: enough unpins for several drain
+            // intervals (under EBR the epoch needs two advances before the
+            // garbage ages out).
+            for _ in 0..(crate::STASH_DRAIN_INTERVAL * 4) {
+                drop(reader.pin());
+            }
+            let s = collector.stats();
+            assert_eq!(
+                s.freed, 5,
+                "{policy}: stash drained without dropping the collector"
+            );
+            assert_eq!(s.unreclaimed, 0, "{policy}");
+            assert_eq!(s.oldest_epoch_age, 0, "{policy}");
         }
-        let s = collector.stats();
-        assert_eq!(s.freed, 5, "stash drained without dropping the collector");
-        assert_eq!(s.unreclaimed, 0);
-        assert_eq!(s.oldest_epoch_age, 0);
     }
 
     #[test]

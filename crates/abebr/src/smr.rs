@@ -1,33 +1,31 @@
 //! The safe-memory-reclamation (SMR) front door: the [`SmrPolicy`]
-//! selector and the [`Collector`] shared by every backend.
+//! selector and the [`Collector`] both policies share.
 //!
 //! One interface — register a thread, pin to a guard, retire through the
 //! guard, flush, observe stats — runs under either reclamation scheme:
 //!
 //! * **EBR** ([`SmrPolicy::Ebr`], the default) — epoch-based reclamation.
-//!   Pins are a single epoch announcement, retirement is amortized and
-//!   batched, and readers never touch per-object state.  The failure mode:
-//!   one stalled reader freezes the epoch and *all* garbage accumulates
-//!   behind it, unboundedly.
-//! * **HP** ([`SmrPolicy::Hp`]) — a hazard-pointer backend (see
-//!   [`crate::hp`]).  Point-operation readers protect the O(1) nodes they
-//!   actually hold, so a stalled reader blocks at most
-//!   [`crate::HAZARD_SLOTS`] objects plus whatever was retired after it
-//!   pinned; everything else keeps reclaiming.
+//!   Pins are a single epoch announcement, retirement does no global
+//!   read-modify-write, and readers never touch per-object state.  The
+//!   failure mode: one stalled reader freezes the epoch and *all* garbage
+//!   accumulates behind it, unboundedly.
+//! * **HP** ([`SmrPolicy::Hp`]) — hybrid hazard pointers.  Point-operation
+//!   readers protect the O(1) nodes they actually hold, so a stalled reader
+//!   blocks at most [`crate::HAZARD_SLOTS`] objects plus whatever was
+//!   retired after it pinned; everything else keeps reclaiming.
 //!
-//! Backends share the front end: [`Collector`], [`LocalHandle`] and
-//! [`Guard`](crate::Guard) are small enums over the per-backend state, so structure code
-//! is written once against them and runs under either scheme.
+//! [`Collector`], [`LocalHandle`] and [`Guard`](crate::Guard) are plain
+//! structs over one core, so structure code is written once against them
+//! and runs under either scheme.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
 
 use crate::collector::{CollectorStats, Inner};
-use crate::hp::{HpInner, HpLocal};
 use crate::local::{Local, LocalHandle};
 
-/// Which reclamation backend a [`Collector`] runs.
+/// Which reclamation policy a [`Collector`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SmrPolicy {
     /// Epoch-based reclamation (the crate's original scheme): cheapest
@@ -72,7 +70,7 @@ impl FromStr for SmrPolicy {
     }
 }
 
-/// The thread-registration table of a backend is full.
+/// The thread-registration table of a collector is full.
 ///
 /// Returned by [`Collector::try_register`] when all [`crate::MAX_THREADS`]
 /// slots are claimed.  Long-lived servers that spawn workers on demand
@@ -101,18 +99,11 @@ impl std::error::Error for RegisterError {}
 /// or hazard pointers ([`Collector::new_hp`] / [`Collector::with_policy`]).
 ///
 /// `Collector` is cheaply cloneable (it is a reference-counted handle);
-/// every clone refers to the same backend state.  Threads take part through
+/// every clone refers to the same shared state.  Threads take part through
 /// the owned [`LocalHandle`] that [`Collector::register`] returns.
 #[derive(Debug, Clone)]
 pub struct Collector {
-    backend: Backend,
-}
-
-/// The shared state of the backend a [`Collector`] runs.
-#[derive(Debug, Clone)]
-enum Backend {
-    Ebr(Arc<Inner>),
-    Hp(Arc<HpInner>),
+    inner: Arc<Inner>,
 }
 
 impl Default for Collector {
@@ -124,32 +115,24 @@ impl Default for Collector {
 impl Collector {
     /// Creates a new epoch-based collector with no registered threads.
     pub fn new() -> Self {
-        Self {
-            backend: Backend::Ebr(Arc::new(Inner::new())),
-        }
+        Self::with_policy(SmrPolicy::Ebr)
     }
 
     /// Creates a new hazard-pointer collector with no registered threads.
     pub fn new_hp() -> Self {
-        Self {
-            backend: Backend::Hp(Arc::new(HpInner::new())),
-        }
+        Self::with_policy(SmrPolicy::Hp)
     }
 
     /// Creates a collector running the given reclamation policy.
     pub fn with_policy(policy: SmrPolicy) -> Self {
-        match policy {
-            SmrPolicy::Ebr => Self::new(),
-            SmrPolicy::Hp => Self::new_hp(),
+        Self {
+            inner: Arc::new(Inner::new(policy)),
         }
     }
 
     /// The reclamation policy this collector runs.
     pub fn policy(&self) -> SmrPolicy {
-        match self.backend {
-            Backend::Ebr(_) => SmrPolicy::Ebr,
-            Backend::Hp(_) => SmrPolicy::Hp,
-        }
+        self.inner.policy
     }
 
     /// Registers the calling thread and returns an **owned**
@@ -162,36 +145,26 @@ impl Collector {
     /// that spawn workers on demand should call
     /// [`try_register`](Collector::try_register) and surface the error.
     pub fn register(&self) -> LocalHandle {
-        self.try_register()
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.try_register().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible sibling of [`register`](Collector::register): returns
     /// [`RegisterError`] instead of panicking when the slot table is full.
     pub fn try_register(&self) -> Result<LocalHandle, RegisterError> {
-        Ok(match &self.backend {
-            Backend::Ebr(inner) => LocalHandle::ebr(Local::register(Arc::clone(inner))?),
-            Backend::Hp(inner) => LocalHandle::hp(HpLocal::register(Arc::clone(inner))?),
-        })
+        Local::register(Arc::clone(&self.inner)).map(LocalHandle::new)
     }
 
     /// Returns current statistics (see [`CollectorStats`] for the field
-    /// meanings and the per-backend mapping).
+    /// meanings under each policy).
     pub fn stats(&self) -> CollectorStats {
-        match &self.backend {
-            Backend::Ebr(inner) => inner.stats(),
-            Backend::Hp(inner) => inner.stats(),
-        }
+        self.inner.stats()
     }
 
     /// Debug/testing helper: does any registered thread currently hold an
-    /// observable pin (an epoch announcement, a retire-watermark, or a
-    /// non-null hazard slot)?
+    /// observable pin (an announced epoch or watermark, or a non-null
+    /// hazard slot)?
     pub fn debug_any_thread_pinned(&self) -> bool {
-        match &self.backend {
-            Backend::Ebr(inner) => inner.any_thread_pinned(),
-            Backend::Hp(inner) => inner.any_thread_pinned(),
-        }
+        self.inner.any_thread_pinned()
     }
 }
 
@@ -240,13 +213,9 @@ mod tests {
         for p in SmrPolicy::ALL {
             let c = Collector::with_policy(p);
             let handle = c.register();
-            {
-                let guard = handle.pin();
-                let ptr = Box::into_raw(Box::new(7u64));
-                unsafe { guard.defer_drop(ptr) };
-            }
+            crate::retire_new(&handle.pin(), 7u64);
             for _ in 0..8 {
-                handle.flush(); // garbage sits in the handle's own bags
+                handle.flush(); // garbage sits in the handle's own retire list
             }
             let s = c.stats();
             assert_eq!(s.retired, 1, "{p}");

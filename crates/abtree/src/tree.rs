@@ -179,7 +179,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                     // longer points at `n`, `n` may already have been
                     // retired before the hazard became visible — restart
                     // from the entry (mark-before-unlink makes a validated
-                    // hazard sound; see `abebr::hp` module docs).
+                    // hazard sound; see "Why the watermark is sound" in
+                    // `abebr`'s `hp.rs`).
                     guard.protect(rot, n);
                     rot = (rot + 1) % 3;
                     if node.is_marked() || untag(node.child_raw(n_idx)) != n {
