@@ -16,8 +16,9 @@
 //! `--selftest` is the CI smoke mode: bind an ephemeral loopback port,
 //! run a mixed workload from several client threads, scrape the metric
 //! registry over the wire and cross-check it against the observed
-//! traffic, then shut down gracefully and verify every in-flight frame
-//! was answered and every thread joined.  Exits non-zero on any failure.
+//! traffic (printing the per-reactor frame split it reports), then shut
+//! down gracefully and verify every in-flight frame was answered and every
+//! thread joined.  Exits non-zero on any failure.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -302,6 +303,14 @@ fn scrape_check(addr: std::net::SocketAddr, expected_frames: u64) -> Result<(), 
             "per-reactor frame counters sum to {per_reactor}, aggregate says {frames}"
         ));
     }
+    // Placement is reported, not judged: a connection lands on whichever
+    // reactor wakes first for it, so a skewed split is no failure.
+    let split: Vec<String> = samples
+        .iter()
+        .filter(|s| s.name == "net_reactor_frames_total")
+        .map(|s| format!("reactor {}: {}", s.label("reactor").unwrap_or("?"), s.value))
+        .collect();
+    println!("selftest placement: frames per reactor: {}", split.join(", "));
     // Sampled stage tracing saw the load: 1600 point submissions at
     // 1-in-16 sampling leave ~100 traces in the apply-stage histogram.
     let applies = obs::expo::sum(&samples, "stage_latency_ns_count", &[("stage", "apply")]);

@@ -13,7 +13,8 @@
 //! * [`timer`] — a hashed timer wheel for idle eviction and accept
 //!   re-arming, driven by a caller-supplied clock so tests are
 //!   deterministic;
-//! * [`server`] — reactor threads, each owning a
+//! * [`server`] — reactor threads, each accepting its own connections on
+//!   its own clone of the listening socket, owning a
 //!   [`kvserve::ShardRouter`] and serving every request of a read's frames
 //!   on it, in order, without handing anything to another thread;
 //! * [`client`] — a small blocking client speaking the same framing,

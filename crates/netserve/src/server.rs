@@ -4,11 +4,17 @@
 //! # Architecture
 //!
 //! [`Server::start`] binds a listener and spawns `reactors` event-loop
-//! threads.  Each thread owns a [`polling::Poller`] and its own
-//! [`kvserve::ShardRouter`], so serving a frame never takes a lock and
-//! never blocks on another reactor.  Accepted connections are dealt
-//! round-robin across reactors via per-reactor inboxes plus a poller
-//! `notify`; after hand-off a connection lives and dies on one thread.
+//! threads.  Each thread owns a [`polling::Poller`], its own
+//! [`kvserve::ShardRouter`] and its own `try_clone` of the listening
+//! socket, registered level-triggered in its poller, so serving a frame
+//! never takes a lock and never blocks on another reactor.  Every reactor
+//! accepts its own connections, at most one `accept` per listener event,
+//! so a burst spreads over the reactors that woke; a connection then lives
+//! and dies on the thread that accepted it.  Which reactor takes a
+//! connection depends on which one wakes first, not on a round-robin
+//! (`net_reactor_frames_total{reactor}` shows the resulting split).  The
+//! reactors share only the listening socket, the shutdown flag, the
+//! counters and the pollers, whose wake-up is used only at shutdown.
 //!
 //! Per connection the reactor composes the crate's pure pieces:
 //!
@@ -31,26 +37,30 @@
 //! [`Response::Error`] (codes [`ERR_BAD_FRAME`],
 //! [`ERR_FRAME_TOO_LARGE`], [`ERR_BAD_BATCH`]) and are disconnected; the
 //! server itself stays up.  When `accept` fails with `EMFILE`/`ENFILE`
-//! the listener is unregistered and re-armed on a timer instead of
-//! spinning.
+//! the reactor unregisters its listener clone and re-arms it on a timer
+//! instead of spinning.
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] (also run on drop) stops accepting and keeps
-//! serving the connections it already has — request bytes may still be in
-//! flight on the wire, so draining cannot just read once and hang up.  A
-//! draining connection closes when its client half-closes (EOF), errors
-//! out, or the [`ServerConfig::drain_timeout`] deadline passes; responses
-//! are flushed before the close either way.  Once every connection is
-//! gone the reactor threads exit and are joined.  Shut the `Server` down
-//! **before** the [`KvService`] it fronts.
+//! [`Server::shutdown`] (also run on drop) raises the shutdown flag and
+//! wakes every reactor.  Each one accepts until `WouldBlock` — connections
+//! that finished the handshake already have request bytes buffered — then
+//! drops its listener clone and keeps serving the connections it has:
+//! request bytes may still be in flight on the wire, so draining cannot
+//! just read once and hang up.  A draining connection closes when its
+//! client half-closes (EOF), errors out, or the
+//! [`ServerConfig::drain_timeout`] deadline passes; responses are flushed
+//! before the close either way.  A reactor exits once its last connection
+//! is gone, and `shutdown` joins them all.  The `Server` holds no copy of
+//! the listener, so the port closes when the last reactor drops its
+//! clone.  Shut the `Server` down **before** the [`KvService`] it fronts.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -94,7 +104,9 @@ pub struct ServerConfig {
     /// Address to bind; port 0 picks a free port (see
     /// [`Server::local_addr`]).
     pub addr: SocketAddr,
-    /// Reactor (event-loop) threads; clamped to at least 1.
+    /// Reactor (event-loop) threads; clamped to at least 1.  Each one
+    /// accepts on its own clone of the listening socket, so connections
+    /// land on whichever reactor wakes first.
     pub reactors: usize,
     /// Largest request frame payload accepted before the connection is
     /// rejected with [`ERR_FRAME_TOO_LARGE`].
@@ -124,18 +136,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// A reactor's hand-off queue.  `open` is the exit handshake: a reactor
-/// flips it to `false` (under the lock) only once the queue is empty and it
-/// is about to exit, so a concurrent dispatcher either lands its stream
-/// before the final check — and the reactor adopts it — or observes the
-/// closed inbox and keeps the stream itself.  Without this, a stream pushed
-/// just as its target exits would sit in the queue until teardown and be
-/// dropped with unread data (an RST to the client).
-struct Inbox {
-    open: bool,
-    streams: Vec<TcpStream>,
-}
-
 /// State shared by the reactor threads and the [`Server`] handle.
 struct Shared {
     shutdown: AtomicBool,
@@ -143,10 +143,8 @@ struct Shared {
     /// Frames served per reactor thread, for the `net_reactor_frames_total`
     /// metric — the load-balance view the aggregate counter cannot give.
     reactor_frames: Box<[AtomicU64]>,
+    /// One per reactor; [`Server::shutdown`] wakes each through it.
     pollers: Vec<Arc<Poller>>,
-    /// Connections accepted by one reactor, awaiting adoption by another.
-    inboxes: Vec<Mutex<Inbox>>,
-    next_reactor: AtomicUsize,
 }
 
 /// A running TCP front end over a [`KvService`].
@@ -184,10 +182,6 @@ impl Server {
             stats: NetStats::default(),
             reactor_frames: (0..reactors).map(|_| AtomicU64::new(0)).collect(),
             pollers,
-            inboxes: (0..reactors)
-                .map(|_| Mutex::new(Inbox { open: true, streams: Vec::new() }))
-                .collect(),
-            next_reactor: AtomicUsize::new(0),
         });
 
         // The front end reports into the *service's* registry, so one
@@ -214,12 +208,13 @@ impl Server {
             source: Some(source),
         };
         let (ready, started) = mpsc::channel();
-        let mut listener = Some(listener);
         for index in 0..reactors {
             let shared = Arc::clone(&server.shared);
             let service = Arc::clone(&service);
             let config = config.clone();
-            let listener = if index == 0 { listener.take() } else { None };
+            // Every reactor accepts on its own clone; `listener` itself is
+            // dropped on return, so the reactors hold the only copies.
+            let listener = listener.try_clone()?;
             let ready = ready.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("netserve-{index}"))
@@ -361,7 +356,7 @@ impl<'s> Reactor<'s> {
         index: usize,
         shared: Arc<Shared>,
         config: ServerConfig,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
         router: ShardRouter<'s>,
     ) -> Self {
         let poller = Arc::clone(&shared.pollers[index]);
@@ -369,14 +364,12 @@ impl<'s> Reactor<'s> {
         // Slot width tracks the idle timeout so eviction lag stays a small
         // fraction of it; 64 slots cover one timeout per revolution.
         let slot_ms = if idle_ms == 0 { 25 } else { (idle_ms / 32).clamp(1, 1000) };
-        if let Some(listener) = &listener {
-            // Registration failure would leave a deaf listener; surfacing
-            // it from a spawned thread has no good channel, and `add` on a
-            // fresh poller only fails for exhausted kernel memory.
-            shared.pollers[index]
-                .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-                .expect("register listener");
-        }
+        // Registration failure would leave a deaf listener; surfacing it
+        // from a spawned thread has no good channel, and `add` on a fresh
+        // poller only fails for exhausted kernel memory.
+        poller
+            .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
+            .expect("register listener");
         let recorder = router.service().stage_trace().recorder();
         Self {
             index,
@@ -385,7 +378,7 @@ impl<'s> Reactor<'s> {
             config,
             router,
             recorder,
-            listener,
+            listener: Some(listener),
             listener_paused: false,
             conns: Vec::new(),
             free: Vec::new(),
@@ -418,17 +411,16 @@ impl<'s> Reactor<'s> {
                 break;
             }
             let now = self.now_ms();
-            // Adopt handed-over connections *before* checking for shutdown:
-            // a stream dispatched to our inbox just before shutdown deserves
-            // the same graceful drain as one we already own.
-            self.drain_inbox(now);
             if self.shared.shutdown.load(Ordering::Acquire) && !self.draining {
                 self.begin_drain(now);
             }
             for event in &events {
                 if event.key == LISTENER_TOKEN {
+                    // One accept per event: the listener stays readable
+                    // while its backlog is not empty, and every reactor
+                    // that woke takes its share.
                     if !self.draining {
-                        self.accept_ready(now);
+                        self.accept_one(now);
                     }
                 } else {
                     if event.readable {
@@ -451,45 +443,10 @@ impl<'s> Reactor<'s> {
                     break;
                 }
                 if self.live == 0 {
-                    // Exit handshake: close the inbox under its lock so no
-                    // dispatcher can strand a stream in it afterwards.  A
-                    // hand-off that beat us to the lock is adopted and
-                    // drained instead of exiting.
-                    let mut inbox = self.shared.inboxes[self.index].lock().unwrap();
-                    if inbox.streams.is_empty() {
-                        inbox.open = false;
-                        break;
-                    }
-                    drop(inbox);
-                    self.drain_inbox(self.now_ms());
+                    break;
                 }
             }
         }
-        // Whatever the exit path (handshake, drain deadline, poller error),
-        // leave the inbox closed and refuse any stream already in it.
-        let leftovers = {
-            let mut inbox = self.shared.inboxes[self.index].lock().unwrap();
-            inbox.open = false;
-            std::mem::take(&mut inbox.streams)
-        };
-        for stream in leftovers {
-            self.refuse(stream);
-        }
-    }
-
-    /// Hangs up on a never-served stream as gently as possible: consume
-    /// pending input (bounded) so the drop sends FIN rather than RST.
-    fn refuse(&mut self, stream: TcpStream) {
-        let mut stream = stream;
-        let _ = stream.set_nonblocking(true);
-        let mut budget = CLOSE_DISCARD_BUDGET;
-        while budget > 0 {
-            match stream.read(&mut self.read_buf) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => budget = budget.saturating_sub(n),
-            }
-        }
-        self.shared.stats.add_closed(1);
     }
 
     fn next_timeout(&self) -> Option<Duration> {
@@ -500,62 +457,33 @@ impl<'s> Reactor<'s> {
         deadline.map(|d| Duration::from_millis(d.saturating_sub(self.now_ms()).max(1)))
     }
 
-    /// Adopts connections handed over by other reactors' accept loops.
-    fn drain_inbox(&mut self, now: u64) {
-        loop {
-            let stream = self.shared.inboxes[self.index].lock().unwrap().streams.pop();
-            match stream {
-                Some(stream) => self.adopt(stream, now),
-                None => break,
+    /// Accepts one connection from this reactor's listener clone and
+    /// adopts it.  Returns whether another `accept` may succeed: `false`
+    /// once the backlog is empty, the listener is gone or paused, or the
+    /// would-be peer has already gone (ECONNABORTED and friends; the
+    /// level-triggered listener is reported again if more are queued).
+    fn accept_one(&mut self, now: u64) -> bool {
+        let Some(listener) = self.listener.as_ref() else { return false };
+        match listener.accept() {
+            Ok((stream, _peer)) => {
+                self.shared.stats.add_accepted(1);
+                self.adopt(stream, now);
+                true
             }
-        }
-    }
-
-    fn accept_ready(&mut self, now: u64) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else { return };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    self.shared.stats.add_accepted(1);
-                    self.dispatch(stream, now);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
-                    // ENFILE/EMFILE: the process is out of fds.  Accepting
-                    // would fail forever at full CPU; unregister and re-arm
-                    // on a timer so existing connections can finish and
-                    // release fds.
-                    let fd = listener.as_raw_fd();
-                    let _ = self.poller.delete(fd);
-                    self.listener_paused = true;
-                    self.shared.stats.add_accept_pauses(1);
-                    self.wheel.schedule(now + ACCEPT_RETRY_MS, LISTENER_TOKEN);
-                    return;
-                }
-                // ECONNABORTED and friends: the would-be peer is already
-                // gone; keep accepting.
-                Err(_) => return,
+            Err(e) if e.kind() == ErrorKind::Interrupted => true,
+            Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
+                // ENFILE/EMFILE: the process is out of fds.  Accepting
+                // would fail forever at full CPU; unregister and re-arm on
+                // a timer so existing connections can finish and release
+                // fds.
+                let _ = self.poller.delete(listener.as_raw_fd());
+                self.listener_paused = true;
+                self.shared.stats.add_accept_pauses(1);
+                self.wheel.schedule(now + ACCEPT_RETRY_MS, LISTENER_TOKEN);
+                false
             }
+            Err(_) => false,
         }
-    }
-
-    /// Round-robin hand-off of an accepted connection to its home reactor.
-    /// A target whose inbox has closed (its thread is exiting) can't take
-    /// the stream, so the accepting reactor keeps it instead.
-    fn dispatch(&mut self, stream: TcpStream, now: u64) {
-        let n = self.shared.inboxes.len();
-        let target = self.shared.next_reactor.fetch_add(1, Ordering::Relaxed) % n;
-        if target != self.index {
-            let mut inbox = self.shared.inboxes[target].lock().unwrap();
-            if inbox.open {
-                inbox.streams.push(stream);
-                drop(inbox);
-                let _ = self.shared.pollers[target].notify();
-                return;
-            }
-        }
-        self.adopt(stream, now);
     }
 
     fn adopt(&mut self, stream: TcpStream, now: u64) {
@@ -807,10 +735,10 @@ impl<'s> Reactor<'s> {
                 return;
             }
             let Some(listener) = self.listener.as_ref() else { return };
-            let fd = listener.as_raw_fd();
-            if self.poller.add(fd, LISTENER_TOKEN, true, false).is_ok() {
+            // Level-triggered: a backlog that built up meanwhile is
+            // reported by the next wait.
+            if self.poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false).is_ok() {
                 self.listener_paused = false;
-                self.accept_ready(now);
             } else {
                 self.wheel.schedule(now + ACCEPT_RETRY_MS, LISTENER_TOKEN);
             }
@@ -838,7 +766,8 @@ impl<'s> Reactor<'s> {
         }
     }
 
-    /// Enters drain mode: stop accepting, then keep serving the existing
+    /// Enters drain mode: take the last connections off the listener and
+    /// drop this reactor's clone, then keep serving the existing
     /// connections normally.  A one-shot "read once and close" drain would
     /// race request bytes still in flight on the wire, so each connection
     /// stays open until the client half-closes (EOF after reading its
@@ -846,12 +775,12 @@ impl<'s> Reactor<'s> {
     fn begin_drain(&mut self, now: u64) {
         self.draining = true;
         self.drain_deadline = now.saturating_add(self.config.drain_timeout.as_millis() as u64);
-        // One final accept pass before the listener goes away: connections
+        // One final accept pass before the clone goes away: connections
         // that completed the kernel handshake before the shutdown landed
-        // already have request bytes buffered, and dropping the listener
+        // already have request bytes buffered, and closing the listener
         // would RST them unserved.
         if !self.listener_paused {
-            self.accept_ready(now);
+            while self.accept_one(now) {}
         }
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.delete(listener.as_raw_fd());

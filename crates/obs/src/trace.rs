@@ -219,6 +219,9 @@ impl StageRing {
 /// per-thread event rings (see the module docs).
 pub struct StageTrace {
     hists: [Histogram; STAGE_COUNT],
+    /// Every ring handed out.  A ring whose recorder has dropped keeps its
+    /// events readable until a new recorder reuses it, so the list is
+    /// bounded by the peak number of live recorders.
     rings: Mutex<Vec<Arc<StageRing>>>,
 }
 
@@ -249,13 +252,23 @@ impl StageTrace {
     /// [`record`](StageRecorder::record) skips for the cost of a branch.
     /// `sample_shift == 0` means trace everything.
     pub fn sampled_recorder(self: &Arc<Self>, sample_shift: u32) -> StageRecorder {
-        let ring = Arc::new(StageRing::new());
-        if crate::ENABLED {
-            self.rings
-                .lock()
-                .expect("stage ring list poisoned")
-                .push(Arc::clone(&ring));
-        }
+        let ring = if crate::ENABLED {
+            let mut rings = self.rings.lock().expect("stage ring list poisoned");
+            // A ring only the list holds has lost its recorder, and no
+            // reader can clone it while we hold the lock.  `get_mut`'s
+            // uniqueness check synchronizes with the old recorder's drop,
+            // so its last writes happen before the new writer's first.
+            match rings.iter_mut().position(|ring| Arc::get_mut(ring).is_some()) {
+                Some(free) => Arc::clone(&rings[free]),
+                None => {
+                    let ring = Arc::new(StageRing::new());
+                    rings.push(Arc::clone(&ring));
+                    ring
+                }
+            }
+        } else {
+            Arc::new(StageRing::new())
+        };
         StageRecorder {
             trace: Arc::clone(self),
             ring,
@@ -406,6 +419,25 @@ mod tests {
         assert_eq!(trace.histogram(Stage::Apply).count(), 0);
         assert_eq!(trace.histogram(Stage::Ack).count(), 0);
         assert!(trace.recent_events().is_empty());
+    }
+
+    #[test]
+    fn a_dropped_recorders_ring_is_reused() {
+        let trace = Arc::new(StageTrace::new());
+        for _ in 0..1_000 {
+            drop(trace.recorder());
+        }
+        assert_eq!(trace.rings.lock().unwrap().len(), 1, "one ring, reused each time");
+        // Live recorders each keep their own ring; the events of a dropped
+        // one stay readable until its ring is handed on.
+        let first = trace.recorder();
+        let second = trace.recorder();
+        first.record(Stage::Apply, first.sample_start());
+        drop(first);
+        assert_eq!(trace.recent_events().len(), 1);
+        second.record(Stage::Write, second.sample_start());
+        assert_eq!(trace.rings.lock().unwrap().len(), 2);
+        assert_eq!(trace.recent_events().len(), 2);
     }
 
     #[test]
