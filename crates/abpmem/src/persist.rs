@@ -12,9 +12,6 @@ pub const CACHE_LINE: usize = 64;
 /// How flush/fence calls behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistMode {
-    /// Do nothing at all (volatile execution).  Flush/fence statistics are
-    /// still not recorded; this is what the volatile trees effectively use.
-    NoOp,
     /// Count flushes and fences (and feed the tracker) but execute nothing.
     /// This is the default and is what correctness tests use.
     CountOnly,
@@ -33,7 +30,6 @@ pub enum PersistMode {
     },
 }
 
-const MODE_NOOP: u8 = 0;
 const MODE_COUNT: u8 = 1;
 /// [`PersistMode::Real`] on a CPU without `clwb`.
 const MODE_CLFLUSH: u8 = 2;
@@ -90,7 +86,6 @@ pub struct PmStats {
 /// mode once before starting worker threads.
 pub fn set_mode(mode: PersistMode) {
     match mode {
-        PersistMode::NoOp => MODE.store(MODE_NOOP, Ordering::SeqCst),
         PersistMode::CountOnly => MODE.store(MODE_COUNT, Ordering::SeqCst),
         PersistMode::Real => MODE.store(
             if hw::has_clwb() {
@@ -111,7 +106,6 @@ pub fn set_mode(mode: PersistMode) {
 /// Returns the current persist mode.
 pub fn mode() -> PersistMode {
     match MODE.load(Ordering::Relaxed) {
-        MODE_NOOP => PersistMode::NoOp,
         MODE_COUNT => PersistMode::CountOnly,
         MODE_CLFLUSH | MODE_CLWB => PersistMode::Real,
         _ => PersistMode::Simulated {
@@ -215,9 +209,6 @@ pub fn flush(ptr: *const u8, len: usize) {
         return;
     }
     let m = MODE.load(Ordering::Relaxed);
-    if m == MODE_NOOP {
-        return;
-    }
     let start = ptr as usize & !(CACHE_LINE - 1);
     let end = ptr as usize + len;
     let mut line = start;
@@ -241,11 +232,7 @@ pub fn flush(ptr: *const u8, len: usize) {
 
 /// Issues a store fence ordering all previously issued flushes.
 pub fn sfence() {
-    let m = MODE.load(Ordering::Relaxed);
-    if m == MODE_NOOP {
-        return;
-    }
-    match m {
+    match MODE.load(Ordering::Relaxed) {
         MODE_CLFLUSH | MODE_CLWB => hw::store_fence(),
         MODE_SIM => busy_wait(Duration::from_nanos(
             SIM_FENCE_NS.load(Ordering::Relaxed) as u64
@@ -292,8 +279,6 @@ mod tests {
                 fence_ns: 45
             }
         );
-        set_mode(PersistMode::NoOp);
-        assert_eq!(mode(), PersistMode::NoOp);
         // `clwb` or `clflush` underneath, `Real` either way.
         set_mode(PersistMode::Real);
         assert_eq!(mode(), PersistMode::Real);
@@ -323,18 +308,6 @@ mod tests {
                 fences: 40_000
             }
         );
-        set_mode(original);
-    }
-
-    #[test]
-    fn noop_mode_counts_nothing() {
-        let _s = TrackingSession::start();
-        let original = mode();
-        set_mode(PersistMode::NoOp);
-        reset_stats();
-        let x = [0u8; 128];
-        persist(x.as_ptr(), x.len());
-        assert_eq!(stats(), PmStats::default());
         set_mode(original);
     }
 

@@ -10,13 +10,12 @@
 //!   pre-buffering rejection of oversized or malformed headers;
 //! * [`wbuf`] — per-connection write buffering with high-water-mark
 //!   backpressure (slow clients pause their own reads, nobody else's);
-//! * [`timer`] — a hashed timer wheel for idle eviction and accept
-//!   re-arming, driven by a caller-supplied clock so tests are
-//!   deterministic;
 //! * [`server`] — reactor threads, each accepting its own connections on
-//!   its own clone of the listening socket, owning a
+//!   its own clone of the listening socket, owning its poller and a
 //!   [`kvserve::ShardRouter`] and serving every request of a read's frames
-//!   on it, in order, without handing anything to another thread;
+//!   on it, in order, without handing anything to another thread; one
+//!   deadline loop per reactor bounds each wait by idle eviction, accept
+//!   retry, the drain deadline and a fixed tick;
 //! * [`client`] — a small blocking client speaking the same framing,
 //!   with optional send-ahead pipelining.
 //!
@@ -45,7 +44,6 @@ pub mod client;
 pub mod frame;
 pub mod server;
 pub mod stats;
-pub mod timer;
 pub mod wbuf;
 
 pub use client::Client;

@@ -13,8 +13,8 @@
 //! and dies on the thread that accepted it.  Which reactor takes a
 //! connection depends on which one wakes first, not on a round-robin
 //! (`net_reactor_frames_total{reactor}` shows the resulting split).  The
-//! reactors share only the listening socket, the shutdown flag, the
-//! counters and the pollers, whose wake-up is used only at shutdown.
+//! reactors share only the listening socket, the shutdown flag and the
+//! counters.
 //!
 //! Per connection the reactor composes the crate's pure pieces:
 //!
@@ -27,9 +27,19 @@
 //!   responses are re-encoded and queued on
 //! * a [`WriteBuffer`] whose high-water mark
 //!   pauses *reading* from slow clients until the backlog drains below the
-//!   low-water mark;
-//! * a [`TimerWheel`] evicts idle connections
-//!   and re-arms a paused listener.
+//!   low-water mark.
+//!
+//! # Deadlines
+//!
+//! A reactor keeps no timer structure.  Each pass of its loop reads the
+//! clock once, then sleeps in [`Poller::wait`] until the earliest of the
+//! deadlines it already holds: the next idle sweep, a paused listener's
+//! accept retry, the drain deadline, and a fixed 25 ms tick.  The tick is
+//! how a reactor notices the shutdown flag, so nothing ever has to wake
+//! it.  The idle sweep walks the reactor's connections and evicts those
+//! past their [`ServerConfig::idle_timeout`]; it runs at each
+//! connection's idle deadline but at most once per `idle_timeout / 32`
+//! (clamped to 1–1000 ms), which bounds the eviction lag.
 //!
 //! # Backpressure and failure
 //!
@@ -37,23 +47,27 @@
 //! [`Response::Error`] (codes [`ERR_BAD_FRAME`],
 //! [`ERR_FRAME_TOO_LARGE`], [`ERR_BAD_BATCH`]) and are disconnected; the
 //! server itself stays up.  When `accept` fails with `EMFILE`/`ENFILE`
-//! the reactor unregisters its listener clone and re-arms it on a timer
-//! instead of spinning.
+//! the reactor unregisters its listener clone and registers it again
+//! 100 ms later instead of spinning.
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] (also run on drop) raises the shutdown flag and
-//! wakes every reactor.  Each one accepts until `WouldBlock` — connections
-//! that finished the handshake already have request bytes buffered — then
-//! drops its listener clone and keeps serving the connections it has:
-//! request bytes may still be in flight on the wire, so draining cannot
-//! just read once and hang up.  A draining connection closes when its
-//! client half-closes (EOF), errors out, or the
-//! [`ServerConfig::drain_timeout`] deadline passes; responses are flushed
-//! before the close either way.  A reactor exits once its last connection
-//! is gone, and `shutdown` joins them all.  The `Server` holds no copy of
-//! the listener, so the port closes when the last reactor drops its
-//! clone.  Shut the `Server` down **before** the [`KvService`] it fronts.
+//! [`Server::shutdown`] (also run on drop) raises the shutdown flag; each
+//! reactor sees it within one tick.  Each one then accepts until
+//! `WouldBlock` — connections that finished the handshake already have
+//! request bytes buffered — then drops its listener clone and keeps
+//! serving the connections it has: request bytes may still be in flight
+//! on the wire, so draining cannot just read once and hang up.  A draining
+//! connection closes when its client half-closes (EOF), errors out, or the
+//! [`ServerConfig::drain_timeout`] deadline passes.  Responses are written
+//! as they are produced, but none of these closes waits for a backlog:
+//! whatever the connection's write buffer still holds is dropped.  In
+//! particular, at the drain deadline the reactor closes every connection
+//! it still has without flushing.  (Only a protocol error's final frame
+//! is flushed before its close.)  A reactor exits once its last connection is gone,
+//! and `shutdown` joins them all.  The `Server` holds no copy of the
+//! listener, so the port closes when the last reactor drops its clone.
+//! Shut the `Server` down **before** the [`KvService`] it fronts.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read};
@@ -71,7 +85,6 @@ use polling::Poller;
 
 use crate::frame::{self, FrameDecoder, FrameError};
 use crate::stats::NetStats;
-use crate::timer::TimerWheel;
 use crate::wbuf::WriteBuffer;
 
 /// Wire error code: the frame header varint was malformed.
@@ -81,13 +94,16 @@ pub const ERR_FRAME_TOO_LARGE: u64 = 2;
 /// Wire error code: the frame's payload was not a decodable request batch.
 pub const ERR_BAD_BATCH: u64 = 3;
 
-/// Poller key of the listening socket (also its timer token while the
-/// listener is paused under fd pressure).  `polling` reserves
-/// `usize::MAX`; connection tokens count up from zero.
-const LISTENER_TOKEN: usize = usize::MAX - 1;
+/// Poller key of the listening socket; connection tokens count up from
+/// zero.
+const LISTENER_TOKEN: usize = usize::MAX;
 
 /// How long a listener paused by `EMFILE`/`ENFILE` waits before re-arming.
 const ACCEPT_RETRY_MS: u64 = 100;
+
+/// The longest one wait sleeps: how soon a reactor notices the shutdown
+/// flag, since nothing wakes it.
+const TICK_MS: u64 = 25;
 
 /// Bytes one readable event may consume before yielding to other
 /// connections (level-triggered polling re-reports the remainder).
@@ -143,8 +159,6 @@ struct Shared {
     /// Frames served per reactor thread, for the `net_reactor_frames_total`
     /// metric — the load-balance view the aggregate counter cannot give.
     reactor_frames: Box<[AtomicU64]>,
-    /// One per reactor; [`Server::shutdown`] wakes each through it.
-    pollers: Vec<Arc<Poller>>,
 }
 
 /// A running TCP front end over a [`KvService`].
@@ -173,15 +187,10 @@ impl Server {
         let local_addr = listener.local_addr()?;
 
         let reactors = config.reactors.max(1);
-        let mut pollers = Vec::with_capacity(reactors);
-        for _ in 0..reactors {
-            pollers.push(Arc::new(Poller::new()?));
-        }
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),
             stats: NetStats::default(),
             reactor_frames: (0..reactors).map(|_| AtomicU64::new(0)).collect(),
-            pollers,
         });
 
         // The front end reports into the *service's* registry, so one
@@ -212,9 +221,12 @@ impl Server {
             let shared = Arc::clone(&server.shared);
             let service = Arc::clone(&service);
             let config = config.clone();
-            // Every reactor accepts on its own clone; `listener` itself is
-            // dropped on return, so the reactors hold the only copies.
+            // Every reactor accepts on its own clone, registered in its own
+            // poller; `listener` itself is dropped on return, so the
+            // reactors hold the only copies.
             let listener = listener.try_clone()?;
+            let mut poller = Poller::new()?;
+            poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)?;
             let ready = ready.clone();
             let thread = std::thread::Builder::new()
                 .name(format!("netserve-{index}"))
@@ -229,7 +241,7 @@ impl Server {
                         }
                     };
                     let _ = ready.send(Ok(()));
-                    Reactor::new(index, shared, config, listener, router).run();
+                    Reactor::new(index, shared, config, poller, listener, router).run();
                 })?;
             server.threads.push(thread);
         }
@@ -256,13 +268,10 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, keep serving existing
     /// connections until each client hangs up (or the drain deadline
-    /// passes), flush write backlogs, then join every reactor.
-    /// Idempotent; also run on drop.
+    /// passes), then join every reactor.  Each reactor notices the request
+    /// within one 25 ms tick of its loop.  Idempotent; also run on drop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
-        for poller in &self.shared.pollers {
-            let _ = poller.notify();
-        }
         for thread in self.threads.drain(..) {
             let _ = thread.join();
         }
@@ -290,7 +299,7 @@ impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
-            .field("reactors", &self.shared.pollers.len())
+            .field("reactors", &self.shared.reactor_frames.len())
             .field("open_connections", &self.shared.stats.open_connections())
             .finish()
     }
@@ -308,8 +317,8 @@ struct Conn {
     /// Interest currently registered with the poller.
     reg_r: bool,
     reg_w: bool,
-    /// Authoritative idle deadline (ms on the reactor clock); the wheel
-    /// entry is re-armed lazily against it.
+    /// Idle deadline (ms on the reactor clock), pushed back by every read;
+    /// the first idle sweep after it evicts the connection.
     idle_deadline: u64,
     /// Frames reassembled but not yet served.  Normally emptied by the
     /// read that filled it; but once the write backlog crosses the
@@ -323,20 +332,26 @@ struct Conn {
 struct Reactor<'s> {
     index: usize,
     shared: Arc<Shared>,
-    poller: Arc<Poller>,
+    poller: Poller,
     config: ServerConfig,
     router: ShardRouter<'s>,
     listener: Option<TcpListener>,
-    listener_paused: bool,
+    /// Set while the listener is unregistered under fd pressure: when
+    /// (ms on the reactor clock) to register it again.
+    accept_retry_at: Option<u64>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     /// Tokens freed during this event batch; recycled only once the batch
     /// ends, so a stale event in the same batch can't hit a new owner.
     retired: Vec<usize>,
     live: usize,
-    wheel: TimerWheel,
     epoch: Instant,
+    /// The idle timeout in ms; `u64::MAX` when eviction is off, so no idle
+    /// deadline ever passes.
     idle_ms: u64,
+    /// When the next idle sweep is due; `u64::MAX` while no connection
+    /// has an idle deadline.
+    next_sweep: u64,
     draining: bool,
     drain_deadline: u64,
     /// Stage recorder for the wire-side stages (`Recv`, `Decode`,
@@ -356,20 +371,14 @@ impl<'s> Reactor<'s> {
         index: usize,
         shared: Arc<Shared>,
         config: ServerConfig,
+        poller: Poller,
         listener: TcpListener,
         router: ShardRouter<'s>,
     ) -> Self {
-        let poller = Arc::clone(&shared.pollers[index]);
-        let idle_ms = config.idle_timeout.as_millis() as u64;
-        // Slot width tracks the idle timeout so eviction lag stays a small
-        // fraction of it; 64 slots cover one timeout per revolution.
-        let slot_ms = if idle_ms == 0 { 25 } else { (idle_ms / 32).clamp(1, 1000) };
-        // Registration failure would leave a deaf listener; surfacing it
-        // from a spawned thread has no good channel, and `add` on a fresh
-        // poller only fails for exhausted kernel memory.
-        poller
-            .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
-            .expect("register listener");
+        let idle_ms = match config.idle_timeout.as_millis() as u64 {
+            0 => u64::MAX,
+            ms => ms,
+        };
         let recorder = router.service().stage_trace().recorder();
         Self {
             index,
@@ -379,14 +388,14 @@ impl<'s> Reactor<'s> {
             router,
             recorder,
             listener: Some(listener),
-            listener_paused: false,
+            accept_retry_at: None,
             conns: Vec::new(),
             free: Vec::new(),
             retired: Vec::new(),
             live: 0,
-            wheel: TimerWheel::new(slot_ms, 64),
             epoch: Instant::now(),
             idle_ms,
+            next_sweep: u64::MAX,
             draining: false,
             drain_deadline: u64::MAX,
             read_buf: vec![0; 16 << 10],
@@ -403,14 +412,14 @@ impl<'s> Reactor<'s> {
 
     fn run(mut self) {
         let mut events: Vec<polling::Event> = Vec::new();
-        let mut expired: Vec<usize> = Vec::new();
+        let mut now = self.now_ms();
         loop {
-            let timeout = self.next_timeout();
+            let timeout = Duration::from_millis(self.next_deadline(now).saturating_sub(now));
             events.clear();
-            if self.poller.wait(&mut events, timeout).is_err() {
+            if self.poller.wait(&mut events, Some(timeout)).is_err() {
                 break;
             }
-            let now = self.now_ms();
+            now = self.now_ms();
             if self.shared.shutdown.load(Ordering::Acquire) && !self.draining {
                 self.begin_drain(now);
             }
@@ -431,14 +440,15 @@ impl<'s> Reactor<'s> {
                     }
                 }
             }
-            expired.clear();
-            self.wheel.advance(self.now_ms(), &mut expired);
-            for &token in &expired {
-                self.timer_fired(token, now);
+            if self.accept_retry_at.is_some_and(|at| at <= now) {
+                self.retry_accept(now);
+            }
+            if self.next_sweep <= now {
+                self.evict_idle(now);
             }
             self.free.append(&mut self.retired);
             if self.draining {
-                if self.now_ms() >= self.drain_deadline {
+                if now >= self.drain_deadline {
                     self.force_close_all();
                     break;
                 }
@@ -449,12 +459,14 @@ impl<'s> Reactor<'s> {
         }
     }
 
-    fn next_timeout(&self) -> Option<Duration> {
-        let mut deadline = self.wheel.next_deadline();
-        if self.draining {
-            deadline = Some(deadline.map_or(self.drain_deadline, |d| d.min(self.drain_deadline)));
-        }
-        deadline.map(|d| Duration::from_millis(d.saturating_sub(self.now_ms()).max(1)))
+    /// The earliest deadline this reactor keeps, and never more than one
+    /// tick past `now`.
+    fn next_deadline(&self, now: u64) -> u64 {
+        let retry = self.accept_retry_at.unwrap_or(u64::MAX);
+        (now + TICK_MS)
+            .min(self.next_sweep)
+            .min(retry)
+            .min(self.drain_deadline)
     }
 
     /// Accepts one connection from this reactor's listener clone and
@@ -473,13 +485,12 @@ impl<'s> Reactor<'s> {
             Err(e) if e.kind() == ErrorKind::Interrupted => true,
             Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
                 // ENFILE/EMFILE: the process is out of fds.  Accepting
-                // would fail forever at full CPU; unregister and re-arm on
-                // a timer so existing connections can finish and release
+                // would fail forever at full CPU; unregister and re-arm
+                // later so existing connections can finish and release
                 // fds.
                 let _ = self.poller.delete(listener.as_raw_fd());
-                self.listener_paused = true;
+                self.accept_retry_at = Some(now + ACCEPT_RETRY_MS);
                 self.shared.stats.add_accept_pauses(1);
-                self.wheel.schedule(now + ACCEPT_RETRY_MS, LISTENER_TOKEN);
                 false
             }
             Err(_) => false,
@@ -515,9 +526,7 @@ impl<'s> Reactor<'s> {
             frames: VecDeque::new(),
         });
         self.live += 1;
-        if self.idle_ms > 0 {
-            self.wheel.schedule(idle_deadline, token);
-        }
+        self.next_sweep = self.next_sweep.min(idle_deadline);
     }
 
     fn conn_readable(&mut self, token: usize, now: u64) {
@@ -729,41 +738,47 @@ impl<'s> Reactor<'s> {
         self.retired.push(token);
     }
 
-    fn timer_fired(&mut self, token: usize, now: u64) {
-        if token == LISTENER_TOKEN {
-            if !self.listener_paused || self.draining {
-                return;
-            }
-            let Some(listener) = self.listener.as_ref() else { return };
-            // Level-triggered: a backlog that built up meanwhile is
-            // reported by the next wait.
-            if self.poller.add(listener.as_raw_fd(), LISTENER_TOKEN, true, false).is_ok() {
-                self.listener_paused = false;
-            } else {
-                self.wheel.schedule(now + ACCEPT_RETRY_MS, LISTENER_TOKEN);
-            }
+    /// Registers the listener paused under fd pressure again, or retries
+    /// after another [`ACCEPT_RETRY_MS`] if that fails.  Level-triggered:
+    /// a backlog that built up meanwhile is reported by the next wait.
+    fn retry_accept(&mut self, now: u64) {
+        self.accept_retry_at = None;
+        let Some(listener) = self.listener.as_ref() else {
             return;
-        }
-        let mut evict = false;
+        };
+        if self
+            .poller
+            .add(listener.as_raw_fd(), LISTENER_TOKEN, true, false)
+            .is_err()
         {
-            let Some(conn) = self.conns.get_mut(token).and_then(Option::as_mut) else {
-                return;
+            self.accept_retry_at = Some(now + ACCEPT_RETRY_MS);
+        }
+    }
+
+    /// Evicts every connection past its idle deadline and schedules the
+    /// next sweep at the earliest deadline left, but no sooner than one
+    /// sweep gap away.  A closing connection is being flushed out (error
+    /// or drain) and is left alone: the drain deadline bounds it.
+    fn evict_idle(&mut self, now: u64) {
+        let mut earliest = u64::MAX;
+        for token in 0..self.conns.len() {
+            let Some(conn) = self.conns[token].as_ref() else {
+                continue;
             };
             if conn.closing {
-                // Being flushed out (error or drain); the drain deadline
-                // bounds it — no idle timer needed, let the entry lapse.
-            } else if conn.idle_deadline <= now {
-                evict = true;
+                continue;
+            }
+            if conn.idle_deadline <= now {
+                self.shared.stats.add_idle_evictions(1);
+                self.close(token);
             } else {
-                // Lazy re-arm: traffic moved the authoritative deadline
-                // since this entry was scheduled.
-                self.wheel.schedule(conn.idle_deadline, token);
+                earliest = earliest.min(conn.idle_deadline);
             }
         }
-        if evict {
-            self.shared.stats.add_idle_evictions(1);
-            self.close(token);
-        }
+        // Sweeps stay a small fraction of the timeout apart, so the
+        // eviction lag does too.
+        let gap = (self.idle_ms / 32).clamp(1, 1000);
+        self.next_sweep = earliest.max(now + gap);
     }
 
     /// Enters drain mode: take the last connections off the listener and
@@ -778,8 +793,9 @@ impl<'s> Reactor<'s> {
         // One final accept pass before the clone goes away: connections
         // that completed the kernel handshake before the shutdown landed
         // already have request bytes buffered, and closing the listener
-        // would RST them unserved.
-        if !self.listener_paused {
+        // would RST them unserved.  A listener paused under fd pressure
+        // stays paused.
+        if self.accept_retry_at.take().is_none() {
             while self.accept_one(now) {}
         }
         if let Some(listener) = self.listener.take() {

@@ -3,9 +3,10 @@
 //! (hundreds of concurrent pipelining connections), write-side
 //! backpressure under a client that never reads, frames larger than a
 //! router's in-flight budget, graceful shutdown draining pipelined frames,
-//! idle-connection eviction, bursts — several frames arriving in one read,
-//! which the reactor serves in one pass — single-request frames, and a
-//! reactor that cannot open its router.
+//! a bounded shutdown of an idle server, idle-connection eviction, bursts
+//! — several frames arriving in one read, which the reactor serves in one
+//! pass — single-request frames, and a reactor that cannot open its
+//! router.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -284,8 +285,8 @@ fn graceful_shutdown_drains_pipelined_frames() {
     );
 }
 
-/// Connections idle past the timeout are evicted by the timer wheel;
-/// active ones are not.
+/// Connections idle past the timeout are evicted by the reactor's idle
+/// sweep; active ones are not.
 #[test]
 fn idle_connections_are_evicted() {
     let service = elim_service(2);
@@ -328,6 +329,31 @@ fn idle_connections_are_evicted() {
     assert_eq!(replies, vec![Response::Value(Some(1))]);
     drop(busy);
     server.shutdown();
+}
+
+/// With idle eviction off and no connection left, a reactor has no
+/// deadline of its own; its wait is still bounded by the loop's tick, so
+/// `shutdown` returns promptly with nothing to wake the reactors.
+#[test]
+fn shutdown_of_an_idle_server_is_bounded() {
+    let service = elim_service(2);
+    let config = ServerConfig {
+        idle_timeout: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let mut server = Server::start(config, Arc::clone(&service)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let replies = client.call(&[Request::Put { key: 1, value: 1 }]).unwrap();
+    assert_eq!(replies, vec![Response::Value(None)]);
+    drop(client);
+    eventually("the hang-up", || server.stats().open_connections() == 0);
+
+    let started = Instant::now();
+    server.shutdown();
+    let took = started.elapsed();
+    println!("shutdown of an idle server took {took:?}");
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    assert!(server.is_shut_down());
 }
 
 /// The server-side state machine reassembles a frame dribbled one byte per

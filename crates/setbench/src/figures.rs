@@ -297,7 +297,9 @@ pub fn run_persistence_overhead_table(scale: &Scale) -> Vec<(BenchResult, BenchR
                     eprintln!("{}", r.to_json());
                     r
                 };
-                let v = cell(volatile, abpmem::PersistMode::NoOp);
+                // The volatile trees never call abpmem; the mode only
+                // matters to the durable cell.
+                let v = cell(volatile, abpmem::PersistMode::CountOnly);
                 let p = cell(durable, abpmem::PersistMode::Real);
                 abpmem::set_mode(abpmem::PersistMode::CountOnly);
                 let overhead = (p.throughput_mops - v.throughput_mops) / v.throughput_mops * 100.0;

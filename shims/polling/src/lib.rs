@@ -13,19 +13,15 @@
 //!   unflushed write buffer is re-reported on the next wait, so a missed
 //!   drain is a wasted wakeup rather than a lost connection.
 //! * **poll(2)** (any unix; forced on Linux with the `force-poll` feature
-//!   so CI can exercise it): the registration table lives in a mutex and a
-//!   fresh `pollfd` array is built per wait.  O(n) per wait, which is the
-//!   accepted cost of the portable fallback.
+//!   so CI can exercise it): the registration table *is* the `pollfd`
+//!   array handed to the kernel, so a wait copies nothing.  O(n) per wait,
+//!   which is the accepted cost of the portable fallback.
 //!
-//! Cross-thread wakeups use the classic self-pipe trick: [`Poller::notify`]
-//! writes one byte into a non-blocking pipe whose read end is registered
-//! under a reserved key; [`Poller::wait`] drains it and never reports it as
-//! an event.
-//!
-//! One thread waits, any thread may `add`/`modify`/`delete`/`notify`.
-//! (Concurrent waiters are not supported — the epoll backend would wake an
-//! arbitrary one and the poll backend's registration snapshot would race —
-//! matching how a thread-per-reactor server uses one `Poller` per thread.)
+//! One thread owns a `Poller`: `add`/`modify`/`delete`/`wait` all take
+//! `&mut self`, so there is no cross-thread wake-up and no lock.  A
+//! thread-per-reactor server gives each reactor its own poller and bounds
+//! every `wait` with a timeout to notice shared state (a shutdown flag)
+//! changing.
 
 #![warn(missing_docs)]
 #![cfg(unix)]
@@ -33,10 +29,6 @@
 use std::io;
 use std::os::unix::io::RawFd;
 use std::time::Duration;
-
-/// The key [`Poller`] reserves for its internal notify pipe.  `add` rejects
-/// it; `wait` never reports it.
-pub const NOTIFY_KEY: usize = usize::MAX;
 
 /// One readiness event: the registration `key` and which directions are
 /// ready.  Hangups and errors are reported as *both* readable and writable
@@ -54,7 +46,7 @@ pub struct Event {
 #[allow(dead_code)] // each backend uses its half of the surface
 mod sys {
     //! The raw syscall surface, kept to the minimum an event loop needs.
-    use std::os::raw::{c_int, c_void};
+    use std::os::raw::c_int;
 
     pub const EPOLL_CLOEXEC: c_int = 0o2000000;
     pub const EPOLL_CTL_ADD: c_int = 1;
@@ -70,10 +62,6 @@ mod sys {
     pub const POLLOUT: i16 = 0x004;
     pub const POLLERR: i16 = 0x008;
     pub const POLLHUP: i16 = 0x010;
-
-    pub const F_GETFL: c_int = 3;
-    pub const F_SETFL: c_int = 4;
-    pub const O_NONBLOCK: c_int = 0o4000;
 
     /// `struct epoll_event`; packed on x86-64, where the kernel ABI demands
     /// the 12-byte layout.
@@ -103,11 +91,7 @@ mod sys {
             timeout: c_int,
         ) -> c_int;
         pub fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
-        pub fn pipe(fds: *mut c_int) -> c_int;
-        pub fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
         pub fn close(fd: c_int) -> c_int;
-        pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-        pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     }
 }
 
@@ -121,60 +105,14 @@ fn cvt(ret: i32) -> io::Result<i32> {
     }
 }
 
-/// A non-blocking self-pipe: the cross-thread wakeup channel of both
-/// backends.
-struct NotifyPipe {
-    read_fd: RawFd,
-    write_fd: RawFd,
-}
-
-impl NotifyPipe {
-    fn new() -> io::Result<Self> {
-        let mut fds = [0i32; 2];
-        cvt(unsafe { sys::pipe(fds.as_mut_ptr()) })?;
-        for fd in fds {
-            let flags = cvt(unsafe { sys::fcntl(fd, sys::F_GETFL, 0) })?;
-            cvt(unsafe { sys::fcntl(fd, sys::F_SETFL, flags | sys::O_NONBLOCK) })?;
-        }
-        Ok(Self {
-            read_fd: fds[0],
-            write_fd: fds[1],
-        })
-    }
-
-    /// Makes the pipe readable.  A full pipe means a wakeup is already
-    /// pending, which is all a notification needs to guarantee.
-    fn notify(&self) -> io::Result<()> {
-        let byte = 1u8;
-        let ret = unsafe { sys::write(self.write_fd, (&raw const byte).cast(), 1) };
-        if ret < 0 {
-            let err = io::Error::last_os_error();
-            if err.kind() == io::ErrorKind::WouldBlock {
-                return Ok(());
-            }
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Swallows every pending wakeup byte.
-    fn drain(&self) {
-        let mut buf = [0u8; 64];
-        loop {
-            let ret = unsafe { sys::read(self.read_fd, buf.as_mut_ptr().cast(), buf.len()) };
-            if ret <= 0 {
-                return;
-            }
-        }
-    }
-}
-
-impl Drop for NotifyPipe {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.read_fd);
-            sys::close(self.write_fd);
-        }
+/// A wait's return value as the number of ready entries.  A signal is not
+/// an error for the loop: it reads as "no events", and the caller's next
+/// iteration recomputes its timeouts.
+fn ready_count(ret: i32) -> io::Result<usize> {
+    match cvt(ret) {
+        Ok(n) => Ok(n as usize),
+        Err(err) if err.kind() == io::ErrorKind::Interrupted => Ok(0),
+        Err(err) => Err(err),
     }
 }
 
@@ -201,7 +139,6 @@ mod backend {
 
     pub struct Backend {
         epfd: RawFd,
-        pipe: NotifyPipe,
     }
 
     fn interest_bits(readable: bool, writable: bool) -> u32 {
@@ -217,90 +154,93 @@ mod backend {
 
     impl Backend {
         pub fn new() -> io::Result<Self> {
+            // SAFETY: no pointer arguments; the returned fd is owned by
+            // `Self` and closed exactly once, in `drop`.
             let epfd = cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
-            let pipe = NotifyPipe::new()?;
-            let backend = Self { epfd, pipe };
-            backend.ctl(
-                sys::EPOLL_CTL_ADD,
-                backend.pipe.read_fd,
-                NOTIFY_KEY,
-                sys::EPOLLIN,
-            )?;
-            Ok(backend)
+            Ok(Self { epfd })
         }
 
-        fn ctl(&self, op: i32, fd: RawFd, key: usize, events: u32) -> io::Result<()> {
+        fn ctl(&mut self, op: i32, fd: RawFd, key: usize, events: u32) -> io::Result<()> {
             let mut event = sys::EpollEvent {
                 events,
                 data: key as u64,
             };
+            // SAFETY: `event` is a live, correctly laid out `epoll_event`
+            // that the kernel only reads during the call; a bad `fd` is
+            // reported through errno, not undefined behaviour.
             cvt(unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut event) })?;
             Ok(())
         }
 
-        pub fn add(&self, fd: RawFd, key: usize, readable: bool, writable: bool) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_ADD, fd, key, interest_bits(readable, writable))
-        }
-
-        pub fn modify(
-            &self,
+        pub fn add(
+            &mut self,
             fd: RawFd,
             key: usize,
             readable: bool,
             writable: bool,
         ) -> io::Result<()> {
-            self.ctl(sys::EPOLL_CTL_MOD, fd, key, interest_bits(readable, writable))
+            self.ctl(
+                sys::EPOLL_CTL_ADD,
+                fd,
+                key,
+                interest_bits(readable, writable),
+            )
         }
 
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+        pub fn modify(
+            &mut self,
+            fd: RawFd,
+            key: usize,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
+            self.ctl(
+                sys::EPOLL_CTL_MOD,
+                fd,
+                key,
+                interest_bits(readable, writable),
+            )
+        }
+
+        pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
             self.ctl(sys::EPOLL_CTL_DEL, fd, 0, 0)
         }
 
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        pub fn wait(
+            &mut self,
+            events: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
             const CAPACITY: usize = 256;
             let mut raw = [sys::EpollEvent { events: 0, data: 0 }; CAPACITY];
-            let n = unsafe {
+            // SAFETY: `raw` is a writable array of `CAPACITY` entries and
+            // the kernel writes at most `maxevents` = `CAPACITY` of them.
+            let n = ready_count(unsafe {
                 sys::epoll_wait(
                     self.epfd,
                     raw.as_mut_ptr(),
                     CAPACITY as i32,
                     timeout_ms(timeout),
                 )
-            };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                // A signal is not an error for the loop; report "no events"
-                // and let the caller's next iteration recompute timeouts.
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            for entry in raw.iter().take(n as usize) {
+            })?;
+            for entry in raw.iter().take(n) {
                 // Copy out of the (possibly packed) struct before use.
                 let bits = entry.events;
-                let key = entry.data as usize;
-                if key == NOTIFY_KEY {
-                    self.pipe.drain();
-                    continue;
-                }
                 let failed = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
                 events.push(Event {
-                    key,
+                    key: entry.data as usize,
                     readable: bits & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 || failed,
                     writable: bits & sys::EPOLLOUT != 0 || failed,
                 });
             }
             Ok(())
         }
-
-        pub fn notify(&self) -> io::Result<()> {
-            self.pipe.notify()
-        }
     }
 
     impl Drop for Backend {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1` in `new`, is owned
+            // by `self` alone and is closed only here.
             unsafe {
                 sys::close(self.epfd);
             }
@@ -311,139 +251,123 @@ mod backend {
 #[cfg(any(not(target_os = "linux"), feature = "force-poll"))]
 mod backend {
     //! The portable poll(2) backend: the interest table lives in userspace
-    //! and a fresh `pollfd` array is built per wait.
+    //! as the very `pollfd` array each wait hands to the kernel, with each
+    //! entry's key alongside.
     use super::*;
-    use std::sync::Mutex;
-
-    #[derive(Clone, Copy)]
-    struct Registration {
-        fd: RawFd,
-        key: usize,
-        readable: bool,
-        writable: bool,
-    }
 
     pub struct Backend {
-        registrations: Mutex<Vec<Registration>>,
-        pipe: NotifyPipe,
+        fds: Vec<sys::PollFd>,
+        keys: Vec<usize>,
+    }
+
+    fn interest_bits(readable: bool, writable: bool) -> i16 {
+        let mut bits = 0i16;
+        if readable {
+            bits |= sys::POLLIN;
+        }
+        if writable {
+            bits |= sys::POLLOUT;
+        }
+        bits
     }
 
     impl Backend {
         pub fn new() -> io::Result<Self> {
             Ok(Self {
-                registrations: Mutex::new(Vec::new()),
-                pipe: NotifyPipe::new()?,
+                fds: Vec::new(),
+                keys: Vec::new(),
             })
         }
 
-        pub fn add(&self, fd: RawFd, key: usize, readable: bool, writable: bool) -> io::Result<()> {
-            let mut table = self.registrations.lock().unwrap();
-            if table.iter().any(|r| r.fd == fd) {
-                return Err(io::Error::from_raw_os_error(17 /* EEXIST */));
-            }
-            table.push(Registration {
-                fd,
-                key,
-                readable,
-                writable,
-            });
-            Ok(())
+        fn position(&self, fd: RawFd) -> io::Result<usize> {
+            self.fds
+                .iter()
+                .position(|slot| slot.fd == fd)
+                .ok_or_else(|| io::Error::from_raw_os_error(2 /* ENOENT */))
         }
 
-        pub fn modify(
-            &self,
+        pub fn add(
+            &mut self,
             fd: RawFd,
             key: usize,
             readable: bool,
             writable: bool,
         ) -> io::Result<()> {
-            let mut table = self.registrations.lock().unwrap();
-            let slot = table
-                .iter_mut()
-                .find(|r| r.fd == fd)
-                .ok_or_else(|| io::Error::from_raw_os_error(2 /* ENOENT */))?;
-            *slot = Registration {
-                fd,
-                key,
-                readable,
-                writable,
-            };
-            Ok(())
-        }
-
-        pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-            let mut table = self.registrations.lock().unwrap();
-            let before = table.len();
-            table.retain(|r| r.fd != fd);
-            if table.len() == before {
-                return Err(io::Error::from_raw_os_error(2 /* ENOENT */));
+            if self.position(fd).is_ok() {
+                return Err(io::Error::from_raw_os_error(17 /* EEXIST */));
             }
-            Ok(())
-        }
-
-        pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            // Snapshot the table so `notify`/`add` from other threads never
-            // deadlock against a parked wait; registration changes land on
-            // the next wait, which the notify pipe can force immediately.
-            let snapshot: Vec<Registration> = self.registrations.lock().unwrap().clone();
-            let mut fds: Vec<sys::PollFd> = Vec::with_capacity(snapshot.len() + 1);
-            fds.push(sys::PollFd {
-                fd: self.pipe.read_fd,
-                events: sys::POLLIN,
+            self.fds.push(sys::PollFd {
+                fd,
+                events: interest_bits(readable, writable),
                 revents: 0,
             });
-            for reg in &snapshot {
-                let mut bits = 0i16;
-                if reg.readable {
-                    bits |= sys::POLLIN;
-                }
-                if reg.writable {
-                    bits |= sys::POLLOUT;
-                }
-                fds.push(sys::PollFd {
-                    fd: reg.fd,
-                    events: bits,
-                    revents: 0,
-                });
+            self.keys.push(key);
+            Ok(())
+        }
+
+        pub fn modify(
+            &mut self,
+            fd: RawFd,
+            key: usize,
+            readable: bool,
+            writable: bool,
+        ) -> io::Result<()> {
+            let index = self.position(fd)?;
+            self.fds[index].events = interest_bits(readable, writable);
+            self.keys[index] = key;
+            Ok(())
+        }
+
+        pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
+            let index = self.position(fd)?;
+            self.fds.swap_remove(index);
+            self.keys.swap_remove(index);
+            Ok(())
+        }
+
+        pub fn wait(
+            &mut self,
+            events: &mut Vec<Event>,
+            timeout: Option<Duration>,
+        ) -> io::Result<()> {
+            // SAFETY: `fds` is a live, writable array of exactly
+            // `fds.len()` `pollfd`s; the kernel writes only their
+            // `revents` fields.
+            let n = ready_count(unsafe {
+                sys::poll(
+                    self.fds.as_mut_ptr(),
+                    self.fds.len() as u64,
+                    timeout_ms(timeout),
+                )
+            })?;
+            // Nothing ready, or a signal, after which `revents` may still
+            // hold the previous wait's bits: report nothing.
+            if n == 0 {
+                return Ok(());
             }
-            let n = unsafe { sys::poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms(timeout)) };
-            if n < 0 {
-                let err = io::Error::last_os_error();
-                if err.kind() == io::ErrorKind::Interrupted {
-                    return Ok(());
-                }
-                return Err(err);
-            }
-            if fds[0].revents != 0 {
-                self.pipe.drain();
-            }
-            for (slot, reg) in fds[1..].iter().zip(&snapshot) {
+            for (slot, &key) in self.fds.iter().zip(&self.keys) {
                 let bits = slot.revents;
                 if bits == 0 {
                     continue;
                 }
                 let failed = bits & (sys::POLLERR | sys::POLLHUP) != 0;
                 events.push(Event {
-                    key: reg.key,
+                    key,
                     readable: bits & sys::POLLIN != 0 || failed,
                     writable: bits & sys::POLLOUT != 0 || failed,
                 });
             }
             Ok(())
         }
-
-        pub fn notify(&self) -> io::Result<()> {
-            self.pipe.notify()
-        }
     }
 }
 
-/// A readiness poller over non-blocking file descriptors.
+/// A readiness poller over non-blocking file descriptors, owned by one
+/// thread.
 ///
 /// Register descriptors with [`add`](Self::add) under a caller-chosen
 /// `key`, change interest with [`modify`](Self::modify), and block in
-/// [`wait`](Self::wait) for readiness.  [`notify`](Self::notify) wakes a
-/// blocked `wait` from any thread.  Registered descriptors must outlive
+/// [`wait`](Self::wait) for readiness.  Registered descriptors must outlive
 /// their registration (call [`delete`](Self::delete) before closing them;
 /// the epoll backend tolerates a missed delete, the poll backend does not).
 pub struct Poller {
@@ -451,7 +375,7 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Creates a poller (and its internal notify pipe).
+    /// Creates a poller.
     pub fn new() -> io::Result<Self> {
         Ok(Self {
             backend: backend::Backend::new()?,
@@ -459,39 +383,34 @@ impl Poller {
     }
 
     /// Registers `fd` under `key` with the given interest.  Fails on a
-    /// double registration, or if `key` is the reserved [`NOTIFY_KEY`].
-    pub fn add(&self, fd: RawFd, key: usize, readable: bool, writable: bool) -> io::Result<()> {
-        if key == NOTIFY_KEY {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "key usize::MAX is reserved for the notify pipe",
-            ));
-        }
+    /// double registration.
+    pub fn add(&mut self, fd: RawFd, key: usize, readable: bool, writable: bool) -> io::Result<()> {
         self.backend.add(fd, key, readable, writable)
     }
 
     /// Replaces the interest (and key) of a registered `fd`.
-    pub fn modify(&self, fd: RawFd, key: usize, readable: bool, writable: bool) -> io::Result<()> {
+    pub fn modify(
+        &mut self,
+        fd: RawFd,
+        key: usize,
+        readable: bool,
+        writable: bool,
+    ) -> io::Result<()> {
         self.backend.modify(fd, key, readable, writable)
     }
 
     /// Removes `fd`'s registration.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub fn delete(&mut self, fd: RawFd) -> io::Result<()> {
         self.backend.delete(fd)
     }
 
-    /// Blocks until at least one registered descriptor is ready, the
-    /// timeout elapses (`None` = forever), or [`notify`](Self::notify) is
-    /// called; ready descriptors are appended to `events` (which is **not**
-    /// cleared).  Spurious empty returns are allowed (notify wakeups,
-    /// signals) — callers must treat "no events" as a normal iteration.
-    pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+    /// Blocks until at least one registered descriptor is ready or the
+    /// timeout elapses (`None` = forever); ready descriptors are appended
+    /// to `events` (which is **not** cleared).  Spurious empty returns are
+    /// allowed (signals): callers must treat "no events" as a normal
+    /// iteration.
+    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         self.backend.wait(events, timeout)
-    }
-
-    /// Wakes the waiting thread (idempotent while a wakeup is pending).
-    pub fn notify(&self) -> io::Result<()> {
-        self.backend.notify()
     }
 }
 
@@ -507,7 +426,6 @@ mod tests {
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
-    use std::time::Instant;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -521,7 +439,8 @@ mod tests {
 
     #[test]
     fn readiness_round_trip() {
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new().unwrap();
+        assert!(format!("{poller:?}").contains("Poller"));
         let (mut client, mut server) = pair();
         poller.add(server.as_raw_fd(), 7, true, false).unwrap();
 
@@ -551,9 +470,7 @@ mod tests {
         assert!(events.is_empty());
 
         // Write interest on an idle socket reports immediately.
-        poller
-            .modify(server.as_raw_fd(), 7, true, true)
-            .unwrap();
+        poller.modify(server.as_raw_fd(), 7, true, true).unwrap();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
@@ -569,36 +486,8 @@ mod tests {
     }
 
     #[test]
-    fn notify_wakes_a_parked_wait() {
-        let poller = std::sync::Arc::new(Poller::new().unwrap());
-        let waker = std::sync::Arc::clone(&poller);
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            waker.notify().unwrap();
-        });
-        let started = Instant::now();
-        let mut events = Vec::new();
-        // Infinite timeout: only the notify can end this wait.
-        poller.wait(&mut events, None).unwrap();
-        assert!(events.is_empty(), "the notify pipe is not an event");
-        assert!(started.elapsed() < Duration::from_secs(10));
-        handle.join().unwrap();
-        // Pending wakeups collapse: many notifies, one (drained) wakeup.
-        for _ in 0..100 {
-            poller.notify().unwrap();
-        }
-        poller
-            .wait(&mut events, Some(Duration::from_millis(50)))
-            .unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(events.is_empty());
-    }
-
-    #[test]
     fn peer_hangup_reports_readable() {
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new().unwrap();
         let (client, server) = pair();
         poller.add(server.as_raw_fd(), 3, true, false).unwrap();
         drop(client);
@@ -610,15 +499,5 @@ mod tests {
             events.iter().any(|e| e.key == 3 && e.readable),
             "hangup must surface as readable (read returns 0): {events:?}"
         );
-    }
-
-    #[test]
-    fn reserved_key_is_rejected() {
-        let poller = Poller::new().unwrap();
-        let (_client, server) = pair();
-        assert!(poller
-            .add(server.as_raw_fd(), NOTIFY_KEY, true, false)
-            .is_err());
-        assert!(format!("{poller:?}").contains("Poller"));
     }
 }
