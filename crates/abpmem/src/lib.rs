@@ -23,47 +23,45 @@
 //!   (Table 1) be reproduced with a tunable gap between volatile and durable
 //!   runs;
 //! * in [`PersistMode::CountOnly`] the calls are counted but cost nothing —
-//!   useful for unit tests that assert on flush/fence placement;
-//! * [`tracker`] records the exact sequence of flush/fence events so tests
-//!   can assert ordering properties such as *"new nodes are flushed before
-//!   the pointer that links them is flushed"* (the link-and-persist rule of
-//!   §5).
+//!   useful for unit tests that assert on flush/fence counts.  The order of
+//!   a tree's flushes is checked in `abtree`, through a test-only `Persist`
+//!   policy that logs each thread's flushes and fences.
 //!
-//! The bookkeeping stays off the durable write path's shared state, so
-//! concurrent flushers write no common cache line:
-//!
-//! * the counters behind [`stats`] are cache-line-padded stripes: each
-//!   thread adds to its own, [`stats`] sums them and [`reset_stats`] zeroes
-//!   them, so the totals are exact once the flushing threads are joined;
-//! * the tracker is gated: with no [`TrackingSession`] live, a flush or
-//!   fence reads one relaxed flag and records nothing; the log's lock is
-//!   taken only while a session is live.
+//! The counters behind [`stats`] stay off the durable write path's shared
+//! state: they are cache-line-padded stripes, each thread adds to its own,
+//! [`stats`] sums them and [`reset_stats`] zeroes them, so concurrent
+//! flushers write no common cache line and the totals are exact once the
+//! flushing threads are joined.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod persist;
-pub mod tracker;
 
 pub use persist::{
-    flush, flush_value, persist, persist_value, reset_stats, set_mode, sfence, stats, PersistMode,
-    PmStats, CACHE_LINE,
+    flush, persist, reset_stats, set_mode, sfence, stats, PersistMode, PmStats, CACHE_LINE,
 };
-pub use tracker::{FlushEvent, TrackingSession};
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
     use super::*;
+
+    /// The persist mode and the counters are process-global, so every test
+    /// in this crate that sets or reads them holds this lock.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn default_mode_counts() {
-        // Note: mode is process-global; tests in this crate that change it
-        // are serialized through the tracker's session lock.
-        let _session = TrackingSession::start();
+        let _serial = serial();
         set_mode(PersistMode::CountOnly);
         reset_stats();
         let x = 42u64;
-        persist_value(&x);
+        persist((&x as *const u64).cast(), 8);
         let s = stats();
         assert_eq!(s.flushes, 1);
         assert_eq!(s.fences, 1);
@@ -71,7 +69,7 @@ mod tests {
 
     #[test]
     fn flush_spans_cache_lines() {
-        let _session = TrackingSession::start();
+        let _serial = serial();
         set_mode(PersistMode::CountOnly);
         reset_stats();
         // An object larger than one cache line must issue multiple flushes.
@@ -88,7 +86,7 @@ mod tests {
 
     #[test]
     fn real_mode_executes_without_fault() {
-        let _session = TrackingSession::start();
+        let _serial = serial();
         set_mode(PersistMode::Real);
         reset_stats();
         let data = vec![1u8; 1024];
@@ -101,7 +99,7 @@ mod tests {
 
     #[test]
     fn simulated_mode_adds_latency() {
-        let _session = TrackingSession::start();
+        let _serial = serial();
         set_mode(PersistMode::Simulated {
             flush_ns: 200,
             fence_ns: 100,
@@ -110,7 +108,7 @@ mod tests {
         let start = std::time::Instant::now();
         let x = 7u64;
         for _ in 0..50 {
-            persist_value(&x);
+            persist((&x as *const u64).cast(), 8);
         }
         let elapsed = start.elapsed();
         // 50 * (200 + 100) ns = 15 µs minimum.
@@ -119,21 +117,5 @@ mod tests {
             "simulated latency not applied: {elapsed:?}"
         );
         set_mode(PersistMode::CountOnly);
-    }
-
-    #[test]
-    fn tracker_records_order() {
-        let session = TrackingSession::start();
-        set_mode(PersistMode::CountOnly);
-        let a = 1u64;
-        let b = 2u64;
-        flush_value(&a);
-        sfence();
-        flush_value(&b);
-        let events = session.finish();
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[0], FlushEvent::Flush { .. }));
-        assert!(matches!(events[1], FlushEvent::Fence));
-        assert!(matches!(events[2], FlushEvent::Flush { .. }));
     }
 }

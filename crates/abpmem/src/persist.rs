@@ -3,8 +3,6 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::tracker;
-
 /// Cache-line size assumed by the flush granularity (64 bytes on all the
 /// x86-64 machines the paper targets).
 pub const CACHE_LINE: usize = 64;
@@ -12,7 +10,7 @@ pub const CACHE_LINE: usize = 64;
 /// How flush/fence calls behave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PersistMode {
-    /// Count flushes and fences (and feed the tracker) but execute nothing.
+    /// Count flushes and fences but execute nothing.
     /// This is the default and is what correctness tests use.
     CountOnly,
     /// Execute real x86 cache-line write-backs (`clwb`, the paper's
@@ -227,7 +225,6 @@ pub fn flush(ptr: *const u8, len: usize) {
         line += CACHE_LINE;
     }
     STRIPE.with(|stripe| stripe.flushes.fetch_add(count, Ordering::Relaxed));
-    tracker::record_flush(ptr as usize, len);
 }
 
 /// Issues a store fence ordering all previously issued flushes.
@@ -240,7 +237,6 @@ pub fn sfence() {
         _ => {}
     }
     STRIPE.with(|stripe| stripe.fences.fetch_add(1, Ordering::Relaxed));
-    tracker::record_fence();
 }
 
 /// Flush followed by fence: the paper's "flush" ( `clwb` + `sfence`).
@@ -249,24 +245,14 @@ pub fn persist(ptr: *const u8, len: usize) {
     sfence();
 }
 
-/// Flushes the cache lines occupied by `value` (no fence).
-pub fn flush_value<T>(value: &T) {
-    flush(value as *const T as *const u8, std::mem::size_of::<T>());
-}
-
-/// Flushes the cache lines occupied by `value` and fences.
-pub fn persist_value<T>(value: &T) {
-    persist(value as *const T as *const u8, std::mem::size_of::<T>());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::TrackingSession;
+    use crate::tests::serial;
 
     #[test]
     fn mode_round_trip() {
-        let _s = TrackingSession::start();
+        let _s = serial();
         let original = mode();
         set_mode(PersistMode::Simulated {
             flush_ns: 123,
@@ -287,7 +273,7 @@ mod tests {
 
     #[test]
     fn concurrent_flushers_are_counted_exactly() {
-        let _s = TrackingSession::start();
+        let _s = serial();
         let original = mode();
         set_mode(PersistMode::CountOnly);
         reset_stats();
@@ -296,7 +282,7 @@ mod tests {
                 scope.spawn(|| {
                     let x = 7u64;
                     for _ in 0..10_000 {
-                        persist_value(&x);
+                        persist((&x as *const u64).cast(), 8);
                     }
                 });
             }
@@ -313,7 +299,7 @@ mod tests {
 
     #[test]
     fn unaligned_ranges_cover_all_lines() {
-        let _s = TrackingSession::start();
+        let _s = serial();
         let original = mode();
         set_mode(PersistMode::CountOnly);
         reset_stats();
@@ -329,7 +315,7 @@ mod tests {
 
     #[test]
     fn zero_len_flush_is_free() {
-        let _s = TrackingSession::start();
+        let _s = serial();
         reset_stats();
         flush(std::ptr::null(), 0);
         assert_eq!(stats().flushes, 0);

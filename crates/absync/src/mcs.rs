@@ -80,10 +80,6 @@ impl Default for McsLock {
     }
 }
 
-// The lock hands out no references to its queue nodes; it is safe to share.
-unsafe impl Send for McsLock {}
-unsafe impl Sync for McsLock {}
-
 impl McsLock {
     /// Creates a new, unlocked MCS lock.
     pub const fn new() -> Self {
@@ -144,11 +140,8 @@ impl McsLock {
     /// Releases the lock previously acquired with the same `qnode`.
     ///
     /// # Safety
-    ///
-    /// `qnode` must be the queue node passed to the matching successful
-    /// [`lock_raw`](Self::lock_raw) or [`try_lock_raw`](Self::try_lock_raw)
-    /// call on this lock by the current thread, and the lock must still be
-    /// held by that acquisition.
+    /// `qnode` is the node of this thread's matching successful [`lock_raw`](Self::lock_raw)
+    /// or [`try_lock_raw`](Self::try_lock_raw) on this lock, which still holds it.
     pub unsafe fn unlock_raw(&self, qnode: &mut McsQueueNode) {
         let qptr: *mut McsQueueNode = qnode;
         let mut next = qnode.next.load(Ordering::Acquire);

@@ -30,11 +30,8 @@ pub trait RawNodeLock: Default + Send + Sync + 'static {
     /// Releases the lock.
     ///
     /// # Safety
-    ///
-    /// `token` must be the token passed to the matching successful
-    /// [`lock`](Self::lock) or [`try_lock`](Self::try_lock) call on this lock
-    /// by the current thread, the token must not have been moved since, and
-    /// the lock must still be held by that acquisition.
+    /// `token` is the unmoved token of this thread's matching successful [`lock`](Self::lock)
+    /// or [`try_lock`](Self::try_lock) on this lock, which still holds it.
     unsafe fn unlock(&self, token: &mut Self::Token);
 
     /// Heuristic: is the lock currently held?
@@ -57,6 +54,7 @@ impl RawNodeLock for McsLock {
         self.try_lock_raw(token)
     }
 
+    // SAFETY: the trait's contract is `unlock_raw`'s, with the token as the queue node.
     #[inline]
     unsafe fn unlock(&self, token: &mut Self::Token) {
         // SAFETY: forwarded contract.
@@ -86,6 +84,8 @@ impl RawNodeLock for TatasLock {
         TatasLock::try_lock(self)
     }
 
+    // SAFETY: the trait's contract implies `TatasLock::unlock`'s: this
+    // thread holds the lock.
     #[inline]
     unsafe fn unlock(&self, _token: &mut Self::Token) {
         // SAFETY: forwarded contract.
@@ -121,6 +121,7 @@ mod tests {
                     lock.lock(&mut token);
                     let v = counter.load(Ordering::Relaxed);
                     counter.store(v + 1, Ordering::Relaxed);
+                    // SAFETY: `token` acquired the lock just above.
                     unsafe { lock.unlock(&mut token) };
                 }
             }));
@@ -150,8 +151,10 @@ mod tests {
             let mut t2 = L::Token::default();
             assert!(lock.try_lock(&mut t1));
             assert!(!lock.try_lock(&mut t2));
+            // SAFETY: `t1`'s try_lock succeeded and still holds the lock.
             unsafe { lock.unlock(&mut t1) };
             assert!(lock.try_lock(&mut t2));
+            // SAFETY: likewise for `t2`.
             unsafe { lock.unlock(&mut t2) };
         }
         run::<McsLock>();

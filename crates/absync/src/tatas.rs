@@ -138,6 +138,7 @@ mod tests {
         assert!(!lock.try_lock());
         drop(g);
         assert!(lock.try_lock());
+        // SAFETY: the try_lock above succeeded on this thread.
         unsafe { lock.unlock() };
     }
 

@@ -17,7 +17,13 @@
 //! generic over a [`Persist`] policy.  [`VolatilePersist`] compiles every
 //! hook to a no-op (yielding exactly the paper's volatile trees), while the
 //! `pabtree` crate provides a durable policy backed by the `abpmem` crate's
-//! flush/fence primitives.
+//! flush/fence primitives.  A policy supplies only [`Persist::flush_range`]
+//! and [`Persist::fence`]; every other hook is built from those two.
+//!
+//! The order of those hooks is checked here, by unit tests over
+//! `recording::Recording`: a test-only durable policy that logs the calling
+//! thread's flushes and fences instead of issuing them.  It is the one flush
+//! log in the workspace; nothing records the order of the real flushes.
 
 /// A persistence policy: how (and whether) stores are made durable.
 pub trait Persist: Send + Sync + 'static {
@@ -26,28 +32,25 @@ pub trait Persist: Send + Sync + 'static {
     /// overhead.
     const DURABLE: bool;
 
-    /// Flushes the cache lines covering `[ptr, ptr + len)` and fences (the
-    /// paper's "flush": `clwb` + `sfence`).
-    fn persist_range(ptr: *const u8, len: usize);
-
     /// Flushes the cache lines covering `[ptr, ptr + len)` without fencing.
     fn flush_range(ptr: *const u8, len: usize);
 
     /// Issues a store fence ordering previously issued flushes.
     fn fence();
 
+    /// Flushes the cache lines covering `[ptr, ptr + len)` and fences (the
+    /// paper's "flush": `clwb` + `sfence`).
+    #[inline]
+    fn persist_range(ptr: *const u8, len: usize) {
+        Self::flush_range(ptr, len);
+        Self::fence();
+    }
+
     /// Convenience: flush + fence a single value.
+    #[inline]
     fn persist_value<T>(value: &T) {
         Self::persist_range(value as *const T as *const u8, std::mem::size_of::<T>());
     }
-
-    /// Convenience: flush (no fence) a single value.
-    fn flush_value<T>(value: &T) {
-        Self::flush_range(value as *const T as *const u8, std::mem::size_of::<T>());
-    }
-
-    /// Short policy name for diagnostics.
-    fn policy_name() -> &'static str;
 }
 
 /// The volatile policy: every hook is a no-op.  This is the paper's
@@ -59,17 +62,10 @@ impl Persist for VolatilePersist {
     const DURABLE: bool = false;
 
     #[inline(always)]
-    fn persist_range(_ptr: *const u8, _len: usize) {}
-
-    #[inline(always)]
     fn flush_range(_ptr: *const u8, _len: usize) {}
 
     #[inline(always)]
     fn fence() {}
-
-    fn policy_name() -> &'static str {
-        "volatile"
-    }
 }
 
 /// A durable policy for unit tests that logs the calling thread's flushes
@@ -103,11 +99,6 @@ pub(crate) mod recording {
     impl Persist for Recording {
         const DURABLE: bool = true;
 
-        fn persist_range(ptr: *const u8, len: usize) {
-            Self::flush_range(ptr, len);
-            Self::fence();
-        }
-
         fn flush_range(ptr: *const u8, len: usize) {
             let word = (len == 8).then(|| {
                 // SAFETY: the tree flushes 8 bytes only for one of a live
@@ -121,10 +112,6 @@ pub(crate) mod recording {
         fn fence() {
             EVENTS.with(|e| e.borrow_mut().push(Event::Fence));
         }
-
-        fn policy_name() -> &'static str {
-            "recording"
-        }
     }
 }
 
@@ -136,13 +123,11 @@ mod tests {
     #[allow(clippy::assertions_on_constants)] // asserts the policy's const
     fn volatile_policy_is_marked_not_durable() {
         assert!(!VolatilePersist::DURABLE);
-        assert_eq!(VolatilePersist::policy_name(), "volatile");
         // The hooks must be callable with arbitrary (even null) ranges.
         VolatilePersist::persist_range(std::ptr::null(), 0);
         VolatilePersist::flush_range(std::ptr::null(), 64);
         VolatilePersist::fence();
         let x = 5u64;
         VolatilePersist::persist_value(&x);
-        VolatilePersist::flush_value(&x);
     }
 }

@@ -81,8 +81,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             // The initial root and entry must be durable before the tree is
             // used (paper §5: recovery starts from the entry node, which is
             // "in a known location").
-            P::flush_range(root as *const u8, std::mem::size_of::<Node<L>>());
-            P::fence();
+            P::persist_range(root as *const u8, std::mem::size_of::<Node<L>>());
         }
         let entry = Node::new_entry(root);
         if P::DURABLE {

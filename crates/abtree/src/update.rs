@@ -303,7 +303,78 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{ConcurrentMap, ElimABTree, OccABTree, MAX_KEYS};
+    use absync::McsLock;
+
+    use crate::persist::recording::{Event, Recording, EVENTS};
+    use crate::{AbTree, ConcurrentMap, ElimABTree, OccABTree, EMPTY_KEY, MAX_KEYS, MIN_KEYS};
+
+    /// One logged event: a flush of the 8-byte word it covered, or a fence.
+    #[derive(Debug, PartialEq)]
+    enum Logged {
+        Flush(u64),
+        Fence,
+    }
+
+    /// Takes this thread's flushes and fences since the last call.
+    fn take_logged() -> Vec<Logged> {
+        EVENTS
+            .with(|e| e.take())
+            .into_iter()
+            .map(|event| match event {
+                Event::Flush {
+                    len: 8,
+                    word: Some(word),
+                    ..
+                } => Logged::Flush(word),
+                Event::Fence => Logged::Fence,
+                other => panic!("flush of more than one word: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// Paper §5's order for the updates that write one leaf slot: a simple
+    /// insert flushes and fences the value, then the key; a delete that
+    /// leaves the leaf at or above `MIN_KEYS` flushes and fences the emptied
+    /// key slot.  An insert of a present key and a delete of an absent one
+    /// write nothing, so they flush and fence nothing.
+    #[test]
+    fn simple_updates_flush_value_then_key_and_only_on_change() {
+        fn run<const ELIM: bool>() {
+            let tree: AbTree<ELIM, McsLock, Recording> = AbTree::new();
+            let mut t = tree.handle();
+            for k in 0..MIN_KEYS as u64 {
+                assert_eq!(t.insert(k, 100 + k), None);
+            }
+            EVENTS.with(|e| e.borrow_mut().clear());
+            assert_eq!(t.insert(7, 700), None);
+            assert_eq!(
+                take_logged(),
+                [
+                    Logged::Flush(700),
+                    Logged::Fence,
+                    Logged::Flush(7),
+                    Logged::Fence
+                ],
+                "ELIM={ELIM}: simple insert"
+            );
+            assert_eq!(t.insert(7, 701), Some(700));
+            assert_eq!(t.delete(8), None);
+            assert_eq!(
+                take_logged(),
+                [],
+                "ELIM={ELIM}: refused insert and missed delete"
+            );
+            assert_eq!(t.delete(7), Some(700));
+            assert_eq!(
+                take_logged(),
+                [Logged::Flush(EMPTY_KEY), Logged::Fence],
+                "ELIM={ELIM}: delete"
+            );
+            assert_eq!(t.len(), MIN_KEYS);
+        }
+        run::<false>();
+        run::<true>();
+    }
 
     #[test]
     fn insert_get_delete_round_trip_occ() {

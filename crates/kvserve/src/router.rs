@@ -152,8 +152,8 @@ impl<'s> ShardRouter<'s> {
     /// Runs one point request on this router's session on the key's shard:
     /// a `Get` probes the hot-key cache first; then [`worker::execute`], the
     /// per-shard and per-namespace counters and the cache fill.  A sampled
-    /// request records its `Apply` stage and its latency from one clock
-    /// read.
+    /// request, a cache hit included, records its `Apply` stage and its
+    /// latency from one clock read.
     fn point(&mut self, op: PointOp, key: u64, value: u64) -> Option<u64> {
         let service = self.service;
         let shard = service.shard_of(key);
@@ -166,20 +166,14 @@ impl<'s> ShardRouter<'s> {
         if matches!(op, PointOp::Get) {
             if let Some(cached) = self.cache.lookup(key, state.begun()) {
                 stats.record_cache_hit();
-                if started.is_traced() {
-                    stats.point_latency_ns.record(started.elapsed_ns());
-                }
+                self.record_apply(started);
                 stats.shard(shard).record_get(cached.is_some());
                 ns.record_get(cached.is_some());
                 return cached;
             }
         }
         let (result, stamp) = worker::execute(&mut *self.sessions[shard], state, op, key, value);
-        if started.is_traced() {
-            let now = Stamp::now();
-            self.recorder.record_at(Stage::Apply, started, now);
-            stats.point_latency_ns.record(now.since(started));
-        }
+        self.record_apply(started);
         match op {
             PointOp::Get => {
                 stats.shard(shard).record_get(result.is_some());
@@ -201,6 +195,18 @@ impl<'s> ShardRouter<'s> {
             }
         }
         result
+    }
+
+    /// Ends a point request that `started` may have sampled: its `Apply`
+    /// stage and its latency, from one clock read.
+    #[inline]
+    fn record_apply(&self, started: Stamp) {
+        if started.is_traced() {
+            let now = Stamp::now();
+            self.recorder.record_at(Stage::Apply, started, now);
+            let latency = &self.service.stats().point_latency_ns;
+            latency.record(now.since(started));
+        }
     }
 
     /// Pipelined submission of a point request (`Get`/`Put`/`Delete`): it
@@ -878,6 +884,32 @@ mod tests {
         assert!(
             !trace.recent_events().is_empty(),
             "the rings hold the raw recent events"
+        );
+    }
+
+    /// A sampled `Get` that the hot-key cache answers is traced like one
+    /// the tree answers, so a workload of cache hits still fills `Apply`.
+    #[test]
+    fn a_sampled_cache_hit_records_apply() {
+        if !obs::ENABLED {
+            return; // tracing is compiled out
+        }
+        let service = two_shard_service();
+        let mut router = service.router();
+        router.put(1, 10);
+        for _ in 1..1024 {
+            assert_eq!(router.get(1), Some(10));
+        }
+        drop(router);
+        assert_eq!(service.stats().cache_hits(), 1023, "every get hit");
+        assert_eq!(
+            service.stage_trace().histogram(Stage::Apply).count(),
+            1024 >> TRACE_SAMPLE_SHIFT,
+            "every sampled request is a cache hit"
+        );
+        assert_eq!(
+            service.stats().point_latency_ns.count(),
+            1024 >> TRACE_SAMPLE_SHIFT
         );
     }
 

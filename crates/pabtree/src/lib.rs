@@ -44,8 +44,8 @@
 
 pub mod recovery;
 
-use abtree::{AbTree, Persist};
 use absync::McsLock;
+use abtree::{AbTree, Persist};
 
 /// Persistence policy backed by the `abpmem` flush/fence primitives.
 #[derive(Debug, Default, Clone, Copy)]
@@ -55,11 +55,6 @@ impl Persist for DurablePersist {
     const DURABLE: bool = true;
 
     #[inline]
-    fn persist_range(ptr: *const u8, len: usize) {
-        abpmem::persist(ptr, len);
-    }
-
-    #[inline]
     fn flush_range(ptr: *const u8, len: usize) {
         abpmem::flush(ptr, len);
     }
@@ -67,10 +62,6 @@ impl Persist for DurablePersist {
     #[inline]
     fn fence() {
         abpmem::sfence();
-    }
-
-    fn policy_name() -> &'static str {
-        "durable"
     }
 }
 
@@ -100,28 +91,14 @@ impl Persist for RelaxedPersist {
     const DURABLE: bool = true;
 
     #[inline]
-    fn persist_range(ptr: *const u8, len: usize) {
-        // Flush without the trailing fence: durability is deferred to the
-        // committer's group fence.
-        abpmem::flush(ptr, len);
-    }
-
-    #[inline]
     fn flush_range(ptr: *const u8, len: usize) {
         abpmem::flush(ptr, len);
     }
 
+    /// Elided: durability is deferred to the committer's group fence.
     #[inline]
     fn fence() {}
-
-    fn policy_name() -> &'static str {
-        "relaxed"
-    }
 }
-
-/// A group-commit (WAL-batched) OCC-ABtree: durable only at explicit group
-/// fences issued by whoever commits to it (see [`RelaxedPersist`]).
-pub type WalOccABTree<L = McsLock> = AbTree<false, L, RelaxedPersist>;
 
 /// A group-commit (WAL-batched) Elim-ABtree: durable only at explicit group
 /// fences issued by whoever commits to it (see [`RelaxedPersist`]).  In
@@ -132,13 +109,22 @@ pub use recovery::{recover, RecoveryReport};
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
     use super::*;
-    use abpmem::{PersistMode, TrackingSession};
+    use abpmem::PersistMode;
     use abtree::ConcurrentMap;
+
+    /// abpmem's persist mode and counters are process-global, so every test
+    /// in this crate holds this lock while it sets or reads them.
+    pub(crate) fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn durable_trees_behave_like_volatile_ones() {
-        let _session = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let occ: POccABTree = POccABTree::new();
         let elim: PElimABTree = PElimABTree::new();
@@ -169,7 +155,7 @@ mod tests {
         // The WAL/group-commit trees issue every flush the durable trees
         // issue, but elide every fence: durability is deferred to the
         // committer's explicit group fence (crashkv's acks-per-fence knob).
-        let _session = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: WalElimABTree = WalElimABTree::new();
         let mut tree = tree.handle();
@@ -191,7 +177,6 @@ mod tests {
             "relaxed trees must never fence on their own"
         );
         const { assert!(RelaxedPersist::DURABLE) };
-        assert_eq!(RelaxedPersist::policy_name(), "relaxed");
         // The committer's group fence is an ordinary abpmem fence.
         abpmem::sfence();
         assert_eq!(abpmem::stats().fences, 1);
@@ -201,45 +186,31 @@ mod tests {
     fn simple_insert_issues_two_flushes_and_two_fences() {
         // Paper §5: "For a simple insert(key, val), two flushes must be used:
         // val must be flushed after it is written, and key must be flushed
-        // after it is written."  (A flush = clwb + sfence.)
-        let session = TrackingSession::start();
+        // after it is written."  (A flush = clwb + sfence.)  Their order is
+        // abtree's `simple_updates_flush_value_then_key_and_only_on_change`.
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: POccABTree = POccABTree::new();
         let mut tree = tree.handle();
         // Pre-insert a key so the next insert is a simple (non-splitting)
-        // insert into an existing leaf, then clear the log.
+        // insert into an existing leaf.
         tree.insert(1, 1);
-        drop(session);
-
-        let session = TrackingSession::start();
         abpmem::reset_stats();
         assert_eq!(tree.insert(2, 20), None);
         let stats = abpmem::stats();
-        let events = session.finish();
         assert_eq!(stats.flushes, 2, "simple insert must flush val then key");
         assert_eq!(stats.fences, 2);
-        // The first flush must cover the value slot, the second the key slot;
-        // with both in the same leaf we simply check there are exactly two
-        // flush events separated by fences.
-        let flushes: Vec<_> = events
-            .iter()
-            .filter(|e| matches!(e, abpmem::FlushEvent::Flush { .. }))
-            .collect();
-        assert_eq!(flushes.len(), 2);
     }
 
     #[test]
     fn successful_delete_issues_one_flush() {
-        let _setup = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: POccABTree = POccABTree::new();
         let mut tree = tree.handle();
         for k in 0..5u64 {
             tree.insert(k, k);
         }
-        drop(_setup);
-
-        let _session = TrackingSession::start();
         abpmem::reset_stats();
         assert_eq!(tree.delete(3), Some(3));
         let stats = abpmem::stats();
@@ -254,7 +225,7 @@ mod tests {
 
     #[test]
     fn failed_insert_issues_no_flushes() {
-        let _session = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: PElimABTree = PElimABTree::new();
         let mut tree = tree.handle();
@@ -267,7 +238,7 @@ mod tests {
 
     #[test]
     fn splitting_insert_flushes_new_nodes_before_link() {
-        let session = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::CountOnly);
         let tree: POccABTree = POccABTree::new();
         let mut tree = tree.handle();
@@ -275,28 +246,20 @@ mod tests {
         for k in 0..abtree::MAX_KEYS as u64 {
             tree.insert(k, k);
         }
-        drop(session);
         // ...then one more insert forces a splitting insert.
-        let session = TrackingSession::start();
         abpmem::reset_stats();
         assert_eq!(tree.insert(1_000, 1), None);
-        let events = session.finish();
         let stats = abpmem::stats();
         // New nodes (two leaves + tagged node, then fixTagged's replacement
-        // root) are multiple cache lines each, so many flushes; the important
-        // property is ordering: some node flush happens before the pointer
-        // flush, which we conservatively check via event count and a final
-        // fence.
+        // root) are multiple cache lines each, so many flushes.  That each
+        // is flushed and fenced before its link is abtree's
+        // `every_swing_flushes_and_fences_the_new_node_before_linking_it`.
         assert!(
             stats.flushes > 4,
             "splitting insert must flush whole new nodes (got {})",
             stats.flushes
         );
         assert!(stats.fences >= 2);
-        assert!(matches!(
-            events.first(),
-            Some(abpmem::FlushEvent::Flush { .. })
-        ));
         tree.check_invariants().unwrap();
         for k in 0..abtree::MAX_KEYS as u64 {
             assert_eq!(tree.get(k), Some(k));
@@ -321,7 +284,7 @@ mod tests {
             eprintln!("skipping elimination_fires_and_skips_flushes_under_same_key_churn: needs >1 hardware thread");
             return;
         }
-        let _session = TrackingSession::start();
+        let _serial = serial();
         abpmem::set_mode(PersistMode::Simulated {
             flush_ns: 300,
             fence_ns: 100,
@@ -340,17 +303,24 @@ mod tests {
             let tree = Arc::clone(&tree);
             handles.push(std::thread::spawn(move || {
                 let mut tree = tree.handle();
+                // Updates that changed the tree: inserts that returned
+                // `None`, deletes that returned `Some`.
+                let (mut inserted, mut deleted) = (0u64, 0u64);
                 for i in 0..10_000u64 {
                     if (i + t) % 2 == 0 {
-                        tree.insert(42, i);
+                        inserted += u64::from(tree.insert(42, i).is_none());
                     } else {
-                        tree.delete(42);
+                        deleted += u64::from(tree.delete(42).is_some());
                     }
                 }
+                (inserted, deleted)
             }));
         }
+        let (mut inserted, mut deleted) = (0u64, 0u64);
         for h in handles {
-            h.join().unwrap();
+            let (i, d) = h.join().unwrap();
+            inserted += i;
+            deleted += d;
         }
         abpmem::set_mode(PersistMode::CountOnly);
 
@@ -359,9 +329,21 @@ mod tests {
             eliminations > 100,
             "expected publishing elimination to fire under single-key churn, got {eliminations}"
         );
-        // Sanity: every eliminated operation saved at least one flush, so the
-        // flush count must be well below what one-flush-per-update would give
-        // if none of those operations had been eliminated.
+        // An eliminated operation returns as a refused insert or a missed
+        // delete, so it is in neither count.  The hot leaf holds at most
+        // nine keys and never splits or merges, so the only flushes are the
+        // simple insert's two (value, then key) and the delete's one, each
+        // with its fence: an eliminated operation flushed and fenced
+        // nothing.
+        let expected = 2 * inserted + deleted;
+        assert_eq!(
+            abpmem::stats(),
+            abpmem::PmStats {
+                flushes: expected,
+                fences: expected
+            },
+            "{inserted} inserts and {deleted} deletes changed the tree, {eliminations} eliminated"
+        );
         tree.check_invariants().unwrap();
     }
 }

@@ -13,8 +13,8 @@
 
 use std::time::Instant;
 
-use abtree::{AbTree, Persist};
 use absync::RawNodeLock;
+use abtree::{AbTree, Persist};
 
 /// Summary of a recovery pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,14 +53,16 @@ pub fn recover<const ELIM: bool, L: RawNodeLock, P: Persist>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{PElimABTree, POccABTree};
-    use abpmem::{PersistMode, TrackingSession};
+    use crate::{PElimABTree, POccABTree, RelaxedPersist};
+    use abpmem::PersistMode;
+    use absync::McsLock;
     use rand::prelude::*;
+    use std::sync::MutexGuard;
 
-    fn quiet() -> TrackingSession {
-        let s = TrackingSession::start();
+    fn quiet() -> MutexGuard<'static, ()> {
+        let serial = crate::tests::serial();
         abpmem::set_mode(PersistMode::CountOnly);
-        s
+        serial
     }
 
     #[test]
@@ -218,7 +220,7 @@ mod tests {
         // value stores persisted, version/size not) must be surfaced by
         // recovery exactly as for the per-op durable trees.
         let _s = quiet();
-        let tree: crate::WalOccABTree = crate::WalOccABTree::new();
+        let tree: AbTree<false, McsLock, RelaxedPersist> = AbTree::new();
         abpmem::reset_stats();
         let mut h = tree.handle();
         for k in 0..300u64 {
