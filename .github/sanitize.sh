@@ -40,6 +40,7 @@ asan() {
     step -p abtree --test slab --test smr_backends
     step -p abtree --lib --test concurrent
     step -p crashkv --lib
+    step -p baselines --lib
 }
 
 case "${1:-all}" in

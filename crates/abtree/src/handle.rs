@@ -152,11 +152,6 @@ impl<'m, const ELIM: bool, L: RawNodeLock, P: Persist> TreeHandle<'m, ELIM, L, P
         self.tree.get_in(key, &guard)
     }
 
-    /// Returns `true` if `key` is present.
-    pub fn contains(&mut self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Warms the cache for a batch of operations on `keys`, with no effect
     /// on the map's contents: walks their root-to-leaf paths in lockstep
     /// and prefetches every node on them, so the batch's cache misses
@@ -281,7 +276,7 @@ mod tests {
         assert_eq!(h.insert(5, 50), None);
         assert_eq!(h.insert(5, 51), Some(50));
         assert_eq!(h.get(5), Some(50));
-        assert!(h.contains(5));
+        assert!(h.get(5).is_some());
         // Quiescent API through Deref.
         assert_eq!(h.len(), 1);
         assert_eq!(h.key_sum(), 5);
@@ -329,7 +324,7 @@ mod tests {
         assert_eq!(map.name(), "elim-abtree");
         let mut h = map.handle();
         assert_eq!(h.insert(9, 90), None);
-        assert!(h.contains(9));
+        assert!(h.get(9).is_some());
         assert_eq!(h.scan_len(0, 100), 1);
         assert_eq!(h.delete(9), Some(90));
     }

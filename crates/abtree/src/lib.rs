@@ -132,7 +132,12 @@ pub type ElimABTree<L = McsLock> = AbTree<true, L, VolatilePersist>;
 ///   other under exactly these semantics, so every structure driven by the
 ///   harness must implement them;
 /// * `delete(k)` returns the removed value, or `None` if `k` was absent;
-/// * `get(k)` returns the current value associated with `k`, if any.
+/// * `get(k)` returns the current value associated with `k`, if any;
+/// * `range(lo, hi, out)` walks the structure's own key order.
+///
+/// Every data path is required; the only provided method is
+/// [`scan_len`](Self::scan_len).  A batch is a loop over `get`/`insert` on
+/// the session, and membership is `get(k).is_some()`.
 pub trait MapHandle {
     /// Inserts `key -> value` if `key` is absent; returns the existing value
     /// (leaving it **unchanged** — insert never overwrites) otherwise.
@@ -144,26 +149,15 @@ pub trait MapHandle {
     /// Returns the value associated with `key`, if any.
     fn get(&mut self, key: u64) -> Option<u64>;
 
-    /// Returns `true` if `key` is present.
-    fn contains(&mut self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Collects every `(key, value)` pair with `lo <= key <= hi` into `out`,
     /// sorted by key (`out` is cleared first).  `lo > hi` yields an empty
     /// result.
     ///
-    /// The default implementation is [`fallback_range`]: it probes every key
-    /// in the window with [`get`](Self::get), so it costs `O(hi - lo)` point
-    /// lookups and each element is only individually (not jointly)
-    /// linearizable.  Structures with native scans override this with an
-    /// ordered traversal; the (a,b)-trees additionally validate node
-    /// versions so the whole result is a linearizable snapshot.  Callers
-    /// should keep windows modest when the fallback may be in use (the
-    /// YCSB-E scan lengths are <= a few hundred).
-    fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        fallback_range(|key| self.get(key), lo, hi, out)
-    }
+    /// Every structure walks its own key order.  The (a,b)-trees validate
+    /// node versions, so their whole result is one linearizable snapshot;
+    /// the baselines promise each element's presence and value
+    /// individually, not the window jointly.
+    fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>);
 
     /// Convenience wrapper over [`range`](Self::range): the number of keys
     /// stored in the window `[lo, lo + len)`, the shape of a YCSB-E scan
@@ -180,38 +174,6 @@ pub trait MapHandle {
         n
     }
 
-    /// Looks up every key in `keys`, pushing one `Option<u64>` per key onto
-    /// `out` (cleared first) in input order.
-    ///
-    /// The default implementation loops over [`get`](Self::get), but on the
-    /// *concrete* session type: through a `Box<dyn MapHandle>`, a batch of
-    /// `n` lookups therefore costs one virtual dispatch instead of `n`, which
-    /// is what makes batched multi-gets cheaper than `n` single gets in the
-    /// service layer.  Structures may override it with a genuinely batched
-    /// traversal.
-    fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        out.clear();
-        out.reserve(keys.len());
-        for &key in keys {
-            out.push(self.get(key));
-        }
-    }
-
-    /// Inserts every `(key, value)` pair (insert-if-absent semantics, see
-    /// [`insert`](Self::insert)), pushing each pair's result onto `out`
-    /// (cleared first) in input order.
-    ///
-    /// Same dispatch story as [`get_batch`](Self::get_batch): the default
-    /// loops over `insert` on the concrete session type, so a boxed session
-    /// pays one virtual call per batch, not per pair.
-    fn insert_batch(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
-        out.clear();
-        out.reserve(pairs.len());
-        for &(key, value) in pairs {
-            out.push(self.insert(key, value));
-        }
-    }
-
     /// Detaches the handle's reusable scan buffer (plumbing for the default
     /// [`scan_len`](Self::scan_len); pair with
     /// [`put_scan_buf`](Self::put_scan_buf)).
@@ -220,32 +182,6 @@ pub trait MapHandle {
     /// Returns a buffer taken with [`take_scan_buf`](Self::take_scan_buf) so
     /// its capacity is reused by the next scan.
     fn put_scan_buf(&mut self, buf: Vec<(u64, u64)>);
-}
-
-/// The point-lookup fallback behind [`MapHandle::range`]'s default: probes
-/// every key in `[lo, hi]` (clamped below the reserved [`EMPTY_KEY`]) with
-/// `get` and appends the hits to `out` (cleared first), in key order.
-///
-/// Exposed so alternative session implementations (e.g. the baseline
-/// structures' internal session plumbing) can share the one copy of the
-/// clamp-and-probe rule instead of re-implementing it.
-pub fn fallback_range(
-    mut get: impl FnMut(u64) -> Option<u64>,
-    lo: u64,
-    hi: u64,
-    out: &mut Vec<(u64, u64)>,
-) {
-    out.clear();
-    if lo > hi {
-        return;
-    }
-    // EMPTY_KEY is reserved in every structure driven by the harness.
-    let hi = hi.min(EMPTY_KEY - 1);
-    for key in lo..=hi {
-        if let Some(value) = get(key) {
-            out.push((key, value));
-        }
-    }
 }
 
 /// The one copy of the engine's scan-window rule: the inclusive window
@@ -311,7 +247,14 @@ pub trait ConcurrentMap: Send + Sync {
     /// successfully inserted minus those it deleted must equal the keys
     /// left in the structure).  Quiescent only: callers must ensure no
     /// concurrent operations are in flight.
-    fn key_sum(&self) -> u128;
+    ///
+    /// The default sums one full-window [`MapHandle::range`] through a
+    /// fresh session, so a structure's one ordered walk also validates it.
+    fn key_sum(&self) -> u128 {
+        let mut entries = Vec::new();
+        self.handle().range(0, EMPTY_KEY - 1, &mut entries);
+        entries.iter().map(|&(key, _)| u128::from(key)).sum()
+    }
 }
 
 /// Boxed maps are maps too, so registry-built `Box<dyn ConcurrentMap>`
@@ -374,17 +317,8 @@ impl<H: MapHandle + ?Sized> MapHandle for Box<H> {
     fn get(&mut self, key: u64) -> Option<u64> {
         (**self).get(key)
     }
-    fn contains(&mut self, key: u64) -> bool {
-        (**self).contains(key)
-    }
     fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
         (**self).range(lo, hi, out)
-    }
-    fn get_batch(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
-        (**self).get_batch(keys, out)
-    }
-    fn insert_batch(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
-        (**self).insert_batch(pairs, out)
     }
     fn scan_len(&mut self, lo: u64, len: u64) -> usize {
         (**self).scan_len(lo, len)
@@ -422,19 +356,5 @@ mod tests {
         assert_eq!(session.get(3), Some(30));
         drop(session);
         assert_eq!(boxed.name(), "elim-abtree");
-    }
-
-    #[test]
-    fn batch_defaults_match_singles() {
-        let tree: OccABTree = OccABTree::new();
-        let mut session = tree.handle();
-        let mut results = Vec::new();
-        session.insert_batch(&[(1, 10), (2, 20), (1, 99)], &mut results);
-        assert_eq!(results, vec![None, None, Some(10)], "insert-if-absent");
-        session.get_batch(&[2, 7, 1], &mut results);
-        assert_eq!(results, vec![Some(20), None, Some(10)], "input order");
-        // Batches clear the output buffer before refilling it.
-        session.get_batch(&[1], &mut results);
-        assert_eq!(results, vec![Some(10)]);
     }
 }

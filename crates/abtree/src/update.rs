@@ -495,7 +495,7 @@ mod tests {
         let t: Box<dyn ConcurrentMap> = Box::new(ElimABTree::<absync::McsLock>::new());
         let mut h = t.handle();
         assert_eq!(h.insert(9, 90), None);
-        assert!(h.contains(9));
+        assert_eq!(h.get(9), Some(90));
         assert_eq!(h.delete(9), Some(90));
     }
 }

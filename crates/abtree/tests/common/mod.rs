@@ -4,15 +4,15 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use abtree::{AbTree, MapHandle};
+use abtree::AbTree;
 use rand::prelude::*;
 
 /// One thread prefetches random paths while two threads split and merge
 /// the tree under it: each writer grows its own run of keys (splitting
 /// leaves and, higher up, internal nodes) and then deletes it again
 /// (merging them), over and over, so the prefetcher keeps walking into
-/// nodes that are being unlinked and retired.  A `get_batch` now and then
-/// checks that every value the batch returns is one a writer stored.
+/// nodes that are being unlinked and retired.  Now and then the prefetched
+/// keys are read back, and every value found must be one a writer stored.
 /// Ends with the key-sum and invariant checks.
 pub fn prefetch_while_splits_and_merges_run<const ELIM: bool>(tree: Arc<AbTree<ELIM>>) {
     const ROUNDS: u64 = 12;
@@ -25,15 +25,15 @@ pub fn prefetch_while_splits_and_merges_run<const ELIM: bool>(tree: Arc<AbTree<E
             let mut h = tree.handle();
             start.wait();
             let mut rng = StdRng::seed_from_u64(0x9F_E7C4);
-            let (mut keys, mut out) = (Vec::new(), Vec::new());
+            let mut keys = Vec::new();
             let mut passes = 0u64;
             while writing.load(Ordering::Relaxed) || passes < 100 {
                 keys.clear();
                 keys.extend((0..rng.gen_range(1..200)).map(|_| rng.gen_range(0..2 * RUN)));
                 h.prefetch(&keys);
                 if passes.is_multiple_of(8) {
-                    h.get_batch(&keys, &mut out);
-                    for (&key, &value) in keys.iter().zip(&out) {
+                    for &key in &keys {
+                        let value = h.get(key);
                         assert!(value.is_none_or(|v| v == key ^ 0xF00D), "corrupt {key}");
                     }
                 }

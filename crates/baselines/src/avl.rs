@@ -197,18 +197,23 @@ impl Avl {
         None
     }
 
-    /// Returns all key/value pairs in ascending key order.
-    pub fn entries(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::with_capacity(self.len);
-        fn walk(n: &Option<Box<AvlNode>>, out: &mut Vec<(u64, u64)>) {
+    /// Appends the pairs with `lo <= key <= hi` to `out` in ascending key
+    /// order, visiting only the subtrees that overlap the window.
+    pub fn range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
+        fn walk(n: &Option<Box<AvlNode>>, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
             if let Some(n) = n {
-                walk(&n.left, out);
-                out.push((n.key, n.value));
-                walk(&n.right, out);
+                if lo < n.key {
+                    walk(&n.left, lo, hi, out);
+                }
+                if (lo..=hi).contains(&n.key) {
+                    out.push((n.key, n.value));
+                }
+                if hi > n.key {
+                    walk(&n.right, lo, hi, out);
+                }
             }
         }
-        walk(&self.root, &mut out);
-        out
+        walk(&self.root, lo, hi, out);
     }
 
     /// Builds an AVL tree from entries sorted by key (perfectly balanced).
@@ -239,7 +244,8 @@ impl Avl {
         if self.len < 2 {
             return None;
         }
-        let entries = self.entries();
+        let mut entries = Vec::with_capacity(self.len);
+        self.range(0, u64::MAX, &mut entries);
         let mid = entries.len() / 2;
         let split_key = entries[mid].0;
         Some((
@@ -290,6 +296,12 @@ mod tests {
     use super::*;
     use rand::prelude::*;
 
+    fn entries(t: &Avl) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        t.range(0, u64::MAX, &mut out);
+        out
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut t = Avl::new();
@@ -330,9 +342,23 @@ mod tests {
             }
         }
         t.check_invariants().unwrap();
-        let entries: Vec<u64> = t.entries().iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = entries(&t).iter().map(|&(k, _)| k).collect();
         let expected: Vec<u64> = oracle.keys().copied().collect();
-        assert_eq!(entries, expected);
+        assert_eq!(keys, expected);
+        let mut out = Vec::new();
+        for (lo, hi) in [
+            (0, 0),
+            (10, 20),
+            (500, 1_499),
+            (1_999, 5_000),
+            (7, 7),
+            (0, u64::MAX),
+        ] {
+            out.clear();
+            t.range(lo, hi, &mut out);
+            let expected: Vec<(u64, u64)> = oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(out, expected, "range({lo}, {hi})");
+        }
     }
 
     #[test]
@@ -343,13 +369,13 @@ mod tests {
         }
         let (low, split, high) = t.split_in_half().unwrap();
         assert!(low.len >= 2 && high.len >= 2);
-        assert!(low.entries().iter().all(|&(k, _)| k < split));
-        assert!(high.entries().iter().all(|&(k, _)| k >= split));
+        assert!(entries(&low).iter().all(|&(k, _)| k < split));
+        assert!(entries(&high).iter().all(|&(k, _)| k >= split));
         low.check_invariants().unwrap();
         high.check_invariants().unwrap();
-        let mut joined = low.entries();
-        joined.extend(high.entries());
-        assert_eq!(joined, t.entries());
+        let mut joined = entries(&low);
+        joined.extend(entries(&high));
+        assert_eq!(joined, entries(&t));
     }
 
     #[test]

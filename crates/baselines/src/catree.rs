@@ -110,26 +110,20 @@ impl CaTree {
             let mut parent: *mut CaNode = ptr::null_mut();
             let mut went_left = false;
             let mut cur = self.root.load(Ordering::Acquire);
-            // SAFETY: nodes reachable while pinned stay allocated.
-            while let CaNode::Route {
-                key: rkey,
-                left,
-                right,
-            } = unsafe { &*cur }
-            {
-                parent = cur;
-                if key < *rkey {
-                    went_left = true;
-                    cur = left.load(Ordering::Acquire);
-                } else {
-                    went_left = false;
-                    cur = right.load(Ordering::Acquire);
+            let base = loop {
+                // SAFETY: nodes reachable while pinned stay allocated.
+                match unsafe { &*cur } {
+                    CaNode::Route {
+                        key: rkey,
+                        left,
+                        right,
+                    } => {
+                        parent = cur;
+                        went_left = key < *rkey;
+                        cur = if went_left { left } else { right }.load(Ordering::Acquire);
+                    }
+                    CaNode::Base(b) => break b,
                 }
-            }
-            // SAFETY: as above.
-            let base = match unsafe { &*cur } {
-                CaNode::Base(b) => b,
-                CaNode::Route { .. } => unreachable!("descent ends at a base node"),
             };
 
             // Lock the base node, detecting contention exactly like the
@@ -193,33 +187,6 @@ impl CaTree {
         }
     }
 
-    /// Collects every key/value pair (quiescent only).
-    pub fn collect(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root.load(Ordering::Acquire)];
-        while let Some(ptr) = stack.pop() {
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: quiescent access.
-            match unsafe { &*ptr } {
-                CaNode::Route { left, right, .. } => {
-                    stack.push(left.load(Ordering::Acquire));
-                    stack.push(right.load(Ordering::Acquire));
-                }
-                CaNode::Base(b) => out.extend(lock(&b.data).tree.entries()),
-            }
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-
-    /// Sum of the keys stored (quiescent only); used by the harness's
-    /// validation step.
-    pub fn key_sum(&self) -> u128 {
-        self.collect().iter().map(|&(k, _)| k as u128).sum()
-    }
-
     /// Number of base nodes currently in the tree (quiescent only) — a proxy
     /// for how far contention adaptation has split the structure.
     pub fn base_node_count(&self) -> usize {
@@ -260,6 +227,44 @@ impl SessionOps for CaTree {
         // the CATree's operations (even searches) require locking a leaf").
         self.with_base(key, cx.guard(), |avl| avl.get(key))
     }
+
+    /// Walks the routing tree in key order, pruned to the window, and takes
+    /// each base node's share under its lock.  The stack holds child slots
+    /// rather than nodes: a base found invalid was replaced by a split, and
+    /// re-reading its slot yields the route node that took its place.
+    fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>) {
+        let _guard = cx.guard();
+        let mut slots = vec![&self.root];
+        while let Some(slot) = slots.pop() {
+            let node = slot.load(Ordering::Acquire);
+            // SAFETY: pinned, so a base unlinked after this load stays
+            // allocated; route nodes, and the slots borrowed from them,
+            // live as long as the tree.
+            match unsafe { &*node } {
+                CaNode::Route { key, left, right } => {
+                    // Right first, so the left subtree (keys < `key`) pops
+                    // first.
+                    if hi >= *key {
+                        slots.push(right);
+                    }
+                    if lo < *key {
+                        slots.push(left);
+                    }
+                }
+                CaNode::Base(base) => {
+                    let data = lock(&base.data);
+                    if base.valid.load(Ordering::Acquire) {
+                        data.tree.range(lo, hi, out);
+                    } else {
+                        // The split stored its route node in this slot before
+                        // invalidating the base, both under the lock just
+                        // taken.
+                        slots.push(slot);
+                    }
+                }
+            }
+        }
+    }
 }
 
 impl ConcurrentMap for CaTree {
@@ -277,10 +282,6 @@ impl ConcurrentMap for CaTree {
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
-    }
-
-    fn key_sum(&self) -> u128 {
-        CaTree::key_sum(self)
     }
 }
 
@@ -327,9 +328,107 @@ mod tests {
                 assert_eq!(h.delete(k), oracle.remove(&k));
             }
         }
-        let keys: Vec<u64> = t.collect().iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = crate::entries(&t).iter().map(|&(k, _)| k).collect();
         let expected: Vec<u64> = oracle.keys().copied().collect();
         assert_eq!(keys, expected);
+    }
+
+    /// Raises the contention statistic of the base node covering `key`
+    /// past the split threshold, so the next operation landing there
+    /// splits it.  Splits need true contention otherwise, which one
+    /// hardware thread never produces.  The caller must be the only thread
+    /// that splits (or otherwise frees) base nodes.
+    fn heat(t: &CaTree, key: u64) {
+        let mut cur = t.root.load(Ordering::Acquire);
+        loop {
+            // SAFETY: route nodes live as long as the tree, and base nodes
+            // are freed only by splits, which only the caller performs.
+            match unsafe { &*cur } {
+                CaNode::Route {
+                    key: rkey,
+                    left,
+                    right,
+                } => {
+                    cur = if key < *rkey { left } else { right }.load(Ordering::Acquire);
+                }
+                CaNode::Base(base) => {
+                    lock(&base.data).stat = STAT_SPLIT + STAT_UNCONTENDED + 1;
+                    return;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forced_splits_keep_ranges_exact() {
+        let mut rng = StdRng::seed_from_u64(0xCA7);
+        let t = CaTree::new();
+        let mut h = t.handle();
+        let mut oracle = std::collections::BTreeMap::new();
+        for _ in 0..4_000 {
+            let k = rng.gen_range(0..2_000u64);
+            if h.insert(k, k + 1).is_none() {
+                oracle.insert(k, k + 1);
+            }
+        }
+        for round in 0..40u64 {
+            let k = rng.gen_range(0..2_000u64);
+            heat(&t, k);
+            assert_eq!(h.get(k), oracle.get(&k).copied());
+            assert_eq!(
+                t.base_node_count(),
+                round as usize + 2,
+                "one split per heated op"
+            );
+        }
+        let mut out = Vec::new();
+        for _ in 0..200 {
+            let lo = rng.gen_range(0..2_100u64);
+            let hi = lo + rng.gen_range(0..300);
+            h.range(lo, hi, &mut out);
+            let expected: Vec<(u64, u64)> = oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(
+                out,
+                expected,
+                "range({lo}, {hi}) across {} bases",
+                t.base_node_count()
+            );
+        }
+        assert_eq!(crate::entries(&t), oracle.into_iter().collect::<Vec<_>>());
+    }
+
+    /// Splits never change the contents, so a scan racing them must return
+    /// exactly the prefilled pairs, whether it finds a base still valid or
+    /// re-reads the slot a split replaced it in.
+    #[test]
+    fn scans_racing_splits_see_every_pair() {
+        let t = CaTree::new();
+        let mut h = t.handle();
+        let expected: Vec<(u64, u64)> = (0..3_000u64).map(|k| (k, k * 2)).collect();
+        for &(k, v) in &expected {
+            h.insert(k, v);
+        }
+        let splitting = std::sync::atomic::AtomicBool::new(true);
+        std::thread::scope(|scope| {
+            let scanner = scope.spawn(|| {
+                let mut h = t.handle();
+                let (mut out, mut scans) = (Vec::new(), 0);
+                while splitting.load(Ordering::Relaxed) || scans < 20 {
+                    h.range(0, 3_000, &mut out);
+                    assert_eq!(out, expected);
+                    scans += 1;
+                }
+            });
+            let mut rng = StdRng::seed_from_u64(7);
+            for _ in 0..300 {
+                let k = rng.gen_range(0..3_000u64);
+                heat(&t, k);
+                h.get(k);
+            }
+            splitting.store(false, Ordering::Relaxed);
+            scanner.join().unwrap();
+        });
+        assert!(t.base_node_count() > 100);
     }
 
     #[test]

@@ -165,24 +165,6 @@ impl CowABTree {
         // SAFETY: the old version was just unlinked.
         unsafe { guard.defer_drop(current) };
     }
-
-    /// Collects every pair (quiescent only).
-    pub fn collect(&self) -> Vec<(u64, u64)> {
-        let inner = read(&self.inner);
-        let mut out = Vec::new();
-        for cell in inner.values() {
-            // SAFETY: quiescent access.
-            let leaf = unsafe { &*cell.load(Ordering::Acquire) };
-            out.extend(leaf.entries.iter().copied());
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-
-    /// Sum of the stored keys (quiescent only).
-    pub fn key_sum(&self) -> u128 {
-        self.collect().iter().map(|&(k, _)| k as u128).sum()
-    }
 }
 
 impl SessionOps for CowABTree {
@@ -228,10 +210,6 @@ impl SessionOps for CowABTree {
     /// no sort); concurrent copy-on-update installs make the cross-leaf
     /// composition per-element linearizable rather than a global snapshot.
     fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>) {
-        out.clear();
-        if lo > hi {
-            return;
-        }
         let _guard = cx.guard();
         let inner = read(&self.inner);
         let start = inner
@@ -287,10 +265,6 @@ impl ConcurrentMap for CowABTree {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
-
-    fn key_sum(&self) -> u128 {
-        CowABTree::key_sum(self)
-    }
 }
 
 impl Drop for CowABTree {
@@ -330,7 +304,7 @@ mod tests {
                 assert_eq!(h.delete(k), oracle.remove(&k));
             }
         }
-        let got = t.collect();
+        let got = crate::entries(&t);
         let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
         assert_eq!(got, expected);
     }

@@ -140,34 +140,6 @@ impl LockExtBst {
             cur = node.child(p_left);
         }
     }
-
-    /// Collects every pair (quiescent only).
-    pub fn collect(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
-            }
-            // SAFETY: quiescent access.
-            let node = unsafe { &*p };
-            if node.is_leaf {
-                if node.key != INF {
-                    out.push((node.key, node.value));
-                }
-            } else {
-                stack.push(node.left.load(Ordering::Relaxed));
-                stack.push(node.right.load(Ordering::Relaxed));
-            }
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-
-    /// Sum of stored keys (quiescent only).
-    pub fn key_sum(&self) -> u128 {
-        self.collect().iter().map(|&(k, _)| k as u128).sum()
-    }
 }
 
 impl SessionOps for LockExtBst {
@@ -267,6 +239,34 @@ impl SessionOps for LockExtBst {
         }
     }
 
+    /// An in-order walk from the root with an explicit stack, pruned to
+    /// the window.  Leaves are immutable and every node reached keeps the
+    /// search-tree order, so each leaf found lies on its key's search path:
+    /// the walk is one lock-free search per key.
+    fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>) {
+        let _guard = cx.guard();
+        let mut stack = vec![self.root];
+        while let Some(p) = stack.pop() {
+            // SAFETY: the root is never reclaimed, and every other node was
+            // read from a child pointer while pinned, which keeps it
+            // allocated even if it is unlinked meanwhile.
+            let node = unsafe { &*p };
+            if node.is_leaf {
+                if node.key != INF && (lo..=hi).contains(&node.key) {
+                    out.push((node.key, node.value));
+                }
+                continue;
+            }
+            // Right first, so the left subtree (keys < `node.key`) pops
+            // first.
+            if hi >= node.key {
+                stack.push(node.child(false));
+            }
+            if lo < node.key {
+                stack.push(node.child(true));
+            }
+        }
+    }
 }
 
 impl ConcurrentMap for LockExtBst {
@@ -284,10 +284,6 @@ impl ConcurrentMap for LockExtBst {
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
-    }
-
-    fn key_sum(&self) -> u128 {
-        LockExtBst::key_sum(self)
     }
 }
 
@@ -332,7 +328,7 @@ mod tests {
                 assert_eq!(h.delete(k), oracle.remove(&k));
             }
         }
-        let got: Vec<(u64, u64)> = t.collect();
+        let got = crate::entries(&t);
         let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
         assert_eq!(got, expected);
     }
@@ -377,7 +373,7 @@ mod tests {
         for k in 0..1_000u64 {
             assert_eq!(h.delete(k), Some(k));
         }
-        assert!(t.collect().is_empty());
+        assert!(crate::entries(&t).is_empty());
         for k in 0..100u64 {
             assert_eq!(h.insert(k, k * 2), None);
             assert_eq!(h.get(k), Some(k * 2));

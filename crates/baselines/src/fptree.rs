@@ -66,11 +66,11 @@ impl FpLeafData {
         (0..LEAF_CAP).find(|&i| self.bitmap & (1 << i) == 0)
     }
 
-    fn entries(&self) -> Vec<(u64, u64)> {
+    /// The live pairs, in slot order (unsorted).
+    fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         (0..LEAF_CAP)
             .filter(|&i| self.bitmap & (1 << i) != 0)
             .map(|i| (self.keys[i], self.vals[i]))
-            .collect()
     }
 }
 
@@ -117,22 +117,6 @@ impl FpTree {
         self.splits.load(Ordering::Relaxed)
     }
 
-    /// Collects every pair (quiescent only).
-    pub fn collect(&self) -> Vec<(u64, u64)> {
-        let inner = read(&self.inner);
-        let mut out = Vec::new();
-        for leaf in inner.values() {
-            out.extend(lock(&leaf.data).entries());
-        }
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-
-    /// Sum of the stored keys (quiescent only).
-    pub fn key_sum(&self) -> u128 {
-        self.collect().iter().map(|&(k, _)| k as u128).sum()
-    }
-
     /// Splits the (full) leaf responsible for `key`.  Takes the inner write
     /// lock, so it serializes with every other operation.
     fn split_leaf(&self, key: u64) {
@@ -147,7 +131,7 @@ impl FpTree {
                 // Someone else already split (or removed keys); nothing to do.
                 return;
             }
-            data.entries()
+            data.entries().collect::<Vec<_>>()
         };
         entries.sort_unstable_by_key(|e| e.0);
         let mid = entries.len() / 2;
@@ -236,6 +220,22 @@ impl SessionOps for FpTree {
         }
     }
 
+    /// Under the inner read lock, which keeps splits out, visits the leaves
+    /// from the one covering `lo` through the last one starting at or
+    /// below `hi`, each under its own lock, then sorts: leaves keep their
+    /// slots unsorted.
+    fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, _cx: &mut OpCx<'_>) {
+        let inner = read(&self.inner);
+        let (&start, _) = inner
+            .range(..=lo)
+            .next_back()
+            .expect("a leaf always covers every key");
+        for leaf in inner.range(start..=hi).map(|(_, leaf)| leaf) {
+            let data = lock(&leaf.data);
+            out.extend(data.entries().filter(|(key, _)| (lo..=hi).contains(key)));
+        }
+        out.sort_unstable_by_key(|e| e.0);
+    }
 }
 
 impl ConcurrentMap for FpTree {
@@ -245,10 +245,6 @@ impl ConcurrentMap for FpTree {
 
     fn name(&self) -> &'static str {
         "fptree"
-    }
-
-    fn key_sum(&self) -> u128 {
-        FpTree::key_sum(self)
     }
 }
 
@@ -276,7 +272,7 @@ mod tests {
                 assert_eq!(h.delete(k), oracle.remove(&k));
             }
         }
-        let got = t.collect();
+        let got = crate::entries(&t);
         let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
         assert_eq!(got, expected);
         assert!(t.split_count() > 0, "the workload should split leaves");

@@ -33,7 +33,11 @@
 //! access-adaptive tower heights; the copy-on-update tree pays the
 //! LF-ABtree's allocation per update but swaps leaves with a CAS instead of
 //! LLX/SCX; the FPTree-like tree persists its leaves but has no recovery
-//! (Figure 17 measures steady-state throughput only).  What carries over to
+//! (Figure 17 measures steady-state throughput only).  Every baseline scans
+//! natively, by walking its own key order, but per key and not as a
+//! snapshot: each returned pair was present at some instant of the scan,
+//! where the (a,b)-trees' scans are one linearizable snapshot of the
+//! window.  What carries over to
 //! the figures is therefore each category's cost structure and the relative
 //! ordering of the curves, not the originals' absolute numbers.
 //!
@@ -131,13 +135,13 @@ pub(crate) trait SessionOps: Send + Sync {
     /// Lookup (see [`MapHandle::get`]).
     fn op_get(&self, key: u64, cx: &mut OpCx<'_>) -> Option<u64>;
 
-    /// Range collection (see [`MapHandle::range`]).  The default is the
-    /// shared [`abtree::fallback_range`] point-lookup probe over
-    /// [`SessionOps::op_get`]; structures with an ordered layout override
-    /// it.
-    fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>) {
-        abtree::fallback_range(|key| self.op_get(key, cx), lo, hi, out)
-    }
+    /// Range collection (see [`MapHandle::range`]): appends every pair
+    /// with `lo <= key <= hi` to `out` in key order, walking the
+    /// structure's own layout.  Called with `lo <= hi` and `out` empty.
+    /// Each element is linearizable on its own; the window is not one
+    /// snapshot.  This walk is also the baselines' quiescent
+    /// `ConcurrentMap::key_sum`.
+    fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>);
 }
 
 /// The shared per-thread session state of every baseline: an owned EBR
@@ -202,7 +206,10 @@ impl<M: SessionOps + ?Sized> MapHandle for SessionHandle<'_, M> {
     }
 
     fn range(&mut self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>) {
-        self.with_cx(|map, cx| map.op_range(lo, hi, out, cx))
+        out.clear();
+        if lo <= hi {
+            self.with_cx(|map, cx| map.op_range(lo, hi, out, cx))
+        }
     }
 
     fn take_scan_buf(&mut self) -> Vec<(u64, u64)> {
@@ -212,6 +219,15 @@ impl<M: SessionOps + ?Sized> MapHandle for SessionHandle<'_, M> {
     fn put_scan_buf(&mut self, buf: Vec<(u64, u64)>) {
         self.scan_buf = buf;
     }
+}
+
+/// Every pair a structure holds, through one full-window `range` (the
+/// module tests' oracle comparisons).
+#[cfg(test)]
+pub(crate) fn entries(map: &dyn abtree::ConcurrentMap) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    map.handle().range(0, abtree::EMPTY_KEY - 1, &mut out);
+    out
 }
 
 #[cfg(test)]

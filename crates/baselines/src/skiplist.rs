@@ -100,27 +100,6 @@ impl LazySkipList {
         level
     }
 
-    /// Collects every key/value pair by walking level 0 (quiescent only).
-    pub fn collect(&self) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        // SAFETY: quiescent access; head/tail are never reclaimed.
-        let mut cur = unsafe { &*self.head }.next[0].load(Ordering::Acquire);
-        while cur != self.tail {
-            // SAFETY: quiescent access.
-            let node = unsafe { &*cur };
-            if !node.marked.load(Ordering::Acquire) {
-                out.push((node.key, node.value));
-            }
-            cur = node.next[0].load(Ordering::Acquire);
-        }
-        out
-    }
-
-    /// Sum of the stored keys (quiescent only), for harness validation.
-    pub fn key_sum(&self) -> u128 {
-        self.collect().iter().map(|&(k, _)| k as u128).sum()
-    }
-
     /// Finds the predecessors and successors of `key` at every level.
     /// Returns the level at which a node with `key` was found, or `None`.
     fn find(
@@ -254,10 +233,6 @@ impl SessionOps for LazySkipList {
     /// linearizable (the list-order walk of the lazy-list literature); the
     /// result is not an atomic snapshot of the whole window.
     fn op_range(&self, lo: u64, hi: u64, out: &mut Vec<(u64, u64)>, cx: &mut OpCx<'_>) {
-        out.clear();
-        if lo > hi {
-            return;
-        }
         let _guard = cx.guard();
         let mut preds = [ptr::null_mut(); MAX_LEVEL];
         let mut succs = [ptr::null_mut(); MAX_LEVEL];
@@ -376,10 +351,6 @@ impl ConcurrentMap for LazySkipList {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         SessionOps::collector(self).map(Collector::stats)
     }
-
-    fn key_sum(&self) -> u128 {
-        LazySkipList::key_sum(self)
-    }
 }
 
 impl Drop for LazySkipList {
@@ -457,7 +428,7 @@ mod tests {
         // Sum the remaining keys through the map interface.
         let mut sum = 0i128;
         for k in 0..1_000u64 {
-            if h.contains(k) {
+            if h.get(k).is_some() {
                 sum += k as i128;
             }
         }
@@ -477,7 +448,7 @@ mod tests {
                 h.delete(k);
             }
         }
-        let all = t.collect();
+        let all = crate::entries(&t);
         let mut out = Vec::new();
         h.range(100, 899, &mut out);
         let expected: Vec<(u64, u64)> = all

@@ -40,7 +40,7 @@ use conctest::{
     FuzzConfig, Target,
 };
 use crashkv::DurableKvService;
-use setbench::registry::{self, ScanSupport};
+use setbench::registry;
 use workload::OperationMix;
 
 fn flag_value(args: &[String], flag: &str) -> Option<u64> {
@@ -153,10 +153,9 @@ fn main() {
         rounds,
     };
     for descriptor in registry::STRUCTURES.iter().filter(|d| wanted(d.name)) {
-        let check_cfg = if descriptor.scan == ScanSupport::Snapshot {
-            CheckConfig::with_snapshot_scans()
-        } else {
-            CheckConfig::default()
+        let check_cfg = CheckConfig {
+            snapshot_scans: descriptor.snapshot_scans,
+            ..CheckConfig::default()
         };
         let build = || (descriptor.factory)(smr);
         sweep.target(descriptor.name, &build, &cfg, &check_cfg);

@@ -27,12 +27,12 @@
 //!   — so they decompose into per-key reads/writes carrying the batch's
 //!   interval (a superset of the sub-operation's true interval, hence sound:
 //!   it can only admit more schedules, never reject a correct one);
-//! * **non-snapshot scans** (fallback probing, the skiplist's list-order
-//!   walk, kvserve's cross-shard scatter-gather) promise the same per-key
+//! * **non-snapshot scans** (the baselines' walks of their own key order,
+//!   kvserve's cross-shard scatter-gather) promise the same per-key
 //!   guarantee and decompose identically: one *observation* per universe key
 //!   in the window — present with the scanned value, or absent;
 //! * **snapshot scans** (the (a,b)-trees' validated scans, see
-//!   [`setbench::registry::ScanSupport::Snapshot`]) promise joint atomicity
+//!   [`setbench::registry::StructureDescriptor::snapshot_scans`]) promise joint atomicity
 //!   and stay whole: a single multi-key read that must match the entire
 //!   window state at one instant.  Such a scan welds every universe key in
 //!   its window into one search component (union-find), at the cost of a
@@ -78,9 +78,9 @@ use crate::history::{History, OpKind, OpResult};
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// Treat `Range` records as atomic snapshots (joint multi-key reads).
-    /// Set from the structure's registry descriptor:
-    /// `ScanSupport::Snapshot` structures get `true`, everything else —
-    /// including every kvserve history — gets `false`.
+    /// Set from the structure's registry descriptor
+    /// (`StructureDescriptor::snapshot_scans`); every kvserve history gets
+    /// `false`.
     pub snapshot_scans: bool,
     /// Upper bound on specification-apply attempts per component before the
     /// search gives up with [`Outcome::Bounded`].

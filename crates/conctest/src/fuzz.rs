@@ -201,7 +201,7 @@ pub trait Target: Sync {
 }
 
 /// A registry structure; its sessions are tree handles.  Which structures
-/// scan atomically is the registry's `ScanSupport`.
+/// scan atomically is the registry's `snapshot_scans` column.
 impl Target for Box<dyn ConcurrentMap> {
     type Session<'t> = Box<dyn MapHandle + 't>;
     const SNAPSHOT_SCANS: bool = true;

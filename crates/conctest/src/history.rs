@@ -74,12 +74,12 @@ pub enum OpKind {
         /// Window end (inclusive).
         hi: u64,
     },
-    /// Batched multi-get (a kvserve `MGet`, or `MapHandle::get_batch`).
+    /// Batched multi-get (a kvserve `MGet`, or a run of tree `get`s).
     MGet {
         /// Probed keys, in request order.
         keys: Vec<u64>,
     },
-    /// Batched multi-put (a kvserve `MPut`, or `MapHandle::insert_batch`).
+    /// Batched multi-put (a kvserve `MPut`, or a run of tree `insert`s).
     MPut {
         /// Inserted pairs, in request order.
         pairs: Vec<(u64, u64)>,
@@ -253,8 +253,8 @@ pub trait Session {
     }
 }
 
-/// A tree session: any registry structure's [`MapHandle`].  Batches are
-/// `get_batch`/`insert_batch` calls, which the checker decomposes into
+/// A tree session: any registry structure's [`MapHandle`].  A batch runs
+/// key by key on the session, and the checker decomposes it into
 /// per-key observations — the batching contract: batches are *not* atomic
 /// across keys.
 impl Session for Box<dyn MapHandle + '_> {
@@ -269,15 +269,14 @@ impl Session for Box<dyn MapHandle + '_> {
                 OpResult::Entries(entries)
             }
             OpKind::MGet { keys } => {
-                let mut values = Vec::new();
-                self.get_batch(keys, &mut values);
-                OpResult::Values(values)
+                OpResult::Values(keys.iter().map(|&key| self.get(key)).collect())
             }
-            OpKind::MPut { pairs } => {
-                let mut values = Vec::new();
-                self.insert_batch(pairs, &mut values);
-                OpResult::Values(values)
-            }
+            OpKind::MPut { pairs } => OpResult::Values(
+                pairs
+                    .iter()
+                    .map(|&(key, value)| self.insert(key, value))
+                    .collect(),
+            ),
         }
     }
 }

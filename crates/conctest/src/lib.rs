@@ -22,7 +22,7 @@
 //!    over the recorded history — per-key partitioned, with a sequential
 //!    fast path, a provenance pre-pass for crisp common-case messages, an
 //!    atomic-snapshot scan model for the structures that promise one
-//!    (`ScanSupport::Snapshot` in the registry), and a search budget so
+//!    (`snapshot_scans` in the registry), and a search budget so
 //!    pathological histories return [`Outcome::Bounded`] instead of
 //!    hanging.
 //! 3. **Fuzzing + shrinking** ([`fuzz`], [`shrink`]): seeded

@@ -44,10 +44,6 @@ impl<M: ConcurrentMap> ConcurrentMap for TornScan<M> {
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         self.inner.ebr_stats()
     }
-
-    fn key_sum(&self) -> u128 {
-        self.inner.key_sum()
-    }
 }
 
 struct TornHandle<'m> {

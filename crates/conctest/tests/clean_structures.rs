@@ -8,7 +8,7 @@ use conctest::{
     FuzzConfig, History, OpKind, OpRecord, OpResult, Outcome,
 };
 use abebr::SmrPolicy;
-use setbench::registry::{self, ScanSupport};
+use setbench::registry;
 
 fn small_cfg() -> FuzzConfig {
     FuzzConfig {
@@ -33,10 +33,9 @@ fn every_registry_structure_passes_both_fuzz_modes() {
             differential_fuzz(&build, &cfg).unwrap_or_else(|failure| {
                 panic!("{}/{policy}: {}", descriptor.name, failure.render())
             });
-            let check_cfg = if descriptor.scan == ScanSupport::Snapshot {
-                CheckConfig::with_snapshot_scans()
-            } else {
-                CheckConfig::default()
+            let check_cfg = CheckConfig {
+                snapshot_scans: descriptor.snapshot_scans,
+                ..CheckConfig::default()
             };
             let report = fuzz_concurrent(&build, &cfg, &check_cfg, 2).unwrap_or_else(|failure| {
                 panic!("{}/{policy}: {}", descriptor.name, failure.render(&cfg))
@@ -111,8 +110,8 @@ fn hand_built_torn_scan_history_is_flagged_and_shrinks() {
     );
 
     // Per-key semantics must accept it — the tear is invisible without the
-    // snapshot guarantee, which is why ScanSupport::Snapshot drives the
-    // config.
+    // snapshot guarantee, which is why the registry's `snapshot_scans`
+    // drives the config.
     assert!(matches!(
         check(&history, &CheckConfig::default()),
         Outcome::Linearizable

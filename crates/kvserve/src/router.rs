@@ -287,8 +287,8 @@ impl<'s> ShardRouter<'s> {
     /// (cleared first) in input order.
     ///
     /// Keys the hot-key cache can answer are filled in locally; the rest
-    /// are regrouped by destination shard and looked up as one
-    /// [`abtree::MapHandle::get_batch`] per shard.
+    /// are regrouped by destination shard and looked up one shard at a
+    /// time, each shard's keys under one read stamp.
     pub fn mget(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         self.assert_unpipelined();
         let service = self.service;
@@ -317,7 +317,7 @@ impl<'s> ShardRouter<'s> {
         }
         for &shard in &self.touched {
             let group = &mut self.groups[shard];
-            let stamp = worker::get_batch(
+            let stamp = worker::mget(
                 &mut *self.sessions[shard],
                 service.shard_state(shard),
                 &group.keys,
@@ -346,8 +346,8 @@ impl<'s> ShardRouter<'s> {
     /// pushed to `out` (cleared first) in input order, `None` meaning the
     /// pair was inserted.
     ///
-    /// Same regrouping as [`mget`](Self::mget), through one
-    /// [`abtree::MapHandle::insert_batch`] per shard touched.
+    /// Same regrouping as [`mget`](Self::mget); each shard's pairs are
+    /// inserted one by one, announced as one write.
     pub fn mput(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
         self.assert_unpipelined();
         let service = self.service;
@@ -366,7 +366,7 @@ impl<'s> ShardRouter<'s> {
         }
         for &shard in &self.touched {
             let group = &mut self.groups[shard];
-            let stamp = worker::insert_batch(
+            let stamp = worker::mput(
                 &mut *self.sessions[shard],
                 service.shard_state(shard),
                 &group.pairs,

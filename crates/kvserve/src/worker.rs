@@ -166,29 +166,33 @@ pub(crate) fn execute(
     }
 }
 
-/// [`MapHandle::get_batch`] of one shard's keys, under the protocol: the
-/// stamp the values are exact at, if any.
-pub(crate) fn get_batch(
+/// Looks up one shard's keys in order, pushing one value per key onto
+/// `out` (cleared first), under the protocol: the stamp the values are
+/// exact at, if any.
+pub(crate) fn mget(
     handle: &mut dyn MapHandle,
     state: &ShardState,
     keys: &[u64],
     out: &mut Vec<Option<u64>>,
 ) -> Option<u64> {
     let stamp = state.read_stamp();
-    handle.get_batch(keys, out);
+    out.clear();
+    out.extend(keys.iter().map(|&key| handle.get(key)));
     stamp
 }
 
-/// [`MapHandle::insert_batch`] of one shard's pairs, announced as one
-/// write: the stamp the post-state is exact at, if any.
-pub(crate) fn insert_batch(
+/// Inserts one shard's pairs in order (insert-if-absent), pushing each
+/// pair's result onto `out` (cleared first), announced as one write: the
+/// stamp the post-state is exact at, if any.
+pub(crate) fn mput(
     handle: &mut dyn MapHandle,
     state: &ShardState,
     pairs: &[(u64, u64)],
     out: &mut Vec<Option<u64>>,
 ) -> Option<u64> {
     let ((), stamp) = state.mutate(|| {
-        handle.insert_batch(pairs, out);
+        out.clear();
+        out.extend(pairs.iter().map(|&(key, value)| handle.insert(key, value)));
         ((), out.iter().any(Option::is_none))
     });
     stamp

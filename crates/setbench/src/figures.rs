@@ -17,9 +17,7 @@ use absync::{McsLock, TatasLock};
 use abtree::OccABTree;
 
 use crate::harness::{run_cell, run_cell_on, CellConfig, Workload};
-use crate::registry::{
-    persistent_structures, scan_benchmark_structures, volatile_structures, Factory,
-};
+use crate::registry::{persistent_structures, volatile_structures, Factory};
 use crate::report::{print_figure_header, print_result_row, BenchResult};
 
 /// Default thread counts for scaling sweeps on this machine: 1, 2, 4, ...,
@@ -190,15 +188,8 @@ pub fn run_ycsb_figure(scale: &Scale, structures: &[&str]) -> Vec<BenchResult> {
 
 /// Figure 18: scan throughput under YCSB Workload E (95% scans / 5%
 /// inserts), sweeping the scan-length upper bound against the thread count.
-///
-/// Structures without a native scan ([`crate::ScanSupport::Fallback`]) are
-/// reported as `scan-unsupported` and **skipped**: their default `range` is
-/// one point probe per key in the window, so a "scan throughput" cell for
-/// them would record the point-lookup loop and silently fall off a cliff in
-/// the figure rather than measure anything scan-shaped.  Each skip prints a
-/// table note and emits a JSON row (`"skipped": "scan-unsupported"`) on
-/// stderr so the sweep's coverage stays explicit; no [`BenchResult`] is
-/// produced for skipped cells.
+/// Every structure scans by walking its own key order: the (a,b)-trees
+/// return validated snapshots, the baselines per-key walks.
 pub fn run_scan_figure(scale: &Scale, scan_lens: &[u64], structures: &[&str]) -> Vec<BenchResult> {
     let mut results = Vec::new();
     for &max_scan_len in scan_lens {
@@ -210,26 +201,15 @@ pub fn run_scan_figure(scale: &Scale, scan_lens: &[u64], structures: &[&str]) ->
                 scale.size
             ),
         );
-        for &structure in structures {
-            if crate::registry::scan_support(structure).is_some_and(|support| !support.is_native())
-            {
-                println!("  {structure}: scan-unsupported (point-probe fallback), skipped");
-                eprintln!(
-                    "{{\"experiment\": \"fig18\", \"structure\": \"{structure}\", \
-                     \"skipped\": \"scan-unsupported\"}}"
-                );
-                continue;
-            }
-            sweep(
-                &mut results,
-                "fig18",
-                &[structure],
-                scale,
-                Workload::YcsbE { max_scan_len },
-                0.5,
-                0x5CA7,
-            );
-        }
+        sweep(
+            &mut results,
+            "fig18",
+            structures,
+            scale,
+            Workload::YcsbE { max_scan_len },
+            0.5,
+            0x5CA7,
+        );
     }
     results
 }
@@ -424,16 +404,12 @@ pub static FIGURES: &[Figure] = &[
         scans: false,
         sweep: |_, scale| run_persistence_figure(scale),
     },
-    // Handed the full volatile set: the sweep prints the scan-unsupported
-    // note for the fallback structures and measures the rest, so coverage
-    // (and the skips) stay visible in the output.
     Figure {
         id: "fig18",
-        about:
-            "YCSB Workload E scan throughput, scan lengths 1..={1,10,100}, native-scan structures",
+        about: "YCSB Workload E scan throughput, scan lengths 1..={1,10,100}, volatile structures",
         full_size: 1_000_000,
         smoke_size: 1_000,
-        reports: scan_benchmark_structures,
+        reports: volatile_structures,
         scans: true,
         sweep: |_, scale| run_scan_figure(scale, &[1, 10, 100], &volatile_structures()),
     },
@@ -651,9 +627,8 @@ mod tests {
     /// Every figure id — the table `--list` prints — runs end to end at its
     /// smoke scale and passes the shared checks of [`Figure::run`]: rows for
     /// exactly the structures the figure reports (both lock variants for
-    /// `ablation-locks`; for `fig18` the native-scan set only, i.e. the
-    /// fallback structures it was handed were skipped), all validated, and
-    /// exactly one row per cell of the figure's sweep.
+    /// `ablation-locks`; every volatile structure for `fig18`), all
+    /// validated, and exactly one row per cell of the figure's sweep.
     #[test]
     fn every_figure_runs_at_smoke_scale() {
         // Cells per figure at smoke scale (one thread count).
@@ -664,7 +639,7 @@ mod tests {
             ("fig15", 48),
             ("fig16", 6),
             ("fig17", 6),
-            ("fig18", 12),
+            ("fig18", 18),
             ("table1", 24),
             ("ablation-elim", 8),
             ("ablation-locks", 2),
@@ -686,13 +661,16 @@ mod tests {
                 fig.id
             );
         }
-        assert_eq!(total, 250);
+        assert_eq!(total, 256);
         assert_eq!(
             (Figure::by_id("ablation-locks").unwrap().reports)(),
             vec!["occ-abtree/mcs", "occ-abtree/tatas"]
         );
-        let fig18 = (Figure::by_id("fig18").unwrap().reports)();
-        assert!(!fig18.contains(&"catree") && !fig18.contains(&"ext-bst-lock"));
+        assert_eq!(
+            (Figure::by_id("fig18").unwrap().reports)(),
+            volatile_structures(),
+            "fig18 reports every volatile structure"
+        );
     }
 
     /// `--smr hp` reaches every collector-backed structure of a sweep, and
@@ -783,27 +761,15 @@ mod tests {
 
     #[test]
     fn tiny_scan_figure_run_counts_scans() {
-        let structures = ["elim-abtree", "skiplist-lazy"];
+        let structures = ["elim-abtree", "skiplist-lazy", "catree", "ext-bst-lock"];
         let results = run_scan_figure(&tiny(500, 2, 40), &[8], &structures);
-        assert_eq!(results.len(), 2);
+        assert_eq!(results.len(), 4);
         for r in &results {
             assert_eq!(r.experiment, "fig18");
             assert!(r.validated, "{} failed validation", r.structure);
             assert!(r.scan_ops > 0, "{} completed no scans", r.structure);
             assert!(r.scan_ops <= r.total_ops);
         }
-    }
-
-    /// Fallback-scan structures must produce *no* fig18 row (not a garbage
-    /// point-probe row): the sweep reports them as scan-unsupported and
-    /// moves on.
-    #[test]
-    fn scan_figure_skips_fallback_structures() {
-        let structures = ["elim-abtree", "catree"];
-        let results = run_scan_figure(&tiny(500, 1, 30), &[8], &structures);
-        assert_eq!(results.len(), 1, "the fallback structure is skipped");
-        assert_eq!(results[0].structure, "elim-abtree");
-        assert!(results[0].scan_ops > 0);
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub use figures::{
 };
 pub use harness::{run_cell, run_cell_on, CellConfig, Workload};
 pub use registry::{
-    descriptor, make_structure, names_in, native_scan_structures, persistent_structures,
-    scan_benchmark_structures, scan_support, snapshot_scan_structures, structure_names,
-    volatile_structures, Factory, ScanSupport, StructureCategory, StructureDescriptor, STRUCTURES,
+    descriptor, make_structure, names_in, persistent_structures, structure_names,
+    volatile_structures, Factory, StructureCategory, StructureDescriptor, STRUCTURES,
 };
 pub use report::{print_figure_header, print_result_row, BenchResult};
 
@@ -67,7 +66,7 @@ mod tests {
     }
 
     /// Acceptance check for the scan subsystem: a YCSB-E (scan-heavy) mix
-    /// runs against every registered structure — native scan or fallback —
+    /// runs against every registered structure — snapshot or per-key walk —
     /// and passes the key-sum validation.
     #[test]
     fn ycsb_e_runs_and_validates_every_structure() {

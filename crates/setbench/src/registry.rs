@@ -8,9 +8,8 @@
 //!
 //! The registry itself is a single data-driven table: one
 //! [`StructureDescriptor`] per structure, carrying its name, its
-//! volatile/persistent category, whether its range scans are native or the
-//! point-lookup fallback ([`ScanSupport`]), and a factory function.
-//! Everything else —
+//! volatile/persistent category, whether its range scans are atomic
+//! snapshots, and a factory function.  Everything else —
 //! [`structure_names`], [`make_structure`], the harness and the figure
 //! sweeps — iterates this table.  **Registering a new
 //! structure therefore means adding exactly one descriptor line below**
@@ -32,56 +31,19 @@ pub enum StructureCategory {
     Persistent,
 }
 
-/// How a structure serves `ConcurrentMap::range`.
-///
-/// This drives two consumers: the scan figure's interpretation (fallback
-/// scans pay one point lookup per key in the window) and the `conctest`
-/// linearizability checker's model of a scan (only [`Snapshot`] scans are
-/// checked as one atomic multi-key read; the other two levels promise only
-/// per-element linearizability, so their scans are checked key by key).
-///
-/// [`Snapshot`]: ScanSupport::Snapshot
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanSupport {
-    /// Native ordered traversal that additionally validates node versions,
-    /// making the whole result one linearizable snapshot (the (a,b)-trees'
-    /// double-collect-and-revalidate protocol).
-    Snapshot,
-    /// Native ordered traversal of its own layout, per-element linearizable
-    /// but *not* an atomic snapshot of the window (e.g. the skiplist's
-    /// list-order walk).
-    Native,
-    /// Uses the default `range`: one `get` per key in the window.
-    Fallback,
-}
-
-impl ScanSupport {
-    /// Whether `range` walks the structure's own layout instead of probing
-    /// key by key (true for [`Snapshot`] and [`Native`]).
-    ///
-    /// [`Snapshot`]: ScanSupport::Snapshot
-    /// [`Native`]: ScanSupport::Native
-    pub fn is_native(self) -> bool {
-        !matches!(self, ScanSupport::Fallback)
-    }
-
-    /// Whether a scan's result is guaranteed to be one atomic snapshot of
-    /// the window — the property the `conctest` checker verifies jointly
-    /// across keys.
-    pub fn is_snapshot(self) -> bool {
-        matches!(self, ScanSupport::Snapshot)
-    }
-}
-
 /// One registered data structure: the single source of truth for its
-/// benchmark name, category, scan support, and construction.
+/// benchmark name, category, scan guarantee, and construction.
 pub struct StructureDescriptor {
     /// Registry name, matching `ConcurrentMap::name()` of the built value.
     pub name: &'static str,
     /// Volatile or persistent.
     pub category: StructureCategory,
-    /// Native or fallback range scans.
-    pub scan: ScanSupport,
+    /// Whether a `range` result is one atomic snapshot of the window (the
+    /// (a,b)-trees, which validate node versions) rather than a walk whose
+    /// elements are each linearizable on its own (every baseline).  The
+    /// `conctest` checker holds exactly these structures to joint scan
+    /// atomicity.
+    pub snapshot_scans: bool,
     /// Builds a fresh, empty instance.
     pub factory: Factory,
 }
@@ -91,7 +53,6 @@ pub struct StructureDescriptor {
 /// policy.
 pub type Factory = fn(SmrPolicy) -> Box<dyn ConcurrentMap>;
 
-use ScanSupport::{Fallback, Native, Snapshot};
 use StructureCategory::{Persistent, Volatile};
 
 /// Factory helper: builds `T` on a collector running the requested SMR
@@ -121,55 +82,55 @@ pub static STRUCTURES: &[StructureDescriptor] = &[
     StructureDescriptor {
         name: "elim-abtree",
         category: Volatile,
-        scan: Snapshot,
+        snapshot_scans: true,
         factory: smr_factory!(ElimABTree),
     },
     StructureDescriptor {
         name: "occ-abtree",
         category: Volatile,
-        scan: Snapshot,
+        snapshot_scans: true,
         factory: smr_factory!(OccABTree),
     },
     StructureDescriptor {
         name: "catree",
         category: Volatile,
-        scan: Fallback,
+        snapshot_scans: false,
         factory: smr_factory!(CaTree),
     },
     StructureDescriptor {
         name: "lf-abtree(cow)",
         category: Volatile,
-        scan: Native,
+        snapshot_scans: false,
         factory: smr_factory!(CowABTree),
     },
     StructureDescriptor {
         name: "ext-bst-lock",
         category: Volatile,
-        scan: Fallback,
+        snapshot_scans: false,
         factory: smr_factory!(LockExtBst),
     },
     StructureDescriptor {
         name: "skiplist-lazy",
         category: Volatile,
-        scan: Native,
+        snapshot_scans: false,
         factory: smr_factory!(LazySkipList),
     },
     StructureDescriptor {
         name: "p-elim-abtree",
         category: Persistent,
-        scan: Snapshot,
+        snapshot_scans: true,
         factory: smr_factory!(PElimABTree),
     },
     StructureDescriptor {
         name: "p-occ-abtree",
         category: Persistent,
-        scan: Snapshot,
+        snapshot_scans: true,
         factory: smr_factory!(POccABTree),
     },
     StructureDescriptor {
         name: "fptree",
         category: Persistent,
-        scan: Fallback,
+        snapshot_scans: false,
         factory: boxed_no_smr::<FpTree>,
     },
 ];
@@ -203,45 +164,6 @@ pub fn descriptor(name: &str) -> Option<&'static StructureDescriptor> {
     STRUCTURES.iter().find(|d| d.name == name)
 }
 
-/// How the structure registered under `name` serves range scans.
-pub fn scan_support(name: &str) -> Option<ScanSupport> {
-    descriptor(name).map(|d| d.scan)
-}
-
-/// Names of the structures with a native `range` implementation (snapshot
-/// or per-element), in table order.
-pub fn native_scan_structures() -> Vec<&'static str> {
-    STRUCTURES
-        .iter()
-        .filter(|d| d.scan.is_native())
-        .map(|d| d.name)
-        .collect()
-}
-
-/// Names of the volatile structures eligible for the scan figure (fig18):
-/// volatile *and* native-scan, in table order.  Structures whose scans fall
-/// back to per-key point probes ([`ScanSupport::Fallback`]) are excluded —
-/// a fallback "scan" measures the point-lookup loop, not a scan, and
-/// reporting it alongside real scan numbers is the garbage-data cliff the
-/// figure driver skips with a `scan-unsupported` note instead.
-pub fn scan_benchmark_structures() -> Vec<&'static str> {
-    STRUCTURES
-        .iter()
-        .filter(|d| d.category == StructureCategory::Volatile && d.scan.is_native())
-        .map(|d| d.name)
-        .collect()
-}
-
-/// Names of the structures whose scans are atomic snapshots, in table
-/// order — the set the `conctest` checker holds to joint scan atomicity.
-pub fn snapshot_scan_structures() -> Vec<&'static str> {
-    STRUCTURES
-        .iter()
-        .filter(|d| d.scan.is_snapshot())
-        .map(|d| d.name)
-        .collect()
-}
-
 /// Instantiates a structure by name under the default SMR policy (EBR).
 /// Panics on unknown names.
 pub fn make_structure(name: &str) -> Box<dyn ConcurrentMap> {
@@ -262,7 +184,8 @@ pub fn make_structure_smr(name: &str, policy: SmrPolicy) -> Box<dyn ConcurrentMa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use rand::prelude::*;
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn registry_builds_every_structure() {
@@ -357,42 +280,23 @@ mod tests {
         make_structure("no-such-tree");
     }
 
-    /// The scan-support column the figure drivers, docs and the `conctest`
-    /// checker rely on: the (a,b)-tree family, the skiplist and the COW tree
-    /// walk their own layouts; the remaining baselines use the point-lookup
-    /// fallback; and of the native set, exactly the (a,b)-trees (which
-    /// validate leaf versions) promise atomic snapshots.
+    /// The scan column `conctest` relies on: exactly the (a,b)-trees (which
+    /// validate leaf versions) promise atomic snapshots.  And every
+    /// structure's own walk must answer `range` exactly: after a seeded
+    /// sequential workload, about fifty seeded windows (empty, single-key,
+    /// straddling, full) match a `BTreeMap` oracle.
     #[test]
     fn scan_support_metadata() {
+        let snapshot: Vec<_> = STRUCTURES
+            .iter()
+            .filter(|d| d.snapshot_scans)
+            .map(|d| d.name)
+            .collect();
         assert_eq!(
-            native_scan_structures(),
-            vec![
-                "elim-abtree",
-                "occ-abtree",
-                "lf-abtree(cow)",
-                "skiplist-lazy",
-                "p-elim-abtree",
-                "p-occ-abtree",
-            ]
-        );
-        assert_eq!(
-            snapshot_scan_structures(),
+            snapshot,
             vec!["elim-abtree", "occ-abtree", "p-elim-abtree", "p-occ-abtree"],
             "the set conctest checks for joint scan atomicity"
         );
-        assert_eq!(
-            scan_benchmark_structures(),
-            vec!["elim-abtree", "occ-abtree", "lf-abtree(cow)", "skiplist-lazy"],
-            "the fig18-eligible set: volatile AND native-scan"
-        );
-        assert_eq!(scan_support("catree"), Some(ScanSupport::Fallback));
-        assert_eq!(scan_support("elim-abtree"), Some(ScanSupport::Snapshot));
-        assert_eq!(scan_support("skiplist-lazy"), Some(ScanSupport::Native));
-        assert_eq!(scan_support("no-such-tree"), None);
-        assert!(ScanSupport::Snapshot.is_native() && ScanSupport::Snapshot.is_snapshot());
-        assert!(ScanSupport::Native.is_native() && !ScanSupport::Native.is_snapshot());
-        assert!(!ScanSupport::Fallback.is_native() && !ScanSupport::Fallback.is_snapshot());
-        // Whatever the support level, every structure must answer scans.
         let mut out = Vec::new();
         for d in STRUCTURES {
             let s = (d.factory)(SmrPolicy::default());
@@ -403,6 +307,37 @@ mod tests {
             session.range(3, 8, &mut out);
             assert_eq!(out, vec![(3, 30), (5, 50), (8, 80)], "{}", d.name);
             assert_eq!(session.scan_len(0, 14), 5, "{}", d.name);
+
+            let mut rng = StdRng::seed_from_u64(0x5CA7);
+            let mut oracle = BTreeMap::from([(2, 20), (3, 30), (5, 50), (8, 80), (13, 130)]);
+            for _ in 0..3_000 {
+                let k = rng.gen_range(0..1_000u64);
+                if rng.gen_bool(0.6) {
+                    let expected = oracle.get(&k).copied();
+                    oracle.entry(k).or_insert(k + 7);
+                    assert_eq!(session.insert(k, k + 7), expected, "{}", d.name);
+                } else {
+                    assert_eq!(session.delete(k), oracle.remove(&k), "{}", d.name);
+                }
+            }
+            let mut windows = vec![(0, abtree::EMPTY_KEY - 1), (0, 999), (5, 4), (1_000, 2_000)];
+            windows.extend(oracle.keys().step_by(97).map(|&k| (k, k)));
+            while windows.len() < 50 {
+                let lo = rng.gen_range(0..1_100u64);
+                windows.push((lo, lo + rng.gen_range(0..200)));
+            }
+            for (lo, hi) in windows {
+                session.range(lo, hi, &mut out);
+                let expected: Vec<(u64, u64)> = if lo > hi {
+                    Vec::new()
+                } else {
+                    oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect()
+                };
+                assert_eq!(out, expected, "{}: range({lo}, {hi})", d.name);
+            }
+            drop(session);
+            let key_sum: u128 = oracle.keys().map(|&k| u128::from(k)).sum();
+            assert_eq!(s.key_sum(), key_sum, "{}", d.name);
         }
     }
 }

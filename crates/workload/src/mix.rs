@@ -37,9 +37,9 @@ pub enum Operation {
     Find,
     /// `range(key, key + len)` — a range scan starting at the drawn key.
     Scan,
-    /// `get_batch(keys)` — a batched multi-get (the driver draws the keys).
+    /// `mget(keys)` — a batched multi-get (the driver draws the keys).
     MGet,
-    /// `insert_batch(pairs)` — a batched multi-put (the driver draws the
+    /// `mput(pairs)` — a batched multi-put (the driver draws the
     /// pairs).
     MPut,
 }

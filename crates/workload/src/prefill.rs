@@ -17,21 +17,6 @@ pub struct PrefillReport {
     pub duplicates: u64,
 }
 
-/// The steady-state size for a given key range and update mix: half the key
-/// range when inserts and deletes are equally likely, the full range for a
-/// read-only mix (nothing is ever deleted), otherwise proportional to the
-/// insert share of updates.
-pub fn steady_state_size(key_range: u64, insert_pct: u32, delete_pct: u32) -> u64 {
-    if insert_pct + delete_pct == 0 || insert_pct == delete_pct {
-        return key_range / 2;
-    }
-    // General case: in steady state the fraction of present keys p satisfies
-    // insert_rate * (1 - p) = delete_rate * p.
-    let i = insert_pct as f64;
-    let d = delete_pct as f64;
-    ((i / (i + d)) * key_range as f64).round() as u64
-}
-
 /// Inserts uniformly random keys (with value = key) through `insert` until
 /// `target` distinct keys have been inserted.  `insert` must return `true`
 /// when the key was newly inserted and `false` when it was already present.
@@ -82,18 +67,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
-
-    #[test]
-    fn steady_state_half_for_equal_mix() {
-        assert_eq!(steady_state_size(1_000, 25, 25), 500);
-        assert_eq!(steady_state_size(1_000, 0, 0), 500);
-    }
-
-    #[test]
-    fn steady_state_proportional_for_skewed_mix() {
-        assert_eq!(steady_state_size(1_000, 30, 10), 750);
-        assert_eq!(steady_state_size(1_000, 10, 30), 250);
-    }
 
     #[test]
     fn prefill_reaches_exact_target() {
