@@ -92,11 +92,10 @@ pub use codec::{
     decode_batch, decode_response_batch, encode_batch, encode_response_batch, CodecError,
 };
 pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
-pub use queue::{Consumer, Producer, PushError};
 pub use request::{Request, Response};
 pub use router::{Overloaded, ShardRouter};
 pub use service::{shard_of, KvService, RouterError};
-pub use stats::{Histogram, OpCounters, ServiceStats};
+pub use stats::{OpCounters, ServiceStats};
 
 /// The in-flight bound of the pipelined request paths: a volatile
 /// [`ShardRouter`] holds at most this many uncollected responses (the next

@@ -60,10 +60,12 @@ struct Inner<T> {
     consumer_gone: AtomicBool,
 }
 
-// The UnsafeCell slots are only touched under the head/tail ownership
-// protocol (each in-flight slot is accessed by exactly one side), so the
-// ring as a whole is safe to share once `T` itself can move across threads.
+// SAFETY: moving the ring to another thread moves only the `T`s in its
+// slots, and those are `Send`.
 unsafe impl<T: Send> Send for Inner<T> {}
+// SAFETY: under the head/tail protocol the consumer reads only slots in
+// `head..tail` and the producer writes only slots outside it, so no slot is
+// touched by both sides at once; values only move between threads (`T: Send`).
 unsafe impl<T: Send> Sync for Inner<T> {}
 
 impl<T> Drop for Inner<T> {
@@ -73,6 +75,8 @@ impl<T> Drop for Inner<T> {
         let tail = *self.tail.get_mut();
         let mut head = *self.head.get_mut();
         while head != tail {
+            // SAFETY: every slot in `head..tail` was written by `try_push`
+            // and not yet read by `try_pop`, so it holds an initialised `T`.
             unsafe { (*self.slots[head & self.mask].get()).assume_init_drop() };
             head = head.wrapping_add(1);
         }
@@ -123,6 +127,9 @@ impl<T> Producer<T> {
         if tail.wrapping_sub(head) > inner.mask {
             return Err(PushError::Full(value));
         }
+        // SAFETY: `tail - head <= mask` leaves the slot at `tail` outside
+        // `head..tail`, so the consumer does not touch it until the release
+        // store below publishes it, and only this (sole) producer writes it.
         unsafe { (*inner.slots[tail & inner.mask].get()).write(value) };
         inner.tail.store(tail.wrapping_add(1), Ordering::Release);
         Ok(())
@@ -169,6 +176,9 @@ impl<T> Consumer<T> {
         if head == inner.tail.load(Ordering::Acquire) {
             return None;
         }
+        // SAFETY: `head != tail`, so the producer initialised this slot before
+        // the release store of `tail` the acquire load saw, and will not reuse
+        // it before the store of `head` below; the value is moved out once.
         let value = unsafe { (*inner.slots[head & inner.mask].get()).assume_init_read() };
         inner.head.store(head.wrapping_add(1), Ordering::Release);
         Some(value)

@@ -3,10 +3,10 @@
 //! Everything here is lock-free (plain relaxed atomics) and allocation-free
 //! on the record path, so routers can update stats inline without perturbing
 //! the workload they measure.  The histogram type itself lives in the
-//! telemetry crate ([`obs::Histogram`], re-exported here for compatibility);
-//! this module owns the *service-shaped* aggregates — per-shard and
-//! per-namespace counters, the latency/batch-size histograms — and knows how
-//! to emit them as registry [`Sample`]s for a scrape.
+//! telemetry crate ([`obs::Histogram`]); this module owns the
+//! *service-shaped* aggregates — per-shard and per-namespace counters, the
+//! latency/batch-size histograms — and knows how to emit them as registry
+//! [`Sample`]s for a scrape.
 //!
 //! With `obs`'s `compile-out` feature enabled every `record_*` method
 //! returns immediately (the [`obs::ENABLED`] branch is a `const`, so it
@@ -14,9 +14,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use obs::{Histogram, HISTOGRAM_BUCKETS};
-
-use obs::Sample;
+use obs::{Histogram, Sample};
 
 /// Operation counters for one shard or one namespace.
 ///

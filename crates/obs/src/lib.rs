@@ -6,9 +6,9 @@
 //! running server.  `obs` is the one std-only home for all of it:
 //!
 //! * **[`Histogram`]** — the fixed-bucket power-of-two histogram
-//!   (previously `kvserve::stats::Histogram`, moved here and re-exported
-//!   from kvserve): wait-free relaxed-atomic recording, `None`-aware
-//!   quantiles, quiescent merge/reset.
+//!   (previously `kvserve::stats::Histogram`, moved here): wait-free
+//!   relaxed-atomic recording, `None`-aware quantiles, quiescent
+//!   merge/reset.
 //! * **[`Registry`]** — a pull-based metric registry.  Subsystems register
 //!   *sources* (closures that append [`Sample`]s); a scrape walks the
 //!   sources and renders a Prometheus-style text exposition

@@ -1,38 +1,36 @@
-//! The paper's evaluation (§6) as one table of figures and one runner.
+//! The paper's evaluation (§6–§7) as one table of figures and one loop.
 //!
 //! [`FIGURES`] names every experiment this crate reproduces — Figures 12-18,
-//! Table 1 and the two ablations — with its full-scale and smoke-scale size
-//! and the sweep it runs.  Each sweep prints a text table of throughput
-//! numbers (operations per microsecond, the paper's y-axis unit) plus one
-//! JSON line per cell on stderr, and [`Figure::run`] holds every figure to
-//! the same checks: key-sum validation on every cell, every expected
-//! structure present, scans completed where the figure measures scans.
-//! The `figures` binary is [`parse_args`] plus a loop over the table.
+//! Table 1 and the two ablations — as data: the structures that form its
+//! rows, the workload × skew blocks it runs, its seed, which thread counts
+//! it runs, and its full-scale and smoke-scale size.  [`Figure::run`] is the
+//! one loop over cells (blocks → rows → threads).  It prints a text table of
+//! throughput numbers per block (operations per microsecond, the paper's
+//! y-axis unit) plus one JSON line per cell on stderr, and holds every
+//! figure to the same checks: key-sum validation on every cell, every
+//! expected structure present, scans completed where the figure measures
+//! scans.  The `figures` binary is [`parse_args`] plus a loop over the table.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
 
-use abebr::{Collector, SmrPolicy};
+use abebr::SmrPolicy;
+use abpmem::PersistMode;
 use absync::{McsLock, TatasLock};
 use abtree::OccABTree;
 
-use crate::harness::{run_cell, run_cell_on, CellConfig, Workload};
-use crate::registry::{persistent_structures, volatile_structures, Factory};
+use crate::harness::{run_cell_on, CellConfig, Workload};
+use crate::registry::{descriptor, smr_factory, Factory, StructureCategory, STRUCTURES};
 use crate::report::{print_figure_header, print_result_row, BenchResult};
 
 /// Default thread counts for scaling sweeps on this machine: 1, 2, 4, ...,
 /// up to the number of logical CPUs.
 pub fn default_thread_counts() -> Vec<usize> {
     let max = abtree::par::detected_parallelism();
-    let mut counts = vec![1usize];
-    let mut c = 2;
-    while c < max {
-        counts.push(c);
-        c *= 2;
-    }
-    if *counts.last().unwrap() != max {
-        counts.push(max);
-    }
+    let mut counts: Vec<usize> = std::iter::successors(Some(1), |c| Some(c * 2))
+        .take_while(|&c| c < max)
+        .collect();
+    counts.push(max);
     counts
 }
 
@@ -51,21 +49,14 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The cell running `workload` on `structure` at `threads` under this
-    /// scale's size, cell length and SMR backend.
-    fn cell(
-        &self,
-        structure: &str,
-        workload: Workload,
-        zipf: f64,
-        threads: usize,
-        seed: u64,
-    ) -> CellConfig {
+    /// The cell running a block's workload and skew on the row `label` at
+    /// `threads` under this scale's size, cell length and SMR backend.
+    fn cell(&self, label: &str, block: (Workload, f64), threads: usize, seed: u64) -> CellConfig {
         CellConfig {
-            structure: structure.into(),
-            workload,
+            structure: label.into(),
+            workload: block.0,
             size: self.size,
-            zipf,
+            zipf: block.1,
             threads,
             duration: self.duration,
             seed,
@@ -74,271 +65,45 @@ impl Scale {
     }
 }
 
-/// The part of a microbenchmark sweep the figure fixes: which structures,
-/// which access skews, which update rates.
-#[derive(Debug, Clone, Copy)]
-pub struct MicrobenchGrid {
-    /// Zipf parameters (0 = uniform).
-    pub zipfs: &'static [f64],
-    /// Update percentages.
-    pub update_percents: &'static [u32],
-    /// Structures to run.
-    pub structures: fn() -> Vec<&'static str>,
+/// The structures that form a figure's rows, in print order.
+pub enum Rows {
+    /// Every registry structure of one category, in registry order.
+    Category(StructureCategory),
+    /// Registry structures by name.
+    Named(&'static [&'static str]),
+    /// Variants the registry cannot name, each built under its row label.
+    Built(&'static [(&'static str, Factory)]),
 }
 
-/// The paper's microbenchmark grid (Figures 12-15): every volatile
-/// structure, uniform and Zipf(1) columns, 100/50/20/5% update rows.
-const PAPER_GRID: MicrobenchGrid = MicrobenchGrid {
-    zipfs: &[0.0, 1.0],
-    update_percents: &[100, 50, 20, 5],
-    structures: volatile_structures,
-};
-
-/// Ablation (paper §4/§6): publishing elimination on vs off as the access
-/// skew increases on an update-only workload.
-const ELIMINATION_GRID: MicrobenchGrid = MicrobenchGrid {
-    zipfs: &[0.0, 0.75, 1.0, 1.25],
-    update_percents: &[100],
-    structures: || vec!["elim-abtree", "occ-abtree"],
-};
-
-/// Stamps a finished cell with its experiment id, prints its table row and
-/// JSON line, and keeps it.
-fn record(results: &mut Vec<BenchResult>, experiment: &str, mut r: BenchResult) {
-    r.experiment = experiment.into();
-    let json = print_result_row(&r);
-    eprintln!("{json}");
-    results.push(r);
-}
-
-/// Runs `workload` on each of `structures` at each thread count of `scale`
-/// and records every cell under `experiment`.
-fn sweep(
-    results: &mut Vec<BenchResult>,
-    experiment: &str,
-    structures: &[&str],
-    scale: &Scale,
-    workload: Workload,
-    zipf: f64,
-    seed: u64,
-) {
-    for &structure in structures {
-        for &threads in &scale.threads {
-            let cfg = scale.cell(structure, workload, zipf, threads, seed);
-            record(results, experiment, run_cell(&cfg));
+impl Rows {
+    /// Each row's label and the builder of its structure.
+    fn list(&self) -> Vec<(&'static str, Factory)> {
+        match *self {
+            Rows::Category(category) => STRUCTURES
+                .iter()
+                .filter(|d| d.category == category)
+                .map(|d| (d.name, d.factory))
+                .collect(),
+            Rows::Named(names) => names
+                .iter()
+                .map(|&name| (name, descriptor(name).expect("a registry name").factory))
+                .collect(),
+            Rows::Built(rows) => rows.to_vec(),
         }
     }
 }
 
-/// Runs one SetBench microbenchmark sweep (Figures 12-15 and the
-/// elimination ablation, depending on `grid` and `scale.size`).
-pub fn run_microbench_figure(
-    experiment: &str,
-    grid: &MicrobenchGrid,
-    scale: &Scale,
-) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    for &zipf in grid.zipfs {
-        for &update_percent in grid.update_percents {
-            print_figure_header(
-                experiment,
-                &format!(
-                    "{} keys, {}% updates, {} distribution",
-                    scale.size,
-                    update_percent,
-                    if zipf == 0.0 {
-                        "uniform".to_string()
-                    } else {
-                        format!("Zipf({zipf})")
-                    }
-                ),
-            );
-            sweep(
-                &mut results,
-                experiment,
-                &(grid.structures)(),
-                scale,
-                Workload::SetBench { update_percent },
-                zipf,
-                0xD1CE,
-            );
-        }
-    }
-    results
+/// Which of a [`Scale`]'s thread counts a figure runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Threads {
+    /// Every one: the scaling curves.
+    Every,
+    /// Only the largest (Table 1).
+    Largest,
 }
 
-/// Figure 16: YCSB Workload A throughput sweep.
-pub fn run_ycsb_figure(scale: &Scale, structures: &[&str]) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    print_figure_header(
-        "fig16",
-        &format!("YCSB Workload A, {} records, request Zipf 0.5", scale.size),
-    );
-    sweep(
-        &mut results,
-        "fig16",
-        structures,
-        scale,
-        Workload::YcsbA,
-        0.5,
-        0xFEED,
-    );
-    results
-}
-
-/// Figure 18: scan throughput under YCSB Workload E (95% scans / 5%
-/// inserts), sweeping the scan-length upper bound against the thread count.
-/// Every structure scans by walking its own key order: the (a,b)-trees
-/// return validated snapshots, the baselines per-key walks.
-pub fn run_scan_figure(scale: &Scale, scan_lens: &[u64], structures: &[&str]) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    for &max_scan_len in scan_lens {
-        print_figure_header(
-            "fig18",
-            &format!(
-                "YCSB Workload E, {} records, scan lengths 1..={max_scan_len}, \
-                 request Zipf 0.5",
-                scale.size
-            ),
-        );
-        sweep(
-            &mut results,
-            "fig18",
-            structures,
-            scale,
-            Workload::YcsbE { max_scan_len },
-            0.5,
-            0x5CA7,
-        );
-    }
-    results
-}
-
-/// Figure 17: persistent trees (p-OCC, p-Elim, FPTree-like) at 50% updates,
-/// uniform and Zipf(1), under real flush and fence instructions.
-pub fn run_persistence_figure(scale: &Scale) -> Vec<BenchResult> {
-    abpmem::set_mode(abpmem::PersistMode::Real);
-    let mut results = Vec::new();
-    for &zipf in &[0.0, 1.0] {
-        print_figure_header(
-            "fig17",
-            &format!(
-                "persistent trees, {} keys, 50% updates, {}",
-                scale.size,
-                if zipf == 0.0 { "uniform" } else { "Zipf(1)" }
-            ),
-        );
-        sweep(
-            &mut results,
-            "fig17",
-            &persistent_structures(),
-            scale,
-            Workload::SetBench { update_percent: 50 },
-            zipf,
-            0xCAFE,
-        );
-    }
-    abpmem::set_mode(abpmem::PersistMode::CountOnly);
-    results
-}
-
-/// The volatile tree / durable tree pairs Table 1 compares.
-const OVERHEAD_PAIRS: [(&str, &str); 2] = [
-    ("occ-abtree", "p-occ-abtree"),
-    ("elim-abtree", "p-elim-abtree"),
-];
-
-/// Table 1: change in throughput upon enabling persistence, at the largest
-/// thread count of `scale`, update rates {100, 50, 10}%, uniform and
-/// Zipf(1).  Returns `(volatile, persistent, overhead_percent)` rows.
-pub fn run_persistence_overhead_table(scale: &Scale) -> Vec<(BenchResult, BenchResult, f64)> {
-    let threads = *scale
-        .threads
-        .last()
-        .expect("a scale sweeps at least one thread count");
-    let mut rows = Vec::new();
-    println!();
-    println!(
-        "=== table1: persistence overhead ({threads} threads, {} keys) ===",
-        scale.size
-    );
-    println!(
-        "{:<16} {:>8} {:>8} {:>14} {:>14} {:>10}",
-        "structure", "zipf", "upd%", "volatile op/us", "durable op/us", "overhead"
-    );
-    for &zipf in &[0.0, 1.0] {
-        for &update_percent in &[100u32, 50, 10] {
-            for (volatile, durable) in OVERHEAD_PAIRS {
-                let cell = |structure: &str, mode| {
-                    abpmem::set_mode(mode);
-                    let workload = Workload::SetBench { update_percent };
-                    let mut r = run_cell(&scale.cell(structure, workload, zipf, threads, 0xAB1E));
-                    r.experiment = "table1".into();
-                    eprintln!("{}", r.to_json());
-                    r
-                };
-                // The volatile trees never call abpmem; the mode only
-                // matters to the durable cell.
-                let v = cell(volatile, abpmem::PersistMode::CountOnly);
-                let p = cell(durable, abpmem::PersistMode::Real);
-                abpmem::set_mode(abpmem::PersistMode::CountOnly);
-                let overhead = (p.throughput_mops - v.throughput_mops) / v.throughput_mops * 100.0;
-                println!(
-                    "{:<16} {:>8} {:>8} {:>14.3} {:>14.3} {:>9.1}%",
-                    durable, zipf, update_percent, v.throughput_mops, p.throughput_mops, overhead
-                );
-                rows.push((v, p, overhead));
-            }
-        }
-    }
-    rows
-}
-
-/// The two OCC-ABtrees of the lock ablation.  The registry cannot name the
-/// TATAS tree (both report `"occ-abtree"`), so they are built here and
-/// handed to [`run_cell_on`] under these row labels.
-const LOCK_VARIANTS: [(&str, Factory); 2] = [
-    ("occ-abtree/mcs", |smr| {
-        Box::new(OccABTree::<McsLock>::with_collector(
-            Collector::with_policy(smr),
-        ))
-    }),
-    ("occ-abtree/tatas", |smr| {
-        Box::new(OccABTree::<TatasLock>::with_collector(
-            Collector::with_policy(smr),
-        ))
-    }),
-];
-
-/// Ablation (paper §7): MCS node locks vs test-and-test-and-set node locks
-/// in the OCC-ABtree, under a contended update-only Zipf(1) workload.
-pub fn run_lock_ablation(scale: &Scale) -> Vec<BenchResult> {
-    let mut results = Vec::new();
-    print_figure_header(
-        "ablation-locks",
-        &format!(
-            "OCC-ABtree node locks, MCS vs TATAS, {} keys, 100% updates, Zipf(1)",
-            scale.size
-        ),
-    );
-    for (label, build) in LOCK_VARIANTS {
-        for &threads in &scale.threads {
-            let workload = Workload::SetBench {
-                update_percent: 100,
-            };
-            let cfg = scale.cell(label, workload, 1.0, threads, 0x10C5);
-            record(
-                &mut results,
-                "ablation-locks",
-                run_cell_on(build(scale.smr), &cfg),
-            );
-        }
-    }
-    results
-}
-
-/// One reproducible experiment: an id, its two sizes, the sweep behind it
-/// and what a correct run of that sweep must report.
+/// One reproducible experiment: an id, its two sizes, and the rows ×
+/// blocks × thread counts whose cells it runs.
 pub struct Figure {
     /// The id given on the `figures` command line.
     pub id: &'static str,
@@ -350,102 +115,177 @@ pub struct Figure {
     pub full_size: u64,
     /// Keys (records) under `--smoke`.
     pub smoke_size: u64,
-    /// Row labels a run must report: every one of them and no other.
-    pub reports: fn() -> Vec<&'static str>,
-    /// Whether the figure measures scans, so a cell without one is a failure.
-    pub scans: bool,
-    sweep: fn(&Figure, &Scale) -> Vec<BenchResult>,
+    /// The structures compared.  A run reports exactly these labels, and it
+    /// runs under real flush and fence instructions iff one of them is a
+    /// persistent registry structure.
+    pub rows: Rows,
+    /// The workload and Zipf parameter (0 = uniform) of each block, in
+    /// print order.  A figure with a YCSB-E block measures scans, so a cell
+    /// without one is a failure.
+    pub blocks: &'static [(Workload, f64)],
+    /// The seed of every cell.
+    pub seed: u64,
+    /// The thread counts every row runs at.
+    pub threads: Threads,
+    /// `(volatile, durable)` row pairs whose throughput change is printed
+    /// after the sweep (Table 1).
+    pub overhead_pairs: &'static [(&'static str, &'static str)],
 }
 
-/// Figures 12-15 are one sweep at four key ranges.
-const fn paper_grid_figure(
-    id: &'static str,
-    about: &'static str,
-    full_size: u64,
-    smoke_size: u64,
-) -> Figure {
-    Figure {
-        id,
-        about,
-        full_size,
-        smoke_size,
-        reports: volatile_structures,
-        scans: false,
-        sweep: |fig, scale| run_microbench_figure(fig.id, &PAPER_GRID, scale),
-    }
+/// A SetBench block's workload.
+const fn updates(update_percent: u32) -> Workload {
+    Workload::SetBench { update_percent }
 }
+
+/// The paper's microbenchmark grid (Figures 12-15): uniform and Zipf(1)
+/// columns, 100/50/20/5% update rows.
+const PAPER_GRID: &[(Workload, f64)] = &[
+    (updates(100), 0.0),
+    (updates(50), 0.0),
+    (updates(20), 0.0),
+    (updates(5), 0.0),
+    (updates(100), 1.0),
+    (updates(50), 1.0),
+    (updates(20), 1.0),
+    (updates(5), 1.0),
+];
+
+/// Figure 12; the other entries take the fields they share with it from here.
+const FIG12: Figure = Figure {
+    id: "fig12",
+    about: "SetBench microbenchmark, 10k keys: update rate x skew x threads, volatile structures",
+    full_size: 10_000,
+    smoke_size: 1_000,
+    rows: Rows::Category(StructureCategory::Volatile),
+    blocks: PAPER_GRID,
+    seed: 0xD1CE,
+    threads: Threads::Every,
+    overhead_pairs: &[],
+};
 
 /// Every figure the runner knows, in the order `all` runs them.
 pub static FIGURES: &[Figure] = &[
-    paper_grid_figure(
-        "fig12",
-        "SetBench microbenchmark, 10k keys: update rate x skew x threads, volatile structures",
-        10_000,
-        1_000,
-    ),
-    paper_grid_figure("fig13", "the same grid at 100k keys", 100_000, 2_000),
-    paper_grid_figure("fig14", "the same grid at 1M keys", 1_000_000, 4_000),
-    paper_grid_figure("fig15", "the same grid at 10M keys", 10_000_000, 8_000),
+    FIG12,
+    Figure {
+        id: "fig13",
+        about: "the same grid at 100k keys",
+        full_size: 100_000,
+        smoke_size: 2_000,
+        ..FIG12
+    },
+    Figure {
+        id: "fig14",
+        about: "the same grid at 1M keys",
+        full_size: 1_000_000,
+        smoke_size: 4_000,
+        ..FIG12
+    },
+    Figure {
+        id: "fig15",
+        about: "the same grid at 10M keys",
+        full_size: 10_000_000,
+        smoke_size: 8_000,
+        ..FIG12
+    },
     Figure {
         id: "fig16",
         about: "YCSB Workload A (request Zipf 0.5), volatile structures as the index",
         full_size: 10_000_000,
         smoke_size: 1_000,
-        reports: volatile_structures,
-        scans: false,
-        sweep: |_, scale| run_ycsb_figure(scale, &volatile_structures()),
+        blocks: &[(Workload::YcsbA, 0.5)],
+        seed: 0xFEED,
+        ..FIG12
     },
     Figure {
         id: "fig17",
         about: "persistent trees under real flush/fence instructions, 50% updates",
         full_size: 1_000_000,
         smoke_size: 2_000,
-        reports: persistent_structures,
-        scans: false,
-        sweep: |_, scale| run_persistence_figure(scale),
+        rows: Rows::Category(StructureCategory::Persistent),
+        blocks: &[(updates(50), 0.0), (updates(50), 1.0)],
+        seed: 0xCAFE,
+        ..FIG12
     },
     Figure {
         id: "fig18",
         about: "YCSB Workload E scan throughput, scan lengths 1..={1,10,100}, volatile structures",
         full_size: 1_000_000,
         smoke_size: 1_000,
-        reports: volatile_structures,
-        scans: true,
-        sweep: |_, scale| run_scan_figure(scale, &[1, 10, 100], &volatile_structures()),
+        blocks: &[
+            (Workload::YcsbE { max_scan_len: 1 }, 0.5),
+            (Workload::YcsbE { max_scan_len: 10 }, 0.5),
+            (Workload::YcsbE { max_scan_len: 100 }, 0.5),
+        ],
+        seed: 0x5CA7,
+        ..FIG12
     },
     Figure {
         id: "table1",
         about: "throughput change upon enabling persistence, volatile vs durable (a,b)-trees",
         full_size: 1_000_000,
         smoke_size: 2_000,
-        reports: || OVERHEAD_PAIRS.iter().flat_map(|&(v, p)| [v, p]).collect(),
-        scans: false,
-        sweep: |_, scale| {
-            run_persistence_overhead_table(scale)
-                .into_iter()
-                .flat_map(|(v, p, _)| [v, p])
-                .collect()
-        },
+        rows: Rows::Named(&["occ-abtree", "p-occ-abtree", "elim-abtree", "p-elim-abtree"]),
+        blocks: &[
+            (updates(100), 0.0),
+            (updates(50), 0.0),
+            (updates(10), 0.0),
+            (updates(100), 1.0),
+            (updates(50), 1.0),
+            (updates(10), 1.0),
+        ],
+        seed: 0xAB1E,
+        threads: Threads::Largest,
+        overhead_pairs: &[
+            ("occ-abtree", "p-occ-abtree"),
+            ("elim-abtree", "p-elim-abtree"),
+        ],
     },
     Figure {
         id: "ablation-elim",
         about: "publishing elimination on vs off, 100% updates, Zipf 0 to 1.25",
         full_size: 10_000,
         smoke_size: 1_000,
-        reports: ELIMINATION_GRID.structures,
-        scans: false,
-        sweep: |fig, scale| run_microbench_figure(fig.id, &ELIMINATION_GRID, scale),
+        rows: Rows::Named(&["elim-abtree", "occ-abtree"]),
+        blocks: &[
+            (updates(100), 0.0),
+            (updates(100), 0.75),
+            (updates(100), 1.0),
+            (updates(100), 1.25),
+        ],
+        ..FIG12
     },
     Figure {
         id: "ablation-locks",
         about: "OCC-ABtree with MCS vs TATAS node locks, 100% updates, Zipf(1)",
         full_size: 10_000,
         smoke_size: 1_000,
-        reports: || LOCK_VARIANTS.iter().map(|&(label, _)| label).collect(),
-        scans: false,
-        sweep: |_, scale| run_lock_ablation(scale),
+        // The registry cannot name the TATAS tree (both trees report
+        // `"occ-abtree"`), so the figure builds both itself.
+        rows: Rows::Built(&[
+            ("occ-abtree/mcs", smr_factory!(OccABTree<McsLock>)),
+            ("occ-abtree/tatas", smr_factory!(OccABTree<TatasLock>)),
+        ]),
+        blocks: &[(updates(100), 1.0)],
+        seed: 0x10C5,
+        ..FIG12
     },
 ];
+
+/// A block's table header: workload, size and skew.
+fn describe((workload, zipf): (Workload, f64), size: u64) -> String {
+    let load = match workload {
+        Workload::SetBench { update_percent } => format!("{size} keys, {update_percent}% updates"),
+        Workload::YcsbA => format!("YCSB Workload A, {size} records"),
+        Workload::YcsbE { max_scan_len } => {
+            format!("YCSB Workload E, {size} records, scan lengths 1..={max_scan_len}")
+        }
+    };
+    if zipf == 0.0 {
+        format!("{load}, uniform")
+    } else {
+        format!("{load}, Zipf({zipf})")
+    }
+}
 
 impl Figure {
     /// Looks up a figure by its command-line id.
@@ -453,25 +293,108 @@ impl Figure {
         FIGURES.iter().find(|f| f.id == id)
     }
 
-    /// Runs the figure's sweep at `scale` and holds the rows to the checks
-    /// every figure shares; a run that fails one is an error, not a table.
+    /// The row labels a run must report: every one of them and no other.
+    pub fn reports(&self) -> Vec<&'static str> {
+        self.rows.list().iter().map(|row| row.0).collect()
+    }
+
+    /// Runs every cell of the figure at `scale` — each block, each row, each
+    /// chosen thread count — and holds the rows to the checks every figure
+    /// shares; a run that fails one is an error, not a table.
     pub fn run(&self, scale: &Scale) -> Result<Vec<BenchResult>, String> {
-        let rows = (self.sweep)(self, scale);
-        let failed: Vec<&BenchResult> = rows.iter().filter(|r| !r.validated).collect();
+        let rows = self.rows.list();
+        // Volatile structures never call abpmem, so one mode serves a run.
+        let durable = rows.iter().any(|&(label, _)| {
+            descriptor(label).is_some_and(|d| d.category == StructureCategory::Persistent)
+        });
+        abpmem::set_mode(if durable {
+            PersistMode::Real
+        } else {
+            PersistMode::CountOnly
+        });
+        let threads = match self.threads {
+            Threads::Every => &scale.threads[..],
+            Threads::Largest => &scale.threads[scale.threads.len() - 1..],
+        };
+        let mut results = Vec::new();
+        for &block in self.blocks {
+            print_figure_header(self.id, &describe(block, scale.size));
+            for &(label, factory) in &rows {
+                for &t in threads {
+                    let cfg = scale.cell(label, block, t, self.seed);
+                    let mut r = run_cell_on(factory(scale.smr), &cfg);
+                    r.experiment = self.id.into();
+                    eprintln!("{}", print_result_row(&r));
+                    results.push(r);
+                }
+            }
+        }
+        abpmem::set_mode(PersistMode::CountOnly);
+        self.print_overheads(&results);
+
+        let failed: Vec<&BenchResult> = results.iter().filter(|r| !r.validated).collect();
         if !failed.is_empty() {
             return Err(format!("key-sum validation failed: {failed:?}"));
         }
-        if self.scans {
-            if let Some(r) = rows.iter().find(|r| r.scan_ops == 0) {
-                return Err(format!("a cell completed no scans: {r:?}"));
-            }
+        let scans = self
+            .blocks
+            .iter()
+            .any(|b| matches!(b.0, Workload::YcsbE { .. }));
+        if let Some(r) = results.iter().find(|r| scans && r.scan_ops == 0) {
+            return Err(format!("a cell completed no scans: {r:?}"));
         }
-        let reported: BTreeSet<&str> = rows.iter().map(|r| r.structure.as_str()).collect();
-        let expected: BTreeSet<&str> = (self.reports)().into_iter().collect();
+        let reported: BTreeSet<&str> = results.iter().map(|r| r.structure.as_str()).collect();
+        let expected: BTreeSet<&str> = self.reports().into_iter().collect();
         if reported != expected {
             return Err(format!("rows for {reported:?}, expected {expected:?}"));
         }
-        Ok(rows)
+        Ok(results)
+    }
+
+    /// The `(volatile, durable)` cells of each overhead pair in a run's
+    /// results: the two rows' cells in the same block at the same thread
+    /// count, in block order.
+    fn overheads<'r>(&self, results: &'r [BenchResult]) -> Vec<(&'r BenchResult, &'r BenchResult)> {
+        // Every block runs the same number of cells, in block order.
+        let per_block = (results.len() / self.blocks.len().max(1)).max(1);
+        let mut pairs = Vec::new();
+        for block in results.chunks(per_block) {
+            for &(volatile, durable) in self.overhead_pairs {
+                for v in block.iter().filter(|r| r.structure == volatile) {
+                    let p = block
+                        .iter()
+                        .find(|p| p.structure == durable && p.threads == v.threads);
+                    pairs.extend(p.map(|p| (v, p)));
+                }
+            }
+        }
+        pairs
+    }
+
+    /// Prints the throughput change of every overhead pair (Table 1).
+    fn print_overheads(&self, results: &[BenchResult]) {
+        let pairs = self.overheads(results);
+        if pairs.is_empty() {
+            return;
+        }
+        println!("\n=== {}: persistence overhead ===", self.id);
+        println!(
+            "{:<16} {:>8} {:>8} {:>8} {:>14} {:>14} {:>10}",
+            "structure", "threads", "zipf", "upd%", "volatile op/us", "durable op/us", "overhead"
+        );
+        for (v, p) in pairs {
+            let overhead = (p.throughput_mops - v.throughput_mops) / v.throughput_mops * 100.0;
+            println!(
+                "{:<16} {:>8} {:>8} {:>8} {:>14.3} {:>14.3} {:>9.1}%",
+                p.structure,
+                p.threads,
+                p.zipf,
+                p.update_percent,
+                v.throughput_mops,
+                p.throughput_mops,
+                overhead
+            );
+        }
     }
 }
 
@@ -597,6 +520,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::volatile_structures;
 
     fn tiny(size: u64, threads: usize, millis: u64) -> Scale {
         Scale {
@@ -663,11 +587,11 @@ mod tests {
         }
         assert_eq!(total, 256);
         assert_eq!(
-            (Figure::by_id("ablation-locks").unwrap().reports)(),
+            Figure::by_id("ablation-locks").unwrap().reports(),
             vec!["occ-abtree/mcs", "occ-abtree/tatas"]
         );
         assert_eq!(
-            (Figure::by_id("fig18").unwrap().reports)(),
+            Figure::by_id("fig18").unwrap().reports(),
             volatile_structures(),
             "fig18 reports every volatile structure"
         );
@@ -747,22 +671,46 @@ mod tests {
         }
     }
 
+    /// A small one-block figure with the paper grid's workload, as data.
+    fn one_block(
+        id: &'static str,
+        rows: &'static [&'static str],
+        block: &'static [(Workload, f64)],
+    ) -> Figure {
+        Figure {
+            id,
+            rows: Rows::Named(rows),
+            blocks: block,
+            ..FIG12
+        }
+    }
+
     #[test]
     fn tiny_figure_run_produces_rows() {
-        let grid = MicrobenchGrid {
-            zipfs: &[0.0],
-            update_percents: &[100],
-            structures: || vec!["elim-abtree", "catree"],
-        };
-        let results = run_microbench_figure("fig-test", &grid, &tiny(500, 2, 30));
+        let fig = one_block(
+            "fig-test",
+            &["elim-abtree", "catree"],
+            &[(
+                Workload::SetBench {
+                    update_percent: 100,
+                },
+                0.0,
+            )],
+        );
+        let results = fig.run(&tiny(500, 2, 30)).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.validated));
+        assert_eq!(fig.reports(), vec!["elim-abtree", "catree"]);
     }
 
     #[test]
     fn tiny_scan_figure_run_counts_scans() {
-        let structures = ["elim-abtree", "skiplist-lazy", "catree", "ext-bst-lock"];
-        let results = run_scan_figure(&tiny(500, 2, 40), &[8], &structures);
+        let fig = one_block(
+            "fig18",
+            &["elim-abtree", "skiplist-lazy", "catree", "ext-bst-lock"],
+            &[(Workload::YcsbE { max_scan_len: 8 }, 0.5)],
+        );
+        let results = fig.run(&tiny(500, 2, 40)).unwrap();
         assert_eq!(results.len(), 4);
         for r in &results {
             assert_eq!(r.experiment, "fig18");
@@ -772,13 +720,22 @@ mod tests {
         }
     }
 
+    /// Table 1 at a tiny scale runs only the largest of two thread counts,
+    /// and pairs every volatile cell with its durable twin.
     #[test]
     fn tiny_table1_run() {
-        let rows = run_persistence_overhead_table(&tiny(2_000, 2, 30));
+        let table1 = Figure::by_id("table1").unwrap();
+        let mut scale = tiny(2_000, 2, 30);
+        scale.threads = vec![1, 2];
+        let results = table1.run(&scale).unwrap();
+        assert!(results.iter().all(|r| r.threads == 2));
+        let pairs = table1.overheads(&results);
         // 2 zipfs x 3 update rates x 2 tree pairs.
-        assert_eq!(rows.len(), 12);
-        for (v, p, _) in &rows {
+        assert_eq!(pairs.len(), 12);
+        for (v, p) in &pairs {
             assert!(v.validated && p.validated);
+            assert_eq!(format!("p-{}", v.structure), p.structure);
+            assert_eq!((v.update_percent, v.zipf), (p.update_percent, p.zipf));
         }
     }
 }

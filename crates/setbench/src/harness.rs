@@ -33,9 +33,10 @@ pub enum Workload {
         update_percent: u32,
     },
     /// YCSB Workload A with the structure as the index (Figure 16): load
-    /// every record in key order, then 50% reads / 50% updates.  A YCSB
-    /// update writes the row, not the index (paper §6.2), so it is an index
-    /// read plus a write to a per-thread row sink.
+    /// every record in a seeded hashed order (YCSB's `insertorder=hashed`),
+    /// then 50% reads / 50% updates.  A YCSB update writes the row, not the
+    /// index (paper §6.2), so it is an index read plus a write to a
+    /// per-thread row sink.
     YcsbA,
     /// YCSB Workload E (Figure 18): the same load, then 95% scans of
     /// `1..=max_scan_len` keys / 5% inserts.
@@ -133,6 +134,33 @@ impl Step {
         StdRng::seed_from_u64(seed ^ salt)
     }
 
+    /// How many distinct keys the load phase puts in: half the key range
+    /// for SetBench (its steady-state size, paper §6), every record for YCSB.
+    fn load_target(&self, cfg: &CellConfig) -> u64 {
+        match self {
+            Step::Mix(..) => cfg.size / 2,
+            Step::Ycsb(workload) => workload.record_count(),
+        }
+    }
+
+    /// Loader `thread`'s keys: uniformly random ones from the key range for
+    /// SetBench, its slice of the workload's hashed record order for YCSB.
+    fn load_keys<'a>(
+        &'a self,
+        cfg: &CellConfig,
+        thread: usize,
+        threads: usize,
+    ) -> Box<dyn Iterator<Item = u64> + 'a> {
+        match self {
+            Step::Mix(..) => {
+                let size = cfg.size;
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5EED + thread as u64));
+                Box::new(std::iter::repeat_with(move || rng.gen_range(0..size)))
+            }
+            Step::Ycsb(workload) => Box::new(workload.load_keys(thread, threads, cfg.seed)),
+        }
+    }
+
     /// Draws one operation and runs it on `session`.
     #[inline]
     fn run(&self, session: &mut dyn MapHandle, rng: &mut StdRng, w: &mut Worker) {
@@ -196,52 +224,29 @@ impl Step {
     }
 }
 
-/// The SetBench load: `threads` workers insert random keys from
-/// `0..key_range` until `key_range / 2` have gone in.  Returns their key sum.
-fn prefill(map: &dyn ConcurrentMap, key_range: u64, threads: usize, seed: u64) -> i128 {
-    let target = key_range / 2;
+/// The load phase: `cfg.threads` loaders (at least one) each insert the
+/// keys of their own stream until the load's target of distinct keys has
+/// gone in or their stream ends.  Returns the key sum inserted.
+fn load(map: &dyn ConcurrentMap, cfg: &CellConfig, step: &Step) -> i128 {
+    let threads = cfg.threads.max(1);
+    let target = step.load_target(cfg);
     let inserted = AtomicU64::new(0);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads.max(1) as u64)
+        let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let inserted = &inserted;
                 scope.spawn(move || {
                     let mut session = map.handle();
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0x5EED + t));
+                    let mut keys = step.load_keys(cfg, t, threads);
                     let mut sum = 0i128;
                     while inserted.load(Ordering::Relaxed) < target {
-                        let key = rng.gen_range(0..key_range);
+                        let Some(key) = keys.next() else { break };
                         if session.insert(key, key).is_none() {
                             inserted.fetch_add(1, Ordering::Relaxed);
                             sum += key as i128;
                         }
                     }
                     sum
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("prefill thread panicked"))
-            .sum()
-    })
-}
-
-/// The YCSB load: every record `0..records`, split into one contiguous
-/// chunk per thread.  Returns the key sum inserted.
-fn load_records(map: &dyn ConcurrentMap, records: u64, threads: usize) -> i128 {
-    let threads = threads.max(1) as u64;
-    let chunk = records / threads + 1;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut session = map.handle();
-                    let hi = ((t + 1) * chunk).min(records);
-                    (t * chunk..hi)
-                        .filter(|&key| session.insert(key, key).is_none())
-                        .map(|key| key as i128)
-                        .sum::<i128>()
                 })
             })
             .collect();
@@ -280,11 +285,8 @@ pub fn run_cell(cfg: &CellConfig) -> BenchResult {
 /// column is true.
 pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult {
     let map = &*map;
-    let loaded_sum = match cfg.workload {
-        Workload::SetBench { .. } => prefill(map, cfg.size, cfg.threads, cfg.seed),
-        Workload::YcsbA | Workload::YcsbE { .. } => load_records(map, cfg.size, cfg.threads),
-    };
     let step = &Step::new(cfg);
+    let loaded_sum = load(map, cfg, step);
 
     let stop = &AtomicBool::new(false);
     let started = Instant::now();
@@ -340,5 +342,30 @@ pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult
         smr,
         unreclaimed,
         reclaim_lag,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The YCSB load through the one load loop: three loaders together put
+    /// in every record exactly once.
+    #[test]
+    fn ycsb_load_inserts_every_record_once() {
+        let cfg = CellConfig {
+            workload: Workload::YcsbE { max_scan_len: 1 },
+            size: 1_000,
+            threads: 3,
+            seed: 0x5CA7,
+            ..Default::default()
+        };
+        let map = make_structure_smr(&cfg.structure, cfg.smr);
+        let step = Step::new(&cfg);
+        assert_eq!(load(&*map, &cfg, &step), (0..1_000).sum::<i128>());
+        let mut rows = Vec::new();
+        map.handle().range(0, abtree::EMPTY_KEY - 1, &mut rows);
+        let keys: Vec<u64> = rows.iter().map(|&(k, _)| k).collect();
+        assert_eq!(keys, (0..1_000).collect::<Vec<_>>());
     }
 }

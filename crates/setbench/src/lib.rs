@@ -10,15 +10,18 @@
 //! against broken implementations.
 //!
 //! The YCSB figures (16 and 18) use the same method with the structure as a
-//! database index: the load phase inserts every record in key order instead
-//! of a random half of the key range, and each request is a YCSB read,
-//! update (an index read plus a row write), insert or scan.
+//! database index: the load phase inserts every record once, in a seeded
+//! hashed order as YCSB's default `insertorder=hashed` does, instead of a
+//! random half of the key range, and each request is a YCSB read, update
+//! (an index read plus a row write), insert or scan.
 //!
 //! This crate reproduces that methodology with one cell config
 //! ([`CellConfig`], whose [`Workload`] picks the load phase and the per-op
-//! step) and one measured phase ([`run_cell`]), and exposes the paper's
-//! figures, Table 1 and two ablations through one table
-//! ([`figures::FIGURES`]) and one runner binary over it, `figures` (see
+//! step), one load loop and one measured phase ([`run_cell`]).  The paper's
+//! figures, Table 1 and two ablations are one table of data
+//! ([`figures::FIGURES`]): each figure is rows (structures) × blocks
+//! (workload and skew) × thread counts, and one loop ([`Figure::run`]) runs
+//! every figure, under one runner binary, `figures` (see
 //! `src/bin/figures.rs`).
 
 #![warn(missing_docs)]
@@ -28,11 +31,7 @@ pub mod harness;
 pub mod registry;
 pub mod report;
 
-pub use figures::{
-    default_thread_counts, run_lock_ablation, run_microbench_figure, run_persistence_figure,
-    run_persistence_overhead_table, run_scan_figure, run_ycsb_figure, Figure, MicrobenchGrid,
-    Scale, FIGURES,
-};
+pub use figures::{default_thread_counts, Figure, Scale, FIGURES};
 pub use harness::{run_cell, run_cell_on, CellConfig, Workload};
 pub use registry::{
     descriptor, make_structure, names_in, persistent_structures, structure_names,

@@ -15,7 +15,7 @@
 //! structure therefore means adding exactly one descriptor line below**
 //! (plus `impl abtree::ConcurrentMap` next to the structure itself).
 
-use abebr::{Collector, SmrPolicy};
+use abebr::SmrPolicy;
 use abtree::{ConcurrentMap, ElimABTree, OccABTree};
 use baselines::{CaTree, CowABTree, FpTree, LazySkipList, LockExtBst};
 use pabtree::{PElimABTree, POccABTree};
@@ -60,12 +60,15 @@ use StructureCategory::{Persistent, Volatile};
 /// MCS lock), which a bare closure would leave unconstrained.
 macro_rules! smr_factory {
     ($ty:ty) => {{
-        fn build(policy: SmrPolicy) -> Box<dyn ConcurrentMap> {
-            Box::new(<$ty>::with_collector(Collector::with_policy(policy)))
+        fn build(policy: ::abebr::SmrPolicy) -> Box<dyn ::abtree::ConcurrentMap> {
+            Box::new(<$ty>::with_collector(::abebr::Collector::with_policy(
+                policy,
+            )))
         }
         build
     }};
 }
+pub(crate) use smr_factory;
 
 /// Factory helper for structures that do not reclaim through a collector:
 /// builds the default instance whatever the requested policy.
