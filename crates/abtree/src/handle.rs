@@ -108,8 +108,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// reuse the handle for the whole run; the handle must stay on the
     /// thread that opened it.
     pub fn handle(&self) -> TreeHandle<'_, ELIM, L, P> {
-        self.try_handle()
-            .unwrap_or_else(|e| panic!("abtree: {e}"))
+        self.try_handle().unwrap_or_else(|e| panic!("abtree: {e}"))
     }
 
     /// Fallible variant of [`AbTree::handle`]: returns an error instead of
@@ -197,9 +196,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> Deref for TreeHandle<'_, ELIM
     }
 }
 
-impl<const ELIM: bool, L: RawNodeLock, P: Persist> std::fmt::Debug
-    for TreeHandle<'_, ELIM, L, P>
-{
+impl<const ELIM: bool, L: RawNodeLock, P: Persist> std::fmt::Debug for TreeHandle<'_, ELIM, L, P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TreeHandle")
             .field("tree", self.tree)
@@ -339,6 +336,9 @@ mod tests {
         assert_ne!(a1, b1, "handles must get distinct streams");
         let mut c = HandleRng::from_seed(42);
         let heads = (0..1_000).filter(|_| c.coin()).count();
-        assert!((200..800).contains(&heads), "coin is not degenerate: {heads}");
+        assert!(
+            (200..800).contains(&heads),
+            "coin is not degenerate: {heads}"
+        );
     }
 }

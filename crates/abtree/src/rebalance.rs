@@ -569,8 +569,15 @@ mod tests {
         }
         t.check_invariants().unwrap();
         let stats = t.stats();
-        assert!(stats.height >= 3, "expected height >= 3, got {}", stats.height);
-        assert!(stats.leaves > (MAX_KEYS as u64), "tree should have many leaves");
+        assert!(
+            stats.height >= 3,
+            "expected height >= 3, got {}",
+            stats.height
+        );
+        assert!(
+            stats.leaves > (MAX_KEYS as u64),
+            "tree should have many leaves"
+        );
     }
 
     #[test]

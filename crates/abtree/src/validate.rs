@@ -115,16 +115,22 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         }
         let mut seen_keys = std::collections::HashSet::new();
         let mut leaf_depths = Vec::new();
-        self.check_node(root, 0, EMPTY_KEY, true, 1, &mut seen_keys, &mut leaf_depths)?;
+        self.check_node(
+            root,
+            0,
+            EMPTY_KEY,
+            true,
+            1,
+            &mut seen_keys,
+            &mut leaf_depths,
+        )?;
         // Leaves must all be at the same depth, except below tagged nodes
         // (which represent a temporary +1 imbalance).  Quiescent trees have
         // no tags, so require equality then.
         if self.stats().tagged_nodes == 0 {
             if let (Some(min), Some(max)) = (leaf_depths.iter().min(), leaf_depths.iter().max()) {
                 if min != max {
-                    return Err(format!(
-                        "leaves at different depths: min {min}, max {max}"
-                    ));
+                    return Err(format!("leaves at different depths: min {min}, max {max}"));
                 }
             }
         }

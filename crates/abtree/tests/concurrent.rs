@@ -8,8 +8,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use abtree::{AbTree, ElimABTree, OccABTree};
 use absync::RawNodeLock;
+use abtree::{AbTree, ElimABTree, OccABTree};
 use rand::prelude::*;
 
 mod common;

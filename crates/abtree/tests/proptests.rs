@@ -56,7 +56,11 @@ where
                         None
                     }
                 };
-                assert_eq!(session.insert(k, v), expected, "insert({k}, {v}) [seed {seed}]");
+                assert_eq!(
+                    session.insert(k, v),
+                    expected,
+                    "insert({k}, {v}) [seed {seed}]"
+                );
             }
             Op::Delete(k) => {
                 let expected = oracle.remove(&k);
@@ -71,7 +75,10 @@ where
     drop(session);
     let collected = collect(tree);
     let expected: Vec<(u64, u64)> = oracle.into_iter().collect();
-    assert_eq!(collected, expected, "final contents differ from oracle [seed {seed}]");
+    assert_eq!(
+        collected, expected,
+        "final contents differ from oracle [seed {seed}]"
+    );
 }
 
 /// Small key space: lots of duplicate inserts/deletes of the same key,
@@ -84,7 +91,8 @@ fn occ_matches_btreemap_small_keyspace() {
         let ops = random_ops(&mut rng, 32, 600);
         let tree: OccABTree = OccABTree::new();
         oracle_test(&tree, &ops, |t| t.collect(), seed);
-        tree.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
     }
 }
 
@@ -95,7 +103,8 @@ fn elim_matches_btreemap_small_keyspace() {
         let ops = random_ops(&mut rng, 32, 600);
         let tree: ElimABTree = ElimABTree::new();
         oracle_test(&tree, &ops, |t| t.collect(), seed);
-        tree.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
     }
 }
 
@@ -108,7 +117,8 @@ fn occ_matches_btreemap_large_keyspace() {
         let ops = random_ops(&mut rng, 10_000, 1_000);
         let tree: OccABTree = OccABTree::new();
         oracle_test(&tree, &ops, |t| t.collect(), seed);
-        tree.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
     }
 }
 
@@ -119,7 +129,8 @@ fn elim_matches_btreemap_large_keyspace() {
         let ops = random_ops(&mut rng, 10_000, 1_000);
         let tree: ElimABTree = ElimABTree::new();
         oracle_test(&tree, &ops, |t| t.collect(), seed);
-        tree.check_invariants().unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
+        tree.check_invariants()
+            .unwrap_or_else(|e| panic!("invariants [seed {seed}]: {e:?}"));
     }
 }
 

@@ -60,7 +60,11 @@ fn run_mixed_workload<const ELIM: bool>(tree: Arc<AbTree<ELIM>>, ops_per_thread:
         }));
     }
     let expected: i128 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    assert_eq!(tree.key_sum() as i128, expected, "key-sum validation failed");
+    assert_eq!(
+        tree.key_sum() as i128,
+        expected,
+        "key-sum validation failed"
+    );
     tree.check_invariants().unwrap();
 }
 
@@ -120,7 +124,10 @@ fn range_scans_are_consistent_under_hazard_pointers() {
         h.range(lo, lo + 200, &mut out);
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "unsorted snapshot");
         for &(k, v) in &out {
-            assert!(k >= lo && k <= lo + 200 && k % 2 == 1, "key {k} out of window");
+            assert!(
+                k >= lo && k <= lo + 200 && k % 2 == 1,
+                "key {k} out of window"
+            );
             assert_eq!(v, k);
         }
     }

@@ -256,7 +256,11 @@ impl Avl {
     }
 
     #[cfg(test)]
-    fn check_node(n: &Option<Box<AvlNode>>, lo: Option<u64>, hi: Option<u64>) -> Result<i32, String> {
+    fn check_node(
+        n: &Option<Box<AvlNode>>,
+        lo: Option<u64>,
+        hi: Option<u64>,
+    ) -> Result<i32, String> {
         match n {
             None => Ok(0),
             Some(n) => {
@@ -336,7 +340,10 @@ mod tests {
             if rng.gen_bool(0.55) {
                 let expected = oracle.entry(k).or_insert(k);
                 let got = t.insert(k, k);
-                assert_eq!(got.is_none(), *expected == k && t.get(k) == Some(k) && got.is_none());
+                assert_eq!(
+                    got.is_none(),
+                    *expected == k && t.get(k) == Some(k) && got.is_none()
+                );
             } else {
                 assert_eq!(t.remove(k), oracle.remove(&k));
             }

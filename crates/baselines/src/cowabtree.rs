@@ -115,12 +115,8 @@ impl CowABTree {
                 let new_leaf = Box::into_raw(Box::new(CowLeaf {
                     entries: new_entries,
                 }));
-                match cell.compare_exchange(
-                    current,
-                    new_leaf,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
+                match cell.compare_exchange(current, new_leaf, Ordering::AcqRel, Ordering::Acquire)
+                {
                     Ok(_) => {
                         // SAFETY: the old version was just unlinked.
                         unsafe { guard.defer_drop(current) };

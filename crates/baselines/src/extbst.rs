@@ -12,8 +12,8 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 
 use abebr::Collector;
-use abtree::{ConcurrentMap, MapHandle};
 use absync::TatasLock;
+use abtree::{ConcurrentMap, MapHandle};
 
 use crate::{OpCx, SessionHandle, SessionOps};
 

@@ -58,8 +58,9 @@ impl FpLeafData {
     /// Scans fingerprints first (the FPTree's key optimization), confirming
     /// on the full key only when the fingerprint matches.
     fn find(&self, key: u64, fp: u8) -> Option<usize> {
-        (0..LEAF_CAP)
-            .find(|&i| self.bitmap & (1 << i) != 0 && self.fingerprints[i] == fp && self.keys[i] == key)
+        (0..LEAF_CAP).find(|&i| {
+            self.bitmap & (1 << i) != 0 && self.fingerprints[i] == fp && self.keys[i] == key
+        })
     }
 
     fn free_slot(&self) -> Option<usize> {

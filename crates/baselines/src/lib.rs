@@ -171,10 +171,7 @@ impl<'m, M: SessionOps + ?Sized> SessionHandle<'m, M> {
     pub(crate) fn try_new(map: &'m M) -> Result<Self, abebr::RegisterError> {
         Ok(Self {
             map,
-            ebr: map
-                .collector()
-                .map(Collector::try_register)
-                .transpose()?,
+            ebr: map.collector().map(Collector::try_register).transpose()?,
             rng: HandleRng::new(),
             scan_buf: Vec::new(),
         })

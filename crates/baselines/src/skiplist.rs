@@ -320,8 +320,10 @@ impl SessionOps for LazySkipList {
             // SAFETY: preds are locked and validated; victim is marked.
             unsafe {
                 for level in (0..top_level).rev() {
-                    (*preds[level]).next[level]
-                        .store((*victim).next[level].load(Ordering::Acquire), Ordering::Release);
+                    (*preds[level]).next[level].store(
+                        (*victim).next[level].load(Ordering::Acquire),
+                        Ordering::Release,
+                    );
                 }
             }
             let value = v.value;
@@ -332,7 +334,6 @@ impl SessionOps for LazySkipList {
             return Some(value);
         }
     }
-
 }
 
 impl ConcurrentMap for LazySkipList {
@@ -460,7 +461,10 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0));
         h.range(5, 2, &mut out);
         assert!(out.is_empty(), "lo > hi must be empty");
-        assert_eq!(h.scan_len(100, 100), expected.iter().filter(|&&(k, _)| k < 200).count());
+        assert_eq!(
+            h.scan_len(100, 100),
+            expected.iter().filter(|&&(k, _)| k < 200).count()
+        );
     }
 
     #[test]

@@ -183,11 +183,7 @@ enum Action {
 impl Action {
     fn render(&self) -> String {
         match self {
-            Action::Write {
-                key,
-                value,
-                prior,
-            } => format!("insert({key}, {value}) -> {prior:?}"),
+            Action::Write { key, value, prior } => format!("insert({key}, {value}) -> {prior:?}"),
             Action::Remove { key, removed } => format!("delete({key}) -> {removed:?}"),
             Action::Read { key, value } => format!("read({key}) -> {value:?}"),
             Action::Snap { lo, hi, entries } => format!("snapshot({lo}..={hi}) -> {entries:?}"),
@@ -277,10 +273,7 @@ fn try_apply(state: &mut BTreeMap<u64, u64>, action: &Action) -> Option<Undo> {
             None => Some(Undo::None),
         },
         Action::Snap { lo, hi, entries } => {
-            let window: Vec<(u64, u64)> = state
-                .range(*lo..=*hi)
-                .map(|(&k, &v)| (k, v))
-                .collect();
+            let window: Vec<(u64, u64)> = state.range(*lo..=*hi).map(|(&k, &v)| (k, v)).collect();
             (window == *entries).then_some(Undo::None)
         }
     }
@@ -309,8 +302,7 @@ fn undo_apply(state: &mut BTreeMap<u64, u64>, undo: Undo) {
 /// opaque exhausted-search message).
 fn malformed_scan(history: &History) -> Option<ViolationReport> {
     for op in &history.ops {
-        let (&OpKind::Range { lo, hi }, OpResult::Entries(entries)) = (&op.kind, &op.result)
-        else {
+        let (&OpKind::Range { lo, hi }, OpResult::Entries(entries)) = (&op.kind, &op.result) else {
             continue;
         };
         let out_of_window = entries.iter().find(|(k, _)| !(lo..=hi).contains(k));
@@ -395,11 +387,7 @@ impl UnionFind {
 /// decomposed actions (see the module docs for the decomposition rules).
 fn decompose(history: &History, config: &CheckConfig) -> Vec<Component> {
     let universe: Vec<u64> = history.universe().into_iter().collect();
-    let index: HashMap<u64, usize> = universe
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i))
-        .collect();
+    let index: HashMap<u64, usize> = universe.iter().enumerate().map(|(i, &k)| (k, i)).collect();
     let mut uf = UnionFind::new(universe.len());
 
     // Pass 1: weld snapshot-scan windows into components.
@@ -552,9 +540,7 @@ fn check_component(component: &Component, config: &CheckConfig) -> ComponentOutc
     // is the only linearization candidate — unless optional (unacked)
     // actions are present: those may also *vanish*, so a straight replay
     // would wrongly force them to take effect.
-    let sequential = ops
-        .windows(2)
-        .all(|pair| pair[0].response < pair[1].invoke)
+    let sequential = ops.windows(2).all(|pair| pair[0].response < pair[1].invoke)
         && ops.iter().all(|op| op.action.mandatory());
     if sequential {
         let mut state = BTreeMap::new();
@@ -786,7 +772,13 @@ mod tests {
     }
 
     fn insert(t: u32, key: u64, value: u64, prior: Option<u64>, iv: u64, rs: u64) -> OpRecord {
-        rec(t, OpKind::Insert { key, value }, OpResult::Value(prior), iv, rs)
+        rec(
+            t,
+            OpKind::Insert { key, value },
+            OpResult::Value(prior),
+            iv,
+            rs,
+        )
     }
 
     fn get(t: u32, key: u64, value: Option<u64>, iv: u64, rs: u64) -> OpRecord {
@@ -799,7 +791,13 @@ mod tests {
             ops: vec![
                 insert(0, 1, 10, None, 0, 1),
                 get(0, 1, Some(10), 2, 3),
-                rec(0, OpKind::Delete { key: 1 }, OpResult::Value(Some(10)), 4, 5),
+                rec(
+                    0,
+                    OpKind::Delete { key: 1 },
+                    OpResult::Value(Some(10)),
+                    4,
+                    5,
+                ),
                 get(0, 1, None, 6, 7),
             ],
         };
@@ -842,10 +840,7 @@ mod tests {
     fn phantom_value_is_flagged_by_provenance() {
         // A concurrent get observes value 99 that no insert ever wrote.
         let history = History {
-            ops: vec![
-                insert(0, 1, 10, None, 0, 5),
-                get(1, 1, Some(99), 1, 4),
-            ],
+            ops: vec![insert(0, 1, 10, None, 0, 5), get(1, 1, Some(99), 1, 4)],
         };
         let outcome = check(&history, &CheckConfig::default());
         match outcome {
@@ -864,7 +859,13 @@ mod tests {
         // A concurrent scan observes both — torn.
         let ops = vec![
             insert(0, 1, 100, None, 0, 1),
-            rec(0, OpKind::Delete { key: 1 }, OpResult::Value(Some(100)), 4, 5),
+            rec(
+                0,
+                OpKind::Delete { key: 1 },
+                OpResult::Value(Some(100)),
+                4,
+                5,
+            ),
             insert(0, 2, 200, None, 6, 7),
             rec(
                 1,
@@ -944,7 +945,9 @@ mod tests {
                 ),
                 rec(
                     1,
-                    OpKind::MGet { keys: vec![1, 2, 3] },
+                    OpKind::MGet {
+                        keys: vec![1, 2, 3],
+                    },
                     OpResult::Values(vec![Some(10), Some(20), None]),
                     2,
                     3,
@@ -1004,7 +1007,13 @@ mod tests {
                     insert(0, 5, 1, None, 0, 1),
                     insert(0, 7, 1, None, 2, 3),
                     insert(0, 9, 1, None, 4, 5),
-                    rec(1, OpKind::Range { lo, hi }, OpResult::Entries(entries.clone()), 6, 7),
+                    rec(
+                        1,
+                        OpKind::Range { lo, hi },
+                        OpResult::Entries(entries.clone()),
+                        6,
+                        7,
+                    ),
                 ],
             };
             for config in [CheckConfig::default(), CheckConfig::with_snapshot_scans()] {
@@ -1038,10 +1047,7 @@ mod tests {
         // legal, the write vanished.  (Strictly sequential on purpose — the
         // fast path must not force the aborted write to take effect.)
         let history = History {
-            ops: vec![
-                aborted_insert(0, 1, 10, 0, 1),
-                get(1, 1, None, 2, 3),
-            ],
+            ops: vec![aborted_insert(0, 1, 10, 0, 1), get(1, 1, None, 2, 3)],
         };
         assert!(matches!(
             check(&history, &CheckConfig::default()),
@@ -1089,7 +1095,13 @@ mod tests {
         let history = History {
             ops: vec![
                 insert(0, 1, 10, None, 0, 1),
-                rec(0, OpKind::Insert { key: 2, value: 20 }, OpResult::Aborted, 2, 3),
+                rec(
+                    0,
+                    OpKind::Insert { key: 2, value: 20 },
+                    OpResult::Aborted,
+                    2,
+                    3,
+                ),
                 get(1, 1, None, 4, 5),
             ],
         };
@@ -1119,13 +1131,7 @@ mod tests {
         let history = History {
             ops: vec![
                 rec(0, OpKind::Get { key: 1 }, OpResult::Aborted, 0, 1),
-                rec(
-                    0,
-                    OpKind::Range { lo: 0, hi: 9 },
-                    OpResult::Aborted,
-                    2,
-                    3,
-                ),
+                rec(0, OpKind::Range { lo: 0, hi: 9 }, OpResult::Aborted, 2, 3),
                 rec(
                     0,
                     OpKind::MGet { keys: vec![1, 2] },

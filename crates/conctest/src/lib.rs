@@ -73,8 +73,8 @@ mod stall;
 pub use checker::{check, CheckConfig, Outcome, ViolationReport};
 pub use durable::check_durable;
 pub use fuzz::{
-    differential_fuzz, fuzz_concurrent, kv_service, record_hot_key_paths, ConcFailure,
-    ConcReport, DiffFailure, FuzzConfig, ScheduledOp, Target,
+    differential_fuzz, fuzz_concurrent, kv_service, record_hot_key_paths, ConcFailure, ConcReport,
+    DiffFailure, FuzzConfig, ScheduledOp, Target,
 };
 pub use history::{Clock, History, OpKind, OpRecord, OpResult, Recorder, Session};
 #[cfg(feature = "torn-scan")]
@@ -103,7 +103,10 @@ pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
         .and_then(|()| std::fs::File::create(&path))
         .and_then(|mut file| file.write_all(contents.as_bytes()));
     if let Err(error) = result {
-        eprintln!("conctest: could not write artifact {}: {error}", path.display());
+        eprintln!(
+            "conctest: could not write artifact {}: {error}",
+            path.display()
+        );
     }
     path
 }

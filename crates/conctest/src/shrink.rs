@@ -105,10 +105,11 @@ fn project(history: &History, keys: &BTreeSet<u64>) -> History {
         .filter_map(|op| {
             let mut op = op.clone();
             match (&mut op.kind, &mut op.result) {
-                (
-                    OpKind::Insert { key, .. } | OpKind::Delete { key } | OpKind::Get { key },
-                    _,
-                ) if !keys.contains(key) => return None,
+                (OpKind::Insert { key, .. } | OpKind::Delete { key } | OpKind::Get { key }, _)
+                    if !keys.contains(key) =>
+                {
+                    return None
+                }
                 (OpKind::Range { .. }, OpResult::Entries(entries)) => {
                     entries.retain(|(k, _)| keys.contains(k));
                 }
@@ -161,9 +162,7 @@ fn value_observed(ops: &[OpRecord], key: u64, value: u64, except: &[usize]) -> b
             (&OpKind::Delete { key: k }, &OpResult::Value(removed)) => {
                 k == key && removed == Some(value)
             }
-            (OpKind::Range { .. }, OpResult::Entries(entries)) => {
-                entries.contains(&(key, value))
-            }
+            (OpKind::Range { .. }, OpResult::Entries(entries)) => entries.contains(&(key, value)),
             (OpKind::MGet { keys }, OpResult::Values(values)) => keys
                 .iter()
                 .zip(values)
@@ -359,13 +358,7 @@ mod tests {
         assert_eq!(minimal[1].op, OpKind::Delete { key: 5 });
     }
 
-    fn record(
-        thread: u32,
-        kind: OpKind,
-        result: OpResult,
-        invoke: u64,
-        response: u64,
-    ) -> OpRecord {
+    fn record(thread: u32, kind: OpKind, result: OpResult, invoke: u64, response: u64) -> OpRecord {
         OpRecord {
             thread,
             kind,
@@ -435,13 +428,7 @@ mod tests {
                 0,
                 1,
             ),
-            record(
-                0,
-                OpKind::Delete { key: 1 },
-                OpResult::Value(Some(7)),
-                2,
-                3,
-            ),
+            record(0, OpKind::Delete { key: 1 }, OpResult::Value(Some(7)), 2, 3),
             // Violation: observes 7 *after* the delete completed.
             record(1, OpKind::Get { key: 1 }, OpResult::Value(Some(7)), 4, 5),
         ];
@@ -479,10 +466,7 @@ mod tests {
         };
         let projected = project(&history, &keys);
         assert_eq!(projected.ops.len(), 2, "the key-9 get is dropped");
-        assert_eq!(
-            projected.ops[0].kind,
-            OpKind::MGet { keys: vec![1, 2] }
-        );
+        assert_eq!(projected.ops[0].kind, OpKind::MGet { keys: vec![1, 2] });
         assert_eq!(
             projected.ops[0].result,
             OpResult::Values(vec![Some(10), None])

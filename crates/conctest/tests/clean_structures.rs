@@ -3,11 +3,11 @@
 //! scans, and the checker must demonstrably reject hand-built torn and
 //! stale histories — so the "all clean" verdict above it means something.
 
-use conctest::{
-    check, differential_fuzz, fuzz_concurrent, kv_service, shrink_history, CheckConfig,
-    FuzzConfig, History, OpKind, OpRecord, OpResult, Outcome,
-};
 use abebr::SmrPolicy;
+use conctest::{
+    check, differential_fuzz, fuzz_concurrent, kv_service, shrink_history, CheckConfig, FuzzConfig,
+    History, OpKind, OpRecord, OpResult, Outcome,
+};
 use setbench::registry;
 
 fn small_cfg() -> FuzzConfig {
@@ -84,8 +84,20 @@ fn hand_built_torn_scan_history_is_flagged_and_shrinks() {
     // Writer cycles {1} -> {} -> {2}; noise ops on key 9 ride along.  The
     // scan claims to have seen keys 1 and 2 simultaneously.
     let ops = vec![
-        record(0, OpKind::Insert { key: 1, value: 10 }, OpResult::Value(None), 0, 1),
-        record(0, OpKind::Insert { key: 9, value: 90 }, OpResult::Value(None), 2, 3),
+        record(
+            0,
+            OpKind::Insert { key: 1, value: 10 },
+            OpResult::Value(None),
+            0,
+            1,
+        ),
+        record(
+            0,
+            OpKind::Insert { key: 9, value: 90 },
+            OpResult::Value(None),
+            2,
+            3,
+        ),
         record(
             1,
             OpKind::Range { lo: 0, hi: 5 },
@@ -93,8 +105,20 @@ fn hand_built_torn_scan_history_is_flagged_and_shrinks() {
             4,
             11,
         ),
-        record(0, OpKind::Delete { key: 1 }, OpResult::Value(Some(10)), 5, 6),
-        record(0, OpKind::Insert { key: 2, value: 20 }, OpResult::Value(None), 7, 8),
+        record(
+            0,
+            OpKind::Delete { key: 1 },
+            OpResult::Value(Some(10)),
+            5,
+            6,
+        ),
+        record(
+            0,
+            OpKind::Insert { key: 2, value: 20 },
+            OpResult::Value(None),
+            7,
+            8,
+        ),
         record(0, OpKind::Get { key: 9 }, OpResult::Value(Some(90)), 9, 10),
     ];
     let history = History::merge(vec![ops]);
@@ -122,10 +146,10 @@ fn hand_built_torn_scan_history_is_flagged_and_shrinks() {
     let minimal = shrink_history(&history, &strict);
     assert!(check(&minimal, &strict).is_violation());
     assert!(minimal.ops.len() <= 4, "{}", minimal.render());
-    assert!(minimal
-        .ops
-        .iter()
-        .all(|op| !matches!(op.kind, OpKind::Insert { key: 9, .. } | OpKind::Get { key: 9 })));
+    assert!(minimal.ops.iter().all(|op| !matches!(
+        op.kind,
+        OpKind::Insert { key: 9, .. } | OpKind::Get { key: 9 }
+    )));
 }
 
 /// A stale-read history (read misses a definitely-completed insert) is the
@@ -133,7 +157,13 @@ fn hand_built_torn_scan_history_is_flagged_and_shrinks() {
 #[test]
 fn stale_read_history_is_flagged() {
     let ops = vec![
-        record(0, OpKind::Insert { key: 3, value: 30 }, OpResult::Value(None), 0, 1),
+        record(
+            0,
+            OpKind::Insert { key: 3, value: 30 },
+            OpResult::Value(None),
+            0,
+            1,
+        ),
         record(1, OpKind::Get { key: 3 }, OpResult::Value(None), 2, 3),
     ];
     let history = History::merge(vec![ops]);

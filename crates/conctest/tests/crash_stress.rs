@@ -124,7 +124,11 @@ fn every_shard_crashes_and_the_welded_history_checks() {
     let reports = service.crash_reports();
     assert_eq!(reports.len(), SHARDS);
     for shard in 0..SHARDS {
-        assert_eq!(service.crash_count(shard), 1, "shard {shard} must crash once");
+        assert_eq!(
+            service.crash_count(shard),
+            1,
+            "shard {shard} must crash once"
+        );
     }
     for report in &reports {
         assert_eq!(report.survived + report.rolled_back, report.unfenced);

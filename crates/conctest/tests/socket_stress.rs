@@ -127,7 +127,9 @@ fn read_until_close(stream: &mut TcpStream) -> Vec<Vec<Response>> {
     loop {
         match stream.read(&mut buf) {
             Ok(0) => break,
-            Ok(n) => decoder.push(&buf[..n], &mut frames).expect("well-framed reply"),
+            Ok(n) => decoder
+                .push(&buf[..n], &mut frames)
+                .expect("well-framed reply"),
             Err(e) => panic!("read: {e}"),
         }
     }
@@ -155,9 +157,7 @@ fn malicious_clients_are_closed_and_the_server_survives() {
     let addr = server.local_addr();
 
     let mut honest = Client::connect(addr).unwrap();
-    let replies = honest
-        .call(&[Request::Put { key: 1, value: 11 }])
-        .unwrap();
+    let replies = honest.call(&[Request::Put { key: 1, value: 11 }]).unwrap();
     assert_eq!(replies, vec![Response::Value(None)]);
 
     // Attack 1: garbage bytes — a frame whose payload is not a batch.
@@ -185,7 +185,9 @@ fn malicious_clients_are_closed_and_the_server_survives() {
         let last = batches.last().expect("an error frame before the close");
         assert_eq!(
             last.as_slice(),
-            [Response::Error { code: ERR_FRAME_TOO_LARGE }],
+            [Response::Error {
+                code: ERR_FRAME_TOO_LARGE
+            }],
             "oversized prefix earned {last:?}"
         );
     }
@@ -199,7 +201,9 @@ fn malicious_clients_are_closed_and_the_server_survives() {
         let last = batches.last().expect("an error frame before the close");
         assert_eq!(
             last.as_slice(),
-            [Response::Error { code: ERR_BAD_FRAME }],
+            [Response::Error {
+                code: ERR_BAD_FRAME
+            }],
             "overlong varint earned {last:?}"
         );
     }

@@ -101,7 +101,11 @@ impl ReadCache {
 
 impl std::fmt::Debug for ReadCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let occupied = self.slots.iter().filter(|s| s.key != abtree::EMPTY_KEY).count();
+        let occupied = self
+            .slots
+            .iter()
+            .filter(|s| s.key != abtree::EMPTY_KEY)
+            .count();
         f.debug_struct("ReadCache")
             .field("slots", &CACHE_SLOTS)
             .field("occupied", &occupied)
@@ -159,7 +163,11 @@ mod tests {
         }
         cache.store(a, Some(10), Some(4));
         cache.store(b, Some(99), None);
-        assert_eq!(cache.lookup(a, 4), Some(Some(10)), "another key's entry stays");
+        assert_eq!(
+            cache.lookup(a, 4),
+            Some(Some(10)),
+            "another key's entry stays"
+        );
         cache.store(a, Some(11), None);
         assert_eq!(cache.lookup(a, 4), None, "superseded, not kept");
     }

@@ -333,9 +333,7 @@ fn decode_response(buf: &[u8], pos: &mut usize) -> Result<Response, CodecError> 
         },
         0x86 => {
             let n = read_len(buf, pos)?;
-            let bytes = buf
-                .get(*pos..*pos + n)
-                .ok_or(CodecError::Truncated)?;
+            let bytes = buf.get(*pos..*pos + n).ok_or(CodecError::Truncated)?;
             *pos += n;
             let text = std::str::from_utf8(bytes)
                 .map_err(|_| CodecError::BadUtf8)?
@@ -427,10 +425,15 @@ mod tests {
     fn batch_round_trips() {
         let reqs = vec![
             Request::Get { key: 7 },
-            Request::Put { key: 1, value: u64::MAX },
+            Request::Put {
+                key: 1,
+                value: u64::MAX,
+            },
             Request::Delete { key: 0 },
             Request::Scan { lo: 100, len: 50 },
-            Request::MGet { keys: vec![1, 128, 300_000] },
+            Request::MGet {
+                keys: vec![1, 128, 300_000],
+            },
             Request::MPut {
                 pairs: vec![(5, 50), (6, 60)],
             },
@@ -473,10 +476,7 @@ mod tests {
         // Hostile length prefixes are capped.
         let mut huge = Vec::new();
         write_varint(&mut huge, u64::MAX / 2);
-        assert!(matches!(
-            decode_batch(&huge),
-            Err(CodecError::TooLong(_))
-        ));
+        assert!(matches!(decode_batch(&huge), Err(CodecError::TooLong(_))));
         // Bad option flags are an error.
         assert_eq!(
             decode_response_batch(&[1, 0x81, 0x07]),
@@ -573,10 +573,7 @@ mod tests {
         // Truncation anywhere inside the frame — including mid-payload —
         // is an error, same rule as every other frame.
         for cut in 0..wire.len() {
-            assert!(
-                decode_response_batch(&wire[..cut]).is_err(),
-                "cut at {cut}"
-            );
+            assert!(decode_response_batch(&wire[..cut]).is_err(), "cut at {cut}");
         }
         // Trailing bytes after the payload are an error.
         wire.push(0x00);

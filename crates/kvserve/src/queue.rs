@@ -99,7 +99,9 @@ pub struct Consumer<T> {
 pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let slots = capacity.max(1).next_power_of_two();
     let inner = Arc::new(Inner {
-        slots: (0..slots).map(|_| UnsafeCell::new(MaybeUninit::uninit())).collect(),
+        slots: (0..slots)
+            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+            .collect(),
         mask: slots - 1,
         head: AtomicUsize::new(0),
         tail: AtomicUsize::new(0),
@@ -224,7 +226,9 @@ impl<T> std::fmt::Debug for Producer<T> {
 
 impl<T> std::fmt::Debug for Consumer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Consumer").field("len", &self.len()).finish()
+        f.debug_struct("Consumer")
+            .field("len", &self.len())
+            .finish()
     }
 }
 

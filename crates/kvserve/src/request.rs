@@ -126,7 +126,13 @@ mod tests {
         assert_eq!(Request::Put { key: 1, value: 2 }.key_count(), 1);
         assert_eq!(Request::Delete { key: 1 }.key_count(), 1);
         assert_eq!(Request::Scan { lo: 5, len: 40 }.key_count(), 40);
-        assert_eq!(Request::MGet { keys: vec![1, 2, 3] }.key_count(), 3);
+        assert_eq!(
+            Request::MGet {
+                keys: vec![1, 2, 3]
+            }
+            .key_count(),
+            3
+        );
         assert_eq!(
             Request::MPut {
                 pairs: vec![(1, 1), (2, 2)]

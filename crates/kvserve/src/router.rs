@@ -379,7 +379,8 @@ impl<'s> ShardRouter<'s> {
                 out[position as usize] = previous;
                 // Same post-state as a point put: the key now holds either
                 // its prior value or the inserted one.
-                self.cache.store(key, Some(previous.unwrap_or(value)), stamp);
+                self.cache
+                    .store(key, Some(previous.unwrap_or(value)), stamp);
             }
             group.pairs.clear();
             group.positions.clear();
@@ -538,7 +539,9 @@ mod tests {
             Response::Values(vec![None, None])
         );
         assert_eq!(
-            router.execute(&Request::MGet { keys: vec![5, 6, 8] }),
+            router.execute(&Request::MGet {
+                keys: vec![5, 6, 8]
+            }),
             Response::Values(vec![Some(50), Some(60), None])
         );
         assert_eq!(
@@ -691,7 +694,9 @@ mod tests {
             Request::Put { key: 2, value: 20 },
             Request::Get { key: 1 },
             // A blocking request mid-batch forces a window drain first.
-            Request::MGet { keys: vec![1, 2, 3] },
+            Request::MGet {
+                keys: vec![1, 2, 3],
+            },
             Request::Delete { key: 2 },
             Request::Scan { lo: 1, len: 4 },
         ];
@@ -753,10 +758,7 @@ mod tests {
         // the stale cache entry.
         let mut responses = Vec::new();
         router.serve_pipelined(
-            &[
-                Request::Put { key: 7, value: 70 },
-                Request::Get { key: 7 },
-            ],
+            &[Request::Put { key: 7, value: 70 }, Request::Get { key: 7 }],
             &mut responses,
         );
         assert_eq!(

@@ -225,7 +225,10 @@ impl KvService {
 
     /// Per-shard key sums, in shard order (quiescent only).
     pub fn shard_key_sums(&self) -> Vec<u128> {
-        self.shards.iter().map(|cell| cell.store.key_sum()).collect()
+        self.shards
+            .iter()
+            .map(|cell| cell.store.key_sum())
+            .collect()
     }
 
     /// The registry name of shard `index`'s structure.
@@ -242,7 +245,10 @@ impl std::fmt::Debug for KvService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvService")
             .field("shards", &self.shards.len())
-            .field("structure", &self.shards.first().map(|cell| cell.store.name()))
+            .field(
+                "structure",
+                &self.shards.first().map(|cell| cell.store.name()),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -299,15 +305,14 @@ mod tests {
                 1,
                 "the put is visible across the per-shard op counters"
             );
-            assert_eq!(obs::expo::sum(&samples, "kv_ops_total", &[("op", "get")]), 1);
+            assert_eq!(
+                obs::expo::sum(&samples, "kv_ops_total", &[("op", "get")]),
+                1
+            );
         }
         // Scrapes are served by the router, not the shards: op counters
         // must not move.
-        let before = obs::expo::sum(
-            &obs::expo::parse(&text).unwrap(),
-            "kv_ops_total",
-            &[],
-        );
+        let before = obs::expo::sum(&obs::expo::parse(&text).unwrap(), "kv_ops_total", &[]);
         let Response::Stats(again) = router.execute(&Request::Stats) else {
             panic!("a stats request answers with Response::Stats")
         };

@@ -188,7 +188,11 @@ impl OpCounters {
             ("mget", self.mgets()),
             ("mput", self.mputs()),
         ] {
-            out.push(Sample::counter(ops_name, value).with(label, index).with("op", op));
+            out.push(
+                Sample::counter(ops_name, value)
+                    .with(label, index)
+                    .with("op", op),
+            );
         }
         out.push(
             Sample::counter(lookups_name, self.hits())
@@ -335,9 +339,18 @@ impl ServiceStats {
         }
         out.push(Sample::counter("kv_cache_hits_total", self.cache_hits()));
         out.push(Sample::counter("kv_shed_total", self.shed()));
-        out.push(Sample::histogram("kv_point_latency_ns", &self.point_latency_ns));
-        out.push(Sample::histogram("kv_batch_latency_ns", &self.batch_latency_ns));
-        out.push(Sample::histogram("kv_scan_latency_ns", &self.scan_latency_ns));
+        out.push(Sample::histogram(
+            "kv_point_latency_ns",
+            &self.point_latency_ns,
+        ));
+        out.push(Sample::histogram(
+            "kv_batch_latency_ns",
+            &self.batch_latency_ns,
+        ));
+        out.push(Sample::histogram(
+            "kv_scan_latency_ns",
+            &self.scan_latency_ns,
+        ));
         out.push(Sample::histogram("kv_batch_size", &self.batch_size));
     }
 }

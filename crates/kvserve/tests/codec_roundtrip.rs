@@ -8,9 +8,7 @@
 //!    truncation);
 //! 3. decoding a valid frame with trailing bytes fails.
 
-use kvserve::codec::{
-    decode_batch, decode_response_batch, encode_batch, encode_response_batch,
-};
+use kvserve::codec::{decode_batch, decode_response_batch, encode_batch, encode_response_batch};
 use kvserve::{CodecError, Request, Response};
 use rand::prelude::*;
 
@@ -31,12 +29,16 @@ fn random_requests(rng: &mut StdRng) -> Vec<Request> {
     let len = rng.gen_range(0..40usize);
     (0..len)
         .map(|_| match rng.gen_range(0..6u32) {
-            0 => Request::Get { key: random_key(rng) },
+            0 => Request::Get {
+                key: random_key(rng),
+            },
             1 => Request::Put {
                 key: random_key(rng),
                 value: rng.gen(),
             },
-            2 => Request::Delete { key: random_key(rng) },
+            2 => Request::Delete {
+                key: random_key(rng),
+            },
             3 => Request::Scan {
                 lo: random_key(rng),
                 len: rng.gen_range(0..1_000),
@@ -93,8 +95,7 @@ fn response_batches_round_trip() {
         let mut rng = StdRng::seed_from_u64(0x5E5F ^ seed);
         let responses = random_responses(&mut rng);
         encode_response_batch(&responses, &mut wire);
-        let decoded =
-            decode_response_batch(&wire).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        let decoded = decode_response_batch(&wire).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(decoded, responses, "seed {seed}");
     }
 }
@@ -144,11 +145,21 @@ fn trailing_bytes_never_decode() {
 fn every_kind_frame() -> (Vec<Request>, Vec<u8>) {
     let requests = vec![
         Request::Get { key: 7 },
-        Request::Put { key: 300, value: u64::MAX },
+        Request::Put {
+            key: 300,
+            value: u64::MAX,
+        },
         Request::Delete { key: 0 },
-        Request::Scan { lo: 1 << 40, len: 100 },
-        Request::MGet { keys: vec![1, 128, 1 << 50] },
-        Request::MPut { pairs: vec![(5, 50), (1 << 33, 60)] },
+        Request::Scan {
+            lo: 1 << 40,
+            len: 100,
+        },
+        Request::MGet {
+            keys: vec![1, 128, 1 << 50],
+        },
+        Request::MPut {
+            pairs: vec![(5, 50), (1 << 33, 60)],
+        },
     ];
     let mut wire = Vec::new();
     encode_batch(&requests, &mut wire);
@@ -252,35 +263,50 @@ fn reserved_key_is_rejected_in_every_key_position() {
     };
 
     let cases: Vec<(&str, Vec<u8>)> = vec![
-        ("Put", frame_with(&|f| {
-            f.push(0x02);
-            write_varint(f, sentinel);
-            write_varint(f, 1);
-        })),
-        ("Delete", frame_with(&|f| {
-            f.push(0x03);
-            write_varint(f, sentinel);
-        })),
-        ("Scan lo", frame_with(&|f| {
-            f.push(0x04);
-            write_varint(f, sentinel);
-            write_varint(f, 10);
-        })),
-        ("MGet key after valid keys", frame_with(&|f| {
-            f.push(0x05);
-            write_varint(f, 3);
-            write_varint(f, 1);
-            write_varint(f, 2);
-            write_varint(f, sentinel);
-        })),
-        ("MPut pair key", frame_with(&|f| {
-            f.push(0x06);
-            write_varint(f, 2);
-            write_varint(f, 1);
-            write_varint(f, 10);
-            write_varint(f, sentinel);
-            write_varint(f, 20);
-        })),
+        (
+            "Put",
+            frame_with(&|f| {
+                f.push(0x02);
+                write_varint(f, sentinel);
+                write_varint(f, 1);
+            }),
+        ),
+        (
+            "Delete",
+            frame_with(&|f| {
+                f.push(0x03);
+                write_varint(f, sentinel);
+            }),
+        ),
+        (
+            "Scan lo",
+            frame_with(&|f| {
+                f.push(0x04);
+                write_varint(f, sentinel);
+                write_varint(f, 10);
+            }),
+        ),
+        (
+            "MGet key after valid keys",
+            frame_with(&|f| {
+                f.push(0x05);
+                write_varint(f, 3);
+                write_varint(f, 1);
+                write_varint(f, 2);
+                write_varint(f, sentinel);
+            }),
+        ),
+        (
+            "MPut pair key",
+            frame_with(&|f| {
+                f.push(0x06);
+                write_varint(f, 2);
+                write_varint(f, 1);
+                write_varint(f, 10);
+                write_varint(f, sentinel);
+                write_varint(f, 20);
+            }),
+        ),
     ];
     for (position, frame) in cases {
         assert_eq!(
@@ -292,7 +318,10 @@ fn reserved_key_is_rejected_in_every_key_position() {
 
     // Values are *not* key positions: u64::MAX round-trips as a Put value
     // and inside responses.
-    let ok = vec![Request::Put { key: 3, value: u64::MAX }];
+    let ok = vec![Request::Put {
+        key: 3,
+        value: u64::MAX,
+    }];
     let mut wire = Vec::new();
     encode_batch(&ok, &mut wire);
     assert_eq!(decode_batch(&wire).unwrap(), ok);

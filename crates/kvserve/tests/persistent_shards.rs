@@ -61,7 +61,10 @@ fn kvservice_over_durable_shards_persists_and_recovers() {
     // Quiescent recovery over every shard finds a consistent tree holding
     // exactly the keys the service reports.
     drop(router);
-    let recovered_keys: u64 = trees.iter().map(|tree| pabtree::recover(tree.as_ref()).keys).sum();
+    let recovered_keys: u64 = trees
+        .iter()
+        .map(|tree| pabtree::recover(tree.as_ref()).keys)
+        .sum();
     assert_eq!(recovered_keys, 600 - 200);
     for tree in &trees {
         tree.check_invariants().expect("recovered shard invariants");

@@ -46,9 +46,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
+        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
             "--shards" => {
@@ -168,8 +166,7 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
         .map(|worker| {
             std::thread::spawn(move || -> Result<u64, String> {
                 let tenant = Namespace::new((worker % 4) as u16);
-                let mut client =
-                    Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
+                let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
                 let mut answered = 0;
                 for i in 0..FRAMES_PER_CLIENT {
                     let key = tenant.prefixed(worker * FRAMES_PER_CLIENT + i);
@@ -177,10 +174,11 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
                         Request::Put { key, value: i },
                         Request::Get { key },
                         Request::Scan { lo: key, len: 4 },
-                        Request::MGet { keys: vec![key, key + 1] },
+                        Request::MGet {
+                            keys: vec![key, key + 1],
+                        },
                     ];
-                    let replies =
-                        client.call(&batch).map_err(|e| format!("call: {e}"))?;
+                    let replies = client.call(&batch).map_err(|e| format!("call: {e}"))?;
                     if replies.len() != batch.len() {
                         return Err(format!(
                             "{} replies to {} requests",
@@ -310,7 +308,10 @@ fn scrape_check(addr: std::net::SocketAddr, expected_frames: u64) -> Result<(), 
         .filter(|s| s.name == "net_reactor_frames_total")
         .map(|s| format!("reactor {}: {}", s.label("reactor").unwrap_or("?"), s.value))
         .collect();
-    println!("selftest placement: frames per reactor: {}", split.join(", "));
+    println!(
+        "selftest placement: frames per reactor: {}",
+        split.join(", ")
+    );
     // Sampled stage tracing saw the load: 1600 point submissions at
     // 1-in-16 sampling leave ~100 traces in the apply-stage histogram.
     let applies = obs::expo::sum(&samples, "stage_latency_ns_count", &[("stage", "apply")]);

@@ -208,8 +208,7 @@ mod tests {
             // (empty, 1-byte, multi-byte varint headers).
             let payloads: Vec<Vec<u8>> = (0..rng.gen_range(1..8))
                 .map(|_| {
-                    let len = [0, 1, 7, 127, 128, 129, 1000, 20_000]
-                        [rng.gen_range(0..8usize)];
+                    let len = [0, 1, 7, 127, 128, 129, 1000, 20_000][rng.gen_range(0..8usize)];
                     (0..len).map(|i| (i % 251) as u8).collect()
                 })
                 .collect();
@@ -237,7 +236,10 @@ mod tests {
         write_varint(&mut header, 1025);
         assert_eq!(
             dec.push(&header, &mut frames),
-            Err(FrameError::Oversized { len: 1025, max: 1024 })
+            Err(FrameError::Oversized {
+                len: 1025,
+                max: 1024
+            })
         );
         // Poisoned: even an innocent byte now fails.
         assert!(dec.push(&[0x00], &mut frames).is_err());

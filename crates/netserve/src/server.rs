@@ -475,7 +475,9 @@ impl<'s> Reactor<'s> {
     /// would-be peer has already gone (ECONNABORTED and friends; the
     /// level-triggered listener is reported again if more are queued).
     fn accept_one(&mut self, now: u64) -> bool {
-        let Some(listener) = self.listener.as_ref() else { return false };
+        let Some(listener) = self.listener.as_ref() else {
+            return false;
+        };
         match listener.accept() {
             Ok((stream, _peer)) => {
                 self.shared.stats.add_accepted(1);

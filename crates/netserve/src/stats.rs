@@ -100,15 +100,30 @@ impl NetStats {
     pub fn collect(&self, out: &mut Vec<Sample>) {
         out.push(Sample::counter("net_accepted_total", self.accepted()));
         out.push(Sample::counter("net_closed_total", self.closed()));
-        out.push(Sample::gauge("net_open_connections", self.open_connections()));
+        out.push(Sample::gauge(
+            "net_open_connections",
+            self.open_connections(),
+        ));
         out.push(Sample::counter("net_frames_total", self.frames()));
         out.push(Sample::counter("net_requests_total", self.requests()));
-        out.push(Sample::counter("net_protocol_errors_total", self.protocol_errors()));
+        out.push(Sample::counter(
+            "net_protocol_errors_total",
+            self.protocol_errors(),
+        ));
         out.push(Sample::counter("net_hwm_pauses_total", self.hwm_pauses()));
         out.push(Sample::counter("net_hwm_resumes_total", self.hwm_resumes()));
-        out.push(Sample::counter("net_idle_evictions_total", self.idle_evictions()));
-        out.push(Sample::counter("net_accept_pauses_total", self.accept_pauses()));
-        out.push(Sample::counter("net_drained_frames_total", self.drained_frames()));
+        out.push(Sample::counter(
+            "net_idle_evictions_total",
+            self.idle_evictions(),
+        ));
+        out.push(Sample::counter(
+            "net_accept_pauses_total",
+            self.accept_pauses(),
+        ));
+        out.push(Sample::counter(
+            "net_drained_frames_total",
+            self.drained_frames(),
+        ));
     }
 }
 

@@ -129,13 +129,21 @@ mod tests {
         assert!(!wb.below_low_water());
 
         // Drain 49 bytes: 51 left, still above low water (50).
-        let mut w = Throttled { taken: Vec::new(), budget: 49, chunk: 7 };
+        let mut w = Throttled {
+            taken: Vec::new(),
+            budget: 49,
+            chunk: 7,
+        };
         wb.flush_to(&mut w).unwrap();
         assert_eq!(wb.len(), 51);
         assert!(!wb.below_low_water());
 
         // One more byte reaches the low-water mark exactly.
-        let mut w = Throttled { taken: Vec::new(), budget: 1, chunk: 7 };
+        let mut w = Throttled {
+            taken: Vec::new(),
+            budget: 1,
+            chunk: 7,
+        };
         wb.flush_to(&mut w).unwrap();
         assert_eq!(wb.len(), 50);
         assert!(wb.below_low_water());
@@ -150,7 +158,11 @@ mod tests {
         for chunk in payload.chunks(333) {
             wb.queue(chunk);
         }
-        let mut w = Throttled { taken: Vec::new(), budget: usize::MAX, chunk: 97 };
+        let mut w = Throttled {
+            taken: Vec::new(),
+            budget: usize::MAX,
+            chunk: 97,
+        };
         // Repeated partial flushes with interleaved queueing.
         wb.flush_to(&mut w).unwrap();
         wb.queue(&payload);

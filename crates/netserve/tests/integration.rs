@@ -73,7 +73,10 @@ fn sustains_256_pipelined_connections() {
                         let key = 1 + ((t * CONNS_PER_THREAD + c as u64) * FRAMES_PER_CONN + f);
                         client
                             .send(&[
-                                Request::Put { key, value: key * 10 },
+                                Request::Put {
+                                    key,
+                                    value: key * 10,
+                                },
                                 Request::Get { key },
                             ])
                             .expect("send");
@@ -130,7 +133,9 @@ fn slow_client_trips_high_water_without_stalling_others() {
     let pairs: Vec<(u64, u64)> = (1..=PREFILL).map(|k| (k, k)).collect();
     for chunk in pairs.chunks(500) {
         let replies = fast
-            .call(&[Request::MPut { pairs: chunk.to_vec() }])
+            .call(&[Request::MPut {
+                pairs: chunk.to_vec(),
+            }])
             .unwrap();
         assert_eq!(replies.len(), 1);
     }
@@ -139,7 +144,11 @@ fn slow_client_trips_high_water_without_stalling_others() {
     // responses out) and never reads a byte back.
     let mut slow = Client::connect(addr).unwrap();
     for _ in 0..SLOW_SCANS {
-        slow.send(&[Request::Scan { lo: 1, len: PREFILL }]).unwrap();
+        slow.send(&[Request::Scan {
+            lo: 1,
+            len: PREFILL,
+        }])
+        .unwrap();
     }
 
     eventually("the write high-water mark to trip", || {
@@ -301,7 +310,10 @@ fn idle_connections_are_evicted() {
         .map(|i| {
             let mut client = Client::connect(addr).unwrap();
             let replies = client
-                .call(&[Request::Put { key: 100 + i, value: i }])
+                .call(&[Request::Put {
+                    key: 100 + i,
+                    value: i,
+                }])
                 .unwrap();
             assert_eq!(replies, vec![Response::Value(None)]);
             client

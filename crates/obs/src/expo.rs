@@ -88,11 +88,7 @@ fn write_line(
     if !labels.is_empty() || extra.is_some() {
         out.push('{');
         let mut first = true;
-        for (key, val) in labels
-            .iter()
-            .map(|(k, v)| (*k, v.as_str()))
-            .chain(extra)
-        {
+        for (key, val) in labels.iter().map(|(k, v)| (*k, v.as_str())).chain(extra) {
             if !first {
                 out.push(',');
             }
@@ -162,9 +158,7 @@ fn parse_line(line: &str) -> Result<ParsedSample, String> {
     let (name_and_labels, value) = line
         .rsplit_once(' ')
         .ok_or_else(|| "missing value".to_string())?;
-    let value: u64 = value
-        .parse()
-        .map_err(|_| format!("bad value {value:?}"))?;
+    let value: u64 = value.parse().map_err(|_| format!("bad value {value:?}"))?;
     let (name, labels) = match name_and_labels.split_once('{') {
         None => (name_and_labels.to_string(), Vec::new()),
         Some((name, rest)) => {
@@ -258,8 +252,12 @@ mod tests {
             hist.record(1 << 20); // bucket 20
         }
         let samples = vec![
-            Sample::counter("kv_ops_total", 42).with("shard", 0).with("op", "get"),
-            Sample::counter("kv_ops_total", 7).with("shard", 1).with("op", "put"),
+            Sample::counter("kv_ops_total", 42)
+                .with("shard", 0)
+                .with("op", "get"),
+            Sample::counter("kv_ops_total", 7)
+                .with("shard", 1)
+                .with("op", "put"),
             Sample::gauge("net_open_connections", 3),
             Sample::histogram("kv_point_latency_ns", &hist).with("shard", 0),
         ];
@@ -311,7 +309,10 @@ mod tests {
         let text = render(&[Sample::histogram("quiet_ns", &hist)]);
         let parsed = parse(&text).unwrap();
         assert_eq!(value(&parsed, "quiet_ns_count", &[]), Some(0));
-        assert_eq!(value(&parsed, "quiet_ns_bucket", &[("le", "+Inf")]), Some(0));
+        assert_eq!(
+            value(&parsed, "quiet_ns_bucket", &[("le", "+Inf")]),
+            Some(0)
+        );
         // No finite-bound bucket lines for an empty histogram.
         assert_eq!(parsed.len(), 2);
     }

@@ -103,7 +103,11 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             seen += bucket.load(Ordering::Relaxed);
             if seen >= rank {
-                return Some(if i >= 63 { u64::MAX } else { (1 << (i + 1)) - 1 });
+                return Some(if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1 << (i + 1)) - 1
+                });
             }
         }
         // Unreachable when counts are stable; concurrent `record`s between
@@ -155,7 +159,11 @@ impl Histogram {
         for (i, bucket) in self.buckets.iter().enumerate() {
             let n = bucket.load(Ordering::Relaxed);
             if n > 0 {
-                let midpoint = if i == 0 { 1.0 } else { 1.5 * (1u64 << i) as f64 };
+                let midpoint = if i == 0 {
+                    1.0
+                } else {
+                    1.5 * (1u64 << i) as f64
+                };
                 weighted += n as f64 * midpoint;
                 total += n;
             }

@@ -100,10 +100,7 @@ impl Registry {
     /// Registers `source`, which will be called on every
     /// [`snapshot`](Self::snapshot) to append its current samples.
     /// Sources run in registration order, so exposition output is stable.
-    pub fn register(
-        &self,
-        source: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static,
-    ) -> SourceId {
+    pub fn register(&self, source: impl Fn(&mut Vec<Sample>) + Send + Sync + 'static) -> SourceId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.sources
             .lock()
@@ -122,7 +119,10 @@ impl Registry {
 
     /// Number of registered sources.
     pub fn source_count(&self) -> usize {
-        self.sources.lock().expect("metric source list poisoned").len()
+        self.sources
+            .lock()
+            .expect("metric source list poisoned")
+            .len()
     }
 
     /// Pulls every source once, returning all current samples.

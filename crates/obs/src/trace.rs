@@ -169,8 +169,10 @@ impl StageRing {
         cell.seq.store(seq + 1, Ordering::Relaxed);
         fence(Ordering::Release);
         cell.end_ns.store(end_ns, Ordering::Relaxed);
-        cell.meta
-            .store((dur_ns.min(MAX_PACKED_DUR) << 8) | stage as u64, Ordering::Relaxed);
+        cell.meta.store(
+            (dur_ns.min(MAX_PACKED_DUR) << 8) | stage as u64,
+            Ordering::Relaxed,
+        );
         cell.seq.store(seq + 2, Ordering::Release);
     }
 
@@ -258,7 +260,10 @@ impl StageTrace {
             // reader can clone it while we hold the lock.  `get_mut`'s
             // uniqueness check synchronizes with the old recorder's drop,
             // so its last writes happen before the new writer's first.
-            match rings.iter_mut().position(|ring| Arc::get_mut(ring).is_some()) {
+            match rings
+                .iter_mut()
+                .position(|ring| Arc::get_mut(ring).is_some())
+            {
                 Some(free) => Arc::clone(&rings[free]),
                 None => {
                     let ring = Arc::new(StageRing::new());
@@ -286,11 +291,8 @@ impl StageTrace {
     /// completion time.  A diagnostic snapshot: events recorded while
     /// this runs may or may not appear.
     pub fn recent_events(&self) -> Vec<StageEvent> {
-        let rings: Vec<Arc<StageRing>> = self
-            .rings
-            .lock()
-            .expect("stage ring list poisoned")
-            .clone();
+        let rings: Vec<Arc<StageRing>> =
+            self.rings.lock().expect("stage ring list poisoned").clone();
         let mut events: Vec<StageEvent> = rings.iter().flat_map(|r| r.read()).collect();
         events.sort_by_key(|e| e.end_ns);
         events
@@ -427,7 +429,11 @@ mod tests {
         for _ in 0..1_000 {
             drop(trace.recorder());
         }
-        assert_eq!(trace.rings.lock().unwrap().len(), 1, "one ring, reused each time");
+        assert_eq!(
+            trace.rings.lock().unwrap().len(),
+            1,
+            "one ring, reused each time"
+        );
         // Live recorders each keep their own ring; the events of a dropped
         // one stay readable until its ring is handed on.
         let first = trace.recorder();

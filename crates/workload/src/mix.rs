@@ -369,9 +369,13 @@ mod tests {
     /// One past the budget must panic, for each share position.
     #[test]
     fn from_shares_rejects_oversubscription_in_every_position() {
-        for (u, s, g, p) in [(101, 0, 0, 0), (0, 101, 0, 0), (0, 0, 101, 0), (0, 0, 0, 101),
-                             (97, 2, 1, 1)]
-        {
+        for (u, s, g, p) in [
+            (101, 0, 0, 0),
+            (0, 101, 0, 0),
+            (0, 0, 101, 0),
+            (0, 0, 0, 101),
+            (97, 2, 1, 1),
+        ] {
             let result = std::panic::catch_unwind(|| OperationMix::from_shares(u, s, g, p));
             assert!(result.is_err(), "shares ({u},{s},{g},{p}) must panic");
         }

@@ -34,7 +34,12 @@ impl TenantKeyDistribution {
     /// uniform).
     ///
     /// Panics if `tenants` or `keys_per_tenant` is zero.
-    pub fn new(tenants: u16, tenant_exponent: f64, keys_per_tenant: u64, key_exponent: f64) -> Self {
+    pub fn new(
+        tenants: u16,
+        tenant_exponent: f64,
+        keys_per_tenant: u64,
+        key_exponent: f64,
+    ) -> Self {
         assert!(tenants > 0, "need at least one tenant");
         assert!(keys_per_tenant > 0, "need at least one key per tenant");
         Self {

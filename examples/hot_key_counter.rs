@@ -39,7 +39,9 @@ fn churn<const ELIM: bool>(map: &Arc<AbTree<ELIM>>, threads: usize, ops_per_thre
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     let ops = 500_000u64;
 
     let occ: Arc<OccABTree> = Arc::new(OccABTree::new());

@@ -44,6 +44,10 @@ fn main() {
     // linearized at the crash, so their effects survive.
     assert_eq!(session.get(1_000_000), Some(42));
     assert_eq!(session.get(5_000), None);
-    tree.check_invariants().expect("recovered tree is well-formed");
-    println!("recovered index holds {} keys and passes validation", tree.len());
+    tree.check_invariants()
+        .expect("recovered tree is well-formed");
+    println!(
+        "recovered index holds {} keys and passes validation",
+        tree.len()
+    );
 }

@@ -7,7 +7,9 @@ use std::time::Duration;
 use elim_abtree_repro::abtree::ElimABTree;
 use elim_abtree_repro::pabtree::{recover, PElimABTree, POccABTree};
 use elim_abtree_repro::pmem::{self, PersistMode};
-use elim_abtree_repro::setbench::{make_structure, run_cell, structure_names, CellConfig, Workload};
+use elim_abtree_repro::setbench::{
+    make_structure, run_cell, structure_names, CellConfig, Workload,
+};
 use elim_abtree_repro::workload::{KeyDistribution, OperationMix};
 
 #[test]
@@ -67,10 +69,7 @@ fn registry_and_direct_construction_agree() {
     let mut registry_session = from_registry.handle();
     let mut direct_session = direct.handle();
     for k in 0..100u64 {
-        assert_eq!(
-            registry_session.insert(k, k),
-            direct_session.insert(k, k)
-        );
+        assert_eq!(registry_session.insert(k, k), direct_session.insert(k, k));
     }
     for k in 0..100u64 {
         assert_eq!(registry_session.get(k), direct_session.get(k));
@@ -164,7 +163,10 @@ fn durable_elim_tree_matches_volatile_semantics_under_contention() {
         } else {
             volatile.key_sum()
         };
-        assert_eq!(sum as i128, net, "key-sum validation (durable={map_is_durable})");
+        assert_eq!(
+            sum as i128, net,
+            "key-sum validation (durable={map_is_durable})"
+        );
     }
     durable.check_invariants().unwrap();
     volatile.check_invariants().unwrap();
