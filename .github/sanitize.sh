@@ -41,6 +41,7 @@ asan() {
     step -p abtree --lib --test concurrent
     step -p crashkv --lib
     step -p baselines --lib
+    step -p pabtree --lib
 }
 
 case "${1:-all}" in

@@ -24,10 +24,10 @@ use std::sync::atomic::Ordering;
 
 use absync::RawNodeLock;
 
-use crate::node::{tag_dirty, untag};
+use crate::node::{is_dirty, tag_dirty};
 use crate::persist::Persist;
 use crate::tree::AbTree;
-use crate::{EMPTY_KEY, MAX_KEYS};
+use crate::EMPTY_KEY;
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Simulates a crash in the middle of `insert(key, value)`, after the key
@@ -89,29 +89,13 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Returns `true` if any reachable child pointer still carries a dirty
     /// mark (used to verify that recovery cleared them all).
     pub fn has_dirty_links(&self) -> bool {
-        let mut stack = vec![self.entry_ptr()];
-        while let Some(ptr) = stack.pop() {
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: single-threaded access per the module contract.
-            let node = unsafe { &*ptr };
-            if node.is_leaf() {
-                continue;
-            }
-            for i in 0..MAX_KEYS {
-                let raw = node.child_raw(i);
-                if crate::node::is_dirty(raw) {
-                    return true;
-                }
-                let clean = untag(raw);
-                if clean.is_null() {
-                    break;
-                }
-                stack.push(clean);
-            }
-        }
-        false
+        let mut dirty = false;
+        self.visit(|v| {
+            let node = v.node();
+            dirty |=
+                !node.is_leaf() && (0..node.linked_children()).any(|i| is_dirty(node.child_raw(i)));
+        });
+        dirty
     }
 }
 

@@ -368,6 +368,16 @@ impl<L: RawNodeLock> Node<L> {
         self.slots[i].load(Ordering::Acquire) as usize as *mut Node<L>
     }
 
+    /// Number of child slots before the first null one.  Slots past an
+    /// internal node's last child stay null, so in a quiescent tree this is
+    /// its child count whatever `size` says (recovery recounts `size` so).
+    #[inline]
+    pub(crate) fn linked_children(&self) -> usize {
+        (0..MAX_KEYS)
+            .take_while(|&i| !self.child(i).is_null())
+            .count()
+    }
+
     /// Stores child pointer `i` (release).  Only called while holding this
     /// node's lock (or during construction or quiescent recovery).
     #[inline]
@@ -479,13 +489,13 @@ impl<L: RawNodeLock> Node<L> {
         (0..MAX_KEYS).find(|&i| self.key(i) == EMPTY_KEY)
     }
 
-    /// Collects all key/value pairs; caller must hold the leaf's lock (or the
-    /// tree must be quiescent).
-    pub(crate) fn locked_entries(&self) -> Vec<(u64, u64)> {
-        (0..MAX_KEYS)
-            .filter(|&i| self.key(i) != EMPTY_KEY)
-            .map(|i| (self.key(i), self.val(i)))
-            .collect()
+    /// The leaf's key/value pairs in slot order; caller must hold the
+    /// leaf's lock (or the tree must be quiescent).
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (0..MAX_KEYS).filter_map(|i| {
+            let key = self.key(i);
+            (key != EMPTY_KEY).then(|| (key, self.val(i)))
+        })
     }
 
     // ----- publishing elimination record ----------------------------------
@@ -561,7 +571,10 @@ mod tests {
         let leaf = Owned(N::new_leaf_from(10, &[(10, 100), (20, 200), (30, 300)]));
         assert_eq!(leaf.len(), 3);
         assert_eq!(leaf.locked_find(20), Some((1, 200)));
-        assert_eq!(leaf.locked_entries(), vec![(10, 100), (20, 200), (30, 300)]);
+        assert_eq!(
+            leaf.entries().collect::<Vec<_>>(),
+            vec![(10, 100), (20, 200), (30, 300)]
+        );
         assert_eq!(leaf.locked_empty_slot(), Some(3));
     }
 

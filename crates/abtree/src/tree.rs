@@ -3,8 +3,19 @@
 //! This module contains the parts of the OCC-ABtree / Elim-ABtree that are
 //! shared verbatim between the two variants: construction, the lock-free
 //! `search` descent (paper Fig. 2), the `searchLeaf` double-collect, `find`,
-//! and teardown.  The update operations live in [`crate::update`] and the
-//! rebalancing steps in [`crate::rebalance`].
+//! the one quiescent walk of the whole tree, §5 recovery and teardown.  The
+//! update operations live in [`crate::update`] and the rebalancing steps in
+//! [`crate::rebalance`].
+//!
+//! # The quiescent walk
+//!
+//! `AbTree::visit` is the only traversal of the whole tree.  It starts at
+//! the entry sentinel, reads an internal node's children (untagged, up to
+//! the first null slot) before it hands the node to its callback, and gives
+//! each node its depth and its routing range.  Recovery and teardown
+//! (below), the statistics, iteration and invariant checks of
+//! [`crate::validate`], and [`AbTree::has_dirty_links`] are callbacks of it,
+//! so they share one definition of which nodes are reachable.
 
 use std::ptr;
 use std::sync::atomic::{fence, Ordering};
@@ -14,6 +25,7 @@ use absync::{McsLock, RawNodeLock};
 
 use crate::node::{is_dirty, tag_dirty, untag, Node};
 use crate::persist::{Persist, VolatilePersist};
+use crate::validate::TreeStats;
 use crate::{EMPTY_KEY, MAX_KEYS};
 
 /// Result of a root-to-leaf search: the leaf (or target node) reached, its
@@ -30,6 +42,28 @@ pub(crate) struct PathInfo<L: RawNodeLock> {
     pub n: *mut Node<L>,
     /// Index of `n` within `p`'s child array.
     pub n_idx: usize,
+}
+
+/// A node met by [`AbTree::visit`], with where the walk met it.
+pub(crate) struct Visit<L: RawNodeLock> {
+    ptr: *mut Node<L>,
+    /// Levels below the entry sentinel: the entry is 0, the root 1.
+    pub depth: u64,
+    /// Lower bound of the node's routing range `[lo, hi)`.
+    pub lo: u64,
+    /// Upper bound of the node's routing range; [`EMPTY_KEY`] is unbounded.
+    pub hi: u64,
+}
+
+impl<L: RawNodeLock> Visit<L> {
+    /// The node itself.
+    #[inline]
+    pub(crate) fn node(&self) -> &Node<L> {
+        // SAFETY: only `visit` makes a `Visit`, for a node reachable in a
+        // quiescent tree, and lends it to one callback; only `Drop`'s frees
+        // the node, and then reads it no more (nor does the walk).
+        unsafe { &*self.ptr }
+    }
 }
 
 /// A concurrent relaxed (a,b)-tree.
@@ -300,30 +334,52 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 /// Most paths [`AbTree::prefetch_paths_in`] walks in one lockstep pass.
 const PREFETCH_CURSORS: usize = 64;
 
+impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
+    /// The one walk of the whole tree, for quiescent use only: calls `f` on
+    /// every node reachable from the entry sentinel (the entry included,
+    /// at depth 0), parents before children and siblings left to right.
+    ///
+    /// An internal node's children are its child slots up to the first null
+    /// one, untagged; the walk reads them, and their routing ranges, before
+    /// `f` sees the node, so `f` may even free it.
+    pub(crate) fn visit(&self, mut f: impl FnMut(&Visit<L>)) {
+        let mut stack = vec![Visit {
+            ptr: self.entry,
+            depth: 0,
+            lo: 0,
+            hi: EMPTY_KEY,
+        }];
+        while let Some(v) = stack.pop() {
+            let node = v.node();
+            if !node.is_leaf() {
+                let n = node.linked_children();
+                // Last child first, so the stack pops them left to right.
+                for i in (0..n).rev() {
+                    stack.push(Visit {
+                        ptr: node.child(i),
+                        depth: v.depth + 1,
+                        lo: if i == 0 { v.lo } else { node.key(i - 1) },
+                        hi: if i + 1 == n { v.hi } else { node.key(i) },
+                    });
+                }
+            }
+            f(&v);
+        }
+    }
+}
+
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> Drop for AbTree<ELIM, L, P> {
     fn drop(&mut self) {
         // Exclusive access: return every node still reachable from the
         // entry (the entry included) to the slab.  Nodes that were unlinked
         // earlier are owned by the collector's retirement bags and are freed
         // when the collector (or the exiting threads' local handles) drop.
-        let mut stack = vec![self.entry];
-        while let Some(p) = stack.pop() {
-            if p.is_null() {
-                continue;
-            }
-            // SAFETY: reachable nodes are exclusively owned once the tree is
-            // being dropped; each is freed exactly once because the tree is a
-            // tree (no sharing of children).
-            unsafe {
-                let node = &*p;
-                if !node.is_leaf() {
-                    for i in 0..node.len() {
-                        stack.push(node.child(i));
-                    }
-                }
-                Node::<L>::free(p.cast());
-            }
-        }
+        self.visit(|v| {
+            // SAFETY: nothing else reaches a dropped tree's nodes; the walk
+            // meets each node once (no two parents share a child), has read
+            // its children already and never returns to it.
+            unsafe { Node::<L>::free(v.ptr.cast()) }
+        });
     }
 }
 
@@ -388,64 +444,47 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         P::fence();
     }
 
-    /// Post-crash recovery (paper §5): traverses the tree from the entry node
-    /// and re-initializes every non-persisted field — the leaf versions, the
-    /// marked bits, the `size` fields (recomputed from the persisted keys /
-    /// child pointers), the elimination records — and clears any dirty marks
-    /// left on child pointers.
+    /// Post-crash recovery (paper §5) in one quiescent walk (`visit`) from
+    /// the entry node: re-initializes every non-persisted field of each
+    /// node it meets — the leaf versions, the marked bits, the elimination
+    /// records and the `size` fields (recounted from the persisted keys /
+    /// child pointers) — and clears any dirty marks left on child pointers.
+    /// Returns the statistics of the tree it leaves behind, counted in the
+    /// same walk.
     ///
     /// Must be called while no other thread accesses the tree (recovery is
     /// single-threaded, as in the paper).  It is also safe (and a no-op
     /// semantically) to call on a volatile tree, which the tests use to check
     /// idempotence.
-    pub fn recover(&self) {
-        let mut stack = vec![self.entry_ptr()];
-        while let Some(ptr) = stack.pop() {
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: recovery runs single-threaded; every reachable node is
-            // alive.
-            let node = unsafe { &*ptr };
+    pub fn recover(&self) -> TreeStats {
+        let mut stats = TreeStats::default();
+        self.visit(|v| {
+            let node = v.node();
             node.marked.store(false, Ordering::Relaxed);
             node.ver.store(0, Ordering::Relaxed);
             node.rec_key.store(EMPTY_KEY, Ordering::Relaxed);
             node.rec_val.store(0, Ordering::Relaxed);
             node.rec_ver.store(0, Ordering::Relaxed);
             if node.is_leaf() {
-                // Recompute size from the persisted keys array.
-                let count = (0..MAX_KEYS).filter(|&i| node.key(i) != EMPTY_KEY).count();
-                node.set_len(count);
-            } else if ptr == self.entry_ptr() {
-                // The entry sentinel always has exactly one child.
-                node.set_len(1);
-                let raw = node.child_raw(0);
-                if is_dirty(raw) {
-                    node.set_child(0, untag(raw));
-                }
-                stack.push(node.child(0));
+                node.set_len(node.entries().count());
             } else {
-                // Internal node: clear dirty marks and recount children
-                // (child slots beyond the original size are null).
-                let mut count = 0;
-                for i in 0..MAX_KEYS {
+                // The walk's child count is the persisted one: slots past
+                // the last child are null (the entry has exactly one).
+                let n = node.linked_children();
+                for i in 0..n {
                     let raw = node.child_raw(i);
                     if is_dirty(raw) {
                         node.set_child(i, untag(raw));
                     }
-                    if !untag(raw).is_null() {
-                        count += 1;
-                        stack.push(untag(raw));
-                    } else {
-                        break;
-                    }
                 }
-                node.set_len(count);
+                node.set_len(n);
             }
-        }
+            stats.count(v);
+        });
         if P::DURABLE {
             P::fence();
         }
+        stats
     }
 }
 

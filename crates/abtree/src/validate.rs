@@ -1,9 +1,11 @@
 //! Quiescent validation, statistics and whole-tree iteration.
 //!
-//! The functions in this module walk the tree **without synchronization** and
-//! are meant to be called while no other thread is operating on it (after a
-//! benchmark's measured phase, or in single-threaded tests).  They verify the
-//! structural invariants of Theorem 3.5:
+//! Everything here is a callback of `AbTree::visit`, the tree's one
+//! quiescent walk (see [`crate::tree`]), and runs **without
+//! synchronization**: call it while no other thread is operating on the tree
+//! (after a benchmark's measured phase, or in single-threaded tests).
+//! [`AbTree::check_invariants`] checks, in one walk, the structural
+//! invariants of Theorem 3.5:
 //!
 //! 1. the reachable nodes form a relaxed (a,b)-tree (search-tree property,
 //!    size bounds, uniform leaf depth up to tags),
@@ -13,9 +15,9 @@
 
 use absync::RawNodeLock;
 
-use crate::node::{Node, NodeKind};
+use crate::node::NodeKind;
 use crate::persist::Persist;
-use crate::tree::AbTree;
+use crate::tree::{AbTree, Visit};
 use crate::{EMPTY_KEY, MAX_KEYS, MIN_KEYS};
 
 /// Structural statistics of a quiescent tree.
@@ -33,22 +35,44 @@ pub struct TreeStats {
     pub keys: u64,
 }
 
+impl TreeStats {
+    /// Counts a node the walk met; the entry sentinel (depth 0) is not part
+    /// of the tree.
+    pub(crate) fn count<L: RawNodeLock>(&mut self, v: &Visit<L>) {
+        if v.depth == 0 {
+            return;
+        }
+        self.height = self.height.max(v.depth);
+        let node = v.node();
+        match node.kind {
+            NodeKind::Leaf => {
+                self.leaves += 1;
+                self.keys += node.entries().count() as u64;
+            }
+            NodeKind::Internal => self.internal_nodes += 1,
+            NodeKind::TaggedInternal => self.tagged_nodes += 1,
+        }
+    }
+}
+
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Collects every key/value pair, sorted by key.
     ///
     /// Quiescent only: concurrent updates make the result unspecified.
     pub fn collect(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
-        self.walk_leaves(|leaf| out.extend(leaf.locked_entries()));
+        self.visit(|v| {
+            if v.node().is_leaf() {
+                out.extend(v.node().entries());
+            }
+        });
         out.sort_unstable_by_key(|e| e.0);
         out
     }
 
     /// Number of keys currently stored.  Quiescent only.
     pub fn len(&self) -> usize {
-        let mut n = 0usize;
-        self.walk_leaves(|leaf| n += leaf.locked_entries().len());
-        n
+        self.stats().keys as usize
     }
 
     /// Returns `true` if the tree stores no keys.  Quiescent only.
@@ -61,9 +85,9 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// of keys in the data structure").  Quiescent only.
     pub fn key_sum(&self) -> u128 {
         let mut sum = 0u128;
-        self.walk_leaves(|leaf| {
-            for (k, _) in leaf.locked_entries() {
-                sum += k as u128;
+        self.visit(|v| {
+            if v.node().is_leaf() {
+                sum += v.node().entries().map(|(k, _)| k as u128).sum::<u128>();
             }
         });
         sum
@@ -72,198 +96,236 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Structural statistics.  Quiescent only.
     pub fn stats(&self) -> TreeStats {
         let mut stats = TreeStats::default();
-        let root = self.entry().child(0);
-        let mut depth_of_leaves: Vec<u64> = Vec::new();
-        // (node, depth)
-        let mut stack: Vec<(*mut Node<L>, u64)> = vec![(root, 1)];
-        while let Some((ptr, depth)) = stack.pop() {
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: quiescent tree; all reachable nodes are alive.
-            let node = unsafe { &*ptr };
-            stats.height = stats.height.max(depth);
-            match node.kind {
-                NodeKind::Leaf => {
-                    stats.leaves += 1;
-                    stats.keys += node.locked_entries().len() as u64;
-                    depth_of_leaves.push(depth);
-                }
-                NodeKind::Internal => {
-                    stats.internal_nodes += 1;
-                    for i in 0..node.len() {
-                        stack.push((node.child(i), depth + 1));
-                    }
-                }
-                NodeKind::TaggedInternal => {
-                    stats.tagged_nodes += 1;
-                    for i in 0..node.len() {
-                        stack.push((node.child(i), depth + 1));
-                    }
-                }
-            }
-        }
+        self.visit(|v| stats.count(v));
         stats
     }
 
-    /// Checks the structural invariants of the (quiescent) tree, returning a
-    /// description of the first violation found.
+    /// Checks the structural invariants of the (quiescent) tree in one walk,
+    /// returning a description of the first violation found.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let root = self.entry().child(0);
-        if root.is_null() {
+        if self.entry().child(0).is_null() {
             return Err("entry has a null root pointer".into());
         }
-        let mut seen_keys = std::collections::HashSet::new();
-        let mut leaf_depths = Vec::new();
-        self.check_node(
-            root,
-            0,
-            EMPTY_KEY,
-            true,
-            1,
-            &mut seen_keys,
-            &mut leaf_depths,
-        )?;
+        let mut first = Ok(());
+        let (mut tagged, mut min_leaf, mut max_leaf) = (0u64, u64::MAX, 0u64);
+        self.visit(|v| {
+            if v.depth == 0 || first.is_err() {
+                return;
+            }
+            match v.node().kind {
+                NodeKind::Leaf => {
+                    min_leaf = min_leaf.min(v.depth);
+                    max_leaf = max_leaf.max(v.depth);
+                }
+                NodeKind::TaggedInternal => tagged += 1,
+                NodeKind::Internal => {}
+            }
+            first = check_local(v);
+        });
+        first?;
         // Leaves must all be at the same depth, except below tagged nodes
         // (which represent a temporary +1 imbalance).  Quiescent trees have
         // no tags, so require equality then.
-        if self.stats().tagged_nodes == 0 {
-            if let (Some(min), Some(max)) = (leaf_depths.iter().min(), leaf_depths.iter().max()) {
-                if min != max {
-                    return Err(format!("leaves at different depths: min {min}, max {max}"));
-                }
-            }
+        if tagged == 0 && min_leaf != max_leaf {
+            return Err(format!(
+                "leaves at different depths: min {min_leaf}, max {max_leaf}"
+            ));
         }
         Ok(())
     }
+}
 
-    fn walk_leaves(&self, mut f: impl FnMut(&Node<L>)) {
-        let mut stack = vec![self.entry().child(0)];
-        while let Some(ptr) = stack.pop() {
-            if ptr.is_null() {
-                continue;
-            }
-            // SAFETY: quiescent tree; all reachable nodes are alive.
-            let node = unsafe { &*ptr };
-            if node.is_leaf() {
-                f(node);
-            } else {
-                for i in 0..node.len() {
-                    stack.push(node.child(i));
-                }
-            }
-        }
+/// The invariants of one node that its routing range `[v.lo, v.hi)` (`hi ==
+/// EMPTY_KEY` is unbounded) and its own fields decide.
+fn check_local<L: RawNodeLock>(v: &Visit<L>) -> Result<(), String> {
+    let (node, lo, hi, is_root) = (v.node(), v.lo, v.hi, v.depth == 1);
+    if node.is_marked() {
+        return Err(format!("reachable node is marked: {node:?}"));
     }
-
-    /// Recursive range/size/sortedness check.  `lo`/`hi` bound the node's key
-    /// range (`hi == EMPTY_KEY` means unbounded).
-    #[allow(clippy::too_many_arguments)]
-    fn check_node(
-        &self,
-        ptr: *mut Node<L>,
-        lo: u64,
-        hi: u64,
-        is_root: bool,
-        depth: u64,
-        seen: &mut std::collections::HashSet<u64>,
-        leaf_depths: &mut Vec<u64>,
-    ) -> Result<(), String> {
-        if ptr.is_null() {
-            return Err("null child pointer".into());
-        }
-        // SAFETY: quiescent tree; all reachable nodes are alive.
-        let node = unsafe { &*ptr };
-        if node.is_marked() {
-            return Err(format!("reachable node is marked: {node:?}"));
-        }
-        let in_range = |k: u64| k >= lo && (hi == EMPTY_KEY || k < hi);
-        if !(in_range(node.search_key) || (is_root && node.is_leaf())) {
-            // The initial root leaf's search_key (0) is always in range since
-            // lo starts at 0; other nodes must honour their range.
+    let in_range = |k: u64| k >= lo && (hi == EMPTY_KEY || k < hi);
+    if !(in_range(node.search_key) || (is_root && node.is_leaf())) {
+        // The initial root leaf's search_key (0) is always in range since
+        // lo starts at 0; other nodes must honour their range.
+        return Err(format!(
+            "search_key {} outside range [{lo}, {hi})",
+            node.search_key
+        ));
+    }
+    if node.is_leaf() {
+        let keys = node.entries().count();
+        if keys != node.len() {
             return Err(format!(
-                "search_key {} outside range [{lo}, {hi})",
-                node.search_key
+                "leaf size field {} != stored keys {keys}",
+                node.len()
             ));
         }
-        match node.kind {
-            NodeKind::Leaf => {
-                leaf_depths.push(depth);
-                let entries = node.locked_entries();
-                if entries.len() != node.len() {
-                    return Err(format!(
-                        "leaf size field {} != stored keys {}",
-                        node.len(),
-                        entries.len()
-                    ));
-                }
-                if !is_root && entries.len() < MIN_KEYS {
-                    // Non-root leaves may transiently be underfull in a
-                    // concurrent execution, but a quiescent tree should have
-                    // fixed them; report it.
-                    return Err(format!(
-                        "non-root leaf underfull: {} < {MIN_KEYS}",
-                        entries.len()
-                    ));
-                }
-                if entries.len() > MAX_KEYS {
-                    return Err(format!("leaf overfull: {}", entries.len()));
-                }
-                for (k, _) in entries {
-                    if !in_range(k) {
-                        return Err(format!("leaf key {k} outside range [{lo}, {hi})"));
-                    }
-                    if !seen.insert(k) {
-                        return Err(format!("duplicate key {k}"));
-                    }
-                }
-                Ok(())
+        if !is_root && keys < MIN_KEYS {
+            // Non-root leaves may transiently be underfull in a concurrent
+            // execution, but a quiescent tree should have fixed them.
+            return Err(format!("non-root leaf underfull: {keys} < {MIN_KEYS}"));
+        }
+        if keys > MAX_KEYS {
+            return Err(format!("leaf overfull: {keys}"));
+        }
+        // Every node's routing keys are checked sorted and inside its range,
+        // and a child's range is the slice of its parent's range between two
+        // of them, so distinct leaves have disjoint ranges: a key stored in
+        // two leaves lies outside one leaf's range.  Only a key stored twice
+        // in one leaf is left to find.
+        for (i, (k, _)) in node.entries().enumerate() {
+            if !in_range(k) {
+                return Err(format!("leaf key {k} outside range [{lo}, {hi})"));
             }
-            NodeKind::Internal | NodeKind::TaggedInternal => {
-                let size = node.len();
-                if !(1..=MAX_KEYS).contains(&size) {
-                    return Err(format!("internal node with invalid size {size}"));
-                }
-                if node.kind == NodeKind::TaggedInternal && size != 2 {
-                    return Err(format!("tagged node with {size} children"));
-                }
-                if !is_root && size < MIN_KEYS && node.kind == NodeKind::Internal {
-                    return Err(format!(
-                        "non-root internal node underfull: {size} < {MIN_KEYS}"
-                    ));
-                }
-                let keys: Vec<u64> = (0..size - 1).map(|i| node.key(i)).collect();
-                for w in keys.windows(2) {
-                    if w[0] >= w[1] {
-                        return Err(format!("routing keys not sorted: {} >= {}", w[0], w[1]));
-                    }
-                }
-                for &k in &keys {
-                    if !in_range(k) {
-                        return Err(format!("routing key {k} outside range [{lo}, {hi})"));
-                    }
-                }
-                for i in 0..size {
-                    let child_lo = if i == 0 { lo } else { keys[i - 1] };
-                    let child_hi = if i == size - 1 { hi } else { keys[i] };
-                    self.check_node(
-                        node.child(i),
-                        child_lo,
-                        child_hi,
-                        false,
-                        depth + 1,
-                        seen,
-                        leaf_depths,
-                    )?;
-                }
-                Ok(())
+            if node.entries().skip(i + 1).any(|(other, _)| other == k) {
+                return Err(format!("duplicate key {k}"));
             }
         }
+        return Ok(());
     }
+    let size = node.len();
+    if !(1..=MAX_KEYS).contains(&size) {
+        return Err(format!("internal node with invalid size {size}"));
+    }
+    if size != node.linked_children() {
+        return Err(format!(
+            "internal size field {size} != linked children {}",
+            node.linked_children()
+        ));
+    }
+    if node.is_tagged() && size != 2 {
+        return Err(format!("tagged node with {size} children"));
+    }
+    if !is_root && size < MIN_KEYS && !node.is_tagged() {
+        return Err(format!(
+            "non-root internal node underfull: {size} < {MIN_KEYS}"
+        ));
+    }
+    for i in 0..size - 1 {
+        let k = node.key(i);
+        if i > 0 && node.key(i - 1) >= k {
+            return Err(format!(
+                "routing keys not sorted: {} >= {k}",
+                node.key(i - 1)
+            ));
+        }
+        if !in_range(k) {
+            return Err(format!("routing key {k} outside range [{lo}, {hi})"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{ElimABTree, OccABTree};
+    use std::sync::atomic::Ordering;
+
+    use absync::McsLock;
+
+    use crate::node::Node;
+    use crate::{ElimABTree, OccABTree, EMPTY_KEY, MIN_KEYS};
+
+    /// A tree of keys `0..2_000` (height 3 or more), checked healthy before
+    /// a test plants its fault.
+    fn healthy_tree() -> OccABTree {
+        let t: OccABTree = OccABTree::new();
+        let mut h = t.handle();
+        for k in 0..2_000u64 {
+            h.insert(k, k);
+        }
+        drop(h);
+        assert!(t.stats().height >= 3);
+        t.check_invariants().unwrap();
+        t
+    }
+
+    /// The leaf whose routing range holds `key`.
+    fn leaf_of(t: &OccABTree, key: u64) -> &Node<McsLock> {
+        let local = t.collector().register();
+        let guard = local.pin();
+        let leaf = t.search(key, std::ptr::null_mut(), &guard).n;
+        // SAFETY: the tests are single-threaded and plant faults without
+        // unlinking a node, so the leaf stays reachable and alive as long
+        // as `t`.
+        unsafe { &*leaf }
+    }
+
+    /// Stores `key` in a free slot of `leaf` and counts it in `size`, so
+    /// the only fault is where the key is.
+    fn plant_key(leaf: &Node<McsLock>, key: u64) {
+        let slot = leaf.locked_empty_slot().expect("a leaf with a free slot");
+        leaf.keys[slot].store(key, Ordering::Relaxed);
+        leaf.set_len(leaf.len() + 1);
+    }
+
+    fn flagged(t: &OccABTree, what: &str) -> String {
+        match t.check_invariants() {
+            Ok(()) => panic!("check_invariants missed {what}"),
+            Err(e) => e,
+        }
+    }
+
+    #[test]
+    fn flags_a_leaf_size_field_that_disagrees_with_its_keys() {
+        let t = healthy_tree();
+        let leaf = leaf_of(&t, 1_000);
+        leaf.set_len(leaf.len() + 1);
+        let e = flagged(&t, "a wrong size field");
+        assert!(e.contains("size"), "{e}");
+    }
+
+    #[test]
+    fn flags_a_non_root_leaf_below_min_keys() {
+        let t = healthy_tree();
+        let leaf = leaf_of(&t, 1_000);
+        for slot in 0..crate::MAX_KEYS {
+            if leaf.len() < MIN_KEYS {
+                break;
+            }
+            if leaf.key(slot) != EMPTY_KEY {
+                leaf.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
+                leaf.set_len(leaf.len() - 1);
+            }
+        }
+        let e = flagged(&t, "an underfull leaf");
+        assert!(e.contains("underfull"), "{e}");
+    }
+
+    #[test]
+    fn flags_a_key_outside_its_leafs_routing_range() {
+        let t = healthy_tree();
+        // 10_000 is in no leaf, and above the range of the leaf holding 0.
+        plant_key(leaf_of(&t, 0), 10_000);
+        let e = flagged(&t, "a key outside its range");
+        assert!(e.contains("outside range"), "{e}");
+    }
+
+    #[test]
+    fn flags_one_key_stored_in_two_leaves() {
+        let t = healthy_tree();
+        assert_ne!(
+            std::ptr::from_ref(leaf_of(&t, 0)),
+            std::ptr::from_ref(leaf_of(&t, 1_999))
+        );
+        plant_key(leaf_of(&t, 0), 1_999);
+        flagged(&t, "a key in two leaves");
+    }
+
+    #[test]
+    fn flags_one_key_stored_twice_in_a_leaf() {
+        let t = healthy_tree();
+        let leaf = leaf_of(&t, 1_000);
+        plant_key(leaf, 1_000);
+        let e = flagged(&t, "a key twice in one leaf");
+        assert!(e.contains("duplicate"), "{e}");
+    }
+
+    #[test]
+    fn flags_a_reachable_marked_node() {
+        let t = healthy_tree();
+        leaf_of(&t, 1_000).mark();
+        let e = flagged(&t, "a marked node");
+        assert!(e.contains("marked"), "{e}");
+    }
 
     #[test]
     fn empty_tree_stats() {

@@ -6,6 +6,11 @@
 //! size to the actual number of pointers/values in the node, and resetting
 //! version, lock state, and the marked bit to their initial values)."
 //!
+//! That traversal is [`AbTree::recover`], one walk of the tree: it repairs
+//! each node and counts it in the same pass, so [`recover`] below times that
+//! one call and builds its report from the statistics it returns, with no
+//! second walk.
+//!
 //! In this reproduction the "persistent image" after a simulated crash is the
 //! tree as it exists in memory (README, "Hardware notes"); partial-update states
 //! are constructed explicitly by the crash-simulation helpers in the `abtree`
@@ -38,9 +43,8 @@ pub fn recover<const ELIM: bool, L: RawNodeLock, P: Persist>(
     tree: &AbTree<ELIM, L, P>,
 ) -> RecoveryReport {
     let start = Instant::now();
-    tree.recover();
+    let stats = tree.recover();
     let elapsed_ns = start.elapsed().as_nanos();
-    let stats = tree.stats();
     RecoveryReport {
         keys: stats.keys,
         leaves: stats.leaves,
@@ -268,6 +272,42 @@ mod tests {
         assert!(report.height >= 3);
         assert!(!tree.has_dirty_links(), "recovery must clear dirty links");
         tree.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn one_recovery_walk_reports_the_tree_it_leaves_behind() {
+        // A torn insert and a dirty root link, planted twice: once for the
+        // tree's own `recover`, once for `pabtree::recover`.  Each must
+        // leave no dirty link and report exactly what a fresh walk counts.
+        let _s = quiet();
+        let tree: PElimABTree = PElimABTree::new();
+        let mut h = tree.handle();
+        for k in 0..5_000u64 {
+            h.insert(k, k);
+        }
+        assert!(h.force_partial_insert(7_000, 1));
+        h.force_dirty_root_link();
+        let stats = tree.recover();
+        assert_eq!(stats, tree.stats());
+        assert_eq!(stats.keys, 5_001);
+        assert!(!tree.has_dirty_links());
+
+        assert!(h.force_partial_insert(8_000, 2));
+        h.force_dirty_root_link();
+        let report = recover(&tree);
+        assert!(!tree.has_dirty_links());
+        let stats = tree.stats();
+        assert_eq!(report.keys, 5_002);
+        assert_eq!(
+            (report.keys, report.leaves, report.height),
+            (stats.keys, stats.leaves, stats.height)
+        );
+        assert_eq!(
+            report.internal_nodes,
+            stats.internal_nodes + stats.tagged_nodes
+        );
+        tree.check_invariants().unwrap();
+        assert_eq!((h.get(7_000), h.get(8_000)), (Some(1), Some(2)));
     }
 
     #[test]
