@@ -18,7 +18,7 @@
 //! [`Node::val`]/[`Node::set_val`] and
 //! [`Node::child`]/[`Node::child_raw`]/[`Node::set_child`]/
 //! [`Node::cas_child`]/[`Node::persist_slot`], which is also what keeps a
-//! later split into separate leaf and internal types (ROADMAP item 7(b)) local.
+//! later split into separate leaf and internal types (ROADMAP item 8(a)) local.
 //!
 //! Nodes do not come from malloc.  Each is built in place in a 232-byte
 //! slot of the [`crate::slab`], and goes back there by one of two paths:

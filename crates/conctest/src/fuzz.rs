@@ -106,10 +106,7 @@ enum KeyGen {
 impl KeyGen {
     fn new(cfg: &FuzzConfig) -> Self {
         match cfg.tenants {
-            None => KeyGen::Flat(KeyDistribution::from_zipf_parameter(
-                cfg.key_space,
-                cfg.key_skew,
-            )),
+            None => KeyGen::Flat(KeyDistribution::zipfian(cfg.key_space, cfg.key_skew)),
             Some((count, skew)) => KeyGen::Tenant(TenantKeyDistribution::new(
                 count,
                 skew,

@@ -152,28 +152,28 @@ impl<'s> ShardRouter<'s> {
     /// Runs one point request on this router's session on the key's shard:
     /// a `Get` probes the hot-key cache first; then [`worker::execute`], the
     /// per-shard and per-namespace counters and the cache fill.  A sampled
-    /// request, a cache hit included, records its `Apply` stage and its
-    /// latency from one clock read.
+    /// request, a cache hit included, records its `Apply` stage: the
+    /// request's latency, from one clock read.
     fn point(&mut self, op: PointOp, key: u64, value: u64) -> Option<u64> {
         let service = self.service;
         let shard = service.shard_of(key);
         let state = service.shard_state(shard);
         let stats = service.stats();
         let ns = stats.namespace(stats.namespace_slot(key));
-        // One sampling decision covers the stage trace AND the point-latency
-        // histogram: the untraced 15-in-16 majority reads no clock at all.
+        // One sampling decision covers the stage trace: the untraced
+        // 15-in-16 majority reads no clock at all.
         let started = self.recorder.sample_start();
         if matches!(op, PointOp::Get) {
             if let Some(cached) = self.cache.lookup(key, state.begun()) {
                 stats.record_cache_hit();
-                self.record_apply(started);
+                self.recorder.record(Stage::Apply, started);
                 stats.shard(shard).record_get(cached.is_some());
                 ns.record_get(cached.is_some());
                 return cached;
             }
         }
         let (result, stamp) = worker::execute(&mut *self.sessions[shard], state, op, key, value);
-        self.record_apply(started);
+        self.recorder.record(Stage::Apply, started);
         match op {
             PointOp::Get => {
                 stats.shard(shard).record_get(result.is_some());
@@ -195,18 +195,6 @@ impl<'s> ShardRouter<'s> {
             }
         }
         result
-    }
-
-    /// Ends a point request that `started` may have sampled: its `Apply`
-    /// stage and its latency, from one clock read.
-    #[inline]
-    fn record_apply(&self, started: Stamp) {
-        if started.is_traced() {
-            let now = Stamp::now();
-            self.recorder.record_at(Stage::Apply, started, now);
-            let latency = &self.service.stats().point_latency_ns;
-            latency.record(now.since(started));
-        }
     }
 
     /// Pipelined submission of a point request (`Get`/`Put`/`Delete`): it
@@ -586,11 +574,12 @@ mod tests {
         let misses: u64 = stats.shards().iter().map(|s| s.misses()).sum();
         assert_eq!(hits, 2, "get(1) and mget hit on key 1");
         assert_eq!(misses, 3, "get(2) and mget misses on 2 and 3");
-        // Point latency is sampled 1-in-16 with the stage trace: four point
+        // Point latency is the `Apply` stage, sampled 1-in-16: four point
         // submissions on a fresh router stay below the sample period, so
         // the histogram is empty (the batch/scan histograms are always-on —
         // their clock reads amortize over the whole batch).
-        assert_eq!(stats.point_latency_ns.count(), 0, "4 ops < sample period");
+        let apply = service.stage_trace().histogram(Stage::Apply).count();
+        assert_eq!(apply, 0, "4 ops < sample period");
         assert_eq!(stats.batch_latency_ns.count(), 1);
         assert_eq!(stats.scan_latency_ns.count(), 1);
         assert_eq!(stats.batch_size.count(), 1);
@@ -876,13 +865,6 @@ mod tests {
             1024 >> TRACE_SAMPLE_SHIFT,
             "the sampler is deterministic"
         );
-        // The same 1-in-16 decision feeds the point-latency histogram, so
-        // the untraced majority pays no clock read anywhere.
-        assert_eq!(
-            service.stats().point_latency_ns.count(),
-            1024 >> TRACE_SAMPLE_SHIFT,
-            "point latency records exactly the sampled subset"
-        );
         assert!(
             !trace.recent_events().is_empty(),
             "the rings hold the raw recent events"
@@ -909,10 +891,6 @@ mod tests {
             1024 >> TRACE_SAMPLE_SHIFT,
             "every sampled request is a cache hit"
         );
-        assert_eq!(
-            service.stats().point_latency_ns.count(),
-            1024 >> TRACE_SAMPLE_SHIFT
-        );
     }
 
     #[test]
@@ -934,10 +912,6 @@ mod tests {
         let trace = service.stage_trace();
         assert_eq!(
             trace.histogram(Stage::Apply).count(),
-            1024 >> TRACE_SAMPLE_SHIFT
-        );
-        assert_eq!(
-            service.stats().point_latency_ns.count(),
             1024 >> TRACE_SAMPLE_SHIFT
         );
         for stage in [Stage::Enqueue, Stage::Dequeue, Stage::Ack] {

@@ -213,11 +213,6 @@ impl OpCounters {
 pub struct ServiceStats {
     shards: Vec<OpCounters>,
     namespaces: Vec<OpCounters>,
-    /// Latency of point requests (`Get`/`Put`/`Delete`), in nanoseconds.
-    /// **Sampled**: recorded for the same deterministic 1-in-16 subset the
-    /// stage trace follows, so the untraced majority of point ops reads no
-    /// clock at all (quantiles stay unbiased; `count()` is ~ops/16).
-    pub point_latency_ns: Histogram,
     /// Latency of whole batched requests (`MGet`/`MPut`), in nanoseconds.
     pub batch_latency_ns: Histogram,
     /// Latency of scans (scatter-gather across shards), in nanoseconds.
@@ -235,7 +230,6 @@ impl ServiceStats {
         Self {
             shards: (0..shards).map(|_| OpCounters::default()).collect(),
             namespaces: (0..namespaces).map(|_| OpCounters::default()).collect(),
-            point_latency_ns: Histogram::new(),
             batch_latency_ns: Histogram::new(),
             scan_latency_ns: Histogram::new(),
             batch_size: Histogram::new(),
@@ -314,7 +308,6 @@ impl ServiceStats {
         for counters in self.shards.iter().chain(&self.namespaces) {
             counters.reset();
         }
-        self.point_latency_ns.reset();
         self.batch_latency_ns.reset();
         self.scan_latency_ns.reset();
         self.batch_size.reset();
@@ -339,10 +332,6 @@ impl ServiceStats {
         }
         out.push(Sample::counter("kv_cache_hits_total", self.cache_hits()));
         out.push(Sample::counter("kv_shed_total", self.shed()));
-        out.push(Sample::histogram(
-            "kv_point_latency_ns",
-            &self.point_latency_ns,
-        ));
         out.push(Sample::histogram(
             "kv_batch_latency_ns",
             &self.batch_latency_ns,
@@ -392,7 +381,7 @@ mod tests {
         let stats = ServiceStats::new(2, 2);
         stats.shard(0).record_get(true);
         stats.namespace(1).record_mput();
-        stats.point_latency_ns.record(100);
+        stats.batch_latency_ns.record(100);
         stats.batch_size.record(16);
         stats.record_cache_hit();
         stats.record_shed();
@@ -404,7 +393,7 @@ mod tests {
         assert_eq!(stats.total_ops(), 0);
         assert_eq!(stats.shard(0).hits(), 0);
         assert_eq!(stats.namespace(1).mputs(), 0);
-        assert_eq!(stats.point_latency_ns.count(), 0);
+        assert_eq!(stats.batch_latency_ns.count(), 0);
         assert_eq!(stats.batch_size.count(), 0);
         assert_eq!(stats.cache_hits(), 0);
         assert_eq!(stats.shed(), 0);
@@ -431,7 +420,7 @@ mod tests {
         stats.shard(1).record_put();
         stats.namespace(0).record_lookup(false);
         stats.record_shed();
-        stats.point_latency_ns.record(500);
+        stats.scan_latency_ns.record(500);
         let mut out = Vec::new();
         stats.collect(&mut out);
         let text = obs::expo::render(&out);
@@ -459,7 +448,7 @@ mod tests {
         );
         assert_eq!(obs::expo::value(&parsed, "kv_shed_total", &[]), Some(1));
         assert_eq!(
-            obs::expo::value(&parsed, "kv_point_latency_ns_count", &[]),
+            obs::expo::value(&parsed, "kv_scan_latency_ns_count", &[]),
             Some(1)
         );
     }

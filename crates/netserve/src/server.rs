@@ -124,9 +124,6 @@ pub struct ServerConfig {
     /// accepts on its own clone of the listening socket, so connections
     /// land on whichever reactor wakes first.
     pub reactors: usize,
-    /// Largest request frame payload accepted before the connection is
-    /// rejected with [`ERR_FRAME_TOO_LARGE`].
-    pub max_frame_len: usize,
     /// Write-backlog high-water mark per connection: at or above this the
     /// reactor stops reading from the connection until the backlog drains
     /// to half.
@@ -144,7 +141,6 @@ impl Default for ServerConfig {
         Self {
             addr: SocketAddr::from(([127, 0, 0, 1], 0)),
             reactors: 2,
-            max_frame_len: frame::MAX_REQUEST_FRAME,
             write_high_water: 256 << 10,
             idle_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
@@ -518,7 +514,7 @@ impl<'s> Reactor<'s> {
         let idle_deadline = now.saturating_add(self.idle_ms);
         self.conns[token] = Some(Conn {
             stream,
-            decoder: FrameDecoder::new(self.config.max_frame_len),
+            decoder: FrameDecoder::new(frame::MAX_REQUEST_FRAME),
             out: WriteBuffer::new(self.config.write_high_water),
             paused: false,
             closing: false,

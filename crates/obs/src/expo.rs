@@ -8,10 +8,10 @@
 //! ```text
 //! # TYPE kv_ops_total counter
 //! kv_ops_total{shard="0",op="get"} 128
-//! # TYPE kv_point_latency_ns histogram
-//! kv_point_latency_ns_bucket{le="127"} 90
-//! kv_point_latency_ns_bucket{le="+Inf"} 100
-//! kv_point_latency_ns_count 100
+//! # TYPE kv_scan_latency_ns histogram
+//! kv_scan_latency_ns_bucket{le="127"} 90
+//! kv_scan_latency_ns_bucket{le="+Inf"} 100
+//! kv_scan_latency_ns_count 100
 //! ```
 //!
 //! Histograms render cumulatively with `le` bounds at the power-of-two
@@ -259,7 +259,7 @@ mod tests {
                 .with("shard", 1)
                 .with("op", "put"),
             Sample::gauge("net_open_connections", 3),
-            Sample::histogram("kv_point_latency_ns", &hist).with("shard", 0),
+            Sample::histogram("kv_scan_latency_ns", &hist).with("shard", 0),
         ];
         let text = render(&samples);
         assert!(text.contains("# TYPE kv_ops_total counter"));
@@ -283,7 +283,7 @@ mod tests {
             assert_eq!(
                 value(
                     &parsed,
-                    "kv_point_latency_ns_bucket",
+                    "kv_scan_latency_ns_bucket",
                     &[("shard", "0"), ("le", "127")]
                 ),
                 Some(90)
@@ -291,13 +291,13 @@ mod tests {
             assert_eq!(
                 value(
                     &parsed,
-                    "kv_point_latency_ns_bucket",
+                    "kv_scan_latency_ns_bucket",
                     &[("shard", "0"), ("le", "+Inf")]
                 ),
                 Some(100)
             );
             assert_eq!(
-                value(&parsed, "kv_point_latency_ns_count", &[("shard", "0")]),
+                value(&parsed, "kv_scan_latency_ns_count", &[("shard", "0")]),
                 Some(100)
             );
         }

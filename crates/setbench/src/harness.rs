@@ -5,15 +5,16 @@
 //! open one session, draw operations from their own seeded stream until
 //! the cell's duration elapses, and tally what they inserted and deleted;
 //! the key sum left in the structure must then equal what the load phase
-//! put in plus those tallies.  A cell's [`Workload`] decides only the two
-//! things that differ between a SetBench mix and a YCSB index workload: how
-//! the structure is loaded, and the per-op step.
+//! put in plus those tallies.  Every stream is an operation mix over a key
+//! distribution; a cell's [`Workload`] picks that stream and how the
+//! structure is loaded, and nothing else differs between a SetBench mix and
+//! a YCSB index workload.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use rand::prelude::*;
-use workload::{KeyDistribution, Operation, OperationMix, YcsbOp, YcsbWorkload};
+use workload::{KeyDistribution, Operation, OperationMix};
 
 use abebr::SmrPolicy;
 use abtree::{ConcurrentMap, MapHandle};
@@ -35,11 +36,12 @@ pub enum Workload {
     /// YCSB Workload A with the structure as the index (Figure 16): load
     /// every record in a seeded hashed order (YCSB's `insertorder=hashed`),
     /// then 50% reads / 50% updates.  A YCSB update writes the row, not the
-    /// index (paper §6.2), so it is an index read plus a write to a
-    /// per-thread row sink.
+    /// index (paper §6.2), so at the index both are a find whose row goes
+    /// to a per-thread row sink: the cell's mix is all finds.
     YcsbA,
     /// YCSB Workload E (Figure 18): the same load, then 95% scans of
-    /// `1..=max_scan_len` keys / 5% inserts.
+    /// `1..=max_scan_len` keys / 5% inserts.  The inserts draw from the
+    /// request distribution, over records the load already put in.
     YcsbE {
         /// Upper bound of the uniform scan-length distribution.
         max_scan_len: u64,
@@ -83,10 +85,26 @@ impl Default for CellConfig {
     }
 }
 
-/// A cell's per-op step, built once and shared by its workers.
-enum Step {
-    Mix(OperationMix, KeyDistribution),
-    Ycsb(YcsbWorkload),
+/// A cell's operation stream, built once and shared by its workers: an
+/// operation mix over a key distribution, and the load it runs against.
+struct Step {
+    mix: OperationMix,
+    keys: KeyDistribution,
+    /// Scan lengths are drawn uniformly from `1..=max_scan_len`.
+    max_scan_len: u64,
+    load: Load,
+    /// The row's experiment label until a figure stamps its own.
+    label: String,
+}
+
+/// How a cell fills the structure before its measured phase.
+enum Load {
+    /// Uniformly random keys until half the key range is in (SetBench's
+    /// steady-state size, paper §6).
+    Random,
+    /// Every record once, each loader taking a slice of the seeded hashed
+    /// order (YCSB's `insertorder=hashed`).
+    Hashed,
 }
 
 /// One worker's tallies for the checksum validation, plus the scratch its
@@ -97,130 +115,106 @@ struct Worker {
     scan_ops: u64,
     inserted_sum: i128,
     deleted_sum: i128,
-    /// The "database rows" behind a YCSB index: what updates and scans read.
+    /// The "database rows" behind the index: what finds and scans read.
     row_sink: u64,
     scan_buf: Vec<(u64, u64)>,
 }
 
-impl Worker {
-    fn insert(&mut self, session: &mut dyn MapHandle, key: u64) {
-        if session.insert(key, key).is_none() {
-            self.inserted_sum += key as i128;
-        }
-    }
-}
-
 impl Step {
+    /// Maps a figure's workload onto a stream.  A YCSB request draws from
+    /// a scrambled Zipf, as YCSB's request distribution does.  Workload A's
+    /// reads and updates are both index lookups — an update writes the row,
+    /// not the index (paper §6.2) — so its index-level mix is all finds.
+    /// Workload E is 95% scans and 5% inserts.
     fn new(cfg: &CellConfig) -> Self {
-        match cfg.workload {
-            Workload::SetBench { update_percent } => Step::Mix(
-                OperationMix::from_update_percent(update_percent),
-                KeyDistribution::from_zipf_parameter(cfg.size, cfg.zipf),
-            ),
-            Workload::YcsbA => Step::Ycsb(YcsbWorkload::workload_a(cfg.size, cfg.zipf)),
-            Workload::YcsbE { max_scan_len } => Step::Ycsb(
-                YcsbWorkload::workload_e(cfg.size, cfg.zipf).with_max_scan_len(max_scan_len.max(1)),
-            ),
-        }
-    }
-
-    /// Worker `thread`'s stream; each workload keeps its own salt, so a seed
-    /// draws the same operations in every cell it ever drew them in.
-    fn rng(&self, seed: u64, thread: usize) -> StdRng {
-        let salt = match self {
-            Step::Mix(..) => 0xBEEF + 31 * thread as u64,
-            Step::Ycsb(_) => 0xFACE + 17 * thread as u64,
+        let ycsb = |mix, max_scan_len, label: &str| Self {
+            mix,
+            keys: KeyDistribution::zipfian_with(cfg.size, cfg.zipf, true),
+            max_scan_len,
+            load: Load::Hashed,
+            label: label.into(),
         };
-        StdRng::seed_from_u64(seed ^ salt)
-    }
-
-    /// How many distinct keys the load phase puts in: half the key range
-    /// for SetBench (its steady-state size, paper §6), every record for YCSB.
-    fn load_target(&self, cfg: &CellConfig) -> u64 {
-        match self {
-            Step::Mix(..) => cfg.size / 2,
-            Step::Ycsb(workload) => workload.record_count(),
+        match cfg.workload {
+            Workload::SetBench { update_percent } => {
+                let mix = OperationMix::from_update_percent(update_percent);
+                Self {
+                    mix,
+                    keys: KeyDistribution::zipfian(cfg.size, cfg.zipf),
+                    max_scan_len: 1,
+                    load: Load::Random,
+                    label: mix.label(),
+                }
+            }
+            Workload::YcsbA => ycsb(OperationMix::from_update_percent(0), 1, "ycsb-a"),
+            Workload::YcsbE { max_scan_len } => {
+                let mix = OperationMix::try_new(5, 0, 0, 95, 0, 0).expect("shares sum to 100");
+                ycsb(mix, max_scan_len.max(1), "ycsb-e")
+            }
         }
     }
 
-    /// Loader `thread`'s keys: uniformly random ones from the key range for
-    /// SetBench, its slice of the workload's hashed record order for YCSB.
-    fn load_keys<'a>(
-        &'a self,
+    /// Worker `thread`'s stream.
+    fn rng(seed: u64, thread: usize) -> StdRng {
+        StdRng::seed_from_u64(seed ^ (0xBEEF + 31 * thread as u64))
+    }
+
+    /// How many distinct keys the load phase puts in.
+    fn load_target(&self, cfg: &CellConfig) -> u64 {
+        match self.load {
+            Load::Random => cfg.size / 2,
+            Load::Hashed => cfg.size,
+        }
+    }
+
+    /// Loader `thread`'s keys.
+    fn load_keys(
+        &self,
         cfg: &CellConfig,
         thread: usize,
         threads: usize,
-    ) -> Box<dyn Iterator<Item = u64> + 'a> {
-        match self {
-            Step::Mix(..) => {
-                let size = cfg.size;
+    ) -> Box<dyn Iterator<Item = u64>> {
+        let size = cfg.size;
+        match self.load {
+            Load::Random => {
                 let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x5EED + thread as u64));
                 Box::new(std::iter::repeat_with(move || rng.gen_range(0..size)))
             }
-            Step::Ycsb(workload) => Box::new(workload.load_keys(thread, threads, cfg.seed)),
+            Load::Hashed => Box::new(workload::ycsb::load_keys(size, thread, threads, cfg.seed)),
         }
     }
 
-    /// Draws one operation and runs it on `session`.
+    /// Draws one operation — key, kind, then a scan's length — and runs it
+    /// on `session`.
     #[inline]
     fn run(&self, session: &mut dyn MapHandle, rng: &mut StdRng, w: &mut Worker) {
-        match self {
-            Step::Mix(mix, dist) => {
-                let key = dist.sample(rng);
-                match mix.sample(rng) {
-                    Operation::Insert => w.insert(session, key),
-                    Operation::Delete => {
-                        if session.delete(key).is_some() {
-                            w.deleted_sum += key as i128;
-                        }
-                    }
-                    Operation::Find => {
-                        std::hint::black_box(session.get(key));
-                    }
-                    other => unreachable!("a SetBench mix is point-only, drew {other:?}"),
+        let key = self.keys.sample(rng);
+        match self.mix.sample(rng) {
+            Operation::Insert => {
+                if session.insert(key, key).is_none() {
+                    w.inserted_sum += key as i128;
                 }
             }
-            Step::Ycsb(workload) => match workload.next_op(rng) {
-                YcsbOp::Read(k) => {
-                    std::hint::black_box(session.get(k));
+            Operation::Delete => {
+                if session.delete(key).is_some() {
+                    w.deleted_sum += key as i128;
                 }
-                YcsbOp::Update(k) => {
-                    if let Some(row) = session.get(k) {
-                        w.row_sink = w.row_sink.wrapping_add(row);
-                    }
+            }
+            Operation::Find => {
+                if let Some(row) = session.get(key) {
+                    w.row_sink = w.row_sink.wrapping_add(row);
                 }
-                YcsbOp::Insert(k) => w.insert(session, k),
-                YcsbOp::Scan(k, len) => {
-                    session.range(k, k.saturating_add(len - 1), &mut w.scan_buf);
-                    for &(_, row) in &w.scan_buf {
-                        w.row_sink = w.row_sink.wrapping_add(row);
-                    }
-                    w.scan_ops += 1;
+            }
+            Operation::Scan => {
+                let len = rng.gen_range(1..=self.max_scan_len);
+                session.range(key, key.saturating_add(len - 1), &mut w.scan_buf);
+                for &(_, row) in &w.scan_buf {
+                    w.row_sink = w.row_sink.wrapping_add(row);
                 }
-            },
+                w.scan_ops += 1;
+            }
+            other => unreachable!("a figure cell draws no batches, drew {other:?}"),
         }
         w.ops += 1;
-    }
-
-    /// The row's update percentage: the mix's, or the YCSB workload's
-    /// nominal one.
-    fn update_percent(&self) -> u32 {
-        match self {
-            Step::Mix(mix, _) => mix.update_percent(),
-            Step::Ycsb(workload) => match workload.kind() {
-                workload::YcsbWorkloadKind::A => 50,
-                workload::YcsbWorkloadKind::E => 5,
-            },
-        }
-    }
-
-    /// The row's experiment label until a figure stamps its own: the mix
-    /// (`"u50"`) or the YCSB workload (`"ycsb-e"`).
-    fn label(&self) -> String {
-        match self {
-            Step::Mix(mix, _) => mix.label(),
-            Step::Ycsb(workload) => workload.label().into(),
-        }
     }
 }
 
@@ -298,7 +292,7 @@ pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult
                     // the handle API's intended usage (and what makes
                     // per-op pinning a local epoch bump).
                     let mut session = map.handle();
-                    let mut rng = step.rng(cfg.seed, t);
+                    let mut rng = Step::rng(cfg.seed, t);
                     let mut worker = Worker::default();
                     while !stop.load(Ordering::Relaxed) {
                         // A few operations per stop-flag check.
@@ -328,11 +322,11 @@ pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult
             .sum::<i128>();
     let (smr, unreclaimed, reclaim_lag) = reclamation_columns(map, cfg.smr);
     BenchResult {
-        experiment: step.label(),
+        experiment: step.label.clone(),
         structure: cfg.structure.clone(),
         threads: cfg.threads,
         key_range: cfg.size,
-        update_percent: step.update_percent(),
+        update_percent: step.mix.update_percent(),
         zipf: cfg.zipf,
         total_ops,
         scan_ops: workers.iter().map(|w| w.scan_ops).sum(),
@@ -348,6 +342,7 @@ pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// The YCSB load through the one load loop: three loaders together put
     /// in every record exactly once.
@@ -367,5 +362,68 @@ mod tests {
         map.handle().range(0, abtree::EMPTY_KEY - 1, &mut rows);
         let keys: Vec<u64> = rows.iter().map(|&(k, _)| k).collect();
         assert_eq!(keys, (0..1_000).collect::<Vec<_>>());
+    }
+
+    /// Loads `cfg`'s cell on a fresh structure and runs `ops` operations of
+    /// its stream, worker 0's, on one session; `after` sees the worker after
+    /// each one.
+    fn drive(cfg: &CellConfig, ops: usize, mut after: impl FnMut(&Worker)) -> Worker {
+        let map = make_structure_smr(&cfg.structure, cfg.smr);
+        let step = Step::new(cfg);
+        load(&*map, cfg, &step);
+        let mut session = map.handle();
+        let mut rng = Step::rng(cfg.seed, 0);
+        let mut worker = Worker::default();
+        for _ in 0..ops {
+            step.run(&mut *session, &mut rng, &mut worker);
+            after(&worker);
+        }
+        worker
+    }
+
+    /// YCSB-E draws 95% scans and 5% inserts.
+    #[test]
+    fn a_ycsb_e_cell_is_mostly_scans() {
+        let cfg = CellConfig {
+            workload: Workload::YcsbE { max_scan_len: 10 },
+            size: 2_000,
+            zipf: 0.5,
+            seed: 0xE5,
+            ..Default::default()
+        };
+        let w = drive(&cfg, 10_000, |_| {});
+        let share = w.scan_ops as f64 / w.ops as f64;
+        assert!((0.9..1.0).contains(&share), "scan share {share}");
+    }
+
+    /// Every YCSB-E scan covers a window of `1..=max_scan_len` keys, and
+    /// every length in that range is drawn.  Every record is loaded, so a
+    /// window holds one key per slot it spans inside the key range; only a
+    /// window that reaches the range's last key can be cut short.
+    #[test]
+    fn every_ycsb_e_scan_window_spans_one_to_max_scan_len_keys() {
+        let max = 8;
+        let cfg = CellConfig {
+            workload: Workload::YcsbE { max_scan_len: max },
+            size: 2_000,
+            zipf: 0.5,
+            seed: 0x5CA9,
+            ..Default::default()
+        };
+        let mut lens = BTreeSet::new();
+        let mut scans = 0;
+        drive(&cfg, 5_000, |w| {
+            if w.scan_ops == scans {
+                return;
+            }
+            scans = w.scan_ops;
+            let keys: Vec<u64> = w.scan_buf.iter().map(|&(k, _)| k).collect();
+            assert!((1..=max as usize).contains(&keys.len()), "window {keys:?}");
+            assert!(keys.windows(2).all(|p| p[1] == p[0] + 1), "window {keys:?}");
+            if keys.last() != Some(&(cfg.size - 1)) {
+                lens.insert(keys.len());
+            }
+        });
+        assert!(lens.into_iter().eq(1..=max as usize));
     }
 }

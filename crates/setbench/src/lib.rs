@@ -12,17 +12,19 @@
 //! The YCSB figures (16 and 18) use the same method with the structure as a
 //! database index: the load phase inserts every record once, in a seeded
 //! hashed order as YCSB's default `insertorder=hashed` does, instead of a
-//! random half of the key range, and each request is a YCSB read, update
-//! (an index read plus a row write), insert or scan.
+//! random half of the key range.  YCSB's requests are an operation mix over
+//! a scrambled Zipf request distribution, like any SetBench mix: Workload A
+//! is all index lookups (its update writes the row, not the index), E 95%
+//! scans and 5% inserts.
 //!
 //! This crate reproduces that methodology with one cell config
-//! ([`CellConfig`], whose [`Workload`] picks the load phase and the per-op
-//! step), one load loop and one measured phase ([`run_cell`]).  The paper's
-//! figures, Table 1 and two ablations are one table of data
-//! ([`figures::FIGURES`]): each figure is rows (structures) × blocks
-//! (workload and skew) × thread counts, and one loop ([`Figure::run`]) runs
-//! every figure, under one runner binary, `figures` (see
-//! `src/bin/figures.rs`).
+//! ([`CellConfig`], whose [`Workload`] picks the load phase and the
+//! operation stream), one load loop and one measured phase
+//! ([`run_cell`]).  The paper's figures, Table 1 and two ablations are one
+//! table of data ([`figures::FIGURES`]): each figure is rows (structures) ×
+//! blocks (workload and skew) × thread counts, and one loop
+//! ([`Figure::run`]) runs every figure, under one runner binary, `figures`
+//! (see `src/bin/figures.rs`).
 
 #![warn(missing_docs)]
 
@@ -106,6 +108,8 @@ mod tests {
         assert!(r.throughput_mops > 0.0);
     }
 
+    /// YCSB-A at the index is all lookups: no scan, no index write, and
+    /// the row reports it.
     #[test]
     fn ycsb_runs() {
         let cfg = CellConfig {
@@ -120,6 +124,8 @@ mod tests {
         };
         let r = run_cell(&cfg);
         assert!(r.total_ops > 0);
+        assert_eq!(r.scan_ops, 0);
+        assert_eq!(r.update_percent, 0);
         assert!(r.validated);
     }
 

@@ -10,16 +10,16 @@
 //!   deletes) and (100 − x)% finds, for x ∈ {100, 50, 20, 10, 5};
 //! * a **prefill phase** that inserts a random subset of keys until the
 //!   structure reaches its steady-state size (half the key range);
-//! * the **YCSB Workloads A and E** (the structure as a database index) for
-//!   Figures 16 and 18.
+//! * the **YCSB load order** (every record once, in a seeded hashed order)
+//!   for Figures 16 and 18, whose YCSB Workloads A and E are themselves
+//!   operation mixes over a scrambled Zipfian request distribution.
 //!
-//! This crate implements those generators.  The figures draw point-only
-//! mixes; the mix's scan and batch shares serve conctest's fuzzer and the
-//! layer ledger's mixed tree workload, and the figures measure scans
-//! through YCSB-E.  The Zipfian sampler uses
-//! Hörmann's rejection-inversion method, which samples in O(1) expected time
-//! without precomputing the harmonic normalization constant, so it scales to
-//! the paper's 100M-key configurations.
+//! This crate implements those generators.  The SetBench figures draw
+//! point-only mixes and YCSB-E adds scans; the batch shares serve
+//! conctest's fuzzer and the layer ledger's mixed tree workload.  The
+//! Zipfian sampler uses Hörmann's rejection-inversion method, which samples
+//! in O(1) expected time without precomputing the harmonic normalization
+//! constant, so it scales to the paper's 100M-key configurations.
 
 #![warn(missing_docs)]
 
@@ -32,7 +32,6 @@ pub mod zipf;
 pub use mix::{MixError, Operation, OperationMix};
 pub use prefill::{prefill, PrefillReport};
 pub use tenant::TenantKeyDistribution;
-pub use ycsb::{YcsbOp, YcsbWorkload, YcsbWorkloadKind, DEFAULT_MAX_SCAN_LEN};
 pub use zipf::KeyDistribution;
 
 #[cfg(test)]

@@ -111,31 +111,14 @@ impl OperationMix {
         }
     }
 
-    /// Builds a point-operation-only mix from explicit percentages; they
-    /// must sum to 100 (panics otherwise — use [`try_new`](Self::try_new) to
-    /// handle the error).
-    pub fn new(insert_pct: u32, delete_pct: u32, find_pct: u32) -> Self {
-        Self::try_new(insert_pct, delete_pct, find_pct, 0, 0, 0)
-            .expect("operation percentages must sum to 100")
-    }
-
     /// The paper's convention: `update_percent` updates split evenly between
     /// inserts and deletes, the rest finds.  Odd percentages give the extra
     /// 1% to inserts.
     pub fn from_update_percent(update_percent: u32) -> Self {
-        Self::from_update_and_scan_percent(update_percent, 0)
+        Self::from_shares(update_percent, 0, 0, 0)
     }
 
-    /// Scan-workload variant of [`from_update_percent`]: `update_percent`
-    /// updates split evenly between inserts and deletes, `scan_percent`
-    /// range scans, the rest finds.
-    ///
-    /// [`from_update_percent`]: Self::from_update_percent
-    pub fn from_update_and_scan_percent(update_percent: u32, scan_percent: u32) -> Self {
-        Self::from_shares(update_percent, scan_percent, 0, 0)
-    }
-
-    /// Service-workload variant: `update_percent` updates split evenly
+    /// The general form: `update_percent` updates split evenly
     /// between inserts and deletes, `scan_percent` range scans,
     /// `mget_percent` multi-gets and `mput_percent` multi-puts, the rest
     /// finds.  Panics if the shares exceed 100.
@@ -290,7 +273,7 @@ mod tests {
 
     #[test]
     fn scan_mix_takes_share_from_finds() {
-        let m = OperationMix::from_update_and_scan_percent(10, 60);
+        let m = OperationMix::from_shares(10, 60, 0, 0);
         assert_eq!(m.insert_pct(), 5);
         assert_eq!(m.delete_pct(), 5);
         assert_eq!(m.find_pct(), 30);
@@ -321,7 +304,7 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(none.sample(&mut rng), Operation::Find);
         }
-        let scans_only = OperationMix::from_update_and_scan_percent(0, 100);
+        let scans_only = OperationMix::from_shares(0, 100, 0, 0);
         for _ in 0..100 {
             assert_eq!(scans_only.sample(&mut rng), Operation::Scan);
         }
@@ -443,15 +426,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sum to 100")]
-    fn invalid_mix_panics() {
-        OperationMix::new(50, 50, 50);
-    }
-
-    #[test]
     #[should_panic(expected = "must not exceed 100")]
     fn oversubscribed_scan_share_panics() {
-        OperationMix::from_update_and_scan_percent(60, 50);
+        OperationMix::from_shares(60, 50, 0, 0);
     }
 
     #[test]

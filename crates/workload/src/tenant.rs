@@ -43,8 +43,8 @@ impl TenantKeyDistribution {
         assert!(tenants > 0, "need at least one tenant");
         assert!(keys_per_tenant > 0, "need at least one key per tenant");
         Self {
-            tenant_dist: KeyDistribution::from_zipf_parameter(tenants as u64, tenant_exponent),
-            key_dist: KeyDistribution::from_zipf_parameter(keys_per_tenant, key_exponent),
+            tenant_dist: KeyDistribution::zipfian(tenants as u64, tenant_exponent),
+            key_dist: KeyDistribution::zipfian(keys_per_tenant, key_exponent),
             tenants,
             keys_per_tenant,
         }

@@ -64,16 +64,6 @@ impl KeyDistribution {
         }
     }
 
-    /// Creates a distribution from the paper's "Zipf parameter" convention:
-    /// `0.0` means uniform, anything else is Zipfian with that exponent.
-    pub fn from_zipf_parameter(range: u64, parameter: f64) -> Self {
-        if parameter == 0.0 {
-            Self::uniform(range)
-        } else {
-            Self::zipfian(range, parameter)
-        }
-    }
-
     /// The size of the key range.
     pub fn range(&self) -> u64 {
         match *self {
@@ -277,7 +267,7 @@ mod tests {
 
     #[test]
     fn zipf_parameter_zero_is_uniform() {
-        let dist = KeyDistribution::from_zipf_parameter(1_000, 0.0);
+        let dist = KeyDistribution::zipfian(1_000, 0.0);
         assert!(matches!(dist, KeyDistribution::Uniform { .. }));
         assert_eq!(dist.label(), "uniform");
     }
