@@ -29,7 +29,7 @@ tsan() {
     export TSAN_OPTIONS="suppressions=$PWD/.github/tsan-suppressions.txt"
     export CARGO_TARGET_DIR="$target_root/tsan"
     step -p absync --lib
-    step -p abtree --test slab
+    step -p abtree --test slab --test slab_huge_pages
     step -p obs --lib
 }
 
@@ -37,7 +37,7 @@ asan() {
     export RUSTFLAGS="-Zsanitizer=address -Cunsafe-allow-abi-mismatch=sanitizer"
     export CARGO_TARGET_DIR="$target_root/asan"
     step -p abebr --lib
-    step -p abtree --test slab --test smr_backends
+    step -p abtree --test slab --test slab_huge_pages --test smr_backends
     step -p abtree --lib --test concurrent
     step -p crashkv --lib
     step -p baselines --lib

@@ -21,7 +21,10 @@
 //! later split into separate leaf and internal types (ROADMAP item 8(a)) local.
 //!
 //! Nodes do not come from malloc.  Each is built in place in a 232-byte
-//! slot of the [`crate::slab`], and goes back there by one of two paths:
+//! slot of the [`crate::slab`], whose 2 MiB blocks are huge pages once the
+//! slab has carved 8 MiB, so a descent of a big tree costs no page walk per
+//! level (the cost is at most 2 MiB resident but not yet carved, in the
+//! newest block).  A node goes back to its slot by one of two paths:
 //! [`Node::retire`] hands an unlinked node to the reclamation collector,
 //! which releases it through [`Node::free`] once no pinned thread can reach
 //! it, and the tree's `Drop` walk frees what is still linked.

@@ -16,6 +16,19 @@
 //!   `MAGAZINE` slots, whichever way the slots flow between threads;
 //! * a thread that exits returns its magazines to the depot.
 //!
+//! Slots are carved from 2 MiB blocks aligned to 2 MiB, so that a block
+//! can be one transparent huge page.  A big tree's descent touches a node
+//! per level, each in a different 4 KiB page; with 4 KiB pages every level
+//! past the TLB's reach (~8 MiB of nodes: 1.5-2k second-level entries)
+//! costs a page walk.  So once the slab has carved [`HUGE_AFTER_BYTES`],
+//! every new block is advised `MADV_HUGEPAGE`, and the blocks before that
+//! `MADV_NOHUGEPAGE`: a huge page is resident in full at its first touch,
+//! so the newest, partly carved block can cost up to 2 MiB it does not use
+//! yet, which only a node set past the TLB's reach pays back.  On a host
+//! whose huge pages are off (`never`, or a kernel without them) the advice
+//! does nothing or fails, and every block stays on 4 KiB pages, where
+//! uncarved slots cost no resident memory.
+//!
 //! Blocks are never returned to the system allocator: a freed slot is
 //! reused by the next node, of any tree.  [`carved`] counts the slots ever
 //! carved, so a test can tell reuse from growth.
@@ -28,18 +41,25 @@ use std::sync::{Mutex, MutexGuard};
 
 /// Size of one slot: exactly one `Node<McsLock>` (the node module asserts
 /// every node type fits).
-pub(crate) const SLOT_BYTES: usize = 232;
+pub const SLOT_BYTES: usize = 232;
 
 /// Alignment of every slot.
-pub(crate) const SLOT_ALIGN: usize = 8;
+pub const SLOT_ALIGN: usize = 8;
 
 /// Free slots a magazine holds: the unit a thread cache trades with the
 /// depot.
 const MAGAZINE: usize = 64;
 
-/// Slots per block taken from the system allocator (~0.9 MiB: big enough
-/// that malloc maps it, so slots not yet carved cost no resident memory).
-const BLOCK_SLOTS: usize = 4096;
+/// Size and alignment of a block taken from the system allocator: one
+/// huge page.
+pub const BLOCK_BYTES: usize = 2 << 20;
+
+/// Slots per block (9,039; the last 152 bytes of a block are never used).
+const BLOCK_SLOTS: usize = BLOCK_BYTES / SLOT_BYTES;
+
+/// Blocks carved after the first this many bytes of blocks are advised onto
+/// huge pages; the ones before stay on 4 KiB pages.
+pub const HUGE_AFTER_BYTES: usize = 8 << 20;
 
 /// A free slot's first word links it to the next free slot.
 struct FreeSlot {
@@ -87,6 +107,8 @@ struct Depot {
     /// The uncarved rest of the newest block.
     next: *mut u8,
     end: *mut u8,
+    /// Blocks taken so far.
+    blocks: usize,
 }
 
 // SAFETY: the depot holds free slots only, which no thread references.
@@ -96,6 +118,7 @@ static DEPOT: Mutex<Depot> = Mutex::new(Depot {
     magazines: Vec::new(),
     next: ptr::null_mut(),
     end: ptr::null_mut(),
+    blocks: 0,
 });
 
 static CARVED: AtomicUsize = AtomicUsize::new(0);
@@ -118,13 +141,15 @@ impl Depot {
         let mut magazine = Magazine::EMPTY;
         for _ in 0..MAGAZINE {
             if self.next == self.end {
-                let layout = Layout::from_size_align(BLOCK_SLOTS * SLOT_BYTES, 64)
+                let layout = Layout::from_size_align(BLOCK_BYTES, BLOCK_BYTES)
                     .expect("the block layout is valid");
                 // SAFETY: the layout has a non-zero size.
                 let block = unsafe { std::alloc::alloc(layout) };
                 if block.is_null() {
                     handle_alloc_error(layout);
                 }
+                advise(block, self.blocks * BLOCK_BYTES >= HUGE_AFTER_BYTES);
+                self.blocks += 1;
                 self.next = block;
                 // SAFETY: one past the end of the block just allocated.
                 self.end = unsafe { block.add(BLOCK_SLOTS * SLOT_BYTES) };
@@ -143,6 +168,26 @@ impl Depot {
         }
     }
 }
+
+/// Asks the kernel to back `block` with one huge page, or never to.  A
+/// refusal (a kernel without huge pages) leaves 4 KiB pages, which are
+/// correct too, so its error is ignored.
+#[cfg(target_os = "linux")]
+fn advise(block: *mut u8, huge: bool) {
+    const MADV_HUGEPAGE: i32 = 14;
+    const MADV_NOHUGEPAGE: i32 = 15;
+    extern "C" {
+        fn madvise(addr: *mut u8, len: usize, advice: i32) -> i32;
+    }
+    let advice = if huge { MADV_HUGEPAGE } else { MADV_NOHUGEPAGE };
+    // SAFETY: `block` starts a live allocation of `BLOCK_BYTES` aligned to
+    // `BLOCK_BYTES`, hence page-aligned, and these two advices change only
+    // which page size backs it, never its contents.
+    unsafe { madvise(block, BLOCK_BYTES, advice) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise(_block: *mut u8, _huge: bool) {}
 
 /// One thread's cache: `spare` is always empty or full.
 struct Cache {
@@ -192,7 +237,7 @@ thread_local! {
 }
 
 /// A free slot of [`SLOT_BYTES`] bytes, aligned to [`SLOT_ALIGN`].
-pub(crate) fn alloc() -> *mut u8 {
+pub fn alloc() -> *mut u8 {
     CACHE
         .try_with(|cache| cache.borrow_mut().alloc())
         .unwrap_or_else(|_| {
@@ -211,7 +256,7 @@ pub(crate) fn alloc() -> *mut u8 {
 /// # Safety
 /// `slot` came from [`alloc`], is not released twice, and nothing
 /// references it any more.
-pub(crate) unsafe fn release(slot: *mut u8) {
+pub unsafe fn release(slot: *mut u8) {
     if CACHE
         .try_with(|cache| cache.borrow_mut().release(slot))
         .is_err()

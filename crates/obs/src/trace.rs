@@ -353,25 +353,14 @@ impl StageRecorder {
     /// stamp is `NONE` too, so the skip propagates down the pipeline.
     #[inline]
     pub fn record(&self, stage: Stage, started: Stamp) -> Stamp {
-        if !started.is_traced() {
+        if !crate::ENABLED || !started.is_traced() {
             return Stamp::NONE;
         }
         let now = Stamp::now();
-        self.record_at(stage, started, now);
-        now
-    }
-
-    /// Like [`record`](Self::record) with an already-taken end stamp, for
-    /// call sites that need the same clock reading for something else
-    /// (e.g. the ack stage and the end-to-end latency histogram).
-    #[inline]
-    pub fn record_at(&self, stage: Stage, started: Stamp, now: Stamp) {
-        if !crate::ENABLED || !started.is_traced() {
-            return;
-        }
         let dur_ns = now.since(started);
         self.trace.hists[stage as usize].record(dur_ns);
         self.ring.push(stage, now.ns_since_epoch(), dur_ns);
+        now
     }
 }
 
@@ -417,7 +406,7 @@ mod tests {
         let rec = trace.recorder();
         let next = rec.record(Stage::Apply, Stamp::NONE);
         assert!(!next.is_traced(), "NONE propagates through the pipeline");
-        rec.record_at(Stage::Ack, Stamp::NONE, Stamp::now());
+        rec.record(Stage::Ack, next);
         assert_eq!(trace.histogram(Stage::Apply).count(), 0);
         assert_eq!(trace.histogram(Stage::Ack).count(), 0);
         assert!(trace.recent_events().is_empty());

@@ -40,8 +40,9 @@ pub enum Workload {
     /// to a per-thread row sink: the cell's mix is all finds.
     YcsbA,
     /// YCSB Workload E (Figure 18): the same load, then 95% scans of
-    /// `1..=max_scan_len` keys / 5% inserts.  The inserts draw from the
-    /// request distribution, over records the load already put in.
+    /// `1..=max_scan_len` keys / 5% inserts.  Each insert is a fresh record
+    /// past the loaded ones (YCSB inserts past `recordcount`): worker `t` of
+    /// `threads` inserts `size + t`, `size + t + threads`, and so on.
     YcsbE {
         /// Upper bound of the uniform scan-length distribution.
         max_scan_len: u64,
@@ -93,6 +94,10 @@ struct Step {
     /// Scan lengths are drawn uniformly from `1..=max_scan_len`.
     max_scan_len: u64,
     load: Load,
+    /// `Some(worker count)` if an insert takes the worker's next fresh key
+    /// (YCSB) instead of the drawn one (SetBench); one worker's fresh keys
+    /// lie that far apart, so no two workers insert the same key.
+    fresh_stride: Option<u64>,
     /// The row's experiment label until a figure stamps its own.
     label: String,
 }
@@ -118,6 +123,19 @@ struct Worker {
     /// The "database rows" behind the index: what finds and scans read.
     row_sink: u64,
     scan_buf: Vec<(u64, u64)>,
+    /// The key this worker's next fresh insert writes.
+    fresh_key: u64,
+}
+
+impl Worker {
+    /// Worker `thread`'s tallies, with its fresh keys starting just past
+    /// the cell's records.
+    fn new(cfg: &CellConfig, thread: usize) -> Self {
+        Self {
+            fresh_key: cfg.size + thread as u64,
+            ..Self::default()
+        }
+    }
 }
 
 impl Step {
@@ -125,13 +143,14 @@ impl Step {
     /// a scrambled Zipf, as YCSB's request distribution does.  Workload A's
     /// reads and updates are both index lookups — an update writes the row,
     /// not the index (paper §6.2) — so its index-level mix is all finds.
-    /// Workload E is 95% scans and 5% inserts.
+    /// Workload E is 95% scans and 5% inserts of fresh records.
     fn new(cfg: &CellConfig) -> Self {
         let ycsb = |mix, max_scan_len, label: &str| Self {
             mix,
             keys: KeyDistribution::zipfian_with(cfg.size, cfg.zipf, true),
             max_scan_len,
             load: Load::Hashed,
+            fresh_stride: Some(cfg.threads.max(1) as u64),
             label: label.into(),
         };
         match cfg.workload {
@@ -142,6 +161,7 @@ impl Step {
                     keys: KeyDistribution::zipfian(cfg.size, cfg.zipf),
                     max_scan_len: 1,
                     load: Load::Random,
+                    fresh_stride: None,
                     label: mix.label(),
                 }
             }
@@ -190,6 +210,14 @@ impl Step {
         let key = self.keys.sample(rng);
         match self.mix.sample(rng) {
             Operation::Insert => {
+                let key = match self.fresh_stride {
+                    Some(stride) => {
+                        let fresh = w.fresh_key;
+                        w.fresh_key += stride;
+                        fresh
+                    }
+                    None => key,
+                };
                 if session.insert(key, key).is_none() {
                     w.inserted_sum += key as i128;
                 }
@@ -293,7 +321,7 @@ pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult
                     // per-op pinning a local epoch bump).
                     let mut session = map.handle();
                     let mut rng = Step::rng(cfg.seed, t);
-                    let mut worker = Worker::default();
+                    let mut worker = Worker::new(cfg, t);
                     while !stop.load(Ordering::Relaxed) {
                         // A few operations per stop-flag check.
                         for _ in 0..64 {
@@ -366,19 +394,24 @@ mod tests {
 
     /// Loads `cfg`'s cell on a fresh structure and runs `ops` operations of
     /// its stream, worker 0's, on one session; `after` sees the worker after
-    /// each one.
-    fn drive(cfg: &CellConfig, ops: usize, mut after: impl FnMut(&Worker)) -> Worker {
+    /// each one.  Returns the structure and the worker.
+    fn drive(
+        cfg: &CellConfig,
+        ops: usize,
+        mut after: impl FnMut(&Worker),
+    ) -> (Box<dyn ConcurrentMap>, Worker) {
         let map = make_structure_smr(&cfg.structure, cfg.smr);
         let step = Step::new(cfg);
         load(&*map, cfg, &step);
         let mut session = map.handle();
         let mut rng = Step::rng(cfg.seed, 0);
-        let mut worker = Worker::default();
+        let mut worker = Worker::new(cfg, 0);
         for _ in 0..ops {
             step.run(&mut *session, &mut rng, &mut worker);
             after(&worker);
         }
-        worker
+        drop(session);
+        (map, worker)
     }
 
     /// YCSB-E draws 95% scans and 5% inserts.
@@ -391,9 +424,35 @@ mod tests {
             seed: 0xE5,
             ..Default::default()
         };
-        let w = drive(&cfg, 10_000, |_| {});
+        let (_, w) = drive(&cfg, 10_000, |_| {});
         let share = w.scan_ops as f64 / w.ops as f64;
         assert!((0.9..1.0).contains(&share), "scan share {share}");
+    }
+
+    /// YCSB-E's inserts write fresh records past the loaded ones, so every
+    /// one of them goes in: the index grows by exactly the inserts, and
+    /// their keys continue the record range.
+    #[test]
+    fn ycsb_e_inserts_add_fresh_records() {
+        let cfg = CellConfig {
+            workload: Workload::YcsbE { max_scan_len: 4 },
+            size: 2_000,
+            zipf: 0.5,
+            seed: 0xE6,
+            ..Default::default()
+        };
+        let (map, w) = drive(&cfg, 4_000, |_| {});
+        let inserts = w.fresh_key - cfg.size;
+        assert!(w.inserted_sum > 0, "no insert went in");
+        let mut rows = Vec::new();
+        map.handle().range(0, abtree::EMPTY_KEY - 1, &mut rows);
+        assert_eq!(rows.len() as u64, cfg.size + inserts);
+        let fresh: i128 = (cfg.size..cfg.size + inserts).map(i128::from).sum();
+        assert_eq!(w.inserted_sum, fresh);
+        assert_eq!(
+            map.key_sum() as i128,
+            (0..cfg.size + inserts).map(i128::from).sum()
+        );
     }
 
     /// Every YCSB-E scan covers a window of `1..=max_scan_len` keys, and
