@@ -5,7 +5,10 @@
 //! persistent memory but before the operation finished.  Real crashes cannot
 //! be produced inside a unit test, so these helpers *construct* the exact
 //! memory states the paper reasons about, by applying the persisted half of
-//! an update and skipping the volatile half:
+//! an update and skipping the volatile half.  The torn insert and delete
+//! store through the real updates' own `Node::write_entry` and
+//! `Node::clear_entry`, so under a durable policy they issue the same stores
+//! and flushes, in the same order:
 //!
 //! * [`AbTree::force_partial_insert`] — a simple insert whose key and value were
 //!   flushed, but which crashed before the second version increment and the
@@ -20,14 +23,11 @@
 //!
 //! These functions require exclusive (single-threaded) access to the tree.
 
-use std::sync::atomic::Ordering;
-
 use absync::RawNodeLock;
 
 use crate::node::{is_dirty, tag_dirty};
 use crate::persist::Persist;
 use crate::tree::AbTree;
-use crate::EMPTY_KEY;
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Simulates a crash in the middle of `insert(key, value)`, after the key
@@ -43,17 +43,16 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         let path = self.search(key, std::ptr::null_mut(), &guard);
         // SAFETY: single-threaded access per the module contract.
         let leaf = unsafe { self.deref(path.n, &guard) };
-        if leaf.locked_find(key).is_some() {
+        if leaf.find(key).is_some() {
             return false;
         }
         let Some(slot) = leaf.locked_empty_slot() else {
             return false;
         };
-        // First half of the update: odd version, value then key stores (the
-        // part that would have been flushed).
+        // First half of the update: odd version, then the value and key
+        // stores and their flushes, as a real simple insert issues them.
         leaf.begin_write();
-        leaf.set_val(slot, value);
-        leaf.keys[slot].store(key, Ordering::Relaxed);
+        leaf.write_entry::<P>(slot, key, value);
         // Crash: no size update, no end_write().
         true
     }
@@ -69,11 +68,11 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         let path = self.search(key, std::ptr::null_mut(), &guard);
         // SAFETY: single-threaded access per the module contract.
         let leaf = unsafe { self.deref(path.n, &guard) };
-        let Some((slot, _)) = leaf.locked_find(key) else {
+        let Some((slot, _)) = leaf.find(key) else {
             return false;
         };
         leaf.begin_write();
-        leaf.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
+        leaf.clear_entry::<P>(slot);
         // Crash: no size update, no end_write().
         true
     }

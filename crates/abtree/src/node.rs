@@ -15,10 +15,26 @@
 //! pointer arrays made it 328), which every layer above inherits as
 //! memory, and the durable trees as fewer lines per whole-node flush.  The
 //! slots are private to this module: the rest of the crate goes through
-//! [`Node::val`]/[`Node::set_val`] and
+//! [`Node::val`], [`Node::write_entry`] (the leaf protocol below) and
 //! [`Node::child`]/[`Node::child_raw`]/[`Node::set_child`]/
 //! [`Node::cas_child`]/[`Node::persist_slot`], which is also what keeps a
-//! later split into separate leaf and internal types (ROADMAP item 8(a)) local.
+//! later split into separate leaf and internal types (ROADMAP item 8(a))
+//! local.
+//!
+//! # The leaf version protocol
+//!
+//! Both sides of it live here.  A writer holds the leaf's lock and brackets
+//! its stores with [`Node::begin_write`] (version odd) and
+//! [`Node::end_write`] (even again).  A reader takes no lock:
+//! [`Node::try_read`] reads an even version, runs the reader's loads,
+//! fences and re-reads the version, and the loads count only if it has not
+//! moved ([`Node::read`] retries until they do).  That double-collect is
+//! the paper's `searchLeaf` (Fig. 2) and `lockOrElim`'s record snapshot
+//! (Fig. 10); `find`, the Elim-ABtree's pre-lock read, `lockOrElim` and the
+//! scan's leaf snapshot are its only callers.  A simple update's stores to
+//! a live leaf are [`Node::write_entry`] and [`Node::clear_entry`], in
+//! paper §5's persist order; the torn updates of `crashsim` call the same
+//! two, so a constructed crash state holds exactly what a real one would.
 //!
 //! Nodes do not come from malloc.  Each is built in place in a 232-byte
 //! slot of the [`crate::slab`], whose 2 MiB blocks are huge pages once the
@@ -49,7 +65,7 @@
 //! * `search_key` — a key guaranteed to lie in this node's key range, used by
 //!   `fixTagged`/`fixUnderfull` to re-locate the node from the root.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU32, AtomicU64, Ordering};
 
 use abebr::Guard;
 use absync::{McsLock, RawNodeLock, TatasLock};
@@ -199,7 +215,7 @@ impl<L: RawNodeLock> Node<L> {
         for (i, &(k, v)) in entries.iter().enumerate() {
             debug_assert_ne!(k, EMPTY_KEY);
             node.keys[i].store(k, Ordering::Relaxed);
-            node.set_val(i, v);
+            node.slots[i].store(v, Ordering::Relaxed);
         }
         node.set_len(entries.len());
         ptr
@@ -348,14 +364,6 @@ impl<L: RawNodeLock> Node<L> {
         self.slots[i].load(Ordering::Relaxed)
     }
 
-    /// Relaxed store of leaf value `i`.  Caller holds the leaf's lock inside
-    /// a version-bracketed write (or the leaf is not yet published).
-    #[inline]
-    pub(crate) fn set_val(&self, i: usize, val: u64) {
-        debug_assert!(self.is_leaf());
-        self.slots[i].store(val, Ordering::Relaxed);
-    }
-
     /// Loads child pointer `i` (acquire, so the child's immutable fields are
     /// visible), stripping any link-and-persist dirty tag.
     #[inline]
@@ -474,17 +482,66 @@ impl<L: RawNodeLock> Node<L> {
         self.ver.store(v + 1, Ordering::Release);
     }
 
-    // ----- locked leaf helpers --------------------------------------------
-
-    /// Scans the leaf for `key`; caller must hold the leaf's lock (or accept
-    /// an unvalidated answer).  Returns the slot index and value.
-    pub(crate) fn locked_find(&self, key: u64) -> Option<(usize, u64)> {
-        for i in 0..MAX_KEYS {
-            if self.key(i) == key {
-                return Some((i, self.val(i)));
-            }
+    /// One optimistic read of the leaf (the double-collect of the module
+    /// docs): reads an even version, runs `f`, and re-reads the version
+    /// after an acquire fence.  Returns that version and `f`'s value if no
+    /// write overlapped `f`; `None` if the version was odd or has moved.
+    /// `f` may meet a torn leaf, so it only computes its value.
+    #[inline]
+    pub(crate) fn try_read<T>(&self, f: impl FnOnce(&Self) -> T) -> Option<(u64, T)> {
+        let v1 = self.version();
+        if v1 % 2 == 1 {
+            return None;
         }
-        None
+        let value = f(self);
+        // Order `f`'s loads before the validating version re-read.
+        fence(Ordering::Acquire);
+        (self.ver.load(Ordering::Relaxed) == v1).then_some((v1, value))
+    }
+
+    /// [`try_read`](Self::try_read), retried until no write overlaps it.
+    #[inline]
+    pub(crate) fn read<T>(&self, mut f: impl FnMut(&Self) -> T) -> (u64, T) {
+        loop {
+            if let Some(read) = self.try_read(&mut f) {
+                return read;
+            }
+            core::hint::spin_loop();
+        }
+    }
+
+    /// Stores `key -> value` in the empty slot `slot` in paper §5's order:
+    /// the value, persisted, then the key, persisted, so the pair is durable
+    /// once its key is.  Caller holds the leaf's lock between
+    /// [`begin_write`](Self::begin_write) and
+    /// [`end_write`](Self::end_write), or builds a crash state on a
+    /// quiescent tree.
+    #[inline]
+    pub(crate) fn write_entry<P: Persist>(&self, slot: usize, key: u64, value: u64) {
+        debug_assert!(self.is_leaf());
+        self.slots[slot].store(value, Ordering::Relaxed);
+        P::persist_value(&self.slots[slot]);
+        self.keys[slot].store(key, Ordering::Relaxed);
+        P::persist_value(&self.keys[slot]);
+    }
+
+    /// Empties slot `slot` and persists it: a delete is durable once its
+    /// emptied key slot is (paper §5).  Caller as for
+    /// [`write_entry`](Self::write_entry).
+    #[inline]
+    pub(crate) fn clear_entry<P: Persist>(&self, slot: usize) {
+        self.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
+        P::persist_value(&self.keys[slot]);
+    }
+
+    // ----- leaf lookups ---------------------------------------------------
+
+    /// The slot and value of `key`, if the leaf holds it.  Exact under the
+    /// leaf's lock; inside [`try_read`](Self::try_read), once validated.
+    pub(crate) fn find(&self, key: u64) -> Option<(usize, u64)> {
+        (0..MAX_KEYS)
+            .find(|&i| self.key(i) == key)
+            .map(|i| (i, self.val(i)))
     }
 
     /// Finds an empty slot; caller must hold the leaf's lock.
@@ -492,8 +549,9 @@ impl<L: RawNodeLock> Node<L> {
         (0..MAX_KEYS).find(|&i| self.key(i) == EMPTY_KEY)
     }
 
-    /// The leaf's key/value pairs in slot order; caller must hold the
-    /// leaf's lock (or the tree must be quiescent).
+    /// The leaf's key/value pairs in slot order; caller holds the leaf's
+    /// lock, reads inside [`try_read`](Self::try_read), or the tree is
+    /// quiescent.
     pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         (0..MAX_KEYS).filter_map(|i| {
             let key = self.key(i);
@@ -514,7 +572,8 @@ impl<L: RawNodeLock> Node<L> {
         self.rec_ver.store(odd_ver, Ordering::Relaxed);
     }
 
-    /// Relaxed read of the elimination record fields.
+    /// Relaxed read of the elimination record fields (inside
+    /// [`try_read`](Self::try_read) for a consistent snapshot).
     #[inline]
     pub(crate) fn read_record(&self) -> (u64, u64, u64) {
         (
@@ -565,7 +624,7 @@ mod tests {
         assert_eq!(leaf.len(), 0);
         assert!(!leaf.is_marked());
         assert_eq!(leaf.version(), 0);
-        assert!(leaf.locked_find(1).is_none());
+        assert!(leaf.find(1).is_none());
         assert_eq!(leaf.locked_empty_slot(), Some(0));
     }
 
@@ -573,7 +632,7 @@ mod tests {
     fn leaf_from_entries() {
         let leaf = Owned(N::new_leaf_from(10, &[(10, 100), (20, 200), (30, 300)]));
         assert_eq!(leaf.len(), 3);
-        assert_eq!(leaf.locked_find(20), Some((1, 200)));
+        assert_eq!(leaf.find(20), Some((1, 200)));
         assert_eq!(
             leaf.entries().collect::<Vec<_>>(),
             vec![(10, 100), (20, 200), (30, 300)]
@@ -635,6 +694,26 @@ mod tests {
         assert_eq!(leaf.version(), 1);
         leaf.end_write();
         assert_eq!(leaf.version(), 2);
+    }
+
+    /// The one optimistic read: refused while a write is in progress,
+    /// refused when a write overlaps it (`f` running one stands in for a
+    /// concurrent writer), and otherwise the even version and `f`'s value.
+    #[test]
+    fn try_read_validates_against_overlapping_writes() {
+        let leaf = Owned(N::new_leaf_from(10, &[(10, 100), (20, 200)]));
+        leaf.begin_write();
+        assert_eq!(leaf.try_read(|l| l.find(20)), None, "odd version");
+        leaf.end_write();
+        let overlapped = leaf.try_read(|l| {
+            let found = l.find(20);
+            l.begin_write();
+            l.end_write();
+            found
+        });
+        assert_eq!(overlapped, None, "a write overlapped the read");
+        assert_eq!(leaf.try_read(|l| l.find(20)), Some((4, Some((1, 200)))));
+        assert_eq!(leaf.read(|l| l.find(30)), (4, None));
     }
 
     #[test]

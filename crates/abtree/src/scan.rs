@@ -7,8 +7,9 @@
 //! 1. descends from the entry node to the leaf whose key range contains the
 //!    scan cursor, recording the **upper bound** of that leaf's key range
 //!    (the tightest routing key to the right of the descent path);
-//! 2. snapshots the leaf with the same even/odd version double-collect as
-//!    `searchLeaf` (Fig. 2), additionally requiring the leaf to be unmarked;
+//! 2. snapshots the leaf's pairs in `[lo, hi]` with one optimistic read,
+//!    `Node::read` — the even/odd version double-collect of `searchLeaf`
+//!    (Fig. 2) — whose reader also requires the leaf to be unmarked;
 //! 3. advances the cursor to the recorded upper bound and repeats until the
 //!    bound passes `hi`;
 //! 4. finally **re-validates** every collected leaf: its version must be
@@ -26,15 +27,13 @@
 //! the concatenated snapshot is the tree's entire `[lo, hi]` content at that
 //! instant — the scan's linearization point.
 
-use std::sync::atomic::{fence, Ordering};
-
 use abebr::Guard;
 use absync::{Backoff, RawNodeLock};
 
 use crate::node::Node;
 use crate::persist::Persist;
 use crate::tree::AbTree;
-use crate::{EMPTY_KEY, MAX_KEYS};
+use crate::EMPTY_KEY;
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Collects every `(key, value)` pair with `lo <= key <= hi`, sorted by
@@ -70,9 +69,20 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             let (leaf_ptr, upper) = self.scan_descend(cursor, guard);
             // SAFETY: read during the pinned descent.
             let leaf = unsafe { self.deref(leaf_ptr, guard) };
-            let Some(ver) = self.snapshot_leaf_range(leaf, lo, hi, out) else {
+            // The leaf's pairs in `[lo, hi]`, in one optimistic read that
+            // takes none from a marked leaf.
+            let base = out.len();
+            let (ver, unmarked) = leaf.read(|leaf| {
+                out.truncate(base);
+                let unmarked = !leaf.is_marked();
+                if unmarked {
+                    out.extend(leaf.entries().filter(|&(k, _)| (lo..=hi).contains(&k)));
+                }
+                unmarked
+            });
+            if !unmarked {
                 return false; // leaf was unlinked under us; re-descend fresh
-            };
+            }
             collected.push((leaf_ptr, ver));
             if upper == EMPTY_KEY || upper > hi {
                 break;
@@ -112,44 +122,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 upper = upper.min(node.key(idx));
             }
             n = self.read_child(node, idx);
-        }
-    }
-
-    /// Double-collect snapshot of the leaf's entries inside `[lo, hi]`,
-    /// appended to `out`.  Returns the even version the snapshot was taken
-    /// at, or `None` if the leaf is marked (unlinked), in which case `out`
-    /// is left as it was.
-    fn snapshot_leaf_range(
-        &self,
-        leaf: &Node<L>,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<(u64, u64)>,
-    ) -> Option<u64> {
-        let base = out.len();
-        loop {
-            let v1 = leaf.version();
-            if v1 % 2 == 1 {
-                core::hint::spin_loop();
-                continue;
-            }
-            if leaf.is_marked() {
-                return None;
-            }
-            for i in 0..MAX_KEYS {
-                let k = leaf.key(i);
-                if k != EMPTY_KEY && k >= lo && k <= hi {
-                    out.push((k, leaf.val(i)));
-                }
-            }
-            // Order the data reads before the validating version re-read.
-            fence(Ordering::Acquire);
-            let v2 = leaf.ver.load(Ordering::Relaxed);
-            if v1 == v2 {
-                return Some(v1);
-            }
-            out.truncate(base);
-            core::hint::spin_loop();
         }
     }
 }

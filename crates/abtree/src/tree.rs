@@ -2,8 +2,9 @@
 //!
 //! This module contains the parts of the OCC-ABtree / Elim-ABtree that are
 //! shared verbatim between the two variants: construction, the lock-free
-//! `search` descent (paper Fig. 2), the `searchLeaf` double-collect, `find`,
-//! the one quiescent walk of the whole tree, §5 recovery and teardown.  The
+//! `search` descent (paper Fig. 2), `find` (whose `searchLeaf` is one
+//! optimistic read of the leaf, `Node::read`), the one quiescent walk of
+//! the whole tree, §5 recovery and teardown.  The
 //! update operations live in [`crate::update`] and the rebalancing steps in
 //! [`crate::rebalance`].
 //!
@@ -18,7 +19,7 @@
 //! so they share one definition of which nodes are reachable.
 
 use std::ptr;
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::Ordering;
 
 use abebr::{Collector, Guard};
 use absync::{McsLock, RawNodeLock};
@@ -26,7 +27,7 @@ use absync::{McsLock, RawNodeLock};
 use crate::node::{is_dirty, tag_dirty, untag, Node};
 use crate::persist::{Persist, VolatilePersist};
 use crate::validate::TreeStats;
-use crate::{EMPTY_KEY, MAX_KEYS};
+use crate::EMPTY_KEY;
 
 /// Result of a root-to-leaf search: the leaf (or target node) reached, its
 /// parent and grandparent, and the child indices linking them (paper Fig. 1,
@@ -231,44 +232,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         }
     }
 
-    /// The paper's `searchLeaf` (Fig. 2): retries the double-collect read
-    /// of [`try_scan_leaf`](Self::try_scan_leaf) until one is consistent,
-    /// and returns the value associated with `key`, if present.
-    pub(crate) fn search_leaf(&self, leaf: &Node<L>, key: u64) -> Option<u64> {
-        loop {
-            if let Some(found) = self.try_scan_leaf(leaf, key) {
-                return found;
-            }
-            core::hint::spin_loop();
-        }
-    }
-
-    /// One double-collect read of a leaf: returns `Some(result)` if the
-    /// scan was consistent and `None` if a concurrent modification was
-    /// detected.  The Elim-ABtree's update path (§4.1) makes a single
-    /// attempt and takes a `None` as the signal to try elimination.
-    pub(crate) fn try_scan_leaf(&self, leaf: &Node<L>, key: u64) -> Option<Option<u64>> {
-        let v1 = leaf.version();
-        if v1 % 2 == 1 {
-            return None;
-        }
-        let mut val = None;
-        for i in 0..MAX_KEYS {
-            if leaf.key(i) == key {
-                val = Some(leaf.val(i));
-                break;
-            }
-        }
-        // Order the data reads before the validating version re-read.
-        fence(Ordering::Acquire);
-        let v2 = leaf.ver.load(Ordering::Relaxed);
-        if v1 == v2 {
-            Some(val)
-        } else {
-            None
-        }
-    }
-
     /// The paper's `find(key)`: returns the associated value, or `None`.
     /// Never restarts and never acquires locks.  The caller's session guard
     /// keeps the traversed nodes alive; see [`crate::TreeHandle::get`] for
@@ -278,7 +241,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         let path = self.search(key, ptr::null_mut(), guard);
         // SAFETY: `path.n` was read during the pinned search.
         let leaf = unsafe { self.deref(path.n, guard) };
-        self.search_leaf(leaf, key)
+        // The paper's `searchLeaf` (Fig. 2) is one optimistic read.
+        leaf.read(|leaf| leaf.find(key)).1.map(|(_, value)| value)
     }
 
     /// Group prefetching over the paper's search (Fig. 2): walks the

@@ -1,5 +1,15 @@
-//! Insert and delete operations (paper Fig. 4, Fig. 5) plus the
-//! publishing-elimination protocol (`lockOrElim`, Fig. 10).
+//! Insert and delete (paper Fig. 4, Fig. 5) over one locked-leaf path,
+//! plus the publishing-elimination protocol (`lockOrElim`, Fig. 10).
+//!
+//! Both operations are a call of `AbTree::update_leaf`, the body of the
+//! paper's RETRY loop: search for the key's leaf, read it optimistically,
+//! lock it (or, in the Elim-ABtree, eliminate), retry if it was unlinked
+//! meanwhile, and look the key up again under the lock.  An operation
+//! brings only its own three parts: its answer when a lookup alone settles
+//! it (an insert finds its key, a delete misses it), its answer when
+//! eliminated, and its write.  The leaf protocols these steps run — the
+//! optimistic read, and §5's store order of a simple update — are
+//! `Node`'s (see the `node` module docs).
 //!
 //! The OCC-ABtree and Elim-ABtree share all of this code; the `ELIM` const
 //! parameter selects between the two pre-lock read strategies and decides
@@ -8,7 +18,7 @@
 //! elimination branches.
 
 use std::ptr;
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::Ordering;
 
 use abebr::Guard;
 use absync::{Backoff, RawNodeLock};
@@ -17,21 +27,11 @@ use crate::handle::{HandleRng, OpScratch};
 use crate::node::{Node, NodeKind};
 use crate::persist::Persist;
 use crate::rebalance::{Locks, Run};
-use crate::tree::AbTree;
+use crate::tree::{AbTree, PathInfo};
 use crate::{EMPTY_KEY, MAX_KEYS, MIN_KEYS};
 
-/// Result of [`AbTree::lock_or_elim`].
-pub(crate) enum ElimOutcome {
-    /// The leaf's lock was acquired; the caller must perform its update and
-    /// release the lock.
-    Acquired,
-    /// The operation was eliminated against the leaf's published record; the
-    /// payload is the record's value (`rec.val`).
-    Eliminated(u64),
-}
-
-/// Outcome of one attempt of an update; `Retry` corresponds to the paper's
-/// `goto RETRY`.
+/// Outcome of an update's write under the leaf lock; `Retry` corresponds
+/// to the paper's `goto RETRY`.
 enum Attempt<T> {
     Done(T),
     Retry,
@@ -52,13 +52,59 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         guard: &Guard,
         scratch: &mut OpScratch,
     ) -> Option<u64> {
-        debug_assert_ne!(key, EMPTY_KEY, "EMPTY_KEY is reserved");
-        loop {
-            match self.insert_attempt(key, value, guard, scratch) {
-                Attempt::Done(r) => return r,
-                Attempt::Retry => continue,
-            }
-        }
+        self.update_leaf(
+            key,
+            guard,
+            scratch,
+            // A present key refuses the insert with its value.
+            |found| found.map_or(Ok(()), |(_, existing)| Err(Some(existing))),
+            Some,
+            |path, leaf, mut locks, ()| {
+                if leaf.len() < MAX_KEYS {
+                    // ----- simple insert -----
+                    let slot = leaf
+                        .locked_empty_slot()
+                        .expect("leaf below capacity must have an empty slot");
+                    let odd = leaf.begin_write();
+                    if ELIM {
+                        leaf.publish_record(key, value, odd);
+                    }
+                    leaf.write_entry::<P>(slot, key, value);
+                    leaf.size.fetch_add(1, Ordering::Relaxed);
+                    leaf.end_write(); // linearization point (volatile trees)
+                    return Attempt::Done(None);
+                }
+
+                // ----- splitting insert -----
+                // SAFETY: the parent pointer was read during the pinned search.
+                let parent = unsafe { self.deref(path.p, guard) };
+                locks.lock(path.p, parent);
+                if parent.is_marked() {
+                    return Attempt::Retry;
+                }
+                // Split the leaf's contents plus the new pair evenly between
+                // two fresh leaves joined by a tagged node.
+                let mut run = Run::of(leaf);
+                run.push_entry(key, value);
+                debug_assert_eq!(run.len, MAX_KEYS + 1);
+                let (left, right, split_key) = run.split();
+                let tagged = Node::new_internal_from(
+                    NodeKind::TaggedInternal,
+                    leaf.search_key,
+                    &[split_key],
+                    &[left, right],
+                );
+                // Linearization point of the splitting insert: the replace
+                // step's child-pointer write makes the new subtree (and hence
+                // the new key) reachable (for durable trees, the flush of that
+                // pointer).
+                // SAFETY: leaf and parent are unmarked under the locks, so the
+                // leaf is still the parent's child `n_idx`.
+                unsafe { self.replace(locks, &[left, right, tagged], path.n_idx, guard) };
+                self.fix_tagged(tagged, guard);
+                Attempt::Done(None)
+            },
+        )
     }
 
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
@@ -69,11 +115,103 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         guard: &Guard,
         scratch: &mut OpScratch,
     ) -> Option<u64> {
+        self.update_leaf(
+            key,
+            guard,
+            scratch,
+            // An absent key: nothing to delete.
+            |found| found.ok_or(None),
+            // An eliminated delete is linearized at a point where the key is
+            // absent, so it returns "not present" (§4).
+            |_| None,
+            |path, leaf, locks, (slot, deleted)| {
+                let odd = leaf.begin_write();
+                if ELIM {
+                    leaf.publish_record(key, deleted, odd);
+                }
+                leaf.clear_entry::<P>(slot);
+                leaf.size.fetch_sub(1, Ordering::Relaxed);
+                leaf.end_write(); // linearization point (volatile trees)
+
+                let underfull = leaf.len() < MIN_KEYS;
+                if underfull {
+                    // `fix_underfull` traverses (and locks) ancestors and
+                    // siblings without the fine-mode hazard protocol; upgrade
+                    // to coarse protection before releasing the lock that
+                    // pins this foothold (no-op under EBR/coarse).
+                    guard.escalate();
+                }
+                drop(locks);
+                if underfull {
+                    self.fix_underfull(path.n, guard);
+                }
+                Attempt::Done(Some(deleted))
+            },
+        )
+    }
+
+    /// The locked-leaf path of every update (the RETRY loop of Fig. 4 and
+    /// Fig. 5): search for `key`'s leaf, then
+    ///
+    /// 1. read it optimistically: the OCC-ABtree retries until a read is
+    ///    consistent, the Elim-ABtree makes one attempt and takes a torn
+    ///    read as the sign of contention that sends it to elimination
+    ///    (§4.1);
+    /// 2. lock it; the Elim-ABtree goes through `lockOrElim`, which may
+    ///    eliminate the operation instead and answer `eliminated(rec.val)`;
+    /// 3. retry from the root if the leaf was unlinked before the lock;
+    /// 4. look `key` up again under the lock.
+    ///
+    /// `settle` maps a lookup of `key` (its slot and value, if present) to
+    /// `Err(answer)` when the lookup alone decides the operation, or else
+    /// to `Ok` of what `write` needs; steps 1 and 4 both ask it.  `write`
+    /// runs with the leaf locked and unmarked and its lookup unsettled; it
+    /// owns the locks, may take more, and may retry.
+    fn update_leaf<'g, W, T>(
+        &self,
+        key: u64,
+        guard: &'g Guard,
+        scratch: &mut OpScratch,
+        settle: impl Fn(Option<(usize, u64)>) -> Result<W, T>,
+        eliminated: impl Fn(u64) -> T,
+        write: impl Fn(&PathInfo<L>, &'g Node<L>, Locks<'_, 'g, L>, W) -> Attempt<T>,
+    ) -> T {
         debug_assert_ne!(key, EMPTY_KEY, "EMPTY_KEY is reserved");
         loop {
-            match self.delete_attempt(key, guard, scratch) {
-                Attempt::Done(r) => return r,
-                Attempt::Retry => continue,
+            let path = self.search(key, ptr::null_mut(), guard);
+            // SAFETY: read during the pinned search.
+            let leaf = unsafe { self.deref(path.n, guard) };
+
+            let read = if ELIM {
+                leaf.try_read(|leaf| leaf.find(key))
+            } else {
+                Some(leaf.read(|leaf| leaf.find(key)))
+            };
+            if let Some(Err(answer)) = read.map(|(_, found)| settle(found)) {
+                return answer;
+            }
+
+            // Every exit below unlocks by dropping `locks`.
+            let mut tokens = Default::default();
+            let mut locks = Locks::new(&mut tokens);
+            if !ELIM {
+                locks.lock(path.n, leaf);
+            } else if let Some(rec_val) =
+                self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng)
+            {
+                self.elim_count.fetch_add(1, Ordering::Relaxed);
+                return eliminated(rec_val);
+            }
+            if leaf.is_marked() {
+                continue;
+            }
+            match settle(leaf.find(key)) {
+                Err(answer) => return answer,
+                Ok(needs) => {
+                    if let Attempt::Done(answer) = write(&path, leaf, locks, needs) {
+                        return answer;
+                    }
+                }
             }
         }
     }
@@ -81,7 +219,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// The paper's `lockOrElim` (Fig. 10): repeatedly read a consistent
     /// snapshot of the leaf's elimination record; if the record proves a
     /// same-key operation linearized after this operation began, eliminate;
-    /// otherwise try to take the lock.
+    /// otherwise try to take the lock.  Returns the record's value if the
+    /// operation was eliminated, `None` once `locks` holds the leaf.
     ///
     /// `rng` is the session's scratch RNG: contending threads jitter their
     /// backoff so they don't retry the `try_lock` in lockstep.
@@ -92,30 +231,21 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         key: u64,
         locks: &mut Locks<'_, 'g, L>,
         rng: &mut HandleRng,
-    ) -> ElimOutcome {
+    ) -> Option<u64> {
         // Line 208: the version read here is what condition C1 compares
         // against `rec.ver`.
-        let start_ver = leaf.ver.load(Ordering::Acquire);
+        let start_ver = leaf.version();
         let mut backoff = Backoff::new();
         loop {
             // Double-collect snapshot of the record (lines 211-215).
-            let (rec_key, rec_val, rec_ver) = loop {
-                let v1 = leaf.ver.load(Ordering::Acquire);
-                let rec = leaf.read_record();
-                fence(Ordering::Acquire);
-                let v2 = leaf.ver.load(Ordering::Relaxed);
-                if v1.is_multiple_of(2) && v1 == v2 {
-                    break rec;
-                }
-                core::hint::spin_loop();
-            };
+            let (_, (rec_key, rec_val, rec_ver)) = leaf.read(Node::read_record);
             // Line 217: condition C1 (start_ver <= rec.ver) plus key match.
             if start_ver <= rec_ver && rec_key == key {
-                return ElimOutcome::Eliminated(rec_val);
+                return Some(rec_val);
             }
             // Line 221: cannot eliminate; try to lock.
             if locks.try_lock(leaf_ptr, leaf) {
-                return ElimOutcome::Acquired;
+                return None;
             }
             backoff.wait();
             // Desynchronize identical backoff schedules across threads.
@@ -123,181 +253,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 core::hint::spin_loop();
             }
         }
-    }
-
-    /// One attempt of `insert` (the body of the paper's RETRY loop).
-    fn insert_attempt(
-        &self,
-        key: u64,
-        value: u64,
-        guard: &Guard,
-        scratch: &mut OpScratch,
-    ) -> Attempt<Option<u64>> {
-        let path = self.search(key, ptr::null_mut(), guard);
-        // SAFETY: read during the pinned search.
-        let leaf = unsafe { self.deref(path.n, guard) };
-
-        // Pre-lock read phase.
-        if ELIM {
-            // Single optimistic scan (§4.1): a torn scan is itself evidence
-            // of contention, so fall through to lockOrElim in that case.
-            if let Some(Some(existing)) = self.try_scan_leaf(leaf, key) {
-                return Attempt::Done(Some(existing));
-            }
-        } else if let Some(existing) = self.search_leaf(leaf, key) {
-            return Attempt::Done(Some(existing));
-        }
-
-        // Lock acquisition (possibly eliminating instead).  Every return
-        // below unlocks by dropping `locks`.
-        let mut tokens = Default::default();
-        let mut locks = Locks::new(&mut tokens);
-        if ELIM {
-            match self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng) {
-                ElimOutcome::Eliminated(v) => {
-                    self.elim_count.fetch_add(1, Ordering::Relaxed);
-                    return Attempt::Done(Some(v));
-                }
-                ElimOutcome::Acquired => {}
-            }
-        } else {
-            locks.lock(path.n, leaf);
-        }
-
-        if leaf.is_marked() {
-            return Attempt::Retry;
-        }
-
-        // Verify the key is not present now that the leaf is stable.
-        if let Some((_slot, existing)) = leaf.locked_find(key) {
-            return Attempt::Done(Some(existing));
-        }
-
-        if leaf.len() < MAX_KEYS {
-            // ----- simple insert -----
-            let slot = leaf
-                .locked_empty_slot()
-                .expect("leaf below capacity must have an empty slot");
-            let odd = leaf.begin_write();
-            if ELIM {
-                leaf.publish_record(key, value, odd);
-            }
-            // Durable trees (paper §5): the value is written and flushed
-            // before the key, and the insert becomes durable when the key
-            // reaches persistent memory.
-            leaf.set_val(slot, value);
-            if P::DURABLE {
-                leaf.persist_slot::<P>(slot);
-            }
-            leaf.keys[slot].store(key, Ordering::Relaxed);
-            if P::DURABLE {
-                P::persist_value(&leaf.keys[slot]);
-            }
-            leaf.size.fetch_add(1, Ordering::Relaxed);
-            leaf.end_write(); // linearization point (volatile trees)
-            return Attempt::Done(None);
-        }
-
-        // ----- splitting insert -----
-        // SAFETY: the parent pointer was read during the pinned search.
-        let parent = unsafe { self.deref(path.p, guard) };
-        locks.lock(path.p, parent);
-        if parent.is_marked() {
-            return Attempt::Retry;
-        }
-
-        // Split the leaf's contents plus the new pair evenly between two
-        // fresh leaves joined by a tagged node.
-        let mut run = Run::of(leaf);
-        run.push_entry(key, value);
-        debug_assert_eq!(run.len, MAX_KEYS + 1);
-        let (left, right, split_key) = run.split();
-        let tagged = Node::new_internal_from(
-            NodeKind::TaggedInternal,
-            leaf.search_key,
-            &[split_key],
-            &[left, right],
-        );
-        // Linearization point of the splitting insert: the replace step's
-        // child-pointer write makes the new subtree (and hence the new key)
-        // reachable (for durable trees, the flush of that pointer).
-        // SAFETY: leaf and parent are unmarked under the locks, so the leaf
-        // is still the parent's child `n_idx`.
-        unsafe { self.replace(locks, &[left, right, tagged], path.n_idx, guard) };
-        self.fix_tagged(tagged, guard);
-        Attempt::Done(None)
-    }
-
-    /// One attempt of `delete` (the body of the paper's RETRY loop).
-    fn delete_attempt(
-        &self,
-        key: u64,
-        guard: &Guard,
-        scratch: &mut OpScratch,
-    ) -> Attempt<Option<u64>> {
-        let path = self.search(key, ptr::null_mut(), guard);
-        // SAFETY: read during the pinned search.
-        let leaf = unsafe { self.deref(path.n, guard) };
-
-        // Pre-lock read phase.
-        if ELIM {
-            if let Some(None) = self.try_scan_leaf(leaf, key) {
-                // Consistent scan, key absent: nothing to delete.
-                return Attempt::Done(None);
-            }
-        } else if self.search_leaf(leaf, key).is_none() {
-            return Attempt::Done(None);
-        }
-
-        let mut tokens = Default::default();
-        let mut locks = Locks::new(&mut tokens);
-        if ELIM {
-            match self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng) {
-                // An eliminated delete is linearized at a point where the key
-                // is absent, so it returns "not present" (§4).
-                ElimOutcome::Eliminated(_) => {
-                    self.elim_count.fetch_add(1, Ordering::Relaxed);
-                    return Attempt::Done(None);
-                }
-                ElimOutcome::Acquired => {}
-            }
-        } else {
-            locks.lock(path.n, leaf);
-        }
-
-        if leaf.is_marked() {
-            return Attempt::Retry;
-        }
-        let Some((slot, deleted)) = leaf.locked_find(key) else {
-            // Deleted by another thread between the search and the lock.
-            return Attempt::Done(None);
-        };
-        let odd = leaf.begin_write();
-        if ELIM {
-            leaf.publish_record(key, deleted, odd);
-        }
-        // Durable trees (paper §5): the delete becomes durable when the
-        // emptied key slot reaches persistent memory.
-        leaf.keys[slot].store(EMPTY_KEY, Ordering::Relaxed);
-        if P::DURABLE {
-            P::persist_value(&leaf.keys[slot]);
-        }
-        leaf.size.fetch_sub(1, Ordering::Relaxed);
-        leaf.end_write(); // linearization point (volatile trees)
-
-        let underfull = leaf.len() < MIN_KEYS;
-        if underfull {
-            // `fix_underfull` traverses (and locks) ancestors and siblings
-            // without the fine-mode hazard protocol; upgrade to coarse
-            // protection before releasing the lock that pins this foothold
-            // (no-op under EBR/coarse).
-            guard.escalate();
-        }
-        drop(locks);
-        if underfull {
-            self.fix_underfull(path.n, guard);
-        }
-        Attempt::Done(Some(deleted))
     }
 }
 
@@ -371,6 +326,46 @@ mod tests {
                 "ELIM={ELIM}: delete"
             );
             assert_eq!(t.len(), MIN_KEYS);
+        }
+        run::<false>();
+        run::<true>();
+    }
+
+    /// A torn simple insert or delete (`crashsim`) logs exactly what the
+    /// real update logs before its closing version bump: the value line,
+    /// fence, key line, fence; the emptied key line, fence.
+    #[test]
+    fn torn_updates_flush_what_real_ones_flush() {
+        fn run<const ELIM: bool>() {
+            type Tree<const E: bool> = AbTree<E, McsLock, Recording>;
+            // The log of `update` on a root leaf above `MIN_KEYS`.
+            let log = |update: &dyn Fn(&Tree<ELIM>)| {
+                let tree = Tree::<ELIM>::new();
+                let mut t = tree.handle();
+                for k in 0..=MIN_KEYS as u64 {
+                    assert_eq!(t.insert(k, 100 + k), None);
+                }
+                EVENTS.with(|e| e.borrow_mut().clear());
+                update(&tree);
+                take_logged()
+            };
+            let insert = log(&|tree| assert_eq!(tree.handle().insert(50, 500), None));
+            assert_eq!(
+                insert,
+                [
+                    Logged::Flush(500),
+                    Logged::Fence,
+                    Logged::Flush(50),
+                    Logged::Fence
+                ],
+                "ELIM={ELIM}: simple insert"
+            );
+            let torn = log(&|tree| assert!(tree.force_partial_insert(50, 500)));
+            assert_eq!(torn, insert, "ELIM={ELIM}: torn insert");
+            let delete = log(&|tree| assert_eq!(tree.handle().delete(1), Some(101)));
+            assert_eq!(delete, [Logged::Flush(EMPTY_KEY), Logged::Fence]);
+            let torn = log(&|tree| assert!(tree.force_partial_delete(1)));
+            assert_eq!(torn, delete, "ELIM={ELIM}: torn delete");
         }
         run::<false>();
         run::<true>();

@@ -94,9 +94,11 @@ struct Step {
     /// Scan lengths are drawn uniformly from `1..=max_scan_len`.
     max_scan_len: u64,
     load: Load,
-    /// `Some(worker count)` if an insert takes the worker's next fresh key
-    /// (YCSB) instead of the drawn one (SetBench); one worker's fresh keys
-    /// lie that far apart, so no two workers insert the same key.
+    /// `Some(worker count)` for YCSB, `None` for SetBench.  A YCSB insert
+    /// takes the worker's next fresh key instead of the drawn one (one
+    /// worker's fresh keys lie that far apart, so no two workers insert
+    /// the same key), and a YCSB request's rank is scrambled onto the
+    /// records present when it is drawn (see [`Step::run`]).
     fresh_stride: Option<u64>,
     /// The row's experiment label until a figure stamps its own.
     label: String,
@@ -139,15 +141,16 @@ impl Worker {
 }
 
 impl Step {
-    /// Maps a figure's workload onto a stream.  A YCSB request draws from
-    /// a scrambled Zipf, as YCSB's request distribution does.  Workload A's
-    /// reads and updates are both index lookups — an update writes the row,
-    /// not the index (paper §6.2) — so its index-level mix is all finds.
+    /// Maps a figure's workload onto a stream.  A YCSB request draws a
+    /// Zipf rank and scrambles it, as YCSB's request distribution does.
+    /// Workload A's reads and updates are both index lookups — an update
+    /// writes the row, not the index (paper §6.2) — so its index-level mix
+    /// is all finds.
     /// Workload E is 95% scans and 5% inserts of fresh records.
     fn new(cfg: &CellConfig) -> Self {
         let ycsb = |mix, max_scan_len, label: &str| Self {
             mix,
-            keys: KeyDistribution::zipfian_with(cfg.size, cfg.zipf, true),
+            keys: KeyDistribution::zipfian(cfg.size, cfg.zipf),
             max_scan_len,
             load: Load::Hashed,
             fresh_stride: Some(cfg.threads.max(1) as u64),
@@ -205,9 +208,22 @@ impl Step {
 
     /// Draws one operation — key, kind, then a scan's length — and runs it
     /// on `session`.
+    ///
+    /// A YCSB key is the drawn rank scrambled onto the records present:
+    /// the loaded ones plus one stride of fresh keys per insert this worker
+    /// has made, so E's scans also read the records its inserts wrote, as
+    /// YCSB's key chooser covers the records inserted during the run.
+    /// Workload A inserts nothing, so its keys stay on the loaded records.
     #[inline]
     fn run(&self, session: &mut dyn MapHandle, rng: &mut StdRng, w: &mut Worker) {
-        let key = self.keys.sample(rng);
+        let key = match self.fresh_stride {
+            Some(stride) => {
+                let loaded = self.keys.range();
+                let present = loaded + (w.fresh_key - loaded) / stride * stride;
+                scramble(self.keys.sample(rng), present)
+            }
+            None => self.keys.sample(rng),
+        };
         match self.mix.sample(rng) {
             Operation::Insert => {
                 let key = match self.fresh_stride {
@@ -244,6 +260,15 @@ impl Step {
         }
         w.ops += 1;
     }
+}
+
+/// Scrambles request rank `rank` (0 is the hottest) onto the keys
+/// `0..records` with the multiplicative hash of `workload`'s scrambled
+/// Zipf, so with `records` the loaded count a Zipf rank lands on the key
+/// that distribution draws for it.
+#[inline]
+fn scramble(rank: u64, records: u64) -> u64 {
+    (rank + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % records
 }
 
 /// The load phase: `cfg.threads` loaders (at least one) each insert the
@@ -455,10 +480,37 @@ mod tests {
         );
     }
 
+    /// YCSB-E's requests cover the records its inserts wrote: some scans
+    /// start past the loaded records and return a fresh one.
+    #[test]
+    fn ycsb_e_scans_read_fresh_records() {
+        let cfg = CellConfig {
+            workload: Workload::YcsbE { max_scan_len: 10 },
+            size: 2_000,
+            zipf: 0.5,
+            seed: 0xE7,
+            ..Default::default()
+        };
+        let (mut scans, mut fresh_scans) = (0, 0);
+        drive(&cfg, 5_000, |w| {
+            if w.scan_ops == scans {
+                return;
+            }
+            scans = w.scan_ops;
+            // Every loaded record is present, so a window whose first key
+            // is fresh started past the loaded ones.
+            if w.scan_buf.first().is_some_and(|&(k, _)| k >= cfg.size) {
+                fresh_scans += 1;
+            }
+        });
+        assert!(fresh_scans > 0, "no scan of {scans} read a fresh record");
+    }
+
     /// Every YCSB-E scan covers a window of `1..=max_scan_len` keys, and
-    /// every length in that range is drawn.  Every record is loaded, so a
-    /// window holds one key per slot it spans inside the key range; only a
-    /// window that reaches the range's last key can be cut short.
+    /// every length in that range is drawn.  Every record is loaded and one
+    /// worker's fresh keys follow them with no gap, so a window holds one
+    /// key per slot it spans; only a window that reaches the last key
+    /// present can be cut short.
     #[test]
     fn every_ycsb_e_scan_window_spans_one_to_max_scan_len_keys() {
         let max = 8;
@@ -479,7 +531,7 @@ mod tests {
             let keys: Vec<u64> = w.scan_buf.iter().map(|&(k, _)| k).collect();
             assert!((1..=max as usize).contains(&keys.len()), "window {keys:?}");
             assert!(keys.windows(2).all(|p| p[1] == p[0] + 1), "window {keys:?}");
-            if keys.last() != Some(&(cfg.size - 1)) {
+            if keys.last() != Some(&(w.fresh_key - 1)) {
                 lens.insert(keys.len());
             }
         });

@@ -24,8 +24,9 @@ pub struct PrefillReport {
 /// With the session-handle map API, the closure is typically backed by the
 /// calling thread's own session, e.g.
 /// `|k, v| session.insert(k, v).is_none()` where `session` is the
-/// `abtree::MapHandle` the worker opened for its whole run (the `setbench`
-/// harness prefills exactly this way).
+/// `abtree::MapHandle` the worker opened for its whole run (the layer
+/// ledger under `bench/` prefills this way; the `setbench` harness loads
+/// through its own loop, `harness::load`).
 pub fn prefill<R: Rng + ?Sized>(
     rng: &mut R,
     key_range: u64,
