@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs the `tsan` and `asan` CI jobs locally: the same steps, the same
-# flags, the same suppressions.
+# The `tsan` and `asan` CI jobs' one step list: CI runs
+# `.github/sanitize.sh tsan` and `.github/sanitize.sh asan`, and a local
+# run gets the same steps, flags and suppressions.
 #
 # Needs the nightly toolchain with its sanitizer runtimes.  std stays
 # uninstrumented (no rust-src, so no -Zbuild-std); see

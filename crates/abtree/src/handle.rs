@@ -7,10 +7,10 @@
 //!
 //! * the thread's [`abebr::LocalHandle`], so each operation pins with a
 //!   cheap local epoch announcement;
-//! * a reusable scan buffer backing [`TreeHandle::scan_len`];
-//! * operation scratch: a small per-thread RNG that jitters the
-//!   elimination path's backoff so contending threads don't retry in
-//!   lockstep.
+//! * a reusable scan buffer backing [`TreeHandle::scan_len`].
+//!
+//! The elimination path needs no per-thread scratch: `lockOrElim` waits
+//! between attempts with a stack-local exponential backoff.
 //!
 //! The handle dereferences to the tree, so quiescent accessors
 //! (`check_invariants`, `key_sum`, `len`, `collect`, `recover`, ...) remain
@@ -25,8 +25,8 @@ use crate::persist::{Persist, VolatilePersist};
 use crate::tree::AbTree;
 use crate::{ConcurrentMap, MapHandle};
 
-/// A tiny per-handle xorshift* PRNG used for backoff jitter and other
-/// per-thread randomness (e.g. skiplist tower heights in the baselines).
+/// A tiny per-handle xorshift* PRNG for per-thread randomness (e.g.
+/// skiplist tower heights in the baselines).
 ///
 /// Not cryptographic and not reproducible across runs — each instance is
 /// seeded from a global counter so that every handle gets a distinct
@@ -76,13 +76,6 @@ impl HandleRng {
     }
 }
 
-/// Reusable per-thread operation scratch threaded through the update paths.
-#[derive(Debug, Default)]
-pub(crate) struct OpScratch {
-    /// Per-thread RNG for elimination backoff jitter.
-    pub(crate) rng: HandleRng,
-}
-
 /// A per-thread session on an [`AbTree`] (see the module docs).
 ///
 /// All point and range operations of the tree live here and take
@@ -96,17 +89,15 @@ pub struct TreeHandle<'m, const ELIM: bool, L: RawNodeLock = McsLock, P: Persist
     ebr: abebr::LocalHandle,
     /// Reusable buffer behind [`TreeHandle::scan_len`].
     scan_buf: Vec<(u64, u64)>,
-    scratch: OpScratch,
 }
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Opens a per-thread session handle.
     ///
     /// Registers the calling thread with the tree's reclamation collector
-    /// (the only point at which its slot table is consulted) and
-    /// sets up the session's scratch state.  Call once per worker thread and
-    /// reuse the handle for the whole run; the handle must stay on the
-    /// thread that opened it.
+    /// (the only point at which its slot table is consulted).  Call once
+    /// per worker thread and reuse the handle for the whole run; the handle
+    /// must stay on the thread that opened it.
     pub fn handle(&self) -> TreeHandle<'_, ELIM, L, P> {
         self.try_handle().unwrap_or_else(|e| panic!("abtree: {e}"))
     }
@@ -120,7 +111,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             tree: self,
             ebr: self.collector().try_register()?,
             scan_buf: Vec::new(),
-            scratch: OpScratch::default(),
         })
     }
 }
@@ -135,13 +125,13 @@ impl<'m, const ELIM: bool, L: RawNodeLock, P: Persist> TreeHandle<'m, ELIM, L, P
         // instead of taking a blanket pin, so a stalled operation cannot
         // block reclamation tree-wide.  Under EBR this is a plain pin.
         let guard = self.ebr.pin_fine();
-        self.tree.insert_in(key, value, &guard, &mut self.scratch)
+        self.tree.insert_in(key, value, &guard)
     }
 
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
     pub fn delete(&mut self, key: u64) -> Option<u64> {
         let guard = self.ebr.pin_fine();
-        self.tree.delete_in(key, &guard, &mut self.scratch)
+        self.tree.delete_in(key, &guard)
     }
 
     /// The paper's `find(key)`: returns the associated value, or `None`.
@@ -235,21 +225,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> MapHandle for TreeHandle<'_, 
 }
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> ConcurrentMap for AbTree<ELIM, L, P> {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(AbTree::handle(self))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         Ok(Box::new(AbTree::try_handle(self)?))
-    }
-
-    fn name(&self) -> &'static str {
-        match (ELIM, P::DURABLE) {
-            (false, false) => "occ-abtree",
-            (true, false) => "elim-abtree",
-            (false, true) => "p-occ-abtree",
-            (true, true) => "p-elim-abtree",
-        }
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
@@ -318,12 +295,43 @@ mod tests {
     fn trait_object_session() {
         let tree: ElimABTree = ElimABTree::new();
         let map: &dyn ConcurrentMap = &tree;
-        assert_eq!(map.name(), "elim-abtree");
         let mut h = map.handle();
         assert_eq!(h.insert(9, 90), None);
         assert!(h.get(9).is_some());
         assert_eq!(h.scan_len(0, 100), 1);
         assert_eq!(h.delete(9), Some(90));
+    }
+
+    /// With every slot of the tree's collector held, the trait's one
+    /// opener returns the `RegisterError` and its provided `handle` panics
+    /// with it; freeing a slot lets a session open again.
+    #[test]
+    fn a_full_collector_fails_try_handle_and_panics_handle() {
+        let collector = abebr::Collector::new();
+        let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+        let map: Box<dyn ConcurrentMap> = Box::new(tree);
+        let mut held: Vec<_> = std::iter::from_fn(|| collector.try_register().ok()).collect();
+        assert_eq!(held.len(), abebr::MAX_THREADS);
+
+        let err = map.try_handle().err().expect("no slot is free");
+        assert_eq!(
+            err,
+            abebr::RegisterError {
+                capacity: abebr::MAX_THREADS
+            }
+        );
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(map.handle());
+        }))
+        .expect_err("handle panics when try_handle fails");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("the panic carries a formatted message");
+        assert!(message.contains(&err.to_string()), "{message}");
+
+        held.pop();
+        let mut session = map.try_handle().expect("one slot is free again");
+        assert_eq!(session.insert(1, 10), None);
     }
 
     #[test]

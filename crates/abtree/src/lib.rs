@@ -33,16 +33,16 @@
 //! slot, elimination scratch, RNG) through every operation — the API is split
 //! in two levels:
 //!
-//! * the **shared map** (the tree itself, [`ConcurrentMap`]): construction,
-//!   [`name`](ConcurrentMap::name), and the quiescent accessors
-//!   ([`key_sum`](ConcurrentMap::key_sum), `len`, `collect`,
-//!   `check_invariants`, ...);
+//! * the **shared map** (the tree itself, [`ConcurrentMap`]): construction
+//!   and the quiescent accessors ([`key_sum`](ConcurrentMap::key_sum),
+//!   `len`, `collect`, `check_invariants`, ...);
 //! * a **per-thread session handle** ([`MapHandle`], concretely
-//!   [`TreeHandle`]), obtained once per worker via `map.handle()`, through
-//!   which all point and range operations run.  The handle owns the
-//!   thread's epoch-reclamation registration (so each operation pins with a
-//!   cheap local epoch announcement), a
-//!   reusable scan buffer, and per-thread elimination/RNG scratch.
+//!   [`TreeHandle`]), obtained once per worker via `map.handle()` (or
+//!   `map.try_handle()`, which returns the collector's
+//!   [`abebr::RegisterError`] instead of panicking), through which all
+//!   point and range operations run.  The handle owns the thread's
+//!   epoch-reclamation registration (so each operation pins with a cheap
+//!   local epoch announcement) and a reusable scan buffer.
 //!
 //! [`TreeHandle`] dereferences to the tree, so a handle can also be used
 //! wherever quiescent read-only access to the shared map is needed.
@@ -114,10 +114,11 @@ pub type ElimABTree<L = McsLock> = AbTree<true, L, VolatilePersist>;
 /// A per-thread session on a concurrent ordered dictionary over 8-byte keys
 /// and values.
 ///
-/// Handles are obtained from [`ConcurrentMap::handle`], one per worker
-/// thread, and hold that thread's operation state: its epoch-reclamation
-/// registration, a reusable scan buffer, and any per-thread scratch the
-/// structure needs (elimination buffers, RNG).  Operations therefore take
+/// Handles are obtained from [`ConcurrentMap::try_handle`] (or its
+/// panicking form [`ConcurrentMap::handle`]), one per worker thread, and
+/// hold that thread's operation state: its epoch-reclamation registration,
+/// a reusable scan buffer, and any per-thread scratch the structure needs
+/// (the skiplist's RNG, for instance).  Operations therefore take
 /// `&mut self`; a handle must not be shared across threads (and cannot be —
 /// handles are `!Send` by construction since they own thread-bound
 /// reclamation state).
@@ -202,34 +203,30 @@ pub fn scan_window(lo: u64, len: u64) -> Option<(u64, u64)> {
 }
 
 /// The shared, thread-safe side of a concurrent ordered dictionary: a
-/// factory for per-thread [`MapHandle`] sessions plus the structure's
-/// benchmark name.
+/// factory for per-thread [`MapHandle`] sessions.
 ///
 /// This is the interface the benchmark harness drives; every data structure
 /// in this repository (the paper's trees, the persistent trees and all
-/// baselines) implements it.  Each worker thread calls
-/// [`handle`](ConcurrentMap::handle) once and runs its whole workload
-/// through the returned session; quiescent validation goes through
+/// baselines) implements it.  Each worker thread opens one session and runs
+/// its whole workload through it; quiescent validation goes through
 /// [`key_sum`](ConcurrentMap::key_sum).  Implementing this trait is all a
 /// structure needs to be benchmarkable, fuzzable and servable as a shard.
+/// A structure's name lives in the benchmark registry
+/// (`setbench::registry`), not here.
 pub trait ConcurrentMap: Send + Sync {
-    /// Opens a per-thread session.  Cheap but not free (it registers the
-    /// thread with the structure's memory-reclamation collector and sets up
+    /// Opens a per-thread session, or returns the error when the
+    /// structure's reclamation collector has no free thread slot
+    /// ([`abebr::MAX_THREADS`] concurrent registrations), so a service can
+    /// reject a session instead of crashing its worker.  Cheap but not
+    /// free (it registers the thread with the collector and sets up
     /// scratch buffers): call it once per thread, not once per operation.
-    fn handle(&self) -> Box<dyn MapHandle + '_>;
+    fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError>;
 
-    /// Fallible variant of [`handle`](ConcurrentMap::handle): returns an
-    /// error instead of panicking when the structure's reclamation
-    /// collector has no free thread slot ([`abebr::MAX_THREADS`] concurrent
-    /// registrations), so a service can reject a session instead of
-    /// crashing its worker.  Structures whose sessions never register
-    /// (or that don't reclaim) keep the infallible default.
-    fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
-        Ok(self.handle())
+    /// [`try_handle`](ConcurrentMap::try_handle) for callers that treat a
+    /// full collector as a bug: panics with the [`abebr::RegisterError`].
+    fn handle(&self) -> Box<dyn MapHandle + '_> {
+        self.try_handle().unwrap_or_else(|e| panic!("abtree: {e}"))
     }
-
-    /// Short name used in benchmark output (e.g. `"elim-abtree"`).
-    fn name(&self) -> &'static str;
 
     /// Point-in-time statistics of the structure's epoch-based-reclamation
     /// collector, or `None` for structures that do not reclaim through
@@ -261,14 +258,8 @@ pub trait ConcurrentMap: Send + Sync {
 /// values can flow anywhere a `ConcurrentMap` is expected — the service
 /// layer's shards are built this way.
 impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        (**self).handle()
-    }
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         (**self).try_handle()
-    }
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         (**self).ebr_stats()
@@ -287,14 +278,8 @@ impl<M: ConcurrentMap + ?Sized> ConcurrentMap for Box<M> {
 pub struct SharedMap<M: ?Sized>(pub std::sync::Arc<M>);
 
 impl<M: ConcurrentMap + ?Sized> ConcurrentMap for SharedMap<M> {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        self.0.handle()
-    }
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         self.0.try_handle()
-    }
-    fn name(&self) -> &'static str {
-        self.0.name()
     }
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
         self.0.ebr_stats()
@@ -355,6 +340,6 @@ mod tests {
         assert_eq!(session.insert(3, 30), None);
         assert_eq!(session.get(3), Some(30));
         drop(session);
-        assert_eq!(boxed.name(), "elim-abtree");
+        assert_eq!(boxed.key_sum(), 3);
     }
 }

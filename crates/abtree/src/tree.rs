@@ -1,4 +1,4 @@
-//! The tree structure, searches, and the `ConcurrentMap` implementation.
+//! The tree structure, its searches and its quiescent whole-tree walk.
 //!
 //! This module contains the parts of the OCC-ABtree / Elim-ABtree that are
 //! shared verbatim between the two variants: construction, the lock-free
@@ -458,7 +458,7 @@ mod tests {
 
     use crate::node::{is_dirty, tag_dirty};
     use crate::persist::recording::{Recording, EVENTS};
-    use crate::{AbTree, ConcurrentMap, ElimABTree, OccABTree};
+    use crate::{AbTree, ElimABTree, OccABTree};
 
     #[test]
     fn empty_tree_finds_nothing() {
@@ -542,8 +542,6 @@ mod tests {
         let elim: ElimABTree = ElimABTree::new();
         assert!(!occ.uses_elimination());
         assert!(elim.uses_elimination());
-        assert_eq!(ConcurrentMap::name(&occ), "occ-abtree");
-        assert_eq!(ConcurrentMap::name(&elim), "elim-abtree");
     }
 
     #[test]

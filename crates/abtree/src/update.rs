@@ -23,7 +23,6 @@ use std::sync::atomic::Ordering;
 use abebr::Guard;
 use absync::{Backoff, RawNodeLock};
 
-use crate::handle::{HandleRng, OpScratch};
 use crate::node::{Node, NodeKind};
 use crate::persist::Persist;
 use crate::rebalance::{Locks, Run};
@@ -42,20 +41,12 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// value (leaving the tree unchanged) if `key` was present, `None` if the
     /// pair was inserted (paper Fig. 4).
     ///
-    /// The caller (a [`crate::TreeHandle`]) supplies the pinned guard and
-    /// its per-thread scratch; this path never consults the reclamation
-    /// registry itself.
-    pub(crate) fn insert_in(
-        &self,
-        key: u64,
-        value: u64,
-        guard: &Guard,
-        scratch: &mut OpScratch,
-    ) -> Option<u64> {
+    /// The caller (a [`crate::TreeHandle`]) supplies the pinned guard;
+    /// this path never consults the reclamation registry itself.
+    pub(crate) fn insert_in(&self, key: u64, value: u64, guard: &Guard) -> Option<u64> {
         self.update_leaf(
             key,
             guard,
-            scratch,
             // A present key refuses the insert with its value.
             |found| found.map_or(Ok(()), |(_, existing)| Err(Some(existing))),
             Some,
@@ -108,17 +99,11 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     }
 
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
-    /// Guard/scratch discipline as in [`AbTree::insert_in`].
-    pub(crate) fn delete_in(
-        &self,
-        key: u64,
-        guard: &Guard,
-        scratch: &mut OpScratch,
-    ) -> Option<u64> {
+    /// Guard discipline as in [`AbTree::insert_in`].
+    pub(crate) fn delete_in(&self, key: u64, guard: &Guard) -> Option<u64> {
         self.update_leaf(
             key,
             guard,
-            scratch,
             // An absent key: nothing to delete.
             |found| found.ok_or(None),
             // An eliminated delete is linearized at a point where the key is
@@ -171,7 +156,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         &self,
         key: u64,
         guard: &'g Guard,
-        scratch: &mut OpScratch,
         settle: impl Fn(Option<(usize, u64)>) -> Result<W, T>,
         eliminated: impl Fn(u64) -> T,
         write: impl Fn(&PathInfo<L>, &'g Node<L>, Locks<'_, 'g, L>, W) -> Attempt<T>,
@@ -196,9 +180,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             let mut locks = Locks::new(&mut tokens);
             if !ELIM {
                 locks.lock(path.n, leaf);
-            } else if let Some(rec_val) =
-                self.lock_or_elim(path.n, leaf, key, &mut locks, &mut scratch.rng)
-            {
+            } else if let Some(rec_val) = self.lock_or_elim(path.n, leaf, key, &mut locks) {
                 self.elim_count.fetch_add(1, Ordering::Relaxed);
                 return eliminated(rec_val);
             }
@@ -221,16 +203,13 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// same-key operation linearized after this operation began, eliminate;
     /// otherwise try to take the lock.  Returns the record's value if the
     /// operation was eliminated, `None` once `locks` holds the leaf.
-    ///
-    /// `rng` is the session's scratch RNG: contending threads jitter their
-    /// backoff so they don't retry the `try_lock` in lockstep.
+    /// Between attempts it waits out one exponential backoff step.
     fn lock_or_elim<'g>(
         &self,
         leaf_ptr: *mut Node<L>,
         leaf: &'g Node<L>,
         key: u64,
         locks: &mut Locks<'_, 'g, L>,
-        rng: &mut HandleRng,
     ) -> Option<u64> {
         // Line 208: the version read here is what condition C1 compares
         // against `rec.ver`.
@@ -248,10 +227,6 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 return None;
             }
             backoff.wait();
-            // Desynchronize identical backoff schedules across threads.
-            for _ in 0..(rng.next_u64() & 0x1F) {
-                core::hint::spin_loop();
-            }
         }
     }
 }

@@ -268,16 +268,8 @@ impl SessionOps for CaTree {
 }
 
 impl ConcurrentMap for CaTree {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(SessionHandle::new(self))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         Ok(Box::new(SessionHandle::try_new(self)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "catree"
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {

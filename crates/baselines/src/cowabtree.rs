@@ -246,16 +246,8 @@ impl SessionOps for CowABTree {
 }
 
 impl ConcurrentMap for CowABTree {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(SessionHandle::new(self))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         Ok(Box::new(SessionHandle::try_new(self)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "lf-abtree(cow)"
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {

@@ -270,16 +270,8 @@ impl SessionOps for LockExtBst {
 }
 
 impl ConcurrentMap for LockExtBst {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(SessionHandle::new(self))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         Ok(Box::new(SessionHandle::try_new(self)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "ext-bst-lock"
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {

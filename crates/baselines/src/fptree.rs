@@ -240,12 +240,8 @@ impl SessionOps for FpTree {
 }
 
 impl ConcurrentMap for FpTree {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(SessionHandle::new(self))
-    }
-
-    fn name(&self) -> &'static str {
-        "fptree"
+    fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
+        Ok(Box::new(SessionHandle::try_new(self)?))
     }
 }
 

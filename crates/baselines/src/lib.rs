@@ -147,7 +147,7 @@ pub(crate) trait SessionOps: Send + Sync {
 /// The shared per-thread session state of every baseline: an owned EBR
 /// registration (when the structure uses one), a per-thread RNG, and the
 /// reusable scan buffer.  Constructed by each structure's
-/// `ConcurrentMap::handle`.
+/// `ConcurrentMap::try_handle`.
 pub(crate) struct SessionHandle<'m, M: SessionOps + ?Sized> {
     map: &'m M,
     /// One registration per session: per-op pins are local epoch bumps.
@@ -157,17 +157,9 @@ pub(crate) struct SessionHandle<'m, M: SessionOps + ?Sized> {
 }
 
 impl<'m, M: SessionOps + ?Sized> SessionHandle<'m, M> {
-    pub(crate) fn new(map: &'m M) -> Self {
-        Self {
-            map,
-            ebr: map.collector().map(Collector::register),
-            rng: HandleRng::new(),
-            scan_buf: Vec::new(),
-        }
-    }
-
-    /// Fallible construction: surfaces collector thread-slot exhaustion as
-    /// an error instead of panicking (backs `ConcurrentMap::try_handle`).
+    /// Opens a session, registering with the structure's collector if it
+    /// has one; a full collector is the error `ConcurrentMap::try_handle`
+    /// returns.
     pub(crate) fn try_new(map: &'m M) -> Result<Self, abebr::RegisterError> {
         Ok(Self {
             map,

@@ -337,16 +337,8 @@ impl SessionOps for LazySkipList {
 }
 
 impl ConcurrentMap for LazySkipList {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(SessionHandle::new(self))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         Ok(Box::new(SessionHandle::try_new(self)?))
-    }
-
-    fn name(&self) -> &'static str {
-        "skiplist-lazy"
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {

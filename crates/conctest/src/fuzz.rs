@@ -34,6 +34,12 @@ use crate::checker::{check, CheckConfig, Outcome};
 use crate::history::{Clock, History, OpKind, OpResult, Recorder, Session};
 use crate::shrink::shrink_schedule;
 
+/// Scan window lengths are drawn from `[1, MAX_SCAN_LEN]`.
+const MAX_SCAN_LEN: u64 = 12;
+
+/// `MGet`/`MPut` batch sizes are drawn from `[1, MAX_BATCH]`.
+const MAX_BATCH: usize = 6;
+
 /// Fuzzing parameters.  Key spaces and windows are deliberately small: the
 /// checker's search cost grows with per-key (and per-scan-component)
 /// operation counts, and contention — the thing being tested — needs key
@@ -50,10 +56,6 @@ pub struct FuzzConfig {
     pub key_space: u64,
     /// Operation mix (shares of insert/delete/find/scan/mget/mput).
     pub mix: OperationMix,
-    /// Scan window lengths are drawn from `[1, max_scan_len]`.
-    pub max_scan_len: u64,
-    /// Batch sizes are drawn from `[1, max_batch]`.
-    pub max_batch: usize,
     /// Zipf exponent of the key distribution (0 = uniform).
     pub key_skew: f64,
     /// Two-level tenant skew `(tenants, exponent)` for service targets:
@@ -72,8 +74,6 @@ impl Default for FuzzConfig {
             // YCSB-E-flavoured service mix: updates, scans and batches all
             // present, finds take the rest.
             mix: OperationMix::from_shares(40, 10, 5, 5),
-            max_scan_len: 12,
-            max_batch: 6,
             key_skew: 0.8,
             tenants: None,
         }
@@ -145,18 +145,18 @@ fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut
         },
         Operation::Scan => {
             let start = keys.sample(rng);
-            let (lo, hi) = abtree::scan_window(start, rng.gen_range(1..=cfg.max_scan_len))
+            let (lo, hi) = abtree::scan_window(start, rng.gen_range(1..=MAX_SCAN_LEN))
                 .expect("scan lengths are at least 1");
             OpKind::Range { lo, hi }
         }
         Operation::MGet => {
-            let n = rng.gen_range(1..=cfg.max_batch);
+            let n = rng.gen_range(1..=MAX_BATCH);
             OpKind::MGet {
                 keys: (0..n).map(|_| keys.sample(rng)).collect(),
             }
         }
         Operation::MPut => {
-            let n = rng.gen_range(1..=cfg.max_batch);
+            let n = rng.gen_range(1..=MAX_BATCH);
             OpKind::MPut {
                 pairs: (0..n).map(|_| (keys.sample(rng), value())).collect(),
             }

@@ -31,14 +31,10 @@ impl<M> TornScan<M> {
 }
 
 impl<M: ConcurrentMap> ConcurrentMap for TornScan<M> {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        Box::new(TornHandle {
-            inner: self.inner.handle(),
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "torn-scan"
+    fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
+        Ok(Box::new(TornHandle {
+            inner: self.inner.try_handle()?,
+        }))
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
@@ -110,7 +106,6 @@ mod tests {
         assert_eq!(out.len(), 21);
         assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
         drop(session);
-        assert_eq!(torn.name(), "torn-scan");
         assert_eq!(torn.key_sum(), (0..50u128).sum());
     }
 }

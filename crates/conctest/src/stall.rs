@@ -29,10 +29,6 @@ impl<M> Stalling<M> {
 }
 
 impl<M: ConcurrentMap> ConcurrentMap for Stalling<M> {
-    fn handle(&self) -> Box<dyn MapHandle + '_> {
-        self.try_handle().unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_handle(&self) -> Result<Box<dyn MapHandle + '_>, abebr::RegisterError> {
         let inner = self.inner.try_handle()?;
         // Seeded from the session's address: distinct per session, and no
@@ -42,10 +38,6 @@ impl<M: ConcurrentMap> ConcurrentMap for Stalling<M> {
             inner,
             state: seed | 1,
         }))
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
     }
 
     fn ebr_stats(&self) -> Option<abebr::CollectorStats> {
@@ -129,7 +121,6 @@ mod tests {
         session.range(5, 9, &mut out);
         assert_eq!(out, vec![(5, 6), (6, 7), (8, 9), (9, 10)]);
         drop(session);
-        assert_eq!(map.name(), "elim-abtree");
         assert_eq!(map.key_sum(), (0..200u128).sum::<u128>() - 7);
     }
 }

@@ -231,11 +231,6 @@ impl KvService {
             .collect()
     }
 
-    /// The registry name of shard `index`'s structure.
-    pub fn shard_name(&self, index: usize) -> &'static str {
-        self.shards[index].store.name()
-    }
-
     pub(crate) fn shard_state(&self, shard: usize) -> &ShardState {
         &self.shards[shard].state
     }
@@ -245,10 +240,6 @@ impl std::fmt::Debug for KvService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvService")
             .field("shards", &self.shards.len())
-            .field(
-                "structure",
-                &self.shards.first().map(|cell| cell.store.name()),
-            )
             .finish_non_exhaustive()
     }
 }
@@ -330,7 +321,6 @@ mod tests {
         let mut router = service.router();
         assert_eq!(router.put(1, 2), None);
         assert_eq!(router.get(1), Some(2));
-        assert_eq!(service.shard_name(0), "elim-abtree");
         assert!(format!("{service:?}").contains("KvService"));
         assert!(format!("{router:?}").contains("ShardRouter"));
     }

@@ -135,45 +135,6 @@ impl Histogram {
             bucket.store(0, Ordering::Relaxed);
         }
     }
-
-    /// Folds `other`'s samples into `self`, bucket by bucket (saturating).
-    ///
-    /// This is how per-thread histograms are aggregated without any
-    /// locking on the hot path: each thread records into its own
-    /// histogram with relaxed adds, and a reporting thread merges the
-    /// instances into a scratch histogram when asked.  The merge
-    /// itself is a racy-but-monotone snapshot, same contract as
-    /// [`count`](Self::count) under concurrent `record`s.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            let merged = (*mine.get_mut()).saturating_add(theirs.load(Ordering::Relaxed));
-            *mine.get_mut() = merged;
-        }
-    }
-
-    /// Arithmetic mean of the recorded samples, approximated by bucket
-    /// midpoints; 0 for an empty histogram.
-    pub fn approx_mean(&self) -> f64 {
-        let mut total = 0u64;
-        let mut weighted = 0f64;
-        for (i, bucket) in self.buckets.iter().enumerate() {
-            let n = bucket.load(Ordering::Relaxed);
-            if n > 0 {
-                let midpoint = if i == 0 {
-                    1.0
-                } else {
-                    1.5 * (1u64 << i) as f64
-                };
-                weighted += n as f64 * midpoint;
-                total += n;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            weighted / total as f64
-        }
-    }
 }
 
 /// A point-in-time copy of a [`Histogram`]'s buckets, detached from the
@@ -220,10 +181,6 @@ mod tests {
         assert_eq!(h.p50(), Some(127));
         assert_eq!(h.p99(), Some(127));
         assert_eq!(h.quantile(1.0), Some((1 << 21) - 1));
-        // True mean ~10.6k; the bucket-midpoint approximation may be off by
-        // up to the 2x bucket width.
-        let mean = h.approx_mean();
-        assert!(mean > 90.0 && mean < 22_000.0, "mean = {mean}");
     }
 
     #[test]
@@ -253,58 +210,6 @@ mod tests {
         assert_eq!(h.quantile(-3.0), Some(u64::MAX));
         assert_eq!(h.quantile(42.0), Some(u64::MAX));
         assert_eq!(h.quantile(f64::NAN), Some(u64::MAX));
-    }
-
-    #[test]
-    fn merge_folds_buckets_and_preserves_quantiles() {
-        let fast = Histogram::new();
-        for _ in 0..90 {
-            fast.record(100); // bucket 6, upper bound 127
-        }
-        let slow = Histogram::new();
-        for _ in 0..10 {
-            slow.record(1 << 20); // bucket 20
-        }
-        let mut merged = Histogram::new();
-        merged.merge(&fast);
-        merged.merge(&slow);
-        assert_eq!(merged.count(), 100);
-        // The merged distribution is exactly the union: p50 from the fast
-        // source, p99 from the slow tail neither source had alone.
-        assert_eq!(merged.p50(), Some(127));
-        assert_eq!(merged.p99(), Some((1 << 21) - 1));
-        assert_eq!(fast.p99(), Some(127), "sources are untouched");
-        assert_eq!(slow.count(), 10);
-    }
-
-    #[test]
-    fn merge_with_empty_respects_the_option_api() {
-        // Merging empty histograms must not manufacture samples: the
-        // no-quantiles `None` state from PR 5 has to survive.
-        let mut merged = Histogram::new();
-        merged.merge(&Histogram::new());
-        assert_eq!(merged.count(), 0);
-        assert_eq!(merged.p50(), None);
-        assert_eq!(merged.p99(), None);
-        // Empty + non-empty behaves like a copy.
-        let source = Histogram::new();
-        source.record(0);
-        source.record(u64::MAX);
-        merged.merge(&source);
-        assert_eq!(merged.count(), 2);
-        assert_eq!(merged.p50(), Some(1));
-        assert_eq!(merged.quantile(1.0), Some(u64::MAX), "saturated top bucket");
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_wrapping() {
-        let mut merged = Histogram::new();
-        merged.buckets[0].store(u64::MAX - 1, Ordering::Relaxed);
-        let source = Histogram::new();
-        source.record(0);
-        source.record(1);
-        merged.merge(&source);
-        assert_eq!(merged.buckets[0].load(Ordering::Relaxed), u64::MAX);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!
 //! * **[`Histogram`]** — the fixed-bucket power-of-two histogram
 //!   (previously `kvserve::stats::Histogram`, moved here): wait-free
-//!   relaxed-atomic recording, `None`-aware quantiles, quiescent
-//!   merge/reset.
+//!   relaxed-atomic recording, `None`-aware quantiles, detached
+//!   snapshots and a quiescent reset.
 //! * **[`Registry`]** — a pull-based metric registry.  Subsystems register
 //!   *sources* (closures that append [`Sample`]s); a scrape walks the
 //!   sources and renders a Prometheus-style text exposition

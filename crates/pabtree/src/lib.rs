@@ -146,8 +146,6 @@ mod tests {
         }
         occ.check_invariants().unwrap();
         elim.check_invariants().unwrap();
-        assert_eq!(ConcurrentMap::name(&occ), "p-occ-abtree");
-        assert_eq!(ConcurrentMap::name(&elim), "p-elim-abtree");
     }
 
     #[test]

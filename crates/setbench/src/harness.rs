@@ -209,10 +209,11 @@ impl Step {
     /// Draws one operation — key, kind, then a scan's length — and runs it
     /// on `session`.
     ///
-    /// A YCSB key is the drawn rank scrambled onto the records present:
-    /// the loaded ones plus one stride of fresh keys per insert this worker
-    /// has made, so E's scans also read the records its inserts wrote, as
-    /// YCSB's key chooser covers the records inserted during the run.
+    /// A YCSB key is the drawn rank scattered ([`workload::scatter`]) onto
+    /// the records present: the loaded ones plus one stride of fresh keys
+    /// per insert this worker has made, so E's scans also read the records
+    /// its inserts wrote, as YCSB's key chooser covers the records inserted
+    /// during the run.
     /// Workload A inserts nothing, so its keys stay on the loaded records.
     #[inline]
     fn run(&self, session: &mut dyn MapHandle, rng: &mut StdRng, w: &mut Worker) {
@@ -220,7 +221,7 @@ impl Step {
             Some(stride) => {
                 let loaded = self.keys.range();
                 let present = loaded + (w.fresh_key - loaded) / stride * stride;
-                scramble(self.keys.sample(rng), present)
+                workload::scatter(self.keys.sample(rng), present)
             }
             None => self.keys.sample(rng),
         };
@@ -260,15 +261,6 @@ impl Step {
         }
         w.ops += 1;
     }
-}
-
-/// Scrambles request rank `rank` (0 is the hottest) onto the keys
-/// `0..records` with the multiplicative hash of `workload`'s scrambled
-/// Zipf, so with `records` the loaded count a Zipf rank lands on the key
-/// that distribution draws for it.
-#[inline]
-fn scramble(rank: u64, records: u64) -> u64 {
-    (rank + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % records
 }
 
 /// The load phase: `cfg.threads` loaders (at least one) each insert the
@@ -326,10 +318,10 @@ pub fn run_cell(cfg: &CellConfig) -> BenchResult {
 
 /// Runs one cell — load, measured phase, validation — on a map the caller
 /// built.  It exists apart from [`run_cell`] for tree variants the registry
-/// cannot name (the lock ablation's `AbTree<false, TatasLock>` reports the
-/// same `name()` as the MCS tree).  `cfg.structure` is only the row label
-/// here, and the caller builds `map` on a `cfg.smr` collector so the `smr`
-/// column is true.
+/// does not hold (the lock ablation's `AbTree<false, TatasLock>`).
+/// `cfg.structure` is the row label, the only name such a map has, and the
+/// caller builds `map` on a `cfg.smr` collector so the `smr` column is
+/// true.
 pub fn run_cell_on(map: Box<dyn ConcurrentMap>, cfg: &CellConfig) -> BenchResult {
     let map = &*map;
     let step = &Step::new(cfg);

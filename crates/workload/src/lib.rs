@@ -32,7 +32,7 @@ pub mod zipf;
 pub use mix::{MixError, Operation, OperationMix};
 pub use prefill::{prefill, PrefillReport};
 pub use tenant::TenantKeyDistribution;
-pub use zipf::KeyDistribution;
+pub use zipf::{scatter, KeyDistribution};
 
 #[cfg(test)]
 mod tests {

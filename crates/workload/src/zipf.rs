@@ -103,13 +103,16 @@ impl KeyDistribution {
     }
 }
 
-/// Bijectively scatters `key` over `0..range` using a multiplicative hash
-/// followed by a modulo fold (approximately bijective; collisions only change
-/// which concrete keys are hot, not the popularity profile).
+/// Scatters popularity rank `rank` (0 is the hottest) over the keys
+/// `0..range` with a multiplicative hash followed by a modulo fold: the
+/// scrambled Zipf's key for that rank when `range` is its own range.
+/// Approximately bijective; collisions only change which concrete keys are
+/// hot, not the popularity profile.  YCSB request keys call it with a
+/// growing `range`, the records present when the request is drawn.
 #[inline]
-fn scatter(key: u64, range: u64) -> u64 {
-    // Fibonacci hashing constant; the +1 keeps rank 1 from mapping to key 0.
-    (key + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % range
+pub fn scatter(rank: u64, range: u64) -> u64 {
+    // Fibonacci hashing constant; the +1 keeps rank 0 from mapping to key 0.
+    (rank + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) % range
 }
 
 /// Hörmann rejection-inversion sampler for `P(k) ∝ k^{-s}`, `k ∈ 1..=n`.

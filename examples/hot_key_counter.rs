@@ -5,29 +5,39 @@
 //! Elim-ABtree completes many of these operations without writing to the
 //! tree at all.
 //!
+//! With two or more hardware threads the example fails (exits non-zero)
+//! if no operation was eliminated, since that means the elimination path
+//! is dead; on one hardware thread there is no concurrent same-key pair to
+//! eliminate, so it prints `skipped: ...` instead.
+//!
 //! Run with: `cargo run --release --example hot_key_counter`
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use elim_abtree_repro::abtree::{AbTree, ElimABTree, HandleRng, OccABTree};
 
 fn churn<const ELIM: bool>(map: &Arc<AbTree<ELIM>>, threads: usize, ops_per_thread: u64) -> f64 {
     let hot_keys = 8u64;
+    // Workers start together, so a late-scheduled thread cannot leave the
+    // others to churn alone (nothing to eliminate without a concurrent
+    // same-key update).
+    let barrier = &Barrier::new(threads);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for t in 0..threads {
             let map = Arc::clone(map);
             scope.spawn(move || {
                 // One session per worker, the tree's own `TreeHandle`: the
-                // EBR registration, elimination scratch and RNG live here,
-                // not in per-op lookups, and ops are statically dispatched.
+                // EBR registration lives here, not in per-op lookups, and
+                // ops are statically dispatched.
                 let mut session = map.handle();
                 // Key and operation are drawn independently, so every thread
                 // sends both inserts and deletes to every hot key, and two
                 // threads often update one key the same way at once: the
                 // pairs elimination can cancel.
                 let mut rng = HandleRng::from_seed(t as u64 + 1);
+                barrier.wait();
                 for i in 0..ops_per_thread {
                     let key = rng.next_u64() % hot_keys;
                     if rng.coin() {
@@ -72,4 +82,13 @@ fn main() {
     );
     occ.check_invariants().unwrap();
     elim.check_invariants().unwrap();
+
+    if threads < 2 {
+        println!(
+            "skipped: the elimination check needs 2 or more hardware threads (have {threads})"
+        );
+    } else if elim.elimination_count() == 0 {
+        eprintln!("no operation was eliminated: the elimination path is dead");
+        std::process::exit(1);
+    }
 }
