@@ -9,7 +9,7 @@
 //!   cheap local epoch announcement;
 //! * a reusable scan buffer backing [`TreeHandle::scan_len`].
 //!
-//! The elimination path needs no per-thread scratch: `lockOrElim` waits
+//! The elimination path needs no per-thread scratch or RNG: `lockOrElim` waits
 //! between attempts with a stack-local exponential backoff.
 //!
 //! The handle dereferences to the tree, so quiescent accessors
@@ -17,64 +17,12 @@
 //! reachable through it.
 
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use absync::{McsLock, RawNodeLock};
 
 use crate::persist::{Persist, VolatilePersist};
 use crate::tree::AbTree;
 use crate::{ConcurrentMap, MapHandle};
-
-/// A tiny per-handle xorshift* PRNG for per-thread randomness (e.g.
-/// skiplist tower heights in the baselines).
-///
-/// Not cryptographic and not reproducible across runs — each instance is
-/// seeded from a global counter so that every handle gets a distinct
-/// stream without consulting thread-local state on the hot path.
-#[derive(Debug, Clone)]
-pub struct HandleRng(u64);
-
-/// Seed counter behind [`HandleRng::new`].
-static RNG_SEQ: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
-
-impl Default for HandleRng {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HandleRng {
-    /// Creates a generator with a process-unique seed.
-    pub fn new() -> Self {
-        // splitmix64 of a global counter: cheap, and distinct per handle.
-        let mut z = RNG_SEQ.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Self((z ^ (z >> 31)) | 1)
-    }
-
-    /// Creates a generator from an explicit seed (tests).
-    pub fn from_seed(seed: u64) -> Self {
-        Self(seed | 1)
-    }
-
-    /// Next pseudo-random 64-bit value (xorshift64*).
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    /// A uniformly random boolean.
-    #[inline]
-    pub fn coin(&mut self) -> bool {
-        self.next_u64() & (1 << 32) != 0
-    }
-}
 
 /// A per-thread session on an [`AbTree`] (see the module docs).
 ///
@@ -332,21 +280,5 @@ mod tests {
         held.pop();
         let mut session = map.try_handle().expect("one slot is free again");
         assert_eq!(session.insert(1, 10), None);
-    }
-
-    #[test]
-    fn handle_rng_streams_differ_and_advance() {
-        let mut a = HandleRng::new();
-        let mut b = HandleRng::new();
-        let (a1, a2) = (a.next_u64(), a.next_u64());
-        assert_ne!(a1, a2);
-        let b1 = b.next_u64();
-        assert_ne!(a1, b1, "handles must get distinct streams");
-        let mut c = HandleRng::from_seed(42);
-        let heads = (0..1_000).filter(|_| c.coin()).count();
-        assert!(
-            (200..800).contains(&heads),
-            "coin is not degenerate: {heads}"
-        );
     }
 }

@@ -66,10 +66,11 @@ pub use extbst::LockExtBst;
 pub use fptree::FpTree;
 pub use skiplist::LazySkipList;
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use abebr::{Collector, Guard, LocalHandle};
-use abtree::{HandleRng, MapHandle};
+use abtree::MapHandle;
 
 // The baselines' locks ignore poison, as `parking_lot`'s do: a panic while
 // a lock is held is reported by the panicking thread, and the others keep
@@ -88,6 +89,50 @@ pub(crate) fn read<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Write-locks `rwlock`, ignoring poison.
 pub(crate) fn write<T: ?Sized>(rwlock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     rwlock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A tiny per-session xorshift* PRNG (the skiplist's tower heights).
+///
+/// Not cryptographic and not reproducible across runs — each instance is
+/// seeded from a global counter so that every session gets a distinct
+/// stream without consulting thread-local state on the hot path.
+pub(crate) struct HandleRng(u64);
+
+/// Seed counter behind [`HandleRng::new`].
+static RNG_SEQ: AtomicU64 = AtomicU64::new(0x9E37_79B9_7F4A_7C15);
+
+impl HandleRng {
+    /// Creates a generator with a process-unique seed.
+    pub(crate) fn new() -> Self {
+        // splitmix64 of a global counter: cheap, and distinct per session.
+        let mut z = RNG_SEQ.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Self((z ^ (z >> 31)) | 1)
+    }
+
+    /// Creates a generator from an explicit seed.
+    #[cfg(test)]
+    pub(crate) fn from_seed(seed: u64) -> Self {
+        Self(seed | 1)
+    }
+
+    /// Next pseudo-random 64-bit value (xorshift64*).
+    #[inline]
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+
+    /// A uniformly random boolean.
+    #[inline]
+    pub(crate) fn coin(&mut self) -> bool {
+        self.next_u64() & (1 << 32) != 0
+    }
 }
 
 /// Per-operation context a [`SessionHandle`] passes down to a structure's
@@ -271,6 +316,22 @@ mod tests {
         assert_eq!(crate::read(&l).len(), 2);
         crate::write(&l).push(3);
         assert_eq!(*crate::read(&l), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn handle_rng_streams_differ_and_advance() {
+        let mut a = crate::HandleRng::new();
+        let mut b = crate::HandleRng::new();
+        let (a1, a2) = (a.next_u64(), a.next_u64());
+        assert_ne!(a1, a2);
+        let b1 = b.next_u64();
+        assert_ne!(a1, b1, "sessions must get distinct streams");
+        let mut c = crate::HandleRng::from_seed(42);
+        let heads = (0..1_000).filter(|_| c.coin()).count();
+        assert!(
+            (200..800).contains(&heads),
+            "coin is not degenerate: {heads}"
+        );
     }
 
     /// A holder that panicked poisons a std lock; the helpers carry on.

@@ -13,9 +13,9 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
 use std::sync::Mutex;
 
 use abebr::Collector;
-use abtree::{ConcurrentMap, HandleRng, MapHandle};
+use abtree::{ConcurrentMap, MapHandle};
 
-use crate::{lock, OpCx, SessionHandle, SessionOps};
+use crate::{lock, HandleRng, OpCx, SessionHandle, SessionOps};
 
 /// Maximum tower height.
 const MAX_LEVEL: usize = 20;

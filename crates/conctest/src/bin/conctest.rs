@@ -24,7 +24,7 @@
 //!   semantics exactly for the registry's `Snapshot` structures).
 //!
 //! The targets are every registry structure, then kvserve services
-//! (tenant-skewed keys, batched ops) for a sample of shard counts and
+//! (Zipf-skewed keys, batched ops) for a sample of shard counts and
 //! structures, a socket server in front of one, and the durable service
 //! (point operations only).
 //!
@@ -161,12 +161,13 @@ fn main() {
         sweep.target(descriptor.name, &build, &cfg, &check_cfg);
     }
 
-    // The services: tenant-skewed traffic over sharded registry structures.
-    // Scans are scatter-gather and shards promise no cross-shard atomicity,
-    // so per-key semantics throughout.
+    // The services: Zipf-skewed traffic over sharded registry structures,
+    // on a key space four times the structures' own.  Scans are
+    // scatter-gather and shards promise no cross-shard atomicity, so per-key
+    // semantics throughout.
     let per_key = CheckConfig::default();
     let service_cfg = FuzzConfig {
-        tenants: Some((4, 1.0)),
+        key_space: cfg.key_space * 4,
         ..cfg.clone()
     };
     let service_cells: &[(&str, usize)] = if smoke {

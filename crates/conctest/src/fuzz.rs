@@ -15,10 +15,10 @@
 //!   [`checker`](crate::checker).  Violating histories shrink by the same
 //!   ddmin loop, re-running only the (pure, deterministic) checker.
 //!
-//! Key streams support Zipfian skew ([`FuzzConfig::key_skew`]) and, for the
-//! service targets, two-level tenant skew ([`FuzzConfig::tenants`]); mixes
-//! are ordinary [`workload::OperationMix`]s, so YCSB-E-style scan-heavy mixes
-//! are one constructor call away.  Every insert in a run carries a **unique
+//! Keys are drawn from one flat key space, uniform or Zipf-skewed
+//! ([`FuzzConfig::key_skew`]); mixes are ordinary
+//! [`workload::OperationMix`]s, so YCSB-E-style scan-heavy mixes are one
+//! constructor call away.  Every insert in a run carries a **unique
 //! value**, which sharpens both the oracle comparison and the checker's
 //! provenance pre-pass.
 
@@ -28,7 +28,7 @@ use std::sync::Arc;
 use abtree::{ConcurrentMap, MapHandle};
 use kvserve::{KvService, ShardRouter};
 use rand::prelude::*;
-use workload::{KeyDistribution, Operation, OperationMix, TenantKeyDistribution};
+use workload::{KeyDistribution, Operation, OperationMix};
 
 use crate::checker::{check, CheckConfig, Outcome};
 use crate::history::{Clock, History, OpKind, OpResult, Recorder, Session};
@@ -52,16 +52,12 @@ pub struct FuzzConfig {
     pub threads: u32,
     /// Operations per thread (per round, in concurrent mode).
     pub ops_per_thread: u32,
-    /// Keys are drawn from `[0, key_space)` (per tenant, with `tenants`).
+    /// Keys are drawn from `[0, key_space)`.
     pub key_space: u64,
     /// Operation mix (shares of insert/delete/find/scan/mget/mput).
     pub mix: OperationMix,
     /// Zipf exponent of the key distribution (0 = uniform).
     pub key_skew: f64,
-    /// Two-level tenant skew `(tenants, exponent)` for service targets:
-    /// keys are namespace-prefixed draws of a Zipf-chosen tenant.  `None`
-    /// draws flat keys.
-    pub tenants: Option<(u16, f64)>,
 }
 
 impl Default for FuzzConfig {
@@ -75,7 +71,6 @@ impl Default for FuzzConfig {
             // present, finds take the rest.
             mix: OperationMix::from_shares(40, 10, 5, 5),
             key_skew: 0.8,
-            tenants: None,
         }
     }
 }
@@ -96,38 +91,12 @@ impl ScheduledOp {
     }
 }
 
-/// Key source for schedule generation: flat Zipf/uniform, or two-level
-/// tenant skew with namespace-prefixed keys.
-enum KeyGen {
-    Flat(KeyDistribution),
-    Tenant(TenantKeyDistribution),
-}
-
-impl KeyGen {
-    fn new(cfg: &FuzzConfig) -> Self {
-        match cfg.tenants {
-            None => KeyGen::Flat(KeyDistribution::zipfian(cfg.key_space, cfg.key_skew)),
-            Some((count, skew)) => KeyGen::Tenant(TenantKeyDistribution::new(
-                count,
-                skew,
-                cfg.key_space,
-                cfg.key_skew,
-            )),
-        }
-    }
-
-    fn sample(&self, rng: &mut StdRng) -> u64 {
-        match self {
-            KeyGen::Flat(dist) => dist.sample(rng),
-            KeyGen::Tenant(dist) => {
-                let (tenant, key) = dist.sample(rng);
-                kvserve::Namespace::new(tenant).prefixed(key)
-            }
-        }
-    }
-}
-
-fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut u64) -> OpKind {
+fn sample_op(
+    rng: &mut StdRng,
+    cfg: &FuzzConfig,
+    keys: &KeyDistribution,
+    next_value: &mut u64,
+) -> OpKind {
     let mut value = || {
         *next_value += 1;
         *next_value
@@ -169,7 +138,7 @@ fn sample_op(rng: &mut StdRng, cfg: &FuzzConfig, keys: &KeyGen, next_value: &mut
 /// context switches land at every possible boundary over enough seeds).
 pub fn generate_schedule(cfg: &FuzzConfig) -> Vec<ScheduledOp> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let keys = KeyGen::new(cfg);
+    let keys = KeyDistribution::zipfian(cfg.key_space, cfg.key_skew);
     let mut next_value = 0u64;
     (0..cfg.threads * cfg.ops_per_thread)
         .map(|_| ScheduledOp {
@@ -218,7 +187,7 @@ impl Target for KvService {
 }
 
 /// A kvserve service with `shards` shards of registry structure
-/// `structure`: the service target of tenant-skewed fuzz runs.
+/// `structure` and one namespace slot: the fuzzer's service target.
 pub fn kv_service(structure: &str, shards: usize) -> KvService {
     KvService::new(shards, 1, |_| setbench::registry::make_structure(structure))
 }
@@ -327,7 +296,12 @@ pub fn differential_fuzz<T: Target>(
 /// each open a session, run `cfg.ops_per_thread` seeded operations through
 /// a [`Recorder`] (unique values with thread-tagged high bits), and the
 /// merged [`History`] is returned.
-fn record_round<T: Target>(target: &T, keys: &KeyGen, cfg: &FuzzConfig, round: u64) -> History {
+fn record_round<T: Target>(
+    target: &T,
+    keys: &KeyDistribution,
+    cfg: &FuzzConfig,
+    round: u64,
+) -> History {
     let clock = Clock::new();
     let parts = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..cfg.threads)
@@ -408,7 +382,7 @@ pub fn fuzz_concurrent<T: Target>(
         T::SNAPSHOT_SCANS || !check_cfg.snapshot_scans,
         "service scans are scatter-gather, never atomic snapshots"
     );
-    let keys = KeyGen::new(cfg);
+    let keys = KeyDistribution::zipfian(cfg.key_space, cfg.key_skew);
     let mut report = ConcReport::default();
     for round in 0..rounds as u64 {
         let history = record_round(&build(), &keys, cfg, round);
@@ -601,8 +575,7 @@ mod tests {
     fn kvserve_differential_passes() {
         let cfg = FuzzConfig {
             ops_per_thread: 120,
-            key_space: 40,
-            tenants: Some((4, 1.0)),
+            key_space: 160,
             ..FuzzConfig::default()
         };
         differential_fuzz(&|| kv_service("elim-abtree", 3), &cfg).expect("service is correct");

@@ -26,8 +26,8 @@
 //!    pathological histories return [`Outcome::Bounded`] instead of
 //!    hanging.
 //! 3. **Fuzzing + shrinking** ([`fuzz`], [`shrink`]): seeded
-//!    [`workload::OperationMix`] schedules of `(thread, OpKind)` (Zipf and
-//!    tenant skew, YCSB-E style scans, batches), replayed deterministically
+//!    [`workload::OperationMix`] schedules of `(thread, OpKind)` (Zipf
+//!    skew, YCSB-E style scans, batches), replayed deterministically
 //!    against any [`Target`] — a registry structure, a kvserve service, the
 //!    durable service or a socket server — and the oracle session, and
 //!    recorded concurrently under the checker; failures shrink ddmin-style

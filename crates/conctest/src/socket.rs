@@ -73,7 +73,7 @@ mod tests {
     fn socket_client_matches_the_oracle() {
         let cfg = FuzzConfig {
             ops_per_thread: 100,
-            tenants: Some((4, 1.0)),
+            key_space: 256,
             ..FuzzConfig::default()
         };
         let build = || loopback_server(kv_service("elim-abtree", 2), 2);

@@ -46,13 +46,12 @@ fn every_registry_structure_passes_both_fuzz_modes() {
     }
 }
 
-/// The sharded service passes both modes too (tenant-skewed keys, batched
+/// The sharded service passes both modes too (Zipf-skewed keys, batched
 /// ops, scatter-gather scans checked per key).
 #[test]
 fn kvserve_passes_both_fuzz_modes() {
     let cfg = FuzzConfig {
-        key_space: 48,
-        tenants: Some((4, 1.0)),
+        key_space: 192,
         ..small_cfg()
     };
     for &(structure, shards) in &[("elim-abtree", 1), ("elim-abtree", 3), ("skiplist-lazy", 2)] {

@@ -20,17 +20,17 @@ use conctest::{
     FuzzConfig, Outcome,
 };
 
-/// Tiny, hot key space: a dozen keys under Zipf skew means every router's
-/// direct-mapped cache holds most of the universe and writes invalidate it
-/// constantly — the regime where a version-check bug would surface.
+/// Tiny, hot key space: three dozen keys under Zipf skew means every
+/// router's direct-mapped cache holds most of the universe and writes
+/// invalidate it constantly — the regime where a version-check bug would
+/// surface.
 fn hot_key_cfg() -> FuzzConfig {
     FuzzConfig {
         seed: 0x5EED_CAFE,
         threads: 2,
         ops_per_thread: 160,
-        key_space: 12,
+        key_space: 36,
         key_skew: 1.2,
-        tenants: Some((3, 1.0)),
         ..FuzzConfig::default()
     }
 }

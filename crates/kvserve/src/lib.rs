@@ -32,7 +32,7 @@
 //!   high key bits, keeping each tenant's keys contiguous in the ordered
 //!   shards (a tenant scan is one window).
 //! * **Observability** ([`ServiceStats`] + [`obs`]): per-shard and
-//!   per-namespace counters (ops, hit rate) plus fixed-bucket power-of-two
+//!   per-namespace counters (ops, hits, misses) plus fixed-bucket power-of-two
 //!   histograms for p50/p99 latency and batch sizes, all registered as pull
 //!   sources in the service's [`obs::Registry`] — one [`Request::Stats`]
 //!   scrape renders the whole stack (op counters, sampled per-stage

@@ -68,21 +68,6 @@ pub enum Request {
     Stats,
 }
 
-impl Request {
-    /// The number of keys this request touches (1 for point ops, the batch
-    /// length for batches, `len` for scans) — the unit in which the service
-    /// reports per-request work.
-    pub fn key_count(&self) -> u64 {
-        match self {
-            Request::Get { .. } | Request::Put { .. } | Request::Delete { .. } => 1,
-            Request::Scan { len, .. } => *len,
-            Request::MGet { keys } => keys.len() as u64,
-            Request::MPut { pairs } => pairs.len() as u64,
-            Request::Stats => 0,
-        }
-    }
-}
-
 /// The response to one [`Request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -114,32 +99,4 @@ pub enum Response {
     /// exposition of every registered metric at the moment the router
     /// served the request (parse it with [`obs::expo::parse`]).
     Stats(String),
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn key_counts() {
-        assert_eq!(Request::Get { key: 1 }.key_count(), 1);
-        assert_eq!(Request::Put { key: 1, value: 2 }.key_count(), 1);
-        assert_eq!(Request::Delete { key: 1 }.key_count(), 1);
-        assert_eq!(Request::Scan { lo: 5, len: 40 }.key_count(), 40);
-        assert_eq!(
-            Request::MGet {
-                keys: vec![1, 2, 3]
-            }
-            .key_count(),
-            3
-        );
-        assert_eq!(
-            Request::MPut {
-                pairs: vec![(1, 1), (2, 2)]
-            }
-            .key_count(),
-            2
-        );
-        assert_eq!(Request::Stats.key_count(), 0, "a scrape touches no keys");
-    }
 }

@@ -482,6 +482,18 @@ mod tests {
         assert_eq!(out.last(), Some(&(149, 150)));
         router.scan(10, 0, &mut out);
         assert!(out.is_empty(), "len 0 scans nothing");
+
+        // At the top of the key space the window clamps below the sentinel
+        // on every shard, and the merge still yields exactly its keys.
+        let top = abtree::EMPTY_KEY - 40..abtree::EMPTY_KEY;
+        for key in top.clone() {
+            router.put(key, key - 1);
+        }
+        let shards: Vec<usize> = top.clone().map(|key| service.shard_of(key)).collect();
+        assert!(shards.contains(&0) && shards.contains(&1), "{shards:?}");
+        router.scan(abtree::EMPTY_KEY - 20, 100, &mut out);
+        let expected: Vec<(u64, u64)> = top.skip(20).map(|key| (key, key - 1)).collect();
+        assert_eq!(out, expected);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use obs::{Histogram, Sample};
 /// Batched requests bump shard-level `mgets`/`mputs` once per *sub-batch*
 /// (a multi-get spanning three shards bumps three shard-level `mgets` — the
 /// dispatch unit) and namespace-level `mgets`/`mputs` once per *key* (the
-/// tenant-billing unit).  `hits`/`misses` always count per key, so hit rate
-/// is per-key everywhere.
+/// tenant-billing unit).  `hits`/`misses` always count per key, so a hit
+/// rate read from them is per-key everywhere.
 #[derive(Debug, Default)]
 pub struct OpCounters {
     gets: AtomicU64,
@@ -156,16 +156,6 @@ impl OpCounters {
     /// All operations served (batches counted per sub-batch).
     pub fn total_ops(&self) -> u64 {
         self.gets() + self.puts() + self.deletes() + self.scans() + self.mgets() + self.mputs()
-    }
-
-    /// Per-key hit rate of lookups in `[0, 1]`; 0 when no lookups ran.
-    pub fn hit_rate(&self) -> f64 {
-        let (hits, misses) = (self.hits(), self.misses());
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
     }
 
     /// Emits this counter set as labeled samples: one `ops_name{label,op=*}`
@@ -354,7 +344,6 @@ mod tests {
             return; // recording is compiled out
         }
         let c = OpCounters::default();
-        assert_eq!(c.hit_rate(), 0.0, "no lookups yet");
         c.record_get(true);
         c.record_get(true);
         c.record_get(false);
@@ -373,7 +362,6 @@ mod tests {
         assert_eq!(c.hits(), 2);
         assert_eq!(c.misses(), 2);
         assert_eq!(c.total_ops(), 8);
-        assert!((c.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

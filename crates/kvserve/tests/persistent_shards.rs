@@ -7,7 +7,7 @@
 //! (c) a quiescent `pabtree::recover` pass over each shard is clean.
 
 use abtree::ConcurrentMap;
-use kvserve::{KvService, Namespace};
+use kvserve::KvService;
 use pabtree::POccABTree;
 use std::sync::Arc;
 
@@ -31,23 +31,19 @@ fn kvservice_over_durable_shards_persists_and_recovers() {
     let (service, trees) = persistent_service(4);
     abpmem::reset_stats();
 
-    let ns = Namespace::new(0);
     let mut router = service.router();
     let mut expected_sum = 0i128;
     for key in 1..=600u64 {
-        let packed = ns.prefixed(key);
-        assert_eq!(router.put(packed, key * 7), None);
-        expected_sum += packed as i128;
+        assert_eq!(router.put(key, key * 7), None);
+        expected_sum += key as i128;
     }
     for key in (1..=600u64).step_by(3) {
-        let packed = ns.prefixed(key);
-        assert_eq!(router.delete(packed), Some(key * 7));
-        expected_sum -= packed as i128;
+        assert_eq!(router.delete(key), Some(key * 7));
+        expected_sum -= key as i128;
     }
     for key in 1..=600u64 {
-        let packed = ns.prefixed(key);
         let expect = if key % 3 == 1 { None } else { Some(key * 7) };
-        assert_eq!(router.get(packed), expect, "key {key}");
+        assert_eq!(router.get(key), expect, "key {key}");
     }
     assert_eq!(service.key_sum() as i128, expected_sum);
 

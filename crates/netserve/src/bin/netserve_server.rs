@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use kvserve::{KvService, Namespace, Request, Response};
+use kvserve::{KvService, Request, Response};
 use netserve::{Client, Server, ServerConfig};
 
 struct Args {
@@ -68,7 +68,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn service(shards: usize) -> Arc<KvService> {
-    Arc::new(KvService::new(shards, 4, |_| {
+    Arc::new(KvService::new(shards, 1, |_| {
         let tree: abtree::ElimABTree = abtree::ElimABTree::new();
         Box::new(tree)
     }))
@@ -165,11 +165,10 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
     let workers: Vec<_> = (0..CLIENTS)
         .map(|worker| {
             std::thread::spawn(move || -> Result<u64, String> {
-                let tenant = Namespace::new((worker % 4) as u16);
                 let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
                 let mut answered = 0;
                 for i in 0..FRAMES_PER_CLIENT {
-                    let key = tenant.prefixed(worker * FRAMES_PER_CLIENT + i);
+                    let key = worker * FRAMES_PER_CLIENT + i;
                     let batch = [
                         Request::Put { key, value: i },
                         Request::Get { key },

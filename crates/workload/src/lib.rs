@@ -14,7 +14,9 @@
 //!   for Figures 16 and 18, whose YCSB Workloads A and E are themselves
 //!   operation mixes over a scrambled Zipfian request distribution.
 //!
-//! This crate implements those generators.  The SetBench figures draw
+//! This crate implements those generators, every one over a single flat key
+//! range `[0, n)`: service traffic (conctest's fuzzer, the ledger's service
+//! workloads) draws its keys the same way.  The SetBench figures draw
 //! point-only mixes and YCSB-E adds scans; the batch shares serve
 //! conctest's fuzzer and the layer ledger's mixed tree workload.  The
 //! Zipfian sampler uses Hörmann's rejection-inversion method, which samples
@@ -25,13 +27,11 @@
 
 pub mod mix;
 pub mod prefill;
-pub mod tenant;
 pub mod ycsb;
 pub mod zipf;
 
 pub use mix::{MixError, Operation, OperationMix};
 pub use prefill::{prefill, PrefillReport};
-pub use tenant::TenantKeyDistribution;
 pub use zipf::{scatter, KeyDistribution};
 
 #[cfg(test)]

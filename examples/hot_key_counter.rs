@@ -15,7 +15,9 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use elim_abtree_repro::abtree::{AbTree, ElimABTree, HandleRng, OccABTree};
+use elim_abtree_repro::abtree::{AbTree, ElimABTree, OccABTree};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn churn<const ELIM: bool>(map: &Arc<AbTree<ELIM>>, threads: usize, ops_per_thread: u64) -> f64 {
     let hot_keys = 8u64;
@@ -36,11 +38,11 @@ fn churn<const ELIM: bool>(map: &Arc<AbTree<ELIM>>, threads: usize, ops_per_thre
                 // sends both inserts and deletes to every hot key, and two
                 // threads often update one key the same way at once: the
                 // pairs elimination can cancel.
-                let mut rng = HandleRng::from_seed(t as u64 + 1);
+                let mut rng = StdRng::seed_from_u64(t as u64 + 1);
                 barrier.wait();
                 for i in 0..ops_per_thread {
-                    let key = rng.next_u64() % hot_keys;
-                    if rng.coin() {
+                    let key = rng.gen_range(0..hot_keys);
+                    if rng.gen_bool(0.5) {
                         session.insert(key, i);
                     } else {
                         session.delete(key);
