@@ -148,7 +148,7 @@ impl DurableKvService {
             acked: VecDeque::new(),
             touched: Vec::new(),
             keys: Vec::new(),
-            recorder: self.trace.recorder(),
+            recorder: self.trace.recorder(0),
         }
     }
 

@@ -109,7 +109,7 @@ impl<'s> ShardRouter<'s> {
             values: Vec::new(),
             entries: Vec::new(),
             pending: VecDeque::new(),
-            recorder: service.stage_trace().sampled_recorder(TRACE_SAMPLE_SHIFT),
+            recorder: service.stage_trace().recorder(TRACE_SAMPLE_SHIFT),
         }
     }
 
@@ -586,10 +586,11 @@ mod tests {
         let misses: u64 = stats.shards().iter().map(|s| s.misses()).sum();
         assert_eq!(hits, 2, "get(1) and mget hit on key 1");
         assert_eq!(misses, 3, "get(2) and mget misses on 2 and 3");
-        // Point latency is the `Apply` stage, sampled 1-in-16: four point
-        // submissions on a fresh router stay below the sample period, so
-        // the histogram is empty (the batch/scan histograms are always-on —
-        // their clock reads amortize over the whole batch).
+        // Point latency is the `Apply` stage, sampled 1-in-16: a fresh
+        // router's first traced call is the 15th (the sampler's fixed seed
+        // draws offset 14 for the first block), so four point submissions
+        // leave the histogram empty (the batch/scan histograms are
+        // always-on — their clock reads amortize over the whole batch).
         let apply = service.stage_trace().histogram(Stage::Apply).count();
         assert_eq!(apply, 0, "4 ops < sample period");
         assert_eq!(stats.batch_latency_ns.count(), 1);
@@ -876,10 +877,6 @@ mod tests {
             trace.histogram(Stage::Apply).count(),
             1024 >> TRACE_SAMPLE_SHIFT,
             "the sampler is deterministic"
-        );
-        assert!(
-            !trace.recent_events().is_empty(),
-            "the rings hold the raw recent events"
         );
     }
 

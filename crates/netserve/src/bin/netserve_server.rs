@@ -311,8 +311,10 @@ fn scrape_check(addr: std::net::SocketAddr, expected_frames: u64) -> Result<(), 
         "selftest placement: frames per reactor: {}",
         split.join(", ")
     );
-    // Sampled stage tracing saw the load: 1600 point submissions at
-    // 1-in-16 sampling leave ~100 traces in the apply-stage histogram.
+    // Sampled stage tracing saw the load: each router traces one point
+    // submission per block of 16, at a pseudo-random offset, so 1600 point
+    // submissions leave ~100 traces in the apply-stage histogram, puts
+    // and gets alike.
     let applies = obs::expo::sum(&samples, "stage_latency_ns_count", &[("stage", "apply")]);
     if applies == 0 {
         return Err("stage_latency_ns{stage=apply} recorded nothing under load".into());

@@ -375,7 +375,7 @@ impl<'s> Reactor<'s> {
             0 => u64::MAX,
             ms => ms,
         };
-        let recorder = router.service().stage_trace().recorder();
+        let recorder = router.service().stage_trace().recorder(0);
         Self {
             index,
             shared,

@@ -15,10 +15,10 @@
 //!   ([`expo::render`]).  Recording stays lock-free in each subsystem's
 //!   own relaxed atomics — the registry only pulls at snapshot time, so
 //!   it adds nothing to any hot path.
-//! * **[`StageTrace`]** — per-request stage tracing: each serving thread
-//!   records `(stage, end, duration)` events into its own fixed-capacity
-//!   [seqlock-readout ring](trace::StageRing) plus shared per-stage
-//!   latency histograms, so queueing vs apply vs fence time is separable
+//! * **[`StageTrace`]** — sampled per-request stage tracing: each serving
+//!   thread's recorder adds a traced request's stage durations to one
+//!   shared latency histogram per stage, so decode vs apply vs fence time
+//!   is separable
 //!   (`recv → decode → enqueue → dequeue → apply → fence → ack → write`).
 //! * **[`Stamp`]** — the hot-path timestamp.  On x86-64 it is a calibrated
 //!   `rdtsc` reading (~an order of magnitude cheaper than
@@ -48,7 +48,7 @@ pub mod trace;
 pub use hist::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{MetricValue, Registry, Sample, SourceId};
 pub use time::Stamp;
-pub use trace::{Stage, StageEvent, StageRecorder, StageTrace, STAGE_COUNT};
+pub use trace::{Stage, StageRecorder, StageTrace, STAGE_COUNT};
 
 /// Whether telemetry recording is compiled in.  `false` only when the
 /// `compile-out` feature is enabled (the measured-overhead baseline).

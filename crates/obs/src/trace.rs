@@ -2,10 +2,11 @@
 //!
 //! A request traverses the stack as a pipeline — received and decoded by a
 //! reactor, applied to the tree (on a volatile shard, by the reactor's own
-//! router; on a durable shard, by the committing router, window by window),
-//! fenced to the durable log, and written to the socket.  Aggregate latency
-//! histograms cannot say *which* of those stages ate a regression; this
-//! module can, at a cost small enough to leave on.
+//! router; on a durable shard, by the committing router, window by window,
+//! each window's link-and-persist writes covered by one group fence), and
+//! written to the socket.  Aggregate latency histograms cannot say *which*
+//! of those stages ate a regression; this module can, at a cost small
+//! enough to leave on.
 //!
 //! What is recorded today: the volatile path records `recv`, `decode`,
 //! `apply` and `write`; a durable router records only `fence`, once per
@@ -13,31 +14,20 @@
 //! `dequeue`, `ack`); they stay in [`Stage::ALL`] so every stage keeps its
 //! metric series.
 //!
-//! Two sinks, both fed by [`StageRecorder::record`]:
-//!
-//! * **Per-stage latency histograms** on the shared [`StageTrace`] — one
-//!   [`Histogram`] per [`Stage`], recorded with a relaxed fetch-add.
-//!   These are what the registry scrapes (`stage_latency_ns{stage=...}`).
-//! * **A per-thread ring of recent events** ([`StageRing`]) — the last
-//!   [`RING_CAPACITY`] `(stage, end, duration)` events each serving
-//!   thread produced, readable by any thread without stopping the writer
-//!   via a per-cell seqlock.  This is the flight recorder: a scrape of
-//!   aggregate histograms tells you p99 moved, the rings tell you what
-//!   the slow requests were doing just now.
-//!
-//! The writer path never blocks and never allocates: a ring write is two
-//! relaxed stores between two sequence-number stores, and a histogram
-//! update is one fetch-add.  Readers retry or skip cells being written.
+//! One sink: [`StageRecorder::record`] adds the stage's duration to that
+//! stage's [`Histogram`] on the shared [`StageTrace`] with a relaxed
+//! fetch-add, and the registry scrapes the eight histograms
+//! (`stage_latency_ns{stage=...}`).  Recording never blocks or allocates,
+//! and opening a recorder takes no lock.
 //!
 //! Tracing the full stage pipeline costs several [`Stamp`]s per request,
-//! so hot paths use a *sampled* recorder
-//! ([`StageTrace::sampled_recorder`]): 1-in-N requests carry a real start
-//! stamp through their stages, the rest carry [`Stamp::NONE`] and skip
-//! every downstream record at the cost of one predictable branch.
+//! so hot paths open a *sampled* recorder ([`StageTrace::recorder`] with
+//! a nonzero shift): 1-in-N requests carry a real start stamp through
+//! their stages, the rest carry [`Stamp::NONE`] and skip every downstream
+//! record at the cost of one predictable branch.
 
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::hist::Histogram;
 use crate::registry::Sample;
@@ -46,11 +36,9 @@ use crate::time::Stamp;
 /// Number of pipeline stages (the arms of [`Stage`]).
 pub const STAGE_COUNT: usize = 8;
 
-/// Events kept per serving thread in its [`StageRing`].
-pub const RING_CAPACITY: usize = 256;
-
-/// One stage of the request pipeline.  The discriminants are wire- and
-/// ring-stable (`u8`), ordered as a request traverses the stack.
+/// One stage of the request pipeline.  The discriminants (`u8`) index
+/// [`Stage::ALL`] and the histograms, ordered as a request traverses the
+/// stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Stage {
@@ -104,127 +92,11 @@ impl Stage {
     }
 }
 
-/// One recorded stage event, as read back out of a ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageEvent {
-    /// Which stage completed.
-    pub stage: Stage,
-    /// When it completed (nanoseconds since the process-local epoch).
-    pub end_ns: u64,
-    /// How long it took, in nanoseconds.
-    pub dur_ns: u64,
-}
-
-/// Durations are packed next to the stage tag in one word; anything
-/// longer than ~2.3 years clamps.
-const MAX_PACKED_DUR: u64 = (1 << 56) - 1;
-
-/// A cell is `(seq, end_ns, meta)` where `meta = dur_ns << 8 | stage`.
-/// `seq == 0` means never written; odd means a write is in progress.
-struct RingCell {
-    seq: AtomicU64,
-    end_ns: AtomicU64,
-    meta: AtomicU64,
-}
-
-/// A fixed-capacity ring of the most recent stage events from *one*
-/// writer thread, readable concurrently by any number of threads.
-///
-/// Each cell is an independent seqlock: the writer bumps the cell's
-/// sequence to odd, stores the payload, and bumps it to even; a reader
-/// that observes an odd or changed sequence discards the cell.  There is
-/// exactly one writer per ring (the [`StageRecorder`] is `!Sync`), so
-/// writes never contend — the fences exist purely so readers can detect
-/// torn cells.
-pub struct StageRing {
-    cells: Box<[RingCell]>,
-    /// Next cell to write.  Only the owning recorder advances it; relaxed
-    /// is fine because cell consistency comes from the per-cell seqlock.
-    next: AtomicU64,
-}
-
-impl StageRing {
-    fn new() -> Self {
-        Self {
-            cells: (0..RING_CAPACITY)
-                .map(|_| RingCell {
-                    seq: AtomicU64::new(0),
-                    end_ns: AtomicU64::new(0),
-                    meta: AtomicU64::new(0),
-                })
-                .collect(),
-            next: AtomicU64::new(0),
-        }
-    }
-
-    /// Writer side (single thread): publish one event, overwriting the
-    /// oldest.
-    fn push(&self, stage: Stage, end_ns: u64, dur_ns: u64) {
-        let idx = self.next.fetch_add(1, Ordering::Relaxed) as usize % RING_CAPACITY;
-        let cell = &self.cells[idx];
-        let seq = cell.seq.load(Ordering::Relaxed);
-        // Odd sequence = write in progress.  The Release fence orders the
-        // odd-store before the payload stores for any reader that acquires
-        // the final even sequence.
-        cell.seq.store(seq + 1, Ordering::Relaxed);
-        fence(Ordering::Release);
-        cell.end_ns.store(end_ns, Ordering::Relaxed);
-        cell.meta.store(
-            (dur_ns.min(MAX_PACKED_DUR) << 8) | stage as u64,
-            Ordering::Relaxed,
-        );
-        cell.seq.store(seq + 2, Ordering::Release);
-    }
-
-    /// Reader side: every event currently consistent in the ring, oldest
-    /// first is *not* guaranteed (cells are returned in slot order); sort
-    /// by `end_ns` if order matters.  Cells mid-write after a few retries
-    /// are skipped rather than blocking the writer.
-    pub fn read(&self) -> Vec<StageEvent> {
-        let mut out = Vec::with_capacity(RING_CAPACITY);
-        'cells: for cell in self.cells.iter() {
-            for _ in 0..8 {
-                let s1 = cell.seq.load(Ordering::Acquire);
-                if s1 == 0 {
-                    continue 'cells; // never written
-                }
-                if s1 % 2 == 1 {
-                    std::hint::spin_loop();
-                    continue; // write in progress, retry
-                }
-                let end_ns = cell.end_ns.load(Ordering::Relaxed);
-                let meta = cell.meta.load(Ordering::Relaxed);
-                // The Acquire fence orders the payload loads before the
-                // re-check; if seq is unchanged, the payload is the one
-                // this sequence number published.
-                fence(Ordering::Acquire);
-                let s2 = cell.seq.load(Ordering::Relaxed);
-                if s1 == s2 {
-                    let stage = Stage::ALL[(meta & 0xFF) as usize % STAGE_COUNT];
-                    out.push(StageEvent {
-                        stage,
-                        end_ns,
-                        dur_ns: meta >> 8,
-                    });
-                    continue 'cells;
-                }
-                // Torn read: the writer lapped us; retry.
-            }
-            // Still inconsistent after bounded retries (writer is lapping
-            // this exact cell continuously): skip it, don't stall.
-        }
-        out
-    }
-}
-
-/// The shared stage-tracing sink: per-stage latency histograms plus the
-/// per-thread event rings (see the module docs).
+/// The shared stage-tracing sink: one latency histogram per [`Stage`]
+/// (see the module docs).
+#[derive(Debug)]
 pub struct StageTrace {
     hists: [Histogram; STAGE_COUNT],
-    /// Every ring handed out.  A ring whose recorder has dropped keeps its
-    /// events readable until a new recorder reuses it, so the list is
-    /// bounded by the peak number of live recorders.
-    rings: Mutex<Vec<Arc<StageRing>>>,
 }
 
 impl Default for StageTrace {
@@ -238,64 +110,32 @@ impl StageTrace {
     pub fn new() -> Self {
         Self {
             hists: std::array::from_fn(|_| Histogram::new()),
-            rings: Mutex::new(Vec::new()),
         }
     }
 
-    /// A recorder that records *every* traced request.  For frame-level
-    /// stages (recv/decode/write) where one event covers a whole batch.
-    pub fn recorder(self: &Arc<Self>) -> StageRecorder {
-        self.sampled_recorder(0)
-    }
-
-    /// A recorder that samples: only 1 in `2^sample_shift` calls to
-    /// [`StageRecorder::sample_start`] return a real stamp; the rest
-    /// return [`Stamp::NONE`], which every downstream
-    /// [`record`](StageRecorder::record) skips for the cost of a branch.
-    /// `sample_shift == 0` means trace everything.
-    pub fn sampled_recorder(self: &Arc<Self>, sample_shift: u32) -> StageRecorder {
-        let ring = if crate::ENABLED {
-            let mut rings = self.rings.lock().expect("stage ring list poisoned");
-            // A ring only the list holds has lost its recorder, and no
-            // reader can clone it while we hold the lock.  `get_mut`'s
-            // uniqueness check synchronizes with the old recorder's drop,
-            // so its last writes happen before the new writer's first.
-            match rings
-                .iter_mut()
-                .position(|ring| Arc::get_mut(ring).is_some())
-            {
-                Some(free) => Arc::clone(&rings[free]),
-                None => {
-                    let ring = Arc::new(StageRing::new());
-                    rings.push(Arc::clone(&ring));
-                    ring
-                }
-            }
-        } else {
-            Arc::new(StageRing::new())
-        };
-        StageRecorder {
+    /// A recorder that traces one in `2^sample_shift` calls to
+    /// [`StageRecorder::sample_start`]; the rest return [`Stamp::NONE`],
+    /// which every downstream [`record`](StageRecorder::record) skips for
+    /// the cost of a branch.  `sample_shift == 0` traces everything: use
+    /// it for frame-level stages (recv/decode/write), where one event
+    /// covers a whole batch, and for stamps taken with [`Stamp::now`].
+    pub fn recorder(self: &Arc<Self>, sample_shift: u32) -> StageRecorder {
+        let rec = StageRecorder {
             trace: Arc::clone(self),
-            ring,
             sample_mask: (1u32 << sample_shift.min(31)) - 1,
-            tick: Cell::new(0),
-        }
+            countdown: Cell::new(0),
+            pick: Cell::new(0),
+            rng: Cell::new(SAMPLER_SEED),
+        };
+        let first = rec.next_pick();
+        rec.pick.set(first);
+        rec.countdown.set(first);
+        rec
     }
 
     /// The latency histogram for one stage.
     pub fn histogram(&self, stage: Stage) -> &Histogram {
         &self.hists[stage as usize]
-    }
-
-    /// Recent events across all recorders' rings, sorted oldest-first by
-    /// completion time.  A diagnostic snapshot: events recorded while
-    /// this runs may or may not appear.
-    pub fn recent_events(&self) -> Vec<StageEvent> {
-        let rings: Vec<Arc<StageRing>> =
-            self.rings.lock().expect("stage ring list poisoned").clone();
-        let mut events: Vec<StageEvent> = rings.iter().flat_map(|r| r.read()).collect();
-        events.sort_by_key(|e| e.end_ns);
-        events
     }
 
     /// Registry source: appends `stage_latency_ns{stage=...}` histogram
@@ -310,21 +150,29 @@ impl StageTrace {
     }
 }
 
-impl std::fmt::Debug for StageTrace {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageTrace")
-            .field("rings", &self.rings.lock().map(|r| r.len()).unwrap_or(0))
-            .finish()
-    }
-}
+/// The sampler's xorshift seed.  Fixed, so a recorder's sampling is
+/// reproducible run to run.
+const SAMPLER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// A per-thread handle for recording stage events (deliberately `!Sync`:
-/// each serving thread gets its own, so its ring has a single writer).
+/// A per-thread handle for recording stage events (`!Sync`: its sampler
+/// state is plain cells).
+///
+/// Sampling is stratified: the calls to [`sample_start`](Self::sample_start)
+/// fall into blocks of `2^sample_shift`, and exactly one call per block is
+/// traced, at an offset drawn from a xorshift.  A count over whole blocks
+/// is therefore exact, and a request mix with a period (a frame of `Put,
+/// Get`) is sampled in every phase, where a plain every-Nth counter would
+/// only ever pick one.  An untraced call is one decrement of a countdown.
+#[derive(Debug)]
 pub struct StageRecorder {
     trace: Arc<StageTrace>,
-    ring: Arc<StageRing>,
     sample_mask: u32,
-    tick: Cell<u32>,
+    /// Untraced calls left before the next traced one.
+    countdown: Cell<u32>,
+    /// The traced offset within the current block.
+    pick: Cell<u32>,
+    /// xorshift64 state.
+    rng: Cell<u64>,
 }
 
 impl StageRecorder {
@@ -337,13 +185,28 @@ impl StageRecorder {
         if !crate::ENABLED {
             return Stamp::NONE;
         }
-        let tick = self.tick.get().wrapping_add(1);
-        self.tick.set(tick);
-        if tick & self.sample_mask == 0 {
-            Stamp::now()
-        } else {
-            Stamp::NONE
+        let countdown = self.countdown.get();
+        if countdown > 0 {
+            self.countdown.set(countdown - 1);
+            return Stamp::NONE;
         }
+        // Traced: skip the rest of this block, then the next one's offset.
+        let next = self.next_pick();
+        self.countdown
+            .set(self.sample_mask - self.pick.get() + next);
+        self.pick.set(next);
+        Stamp::now()
+    }
+
+    /// Advances the xorshift64 and returns the next block's traced offset
+    /// (from the high bits, the better-mixed half).
+    fn next_pick(&self) -> u32 {
+        let mut x = self.rng.get();
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.rng.set(x);
+        (x >> 32) as u32 & self.sample_mask
     }
 
     /// Records that `stage` ran from `started` to now, returning the
@@ -357,18 +220,8 @@ impl StageRecorder {
             return Stamp::NONE;
         }
         let now = Stamp::now();
-        let dur_ns = now.since(started);
-        self.trace.hists[stage as usize].record(dur_ns);
-        self.ring.push(stage, now.ns_since_epoch(), dur_ns);
+        self.trace.hists[stage as usize].record(now.since(started));
         now
-    }
-}
-
-impl std::fmt::Debug for StageRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StageRecorder")
-            .field("sample_mask", &self.sample_mask)
-            .finish()
     }
 }
 
@@ -378,9 +231,9 @@ mod tests {
     use crate::expo;
 
     #[test]
-    fn recorded_stages_land_in_histograms_and_rings() {
+    fn recorded_stages_land_in_histograms() {
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
+        let rec = trace.recorder(0);
         let start = rec.sample_start();
         assert!(start.is_traced(), "unsampled recorder traces everything");
         let t1 = rec.record(Stage::Enqueue, start);
@@ -390,128 +243,98 @@ mod tests {
         assert_eq!(trace.histogram(Stage::Apply).count(), 1);
         assert_eq!(trace.histogram(Stage::Ack).count(), 1);
         assert_eq!(trace.histogram(Stage::Fence).count(), 0);
-
-        let events = trace.recent_events();
-        assert_eq!(events.len(), 3);
-        // Sorted by completion time, so pipeline order is recovered.
-        assert_eq!(events[0].stage, Stage::Enqueue);
-        assert_eq!(events[1].stage, Stage::Apply);
-        assert_eq!(events[2].stage, Stage::Ack);
-        assert!(events[0].end_ns <= events[1].end_ns);
     }
 
     #[test]
     fn untraced_stamps_record_nothing() {
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
+        let rec = trace.recorder(0);
         let next = rec.record(Stage::Apply, Stamp::NONE);
         assert!(!next.is_traced(), "NONE propagates through the pipeline");
         rec.record(Stage::Ack, next);
-        assert_eq!(trace.histogram(Stage::Apply).count(), 0);
-        assert_eq!(trace.histogram(Stage::Ack).count(), 0);
-        assert!(trace.recent_events().is_empty());
-    }
-
-    #[test]
-    fn a_dropped_recorders_ring_is_reused() {
-        let trace = Arc::new(StageTrace::new());
-        for _ in 0..1_000 {
-            drop(trace.recorder());
+        for stage in Stage::ALL {
+            assert_eq!(trace.histogram(stage).count(), 0);
         }
-        assert_eq!(
-            trace.rings.lock().unwrap().len(),
-            1,
-            "one ring, reused each time"
-        );
-        // Live recorders each keep their own ring; the events of a dropped
-        // one stay readable until its ring is handed on.
-        let first = trace.recorder();
-        let second = trace.recorder();
-        first.record(Stage::Apply, first.sample_start());
-        drop(first);
-        assert_eq!(trace.recent_events().len(), 1);
-        second.record(Stage::Write, second.sample_start());
-        assert_eq!(trace.rings.lock().unwrap().len(), 2);
-        assert_eq!(trace.recent_events().len(), 2);
     }
 
     #[test]
     fn sampled_recorder_traces_one_in_n() {
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.sampled_recorder(3); // 1 in 8
+        let rec = trace.recorder(3); // 1 in 8
         let traced = (0..64).filter(|_| rec.sample_start().is_traced()).count();
         assert_eq!(traced, 8);
     }
 
+    /// A request mix with period 2 (a frame of `Put, Get`) is sampled in
+    /// both phases; an every-16th counter would only ever pick one.
     #[test]
-    fn ring_overwrites_oldest_and_reads_stay_consistent() {
+    fn sampling_does_not_alias_with_a_periodic_mix() {
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
-        for i in 0..(RING_CAPACITY + 10) {
-            rec.ring.push(Stage::Apply, i as u64, i as u64);
+        let rec = trace.recorder(4);
+        let mut per_phase = [0usize; 2];
+        for i in 0..4_096 {
+            if rec.sample_start().is_traced() {
+                per_phase[i % 2] += 1;
+            }
         }
-        let events = rec.ring.read();
-        assert_eq!(events.len(), RING_CAPACITY, "ring is full, never larger");
-        // The oldest RING_CAPACITY+10 events were overwritten; everything
-        // left is from the most recent RING_CAPACITY pushes.
-        assert!(events.iter().all(|e| e.end_ns >= 10));
-        assert!(events.iter().all(|e| e.stage == Stage::Apply));
+        assert_eq!(per_phase[0] + per_phase[1], 4_096 >> 4, "one per block");
+        assert!(
+            per_phase.iter().all(|&n| n > 0),
+            "both phases sampled: {per_phase:?}"
+        );
     }
 
+    /// Two recorders write one trace while a third thread scrapes it: no
+    /// update is lost, and a scrape never waits for a writer.
     #[test]
-    fn durations_clamp_into_the_packed_meta_word() {
+    fn concurrent_recorders_and_scrapes_count_every_event() {
+        const EVENTS: usize = 8_000;
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
-        rec.ring.push(Stage::Write, 42, u64::MAX);
-        let events = rec.ring.read();
-        assert_eq!(events[0].dur_ns, MAX_PACKED_DUR);
-        assert_eq!(events[0].stage, Stage::Write);
-        assert_eq!(events[0].end_ns, 42);
-    }
-
-    #[test]
-    fn concurrent_readers_never_see_torn_cells() {
-        // One writer hammers the ring with self-consistent events
-        // (end_ns == dur_ns); readers must only ever observe pairs that
-        // match.  A torn read would pair one write's end_ns with
-        // another's meta.
-        let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
-        let ring = Arc::clone(&rec.ring);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..2)
+        let scraper = {
+            let trace = Arc::clone(&trace);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut scrapes = 0usize;
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                    let mut out = Vec::new();
+                    trace.collect(&mut out);
+                    assert!(!expo::render(&out).is_empty());
+                    scrapes += 1;
+                }
+                scrapes
+            })
+        };
+        let writers: Vec<_> = (0..2)
             .map(|_| {
-                let ring = Arc::clone(&ring);
-                let stop = Arc::clone(&stop);
+                let trace = Arc::clone(&trace);
                 std::thread::spawn(move || {
-                    let mut seen = 0usize;
-                    while !stop.load(Ordering::Relaxed) {
-                        for e in ring.read() {
-                            assert_eq!(
-                                e.end_ns, e.dur_ns,
-                                "torn seqlock read: end and meta from different writes"
-                            );
-                            seen += 1;
-                        }
+                    let rec = trace.recorder(0);
+                    for i in 0..EVENTS {
+                        rec.record(Stage::ALL[i % STAGE_COUNT], rec.sample_start());
                     }
-                    seen
                 })
             })
             .collect();
-        for i in 1..200_000u64 {
-            let v = i % MAX_PACKED_DUR;
-            rec.ring.push(Stage::ALL[(i % 8) as usize], v, v);
+        for writer in writers {
+            writer.join().unwrap();
         }
-        stop.store(true, Ordering::Relaxed);
-        for r in readers {
-            assert!(r.join().unwrap() > 0, "readers observed events");
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        assert!(scraper.join().unwrap() > 0, "the scraper ran");
+        for stage in Stage::ALL {
+            assert_eq!(
+                trace.histogram(stage).count(),
+                (2 * EVENTS / STAGE_COUNT) as u64,
+                "stage {}",
+                stage.name()
+            );
         }
     }
 
     #[test]
     fn collect_emits_one_labeled_histogram_per_stage() {
         let trace = Arc::new(StageTrace::new());
-        let rec = trace.recorder();
+        let rec = trace.recorder(0);
         let start = rec.sample_start();
         rec.record(Stage::Fence, start);
         let mut out = Vec::new();
