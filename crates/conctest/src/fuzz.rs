@@ -187,7 +187,7 @@ impl Target for KvService {
 }
 
 /// A kvserve service with `shards` shards of registry structure
-/// `structure` and one namespace slot: the fuzzer's service target.
+/// `structure`: the fuzzer's service target.
 pub fn kv_service(structure: &str, shards: usize) -> KvService {
     KvService::new(shards, 1, |_| setbench::registry::make_structure(structure))
 }

@@ -1,9 +1,9 @@
 //! A per-router hot-key read cache, validated by per-shard stamps.
 //!
-//! Under the Zipf-skewed tenant traffic the load driver models, a handful
-//! of keys absorb most lookups.  An uncached lookup descends the shard's
-//! tree on the router's own handle; this small, fixed-size, direct-mapped
-//! cache lets the top of the Zipf curve skip the descent.  It is private to
+//! Under Zipf-skewed traffic, a handful of keys absorb most lookups.  An
+//! uncached lookup descends the shard's tree on the router's own handle;
+//! this small, fixed-size, direct-mapped cache lets the top of the Zipf
+//! curve skip the descent.  It is private to
 //! one [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no
 //! atomics on the entry itself) and coherence comes from the shard's mutation counters
 //! instead of invalidation messages: an entry is stamped with the quiescent

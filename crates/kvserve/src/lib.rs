@@ -28,13 +28,10 @@
 //!   runs through one).
 //! * **A compact wire codec** ([`codec`]): varint-based request/response
 //!   framing with strict, allocation-capped decoding.
-//! * **Namespaces** ([`Namespace`]): 16-bit tenant prefixes packed into the
-//!   high key bits, keeping each tenant's keys contiguous in the ordered
-//!   shards (a tenant scan is one window).
-//! * **Observability** ([`ServiceStats`] + [`obs`]): per-shard and
-//!   per-namespace counters (ops, hits, misses) plus fixed-bucket power-of-two
-//!   histograms for p50/p99 latency and batch sizes, all registered as pull
-//!   sources in the service's [`obs::Registry`] — one [`Request::Stats`]
+//! * **Observability** ([`ServiceStats`] + [`obs`]): per-shard counters
+//!   (ops, hits, misses) plus fixed-bucket power-of-two histograms for
+//!   p50/p99 latency and batch sizes, all registered as pull sources in
+//!   the service's [`obs::Registry`] — one [`Request::Stats`]
 //!   scrape renders the whole stack (op counters, sampled per-stage
 //!   pipeline latency, per-shard EBR reclamation lag) as Prometheus-style
 //!   text exposition.  Building `obs` with its `compile-out` feature
@@ -43,25 +40,24 @@
 //! # Example
 //!
 //! ```
-//! use kvserve::{KvService, Namespace, Request, Response};
+//! use kvserve::{KvService, Request, Response};
 //!
-//! // Four elim-abtree shards, stats for up to 2 tenants.
-//! let service = KvService::new(4, 2, |_| {
+//! // Four elim-abtree shards over one key space.
+//! let service = KvService::new(4, 1, |_| {
 //!     let tree: abtree::ElimABTree = abtree::ElimABTree::new();
 //!     Box::new(tree)
 //! });
 //!
 //! // One router per worker thread.
 //! let mut router = service.router();
-//! let tenant = Namespace::new(1);
-//! assert_eq!(router.put(tenant.prefixed(7), 700), None);
+//! assert_eq!(router.put(7, 700), None);
 //! assert_eq!(
-//!     router.execute(&Request::Get { key: tenant.prefixed(7) }),
+//!     router.execute(&Request::Get { key: 7 }),
 //!     Response::Value(Some(700)),
 //! );
 //!
 //! // Batches amortize dispatch and bookkeeping across keys.
-//! let keys: Vec<u64> = (0..8).map(|k| tenant.prefixed(k)).collect();
+//! let keys: Vec<u64> = (0..8).collect();
 //! let mut values = Vec::new();
 //! router.mget(&keys, &mut values);
 //! assert_eq!(values[7], Some(700));
@@ -72,14 +68,14 @@
 //! };
 //! assert!(text.contains("kv_shard_version"));
 //! drop(router);
-//! assert!(!obs::ENABLED || service.stats().namespace(1).hits() >= 2);
+//! let hits: u64 = service.stats().shards().iter().map(|s| s.hits()).sum();
+//! assert!(!obs::ENABLED || hits >= 2);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod codec;
-pub mod namespace;
 pub mod queue;
 pub mod request;
 pub mod router;
@@ -91,7 +87,6 @@ pub use cache::ReadCache;
 pub use codec::{
     decode_batch, decode_response_batch, encode_batch, encode_response_batch, CodecError,
 };
-pub use namespace::{Namespace, LOCAL_KEY_BITS, MAX_LOCAL_KEY};
 pub use request::{Request, Response};
 pub use router::{Overloaded, ShardRouter};
 pub use service::{shard_of, KvService, RouterError};

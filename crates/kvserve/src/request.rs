@@ -20,7 +20,7 @@
 /// direct misuse.  A `Scan`'s `len` is additionally capped at
 /// [`crate::codec::MAX_DECODED_LEN`] *on the wire* — which also bounds the
 /// size of any `Entries` response a decoded frame can produce — while
-/// routers accept larger windows from embedded callers (e.g. a whole-tenant
+/// routers accept larger windows from embedded callers (e.g. a full-range
 /// dump), whose oversized results only matter if re-encoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {

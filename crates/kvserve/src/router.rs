@@ -151,7 +151,7 @@ impl<'s> ShardRouter<'s> {
 
     /// Runs one point request on this router's session on the key's shard:
     /// a `Get` probes the hot-key cache first; then [`worker::execute`], the
-    /// per-shard and per-namespace counters and the cache fill.  A sampled
+    /// shard's counters and the cache fill.  A sampled
     /// request, a cache hit included, records its `Apply` stage: the
     /// request's latency, from one clock read.
     fn point(&mut self, op: PointOp, key: u64, value: u64) -> Option<u64> {
@@ -159,7 +159,6 @@ impl<'s> ShardRouter<'s> {
         let shard = service.shard_of(key);
         let state = service.shard_state(shard);
         let stats = service.stats();
-        let ns = stats.namespace(stats.namespace_slot(key));
         // One sampling decision covers the stage trace: the untraced
         // 15-in-16 majority reads no clock at all.
         let started = self.recorder.sample_start();
@@ -168,7 +167,6 @@ impl<'s> ShardRouter<'s> {
                 stats.record_cache_hit();
                 self.recorder.record(Stage::Apply, started);
                 stats.shard(shard).record_get(cached.is_some());
-                ns.record_get(cached.is_some());
                 return cached;
             }
         }
@@ -177,19 +175,16 @@ impl<'s> ShardRouter<'s> {
         match op {
             PointOp::Get => {
                 stats.shard(shard).record_get(result.is_some());
-                ns.record_get(result.is_some());
                 self.cache.store(key, result, stamp);
             }
             PointOp::Put => {
                 stats.shard(shard).record_put();
-                ns.record_put();
                 // Either the insert landed (key -> value) or it was a no-op
                 // (key kept its prior value); both are exact at the stamp.
                 self.cache.store(key, Some(result.unwrap_or(value)), stamp);
             }
             PointOp::Delete => {
                 stats.shard(shard).record_delete();
-                ns.record_delete();
                 // Whatever was there, the key is now absent.
                 self.cache.store(key, None, stamp);
             }
@@ -268,7 +263,6 @@ impl<'s> ShardRouter<'s> {
         }
         out.sort_unstable_by_key(|&(key, _)| key);
         stats.scan_latency_ns.record(started.elapsed_ns());
-        stats.namespace(stats.namespace_slot(lo)).record_scan();
     }
 
     /// Batched multi-get: one lookup per key, results pushed to `out`
@@ -290,9 +284,6 @@ impl<'s> ShardRouter<'s> {
             if let Some(cached) = self.cache.lookup(key, begun) {
                 stats.record_cache_hit();
                 stats.shard(shard).record_lookup(cached.is_some());
-                let ns = stats.namespace(stats.namespace_slot(key));
-                ns.record_mget();
-                ns.record_lookup(cached.is_some());
                 out[position] = cached;
                 continue;
             }
@@ -316,9 +307,6 @@ impl<'s> ShardRouter<'s> {
             for (&position, &value) in group.positions.iter().zip(&self.values) {
                 let key = keys[position as usize];
                 counters.record_lookup(value.is_some());
-                let ns = stats.namespace(stats.namespace_slot(key));
-                ns.record_mget();
-                ns.record_lookup(value.is_some());
                 out[position as usize] = value;
                 self.cache.store(key, value, stamp);
             }
@@ -363,7 +351,6 @@ impl<'s> ShardRouter<'s> {
             stats.shard(shard).record_mput();
             for (&position, &previous) in group.positions.iter().zip(&self.values) {
                 let (key, value) = pairs[position as usize];
-                stats.namespace(stats.namespace_slot(key)).record_mput();
                 out[position as usize] = previous;
                 // Same post-state as a point put: the key now holds either
                 // its prior value or the inserted one.

@@ -84,9 +84,12 @@ pub struct KvService {
 }
 
 impl KvService {
-    /// Builds a service with `shards` shards and `namespace_slots`
-    /// namespace-stat rows (both clamped to at least 1), constructing each
-    /// shard with `factory` (called with the shard index).
+    /// Builds a service with `shards` shards (clamped to at least 1),
+    /// constructing each shard with `factory` (called with the shard index).
+    ///
+    /// The middle argument is ignored: it stays only because the layer
+    /// ledger (`bench/`) still passes it, and ROADMAP item 15, the ledger's
+    /// next change, drops it.  Pass 1.
     ///
     /// The factory returns boxed [`ConcurrentMap`]s, so shards can be
     /// concrete trees (`Box::new(ElimABTree::new())`) or registry-built trait
@@ -94,7 +97,7 @@ impl KvService {
     /// a shard.
     pub fn new(
         shards: usize,
-        namespace_slots: usize,
+        _slots: usize,
         mut factory: impl FnMut(usize) -> Box<dyn ConcurrentMap>,
     ) -> Self {
         let shards: Vec<Arc<ShardCell>> = (0..shards.max(1))
@@ -105,7 +108,7 @@ impl KvService {
                 })
             })
             .collect();
-        let stats = Arc::new(ServiceStats::new(shards.len(), namespace_slots.max(1)));
+        let stats = Arc::new(ServiceStats::new(shards.len()));
         let trace = Arc::new(StageTrace::new());
         let registry = Arc::new(Registry::new());
         {
@@ -313,7 +316,7 @@ mod tests {
 
     #[test]
     fn shard_count_is_clamped_to_one() {
-        let service = KvService::new(0, 0, |_| {
+        let service = KvService::new(0, 1, |_| {
             let tree: ElimABTree = ElimABTree::new();
             Box::new(tree)
         });

@@ -4,8 +4,8 @@
 //! on the record path, so routers can update stats inline without perturbing
 //! the workload they measure.  The histogram type itself lives in the
 //! telemetry crate ([`obs::Histogram`]); this module owns the
-//! *service-shaped* aggregates — per-shard and per-namespace counters, the
-//! latency/batch-size histograms — and knows how to emit them as registry
+//! *service-shaped* aggregates — per-shard counters, the latency/batch-size
+//! histograms — and knows how to emit them as registry
 //! [`Sample`]s for a scrape.
 //!
 //! With `obs`'s `compile-out` feature enabled every `record_*` method
@@ -16,13 +16,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use obs::{Histogram, Sample};
 
-/// Operation counters for one shard or one namespace.
+/// Operation counters for one shard.
 ///
-/// Batched requests bump shard-level `mgets`/`mputs` once per *sub-batch*
-/// (a multi-get spanning three shards bumps three shard-level `mgets` — the
-/// dispatch unit) and namespace-level `mgets`/`mputs` once per *key* (the
-/// tenant-billing unit).  `hits`/`misses` always count per key, so a hit
-/// rate read from them is per-key everywhere.
+/// Batched requests bump `mgets`/`mputs` once per *sub-batch* (a multi-get
+/// spanning three shards bumps three shards' `mgets` — the dispatch unit).
+/// `hits`/`misses` count per key, so a hit rate read from them is per-key.
 #[derive(Debug, Default)]
 pub struct OpCounters {
     gets: AtomicU64,
@@ -158,18 +156,11 @@ impl OpCounters {
         self.gets() + self.puts() + self.deletes() + self.scans() + self.mgets() + self.mputs()
     }
 
-    /// Emits this counter set as labeled samples: one `ops_name{label,op=*}`
-    /// counter per op family and `lookups_name{label,outcome=hit|miss}`.
-    /// All eight are emitted even when zero, so scrape consumers see a
-    /// stable shape.
-    fn collect(
-        &self,
-        out: &mut Vec<Sample>,
-        ops_name: &'static str,
-        lookups_name: &'static str,
-        label: &'static str,
-        index: usize,
-    ) {
+    /// Emits this shard's counters as labeled samples: one
+    /// `kv_ops_total{shard,op=*}` counter per op family and
+    /// `kv_lookups_total{shard,outcome=hit|miss}`.  All eight are emitted
+    /// even when zero, so scrape consumers see a stable shape.
+    fn collect(&self, out: &mut Vec<Sample>, shard: usize) {
         for (op, value) in [
             ("get", self.gets()),
             ("put", self.puts()),
@@ -179,30 +170,29 @@ impl OpCounters {
             ("mput", self.mputs()),
         ] {
             out.push(
-                Sample::counter(ops_name, value)
-                    .with(label, index)
+                Sample::counter("kv_ops_total", value)
+                    .with("shard", shard)
                     .with("op", op),
             );
         }
         out.push(
-            Sample::counter(lookups_name, self.hits())
-                .with(label, index)
+            Sample::counter("kv_lookups_total", self.hits())
+                .with("shard", shard)
                 .with("outcome", "hit"),
         );
         out.push(
-            Sample::counter(lookups_name, self.misses())
-                .with(label, index)
+            Sample::counter("kv_lookups_total", self.misses())
+                .with("shard", shard)
                 .with("outcome", "miss"),
         );
     }
 }
 
-/// All service-level statistics: per-shard counters, per-namespace counters,
-/// and the latency/batch-size histograms.
+/// All service-level statistics: per-shard counters and the
+/// latency/batch-size histograms.
 #[derive(Debug)]
 pub struct ServiceStats {
     shards: Vec<OpCounters>,
-    namespaces: Vec<OpCounters>,
     /// Latency of whole batched requests (`MGet`/`MPut`), in nanoseconds.
     pub batch_latency_ns: Histogram,
     /// Latency of scans (scatter-gather across shards), in nanoseconds.
@@ -216,10 +206,9 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
-    pub(crate) fn new(shards: usize, namespaces: usize) -> Self {
+    pub(crate) fn new(shards: usize) -> Self {
         Self {
             shards: (0..shards).map(|_| OpCounters::default()).collect(),
-            namespaces: (0..namespaces).map(|_| OpCounters::default()).collect(),
             batch_latency_ns: Histogram::new(),
             scan_latency_ns: Histogram::new(),
             batch_size: Histogram::new(),
@@ -267,25 +256,6 @@ impl ServiceStats {
         &self.shards
     }
 
-    /// Counters of the namespace-stat slot `index` (panics if out of range).
-    ///
-    /// Keys are attributed to slot `tenant % slots`, so with at least as
-    /// many slots as active tenants each tenant gets its own row.
-    pub fn namespace(&self, index: usize) -> &OpCounters {
-        &self.namespaces[index]
-    }
-
-    /// Per-namespace counters, in slot order.
-    pub fn namespaces(&self) -> &[OpCounters] {
-        &self.namespaces
-    }
-
-    /// The namespace-stat slot a packed key is attributed to.
-    #[inline]
-    pub(crate) fn namespace_slot(&self, packed_key: u64) -> usize {
-        (packed_key >> crate::namespace::LOCAL_KEY_BITS) as usize % self.namespaces.len()
-    }
-
     /// Total operations across all shards (batches counted per sub-batch).
     pub fn total_ops(&self) -> u64 {
         self.shards.iter().map(|s| s.total_ops()).sum()
@@ -295,7 +265,7 @@ impl ServiceStats {
     /// from a clean slate after prefill.  Quiescent only: call it while no
     /// router is serving traffic.
     pub fn reset(&self) {
-        for counters in self.shards.iter().chain(&self.namespaces) {
+        for counters in &self.shards {
             counters.reset();
         }
         self.batch_latency_ns.reset();
@@ -309,16 +279,7 @@ impl ServiceStats {
     /// of the metric table in the repository README).
     pub fn collect(&self, out: &mut Vec<Sample>) {
         for (i, shard) in self.shards.iter().enumerate() {
-            shard.collect(out, "kv_ops_total", "kv_lookups_total", "shard", i);
-        }
-        for (i, ns) in self.namespaces.iter().enumerate() {
-            ns.collect(
-                out,
-                "kv_namespace_ops_total",
-                "kv_namespace_lookups_total",
-                "namespace",
-                i,
-            );
+            shard.collect(out, i);
         }
         out.push(Sample::counter("kv_cache_hits_total", self.cache_hits()));
         out.push(Sample::counter("kv_shed_total", self.shed()));
@@ -366,9 +327,9 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let stats = ServiceStats::new(2, 2);
+        let stats = ServiceStats::new(2);
         stats.shard(0).record_get(true);
-        stats.namespace(1).record_mput();
+        stats.shard(1).record_mput();
         stats.batch_latency_ns.record(100);
         stats.batch_size.record(16);
         stats.record_cache_hit();
@@ -380,7 +341,7 @@ mod tests {
         stats.reset();
         assert_eq!(stats.total_ops(), 0);
         assert_eq!(stats.shard(0).hits(), 0);
-        assert_eq!(stats.namespace(1).mputs(), 0);
+        assert_eq!(stats.shard(1).mputs(), 0);
         assert_eq!(stats.batch_latency_ns.count(), 0);
         assert_eq!(stats.batch_size.count(), 0);
         assert_eq!(stats.cache_hits(), 0);
@@ -388,25 +349,14 @@ mod tests {
     }
 
     #[test]
-    fn namespace_slots_wrap() {
-        let stats = ServiceStats::new(2, 4);
-        let key_t0 = 5u64;
-        let key_t6 = (6u64 << crate::namespace::LOCAL_KEY_BITS) | 5;
-        assert_eq!(stats.namespace_slot(key_t0), 0);
-        assert_eq!(stats.namespace_slot(key_t6), 2, "tenant 6 % 4 slots");
-        assert_eq!(stats.shards().len(), 2);
-        assert_eq!(stats.namespaces().len(), 4);
-    }
-
-    #[test]
     fn collect_emits_the_documented_metric_names() {
         if !obs::ENABLED {
             return;
         }
-        let stats = ServiceStats::new(2, 1);
+        let stats = ServiceStats::new(2);
         stats.shard(0).record_get(true);
         stats.shard(1).record_put();
-        stats.namespace(0).record_lookup(false);
+        stats.shard(0).record_lookup(false);
         stats.record_shed();
         stats.scan_latency_ns.record(500);
         let mut out = Vec::new();
@@ -429,8 +379,8 @@ mod tests {
         assert_eq!(
             obs::expo::value(
                 &parsed,
-                "kv_namespace_lookups_total",
-                &[("namespace", "0"), ("outcome", "miss")]
+                "kv_lookups_total",
+                &[("shard", "0"), ("outcome", "miss")]
             ),
             Some(1)
         );

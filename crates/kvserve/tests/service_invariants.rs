@@ -7,11 +7,11 @@
 use std::sync::Arc;
 
 use abtree::ElimABTree;
-use kvserve::{KvService, Namespace, Request, Response};
+use kvserve::{KvService, Request, Response};
 use rand::prelude::*;
 
-fn elim_service(shards: usize, namespaces: usize) -> KvService {
-    KvService::new(shards, namespaces, |_| {
+fn elim_service(shards: usize) -> KvService {
+    KvService::new(shards, 1, |_| {
         let tree: ElimABTree = ElimABTree::new();
         Box::new(tree)
     })
@@ -23,7 +23,7 @@ fn elim_service(shards: usize, namespaces: usize) -> KvService {
 #[test]
 fn cross_shard_key_sum_survives_concurrent_batched_updates() {
     let threads = abtree::par::detected_parallelism().clamp(2, 8);
-    let service = Arc::new(elim_service(4, 1));
+    let service = Arc::new(elim_service(4));
     let key_space = 10_000u64;
     let mut net: i128 = 0;
 
@@ -84,20 +84,21 @@ fn cross_shard_key_sum_survives_concurrent_batched_updates() {
 }
 
 /// A sequential oracle check: the service must behave exactly like a
-/// `BTreeMap` under a long random request stream, including scans and
-/// namespaced keys, regardless of how keys are spread over shards.
+/// `BTreeMap` under a long random request stream, including scans, over
+/// four 500-key windows spread across the key space (window `t` starts at
+/// `t << 48`), regardless of how keys are spread over shards.
 #[test]
 fn service_matches_sequential_oracle() {
     use std::collections::BTreeMap;
     for &shards in &[1usize, 3, 8] {
-        let service = elim_service(shards, 4);
+        let service = elim_service(shards);
         let mut router = service.router();
         let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = StdRng::seed_from_u64(0x0_5EED ^ shards as u64);
         let mut scan_out = Vec::new();
         for _ in 0..3_000 {
-            let tenant = Namespace::new(rng.gen_range(0..4u16));
-            let key = tenant.prefixed(rng.gen_range(0..500u64));
+            let window = rng.gen_range(0..4u64) << 48;
+            let key = window | rng.gen_range(0..500u64);
             match rng.gen_range(0..5u32) {
                 0 => {
                     let value = rng.gen::<u32>() as u64;
@@ -114,16 +115,17 @@ fn service_matches_sequential_oracle() {
                     assert_eq!(router.get(key), oracle.get(&key).copied());
                 }
                 3 => {
-                    let (lo, hi) = tenant.key_range();
-                    router.scan(lo, hi - lo + 1, &mut scan_out);
-                    let expected: Vec<(u64, u64)> =
-                        oracle.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
-                    assert_eq!(scan_out, expected, "tenant scan ({shards} shards)");
+                    let len = 1 << 48;
+                    router.scan(window, len, &mut scan_out);
+                    let expected: Vec<(u64, u64)> = oracle
+                        .range(window..window + len)
+                        .map(|(&k, &v)| (k, v))
+                        .collect();
+                    assert_eq!(scan_out, expected, "window scan ({shards} shards)");
                 }
                 _ => {
-                    let keys: Vec<u64> = (0..8)
-                        .map(|_| tenant.prefixed(rng.gen_range(0..500u64)))
-                        .collect();
+                    let keys: Vec<u64> =
+                        (0..8).map(|_| window | rng.gen_range(0..500u64)).collect();
                     let mut values = Vec::new();
                     router.mget(&keys, &mut values);
                     let expected: Vec<Option<u64>> =
@@ -143,25 +145,19 @@ fn service_matches_sequential_oracle() {
 /// channel.
 #[test]
 fn wire_round_trip_through_execution() {
-    let service = elim_service(2, 4);
+    let service = elim_service(2);
     let mut router = service.router();
-    let tenant = Namespace::new(3);
+    // Keys above 2^48, so every varint on the wire is multi-byte.
+    let key = |k: u64| (3 << 48) | k;
     let requests = vec![
         Request::MPut {
-            pairs: (0..10).map(|k| (tenant.prefixed(k), k * 11)).collect(),
+            pairs: (0..10).map(|k| (key(k), k * 11)).collect(),
         },
-        Request::Get {
-            key: tenant.prefixed(4),
-        },
-        Request::Scan {
-            lo: tenant.key_range().0,
-            len: 6,
-        },
-        Request::Delete {
-            key: tenant.prefixed(4),
-        },
+        Request::Get { key: key(4) },
+        Request::Scan { lo: key(0), len: 6 },
+        Request::Delete { key: key(4) },
         Request::MGet {
-            keys: vec![tenant.prefixed(4), tenant.prefixed(5)],
+            keys: vec![key(4), key(5)],
         },
     ];
 
@@ -180,7 +176,7 @@ fn wire_round_trip_through_execution() {
     match &returned[2] {
         Response::Entries(entries) => {
             assert_eq!(entries.len(), 6);
-            assert_eq!(entries[0], (tenant.prefixed(0), 0));
+            assert_eq!(entries[0], (key(0), 0));
         }
         other => panic!("expected entries, got {other:?}"),
     }
@@ -188,12 +184,21 @@ fn wire_round_trip_through_execution() {
     assert_eq!(returned[4], Response::Values(vec![None, Some(55)]));
 
     // Stats saw the traffic: the batch histograms are populated and the
-    // tenant's namespace row billed the keys.
+    // shard rows count the multi-put once per shard it touched and every
+    // lookup once: the get and the mget's key 5 hit, the mget's key 4 misses.
     if !obs::ENABLED {
         return; // counters are compiled out
     }
     let stats = service.stats();
     assert!(stats.batch_size.count() >= 2);
     assert!(stats.batch_size.p50().expect("batches were recorded") >= 2);
-    assert_eq!(stats.namespace(3).mputs(), 10);
+    let touched: std::collections::BTreeSet<usize> =
+        (0..10).map(|k| service.shard_of(key(k))).collect();
+    let shards = stats.shards();
+    assert_eq!(
+        shards.iter().map(|s| s.mputs()).sum::<u64>(),
+        touched.len() as u64
+    );
+    assert_eq!(shards.iter().map(|s| s.hits()).sum::<u64>(), 2);
+    assert_eq!(shards.iter().map(|s| s.misses()).sum::<u64>(), 1);
 }
