@@ -100,7 +100,7 @@ pub const EMPTY_KEY: u64 = u64::MAX;
 // enforced at compile time.
 const _: () = assert!(MIN_KEYS >= 2 && MIN_KEYS <= MAX_KEYS / 2);
 
-pub use handle::TreeHandle;
+pub use handle::{PointOp, TreeHandle};
 pub use persist::{Persist, VolatilePersist};
 pub use tree::AbTree;
 pub use validate::TreeStats;

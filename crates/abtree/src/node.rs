@@ -289,7 +289,7 @@ impl<L: RawNodeLock> Node<L> {
     /// then its last: no two probes are more than a line apart, so each
     /// line the node overlaps gets one, whatever its alignment.  The probe
     /// offsets are constants, so the loop unrolls; deriving the lines from
-    /// the address instead cost the prefetch pass ~30% more time (x86-64
+    /// the address instead cost the lockstep pass ~30% more time (x86-64
     /// Xeon, 2 vCPUs).
     #[inline(always)]
     pub(crate) fn prefetch(ptr: *const Self) {
@@ -434,8 +434,8 @@ impl<L: RawNodeLock> Node<L> {
 
     /// [`child_index`](Self::child_index) without a data-dependent branch:
     /// a fixed four-step binary search over the routing keys, slots past
-    /// them counting as larger than any key.  The prefetch pass uses it: it
-    /// steps many cursors whose keys the branch predictor cannot learn, and
+    /// them counting as larger than any key.  The lockstep search uses
+    /// it: it steps many cursors whose keys the branch predictor cannot learn, and
     /// a mispredicted scan exit per node made the pass cost ~35% more
     /// (x86-64 Xeon, 2 vCPUs).  The operations keep the scan (ROADMAP
     /// 8(b)).  The result never exceeds `len() - 1`, whatever the keys

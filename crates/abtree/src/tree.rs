@@ -2,7 +2,8 @@
 //!
 //! This module contains the parts of the OCC-ABtree / Elim-ABtree that are
 //! shared verbatim between the two variants: construction, the lock-free
-//! `search` descent (paper Fig. 2), `find` (whose `searchLeaf` is one
+//! `search` descent (paper Fig. 2) and its lockstep form for a batch of
+//! keys (`search_lockstep`), `find` (whose `searchLeaf` is one
 //! optimistic read of the leaf, `Node::read`), the one quiescent walk of
 //! the whole tree, §5 recovery and teardown.  The
 //! update operations live in [`crate::update`] and the rebalancing steps in
@@ -43,6 +44,26 @@ pub(crate) struct PathInfo<L: RawNodeLock> {
     pub n: *mut Node<L>,
     /// Index of `n` within `p`'s child array.
     pub n_idx: usize,
+}
+
+// Copied by hand: a derive would require `L: Copy`.
+impl<L: RawNodeLock> Clone for PathInfo<L> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<L: RawNodeLock> Copy for PathInfo<L> {}
+
+impl<L: RawNodeLock> PathInfo<L> {
+    /// A placeholder for a buffer of paths that a search fills.
+    pub(crate) const UNSET: Self = Self {
+        gp: ptr::null_mut(),
+        p: ptr::null_mut(),
+        p_idx: 0,
+        n: ptr::null_mut(),
+        n_idx: 0,
+    };
 }
 
 /// A node met by [`AbTree::visit`], with where the walk met it.
@@ -239,64 +260,89 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     pub(crate) fn get_in(&self, key: u64, guard: &Guard) -> Option<u64> {
         debug_assert_ne!(key, EMPTY_KEY, "EMPTY_KEY is reserved");
         let path = self.search(key, ptr::null_mut(), guard);
-        // SAFETY: `path.n` was read during the pinned search.
+        self.get_at(key, &path, guard)
+    }
+
+    /// The paper's `searchLeaf` (Fig. 2) on the leaf a pinned search of
+    /// `key` reached: one optimistic read.
+    #[inline]
+    pub(crate) fn get_at(&self, key: u64, path: &PathInfo<L>, guard: &Guard) -> Option<u64> {
+        // SAFETY: `path.n` was read during a search pinned by `guard`.
         let leaf = unsafe { self.deref(path.n, guard) };
-        // The paper's `searchLeaf` (Fig. 2) is one optimistic read.
         leaf.read(|leaf| leaf.find(key)).1.map(|(_, value)| value)
     }
 
-    /// Group prefetching over the paper's search (Fig. 2): walks the
-    /// root-to-leaf paths of `keys` in lockstep, one level per round, and
-    /// prefetches every line of each next node, so the cache misses of
-    /// many descents overlap instead of queueing one after another.  A
-    /// cursor drops out once it stands on a leaf (already prefetched).
+    /// The paper's search (Fig. 2) for many keys at once, in lockstep:
+    /// every cursor descends one level per round and prefetches the node
+    /// it steps to, so the cache misses of the descents overlap instead of
+    /// queueing one after another (group prefetching).  `paths[i]` gets
+    /// the `PathInfo` that `search(keys[i], null)` would return.
     ///
-    /// Strictly read-only: no lock, no version check, no flush, and a dirty
-    /// link is followed untagged, not helped — the operations that follow
-    /// do their own validated search.  `guard` must be a coarse pin (the
-    /// nodes are not protected one by one).  At most [`PREFETCH_CURSORS`]
-    /// paths are walked at once, in a stack array; longer inputs go in
-    /// chunks.
-    pub(crate) fn prefetch_paths_in(&self, keys: &[u64], guard: &Guard) {
+    /// Each step routes with [`Node::child_index_branchless`] (the cursors'
+    /// keys defeat the branch predictor) and follows the link through
+    /// [`AbTree::read_child`], so a dirty link is helped, as `search`
+    /// helps it.  A cursor drops out once it stands on a leaf (already
+    /// prefetched).  At most [`LOCKSTEP_CURSORS`] keys per call.
+    ///
+    /// `guard` must be a coarse pin: the nodes are not protected one by
+    /// one, so under hazard pointers only a coarse pin keeps the returned
+    /// paths dereferenceable (under EBR every pin is coarse).  The paths
+    /// are only as fresh as the pass: a caller that writes before it uses
+    /// a later path must apply the stale-leaf rule of
+    /// [`crate::TreeHandle::apply`].
+    pub(crate) fn search_lockstep(&self, keys: &[u64], paths: &mut [PathInfo<L>], guard: &Guard) {
         debug_assert!(!guard.needs_protect(), "needs a coarse pin");
-        let mut at = [ptr::null_mut(); PREFETCH_CURSORS];
-        let mut key = [0u64; PREFETCH_CURSORS];
-        for chunk in keys.chunks(PREFETCH_CURSORS) {
-            // Every path starts at the root: read its link once per chunk.
-            let root = self.entry().child(0);
-            Node::prefetch(root);
-            let mut live = chunk.len();
-            key[..live].copy_from_slice(chunk);
-            at[..live].fill(root);
-            while live > 0 {
-                let mut i = 0;
-                while i < live {
-                    // SAFETY: `at[i]` is a child pointer read from the entry,
-                    // or from a node reached from it, under `guard`'s coarse
-                    // pin.
-                    let node = unsafe { self.deref(at[i], guard) };
-                    let child = if node.is_leaf() {
-                        ptr::null_mut()
-                    } else {
-                        node.child(node.child_index_branchless(key[i]))
-                    };
-                    if child.is_null() {
-                        live -= 1;
-                        at[i] = at[live];
-                        key[i] = key[live];
-                        continue;
-                    }
-                    Node::prefetch(child);
-                    at[i] = child;
-                    i += 1;
+        debug_assert!(keys.len() == paths.len() && keys.len() <= LOCKSTEP_CURSORS);
+        // Every path starts at the root: read its link once.
+        let root = self.read_child(self.entry(), 0);
+        Node::prefetch(root);
+        let start = PathInfo {
+            gp: ptr::null_mut(),
+            p: self.entry_ptr(),
+            p_idx: 0,
+            n: root,
+            n_idx: 0,
+        };
+        paths.fill(start);
+        // The cursors still descending, by index into `paths`.
+        let mut walking = [0u8; LOCKSTEP_CURSORS];
+        let mut live = keys.len();
+        for (i, w) in walking[..live].iter_mut().enumerate() {
+            *w = i as u8;
+        }
+        while live > 0 {
+            let mut w = 0;
+            while w < live {
+                let i = usize::from(walking[w]);
+                let path = &mut paths[i];
+                // SAFETY: `path.n` is the root link read above, or a child
+                // link read from a node reached from it, under `guard`'s
+                // coarse pin.
+                let node = unsafe { self.deref(path.n, guard) };
+                if node.is_leaf() {
+                    live -= 1;
+                    walking[w] = walking[live];
+                    continue;
                 }
+                let n_idx = node.child_index_branchless(keys[i]);
+                let child = self.read_child(node, n_idx);
+                Node::prefetch(child);
+                *path = PathInfo {
+                    gp: path.p,
+                    p: path.n,
+                    p_idx: path.n_idx,
+                    n: child,
+                    n_idx,
+                };
+                w += 1;
             }
         }
     }
 }
 
-/// Most paths [`AbTree::prefetch_paths_in`] walks in one lockstep pass.
-const PREFETCH_CURSORS: usize = 64;
+/// Most keys [`AbTree::search_lockstep`] walks in one pass; longer
+/// batches go in chunks.
+pub(crate) const LOCKSTEP_CURSORS: usize = 64;
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// The one walk of the whole tree, for quiescent use only: calls `f` on
@@ -456,6 +502,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
 mod tests {
     use absync::McsLock;
 
+    use super::{PathInfo, LOCKSTEP_CURSORS};
     use crate::node::{is_dirty, tag_dirty};
     use crate::persist::recording::{Recording, EVENTS};
     use crate::{AbTree, ElimABTree, OccABTree};
@@ -483,57 +530,77 @@ mod tests {
         assert_eq!(leaf.len(), 0);
     }
 
-    /// The prefetch pass is read-only even on a durable tree: over planted
-    /// dirty links (the root link, and the root's link to its first child)
-    /// it issues no flush and no fence and leaves both dirty bits set,
-    /// where a real search helps (flushes and clears them).
+    /// The parts of a path, comparable.
+    fn parts<L: absync::RawNodeLock>(p: &PathInfo<L>) -> [usize; 5] {
+        [p.gp as usize, p.p as usize, p.p_idx, p.n as usize, p.n_idx]
+    }
+
+    /// On trees of one to four levels the lockstep pass returns, for every
+    /// key present or absent, the path `search` returns, in chunks of one,
+    /// of a few and of the most cursors a pass walks.
     #[test]
-    fn prefetch_neither_flushes_nor_fences_nor_helps_a_dirty_link() {
+    fn lockstep_search_returns_the_paths_search_returns() {
+        let mut heights = Vec::new();
+        for n in [0u64, 9, 60, 400, 1_000] {
+            let tree: ElimABTree = ElimABTree::new();
+            let mut t = tree.handle();
+            for k in 0..n {
+                assert_eq!(t.insert(k * 3, k), None);
+            }
+            heights.push(t.stats().height);
+            let keys: Vec<u64> = (0..3 * n + 64).chain([crate::EMPTY_KEY - 1]).collect();
+            let local = tree.collector().register();
+            let guard = local.pin();
+            let mut paths = [PathInfo::UNSET; LOCKSTEP_CURSORS];
+            for chunk_len in [1, 7, LOCKSTEP_CURSORS] {
+                for chunk in keys.chunks(chunk_len) {
+                    let paths = &mut paths[..chunk.len()];
+                    tree.search_lockstep(chunk, paths, &guard);
+                    for (&key, path) in chunk.iter().zip(paths.iter()) {
+                        let searched = tree.search(key, std::ptr::null_mut(), &guard);
+                        assert_eq!(parts(path), parts(&searched), "{n} keys, key {key}");
+                    }
+                }
+            }
+        }
+        assert_eq!(heights, [1, 1, 2, 3, 4]);
+    }
+
+    /// Like `search`, the pass helps the dirty links it follows (crashsim's
+    /// planted root link, and the root's link to its first child): it
+    /// flushes and clears them, logging what a search logs.
+    #[test]
+    fn lockstep_search_helps_a_dirty_link_as_search_does() {
         let tree: AbTree<true, McsLock, Recording> = AbTree::new();
         let mut t = tree.handle();
-        let keys: Vec<u64> = (0..2_000).map(|k| k * 7).collect();
-        for &k in &keys {
-            assert_eq!(t.insert(k, k), None);
+        for k in 0..2_000u64 {
+            assert_eq!(t.insert(k * 7, k), None);
         }
         assert!(t.stats().height >= 3);
         // SAFETY: one thread and no deletes, so the root stays linked and
         // alive for the whole test.
         let root = unsafe { &*tree.entry().child(0) };
-        root.set_child(0, tag_dirty(root.child(0)));
-        tree.force_dirty_root_link();
+        let plant = || {
+            root.set_child(0, tag_dirty(root.child(0)));
+            tree.force_dirty_root_link();
+            EVENTS.with(|e| e.borrow_mut().clear());
+        };
         let dirty = || [tree.entry().child_raw(0), root.child_raw(0)].map(is_dirty);
-        EVENTS.with(|e| e.borrow_mut().clear());
-        t.prefetch(&keys);
-        assert_eq!(EVENTS.with(|e| e.take()), [], "prefetch flushed or fenced");
-        assert_eq!(dirty(), [true, true], "prefetch helped a dirty link");
-        assert_eq!(t.get(0), Some(0));
-        assert_eq!(dirty(), [false, false], "a search helps both links");
-        assert!(!EVENTS.with(|e| e.take()).is_empty());
-    }
+        let local = tree.collector().register();
+        let guard = local.pin();
 
-    /// Prefetching any number of keys, in one chunk or several, leaves the
-    /// tree exactly as it was.
-    #[test]
-    fn prefetch_leaves_contents_and_shape_unchanged() {
-        let tree: ElimABTree = ElimABTree::new();
-        let mut t = tree.handle();
-        for k in 0..5_000u64 {
-            t.insert(k * 3, k);
-        }
-        let (sum, stats) = (t.key_sum(), t.stats());
-        for n in [0u64, 1, 64, 65, 500] {
-            let keys: Vec<u64> = (0..n)
-                .map(|i| i.wrapping_mul(0x9E37_79B9) % 20_000)
-                .collect();
-            t.prefetch(&keys);
-            assert_eq!(t.key_sum(), sum, "{n} keys");
-            assert_eq!(t.stats(), stats, "{n} keys");
-            t.check_invariants().unwrap();
-        }
-        // A tree that is one root leaf, and the largest key a caller may use.
-        let empty: OccABTree = OccABTree::new();
-        empty.handle().prefetch(&[0, 1, crate::EMPTY_KEY - 1]);
-        assert_eq!(empty.key_sum(), 0);
+        plant();
+        let mut paths = [PathInfo::UNSET; 2];
+        tree.search_lockstep(&[0, 1], &mut paths, &guard);
+        let by_pass = EVENTS.with(|e| e.take());
+        assert_eq!(dirty(), [false, false], "the pass left a dirty link");
+
+        plant();
+        let searched = tree.search(0, std::ptr::null_mut(), &guard);
+        assert_eq!(dirty(), [false, false], "a search helps both links");
+        assert_eq!(parts(&paths[0]), parts(&searched));
+        assert!(!by_pass.is_empty());
+        assert_eq!(by_pass, EVENTS.with(|e| e.take()));
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //! optimistic read, and §5's store order of a simple update — are
 //! `Node`'s (see the `node` module docs).
 //!
+//! A batch (`AbTree::apply_in`, behind [`crate::TreeHandle::apply`]) runs
+//! the same operations from the paths of one lockstep search instead of
+//! one search each; an op whose path names a leaf an earlier op of the
+//! batch replaced searches afresh first, so `update_leaf` itself never
+//! checks for a stale path.
+//!
 //! The OCC-ABtree and Elim-ABtree share all of this code; the `ELIM` const
 //! parameter selects between the two pre-lock read strategies and decides
 //! whether elimination records are published/consulted.  With `ELIM = false`
@@ -26,8 +32,8 @@ use absync::{Backoff, RawNodeLock};
 use crate::node::{Node, NodeKind};
 use crate::persist::Persist;
 use crate::rebalance::{Locks, Run};
-use crate::tree::{AbTree, PathInfo};
-use crate::{EMPTY_KEY, MAX_KEYS, MIN_KEYS};
+use crate::tree::{AbTree, PathInfo, LOCKSTEP_CURSORS};
+use crate::{PointOp, EMPTY_KEY, MAX_KEYS, MIN_KEYS};
 
 /// Outcome of an update's write under the leaf lock; `Retry` corresponds
 /// to the paper's `goto RETRY`.
@@ -44,8 +50,16 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// The caller (a [`crate::TreeHandle`]) supplies the pinned guard;
     /// this path never consults the reclamation registry itself.
     pub(crate) fn insert_in(&self, key: u64, value: u64, guard: &Guard) -> Option<u64> {
+        self.insert_at(key, value, self.search(key, ptr::null_mut(), guard), guard)
+    }
+
+    /// [`AbTree::insert_in`] from the path a pinned search of `key`
+    /// returned.
+    #[inline]
+    fn insert_at(&self, key: u64, value: u64, path: PathInfo<L>, guard: &Guard) -> Option<u64> {
         self.update_leaf(
             key,
+            path,
             guard,
             // A present key refuses the insert with its value.
             |found| found.map_or(Ok(()), |(_, existing)| Err(Some(existing))),
@@ -101,8 +115,16 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
     /// Guard discipline as in [`AbTree::insert_in`].
     pub(crate) fn delete_in(&self, key: u64, guard: &Guard) -> Option<u64> {
+        self.delete_at(key, self.search(key, ptr::null_mut(), guard), guard)
+    }
+
+    /// [`AbTree::delete_in`] from the path a pinned search of `key`
+    /// returned.
+    #[inline]
+    fn delete_at(&self, key: u64, path: PathInfo<L>, guard: &Guard) -> Option<u64> {
         self.update_leaf(
             key,
+            path,
             guard,
             // An absent key: nothing to delete.
             |found| found.ok_or(None),
@@ -135,8 +157,45 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         )
     }
 
+    /// Applies `ops` in order and appends one answer per op to `out`: one
+    /// [`AbTree::search_lockstep`] pass per chunk of
+    /// [`LOCKSTEP_CURSORS`] ops, then each op runs `find`'s leaf read or
+    /// [`AbTree::update_leaf`] from its path (see
+    /// [`crate::TreeHandle::apply`] for the stale-leaf rule).  `guard` must
+    /// be a coarse pin.
+    pub(crate) fn apply_in(&self, ops: &[PointOp], out: &mut Vec<Option<u64>>, guard: &Guard) {
+        out.reserve(ops.len());
+        let mut keys = [0u64; LOCKSTEP_CURSORS];
+        let mut paths = [PathInfo::UNSET; LOCKSTEP_CURSORS];
+        for chunk in ops.chunks(LOCKSTEP_CURSORS) {
+            let (keys, paths) = (&mut keys[..chunk.len()], &mut paths[..chunk.len()]);
+            for (key, op) in keys.iter_mut().zip(chunk) {
+                *key = op.key();
+            }
+            self.search_lockstep(keys, paths, guard);
+            for (&op, &path) in chunk.iter().zip(paths.iter()) {
+                let key = op.key();
+                // The stale-leaf rule: an earlier op of this batch may have
+                // replaced (and so marked) the leaf this path names.
+                // SAFETY: read during the pass, pinned by `guard`.
+                let stale = unsafe { self.deref(path.n, guard) }.is_marked();
+                let path = if stale && !cfg!(feature = "stale-path") {
+                    self.search(key, ptr::null_mut(), guard)
+                } else {
+                    path
+                };
+                out.push(match op {
+                    PointOp::Get { .. } => self.get_at(key, &path, guard),
+                    PointOp::Put { value, .. } => self.insert_at(key, value, path, guard),
+                    PointOp::Delete { .. } => self.delete_at(key, path, guard),
+                });
+            }
+        }
+    }
+
     /// The locked-leaf path of every update (the RETRY loop of Fig. 4 and
-    /// Fig. 5): search for `key`'s leaf, then
+    /// Fig. 5): from the leaf `path` names (the caller's search for `key`;
+    /// every retry searches afresh),
     ///
     /// 1. read it optimistically: the OCC-ABtree retries until a read is
     ///    consistent, the Elim-ABtree makes one attempt and takes a torn
@@ -155,6 +214,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     fn update_leaf<'g, W, T>(
         &self,
         key: u64,
+        mut path: PathInfo<L>,
         guard: &'g Guard,
         settle: impl Fn(Option<(usize, u64)>) -> Result<W, T>,
         eliminated: impl Fn(u64) -> T,
@@ -162,39 +222,41 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     ) -> T {
         debug_assert_ne!(key, EMPTY_KEY, "EMPTY_KEY is reserved");
         loop {
-            let path = self.search(key, ptr::null_mut(), guard);
-            // SAFETY: read during the pinned search.
-            let leaf = unsafe { self.deref(path.n, guard) };
+            // Every exit from this block unlocks by dropping `locks`.
+            'attempt: {
+                // SAFETY: read during a search pinned by `guard`.
+                let leaf = unsafe { self.deref(path.n, guard) };
 
-            let read = if ELIM {
-                leaf.try_read(|leaf| leaf.find(key))
-            } else {
-                Some(leaf.read(|leaf| leaf.find(key)))
-            };
-            if let Some(Err(answer)) = read.map(|(_, found)| settle(found)) {
-                return answer;
-            }
+                let read = if ELIM {
+                    leaf.try_read(|leaf| leaf.find(key))
+                } else {
+                    Some(leaf.read(|leaf| leaf.find(key)))
+                };
+                if let Some(Err(answer)) = read.map(|(_, found)| settle(found)) {
+                    return answer;
+                }
 
-            // Every exit below unlocks by dropping `locks`.
-            let mut tokens = Default::default();
-            let mut locks = Locks::new(&mut tokens);
-            if !ELIM {
-                locks.lock(path.n, leaf);
-            } else if let Some(rec_val) = self.lock_or_elim(path.n, leaf, key, &mut locks) {
-                self.elim_count.fetch_add(1, Ordering::Relaxed);
-                return eliminated(rec_val);
-            }
-            if leaf.is_marked() {
-                continue;
-            }
-            match settle(leaf.find(key)) {
-                Err(answer) => return answer,
-                Ok(needs) => {
-                    if let Attempt::Done(answer) = write(&path, leaf, locks, needs) {
-                        return answer;
+                let mut tokens = Default::default();
+                let mut locks = Locks::new(&mut tokens);
+                if !ELIM {
+                    locks.lock(path.n, leaf);
+                } else if let Some(rec_val) = self.lock_or_elim(path.n, leaf, key, &mut locks) {
+                    self.elim_count.fetch_add(1, Ordering::Relaxed);
+                    return eliminated(rec_val);
+                }
+                if leaf.is_marked() {
+                    break 'attempt;
+                }
+                match settle(leaf.find(key)) {
+                    Err(answer) => return answer,
+                    Ok(needs) => {
+                        if let Attempt::Done(answer) = write(&path, leaf, locks, needs) {
+                            return answer;
+                        }
                     }
                 }
             }
+            path = self.search(key, ptr::null_mut(), guard);
         }
     }
 

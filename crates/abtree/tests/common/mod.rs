@@ -4,42 +4,61 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use abtree::AbTree;
+use abtree::{AbTree, PointOp};
 use rand::prelude::*;
 
-/// One thread prefetches random paths while two threads split and merge
-/// the tree under it: each writer grows its own run of keys (splitting
-/// leaves and, higher up, internal nodes) and then deletes it again
-/// (merging them), over and over, so the prefetcher keeps walking into
-/// nodes that are being unlinked and retired.  Now and then the prefetched
-/// keys are read back, and every value found must be one a writer stored.
-/// Ends with the key-sum and invariant checks.
-pub fn prefetch_while_splits_and_merges_run<const ELIM: bool>(tree: Arc<AbTree<ELIM>>) {
+/// One thread applies batches while two threads split and merge the tree
+/// under it: each writer grows its own run of keys (splitting leaves and,
+/// higher up, internal nodes) and then deletes it again (merging them),
+/// over and over, so the batches' lockstep passes keep walking into nodes
+/// that are being unlinked and retired.  A batch reads random writer keys,
+/// and every value found must be one a writer stored; it also puts a run
+/// of the applier's own keys and deletes them again, splitting and merging
+/// leaves its own later ops' paths name, and each of those answers is
+/// exact.  Ends with the key-sum and invariant checks.
+pub fn apply_while_splits_and_merges_run<const ELIM: bool>(tree: Arc<AbTree<ELIM>>) {
     const ROUNDS: u64 = 12;
     const RUN: u64 = 1_500;
     let writing = Arc::new(AtomicBool::new(true));
     let start = Arc::new(Barrier::new(3));
-    let prefetcher = {
+    let applier = {
         let (tree, writing, start) = (Arc::clone(&tree), Arc::clone(&writing), Arc::clone(&start));
         std::thread::spawn(move || {
             let mut h = tree.handle();
             start.wait();
             let mut rng = StdRng::seed_from_u64(0x9F_E7C4);
-            let mut keys = Vec::new();
-            let mut passes = 0u64;
-            while writing.load(Ordering::Relaxed) || passes < 100 {
-                keys.clear();
-                keys.extend((0..rng.gen_range(1..200)).map(|_| rng.gen_range(0..2 * RUN)));
-                h.prefetch(&keys);
-                if passes.is_multiple_of(8) {
-                    for &key in &keys {
-                        let value = h.get(key);
-                        assert!(value.is_none_or(|v| v == key ^ 0xF00D), "corrupt {key}");
+            let (mut ops, mut answers) = (Vec::new(), Vec::new());
+            let mut batches = 0u64;
+            while writing.load(Ordering::Relaxed) || batches < 100 {
+                let reads = rng.gen_range(1..200);
+                let own = 2 * RUN + rng.gen_range(0..100);
+                let owned = own..own + rng.gen_range(0..30);
+                ops.clear();
+                ops.extend(owned.clone().map(|key| PointOp::Put {
+                    key,
+                    value: key ^ 0xF00D,
+                }));
+                ops.extend((0..reads).map(|_| PointOp::Get {
+                    key: rng.gen_range(0..2 * RUN),
+                }));
+                ops.extend(owned.map(|key| PointOp::Delete { key }));
+                answers.clear();
+                h.apply(&ops, &mut answers);
+                assert_eq!(answers.len(), ops.len());
+                for (&op, &answer) in ops.iter().zip(&answers) {
+                    match op {
+                        PointOp::Get { key } => {
+                            assert!(answer.is_none_or(|v| v == key ^ 0xF00D), "corrupt {key}")
+                        }
+                        PointOp::Put { key, .. } => assert_eq!(answer, None, "put {key}"),
+                        PointOp::Delete { key } => {
+                            assert_eq!(answer, Some(key ^ 0xF00D), "delete {key}")
+                        }
                     }
                 }
-                passes += 1;
+                batches += 1;
             }
-            passes
+            batches
         })
     };
     let writers: Vec<_> = (0..2u64)
@@ -69,7 +88,7 @@ pub fn prefetch_while_splits_and_merges_run<const ELIM: bool>(tree: Arc<AbTree<E
         .collect();
     let expected: i128 = writers.into_iter().map(|w| w.join().unwrap()).sum();
     writing.store(false, Ordering::Relaxed);
-    assert!(prefetcher.join().unwrap() >= 100);
+    assert!(applier.join().unwrap() >= 100);
     assert_eq!(
         tree.key_sum() as i128,
         expected,

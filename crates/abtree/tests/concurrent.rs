@@ -404,10 +404,11 @@ fn contended_inserts_of_same_keys_agree() {
     tree.check_invariants().unwrap();
 }
 
-/// The prefetch pass walks nodes that two threads are splitting, merging
-/// and retiring (the `asan` job checks it touches none after it is freed).
+/// A batch's lockstep pass, which prefetches every node it walks, and its
+/// ops walk nodes that two threads are splitting, merging and retiring
+/// (the `asan` job checks they touch none after it is freed).
 #[test]
 fn prefetch_walks_paths_while_two_threads_split_and_merge() {
-    common::prefetch_while_splits_and_merges_run(Arc::new(ElimABTree::new()));
-    common::prefetch_while_splits_and_merges_run(Arc::new(OccABTree::new()));
+    common::apply_while_splits_and_merges_run(Arc::new(ElimABTree::new()));
+    common::apply_while_splits_and_merges_run(Arc::new(OccABTree::new()));
 }

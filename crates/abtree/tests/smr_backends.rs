@@ -81,11 +81,12 @@ fn occ_abtree_key_sum_under_hazard_pointers() {
     run_mixed_workload(tree, 20_000);
 }
 
-/// The prefetch pass pins coarsely, so under hazard pointers it keeps
-/// every node it walks alive while two threads split, merge and retire.
+/// A batch pins coarsely, so under hazard pointers its lockstep pass, which
+/// prefetches every node it walks, and its ops keep every node of their
+/// paths alive while two threads split, merge and retire.
 #[test]
 fn prefetch_walks_paths_under_hazard_pointers_while_splits_and_merges_run() {
-    common::prefetch_while_splits_and_merges_run(Arc::new(ElimTree::with_collector(
+    common::apply_while_splits_and_merges_run(Arc::new(ElimTree::with_collector(
         Collector::new_hp(),
     )));
 }

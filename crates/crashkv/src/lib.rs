@@ -43,9 +43,12 @@ mod crash;
 mod service;
 mod shard;
 
+/// One point operation: what [`DurableRouter::submit`] takes.  The tree's
+/// own batch op, so a window's per-shard part goes to
+/// [`abtree::TreeHandle::apply`] as it is.
+pub use abtree::PointOp as DurableOp;
 pub use crash::{CrashReport, CrashSpec, Crashed};
 pub use service::{DurableKvService, DurableRouter};
-pub use shard::DurableOp;
 
 #[cfg(test)]
 mod tests {
@@ -73,6 +76,62 @@ mod tests {
         service.shutdown();
         assert_eq!(service.total_keys(), 100);
         service.check_invariants().unwrap();
+    }
+
+    /// Pipelined windows of 16 mixed ops over 48 keys, so an early op of a
+    /// window often splits or merges a leaf that a later op of the same
+    /// window reads or writes: every ack matches a sequential model, on
+    /// one shard and on two.  The `stale-path` mutant, which answers such
+    /// a later op from the replaced leaf, must fail it.
+    #[test]
+    fn a_window_reads_its_own_writes_across_splits() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for shards in [1, 2] {
+            let service = DurableKvService::new(shards, 16);
+            let mut router = service.router();
+            let mut model = std::collections::BTreeMap::new();
+            let mut rng = StdRng::seed_from_u64(0x51A1E + shards as u64);
+            let mut differ = 0usize;
+            for round in 0..2_000u64 {
+                let ops: Vec<DurableOp> = (0..16)
+                    .map(|_| {
+                        let key = rng.gen_range(1..=48);
+                        match rng.gen_range(0..3) {
+                            0 => DurableOp::Get { key },
+                            1 => DurableOp::Put {
+                                key,
+                                value: round << 8 | key,
+                            },
+                            _ => DurableOp::Delete { key },
+                        }
+                    })
+                    .collect();
+                for &op in &ops {
+                    router
+                        .submit(op)
+                        .expect("the window fits the in-flight cap");
+                }
+                for op in ops {
+                    let expected = match op {
+                        DurableOp::Get { key } => model.get(&key).copied(),
+                        DurableOp::Put { key, value } => match model.get(&key) {
+                            Some(&prior) => Some(prior),
+                            None => model.insert(key, value),
+                        },
+                        DurableOp::Delete { key } => model.remove(&key),
+                    };
+                    let ack = router.collect_one().expect("an op is in flight");
+                    differ += usize::from(ack != Ok(expected));
+                }
+            }
+            if cfg!(feature = "stale-path") {
+                assert!(differ > 0, "the stale-path mutant survived");
+            } else {
+                assert_eq!(differ, 0, "{shards} shard(s): {differ} acks differ");
+            }
+            assert_eq!(service.total_keys(), model.len() as u64);
+            service.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -5,15 +5,15 @@
 //!          DurableRouter (one per client thread)
 //!    get/put/delete        submit … collect_one / flush
 //!          │                        │
-//!          └──── window: ops in submission order ────┘
+//!          └── window: each shard's ops in submission order ──┘
 //!                │ commit, on the calling thread
 //!                ▼
 //!   lock each touched shard's commit lock, ascending
-//!   → prefetch each touched shard's paths (≥ 2 ops there)
-//!   → apply on this router's own session per shard
+//!   → apply each touched shard's ops on this router's own session:
+//!     one lockstep descent for all of them, then each op from its path
 //!   → due crash: roll back → recover → log → Crashed
 //!   → one sfence for the window → count → unlock
-//!   → release the acks
+//!   → release the acks, in submission order
 //! ```
 //!
 //! # Group commit without an owner
@@ -24,26 +24,35 @@
 //! waiting, and on [`flush`](DurableRouter::flush); a blocking call commits
 //! at once.  The commit takes the commit lock of every shard the window
 //! touches, in ascending shard order, so two windows over overlapping
-//! shards never wait on each other in a cycle.  It applies the window in
-//! submission order on the router's own [`pabtree::WalElimABTree`] session
-//! per shard, issues **one** [`abpmem::sfence`] covering every line it
-//! flushed on every shard, and only then unlocks and releases the acks.
+//! shards never wait on each other in a cycle.  It applies each touched
+//! shard's part of the window, in submission order, on the router's own
+//! [`pabtree::WalElimABTree`] session there, issues **one**
+//! [`abpmem::sfence`] covering every line it flushed on every shard, and
+//! only then unlocks and releases the acks.
 //!
-//! # Overlapped descents
+//! # One descent per operation
 //!
 //! A window's operations are independent point operations, and each
 //! starts with a root-to-leaf descent (paper Fig. 2) whose cache misses,
-//! paid one op after another, are most of the tree's cost.  So once it
-//! holds the locks, the commit first walks the paths of every touched
-//! shard that has two or more of the window's operations in lockstep, one
-//! level per round, prefetching each next node
-//! ([`abtree::TreeHandle::prefetch`]): the misses of the whole window
-//! overlap, and the operations then find their nodes in cache.  The pass
-//! itself needs no lock — it validates nothing, flushes nothing and does
-//! not help a dirty link — but it runs *under* the locks all the same:
-//! a crash and its recovery run under the shard's lock too, and they need
-//! the tree to themselves ([`pabtree::recover`]).  It lengthens the time
-//! under the locks only by what the now-cached apply does not save back.
+//! paid one op after another, are most of the tree's cost.  So the commit
+//! hands each touched shard's operations to
+//! [`abtree::TreeHandle::apply`] in one call: a lockstep pass walks all
+//! their paths one level per round, prefetching each next node, so the
+//! misses of the whole window overlap, and each operation then runs from
+//! the path the pass found for it instead of descending again.  The pass
+//! helps a dirty link as a search does, so it writes (a flush and a
+//! clear of the mark), and it runs under the commit locks like every other
+//! step: a crash and its recovery run under the shard's lock too, and they
+//! need the tree to themselves ([`pabtree::recover`]).
+//!
+//! Applying per shard reorders the window only *across* shards: shard 0's
+//! operations run before shard 1's, whatever their submission order.  No
+//! client can observe that.  The window's acks are all released at once,
+//! after its one fence, so no result is visible before every operation
+//! of the window has run; and each operation's key lives on one shard, so
+//! the order of the operations on any one key (and on any one shard) is
+//! still submission order.  The acks themselves are released in
+//! submission order.
 //!
 //! # Why a lock is enough for durability
 //!
@@ -71,7 +80,8 @@ use kvserve::{shard_of, LANE_CAPACITY};
 use obs::{Registry, Sample, Stage, StageRecorder, StageTrace, Stamp};
 
 use crate::crash::{CrashReport, CrashSpec, Crashed};
-use crate::shard::{DurableOp, Session, ShardCell};
+use crate::shard::{Session, ShardCell};
+use crate::DurableOp;
 
 /// A durable sharded key/value service with in-place crash recovery.
 ///
@@ -144,10 +154,10 @@ impl DurableKvService {
             sessions: self.shards.iter().map(|_| None).collect(),
             shards: Arc::clone(&self.shards),
             acks_per_fence: self.acks_per_fence,
-            window: Vec::new(),
+            pending: self.shards.iter().map(|_| Vec::new()).collect(),
+            order: Vec::new(),
             acked: VecDeque::new(),
             touched: Vec::new(),
-            keys: Vec::new(),
             recorder: self.trace.recorder(0),
         }
     }
@@ -244,15 +254,16 @@ pub struct DurableRouter {
     sessions: Vec<Option<Session>>,
     shards: Arc<[Arc<ShardCell>]>,
     acks_per_fence: usize,
-    /// Operations submitted but not committed, with their shard, oldest
-    /// first.
-    window: Vec<(usize, DurableOp)>,
+    /// The window: operations submitted but not committed, per shard,
+    /// oldest first.
+    pending: Vec<Vec<DurableOp>>,
+    /// The shard of each operation in the window, oldest first: the order
+    /// its acks are released in.
+    order: Vec<usize>,
     /// Committed results not yet collected, oldest first.
     acked: VecDeque<Result<Option<u64>, Crashed>>,
     /// Scratch: the shards the window being committed touches.
     touched: Vec<usize>,
-    /// Scratch: one touched shard's keys, for its prefetch pass.
-    keys: Vec<u64>,
     recorder: StageRecorder,
 }
 
@@ -281,7 +292,7 @@ impl DurableRouter {
             return Err(op);
         }
         self.push(op);
-        if self.window.len() >= self.acks_per_fence {
+        if self.order.len() >= self.acks_per_fence {
             self.commit();
         }
         Ok(())
@@ -299,7 +310,7 @@ impl DurableRouter {
 
     /// Pipelined operations whose result has not been collected.
     pub fn in_flight(&self) -> usize {
-        self.window.len() + self.acked.len()
+        self.order.len() + self.acked.len()
     }
 
     /// Commits the queued window without collecting a result.
@@ -308,8 +319,9 @@ impl DurableRouter {
     }
 
     fn push(&mut self, op: DurableOp) {
-        self.window
-            .push((shard_of(op.key(), self.shards.len()), op));
+        let shard = shard_of(op.key(), self.shards.len());
+        self.pending[shard].push(op);
+        self.order.push(shard);
     }
 
     fn call(&mut self, op: DurableOp) -> Result<Option<u64>, Crashed> {
@@ -320,32 +332,29 @@ impl DurableRouter {
             .expect("a commit answers its whole window")
     }
 
-    /// Prefetches and applies the window under its shards' commit locks,
-    /// crashes a due shard, fences once and queues the results (see the
-    /// module docs).
+    /// Applies the window under its shards' commit locks, crashes a due
+    /// shard, fences once and queues the results (see the module docs).
     ///
     /// # Panics
     ///
     /// Panics if a touched shard's lock is poisoned: a commit panicked
     /// mid-window there, so its tree is in an unknown state.
     fn commit(&mut self) {
-        if self.window.is_empty() {
+        if self.order.is_empty() {
             return;
         }
         let Self {
             sessions,
             shards,
-            window,
+            pending,
+            order,
             acked,
             touched,
-            keys,
             recorder,
             ..
         } = self;
         touched.clear();
-        touched.extend(window.iter().map(|&(shard, _)| shard));
-        touched.sort_unstable();
-        touched.dedup();
+        touched.extend((0..shards.len()).filter(|&shard| !pending[shard].is_empty()));
         let locks: Vec<MutexGuard<'_, ()>> = touched
             .iter()
             .map(|&shard| {
@@ -356,38 +365,16 @@ impl DurableRouter {
             })
             .collect();
         for &shard in touched.iter() {
-            let session = sessions[shard].get_or_insert_with(|| shards[shard].open_session());
-            keys.clear();
-            keys.extend(
-                window
-                    .iter()
-                    .filter(|&&(op_shard, _)| op_shard == shard)
-                    .map(|&(_, op)| op.key()),
-            );
-            if keys.len() >= 2 {
-                session.prefetch(keys);
-            }
-        }
-        let first = acked.len();
-        for &(shard, op) in window.iter() {
-            let session = sessions[shard].as_mut().expect("opened above");
-            acked.push_back(Ok(session.execute(op)));
+            sessions[shard]
+                .get_or_insert_with(|| shards[shard].open_session())
+                .apply(&pending[shard]);
+            pending[shard].clear();
         }
         touched.retain(|&shard| {
             let Some(spec) = shards[shard].due_crash() else {
                 return true;
             };
             sessions[shard].as_mut().expect("opened above").crash(spec);
-            // The lost-ack mutant answers the crashed window with its own
-            // results: acks for writes the crash just rolled back, which
-            // the durable checker must flag.
-            if !cfg!(feature = "lost-ack") {
-                for (result, &(op_shard, _)) in acked.range_mut(first..).zip(window.iter()) {
-                    if op_shard == shard {
-                        *result = Err(Crashed);
-                    }
-                }
-            }
             false
         });
         let session = |shard: usize| sessions[shard].as_ref().expect("opened above");
@@ -409,7 +396,11 @@ impl DurableRouter {
             shards[shard].boundaries.fetch_add(1, Ordering::SeqCst);
         }
         drop(locks);
-        window.clear();
+        acked.extend(
+            order
+                .drain(..)
+                .map(|shard| sessions[shard].as_mut().expect("opened above").answer()),
+        );
     }
 }
 

@@ -21,37 +21,8 @@ use absync::McsLock;
 use abtree::TreeHandle;
 use pabtree::{RelaxedPersist, WalElimABTree};
 
-use crate::crash::{CrashReport, CrashSpec};
-
-/// One point operation: what [`crate::DurableRouter::submit`] takes.
-#[derive(Debug, Clone, Copy)]
-pub enum DurableOp {
-    /// Point lookup.
-    Get {
-        /// Key to look up.
-        key: u64,
-    },
-    /// Insert-if-absent.
-    Put {
-        /// Key to insert.
-        key: u64,
-        /// Value to associate.
-        value: u64,
-    },
-    /// Point removal.
-    Delete {
-        /// Key to remove.
-        key: u64,
-    },
-}
-
-impl DurableOp {
-    pub(crate) fn key(self) -> u64 {
-        let (DurableOp::Get { key } | DurableOp::Put { key, .. } | DurableOp::Delete { key }) =
-            self;
-        key
-    }
-}
+use crate::crash::{CrashReport, CrashSpec, Crashed};
+use crate::DurableOp;
 
 /// One durable shard: the concrete WAL tree plus its coordination state.
 /// The tree is concrete (not `Box<dyn ConcurrentMap>`) because crash injection
@@ -89,6 +60,9 @@ pub(crate) struct Session {
     cell: Arc<ShardCell>,
     /// State-changing operations since the last fence, oldest first.
     pub(crate) unfenced: Vec<UnfencedOp>,
+    /// The last applied batch's answers not yet released, newest first, so
+    /// releasing pops them in the batch's order.  A crash empties it.
+    answers: Vec<Option<u64>>,
 }
 
 impl ShardCell {
@@ -116,6 +90,7 @@ impl ShardCell {
             handle,
             cell: Arc::clone(self),
             unfenced: Vec::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -158,39 +133,39 @@ pub(crate) enum UnfencedOp {
 }
 
 impl Session {
-    /// Prefetches the root-to-leaf paths of `keys` (read-only: see
-    /// [`abtree::TreeHandle::prefetch`]).  Called, like [`Self::execute`],
-    /// under the shard's commit lock, so it never overlaps a crash's
-    /// recovery.
-    pub(crate) fn prefetch(&mut self, keys: &[u64]) {
-        self.handle.prefetch(keys);
-    }
-
-    /// Executes one operation, maintaining the unfenced log.
-    pub(crate) fn execute(&mut self, op: DurableOp) -> Option<u64> {
-        match op {
-            DurableOp::Get { key } => self.handle.get(key),
-            DurableOp::Put { key, value } => {
-                let prior = self.handle.insert(key, value);
-                if prior.is_none() {
+    /// Applies `ops`, this shard's part of a window, in order in one call
+    /// of [`abtree::TreeHandle::apply`], logging every state change in the
+    /// unfenced log.  Called under the shard's commit lock, so it never
+    /// overlaps a crash's recovery.
+    pub(crate) fn apply(&mut self, ops: &[DurableOp]) {
+        self.answers.clear();
+        self.handle.apply(ops, &mut self.answers);
+        for (&op, &answer) in ops.iter().zip(&self.answers) {
+            match (op, answer) {
+                (DurableOp::Put { key, value }, None) => {
                     self.unfenced.push(UnfencedOp::Inserted { key, value });
                 }
-                prior
-            }
-            DurableOp::Delete { key } => {
-                let removed = self.handle.delete(key);
-                if let Some(value) = removed {
+                (DurableOp::Delete { key }, Some(value)) => {
                     self.unfenced.push(UnfencedOp::Removed { key, value });
                 }
-                removed
+                _ => {}
             }
         }
+        self.answers.reverse();
+    }
+
+    /// The answer to the oldest unreleased op of the last applied batch:
+    /// [`Crashed`] once a crash has ended the batch.
+    pub(crate) fn answer(&mut self) -> Result<Option<u64>, Crashed> {
+        self.answers.pop().ok_or(Crashed)
     }
 
     /// The crash and its recovery, under the shard's commit lock: destroy
     /// the unfenced suffix, plant the requested §5 damage, run
     /// [`pabtree::recover`] over the image and log the [`CrashReport`].
-    /// Empties the unfenced log: whatever survived is the recovered image.
+    /// Empties the unfenced log (whatever survived is the recovered image)
+    /// and drops the batch's answers, so each of its ops answers
+    /// [`Crashed`].
     pub(crate) fn crash(&mut self, spec: CrashSpec) {
         let cell = &*self.cell;
         let total = self.unfenced.len();
@@ -245,5 +220,11 @@ impl Session {
                 recovery,
             });
         cell.crashes.fetch_add(1, Ordering::SeqCst);
+        // The lost-ack mutant answers the crashed batch with its own
+        // results: acks for writes the crash just rolled back, which the
+        // durable checker must flag.
+        if !cfg!(feature = "lost-ack") {
+            self.answers.clear();
+        }
     }
 }
