@@ -41,6 +41,7 @@ asan() {
     step -p abtree --test slab --test slab_huge_pages --test smr_backends
     step -p abtree --lib --test concurrent
     step -p crashkv --lib
+    step -p kvserve --lib
     step -p baselines --lib
     step -p pabtree --lib
 }

@@ -17,6 +17,7 @@
 //! reachable through it.
 
 use std::ops::Deref;
+use std::sync::atomic::Ordering;
 
 use absync::{McsLock, RawNodeLock};
 
@@ -37,6 +38,10 @@ pub struct TreeHandle<'m, const ELIM: bool, L: RawNodeLock = McsLock, P: Persist
     ebr: abebr::LocalHandle,
     /// Reusable buffer behind [`TreeHandle::scan_len`].
     scan_buf: Vec<(u64, u64)>,
+    /// Operations this session completed through publishing elimination,
+    /// added to the tree's count when the session drops: a plain local
+    /// tally, so an eliminated update writes no tree-wide counter.
+    elims: u64,
 }
 
 impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
@@ -59,6 +64,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
             tree: self,
             ebr: self.collector().try_register()?,
             scan_buf: Vec::new(),
+            elims: 0,
         })
     }
 }
@@ -104,13 +110,13 @@ impl<'m, const ELIM: bool, L: RawNodeLock, P: Persist> TreeHandle<'m, ELIM, L, P
         // instead of taking a blanket pin, so a stalled operation cannot
         // block reclamation tree-wide.  Under EBR this is a plain pin.
         let guard = self.ebr.pin_fine();
-        self.tree.insert_in(key, value, &guard)
+        self.tree.insert_in(key, value, &guard, &mut self.elims)
     }
 
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
     pub fn delete(&mut self, key: u64) -> Option<u64> {
         let guard = self.ebr.pin_fine();
-        self.tree.delete_in(key, &guard)
+        self.tree.delete_in(key, &guard, &mut self.elims)
     }
 
     /// The paper's `find(key)`: returns the associated value, or `None`.
@@ -151,7 +157,7 @@ impl<'m, const ELIM: bool, L: RawNodeLock, P: Persist> TreeHandle<'m, ELIM, L, P
     /// simulation, which need the tree to themselves.
     pub fn apply(&mut self, ops: &[PointOp], out: &mut Vec<Option<u64>>) {
         let guard = self.ebr.pin();
-        self.tree.apply_in(ops, out, &guard);
+        self.tree.apply_in(ops, out, &guard, &mut self.elims);
     }
 
     /// Collects every `(key, value)` pair with `lo <= key <= hi`, sorted by
@@ -183,6 +189,16 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> Deref for TreeHandle<'_, ELIM
 
     fn deref(&self) -> &Self::Target {
         self.tree
+    }
+}
+
+impl<const ELIM: bool, L: RawNodeLock, P: Persist> Drop for TreeHandle<'_, ELIM, L, P> {
+    fn drop(&mut self) {
+        if self.elims != 0 {
+            self.tree
+                .elim_count
+                .fetch_add(self.elims, Ordering::Relaxed);
+        }
     }
 }
 
@@ -245,6 +261,25 @@ mod tests {
     use super::*;
     use crate::persist::recording::{Event, Recording, EVENTS};
     use crate::{ElimABTree, OccABTree};
+
+    /// A session's eliminations reach the tree's count when it drops, and
+    /// not before.
+    #[test]
+    fn a_sessions_eliminations_count_when_it_drops() {
+        let tree: ElimABTree = ElimABTree::new();
+        let mut first = tree.handle();
+        let mut second = tree.handle();
+        first.elims = 3;
+        second.elims = 4;
+        drop(first);
+        assert_eq!(
+            tree.elimination_count(),
+            3,
+            "the live session is not counted"
+        );
+        drop(second);
+        assert_eq!(tree.elimination_count(), 7);
+    }
 
     #[test]
     fn handle_round_trip_and_deref() {

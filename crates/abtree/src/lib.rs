@@ -191,7 +191,7 @@ pub trait MapHandle {
 /// sentinel.  `None` for a zero-length request (scan nothing).
 ///
 /// Every layer that converts `(lo, len)` into bounds — the service layer's
-/// scatter-gather scan, the conctest recorder and fuzzer — must call this,
+/// scan, the conctest recorder and fuzzer — must call this,
 /// so a future change to the rule (or to the sentinel) cannot desynchronize
 /// what was *requested* from what a recorder *logs* as scanned.
 #[inline]

@@ -104,8 +104,9 @@ pub struct AbTree<const ELIM: bool, L: RawNodeLock = McsLock, P: Persist = Volat
     /// Epoch-based reclamation collector through which unlinked nodes are
     /// retired.
     pub(crate) collector: Collector,
-    /// Number of operations completed via publishing elimination (only ever
-    /// incremented by the Elim-ABtree; exposed for benchmarks and tests).
+    /// Operations completed via publishing elimination by the sessions
+    /// that have dropped (each adds its own tally once; only the
+    /// Elim-ABtree eliminates).
     pub(crate) elim_count: std::sync::atomic::AtomicU64,
     /// Persistence policy marker (no runtime state).
     pub(crate) _persist: std::marker::PhantomData<P>,
@@ -152,7 +153,13 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     }
 
     /// Number of operations that completed through publishing elimination
-    /// (always 0 for the OCC-ABtree).
+    /// in the sessions that have finished (always 0 for the OCC-ABtree).
+    ///
+    /// Each [`crate::TreeHandle`] tallies its own eliminations and adds them
+    /// here when it drops, so the hot path of §4 shares no counter line.
+    /// Read it after the sessions of interest have dropped (typically,
+    /// after their threads have joined); a live session's eliminations are
+    /// not counted yet.
     pub fn elimination_count(&self) -> u64 {
         self.elim_count.load(Ordering::Relaxed)
     }

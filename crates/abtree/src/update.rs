@@ -47,20 +47,36 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// value (leaving the tree unchanged) if `key` was present, `None` if the
     /// pair was inserted (paper Fig. 4).
     ///
-    /// The caller (a [`crate::TreeHandle`]) supplies the pinned guard;
+    /// The caller (a [`crate::TreeHandle`]) supplies the pinned guard and
+    /// its session's elimination tally, which an eliminated insert bumps;
     /// this path never consults the reclamation registry itself.
-    pub(crate) fn insert_in(&self, key: u64, value: u64, guard: &Guard) -> Option<u64> {
-        self.insert_at(key, value, self.search(key, ptr::null_mut(), guard), guard)
+    pub(crate) fn insert_in(
+        &self,
+        key: u64,
+        value: u64,
+        guard: &Guard,
+        elims: &mut u64,
+    ) -> Option<u64> {
+        let path = self.search(key, ptr::null_mut(), guard);
+        self.insert_at(key, value, path, guard, elims)
     }
 
     /// [`AbTree::insert_in`] from the path a pinned search of `key`
     /// returned.
     #[inline]
-    fn insert_at(&self, key: u64, value: u64, path: PathInfo<L>, guard: &Guard) -> Option<u64> {
+    fn insert_at(
+        &self,
+        key: u64,
+        value: u64,
+        path: PathInfo<L>,
+        guard: &Guard,
+        elims: &mut u64,
+    ) -> Option<u64> {
         self.update_leaf(
             key,
             path,
             guard,
+            elims,
             // A present key refuses the insert with its value.
             |found| found.map_or(Ok(()), |(_, existing)| Err(Some(existing))),
             Some,
@@ -113,19 +129,27 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     }
 
     /// Removes `key`, returning its value if it was present (paper Fig. 5).
-    /// Guard discipline as in [`AbTree::insert_in`].
-    pub(crate) fn delete_in(&self, key: u64, guard: &Guard) -> Option<u64> {
-        self.delete_at(key, self.search(key, ptr::null_mut(), guard), guard)
+    /// Guard and tally as in [`AbTree::insert_in`].
+    pub(crate) fn delete_in(&self, key: u64, guard: &Guard, elims: &mut u64) -> Option<u64> {
+        let path = self.search(key, ptr::null_mut(), guard);
+        self.delete_at(key, path, guard, elims)
     }
 
     /// [`AbTree::delete_in`] from the path a pinned search of `key`
     /// returned.
     #[inline]
-    fn delete_at(&self, key: u64, path: PathInfo<L>, guard: &Guard) -> Option<u64> {
+    fn delete_at(
+        &self,
+        key: u64,
+        path: PathInfo<L>,
+        guard: &Guard,
+        elims: &mut u64,
+    ) -> Option<u64> {
         self.update_leaf(
             key,
             path,
             guard,
+            elims,
             // An absent key: nothing to delete.
             |found| found.ok_or(None),
             // An eliminated delete is linearized at a point where the key is
@@ -162,8 +186,14 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     /// [`LOCKSTEP_CURSORS`] ops, then each op runs `find`'s leaf read or
     /// [`AbTree::update_leaf`] from its path (see
     /// [`crate::TreeHandle::apply`] for the stale-leaf rule).  `guard` must
-    /// be a coarse pin.
-    pub(crate) fn apply_in(&self, ops: &[PointOp], out: &mut Vec<Option<u64>>, guard: &Guard) {
+    /// be a coarse pin; `elims` as in [`AbTree::insert_in`].
+    pub(crate) fn apply_in(
+        &self,
+        ops: &[PointOp],
+        out: &mut Vec<Option<u64>>,
+        guard: &Guard,
+        elims: &mut u64,
+    ) {
         out.reserve(ops.len());
         let mut keys = [0u64; LOCKSTEP_CURSORS];
         let mut paths = [PathInfo::UNSET; LOCKSTEP_CURSORS];
@@ -186,8 +216,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 };
                 out.push(match op {
                     PointOp::Get { .. } => self.get_at(key, &path, guard),
-                    PointOp::Put { value, .. } => self.insert_at(key, value, path, guard),
-                    PointOp::Delete { .. } => self.delete_at(key, path, guard),
+                    PointOp::Put { value, .. } => self.insert_at(key, value, path, guard, elims),
+                    PointOp::Delete { .. } => self.delete_at(key, path, guard, elims),
                 });
             }
         }
@@ -202,7 +232,8 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
     ///    read as the sign of contention that sends it to elimination
     ///    (§4.1);
     /// 2. lock it; the Elim-ABtree goes through `lockOrElim`, which may
-    ///    eliminate the operation instead and answer `eliminated(rec.val)`;
+    ///    eliminate the operation instead, bump `elims` and answer
+    ///    `eliminated(rec.val)`;
     /// 3. retry from the root if the leaf was unlinked before the lock;
     /// 4. look `key` up again under the lock.
     ///
@@ -216,6 +247,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
         key: u64,
         mut path: PathInfo<L>,
         guard: &'g Guard,
+        elims: &mut u64,
         settle: impl Fn(Option<(usize, u64)>) -> Result<W, T>,
         eliminated: impl Fn(u64) -> T,
         write: impl Fn(&PathInfo<L>, &'g Node<L>, Locks<'_, 'g, L>, W) -> Attempt<T>,
@@ -241,7 +273,7 @@ impl<const ELIM: bool, L: RawNodeLock, P: Persist> AbTree<ELIM, L, P> {
                 if !ELIM {
                     locks.lock(path.n, leaf);
                 } else if let Some(rec_val) = self.lock_or_elim(path.n, leaf, key, &mut locks) {
-                    self.elim_count.fetch_add(1, Ordering::Relaxed);
+                    *elims += 1;
                     return eliminated(rec_val);
                 }
                 if leaf.is_marked() {

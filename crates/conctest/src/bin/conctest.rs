@@ -24,9 +24,9 @@
 //!   semantics exactly for the registry's `Snapshot` structures).
 //!
 //! The targets are every registry structure, then kvserve services
-//! (Zipf-skewed keys, batched ops) for a sample of shard counts and
-//! structures, a socket server in front of one, and the durable service
-//! (point operations only).
+//! (Zipf-skewed keys, batched ops) over a sample of structures, their
+//! scans checked as snapshots where the structure's are, a socket server
+//! in front of one, and the durable service (point operations only).
 //!
 //! Any failure prints the shrunk reproducer, writes it to the artifact
 //! directory (`CONCTEST_ARTIFACT_DIR`, default `target/conctest/`) for CI
@@ -152,41 +152,38 @@ fn main() {
         failed: None,
         rounds,
     };
+    // A structure's scans are checked as snapshots exactly where its
+    // registry row says they are atomic.
+    let scans_of = |structure: &str| CheckConfig {
+        snapshot_scans: registry::descriptor(structure).is_some_and(|d| d.snapshot_scans),
+        ..CheckConfig::default()
+    };
     for descriptor in registry::STRUCTURES.iter().filter(|d| wanted(d.name)) {
-        let check_cfg = CheckConfig {
-            snapshot_scans: descriptor.snapshot_scans,
-            ..CheckConfig::default()
-        };
         let build = || (descriptor.factory)(smr);
-        sweep.target(descriptor.name, &build, &cfg, &check_cfg);
+        sweep.target(descriptor.name, &build, &cfg, &scans_of(descriptor.name));
     }
 
-    // The services: Zipf-skewed traffic over sharded registry structures,
-    // on a key space four times the structures' own.  Scans are
-    // scatter-gather and shards promise no cross-shard atomicity, so per-key
-    // semantics throughout.
-    let per_key = CheckConfig::default();
+    // The services: Zipf-skewed traffic over registry structures, on a key
+    // space four times the structures' own.  A service's scan is its
+    // store's own, so it takes the store's scan check.
     let service_cfg = FuzzConfig {
         key_space: cfg.key_space * 4,
         ..cfg.clone()
     };
-    let service_cells: &[(&str, usize)] = if smoke {
-        &[("elim-abtree", 3)]
+    let service_cells: &[&str] = if smoke {
+        &["elim-abtree"]
     } else {
-        &[("elim-abtree", 1), ("elim-abtree", 3), ("skiplist-lazy", 3)]
+        &["elim-abtree", "skiplist-lazy"]
     };
-    for &(structure, shards) in service_cells.iter().filter(|(s, _)| wanted(s)) {
-        let build = || kv_service(structure, shards);
-        sweep.target(
-            &format!("kvserve/{structure}x{shards}"),
-            &build,
-            &service_cfg,
-            &per_key,
-        );
+    for &structure in service_cells.iter().filter(|s| wanted(s)) {
+        let build = || kv_service(structure);
+        let name = format!("kvserve/{structure}");
+        sweep.target(&name, &build, &service_cfg, &scans_of(structure));
     }
     if wanted("elim-abtree") {
-        let build = || loopback_server(kv_service("elim-abtree", 2), 2);
-        sweep.target("netserve/elim-abtreex2", &build, &service_cfg, &per_key);
+        let build = || loopback_server(kv_service("elim-abtree"), 2);
+        let check_cfg = scans_of("elim-abtree");
+        sweep.target("netserve/elim-abtree", &build, &service_cfg, &check_cfg);
     }
     if wanted("p-elim-abtree") {
         let durable_cfg = FuzzConfig {
@@ -194,6 +191,7 @@ fn main() {
             ..cfg.clone()
         };
         let build = || DurableKvService::new(2, 4);
+        let per_key = CheckConfig::default();
         sweep.target("crashkv/p-elim-abtreex2", &build, &durable_cfg, &per_key);
     }
 

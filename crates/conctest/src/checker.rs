@@ -28,10 +28,11 @@
 //!   interval (a superset of the sub-operation's true interval, hence sound:
 //!   it can only admit more schedules, never reject a correct one);
 //! * **non-snapshot scans** (the baselines' walks of their own key order,
-//!   kvserve's cross-shard scatter-gather) promise the same per-key
+//!   and a service over one of them) promise the same per-key
 //!   guarantee and decompose identically: one *observation* per universe key
 //!   in the window — present with the scanned value, or absent;
-//! * **snapshot scans** (the (a,b)-trees' validated scans, see
+//! * **snapshot scans** (the (a,b)-trees' validated scans, directly or
+//!   through a service over one, see
 //!   [`setbench::registry::StructureDescriptor::snapshot_scans`]) promise joint atomicity
 //!   and stay whole: a single multi-key read that must match the entire
 //!   window state at one instant.  Such a scan welds every universe key in
@@ -78,9 +79,9 @@ use crate::history::{History, OpKind, OpResult};
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// Treat `Range` records as atomic snapshots (joint multi-key reads).
-    /// Set from the structure's registry descriptor
-    /// (`StructureDescriptor::snapshot_scans`); every kvserve history gets
-    /// `false`.
+    /// Set from the registry descriptor of the structure a target stores
+    /// its keys in (`StructureDescriptor::snapshot_scans`): a kvserve
+    /// service's scan is its store's own.
     pub snapshot_scans: bool,
     /// Upper bound on specification-apply attempts per component before the
     /// search gives up with [`Outcome::Bounded`].

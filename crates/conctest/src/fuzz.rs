@@ -156,11 +156,6 @@ pub trait Target: Sync {
     where
         Self: 't;
 
-    /// Whether a scan may be an atomic snapshot.  The services scatter and
-    /// gather scans across shards that promise no cross-shard atomicity,
-    /// so their histories are checked per key.
-    const SNAPSHOT_SCANS: bool = false;
-
     /// Opens a session, on the thread that will use it (a kvserve router
     /// is `!Send`).
     fn open(&self) -> Self::Session<'_>;
@@ -170,14 +165,14 @@ pub trait Target: Sync {
 /// scan atomically is the registry's `snapshot_scans` column.
 impl Target for Box<dyn ConcurrentMap> {
     type Session<'t> = Box<dyn MapHandle + 't>;
-    const SNAPSHOT_SCANS: bool = true;
 
     fn open(&self) -> Self::Session<'_> {
         self.handle()
     }
 }
 
-/// A kvserve service; its sessions are routers.
+/// A kvserve service; its sessions are routers, and its scans are its
+/// store's.
 impl Target for KvService {
     type Session<'t> = ShardRouter<'t>;
 
@@ -186,10 +181,10 @@ impl Target for KvService {
     }
 }
 
-/// A kvserve service with `shards` shards of registry structure
-/// `structure`: the fuzzer's service target.
-pub fn kv_service(structure: &str, shards: usize) -> KvService {
-    KvService::new(shards, 1, |_| setbench::registry::make_structure(structure))
+/// A kvserve service over registry structure `structure`: the fuzzer's
+/// service target.
+pub fn kv_service(structure: &str) -> KvService {
+    KvService::new(1, 1, |_| setbench::registry::make_structure(structure))
 }
 
 /// A deterministic-mode divergence between target and oracle.
@@ -378,10 +373,6 @@ pub fn fuzz_concurrent<T: Target>(
     check_cfg: &CheckConfig,
     rounds: u32,
 ) -> Result<ConcReport, Box<ConcFailure>> {
-    assert!(
-        T::SNAPSHOT_SCANS || !check_cfg.snapshot_scans,
-        "service scans are scatter-gather, never atomic snapshots"
-    );
     let keys = KeyDistribution::zipfian(cfg.key_space, cfg.key_skew);
     let mut report = ConcReport::default();
     for round in 0..rounds as u64 {
@@ -416,24 +407,24 @@ pub fn fuzz_concurrent<T: Target>(
 const HOT_KEYS: u64 = 8;
 
 /// Records one round of hot-key traffic in which every router's request
-/// kinds meet on the same eight keys of a fresh four-shard service:
+/// kinds meet on the same eight keys of a fresh service:
 /// blocking point calls (run on the calling thread's own tree session, or
 /// answered by its hot-key cache), `serve_pipelined` windows of 2–16 point
 /// requests, and `mget` / `mput` / `scan` — all on the routers' own
-/// sessions, so every router mutates every shard beside the others.
+/// sessions, so every router mutates the one tree beside the others.
 /// `threads` OS threads each record at least `ops_per_thread` operations,
 /// ~60% of them blocking `get`s — the cache-hit fodder whose linearizability
 /// is the point.  Returns the history and how many reads the hot-key caches
 /// answered inside it (0 with telemetry compiled out).
 ///
-/// The shards are Elim-ABtrees under the private `stall` module's wrapper,
+/// The store is an Elim-ABtree under the private `stall` module's wrapper,
 /// which pauses inside the cache protocol's windows: unstalled, the races
 /// this traffic exists to provoke need a preemption to land within a
 /// hundred nanoseconds, and a round that never raced proves nothing.
 /// Values are unique (thread-tagged), so the checker can match every read
 /// to the one write it observed.
 pub fn record_hot_key_paths(threads: u32, ops_per_thread: usize) -> (History, u64) {
-    let service = KvService::new(4, 1, |_| {
+    let service = KvService::new(1, 1, |_| {
         Box::new(crate::stall::Stalling::new(
             setbench::registry::make_structure("elim-abtree"),
         ))
@@ -578,17 +569,6 @@ mod tests {
             key_space: 160,
             ..FuzzConfig::default()
         };
-        differential_fuzz(&|| kv_service("elim-abtree", 3), &cfg).expect("service is correct");
-    }
-
-    #[test]
-    #[should_panic(expected = "never atomic snapshots")]
-    fn services_refuse_snapshot_scan_checking() {
-        let _ = fuzz_concurrent(
-            &|| kv_service("elim-abtree", 2),
-            &FuzzConfig::default(),
-            &CheckConfig::with_snapshot_scans(),
-            1,
-        );
+        differential_fuzz(&|| kv_service("elim-abtree"), &cfg).expect("service is correct");
     }
 }

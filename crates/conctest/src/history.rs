@@ -282,9 +282,9 @@ impl Session for Box<dyn MapHandle + '_> {
 }
 
 /// A kvserve router: each operation is one blocking request, and a window
-/// is one [`ShardRouter::serve_pipelined`] frame.  The service promises no
-/// cross-shard atomicity for scans or batches, so the checker runs with
-/// per-key (non-snapshot) scan treatment over these histories.
+/// is one [`ShardRouter::serve_pipelined`] frame.  A scan is the store's
+/// own, so these histories are checked with the store's scan semantics;
+/// batches promise no cross-key atomicity.
 impl Session for ShardRouter<'_> {
     fn run(&mut self, op: &OpKind) -> OpResult {
         OpResult::from_reply(self.execute(&op.request()))
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn router_recorder_round_trips() {
         use kvserve::KvService;
-        let service = KvService::new(2, 1, |_| {
+        let service = KvService::new(1, 1, |_| {
             let tree: ElimABTree = ElimABTree::new();
             Box::new(tree)
         });

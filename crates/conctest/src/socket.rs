@@ -76,7 +76,7 @@ mod tests {
             key_space: 256,
             ..FuzzConfig::default()
         };
-        let build = || loopback_server(kv_service("elim-abtree", 2), 2);
+        let build = || loopback_server(kv_service("elim-abtree"), 2);
         let replayed = differential_fuzz(&build, &cfg)
             .unwrap_or_else(|failure| panic!("{}", failure.render()));
         assert_eq!(replayed, 300);

@@ -1,4 +1,4 @@
-//! Tier-1 conctest coverage: every registry structure (and the sharded
+//! Tier-1 conctest coverage: every registry structure (and the kvserve
 //! service) must pass both fuzz modes under a seeded mixed workload with
 //! scans, and the checker must demonstrably reject hand-built torn and
 //! stale histories — so the "all clean" verdict above it means something.
@@ -46,20 +46,25 @@ fn every_registry_structure_passes_both_fuzz_modes() {
     }
 }
 
-/// The sharded service passes both modes too (Zipf-skewed keys, batched
-/// ops, scatter-gather scans checked per key).
+/// The service passes both modes too (Zipf-skewed keys, batched ops), its
+/// scans checked as snapshots exactly where its store's are: a service's
+/// scan is the store's own `range`.
 #[test]
 fn kvserve_passes_both_fuzz_modes() {
     let cfg = FuzzConfig {
         key_space: 192,
         ..small_cfg()
     };
-    for &(structure, shards) in &[("elim-abtree", 1), ("elim-abtree", 3), ("skiplist-lazy", 2)] {
-        let build = || kv_service(structure, shards);
+    for structure in ["elim-abtree", "skiplist-lazy"] {
+        let build = || kv_service(structure);
         differential_fuzz(&build, &cfg)
-            .unwrap_or_else(|failure| panic!("{structure}x{shards}: {}", failure.render()));
-        fuzz_concurrent(&build, &cfg, &CheckConfig::default(), 2)
-            .unwrap_or_else(|failure| panic!("{structure}x{shards}: {}", failure.render(&cfg)));
+            .unwrap_or_else(|failure| panic!("{structure}: {}", failure.render()));
+        let check_cfg = CheckConfig {
+            snapshot_scans: registry::descriptor(structure).unwrap().snapshot_scans,
+            ..CheckConfig::default()
+        };
+        fuzz_concurrent(&build, &cfg, &check_cfg, 2)
+            .unwrap_or_else(|failure| panic!("{structure}: {}", failure.render(&cfg)));
     }
 }
 

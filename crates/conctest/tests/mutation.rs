@@ -56,15 +56,17 @@ mod torn_scan {
     use std::time::Duration;
 
     use abtree::{ConcurrentMap, ElimABTree};
-    use conctest::{check, CheckConfig, Clock, History, OpKind, Recorder, TornScan};
+    use conctest::{check, CheckConfig, Clock, History, OpKind, Recorder, Target, TornScan};
+    use kvserve::KvService;
 
     /// Low and high halves of the scanned window `[0, 3]`.
     const A: u64 = 1;
     const B: u64 = 2;
 
     /// One recorded round of `scans` torn-window scans against a paced
-    /// flip-flop writer (at most `writer_ops` operations).
-    fn record_round(map: &dyn ConcurrentMap, scans: u32, writer_ops: u32) -> History {
+    /// flip-flop writer (at most `writer_ops` operations), each on its own
+    /// session on `target`.
+    fn record_round<T: Target>(target: &T, scans: u32, writer_ops: u32) -> History {
         let clock = Clock::new();
         let stop = AtomicBool::new(false);
         std::thread::scope(|scope| {
@@ -72,7 +74,7 @@ mod torn_scan {
                 let clock = std::sync::Arc::clone(&clock);
                 let stop = &stop;
                 scope.spawn(move || {
-                    let mut rec = Recorder::new(map.handle(), 0, clock);
+                    let mut rec = Recorder::new(target.open(), 0, clock);
                     for i in 0..writer_ops {
                         if stop.load(Ordering::Relaxed) {
                             break;
@@ -96,7 +98,7 @@ mod torn_scan {
             let scanner = {
                 let clock = std::sync::Arc::clone(&clock);
                 scope.spawn(move || {
-                    let mut rec = Recorder::new(map.handle(), 1, clock);
+                    let mut rec = Recorder::new(target.open(), 1, clock);
                     for _ in 0..scans {
                         rec.run(&OpKind::Range { lo: 0, hi: 3 });
                     }
@@ -110,23 +112,32 @@ mod torn_scan {
         })
     }
 
-    /// Runs rounds until the checker flags one (or the round budget runs out).
-    fn hunt_tear(rounds: u32) -> Option<History> {
-        for _ in 0..rounds {
-            let torn = TornScan::new(ElimABTree::new() as ElimABTree);
-            let history = record_round(&torn, 40, 600);
-            // The mutant wraps a Snapshot-scan structure, so joint atomicity is
-            // the contract being checked.
-            if check(&history, &CheckConfig::with_snapshot_scans()).is_violation() {
-                return Some(history);
-            }
-        }
-        None
+    /// The mutant tree, as a registry-style store.
+    fn torn_tree() -> Box<dyn ConcurrentMap> {
+        Box::new(TornScan::new(ElimABTree::new() as ElimABTree))
+    }
+
+    /// The unbroken tree, as a registry-style store.
+    fn tree() -> Box<dyn ConcurrentMap> {
+        Box::new(ElimABTree::new() as ElimABTree)
+    }
+
+    /// Runs rounds, each on a fresh target from `build`, until the checker
+    /// flags one (or the round budget runs out).
+    fn hunt_tear<T: Target>(rounds: u32, build: impl Fn() -> T) -> Option<History> {
+        (0..rounds).find_map(|_| {
+            let history = record_round(&build(), 40, 600);
+            // The mutant wraps a Snapshot-scan structure, so joint
+            // atomicity is the contract being checked.
+            check(&history, &CheckConfig::with_snapshot_scans())
+                .is_violation()
+                .then_some(history)
+        })
     }
 
     #[test]
     fn torn_scan_mutant_is_flagged_and_shrinks() {
-        let history = hunt_tear(50).expect(
+        let history = hunt_tear(50, torn_tree).expect(
             "the torn-scan mutant survived every round: the checker cannot \
              detect non-atomic scans",
         );
@@ -142,14 +153,35 @@ mod torn_scan {
         );
     }
 
-    /// Negative control: the identical hunt over the *unbroken* structure must
-    /// stay clean — otherwise the detection above could be a checker false
-    /// positive rather than a caught mutation.
+    /// A service's scan is its one store's own `range`, so the service's
+    /// histories are checked as snapshots too, and a `KvService` over the
+    /// mutant is flagged through its routers like the mutant itself.
+    #[test]
+    fn a_service_over_the_torn_scan_mutant_is_flagged_and_shrinks() {
+        let history = hunt_tear(50, || KvService::new(1, 1, |_| torn_tree())).expect(
+            "a service over the torn-scan mutant survived every round: \
+             service scans are not checked as snapshots",
+        );
+        super::assert_shrinks(
+            "torn-scan-service",
+            &history,
+            &CheckConfig::with_snapshot_scans(),
+            10,
+        );
+    }
+
+    /// Negative control: the identical hunt over the *unbroken* structure,
+    /// directly and behind a service, must stay clean — otherwise the
+    /// detections above could be checker false positives rather than
+    /// caught mutations.
     #[test]
     fn unbroken_structure_survives_the_same_hunt() {
-        for _ in 0..8 {
-            let tree: ElimABTree = ElimABTree::new();
-            let history = record_round(&tree, 40, 300);
+        for round in 0..8 {
+            let history = if round % 2 == 0 {
+                record_round(&tree(), 40, 300)
+            } else {
+                record_round(&KvService::new(1, 1, |_| tree()), 40, 300)
+            };
             let outcome = check(&history, &CheckConfig::with_snapshot_scans());
             assert!(
                 !outcome.is_violation(),

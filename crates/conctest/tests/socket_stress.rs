@@ -28,7 +28,7 @@ fn socket_histories_stay_linearizable() {
     const HOT_KEYS: u64 = 10;
     const PIPELINE: usize = 6;
 
-    let mut server = loopback_server(kv_service("elim-abtree", 4), 2);
+    let mut server = loopback_server(kv_service("elim-abtree"), 2);
     let addr = server.local_addr();
     let clock = Clock::new();
 
@@ -153,7 +153,7 @@ fn eventually(what: &str, mut predicate: impl FnMut() -> bool) {
 /// serving well-behaved clients throughout.
 #[test]
 fn malicious_clients_are_closed_and_the_server_survives() {
-    let mut server = loopback_server(kv_service("elim-abtree", 2), 2);
+    let mut server = loopback_server(kv_service("elim-abtree"), 2);
     let addr = server.local_addr();
 
     let mut honest = Client::connect(addr).unwrap();

@@ -35,25 +35,21 @@ fn hot_key_cfg() -> FuzzConfig {
     }
 }
 
-/// Differential mode: the router (sessions, stamps, cache and all) must
-/// agree op-for-op with the `BTreeMap` oracle under hot-key traffic,
-/// across shard counts.
+/// Differential mode: the router (session, stamps, cache and all) must
+/// agree op-for-op with the `BTreeMap` oracle under hot-key traffic.
 #[test]
 fn differential_matches_the_oracle_through_the_lanes() {
-    let cfg = hot_key_cfg();
-    for &shards in &[1usize, 4] {
-        differential_fuzz(&|| kv_service("elim-abtree", shards), &cfg)
-            .unwrap_or_else(|failure| panic!("shards={shards}: {}", failure.render()));
-    }
+    differential_fuzz(&|| kv_service("elim-abtree"), &hot_key_cfg())
+        .unwrap_or_else(|failure| panic!("{}", failure.render()));
 }
 
-/// Concurrent mode: OS-thread routers hammering the same shards, with the
-/// recorded histories checked per key across rounds.
+/// Concurrent mode: OS-thread routers hammering the one tree, with the
+/// recorded histories checked across rounds, scans as snapshots.
 #[test]
 fn concurrent_stress_passes_over_the_thread_per_shard_router() {
     let cfg = hot_key_cfg();
-    let build = || kv_service("elim-abtree", 4);
-    let report = fuzz_concurrent(&build, &cfg, &CheckConfig::default(), 2)
+    let build = || kv_service("elim-abtree");
+    let report = fuzz_concurrent(&build, &cfg, &CheckConfig::with_snapshot_scans(), 2)
         .unwrap_or_else(|failure| panic!("{}", failure.render(&cfg)));
     assert_eq!(report.rounds, 2);
     assert!(report.events >= 2 * 2 * 160);
@@ -88,7 +84,7 @@ fn cached_reads_stay_linearizable_under_concurrent_writes() {
                 panic!("round {round}: cached reads broke linearizability: {report}")
             }
         }
-        // The witness: with 8 keys across 4 shards and 60% reads, a correct
+        // The witness: with 8 keys and 60% reads, a correct
         // cache serves plenty of hits inside the checked history.  A cache
         // that never hits would make this test silently vacuous.  (The hit
         // counter itself is telemetry: compiled out, it reads 0.)

@@ -85,7 +85,9 @@ use crate::DurableOp;
 
 /// A durable sharded key/value service with in-place crash recovery.
 ///
-/// Compared to `kvserve::KvService` the shards are persistent
+/// Compared to `kvserve::KvService`'s one volatile tree, the store is
+/// sharded (each shard's commit lock serializes its callers, so shards are
+/// the service's parallelism) and persistent
 /// ([`pabtree::WalElimABTree`]: per-operation flushes, group fences), the
 /// acknowledgement batching knob `acks_per_fence` trades ack latency for
 /// fence rate, and a crashed shard recovers instead of poisoning the
@@ -185,8 +187,7 @@ impl DurableKvService {
         self.shards.len()
     }
 
-    /// The shard that owns `key` ([`kvserve::shard_of`], so sharding stays
-    /// comparable across the two services).
+    /// The shard that owns `key` ([`kvserve::shard_of`]).
     pub fn shard_of(&self, key: u64) -> usize {
         shard_of(key, self.shards.len())
     }

@@ -1,26 +1,27 @@
-//! A per-router hot-key read cache, validated by per-shard stamps.
+//! A per-router hot-key read cache, validated by the service's one stamp.
 //!
 //! Under Zipf-skewed traffic, a handful of keys absorb most lookups.  An
-//! uncached lookup descends the shard's tree on the router's own handle;
-//! this small, fixed-size, direct-mapped cache lets the top of the Zipf
-//! curve skip the descent.  It is private to
-//! one [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no
-//! atomics on the entry itself) and coherence comes from the shard's mutation counters
-//! instead of invalidation messages: an entry is stamped with the quiescent
-//! shard state its value was exact at, and a hit counts only while no
-//! mutation has begun on the shard since.  Any real mutation implicitly
-//! drops every entry cached from the shard — cheap, conservative, and
-//! exactly the check that keeps cached reads linearizable (see the private
-//! `worker` module for the begun/done protocol this relies on).  A result
-//! obtained while a writer was in flight has no stamp and is not cached.
+//! uncached lookup descends the tree on the router's own handle; this
+//! small, fixed-size, direct-mapped cache lets the top of the Zipf curve
+//! skip the descent.  It is private to one
+//! [`ShardRouter`](crate::ShardRouter) (no sharing, no locks, no atomics on
+//! the entry itself) and coherence comes from the service's mutation
+//! counters instead of invalidation messages: an entry is stamped with the
+//! quiescent state its value was exact at, and a hit counts only while no
+//! mutation has begun since.  One stamp covers every write of the service,
+//! so any real write, by any router, implicitly drops every cached entry —
+//! cheap, conservative, and exactly the check that keeps cached reads
+//! linearizable (see the private `worker` module for the begun/done
+//! protocol this relies on).  A result obtained while a writer was in
+//! flight has no stamp and is not cached.
 //!
 //! Negative results are cached too (`value = None`): a miss on a hot
 //! absent key costs the same descent as a hit.
 //!
 //! Sizing: the cache is a statically sized direct-mapped array indexed by
-//! the same Fibonacci hash the service uses for shard routing.  Collisions
-//! simply overwrite — with [`CACHE_SLOTS`] entries and Zipf traffic the
-//! hot ranks effectively never alias each other.
+//! a Fibonacci hash of the key.  Collisions simply overwrite — with
+//! [`CACHE_SLOTS`] entries and Zipf traffic the hot ranks effectively never
+//! alias each other.
 
 /// Number of entries in a router's read cache. Power of two; at 24 bytes
 /// per entry this is a ~24 KiB, comfortably L1/L2-resident table.
@@ -61,8 +62,8 @@ impl ReadCache {
         }
     }
 
-    /// The slot index for `key`: high bits of the service's Fibonacci hash,
-    /// so the index decorrelates from both the raw key and its shard.
+    /// The slot index for `key`: high bits of a Fibonacci hash, so the
+    /// index decorrelates from the raw key.
     #[inline]
     fn slot_of(key: u64) -> usize {
         let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -71,14 +72,14 @@ impl ReadCache {
 
     /// Looks up `key`, returning the cached read result (which may be a
     /// cached miss, `Some(None)`) only if the entry's stamp equals
-    /// `shard_begun`, the owning shard's count of mutations begun.
+    /// `begun`, the service's count of mutations begun.
     #[inline]
-    pub fn lookup(&self, key: u64, shard_begun: u64) -> Option<Option<u64>> {
+    pub fn lookup(&self, key: u64, begun: u64) -> Option<Option<u64>> {
         let slot = &self.slots[Self::slot_of(key)];
-        (slot.key == key && slot.stamp == shard_begun).then_some(slot.value)
+        (slot.key == key && slot.stamp == begun).then_some(slot.value)
     }
 
-    /// Records that `key` read as `value` in the quiescent shard state
+    /// Records that `key` read as `value` in the quiescent service state
     /// `stamp`, overwriting whatever occupied the slot.  A result without a
     /// stamp is not cacheable, and it supersedes what the cache held for
     /// `key`: that entry is dropped (another key's entry is left alone).
@@ -123,7 +124,7 @@ mod tests {
         assert_eq!(cache.lookup(7, 0), None, "cold cache");
         cache.store(7, Some(70), Some(3));
         assert_eq!(cache.lookup(7, 3), Some(Some(70)));
-        assert_eq!(cache.lookup(7, 4), None, "any shard mutation invalidates");
+        assert_eq!(cache.lookup(7, 4), None, "any mutation invalidates");
         assert_eq!(cache.lookup(8, 3), None, "different key");
         // Re-stamping at the new version revives the slot.
         cache.store(7, Some(71), Some(4));

@@ -199,7 +199,7 @@ pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
             out.push(0x04);
             write_key(out, *lo);
             // The window length caps the work a single scan request can
-            // demand of a shard *and* the size of the entries response, so
+            // demand of the tree *and* the size of the entries response, so
             // it shares the batch-length cap.
             write_len(out, *len as usize);
         }
@@ -545,7 +545,7 @@ mod tests {
         assert_eq!(decode_batch(&wire).unwrap(), vec![Request::Stats]);
 
         // The response carries length-prefixed UTF-8 exposition text.
-        let text = "# TYPE kv_ops_total counter\nkv_ops_total{shard=\"0\"} 42\n";
+        let text = "# TYPE kv_ops_total counter\nkv_ops_total{op=\"get\"} 42\n";
         let resp = Response::Stats(text.to_string());
         encode_response_batch(std::slice::from_ref(&resp), &mut wire);
         assert_eq!(decode_response_batch(&wire).unwrap(), vec![resp]);

@@ -62,9 +62,9 @@ pub enum Request {
     },
     /// Telemetry scrape: a point-in-time snapshot of every metric the
     /// service's [`obs::Registry`] knows about, answered with
-    /// [`Response::Stats`].  Served by the router without touching a
-    /// shard, so it does not perturb — and is not counted in — the
-    /// per-shard operation counters.
+    /// [`Response::Stats`].  Served by the router without touching the
+    /// tree, so it does not perturb — and is not counted in — the
+    /// operation counters.
     Stats,
 }
 

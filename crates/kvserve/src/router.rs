@@ -1,14 +1,16 @@
 //! The per-client router: point, pipelined and batched request paths, all
-//! run on the caller's own tree sessions, one per shard.
+//! run on the caller's own session on the service's tree.
 //!
 //! Every request runs on the calling thread.  The router holds one
-//! [`MapHandle`] per shard and executes a point request, a shard's slice of
-//! an `MGet`/`MPut`, or a shard's part of a scan on it directly, under the
-//! stamp protocol of the private `worker` module.  The tree is a
-//! linearizable concurrent map that any thread may update (paper §3–§4),
-//! so no request is handed to another thread and none waits for one.  In
-//! front sits a per-router hot-key read cache ([`crate::cache`]) validated
-//! by the shards' stamps, so the top of the Zipf curve touches no tree.
+//! [`MapHandle`] and executes a point request, an `MGet`/`MPut` or a scan
+//! on it directly, under the stamp protocol of the private `worker`
+//! module.  The tree is a linearizable concurrent map that any thread may
+//! update (paper §3–§4), so no request is handed to another thread and
+//! none waits for one.  A scan is the tree's own `range`: on the
+//! (a,b)-trees, one validated snapshot of the window.  In front sits a
+//! per-router hot-key read cache ([`crate::cache`]) validated by the
+//! service's one stamp, so the top of the Zipf curve touches no tree, and
+//! any real write, by any router, ends every cached entry.
 //!
 //! Two request interfaces:
 //!
@@ -33,7 +35,7 @@ use obs::{Stage, StageRecorder, Stamp};
 
 use crate::cache::ReadCache;
 use crate::request::{Request, Response};
-use crate::service::KvService;
+use crate::service::{assert_storable, KvService};
 use crate::worker::{self, PointOp};
 use crate::LANE_CAPACITY;
 
@@ -61,35 +63,17 @@ impl std::fmt::Display for Overloaded {
 
 impl std::error::Error for Overloaded {}
 
-/// Per-shard scratch used to regroup a batch by destination shard.
-#[derive(Default)]
-struct Group {
-    keys: Vec<u64>,
-    pairs: Vec<(u64, u64)>,
-    /// Original batch positions of this group's entries, for scattering
-    /// results back into input order.
-    positions: Vec<u32>,
-}
-
-/// A per-client session over the whole service: one tree session per
-/// shard, a private hot-key read cache, and the scratch that lets batches
-/// and scans run without allocating once warm.
+/// A per-client session over the service: one tree session and a private
+/// hot-key read cache.
 ///
 /// Obtained from [`KvService::router`].  Routers are independent; open one
 /// per client thread, on that thread — a router is `!Send`, like the tree
-/// sessions it owns.
+/// session it owns.
 pub struct ShardRouter<'s> {
     service: &'s KvService,
-    /// This router's own session on each shard's store.
-    sessions: Vec<Box<dyn MapHandle + 's>>,
+    /// This router's own session on the service's store.
+    session: Box<dyn MapHandle + 's>,
     cache: ReadCache,
-    groups: Vec<Group>,
-    /// Shards with a non-empty group in the batch being executed (sparse
-    /// clear: only touched groups are reset).
-    touched: Vec<usize>,
-    /// One shard's results of the batch or scan being executed.
-    values: Vec<Option<u64>>,
-    entries: Vec<(u64, u64)>,
     /// Responses of pipelined submissions awaiting
     /// [`collect`](Self::collect), oldest first.
     pending: VecDeque<Option<u64>>,
@@ -99,15 +83,11 @@ pub struct ShardRouter<'s> {
 }
 
 impl<'s> ShardRouter<'s> {
-    pub(crate) fn new(service: &'s KvService, sessions: Vec<Box<dyn MapHandle + 's>>) -> Self {
+    pub(crate) fn new(service: &'s KvService, session: Box<dyn MapHandle + 's>) -> Self {
         ShardRouter {
             service,
-            groups: sessions.iter().map(|_| Group::default()).collect(),
-            sessions,
+            session,
             cache: ReadCache::new(),
-            touched: Vec::new(),
-            values: Vec::new(),
-            entries: Vec::new(),
             pending: VecDeque::new(),
             recorder: service.stage_trace().recorder(TRACE_SAMPLE_SHIFT),
         }
@@ -149,16 +129,14 @@ impl<'s> ShardRouter<'s> {
         self.point(PointOp::Delete, key, 0)
     }
 
-    /// Runs one point request on this router's session on the key's shard:
-    /// a `Get` probes the hot-key cache first; then [`worker::execute`], the
-    /// shard's counters and the cache fill.  A sampled
-    /// request, a cache hit included, records its `Apply` stage: the
-    /// request's latency, from one clock read.
+    /// Runs one point request on this router's session: a `Get` probes the
+    /// hot-key cache first; then [`worker::execute`], the counters and the
+    /// cache fill.  A sampled request, a cache hit included, records its
+    /// `Apply` stage: the request's latency, from one clock read.
     fn point(&mut self, op: PointOp, key: u64, value: u64) -> Option<u64> {
-        let service = self.service;
-        let shard = service.shard_of(key);
-        let state = service.shard_state(shard);
-        let stats = service.stats();
+        assert_storable(key);
+        let state = self.service.state();
+        let stats = self.service.stats();
         // One sampling decision covers the stage trace: the untraced
         // 15-in-16 majority reads no clock at all.
         let started = self.recorder.sample_start();
@@ -166,25 +144,25 @@ impl<'s> ShardRouter<'s> {
             if let Some(cached) = self.cache.lookup(key, state.begun()) {
                 stats.record_cache_hit();
                 self.recorder.record(Stage::Apply, started);
-                stats.shard(shard).record_get(cached.is_some());
+                stats.record_get(cached.is_some());
                 return cached;
             }
         }
-        let (result, stamp) = worker::execute(&mut *self.sessions[shard], state, op, key, value);
+        let (result, stamp) = worker::execute(&mut *self.session, state, op, key, value);
         self.recorder.record(Stage::Apply, started);
         match op {
             PointOp::Get => {
-                stats.shard(shard).record_get(result.is_some());
+                stats.record_get(result.is_some());
                 self.cache.store(key, result, stamp);
             }
             PointOp::Put => {
-                stats.shard(shard).record_put();
+                stats.record_put();
                 // Either the insert landed (key -> value) or it was a no-op
                 // (key kept its prior value); both are exact at the stamp.
                 self.cache.store(key, Some(result.unwrap_or(value)), stamp);
             }
             PointOp::Delete => {
-                stats.shard(shard).record_delete();
+                stats.record_delete();
                 // Whatever was there, the key is now absent.
                 self.cache.store(key, None, stamp);
             }
@@ -232,36 +210,24 @@ impl<'s> ShardRouter<'s> {
         Response::Value(self.pending.pop_front().expect("no submissions in flight"))
     }
 
-    /// Scatter-gather scan of the window `[lo, lo + len - 1]` (clamped below
-    /// the engine's reserved sentinel): each shard's slice is scanned on
-    /// this router's session and the results are merged into `out`, sorted
-    /// by key (`out` is cleared first).
-    ///
-    /// Each *per-shard* sub-scan has that shard's scan guarantee (a
-    /// linearizable snapshot on the (a,b)-trees); the merged cross-shard
-    /// result is *not* one atomic snapshot — shards are scanned one after
-    /// another, like any scatter-gather service read.
+    /// Scan of the window `[lo, lo + len - 1]` (clamped below the engine's
+    /// reserved sentinel) into `out`, sorted by key (`out` is cleared
+    /// first): the tree's own `range` on this router's session, so the
+    /// result has the store's scan guarantee — on the (a,b)-trees, one
+    /// linearizable snapshot of the window.
     pub fn scan(&mut self, lo: u64, len: u64, out: &mut Vec<(u64, u64)>) {
         self.assert_unpipelined();
-        // Same boundary guard as `shard_of` (which a scan bypasses): the
-        // reserved sentinel is rejected loudly, not clamped into an empty
-        // result.
-        assert!(
-            lo != abtree::EMPTY_KEY,
-            "the reserved EMPTY_KEY sentinel cannot be stored or queried"
-        );
-        let stats = self.service.stats();
+        // The reserved sentinel is rejected loudly, not clamped into an
+        // empty result.
+        assert_storable(lo);
         out.clear();
         let Some((lo, hi)) = abtree::scan_window(lo, len) else {
             return;
         };
+        let stats = self.service.stats();
         let started = Stamp::now();
-        for (shard, session) in self.sessions.iter_mut().enumerate() {
-            session.range(lo, hi, &mut self.entries);
-            out.extend_from_slice(&self.entries);
-            stats.shard(shard).record_scan();
-        }
-        out.sort_unstable_by_key(|&(key, _)| key);
+        self.session.range(lo, hi, out);
+        stats.record_scan();
         stats.scan_latency_ns.record(started.elapsed_ns());
     }
 
@@ -269,98 +235,53 @@ impl<'s> ShardRouter<'s> {
     /// (cleared first) in input order.
     ///
     /// Keys the hot-key cache can answer are filled in locally; the rest
-    /// are regrouped by destination shard and looked up one shard at a
-    /// time, each shard's keys under one read stamp.
+    /// are looked up on the tree, all under one read stamp taken before
+    /// the first of them.
     pub fn mget(&mut self, keys: &[u64], out: &mut Vec<Option<u64>>) {
         self.assert_unpipelined();
-        let service = self.service;
-        let stats = service.stats();
+        let state = self.service.state();
+        let stats = self.service.stats();
         out.clear();
-        out.resize(keys.len(), None);
         let started = Stamp::now();
-        for (position, &key) in keys.iter().enumerate() {
-            let shard = service.shard_of(key);
-            let begun = service.shard_state(shard).begun();
-            if let Some(cached) = self.cache.lookup(key, begun) {
-                stats.record_cache_hit();
-                stats.shard(shard).record_lookup(cached.is_some());
-                out[position] = cached;
-                continue;
-            }
-            let group = &mut self.groups[shard];
-            if group.keys.is_empty() {
-                self.touched.push(shard);
-            }
-            group.keys.push(key);
-            group.positions.push(position as u32);
+        let stamp = state.read_stamp();
+        for &key in keys {
+            assert_storable(key);
+            let value = match self.cache.lookup(key, state.begun()) {
+                Some(cached) => {
+                    stats.record_cache_hit();
+                    cached
+                }
+                None => {
+                    let value = self.session.get(key);
+                    self.cache.store(key, value, stamp);
+                    value
+                }
+            };
+            stats.record_lookup(value.is_some());
+            out.push(value);
         }
-        for &shard in &self.touched {
-            let group = &mut self.groups[shard];
-            let stamp = worker::mget(
-                &mut *self.sessions[shard],
-                service.shard_state(shard),
-                &group.keys,
-                &mut self.values,
-            );
-            let counters = stats.shard(shard);
-            counters.record_mget();
-            for (&position, &value) in group.positions.iter().zip(&self.values) {
-                let key = keys[position as usize];
-                counters.record_lookup(value.is_some());
-                out[position as usize] = value;
-                self.cache.store(key, value, stamp);
-            }
-            group.keys.clear();
-            group.positions.clear();
-        }
-        self.touched.clear();
+        stats.record_mget();
         stats.batch_latency_ns.record(started.elapsed_ns());
         stats.batch_size.record(keys.len() as u64);
     }
 
     /// Batched multi-put (insert-if-absent per pair): per-pair results
     /// pushed to `out` (cleared first) in input order, `None` meaning the
-    /// pair was inserted.
-    ///
-    /// Same regrouping as [`mget`](Self::mget); each shard's pairs are
-    /// inserted one by one, announced as one write.
+    /// pair was inserted.  The pairs are inserted one by one, announced as
+    /// one write.
     pub fn mput(&mut self, pairs: &[(u64, u64)], out: &mut Vec<Option<u64>>) {
         self.assert_unpipelined();
-        let service = self.service;
-        let stats = service.stats();
-        out.clear();
-        out.resize(pairs.len(), None);
+        pairs.iter().for_each(|&(key, _)| assert_storable(key));
+        let stats = self.service.stats();
         let started = Stamp::now();
-        for (position, &(key, value)) in pairs.iter().enumerate() {
-            let shard = service.shard_of(key);
-            let group = &mut self.groups[shard];
-            if group.pairs.is_empty() {
-                self.touched.push(shard);
-            }
-            group.pairs.push((key, value));
-            group.positions.push(position as u32);
+        let stamp = worker::mput(&mut *self.session, self.service.state(), pairs, out);
+        for (&(key, value), &previous) in pairs.iter().zip(out.iter()) {
+            // Same post-state as a point put: the key now holds either its
+            // prior value or the inserted one.
+            self.cache
+                .store(key, Some(previous.unwrap_or(value)), stamp);
         }
-        for &shard in &self.touched {
-            let group = &mut self.groups[shard];
-            let stamp = worker::mput(
-                &mut *self.sessions[shard],
-                service.shard_state(shard),
-                &group.pairs,
-                &mut self.values,
-            );
-            stats.shard(shard).record_mput();
-            for (&position, &previous) in group.positions.iter().zip(&self.values) {
-                let (key, value) = pairs[position as usize];
-                out[position as usize] = previous;
-                // Same post-state as a point put: the key now holds either
-                // its prior value or the inserted one.
-                self.cache
-                    .store(key, Some(previous.unwrap_or(value)), stamp);
-            }
-            group.pairs.clear();
-            group.positions.clear();
-        }
-        self.touched.clear();
+        stats.record_mput();
         stats.batch_latency_ns.record(started.elapsed_ns());
         stats.batch_size.record(pairs.len() as u64);
     }
@@ -386,10 +307,10 @@ impl<'s> ShardRouter<'s> {
                 self.mput(pairs, &mut results);
                 Response::Values(results)
             }
-            // A scrape touches no shard: the registry pulls every source
-            // (shard counters, stage trace, EBR gauges, any front-end
+            // A scrape touches no tree: the registry pulls every source
+            // (op counters, stage trace, EBR gauges, any front-end
             // sources) from right here, and it is not counted in the
-            // per-shard operation counters.
+            // operation counters.
             Request::Stats => Response::Stats(self.service.registry().render()),
         }
     }
@@ -414,7 +335,6 @@ impl<'s> ShardRouter<'s> {
 impl std::fmt::Debug for ShardRouter<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
-            .field("shards", &self.sessions.len())
             .field("in_flight", &self.pending.len())
             .finish_non_exhaustive()
     }
@@ -425,8 +345,8 @@ mod tests {
     use super::*;
     use abtree::ElimABTree;
 
-    fn two_shard_service() -> KvService {
-        KvService::new(2, 1, |_| {
+    fn elim_service() -> KvService {
+        KvService::new(1, 1, |_| {
             let tree: ElimABTree = ElimABTree::new();
             Box::new(tree)
         })
@@ -434,7 +354,7 @@ mod tests {
 
     #[test]
     fn point_ops_round_trip_across_shards() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         for key in 0..500u64 {
             assert_eq!(router.put(key, key * 2), None);
@@ -454,30 +374,37 @@ mod tests {
         );
     }
 
+    /// A router's scan is the tree's own `range`: over 2,000 keys, every
+    /// window equals what a plain tree session returns for it.
     #[test]
-    fn scan_merges_shards_in_key_order() {
-        let service = two_shard_service();
+    fn scan_is_the_trees_own_range() {
+        let tree = std::sync::Arc::new(ElimABTree::new() as ElimABTree);
+        let service = {
+            let tree = std::sync::Arc::clone(&tree);
+            KvService::new(1, 1, move |_| Box::new(abtree::SharedMap(tree)))
+        };
         let mut router = service.router();
-        for key in 0..200u64 {
-            router.put(key, key + 1);
+        for key in 0..2_000u64 {
+            router.put(key * 3, key);
         }
-        let mut out = Vec::new();
-        router.scan(50, 100, &mut out);
-        assert_eq!(out.len(), 100);
-        assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "sorted");
-        assert_eq!(out.first(), Some(&(50, 51)));
-        assert_eq!(out.last(), Some(&(149, 150)));
+        let mut session = tree.handle();
+        let (mut out, mut expected) = (Vec::new(), Vec::new());
+        for (lo, len) in [(0, 6_000), (1, 1), (150, 100), (5_990, 50), (7_000, 10)] {
+            router.scan(lo, len, &mut out);
+            session.range(lo, lo + len - 1, &mut expected);
+            assert_eq!(out, expected, "window {lo}+{len}");
+        }
+        assert_eq!(out.len(), 0, "past the last key");
+        router.scan(0, 6_000, &mut out);
+        assert_eq!(out.len(), 2_000);
         router.scan(10, 0, &mut out);
         assert!(out.is_empty(), "len 0 scans nothing");
 
-        // At the top of the key space the window clamps below the sentinel
-        // on every shard, and the merge still yields exactly its keys.
+        // At the top of the key space the window clamps below the sentinel.
         let top = abtree::EMPTY_KEY - 40..abtree::EMPTY_KEY;
         for key in top.clone() {
             router.put(key, key - 1);
         }
-        let shards: Vec<usize> = top.clone().map(|key| service.shard_of(key)).collect();
-        assert!(shards.contains(&0) && shards.contains(&1), "{shards:?}");
         router.scan(abtree::EMPTY_KEY - 20, 100, &mut out);
         let expected: Vec<(u64, u64)> = top.skip(20).map(|key| (key, key - 1)).collect();
         assert_eq!(out, expected);
@@ -485,7 +412,7 @@ mod tests {
 
     #[test]
     fn mget_matches_single_gets_in_input_order() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         for key in 0..100u64 {
             router.put(key, key * 3);
@@ -499,7 +426,7 @@ mod tests {
 
     #[test]
     fn mput_reports_per_pair_results() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         let mut results = Vec::new();
         router.mput(&[(1, 10), (2, 20), (1, 99)], &mut results);
@@ -509,7 +436,7 @@ mod tests {
 
     #[test]
     fn execute_covers_every_request_kind() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         assert_eq!(
             router.execute(&Request::Put { key: 5, value: 50 }),
@@ -555,7 +482,7 @@ mod tests {
         if !obs::ENABLED {
             return; // counters are compiled out
         }
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.put(1, 1);
         router.get(1);
@@ -567,12 +494,9 @@ mod tests {
         drop(router);
 
         let stats = service.stats();
-        let totals: u64 = stats.shards().iter().map(|s| s.total_ops()).sum();
-        assert!(totals >= 5);
-        let hits: u64 = stats.shards().iter().map(|s| s.hits()).sum();
-        let misses: u64 = stats.shards().iter().map(|s| s.misses()).sum();
-        assert_eq!(hits, 2, "get(1) and mget hit on key 1");
-        assert_eq!(misses, 3, "get(2) and mget misses on 2 and 3");
+        assert_eq!(stats.total_ops(), 6, "a batch and a scan count once each");
+        assert_eq!(stats.hits(), 2, "get(1) and mget hit on key 1");
+        assert_eq!(stats.misses(), 3, "get(2) and mget misses on 2 and 3");
         // Point latency is the `Apply` stage, sampled 1-in-16: a fresh
         // router's first traced call is the 15th (the sampler's fixed seed
         // draws offset 14 for the first block), so four point submissions
@@ -583,10 +507,8 @@ mod tests {
         assert_eq!(stats.batch_latency_ns.count(), 1);
         assert_eq!(stats.scan_latency_ns.count(), 1);
         assert_eq!(stats.batch_size.count(), 1);
-        // Every shard was scanned once by the scatter-gather scan.
-        for shard in stats.shards() {
-            assert_eq!(shard.scans(), 1);
-        }
+        assert_eq!(stats.scans(), 1);
+        assert_eq!(stats.mgets(), 1);
         // The put filled the cache for key 1, so the get and the mget both
         // hit it; key 2's miss is cached too and re-served to the mget.
         assert_eq!(stats.cache_hits(), 3, "get(1), mget keys 1 and 2");
@@ -595,7 +517,7 @@ mod tests {
 
     #[test]
     fn cached_reads_observe_every_write() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         assert_eq!(router.put(8, 80), None);
         // Warm hit.
@@ -614,7 +536,7 @@ mod tests {
             "the no-op put must not invalidate key 9's cache entry"
         );
         // Writes from a *different* router invalidate this router's cache
-        // through the shard version, not through any shared cache state.
+        // through the service's stamp, not through any shared cache state.
         let mut other = service.router();
         assert_eq!(other.delete(9), Some(90));
         drop(other);
@@ -623,7 +545,7 @@ mod tests {
 
     #[test]
     fn pipelined_window_collects_in_order() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         for key in 0..32u64 {
             router.put(key, key + 100);
@@ -676,7 +598,7 @@ mod tests {
 
     #[test]
     fn serve_pipelined_answers_in_request_order() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         let batch = vec![
             Request::Put { key: 1, value: 10 },
@@ -758,7 +680,7 @@ mod tests {
 
     #[test]
     fn serve_burst_answers_the_batches_back_to_back() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         let burst = vec![
             vec![
@@ -798,7 +720,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "pipelined submissions are in flight")]
     fn blocking_calls_refuse_to_overtake_the_pipeline() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.submit(&Request::Put { key: 1, value: 1 }).unwrap();
         let _ = router.get(2);
@@ -807,7 +729,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "point requests only")]
     fn batch_requests_cannot_be_pipelined() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         let _ = router.submit(&Request::MGet { keys: vec![1] });
     }
@@ -817,7 +739,7 @@ mod tests {
     fn reserved_sentinel_is_rejected_at_the_boundary() {
         // A decoded wire frame may carry any u64; the router must refuse the
         // engine's reserved key loudly even in release builds.
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.put(abtree::EMPTY_KEY, 1);
     }
@@ -825,7 +747,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "EMPTY_KEY")]
     fn reserved_sentinel_is_rejected_in_batches() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.mget(&[1, abtree::EMPTY_KEY], &mut Vec::new());
     }
@@ -833,7 +755,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "EMPTY_KEY")]
     fn reserved_sentinel_is_rejected_in_scans() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.scan(abtree::EMPTY_KEY, 10, &mut Vec::new());
     }
@@ -843,7 +765,7 @@ mod tests {
         if !obs::ENABLED {
             return; // tracing is compiled out
         }
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         // Windows of two puts (a put has no cache fast path): 1024
         // submissions at a 1-in-16 sample rate trace exactly 64 of them.
@@ -874,7 +796,7 @@ mod tests {
         if !obs::ENABLED {
             return; // tracing is compiled out
         }
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.put(1, 10);
         for _ in 1..1024 {
@@ -894,7 +816,7 @@ mod tests {
         if !obs::ENABLED {
             return; // tracing is compiled out
         }
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         for key in 0..1024u64 {
             router.put(key, key);
@@ -925,7 +847,7 @@ mod tests {
     /// owner, so no enqueue, dequeue or ack stage is ever recorded.
     #[test]
     fn a_window_of_one_never_wakes_an_owner() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         for i in 0..10_000u64 {
             let key = 1 + i % 512;
@@ -967,7 +889,7 @@ mod tests {
         }
     }
 
-    /// An open but idle router must not hold back its shards' reclamation:
+    /// An open but idle router must not hold back the store's reclamation:
     /// its sessions pin nothing (and protect nothing) between calls, so the
     /// garbage a second router churns out keeps being freed.
     #[test]

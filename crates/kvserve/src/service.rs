@@ -1,15 +1,16 @@
-//! The sharded service: shard construction, the router sessions that
-//! serve it, and the telemetry registry wiring.
+//! The service: its one store, the router sessions that serve it, and the
+//! telemetry registry wiring.
 //!
-//! A [`KvService`] owns `S` independent engine instances (*shards*) and no
-//! threads.  Every request is executed by the thread that issued it, on
-//! the caller's own [`abtree::MapHandle`] session on the shard's tree: a
-//! [`ShardRouter`] opens one session per shard (see [`crate::router`]),
-//! and the tree, a linearizable concurrent map, needs nothing else to be
-//! shared.  Keys are spread over shards with a multiplicative hash
-//! ([`shard_of`]), so contiguous hot key ranges (Zipfian traffic) still fan
-//! out — but a *single* hot key concentrates on one shard, which is the
-//! hot-shard regime the load driver exercises.
+//! A [`KvService`] owns one engine instance and no threads.  Every request
+//! is executed by the thread that issued it, on the caller's own
+//! [`abtree::MapHandle`] session on that tree: a [`ShardRouter`] opens one
+//! session (see [`crate::router`]), and the tree, a linearizable concurrent
+//! map, needs nothing else to be shared.  This is the paper's setting: one
+//! (a,b)-tree shared by every thread (§6), with a hot key contended at its
+//! own leaf, where §4's elimination absorbs it.
+//!
+//! One stamp-protocol state covers every write of the service, so any real
+//! write ends every router's cached entries (see [`crate::cache`]).
 //!
 //! All request traffic flows through per-client [`ShardRouter`] sessions.
 
@@ -22,61 +23,65 @@ use crate::router::ShardRouter;
 use crate::stats::ServiceStats;
 use crate::worker::ShardState;
 
-/// The shard (of `shards`) that serves `key`: high bits of a Fibonacci
-/// multiplicative hash, range-reduced without division.  The one placement
-/// function of the volatile and the durable service.
-///
-/// Panics on the engine's reserved [`abtree::EMPTY_KEY`] sentinel: routers
-/// sit on the wire boundary, and the codec accepts any `u64`, so this is
-/// the always-on guard (the engine itself only debug-asserts) that keeps a
-/// hostile or corrupt-but-well-formed frame from storing the empty-slot
-/// marker into a shard.
+/// The always-on guard that keeps the engine's reserved
+/// [`abtree::EMPTY_KEY`] sentinel out of every request: routers sit on the
+/// wire boundary, and the codec accepts any `u64`, so this (the engine
+/// itself only debug-asserts) keeps a hostile or corrupt-but-well-formed
+/// frame from storing the empty-slot marker.
 #[inline]
-pub fn shard_of(key: u64, shards: usize) -> usize {
+pub(crate) fn assert_storable(key: u64) {
     assert!(
         key != abtree::EMPTY_KEY,
         "the reserved EMPTY_KEY sentinel cannot be stored or queried"
     );
+}
+
+/// The shard (of `shards`) that serves `key`: high bits of a Fibonacci
+/// multiplicative hash, range-reduced without division.  The durable
+/// service's placement function (`crashkv`).
+///
+/// Panics on the engine's reserved [`abtree::EMPTY_KEY`] sentinel, like
+/// every router entry point.
+#[inline]
+pub fn shard_of(key: u64, shards: usize) -> usize {
+    assert_storable(key);
     let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     ((hashed as u128 * shards as u128) >> 64) as usize
 }
 
-/// Failure of [`KvService::try_router`]: the store of shard `shard` could
-/// not open a session for the router, because its SMR collector is out of
+/// Failure of [`KvService::try_router`]: the store could not open a
+/// session for the router, because its SMR collector is out of
 /// registration slots ([`abebr::MAX_THREADS`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RouterError {
-    /// Index of the first shard that refused a session.
-    pub shard: usize,
-}
+pub struct RouterError;
 
 impl std::fmt::Display for RouterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "shard {} could not open a router session \
-             (collector slot capacity exhausted)",
-            self.shard
+            "the store could not open a router session \
+             (collector slot capacity exhausted)"
         )
     }
 }
 
 impl std::error::Error for RouterError {}
 
-/// One shard: the store plus its stamp-protocol state.  `Arc`-shared
-/// between the service and its registry source.
-pub(crate) struct ShardCell {
-    pub(crate) store: Box<dyn ConcurrentMap>,
-    pub(crate) state: ShardState,
+/// The store plus its stamp-protocol state.  `Arc`-shared between the
+/// service and its registry source.
+struct Store {
+    map: Box<dyn ConcurrentMap>,
+    state: ShardState,
 }
 
-/// A sharded, batched, embedded key-value service (see the module docs).
+/// A batched, embedded key-value service over one tree (see the module
+/// docs).
 pub struct KvService {
-    shards: Vec<Arc<ShardCell>>,
+    store: Arc<Store>,
     stats: Arc<ServiceStats>,
     /// The telemetry spine: every subsystem of the service (operation
-    /// counters, stage trace, per-shard EBR health) registers a pull
-    /// source here, and front ends layered on top add their own.
+    /// counters, stage trace, EBR health) registers a pull source here, and
+    /// front ends layered on top add their own.
     registry: Arc<Registry>,
     /// The per-request stage trace the routers record into (sampled one
     /// point request in 16).
@@ -84,31 +89,27 @@ pub struct KvService {
 }
 
 impl KvService {
-    /// Builds a service with `shards` shards (clamped to at least 1),
-    /// constructing each shard with `factory` (called with the shard index).
+    /// Builds a service over the one store `factory` returns (it is called
+    /// once, with 0).
     ///
-    /// The middle argument is ignored: it stays only because the layer
-    /// ledger (`bench/`) still passes it, and ROADMAP item 15, the ledger's
-    /// next change, drops it.  Pass 1.
+    /// The first two arguments are ignored: they stay only because the
+    /// layer ledger (`bench/`) still passes them, and ROADMAP item 15, the
+    /// ledger's next change, drops both.  Pass 1 and 1.
     ///
-    /// The factory returns boxed [`ConcurrentMap`]s, so shards can be
-    /// concrete trees (`Box::new(ElimABTree::new())`) or registry-built trait
-    /// objects (`make_structure(name)`): any registry structure can serve as
-    /// a shard.
+    /// The factory returns a boxed [`ConcurrentMap`], so the store can be a
+    /// concrete tree (`Box::new(ElimABTree::new())`) or a registry-built
+    /// trait object (`make_structure(name)`): any registry structure can
+    /// serve.
     pub fn new(
-        shards: usize,
+        _shards: usize,
         _slots: usize,
-        mut factory: impl FnMut(usize) -> Box<dyn ConcurrentMap>,
+        factory: impl FnOnce(usize) -> Box<dyn ConcurrentMap>,
     ) -> Self {
-        let shards: Vec<Arc<ShardCell>> = (0..shards.max(1))
-            .map(|index| {
-                Arc::new(ShardCell {
-                    store: factory(index),
-                    state: ShardState::new(),
-                })
-            })
-            .collect();
-        let stats = Arc::new(ServiceStats::new(shards.len()));
+        let store = Arc::new(Store {
+            map: factory(0),
+            state: ShardState::new(),
+        });
+        let stats = Arc::new(ServiceStats::default());
         let trace = Arc::new(StageTrace::new());
         let registry = Arc::new(Registry::new());
         {
@@ -120,50 +121,34 @@ impl KvService {
             registry.register(move |out| trace.collect(out));
         }
         {
-            // Per-shard engine health, pulled live at scrape time: the
+            // Engine health, pulled live at scrape time: the
             // completed-mutation count and the EBR reclamation-lag gauges
-            // from each shard's collector (when the store exposes one).
-            let cells = shards.clone();
+            // from the store's collector (when it exposes one).
+            let store = Arc::clone(&store);
             registry.register(move |out| {
-                for (index, cell) in cells.iter().enumerate() {
-                    out.push(
-                        Sample::gauge("kv_shard_version", cell.state.current_version())
-                            .with("shard", index),
-                    );
-                    if let Some(ebr) = cell.store.ebr_stats() {
-                        out.push(Sample::gauge("ebr_epoch", ebr.epoch).with("shard", index));
-                        out.push(
-                            Sample::counter("ebr_retired_total", ebr.retired).with("shard", index),
-                        );
-                        out.push(
-                            Sample::counter("ebr_freed_total", ebr.freed).with("shard", index),
-                        );
-                        out.push(
-                            Sample::gauge("ebr_unreclaimed", ebr.unreclaimed).with("shard", index),
-                        );
-                        out.push(
-                            Sample::gauge("ebr_oldest_epoch_age", ebr.oldest_epoch_age)
-                                .with("shard", index),
-                        );
-                        out.push(
-                            Sample::gauge("ebr_pins", ebr.registrations + ebr.local_pins)
-                                .with("shard", index),
-                        );
-                    }
+                out.push(Sample::gauge(
+                    "kv_shard_version",
+                    store.state.current_version(),
+                ));
+                if let Some(ebr) = store.map.ebr_stats() {
+                    out.push(Sample::gauge("ebr_epoch", ebr.epoch));
+                    out.push(Sample::counter("ebr_retired_total", ebr.retired));
+                    out.push(Sample::counter("ebr_freed_total", ebr.freed));
+                    out.push(Sample::gauge("ebr_unreclaimed", ebr.unreclaimed));
+                    out.push(Sample::gauge("ebr_oldest_epoch_age", ebr.oldest_epoch_age));
+                    out.push(Sample::gauge(
+                        "ebr_pins",
+                        ebr.registrations + ebr.local_pins,
+                    ));
                 }
             });
         }
         Self {
-            shards,
+            store,
             stats,
             registry,
             trace,
         }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shared statistics (counters update live as routers serve
@@ -173,7 +158,7 @@ impl KvService {
     }
 
     /// The service's metric registry.  The service registers its own
-    /// sources (operation counters, stage trace, per-shard EBR health) at
+    /// sources (operation counters, stage trace, EBR health) at
     /// construction; front ends layered on top register theirs here too,
     /// so one [`crate::Request::Stats`] scrape — or one
     /// [`Registry::render`] call — covers the whole stack.
@@ -187,63 +172,41 @@ impl KvService {
         &self.trace
     }
 
-    /// The shard serving `key` (see [`shard_of`]).
-    #[inline]
-    pub fn shard_of(&self, key: u64) -> usize {
-        shard_of(key, self.shards.len())
-    }
-
-    /// Opens a per-client router session: one tree session per shard plus
-    /// a fresh hot-key cache.  Call once per client thread, on that thread,
-    /// like [`ConcurrentMap::handle`].
+    /// Opens a per-client router session: one tree session plus a fresh
+    /// hot-key cache.  Call once per client thread, on that thread, like
+    /// [`ConcurrentMap::handle`].
     ///
     /// # Panics
     ///
-    /// Panics if a shard cannot open a session (see
+    /// Panics if the store cannot open a session (see
     /// [`try_router`](Self::try_router)), as [`ConcurrentMap::handle`]
     /// does.
     pub fn router(&self) -> ShardRouter<'_> {
         self.try_router().unwrap_or_else(|e| panic!("kvserve: {e}"))
     }
 
-    /// Like [`router`](Self::router), but reports a shard whose store has
-    /// no session slot left (its SMR collector is full) as an error: a
-    /// front end refuses the client instead of crashing its thread.
+    /// Like [`router`](Self::router), but reports a store with no session
+    /// slot left (its SMR collector is full) as an error: a front end
+    /// refuses the client instead of crashing its thread.
     pub fn try_router(&self) -> Result<ShardRouter<'_>, RouterError> {
-        let sessions = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(shard, cell)| cell.store.try_handle().map_err(|_| RouterError { shard }))
-            .collect::<Result<_, _>>()?;
-        Ok(ShardRouter::new(self, sessions))
+        let session = self.store.map.try_handle().map_err(|_| RouterError)?;
+        Ok(ShardRouter::new(self, session))
     }
 
-    /// Sum of keys stored across all shards.  Quiescent only, like
-    /// [`ConcurrentMap::key_sum`]; drives the cross-shard checksum
-    /// validation.
+    /// Sum of the keys stored.  Quiescent only, like
+    /// [`ConcurrentMap::key_sum`]; drives the checksum validation.
     pub fn key_sum(&self) -> u128 {
-        self.shards.iter().map(|cell| cell.store.key_sum()).sum()
+        self.store.map.key_sum()
     }
 
-    /// Per-shard key sums, in shard order (quiescent only).
-    pub fn shard_key_sums(&self) -> Vec<u128> {
-        self.shards
-            .iter()
-            .map(|cell| cell.store.key_sum())
-            .collect()
-    }
-
-    pub(crate) fn shard_state(&self, shard: usize) -> &ShardState {
-        &self.shards[shard].state
+    pub(crate) fn state(&self) -> &ShardState {
+        &self.store.state
     }
 }
 
 impl std::fmt::Debug for KvService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("KvService")
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
+        f.debug_struct("KvService").finish_non_exhaustive()
     }
 }
 
@@ -253,8 +216,8 @@ mod tests {
     use crate::{Request, Response};
     use abtree::ElimABTree;
 
-    fn two_shard_service() -> KvService {
-        KvService::new(2, 1, |_| {
+    fn elim_service() -> KvService {
+        KvService::new(1, 1, |_| {
             let tree: ElimABTree = ElimABTree::new();
             Box::new(tree)
         })
@@ -262,20 +225,19 @@ mod tests {
 
     #[test]
     fn shard_of_is_stable_and_in_range() {
-        let service = two_shard_service();
         for key in 0..1_000u64 {
-            let shard = service.shard_of(key);
+            let shard = shard_of(key, 2);
             assert!(shard < 2);
-            assert_eq!(shard, service.shard_of(key), "routing must be stable");
+            assert_eq!(shard, shard_of(key, 2), "placement must be stable");
         }
         // The multiplicative hash must actually use both shards.
-        let hits: std::collections::HashSet<_> = (0..100).map(|k| service.shard_of(k)).collect();
+        let hits: std::collections::HashSet<_> = (0..100).map(|k| shard_of(k, 2)).collect();
         assert_eq!(hits.len(), 2);
     }
 
     #[test]
     fn stats_request_renders_the_whole_registry() {
-        let service = two_shard_service();
+        let service = elim_service();
         let mut router = service.router();
         router.put(1, 2);
         router.get(1);
@@ -283,28 +245,33 @@ mod tests {
             panic!("a stats request answers with Response::Stats")
         };
         let samples = obs::expo::parse(&text).expect("the scrape parses back");
-        // The shard closure always runs, so structural gauges are present
+        // The store's closure always runs, so structural gauges are present
         // even with recording compiled out.
-        assert!(
-            obs::expo::value(&samples, "kv_shard_version", &[("shard", "0")]).is_some(),
-            "per-shard version gauges are in the scrape"
+        assert_eq!(
+            obs::expo::value(&samples, "kv_shard_version", &[]),
+            Some(1),
+            "one real write completed"
         );
         assert!(
             samples.iter().any(|s| s.name == "ebr_epoch"),
-            "the shards' EBR collectors report reclamation health"
+            "the store's EBR collector reports reclamation health"
+        );
+        assert!(
+            samples.iter().all(|s| s.label("shard").is_none()),
+            "no series carries a shard label"
         );
         if obs::ENABLED {
             assert_eq!(
-                obs::expo::sum(&samples, "kv_ops_total", &[("op", "put")]),
-                1,
-                "the put is visible across the per-shard op counters"
+                obs::expo::value(&samples, "kv_ops_total", &[("op", "put")]),
+                Some(1),
+                "the put is visible in the op counters"
             );
             assert_eq!(
-                obs::expo::sum(&samples, "kv_ops_total", &[("op", "get")]),
-                1
+                obs::expo::value(&samples, "kv_ops_total", &[("op", "get")]),
+                Some(1)
             );
         }
-        // Scrapes are served by the router, not the shards: op counters
+        // Scrapes are served by the router, not the store: op counters
         // must not move.
         let before = obs::expo::sum(&obs::expo::parse(&text).unwrap(), "kv_ops_total", &[]);
         let Response::Stats(again) = router.execute(&Request::Stats) else {
@@ -314,13 +281,16 @@ mod tests {
         assert_eq!(before, after, "a scrape does not count as an operation");
     }
 
+    /// The shard count is ignored: the factory builds the one store.
     #[test]
-    fn shard_count_is_clamped_to_one() {
-        let service = KvService::new(0, 1, |_| {
+    fn the_factory_builds_one_store() {
+        let mut calls = Vec::new();
+        let service = KvService::new(8, 1, |index| {
+            calls.push(index);
             let tree: ElimABTree = ElimABTree::new();
             Box::new(tree)
         });
-        assert_eq!(service.shard_count(), 1);
+        assert_eq!(calls, [0], "one call, with 0");
         let mut router = service.router();
         assert_eq!(router.put(1, 2), None);
         assert_eq!(router.get(1), Some(2));
@@ -336,8 +306,8 @@ mod tests {
         let collector = abebr::Collector::new();
         let service = {
             let collector = collector.clone();
-            KvService::new(2, 1, move |_| {
-                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+            KvService::new(1, 1, move |_| {
+                let tree: ElimABTree = ElimABTree::with_collector(collector);
                 Box::new(tree)
             })
         };
@@ -349,7 +319,7 @@ mod tests {
         let err = service
             .try_router()
             .expect_err("a router session must fail with every slot held");
-        assert_eq!(err.shard, 0);
+        assert_eq!(err, RouterError);
         assert!(err.to_string().contains("slot capacity"));
 
         // Freeing the hoarded sessions makes the same call succeed.
@@ -366,7 +336,7 @@ mod tests {
         let service = {
             let collector = collector.clone();
             KvService::new(1, 1, move |_| {
-                let tree: ElimABTree = ElimABTree::with_collector(collector.clone());
+                let tree: ElimABTree = ElimABTree::with_collector(collector);
                 Box::new(tree)
             })
         };

@@ -1,12 +1,13 @@
-//! Service observability: operation counters and their registry sources.
+//! Service observability: operation counters and their registry source.
 //!
 //! Everything here is lock-free (plain relaxed atomics) and allocation-free
 //! on the record path, so routers can update stats inline without perturbing
 //! the workload they measure.  The histogram type itself lives in the
 //! telemetry crate ([`obs::Histogram`]); this module owns the
-//! *service-shaped* aggregates — per-shard counters, the latency/batch-size
-//! histograms — and knows how to emit them as registry
-//! [`Sample`]s for a scrape.
+//! *service-shaped* aggregates — the operation counters, the
+//! latency/batch-size histograms — and knows how to emit them as registry
+//! [`Sample`]s for a scrape.  The service has one store, so each counter
+//! is one series, labeled only by what it counts.
 //!
 //! With `obs`'s `compile-out` feature enabled every `record_*` method
 //! returns immediately (the [`obs::ENABLED`] branch is a `const`, so it
@@ -16,13 +17,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use obs::{Histogram, Sample};
 
-/// Operation counters for one shard.
+/// Bumps `counter` unless telemetry is compiled out.
+#[inline]
+fn bump(counter: &AtomicU64) {
+    if obs::ENABLED {
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// All service-level statistics: operation counters and the
+/// latency/batch-size histograms.
 ///
-/// Batched requests bump `mgets`/`mputs` once per *sub-batch* (a multi-get
-/// spanning three shards bumps three shards' `mgets` — the dispatch unit).
-/// `hits`/`misses` count per key, so a hit rate read from them is per-key.
+/// Batched requests bump `mgets`/`mputs` once per batch; `hits`/`misses`
+/// count per key, so a hit rate read from them is per-key.
 #[derive(Debug, Default)]
-pub struct OpCounters {
+pub struct ServiceStats {
     gets: AtomicU64,
     puts: AtomicU64,
     deletes: AtomicU64,
@@ -31,84 +40,63 @@ pub struct OpCounters {
     mputs: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Reads answered by a router's hot-key cache (no tree descent).
+    cache_hits: AtomicU64,
+    /// Pipelined submissions refused with `Overloaded` (router budget full).
+    shed: AtomicU64,
+    /// Latency of whole batched requests (`MGet`/`MPut`), in nanoseconds.
+    pub batch_latency_ns: Histogram,
+    /// Latency of scans, in nanoseconds.
+    pub scan_latency_ns: Histogram,
+    /// Sizes (key counts) of batched requests.
+    pub batch_size: Histogram,
 }
 
-impl OpCounters {
+impl ServiceStats {
     #[inline]
     pub(crate) fn record_get(&self, hit: bool) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.gets.fetch_add(1, Ordering::Relaxed);
+        bump(&self.gets);
         self.record_lookup(hit);
     }
 
     #[inline]
     pub(crate) fn record_lookup(&self, hit: bool) {
-        if !obs::ENABLED {
-            return;
-        }
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        bump(if hit { &self.hits } else { &self.misses });
     }
 
     #[inline]
     pub(crate) fn record_put(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
+        bump(&self.puts);
     }
 
     #[inline]
     pub(crate) fn record_delete(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.deletes.fetch_add(1, Ordering::Relaxed);
+        bump(&self.deletes);
     }
 
     #[inline]
     pub(crate) fn record_scan(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.scans.fetch_add(1, Ordering::Relaxed);
+        bump(&self.scans);
     }
 
     #[inline]
     pub(crate) fn record_mget(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.mgets.fetch_add(1, Ordering::Relaxed);
+        bump(&self.mgets);
     }
 
     #[inline]
     pub(crate) fn record_mput(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.mputs.fetch_add(1, Ordering::Relaxed);
+        bump(&self.mputs);
     }
 
-    /// Zeroes every counter (quiescent only, like [`Histogram::reset`]).
-    pub fn reset(&self) {
-        for counter in [
-            &self.gets,
-            &self.puts,
-            &self.deletes,
-            &self.scans,
-            &self.mgets,
-            &self.mputs,
-            &self.hits,
-            &self.misses,
-        ] {
-            counter.store(0, Ordering::Relaxed);
-        }
+    #[inline]
+    pub(crate) fn record_cache_hit(&self) {
+        bump(&self.cache_hits);
+    }
+
+    #[inline]
+    pub(crate) fn record_shed(&self) {
+        bump(&self.shed);
     }
 
     /// Point lookups served.
@@ -126,17 +114,17 @@ impl OpCounters {
         self.deletes.load(Ordering::Relaxed)
     }
 
-    /// Scans served (scatter-gather scans count once per shard touched).
+    /// Scans served.
     pub fn scans(&self) -> u64 {
         self.scans.load(Ordering::Relaxed)
     }
 
-    /// Multi-get sub-batches served.
+    /// Multi-get batches served.
     pub fn mgets(&self) -> u64 {
         self.mgets.load(Ordering::Relaxed)
     }
 
-    /// Multi-put sub-batches served.
+    /// Multi-put batches served.
     pub fn mputs(&self) -> u64 {
         self.mputs.load(Ordering::Relaxed)
     }
@@ -151,86 +139,9 @@ impl OpCounters {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// All operations served (batches counted per sub-batch).
+    /// All operations served (a batch counts once).
     pub fn total_ops(&self) -> u64 {
         self.gets() + self.puts() + self.deletes() + self.scans() + self.mgets() + self.mputs()
-    }
-
-    /// Emits this shard's counters as labeled samples: one
-    /// `kv_ops_total{shard,op=*}` counter per op family and
-    /// `kv_lookups_total{shard,outcome=hit|miss}`.  All eight are emitted
-    /// even when zero, so scrape consumers see a stable shape.
-    fn collect(&self, out: &mut Vec<Sample>, shard: usize) {
-        for (op, value) in [
-            ("get", self.gets()),
-            ("put", self.puts()),
-            ("delete", self.deletes()),
-            ("scan", self.scans()),
-            ("mget", self.mgets()),
-            ("mput", self.mputs()),
-        ] {
-            out.push(
-                Sample::counter("kv_ops_total", value)
-                    .with("shard", shard)
-                    .with("op", op),
-            );
-        }
-        out.push(
-            Sample::counter("kv_lookups_total", self.hits())
-                .with("shard", shard)
-                .with("outcome", "hit"),
-        );
-        out.push(
-            Sample::counter("kv_lookups_total", self.misses())
-                .with("shard", shard)
-                .with("outcome", "miss"),
-        );
-    }
-}
-
-/// All service-level statistics: per-shard counters and the
-/// latency/batch-size histograms.
-#[derive(Debug)]
-pub struct ServiceStats {
-    shards: Vec<OpCounters>,
-    /// Latency of whole batched requests (`MGet`/`MPut`), in nanoseconds.
-    pub batch_latency_ns: Histogram,
-    /// Latency of scans (scatter-gather across shards), in nanoseconds.
-    pub scan_latency_ns: Histogram,
-    /// Sizes (key counts) of batched requests.
-    pub batch_size: Histogram,
-    /// Reads answered by a router's hot-key cache (no tree descent).
-    cache_hits: AtomicU64,
-    /// Pipelined submissions refused with `Overloaded` (router budget full).
-    shed: AtomicU64,
-}
-
-impl ServiceStats {
-    pub(crate) fn new(shards: usize) -> Self {
-        Self {
-            shards: (0..shards).map(|_| OpCounters::default()).collect(),
-            batch_latency_ns: Histogram::new(),
-            scan_latency_ns: Histogram::new(),
-            batch_size: Histogram::new(),
-            cache_hits: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn record_cache_hit(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn record_shed(&self) {
-        if !obs::ENABLED {
-            return;
-        }
-        self.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads (point gets and multi-get keys) answered by a router's hot-key
@@ -246,40 +157,48 @@ impl ServiceStats {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Counters of shard `index` (panics if out of range).
-    pub fn shard(&self, index: usize) -> &OpCounters {
-        &self.shards[index]
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn shards(&self) -> &[OpCounters] {
-        &self.shards
-    }
-
-    /// Total operations across all shards (batches counted per sub-batch).
-    pub fn total_ops(&self) -> u64 {
-        self.shards.iter().map(|s| s.total_ops()).sum()
-    }
-
     /// Zeroes every counter and histogram, so a measured phase can start
     /// from a clean slate after prefill.  Quiescent only: call it while no
     /// router is serving traffic.
     pub fn reset(&self) {
-        for counters in &self.shards {
-            counters.reset();
+        for counter in [
+            &self.gets,
+            &self.puts,
+            &self.deletes,
+            &self.scans,
+            &self.mgets,
+            &self.mputs,
+            &self.hits,
+            &self.misses,
+            &self.cache_hits,
+            &self.shed,
+        ] {
+            counter.store(0, Ordering::Relaxed);
         }
         self.batch_latency_ns.reset();
         self.scan_latency_ns.reset();
         self.batch_size.reset();
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.shed.store(0, Ordering::Relaxed);
     }
 
     /// Registry source: emits every service-level metric (the `kv_*` rows
-    /// of the metric table in the repository README).
+    /// of the metric table in the repository README): one
+    /// `kv_ops_total{op=*}` counter per op family and
+    /// `kv_lookups_total{outcome=hit|miss}`, all emitted even when zero so
+    /// scrape consumers see a stable shape, then the cache, shed and
+    /// histogram rows.
     pub fn collect(&self, out: &mut Vec<Sample>) {
-        for (i, shard) in self.shards.iter().enumerate() {
-            shard.collect(out, i);
+        for (op, value) in [
+            ("get", self.gets()),
+            ("put", self.puts()),
+            ("delete", self.deletes()),
+            ("scan", self.scans()),
+            ("mget", self.mgets()),
+            ("mput", self.mputs()),
+        ] {
+            out.push(Sample::counter("kv_ops_total", value).with("op", op));
+        }
+        for (outcome, value) in [("hit", self.hits()), ("miss", self.misses())] {
+            out.push(Sample::counter("kv_lookups_total", value).with("outcome", outcome));
         }
         out.push(Sample::counter("kv_cache_hits_total", self.cache_hits()));
         out.push(Sample::counter("kv_shed_total", self.shed()));
@@ -304,7 +223,7 @@ mod tests {
         if !obs::ENABLED {
             return; // recording is compiled out
         }
-        let c = OpCounters::default();
+        let c = ServiceStats::default();
         c.record_get(true);
         c.record_get(true);
         c.record_get(false);
@@ -327,9 +246,9 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let stats = ServiceStats::new(2);
-        stats.shard(0).record_get(true);
-        stats.shard(1).record_mput();
+        let stats = ServiceStats::default();
+        stats.record_get(true);
+        stats.record_mput();
         stats.batch_latency_ns.record(100);
         stats.batch_size.record(16);
         stats.record_cache_hit();
@@ -340,8 +259,8 @@ mod tests {
         }
         stats.reset();
         assert_eq!(stats.total_ops(), 0);
-        assert_eq!(stats.shard(0).hits(), 0);
-        assert_eq!(stats.shard(1).mputs(), 0);
+        assert_eq!(stats.hits(), 0);
+        assert_eq!(stats.mputs(), 0);
         assert_eq!(stats.batch_latency_ns.count(), 0);
         assert_eq!(stats.batch_size.count(), 0);
         assert_eq!(stats.cache_hits(), 0);
@@ -353,10 +272,10 @@ mod tests {
         if !obs::ENABLED {
             return;
         }
-        let stats = ServiceStats::new(2);
-        stats.shard(0).record_get(true);
-        stats.shard(1).record_put();
-        stats.shard(0).record_lookup(false);
+        let stats = ServiceStats::default();
+        stats.record_get(true);
+        stats.record_put();
+        stats.record_lookup(false);
         stats.record_shed();
         stats.scan_latency_ns.record(500);
         let mut out = Vec::new();
@@ -364,30 +283,31 @@ mod tests {
         let text = obs::expo::render(&out);
         let parsed = obs::expo::parse(&text).unwrap();
         assert_eq!(
-            obs::expo::value(&parsed, "kv_ops_total", &[("shard", "0"), ("op", "get")]),
+            obs::expo::value(&parsed, "kv_ops_total", &[("op", "get")]),
             Some(1)
         );
         assert_eq!(
-            obs::expo::value(&parsed, "kv_ops_total", &[("shard", "1"), ("op", "put")]),
+            obs::expo::value(&parsed, "kv_ops_total", &[("op", "put")]),
             Some(1)
         );
         assert_eq!(
-            obs::expo::sum(&parsed, "kv_ops_total", &[("op", "delete")]),
-            0,
+            obs::expo::value(&parsed, "kv_ops_total", &[("op", "delete")]),
+            Some(0),
             "zero-valued rows are emitted, not skipped"
         );
         assert_eq!(
-            obs::expo::value(
-                &parsed,
-                "kv_lookups_total",
-                &[("shard", "0"), ("outcome", "miss")]
-            ),
+            obs::expo::value(&parsed, "kv_lookups_total", &[("outcome", "miss")]),
             Some(1)
         );
         assert_eq!(obs::expo::value(&parsed, "kv_shed_total", &[]), Some(1));
         assert_eq!(
             obs::expo::value(&parsed, "kv_scan_latency_ns_count", &[]),
             Some(1)
+        );
+        assert_eq!(
+            parsed.iter().filter(|s| s.name == "kv_ops_total").count(),
+            6,
+            "one row per op family"
         );
     }
 }

@@ -1,6 +1,6 @@
-//! Executing requests against a shard: every router runs every request on
-//! its own [`abtree::MapHandle`] session on the shard's tree, through the
-//! functions here.
+//! Executing writes against the service's tree: every router runs every
+//! request on its own [`abtree::MapHandle`] session on that tree, and its
+//! point requests and multi-puts through the functions here.
 //!
 //! The tree is a linearizable concurrent map that any thread may update
 //! (paper §3–§4), so the routers need no coordination for the *map*: no
@@ -10,22 +10,22 @@
 //!
 //! ## The begun/done stamps and the hot-key cache
 //!
-//! A shard's mutators — every router's calls — run concurrently, so no
-//! single writer's count describes a state.  [`ShardState`] keeps two
-//! `SeqCst` counters instead, and every execution path goes through
-//! [`ShardState::mutate`] and [`ShardState::read_stamp`]:
+//! The tree's mutators — every router's calls — run concurrently, so no
+//! single writer's count describes a state.  [`ShardState`], one per
+//! service, keeps two `SeqCst` counters instead, and every execution path
+//! goes through [`ShardState::mutate`] and [`ShardState::read_stamp`]:
 //!
 //! * a **writer** announces itself (`before = begun.fetch_add(1)`), notes
-//!   whether the shard was quiet at that point (`done == before`), runs the
+//!   whether the tree was quiet at that point (`done == before`), runs the
 //!   tree operation, and then either counts a real mutation
 //!   (`done.fetch_add(1)`) or withdraws a no-op's announcement
 //!   (`begun.fetch_sub(1)` — an insert that found the key, a delete that
 //!   found nothing).  Only then may its reply leave.
 //! * `begun - done` is therefore the number of writers in flight, and the
-//!   shard is **quiescent** whenever the two are equal: every mutation
+//!   service is **quiescent** whenever the two are equal: every mutation
 //!   ever announced has completed, and the common value `s` names that
 //!   state.  A *stamp* is such an `s`.
-//! * a **read** gets a stamp only if the shard is quiescent *before* the
+//! * a **read** gets a stamp only if the service is quiescent *before* the
 //!   tree read (`done`, then `begun`, equal).
 //! * a **write's** post-state gets a stamp only if the write ran alone:
 //!   quiet at its start, and afterwards `begun` is exactly its own
@@ -85,7 +85,7 @@ impl PointOp {
     }
 }
 
-/// The stamp protocol's state of one shard, shared by every router.
+/// The stamp protocol's state of the service, shared by every router.
 pub(crate) struct ShardState {
     /// Writers announced and not withdrawn; see the module docs.
     begun: AtomicU64,
@@ -101,7 +101,7 @@ impl ShardState {
         }
     }
 
-    /// The shard's completed-mutation count (`kv_shard_version`).
+    /// The service's completed-mutation count (`kv_shard_version`).
     #[inline]
     pub(crate) fn current_version(&self) -> u64 {
         self.done.load(Ordering::SeqCst)
@@ -114,7 +114,7 @@ impl ShardState {
     }
 
     /// The stamp for a read about to start: the quiescent state, if the
-    /// shard is in one.
+    /// service is in one.
     #[inline]
     pub(crate) fn read_stamp(&self) -> Option<u64> {
         let done = self.done.load(Ordering::SeqCst);
@@ -166,24 +166,9 @@ pub(crate) fn execute(
     }
 }
 
-/// Looks up one shard's keys in order, pushing one value per key onto
-/// `out` (cleared first), under the protocol: the stamp the values are
-/// exact at, if any.
-pub(crate) fn mget(
-    handle: &mut dyn MapHandle,
-    state: &ShardState,
-    keys: &[u64],
-    out: &mut Vec<Option<u64>>,
-) -> Option<u64> {
-    let stamp = state.read_stamp();
-    out.clear();
-    out.extend(keys.iter().map(|&key| handle.get(key)));
-    stamp
-}
-
-/// Inserts one shard's pairs in order (insert-if-absent), pushing each
-/// pair's result onto `out` (cleared first), announced as one write: the
-/// stamp the post-state is exact at, if any.
+/// Inserts `pairs` in order (insert-if-absent), pushing each pair's result
+/// onto `out` (cleared first), announced as one write: the stamp the
+/// post-state is exact at, if any.
 pub(crate) fn mput(
     handle: &mut dyn MapHandle,
     state: &ShardState,

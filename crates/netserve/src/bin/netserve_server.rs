@@ -1,8 +1,7 @@
-//! A standalone netserve server over elim-abtree shards.
+//! A standalone netserve server over one elim-abtree.
 //!
 //! ```text
-//! netserve_server [--addr HOST:PORT] [--shards N] [--reactors N]
-//!                 [--stats-dump] [--selftest]
+//! netserve_server [--addr HOST:PORT] [--reactors N] [--stats-dump] [--selftest]
 //! ```
 //!
 //! Default mode binds the address, prints it, and serves until stdin
@@ -30,7 +29,6 @@ use netserve::{Client, Server, ServerConfig};
 
 struct Args {
     addr: String,
-    shards: usize,
     reactors: usize,
     selftest: bool,
     stats_dump: bool,
@@ -39,7 +37,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         addr: "127.0.0.1:7878".to_string(),
-        shards: 4,
         reactors: 2,
         selftest: false,
         stats_dump: false,
@@ -49,11 +46,6 @@ fn parse_args() -> Result<Args, String> {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => args.addr = value("--addr")?,
-            "--shards" => {
-                args.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("--shards: {e}"))?
-            }
             "--reactors" => {
                 args.reactors = value("--reactors")?
                     .parse()
@@ -67,8 +59,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn service(shards: usize) -> Arc<KvService> {
-    Arc::new(KvService::new(shards, 1, |_| {
+fn service() -> Arc<KvService> {
+    Arc::new(KvService::new(1, 1, |_| {
         let tree: abtree::ElimABTree = abtree::ElimABTree::new();
         Box::new(tree)
     }))
@@ -83,10 +75,10 @@ fn main() -> ExitCode {
         }
     };
     if args.selftest {
-        return selftest(args.shards, args.reactors);
+        return selftest(args.reactors);
     }
 
-    let svc = service(args.shards);
+    let svc = service();
     let addr = match args.addr.parse() {
         Ok(addr) => addr,
         Err(e) => {
@@ -103,7 +95,7 @@ fn main() -> ExitCode {
         Ok(server) => server,
         Err(e) => {
             // A bind failure, or a reactor whose router could not open a
-            // session on every shard: an orderly error, not a panic.
+            // session on the store: an orderly error, not a panic.
             eprintln!("netserve_server: start failed: {e}");
             return ExitCode::FAILURE;
         }
@@ -143,11 +135,11 @@ fn main() -> ExitCode {
 }
 
 /// CI smoke test: mixed workload, graceful shutdown, drained responses.
-fn selftest(shards: usize, reactors: usize) -> ExitCode {
+fn selftest(reactors: usize) -> ExitCode {
     const CLIENTS: u64 = 8;
     const FRAMES_PER_CLIENT: u64 = 200;
 
-    let svc = service(shards);
+    let svc = service();
     let config = ServerConfig {
         reactors,
         idle_timeout: Duration::from_secs(10),
@@ -264,7 +256,7 @@ fn selftest(shards: usize, reactors: usize) -> ExitCode {
 /// Scrapes the live server over the wire (a 0x07 Stats frame) and
 /// cross-checks the exposition against the traffic the selftest pushed:
 /// every frame carried exactly one point put and one point get, so with
-/// the workers joined the per-shard op counters must sum to exactly that.
+/// the workers joined the op counters must read exactly that.
 fn scrape_check(addr: std::net::SocketAddr, expected_frames: u64) -> Result<(), String> {
     let mut client = Client::connect(addr).map_err(|e| format!("connect: {e}"))?;
     let text = client.scrape().map_err(|e| e.to_string())?;
@@ -279,10 +271,10 @@ fn scrape_check(addr: std::net::SocketAddr, expected_frames: u64) -> Result<(), 
         return Ok(());
     }
     for op in ["put", "get"] {
-        let counted = obs::expo::sum(&samples, "kv_ops_total", &[("op", op)]);
-        if counted != expected_frames {
+        let counted = obs::expo::value(&samples, "kv_ops_total", &[("op", op)]);
+        if counted != Some(expected_frames) {
             return Err(format!(
-                "kv_ops_total{{op={op}}} sums to {counted}, expected {expected_frames}"
+                "kv_ops_total{{op={op}}} reads {counted:?}, expected {expected_frames}"
             ));
         }
     }

@@ -24,8 +24,9 @@
 //! use netserve::{Client, Server, ServerConfig};
 //! use kvserve::{KvService, Request, Response};
 //!
-//! // Four elim-abtree shards behind the socket front end.
-//! let service = Arc::new(KvService::new(4, 1, |_| {
+//! // One elim-abtree behind the socket front end (the first two
+//! // arguments are ignored).
+//! let service = Arc::new(KvService::new(1, 1, |_| {
 //!     let tree: abtree::ElimABTree = abtree::ElimABTree::new();
 //!     Box::new(tree)
 //! }));

@@ -172,7 +172,7 @@ pub struct Server {
 impl Server {
     /// Binds `config.addr` and spawns the reactor threads, each of which
     /// opens its router on the service.  Fails if binding fails, or if a
-    /// reactor cannot open its router ([`kvserve::RouterError`]: a shard's
+    /// reactor cannot open its router ([`kvserve::RouterError`]: the
     /// store has no session slot left); the reactors already running are
     /// shut down first.
     ///

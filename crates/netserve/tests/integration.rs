@@ -20,8 +20,8 @@ use kvserve::{KvService, Request, Response};
 use netserve::frame::{write_frame, FrameDecoder};
 use netserve::{Client, Server, ServerConfig, ERR_BAD_BATCH};
 
-fn elim_service(shards: usize) -> Arc<KvService> {
-    Arc::new(KvService::new(shards, 1, |_| {
+fn elim_service() -> Arc<KvService> {
+    Arc::new(KvService::new(1, 1, |_| {
         let tree: abtree::ElimABTree = abtree::ElimABTree::new();
         Box::new(tree)
     }))
@@ -46,7 +46,7 @@ fn sustains_256_pipelined_connections() {
     const CONNS_PER_THREAD: u64 = 32;
     const FRAMES_PER_CONN: u64 = 4;
 
-    let service = elim_service(4);
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let addr = server.local_addr();
 
@@ -119,7 +119,7 @@ fn slow_client_trips_high_water_without_stalling_others() {
     const PREFILL: u64 = 2000;
     const SLOW_SCANS: usize = 200;
 
-    let service = elim_service(2);
+    let service = elim_service();
     let config = ServerConfig {
         reactors: 1, // both clients share one event loop: stalls would show
         write_high_water: 2048,
@@ -181,14 +181,14 @@ fn slow_client_trips_high_water_without_stalling_others() {
     server.shutdown();
 }
 
-/// A single frame holding more requests than a router's in-flight budget,
-/// all on one shard, is answered in full: the reactor runs each request to
+/// A single frame holding more requests than a router's in-flight budget
+/// is answered in full: the reactor runs each request to
 /// completion before the next, so nothing is shed.
 #[test]
 fn a_frame_over_the_budget_is_answered_in_full() {
     use kvserve::LANE_CAPACITY;
 
-    let service = elim_service(1); // one shard: every key lands on it
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
@@ -203,16 +203,16 @@ fn a_frame_over_the_budget_is_answered_in_full() {
     server.shutdown();
 }
 
-/// A reactor opens its router when it starts: if a shard's store has no
-/// session slot left for it, `Server::start` fails instead of the reactor
+/// A reactor opens its router when it starts: if the store has no session
+/// slot left for it, `Server::start` fails instead of the reactor
 /// thread, and the server comes up once slots are free.
 #[test]
 fn a_reactor_without_a_session_slot_fails_start() {
     let collector = abebr::Collector::new();
     let service = {
         let collector = collector.clone();
-        Arc::new(KvService::new(2, 1, move |_| {
-            let tree: abtree::ElimABTree = abtree::ElimABTree::with_collector(collector.clone());
+        Arc::new(KvService::new(1, 1, move |_| {
+            let tree: abtree::ElimABTree = abtree::ElimABTree::with_collector(collector);
             Box::new(tree)
         }))
     };
@@ -242,7 +242,7 @@ fn graceful_shutdown_drains_pipelined_frames() {
     const CLIENTS: u64 = 4;
     const FRAMES: u64 = 50;
 
-    let service = elim_service(4);
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let addr = server.local_addr();
 
@@ -298,7 +298,7 @@ fn graceful_shutdown_drains_pipelined_frames() {
 /// sweep; active ones are not.
 #[test]
 fn idle_connections_are_evicted() {
-    let service = elim_service(2);
+    let service = elim_service();
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(100),
         ..ServerConfig::default()
@@ -348,7 +348,7 @@ fn idle_connections_are_evicted() {
 /// `shutdown` returns promptly with nothing to wake the reactors.
 #[test]
 fn shutdown_of_an_idle_server_is_bounded() {
-    let service = elim_service(2);
+    let service = elim_service();
     let config = ServerConfig {
         idle_timeout: Duration::ZERO,
         ..ServerConfig::default()
@@ -372,7 +372,7 @@ fn shutdown_of_an_idle_server_is_bounded() {
 /// segment exactly like one delivered whole.
 #[test]
 fn byte_dribble_reassembles_on_the_wire() {
-    let service = elim_service(2);
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -457,7 +457,7 @@ fn model_reply(model: &mut BTreeMap<u64, u64>, request: &Request) -> Response {
 /// requests pipelined around them.
 #[test]
 fn a_burst_is_answered_frame_by_frame_in_order() {
-    let service = elim_service(4);
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
 
@@ -531,7 +531,7 @@ fn a_burst_is_answered_frame_by_frame_in_order() {
 /// must see, and each request is counted once.
 #[test]
 fn single_request_frames_are_counted_once() {
-    let service = elim_service(4);
+    let service = elim_service();
     let config = ServerConfig {
         reactors: 1,
         ..ServerConfig::default()
@@ -568,8 +568,8 @@ fn single_request_frames_are_counted_once() {
     server.shutdown();
 }
 
-/// A burst that aims more than a router's in-flight budget at one shard is
-/// served whole: nothing is refused.
+/// A burst that aims more than a router's in-flight budget at one
+/// connection is served whole: nothing is refused.
 #[test]
 fn a_burst_over_one_lane_sheds_nothing() {
     use kvserve::LANE_CAPACITY;
@@ -577,7 +577,7 @@ fn a_burst_over_one_lane_sheds_nothing() {
     const PER_FRAME: u64 = 8;
     assert!(FRAMES * PER_FRAME > LANE_CAPACITY as u64);
 
-    let service = elim_service(1); // one shard: every key lands on it
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let frames: Vec<Vec<Request>> = (0..FRAMES)
@@ -614,7 +614,7 @@ fn a_burst_over_one_lane_sheds_nothing() {
 /// behind it are never served.
 #[test]
 fn a_malformed_frame_mid_burst_answers_what_came_before_it() {
-    let service = elim_service(2);
+    let service = elim_service();
     let mut server = Server::start(ServerConfig::default(), Arc::clone(&service)).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
     let mut wire = Vec::new();

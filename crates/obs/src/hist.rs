@@ -8,7 +8,7 @@
 //! than an external crate: 64 buckets, bucket *i* holding values whose
 //! highest set bit is *i*, i.e. `[2^i, 2^(i+1))`.  Quantiles are resolved
 //! to the bucket upper bound, giving ~2x-resolution p50/p99 — ample for
-//! distinguishing "100ns point get" from "10µs cross-shard scan".
+//! distinguishing "100ns point get" from "10µs range scan".
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
